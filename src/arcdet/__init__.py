@@ -15,7 +15,7 @@ from .poly import MultiPoly, parse_poly, poly_to_string
 from .matrices import PolyMatrix, SeriesMatrix, det_division_free, minors
 from .snf import LambdaProfile, SnfResult, smith_normal_form
 from .jets import IdealGens, JetPoint, enumerate_jets, jet_space_size, ord_along_ideal, substitute_jet
-from .consensus import CountReport, codim_consensus, cyclotomic_fit, extract_codim
+from .consensus import CountReport, cyclotomic_fit, extract_codim
 from .contact import ContactQuery, count_contact, proj_count_contact
 from .lct import LctEstimate, lct_estimate
 from .determinantal import (

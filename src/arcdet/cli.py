@@ -30,8 +30,8 @@ from .determinantal import (
     cone_comparison_check,
     fiber_count_check,
     lambda_profile,
+    lct_z_estimate,
     stratum_counts,
-    _lower_minor_strata,
 )
 from .errors import ArcdetError, ValidationError
 from .fields import GF, QQ
@@ -143,13 +143,8 @@ def _cmd_lct(args):
     if (args.ideal is None) == (args.matrix is None):
         raise ValidationError("lct needs exactly one of --ideal or --matrix")
     if args.matrix:
-        A = matrix_from_doc(load_json(args.matrix))
-        pair = DeterminantalPair.from_matrix(A)
-        flat, groups = _lower_minor_strata(A)
-        est = lct_estimate(
-            pair.z_gens, args.max_m, primes=args.primes, budget=args.budget,
-            stratifier="polys", strat_polys=flat, strat_groups=groups,
-        )
+        pair = DeterminantalPair.from_matrix(matrix_from_doc(load_json(args.matrix)))
+        est = lct_z_estimate(pair, args.max_m, primes=args.primes, budget=args.budget)
     else:
         gens = ideal_from_doc(load_json(args.ideal))
         est = lct_estimate(gens, args.max_m, primes=args.primes, budget=args.budget)

@@ -1,26 +1,23 @@
 """Turning finite-field point counts into codimension estimates.
 
-Two extractors live here.
-
-``codim_consensus`` is the baseline: per prime, the dimension is read off
-as round(log_q count) with a 0.45 guard band, and a consensus requires
-every prime to agree inside its band.  Ambiguity is surfaced, never
-rounded away.
-
-``extract_codim`` adds an exact pre-pass.  The cells that appear in this
-problem family (monomial strata, GL-orbit strata of matrix jets, chart
-cells of incidence loci, projective fiber cells) have counts of the very
-rigid shape
+``extract_codim`` is the one extraction path.  It starts with an exact
+pass.  The cells that appear in this problem family (monomial strata,
+GL-orbit strata of matrix jets, chart cells of incidence loci, projective
+fiber cells) have counts of the very rigid shape
 
     q^a * (q-1)^b * (q+1)^e * (q^2+q+1)^f
 
 whose exponents are pinned by exact integer factoring at each prime and
 cross-checked across all primes; when that succeeds the dimension
-a+b+e+2f is exact and no rounding is involved.  When it fails we fall
-back to the guarded rounding above.  Log-rounding alone is provably
-unreliable here: at q=2 the factor (q-1) is invisible, and exact-contact
-cells come in families whose component count inflates the leading
-coefficient, so the guard band is essential, not decorative.
+a+b+e+2f is exact and no rounding is involved.  When it fails the
+dimension is read off per prime as round(log_q count) with a 0.45 guard
+band, and a consensus requires at least two primes to agree inside their
+bands.  Ambiguity is surfaced as a status, never rounded away.
+Log-rounding alone is provably unreliable here: at q=2 the factor (q-1)
+is invisible, and exact-contact cells come in families whose component
+count inflates the leading coefficient, so the guard band is essential,
+not decorative.  ``extract_codim_bucketed`` applies the same two steps to
+each cell of an exact partition.
 """
 
 from __future__ import annotations
@@ -49,13 +46,6 @@ class CountReport:
     method: str = ""
     detail: str = ""
     sentinel_counts: tuple = ()  # jets vanishing to level, per prime, when tracked
-
-    @property
-    def is_empty(self):
-        return self.status == STATUS_EXACT_EMPTY
-
-    def codim_or_none(self):
-        return self.consensus_codim
 
     def payload(self):
         out = {
@@ -132,53 +122,32 @@ def _round_log_dim(count, q):
     return d, abs(lg - d)
 
 
-def codim_consensus(counts, n, level):
-    """Spec-shape consensus: per-prime rounded dims with a 0.45 guard band.
+def _rounding_vote(counts):
+    """Guarded log-rounding vote over [(q, count), ...] with some count nonzero.
 
-    ``counts`` is a list of (q, raw_count, total).  Requires two distinct
-    primes unless the count is zero or the full space.  Ambiguity is a
-    status, not an error.
+    Returns (dims, lo, hi, agreed): the rounded dimension per nonempty
+    prime, the range of the votes, and whether at least two primes vote
+    one dimension with every vote inside the guard band.
     """
-    ambient = n * (level + 1)
-    counts = tuple((q, raw, total) for q, raw, total in counts)
-    if all(raw == 0 for _, raw, _ in counts):
-        return CountReport(counts, ambient, STATUS_EXACT_EMPTY, method="empty")
-    if all(raw == total for _, raw, total in counts):
-        return CountReport(
-            counts, ambient, STATUS_CONSENSUS, dims={q: ambient for q, _, _ in counts},
-            consensus_codim=0, method="full",
-        )
-    if len({q for q, _, _ in counts}) < 2:
-        raise ValueError("consensus needs at least two distinct primes unless empty or full")
     dims = {}
     in_band = True
-    for q, raw, _ in counts:
-        if raw == 0:
+    for q, c in counts:
+        if c == 0:
             continue  # empty at this prime, nonempty elsewhere: no vote
-        d, dev = _round_log_dim(raw, q)
+        d, dev = _round_log_dim(c, q)
         dims[q] = d
-        if dev >= GUARD_BAND:
-            in_band = False
-    votes = sorted(set(dims.values()))
-    if len(votes) == 1 and in_band and len(dims) >= 2:
-        d = votes[0]
-        return CountReport(
-            counts, ambient, STATUS_CONSENSUS, dims=dims,
-            consensus_codim=ambient - d, method="rounding",
-        )
-    lo, hi = votes[0], votes[-1]
-    return CountReport(
-        counts, ambient, STATUS_AMBIGUOUS, dims=dims,
-        codim_interval=(ambient - hi, ambient - lo), method="rounding",
-        detail="per-prime dimension votes disagree or fall outside the guard band",
-    )
+        in_band = in_band and dev < GUARD_BAND
+    lo, hi = min(dims.values()), max(dims.values())
+    return dims, lo, hi, lo == hi and in_band and len(dims) >= 2
 
 
-def extract_codim(counts, ambient_dim, allow_fit=True):
+def extract_codim(counts, ambient_dim):
     """Codimension of a counted locus inside an ambient_dim-dimensional space.
 
-    Pipeline: exact-empty, full-space, exact cyclotomic fit, guarded
-    rounding consensus.
+    ``counts`` is a list of (q, raw_count, total).  Pipeline: exact-empty,
+    full-space, exact cyclotomic fit, guarded rounding consensus.  A single
+    nonempty prime cannot form a consensus and is reported as AMBIGUOUS
+    with its vote as the interval.
     """
     counts = tuple((q, raw, total) for q, raw, total in counts)
     if all(raw == 0 for _, raw, _ in counts):
@@ -188,33 +157,20 @@ def extract_codim(counts, ambient_dim, allow_fit=True):
             counts, ambient_dim, STATUS_CONSENSUS, dims={q: ambient_dim for q, _, _ in counts},
             consensus_codim=0, method="full",
         )
-    if allow_fit:
-        fit = cyclotomic_fit([(q, raw) for q, raw, _ in counts if raw > 0])
-        if fit is not None and all(raw > 0 for _, raw, _ in counts):
+    if all(raw > 0 for _, raw, _ in counts):
+        fit = cyclotomic_fit([(q, raw) for q, raw, _ in counts])
+        if fit is not None and fit[0] <= ambient_dim:
             dim, shape = fit
-            if dim <= ambient_dim:
-                return CountReport(
-                    counts, ambient_dim, STATUS_CONSENSUS, dims={q: dim for q, _, _ in counts},
-                    consensus_codim=ambient_dim - dim, method="fit", detail=shape,
-                )
-    # rounding consensus on whatever primes are nonempty
-    dims = {}
-    in_band = True
-    for q, raw, _ in counts:
-        if raw == 0:
-            continue
-        d, dev = _round_log_dim(raw, q)
-        dims[q] = d
-        if dev >= GUARD_BAND:
-            in_band = False
-    votes = sorted(set(dims.values()))
-    if len(votes) == 1 and in_band and len(dims) >= 2:
-        d = votes[0]
+            return CountReport(
+                counts, ambient_dim, STATUS_CONSENSUS, dims={q: dim for q, _, _ in counts},
+                consensus_codim=ambient_dim - dim, method="fit", detail=shape,
+            )
+    dims, lo, hi, agreed = _rounding_vote([(q, raw) for q, raw, _ in counts])
+    if agreed:
         return CountReport(
             counts, ambient_dim, STATUS_CONSENSUS, dims=dims,
-            consensus_codim=ambient_dim - d, method="rounding",
+            consensus_codim=ambient_dim - lo, method="rounding",
         )
-    lo, hi = votes[0], votes[-1]
     return CountReport(
         counts, ambient_dim, STATUS_AMBIGUOUS, dims=dims,
         codim_interval=(ambient_dim - hi, ambient_dim - lo), method="rounding",
@@ -258,14 +214,7 @@ def extract_codim_bucketed(bucket_counts, ambient_dim, totals=None):
                 details[key] = ("fit", dim, shape)
                 decided_max = dim if decided_max is None else max(decided_max, dim)
                 continue
-        votes = []
-        for q, c in vals:
-            if c > 0:
-                d, dev = _round_log_dim(c, q)
-                votes.append((d, dev))
-        lo = min(d for d, _ in votes)
-        hi = max(d for d, _ in votes)
-        agreed = lo == hi and all(dev < GUARD_BAND for _, dev in votes) and len(votes) >= 2
+        _, lo, hi, agreed = _rounding_vote(vals)
         if agreed:
             details[key] = ("rounding", lo, "")
             decided_max = lo if decided_max is None else max(decided_max, lo)

@@ -10,19 +10,17 @@ condition was not scaling invariant and is reported as an internal error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .consensus import (
     STATUS_SAMPLED,
     CountReport,
-    codim_consensus,
     extract_codim,
     wilson_interval,
 )
 from .counting import (
-    DEFAULT_BATCH_CAP,
     batch_conv,
     batch_ord,
     iter_digit_batches,
@@ -74,7 +72,7 @@ class ContactQuery:
             raise ValidationError(f"unknown constraint {self.constraint!r}")
 
 
-def _exact_contact_count(gens: IdealGens, n, level, q, mode, m, constraint, budget, batch_cap):
+def _exact_contact_count(gens: IdealGens, n, level, q, mode, m, constraint, budget):
     """Exact count plus the number of sentinel jets (pullbacks vanishing to level)."""
     polys = list(gens.nonzero())
     if not polys:
@@ -86,7 +84,7 @@ def _exact_contact_count(gens: IdealGens, n, level, q, mode, m, constraint, budg
 
         names = gens.variables
         coord_polys = [MultiPoly.variable(gens.field, names, names[i]) for i in track]
-    table = ord_vector_distribution(coord_polys + polys, n, level, q, budget=budget, batch_cap=batch_cap)
+    table = ord_vector_distribution(coord_polys + polys, n, level, q, budget=budget)
     pred = CONSTRAINT_REGISTRY[constraint] if constraint else None
     k = len(coord_polys)
     hits = 0
@@ -111,7 +109,6 @@ def count_contact(
     gens: IdealGens,
     query: ContactQuery,
     budget=DEFAULT_BUDGET,
-    batch_cap=DEFAULT_BATCH_CAP,
     seed=0,
     samples=200_000,
 ) -> CountReport:
@@ -130,7 +127,7 @@ def count_contact(
         total = jet_space_size(n, query.level, q)
         try:
             raw, bot = _exact_contact_count(
-                gens, n, query.level, q, query.mode, query.m, query.constraint, budget, batch_cap
+                gens, n, query.level, q, query.mode, query.m, query.constraint, budget
             )
             counts.append((q, raw, total))
             sentinels.append((q, bot))
@@ -156,44 +153,8 @@ def count_contact(
             detail=detail,
         )
 
-    try:
-        report = codim_consensus(counts, n, query.level)
-    except ValueError:
-        # a single prime cannot form a consensus: report its vote as ambiguous
-        from .consensus import STATUS_AMBIGUOUS, _round_log_dim
-
-        dims = {q: _round_log_dim(raw, q)[0] for q, raw, _ in counts if raw > 0}
-        lo, hi = min(dims.values()), max(dims.values())
-        ambient = n * (query.level + 1)
-        report = CountReport(
-            counts=tuple(counts), ambient_dim=ambient, status=STATUS_AMBIGUOUS, dims=dims,
-            codim_interval=(ambient - hi, ambient - lo), method="rounding",
-            detail="single prime: no consensus possible",
-        )
-    return CountReport(
-        counts=report.counts,
-        ambient_dim=report.ambient_dim,
-        status=report.status,
-        dims=report.dims,
-        consensus_codim=report.consensus_codim,
-        codim_interval=report.codim_interval,
-        method=report.method,
-        detail=report.detail,
-        sentinel_counts=tuple(sentinels),
-    )
-
-
-def count_contact_enhanced(gens, query, budget=DEFAULT_BUDGET, batch_cap=DEFAULT_BATCH_CAP):
-    """Like count_contact but codimension extraction uses the exact fit pipeline."""
-    n = len(gens.variables)
-    counts = []
-    for q in query.primes:
-        total = jet_space_size(n, query.level, q)
-        raw, _ = _exact_contact_count(
-            gens, n, query.level, q, query.mode, query.m, query.constraint, budget, batch_cap
-        )
-        counts.append((q, raw, total))
-    return extract_codim(counts, n * (query.level + 1))
+    report = extract_codim(counts, n * (query.level + 1))
+    return replace(report, sentinel_counts=tuple(sentinels))
 
 
 # --------------------------------------------------------------------------
@@ -201,13 +162,13 @@ def count_contact_enhanced(gens, query, budget=DEFAULT_BUDGET, batch_cap=DEFAULT
 # --------------------------------------------------------------------------
 
 
-def _proj_cone_hits(forms_per_u, r, level, q, mode, m, batch_cap):
+def _proj_cone_hits(forms_per_u, r, level, q, mode, m):
     """Count homogeneous-coordinate tuples with a unit coordinate meeting the
     order condition.  ``forms_per_u`` maps a (B, r, N+1) batch of u-tuples to
     a list of (B, N+1) form pullbacks."""
     width = r * (level + 1)
     hits = 0
-    for digits in iter_digit_batches(width, q, batch_cap):
+    for digits in iter_digit_batches(width, q):
         u = digits.reshape(digits.shape[0], r, level + 1)
         unit_mask = (u[:, :, 0] != 0).any(axis=1)
         best = None
@@ -228,7 +189,6 @@ def proj_count_contact(
     query: ContactQuery,
     fixed_base=None,
     budget=DEFAULT_BUDGET,
-    batch_cap=DEFAULT_BATCH_CAP,
 ) -> CountReport:
     """Count projective jets of P^(r-1) meeting an order condition.
 
@@ -279,7 +239,7 @@ def proj_count_contact(
 
                 return [eval_poly_batch(g, u, q) for g in mapped]
 
-        cone = _proj_cone_hits(forms, r, level, q, query.mode, query.m, batch_cap)
+        cone = _proj_cone_hits(forms, r, level, q, query.mode, query.m)
         unit_group = q**level * (q - 1)
         if cone % unit_group != 0:
             raise InternalInvariantError(

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BudgetExceeded, InternalInvariantError
+from .errors import BudgetExceeded
 from .jets import DEFAULT_BUDGET
 
 DEFAULT_BATCH_CAP = 1 << 22
@@ -40,14 +40,13 @@ _MAX_COMBINE = 1 << 26
 # --------------------------------------------------------------------------
 
 
-def iter_digit_batches(width, q, batch_cap=DEFAULT_BATCH_CAP, total=None):
-    """Yield (B, width) integer arrays covering the odometer grid of base-q digits.
+def iter_digit_batches(width, q, batch_cap=DEFAULT_BATCH_CAP):
+    """Yield (B, width) int32 arrays covering the odometer grid of base-q digits.
 
     The low digits cycle with period q^w, so one cached block is tiled and
     only the remaining high digits are computed per batch.
     """
-    if total is None:
-        total = q**width
+    total = q**width
     if total > 2**62:  # pragma: no cover - beyond any practical budget
         raise BudgetExceeded("grid too large to index")
 
@@ -84,8 +83,9 @@ def iter_digit_batches(width, q, batch_cap=DEFAULT_BATCH_CAP, total=None):
 def batch_conv(a, b, q):
     """Truncated product of batched series: (B, N+1) x (B, N+1) -> (B, N+1).
 
-    Coefficients stay reduced mod q, so int32 accumulation is safe for the
-    primes used in counting (guarded at entry to the distribution engine).
+    Each output coefficient sums at most N+1 products of reduced
+    coefficients before it is reduced, so int32 operands are exact while
+    (N+1)(q-1)^2 < 2^31; ``ord_vector_distribution`` checks this at entry.
     """
     n1 = a.shape[-1]
     out = np.zeros_like(a)
@@ -118,6 +118,8 @@ def eval_poly_batch(poly, coords, q):
         return coords[:, var, :]
     B, n, width = coords.shape
     out = np.zeros((B, width), dtype=coords.dtype)
+    limit = int(np.iinfo(out.dtype).max)
+    bound = 0  # largest value an entry of ``out`` can hold so far
     powers = [dict() for _ in range(n)]
 
     def power(i, e):
@@ -140,6 +142,11 @@ def eval_poly_batch(poly, coords, q):
                 continue
             factor = power(i, e)
             term = factor if term is None else batch_conv(term, factor, q)
+        # term entries are reduced digits, so this term adds at most c*(q-1)
+        if bound + c * (q - 1) > limit:
+            np.mod(out, q, out=out)
+            bound = q - 1
+        bound += c * (q - 1)
         if term is None:
             out[:, 0] += c  # constant term
         elif c == 1:
@@ -574,8 +581,10 @@ def ord_vector_distribution(
     strategies are exact and interchangeable.  Raises BudgetExceeded when
     nothing fits.
     """
-    if q > 2**15:
-        raise BudgetExceeded(f"vectorized counting restricted to primes below 2^15, got {q}")
+    if (level + 1) * (q - 1) ** 2 >= 2**31:
+        raise BudgetExceeded(
+            f"int32 series products overflow at q={q}, level {level}: need (N+1)(q-1)^2 < 2^31"
+        )
     from .fields import GF
 
     gfq = GF(q)
@@ -614,10 +623,6 @@ def ord_vector_distribution(
     )
 
 
-def distribution_total(table):
-    return sum(table.values())
-
-
 def sample_ord_hits(gens, n, level, q, mode, m, samples, rng, batch_cap=DEFAULT_BATCH_CAP):
     """Monte Carlo hit count for an order condition; returns (hits, samples)."""
     from .fields import GF
@@ -642,9 +647,3 @@ def sample_ord_hits(gens, n, level, q, mode, m, samples, rng, batch_cap=DEFAULT_
         done += b
     return hits, samples
 
-
-def check_tables_equal(t1, t2):
-    """Used by tests: exact equality of two distribution tables."""
-    if t1 != t2:
-        raise InternalInvariantError("distribution strategies disagree")
-    return True

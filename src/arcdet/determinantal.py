@@ -20,7 +20,7 @@ from .consensus import (
     extract_codim,
 )
 from .contact import MODE_AT_LEAST, ContactQuery, proj_count_contact
-from .counting import DEFAULT_BATCH_CAP, ord_vector_distribution
+from .counting import ord_vector_distribution
 from .errors import BudgetExceeded, InternalInvariantError, ValidationError
 from .fields import QQ
 from .jets import DEFAULT_BUDGET, IdealGens, jet_space_size
@@ -53,6 +53,19 @@ def minor_ideal_tower(A: PolyMatrix):
             gens = [MultiPoly.zero(A.field, A.variables)]
         tower.append(IdealGens(tuple(gens)))
     return tower
+
+
+def _flat_minor_tower(A: PolyMatrix):
+    """The nonzero minors of every level in one list, and each level's indices into it."""
+    flat = []
+    groups = []
+    for ideal in minor_ideal_tower(A):
+        if ideal.is_zero_ideal():
+            raise ValidationError("matrix has an identically vanishing minor level")
+        gens = ideal.nonzero()
+        groups.append(tuple(range(len(flat), len(flat) + len(gens))))
+        flat.extend(gens)
+    return flat, groups
 
 
 @dataclass(frozen=True)
@@ -197,7 +210,6 @@ def stratum_counts(
     level: int,
     q: int,
     budget=DEFAULT_BUDGET,
-    batch_cap=DEFAULT_BATCH_CAP,
 ) -> StratumReport:
     """Classify every jet with contact order m along Z_A by its profile.
 
@@ -208,19 +220,8 @@ def stratum_counts(
         raise ValidationError("m must be at most the level")
     A = pair.matrix
     n = len(A.variables)
-    tower = minor_ideal_tower(A)
-    flat = []
-    groups = []
-    for ideal in tower:
-        if ideal.is_zero_ideal():
-            raise ValidationError("matrix has an identically vanishing minor level")
-        idx = []
-        for g in ideal.nonzero():
-            idx.append(len(flat))
-            flat.append(g)
-        groups.append(tuple(idx))
-
-    table = ord_vector_distribution(flat, n, level, q, budget=budget, batch_cap=batch_cap)
+    flat, groups = _flat_minor_tower(A)
+    table = ord_vector_distribution(flat, n, level, q, budget=budget)
 
     r = pair.r
     per_lambda = {}
@@ -252,8 +253,7 @@ def stratum_counts(
     # strategy is cheapest (usually a different algorithm than the direct
     # classification pass above)
     z_table = ord_vector_distribution(
-        list(pair.z_gens.nonzero()), n, level, q, budget=budget, batch_cap=batch_cap,
-        prefer="cheapest",
+        list(pair.z_gens.nonzero()), n, level, q, budget=budget, prefer="cheapest"
     )
     cont_m = sum(cnt for key, cnt in z_table.items() if min(key) == m)
 
@@ -404,20 +404,28 @@ class CorollaryReport:
         }
 
 
-def _lower_minor_strata(A: PolyMatrix):
-    """Stratifier polys/groups from the minor tower below the maximal level."""
-    tower = minor_ideal_tower(A)
-    flat = []
-    groups = []
-    for ideal in tower[:-1]:
-        idx = []
-        for g in ideal.nonzero():
-            idx.append(len(flat))
-            flat.append(g)
-        if not idx:
-            raise ValidationError("matrix has an identically vanishing minor level")
-        groups.append(tuple(idx))
-    return flat, groups
+def lct_z_estimate(pair: DeterminantalPair, M: int, primes=LCT_DEFAULT_PRIMES, budget=DEFAULT_BUDGET):
+    """lct(X, Z_A), with Cont^m bucketed by the orders of the lower minor ideals."""
+    flat, groups = _flat_minor_tower(pair.matrix)
+    lower = flat[: groups[-1][0]]
+    return lct_estimate(
+        pair.z_gens, M, primes=primes, budget=budget,
+        stratifier="polys", strat_polys=lower, strat_groups=groups[:-1],
+    )
+
+
+def lct_w_estimate(pair: DeterminantalPair, M: int, primes=LCT_DEFAULT_PRIMES, budget=DEFAULT_BUDGET):
+    """lct(Y, W_A) chart by chart: (per-chart LctEstimates, their minimum).
+
+    The charts y_i = 1 cover the projective factor and the threshold
+    localizes; the minimum is None unless every chart has an estimate.
+    """
+    charts = tuple(
+        lct_estimate(pair.chart_gens(i), M, primes=primes, budget=budget, stratifier=None)
+        for i in range(pair.r)
+    )
+    vals = [c.estimate for c in charts if c.estimate is not None]
+    return charts, (min(vals) if len(vals) == len(charts) else None)
 
 
 def corollary_check(
@@ -425,14 +433,11 @@ def corollary_check(
     M: int,
     primes=LCT_DEFAULT_PRIMES,
     budget=DEFAULT_BUDGET,
-    batch_cap=DEFAULT_BATCH_CAP,
 ) -> CorollaryReport:
     """Estimate both thresholds of a square pair and test the biconditional.
 
-    lct(Y, W_A) is computed chart by chart (the charts y_i = 1 cover the
-    projective factor and the threshold localizes); the verdicts allow the
-    rounding guard 1/(2M) since estimates are minima of fractions with
-    denominator at most M.
+    The verdicts allow the rounding guard 1/(2M) since estimates are minima
+    of fractions with denominator at most M.
     """
     if A.rows != A.cols:
         raise ValidationError(f"corollary check needs a square matrix, got {A.rows}x{A.cols}")
@@ -440,31 +445,14 @@ def corollary_check(
     r = pair.r
     tol = Fraction(1, 2 * M)
 
-    strat_flat, strat_groups = _lower_minor_strata(A)
-    lct_z = lct_estimate(
-        pair.z_gens, M, primes=primes, budget=budget, batch_cap=batch_cap,
-        stratifier="polys", strat_polys=strat_flat, strat_groups=strat_groups,
-    )
-
-    charts = []
-    w_vals = []
-    prop24_ok = True
-    for i in range(r):
-        est = lct_estimate(
-            pair.chart_gens(i), M, primes=primes, budget=budget, batch_cap=batch_cap,
-            stratifier=None,
-        )
-        charts.append(est)
-        if est.estimate is not None:
-            w_vals.append(est.estimate)
-            if est.estimate > r + tol:
-                prop24_ok = False
-    lct_w = min(w_vals) if len(w_vals) == r else None
+    lct_z = lct_z_estimate(pair, M, primes=primes, budget=budget)
+    charts, lct_w = lct_w_estimate(pair, M, primes=primes, budget=budget)
+    prop24_ok = all(c.estimate is None or c.estimate <= r + tol for c in charts)
 
     z = lct_z.estimate
     if z is None or lct_w is None:
         return CorollaryReport(
-            lct_z=lct_z, lct_w_charts=tuple(charts), lct_w=lct_w, r=r, tolerance=tol,
+            lct_z=lct_z, lct_w_charts=charts, lct_w=lct_w, r=r, tolerance=tol,
             z_is_one=False, w_is_r=False, biconditional_ok=False,
             forward_bound_ok=False, backward_bound_ok=False, prop24_ok=prop24_ok,
             verdict=VERDICT_AMBIGUOUS,
@@ -490,7 +478,7 @@ def corollary_check(
     else:
         verdict = VERDICT_FAIL
     return CorollaryReport(
-        lct_z=lct_z, lct_w_charts=tuple(charts), lct_w=lct_w, r=r, tolerance=tol,
+        lct_z=lct_z, lct_w_charts=charts, lct_w=lct_w, r=r, tolerance=tol,
         z_is_one=z_is_one, w_is_r=w_is_r, biconditional_ok=biconditional_ok,
         forward_bound_ok=forward_ok, backward_bound_ok=backward_ok, prop24_ok=prop24_ok,
         verdict=verdict,
@@ -530,7 +518,6 @@ def rational_singularity_probe(
     M: int,
     primes=LCT_DEFAULT_PRIMES,
     budget=DEFAULT_BUDGET,
-    batch_cap=DEFAULT_BATCH_CAP,
 ) -> RationalSingularityProbe:
     """Strict-inequality probe for a square pair's hypersurface Z_A.
 
@@ -560,7 +547,7 @@ def rational_singularity_probe(
         for q in primes:
             table = ord_vector_distribution(
                 list(pair.z_gens.nonzero()) + sing_gens, n, level, q,
-                budget=budget, batch_cap=batch_cap, prefer="cheapest",
+                budget=budget, prefer="cheapest",
             )
             k = len(pair.z_gens.nonzero())
             hits = 0
@@ -634,7 +621,7 @@ class ConeCheck:
         }
 
 
-def _cone_side_counts_direct(pair, level, q, m_exact, p_exact, budget, batch_cap, cache=None):
+def _cone_side_counts_direct(pair, level, q, m_exact, p_exact, budget, cache=None):
     """Count jets of X x A^r with exact incidence order and exact zero-section order.
 
     The joint distribution table depends only on (level, q); a cache dict
@@ -650,7 +637,7 @@ def _cone_side_counts_direct(pair, level, q, m_exact, p_exact, budget, batch_cap
     if table is None:
         y_polys = [MultiPoly.variable(pair.matrix.field, joint, y) for y in pair.y_names]
         polys = y_polys + list(pair.w_gens.nonzero())
-        table = ord_vector_distribution(polys, n_joint, level, q, budget=budget, batch_cap=batch_cap)
+        table = ord_vector_distribution(polys, n_joint, level, q, budget=budget)
         if cache is not None:
             cache[key] = table
     k = len(pair.y_names)
@@ -688,7 +675,6 @@ def cone_comparison_check(
     level: int,
     primes=LCT_DEFAULT_PRIMES,
     budget=DEFAULT_BUDGET,
-    batch_cap=DEFAULT_BATCH_CAP,
     table_cache=None,
 ) -> ConeCheck:
     """Affine-cone comparison: jets of the cone with zero-section contact p
@@ -713,7 +699,7 @@ def cone_comparison_check(
     identity_ok = True
     for q in primes:
         try:
-            lhs = _cone_side_counts_direct(pair, level, q, m, p, budget, batch_cap, table_cache)
+            lhs = _cone_side_counts_direct(pair, level, q, m, p, budget, table_cache)
             method_l = "direct"
         except BudgetExceeded:
             if not generic:
@@ -721,7 +707,7 @@ def cone_comparison_check(
             lhs = _cone_side_counts_generic(n, r, s, level, q, m, p)
             method_l = "closed-form"
         try:
-            rhs = _cone_side_counts_direct(pair, level - p, q, m - p, 0, budget, batch_cap, table_cache)
+            rhs = _cone_side_counts_direct(pair, level - p, q, m - p, 0, budget, table_cache)
             method_r = "direct"
         except BudgetExceeded:
             if not generic:

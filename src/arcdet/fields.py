@@ -64,11 +64,6 @@ class RationalField:
             raise ZeroDivisionError("division by zero in Q")
         return 1 / Fraction(a)
 
-    def div(self, a, b):
-        if b == 0:
-            raise ZeroDivisionError("division by zero in Q")
-        return Fraction(a) / b
-
     def is_zero(self, a):
         return a == 0
 
@@ -127,9 +122,6 @@ class PrimeField:
         if a % self.q == 0:
             raise ZeroDivisionError(f"division by zero in F_{self.q}")
         return pow(a, -1, self.q)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def is_zero(self, a):
         return a % self.q == 0

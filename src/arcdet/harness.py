@@ -33,10 +33,12 @@ from .configurations import (
 from .determinantal import (
     VERDICT_PASS,
     DeterminantalPair,
-    _lower_minor_strata,
     cone_comparison_check,
     corollary_check,
     fiber_count_check,
+    lct_w_estimate,
+    lct_z_estimate,
+    profiles_of_size,
     stratum_counts,
 )
 from .errors import ArcdetError, BudgetExceeded, ValidationError
@@ -141,12 +143,6 @@ class Report:
     def canonical_json(self) -> str:
         """Deterministic byte-for-byte serialization (excludes wall time)."""
         return json.dumps(_jsonable(self.canonical_payload()), sort_keys=True, separators=(",", ":"))
-
-    def text_summary(self):
-        lines = [f"campaign {self.campaign}: {'FAILED' if self.failed else 'ok'} ({self.wall_time:.1f}s)"]
-        for r in self.results:
-            lines.append(f"  [{r.status:>14}] {r.kind:<14} {r.name}")
-        return "\n".join(lines)
 
 
 def _jsonable(value):
@@ -272,19 +268,13 @@ def _run_fiber(task, inputs, ctx):
 
 def _run_lct_z(task, inputs, ctx):
     p = task.param_dict()
+    primes = tuple(p.get("primes", LCT_DEFAULT_PRIMES))
     if "matrix" in p:
-        A = _resolve(inputs, p["matrix"], "matrix")
-        pair = DeterminantalPair.from_matrix(A)
-        flat, groups = _lower_minor_strata(A)
-        est = lct_estimate(
-            pair.z_gens, p["max_m"], primes=tuple(p.get("primes", LCT_DEFAULT_PRIMES)),
-            budget=ctx["budget"], stratifier="polys", strat_polys=flat, strat_groups=groups,
-        )
+        pair = DeterminantalPair.from_matrix(_resolve(inputs, p["matrix"], "matrix"))
+        est = lct_z_estimate(pair, p["max_m"], primes=primes, budget=ctx["budget"])
     else:
         gens = _resolve(inputs, p["ideal"], "ideal")
-        est = lct_estimate(
-            gens, p["max_m"], primes=tuple(p.get("primes", LCT_DEFAULT_PRIMES)), budget=ctx["budget"]
-        )
+        est = lct_estimate(gens, p["max_m"], primes=primes, budget=ctx["budget"])
     payload = est.payload()
     status = STATUS_PASS
     if est.internal_errors:
@@ -302,15 +292,10 @@ def _run_lct_z(task, inputs, ctx):
 
 def _run_lct_w(task, inputs, ctx):
     p = task.param_dict()
-    A = _resolve(inputs, p["matrix"], "matrix")
-    pair = DeterminantalPair.from_matrix(A)
-    primes = tuple(p.get("primes", LCT_DEFAULT_PRIMES))
-    charts = [
-        lct_estimate(pair.chart_gens(i), p["max_m"], primes=primes, budget=ctx["budget"], stratifier=None)
-        for i in range(pair.r)
-    ]
-    vals = [c.estimate for c in charts if c.estimate is not None]
-    w = min(vals) if len(vals) == len(charts) else None
+    pair = DeterminantalPair.from_matrix(_resolve(inputs, p["matrix"], "matrix"))
+    charts, w = lct_w_estimate(
+        pair, p["max_m"], primes=tuple(p.get("primes", LCT_DEFAULT_PRIMES)), budget=ctx["budget"]
+    )
     payload = {
         "charts": [c.payload() for c in charts],
         "lct_w": None if w is None else str(w),
@@ -562,20 +547,6 @@ def _triangle_configuration():
     return ConfigurationMatrix.from_rows([[1, -1, 0], [0, 1, -1]])
 
 
-def _profiles(r, max_part):
-    out = []
-
-    def rec(prefix, last):
-        if len(prefix) == r:
-            out.append(tuple(prefix))
-            return
-        for v in range(last, max_part + 1):
-            rec(prefix + [v], v)
-
-    rec([], 0)
-    return out
-
-
 def builtin_corpus():
     """The named campaigns used by the acceptance suite.  Immutable."""
     corpus = {}
@@ -590,7 +561,9 @@ def builtin_corpus():
 
     tasks = []
     for r in (2, 3):
-        for lam in _profiles(r, 3):
+        # every nondecreasing r-tuple with parts <= 3, in lexicographic order
+        profiles = sorted(lam for total in range(3 * r + 1) for lam in profiles_of_size(r, total, 3))
+        for lam in profiles:
             for m in (1, 2, 3):
                 tasks.append(
                     Task.make(

@@ -25,7 +25,7 @@ from .consensus import (
     extract_codim,
     extract_codim_bucketed,
 )
-from .counting import DEFAULT_BATCH_CAP, ord_vector_distribution
+from .counting import ord_vector_distribution
 from .errors import ValidationError
 from .jets import DEFAULT_BUDGET, IdealGens, jet_space_size
 from .poly import MultiPoly
@@ -79,7 +79,6 @@ def contact_codim_stratified(
     m: int,
     primes,
     budget=DEFAULT_BUDGET,
-    batch_cap=DEFAULT_BATCH_CAP,
     stratifier="coords",
     strat_polys=None,
     strat_groups=None,
@@ -112,7 +111,7 @@ def contact_codim_stratified(
     per_prime_tables = {}
     for q in primes:
         per_prime_tables[q] = ord_vector_distribution(
-            bucket_polys + work, n, level, q, budget=budget, batch_cap=batch_cap, prefer="cheapest"
+            bucket_polys + work, n, level, q, budget=budget, prefer="cheapest"
         )
 
     totals = []
@@ -153,7 +152,6 @@ def lct_estimate(
     M: int,
     primes=LCT_DEFAULT_PRIMES,
     budget=DEFAULT_BUDGET,
-    batch_cap=DEFAULT_BATCH_CAP,
     stratifier="coords",
     strat_polys=None,
     strat_groups=None,
@@ -180,7 +178,7 @@ def lct_estimate(
     errors = []
     for m in range(1, M + 1):
         rep = contact_codim_stratified(
-            gens, m, primes, budget=budget, batch_cap=batch_cap,
+            gens, m, primes, budget=budget,
             stratifier=stratifier, strat_polys=strat_polys, strat_groups=strat_groups,
         )
         ratio = None

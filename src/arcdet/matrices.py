@@ -140,16 +140,6 @@ class SeriesMatrix:
             out.append(row)
         return SeriesMatrix(out)
 
-    def min_entry_ord(self):
-        """Minimum entry order, or None if every entry is the sentinel."""
-        best = None
-        for row in self.entries:
-            for e in row:
-                o = e.ord()
-                if o is not None and (best is None or o < best):
-                    best = o
-        return best
-
     def __eq__(self, other):
         return isinstance(other, SeriesMatrix) and other.entries == self.entries
 

@@ -80,11 +80,6 @@ class MultiPoly:
         """Terms in descending graded-lex order."""
         return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
 
-    def total_degree(self):
-        if not self.terms:
-            return None
-        return max(sum(e) for e in self.terms)
-
     def degree_in(self, name):
         idx = self.variables.index(name)
         if not self.terms:
@@ -207,14 +202,6 @@ class MultiPoly:
                 out[exps] = v
         p = MultiPoly(target_field, self.variables)
         p.terms = out
-        return p
-
-    def rename_variables(self, new_names):
-        new_names = tuple(new_names)
-        if len(new_names) != len(self.variables):
-            raise ValueError("variable count mismatch")
-        p = MultiPoly(self.field, new_names)
-        p.terms = dict(self.terms)
         return p
 
     def extend_variables(self, new_variables):

@@ -10,7 +10,6 @@ need a finite order must treat ``None`` as an error, never as infinity.
 from __future__ import annotations
 
 from .errors import TruncationInsufficient
-from .fields import QQ
 
 
 class TruncSeries:
@@ -149,11 +148,6 @@ class TruncSeries:
             raise TruncationInsufficient(f"cannot divide by t^{k} at level {self.level}")
         return TruncSeries(self.field, self.level - k, self.coeffs[k:])
 
-    def truncate(self, new_level):
-        if new_level > self.level:
-            raise TruncationInsufficient(f"cannot extend level {self.level} to {new_level}")
-        return TruncSeries(self.field, new_level, self.coeffs[: new_level + 1])
-
     # --- protocol ----------------------------------------------------------
 
     def __eq__(self, other):
@@ -185,16 +179,3 @@ class TruncSeries:
 def series_ord(s: TruncSeries):
     """Order of a truncated series: first nonzero index, or None (sentinel)."""
     return s.ord()
-
-
-def require_ord(s: TruncSeries) -> int:
-    """Order of a series, raising instead of returning the sentinel."""
-    o = s.ord()
-    if o is None:
-        raise TruncationInsufficient(f"order exceeds truncation level {s.level}")
-    return o
-
-
-def rational_series(level, coeffs):
-    """Convenience: a series over Q from integer/Fraction coefficients."""
-    return TruncSeries.from_coeffs(QQ, level, coeffs)

@@ -1,12 +1,9 @@
-"""Codimension extraction: consensus rounding and the exact cyclotomic fit."""
-
-import pytest
+"""Codimension extraction: the exact cyclotomic fit, then consensus rounding."""
 
 from arcdet.consensus import (
     STATUS_AMBIGUOUS,
     STATUS_CONSENSUS,
     STATUS_EXACT_EMPTY,
-    codim_consensus,
     cyclotomic_fit,
     extract_codim,
     extract_codim_bucketed,
@@ -16,29 +13,44 @@ from arcdet.consensus import (
 
 class TestConsensusRounding:
     def test_rank_locus_example(self):
-        # counts of the 2x2 rank <= 1 locus: q^3 + q^2 - q
-        rep = codim_consensus([(2, 10, 16), (3, 33, 81)], 4, 0)
+        # counts of the 2x2 rank <= 1 locus: q^3 + q^2 - q, off the fit basis
+        rep = extract_codim([(2, 10, 16), (3, 33, 81)], 4)
         assert rep.status == STATUS_CONSENSUS
+        assert rep.method == "rounding"
         assert rep.dims == {2: 3, 3: 3}
         assert rep.consensus_codim == 1
 
     def test_empty(self):
-        rep = codim_consensus([(2, 0, 16), (3, 0, 81)], 4, 0)
+        rep = extract_codim([(2, 0, 16), (3, 0, 81)], 4)
         assert rep.status == STATUS_EXACT_EMPTY
 
     def test_full_space(self):
-        rep = codim_consensus([(2, 16, 16)], 4, 0)
+        rep = extract_codim([(2, 16, 16)], 4)
         assert rep.status == STATUS_CONSENSUS and rep.consensus_codim == 0
 
-    def test_single_prime_rejected(self):
-        with pytest.raises(ValueError):
-            codim_consensus([(3, 5, 81)], 4, 0)
+    def test_single_prime_is_ambiguous(self):
+        # log_3 5 rounds to 1: one vote, no consensus, its interval is reported
+        rep = extract_codim([(3, 5, 81)], 4)
+        assert rep.status == STATUS_AMBIGUOUS
+        assert rep.consensus_codim is None
+        assert rep.dims == {3: 1}
+        assert rep.codim_interval == (3, 3)
+
+    def test_invisible_factor_decided_by_fit(self):
+        # (q-1) q^2: rounding votes 2 at q=2 and 3 at q=3, the fit pins dim 3
+        rep = extract_codim([(2, 4, 16), (3, 18, 81)], 4)
+        assert rep.status == STATUS_CONSENSUS
+        assert rep.method == "fit"
+        assert rep.consensus_codim == 1
 
     def test_disagreement_is_ambiguous(self):
-        # (q-1) q^(d-1) counts: invisible factor at q=2 shifts its vote down
-        rep = codim_consensus([(2, 4, 16), (3, 18, 81)], 2, 1)
+        # 5 and 100 are off the fit basis; the votes are 2 and 4
+        assert cyclotomic_fit([(2, 5), (3, 100)]) is None
+        rep = extract_codim([(2, 5, 64), (3, 100, 729)], 6)
         assert rep.status == STATUS_AMBIGUOUS
-        assert rep.codim_interval is not None
+        assert rep.method == "rounding"
+        assert rep.dims == {2: 2, 3: 4}
+        assert rep.codim_interval == (2, 4)
 
 
 class TestCyclotomicFit:

@@ -3,7 +3,13 @@
 import pytest
 
 from arcdet import IdealGens, QQ, SeriesMatrix, parse_poly
-from arcdet.consensus import STATUS_EXACT_EMPTY, STATUS_SAMPLED
+from arcdet.consensus import (
+    STATUS_AMBIGUOUS,
+    STATUS_CONSENSUS,
+    STATUS_EXACT_EMPTY,
+    STATUS_SAMPLED,
+    extract_codim,
+)
 from arcdet.contact import (
     MODE_AT_LEAST,
     MODE_EXACT,
@@ -116,6 +122,19 @@ class TestCountContact:
         rep = count_contact(single_var_ideal(), ContactQuery(MODE_AT_LEAST, 1, 2, primes=(3,)))
         assert rep.status == "AMBIGUOUS"
         assert dict((q, raw) for q, raw, _ in rep.counts)[3] == 9
+
+    @pytest.mark.parametrize(
+        "primes, status, codim",
+        [((2, 3), STATUS_CONSENSUS, 1), ((3,), STATUS_AMBIGUOUS, None)],
+    )
+    def test_same_extraction_as_extract_codim(self, primes, status, codim):
+        # (q-1) q jets: rounding alone votes 1 at q=2 and 2 at q=3, the fit decides
+        rep = count_contact(single_var_ideal(), ContactQuery(MODE_EXACT, 1, 2, primes=primes))
+        ref = extract_codim(rep.counts, 3)
+        assert (rep.status, rep.consensus_codim) == (status, codim)
+        assert (rep.status, rep.consensus_codim, rep.codim_interval) == (
+            ref.status, ref.consensus_codim, ref.codim_interval
+        )
 
 
 class TestProjective:

@@ -6,13 +6,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from arcdet import GF, MultiPoly, enumerate_jets, parse_poly
+from arcdet import GF, BudgetExceeded, MultiPoly, enumerate_jets, parse_poly
 from arcdet.counting import (
     _additive_split_distribution,
     _direct_distribution,
     _shift_split_distribution,
     batch_conv,
     batch_ord,
+    eval_poly_batch,
     iter_digit_batches,
     ord_value_counts,
     ord_vector_distribution,
@@ -127,3 +128,26 @@ class TestBatchOps:
         d = ord_value_counts(2, 3)
         assert d == [2 * 9, 2 * 3, 2, 1]
         assert sum(d) == 27
+
+
+class TestInt32Bounds:
+    def test_term_sum_does_not_overflow(self):
+        # nine terms of (q-1)^2 each pass 2^31 - 1 when summed before one reduction
+        q = 16381
+        vs = tuple(f"x{i}" for i in range(1, 10))
+        f = parse_poly(" + ".join(f"{q - 1}*{v}" for v in vs), vs).map_coeffs(GF(q))
+        coords = np.full((1, 9, 2), q - 1, dtype=np.int32)
+        expected = 9 * (q - 1) ** 2 % q
+        assert eval_poly_batch(f, coords, q).tolist() == [[expected, expected]]
+
+    def test_guard_admits_large_prime_at_level_zero(self):
+        # (N+1)(q-1)^2 < 2^31 holds at N=0 for primes above 2^15
+        q = 40009
+        f = parse_poly("x1^2 + x1", ("x1",))
+        assert ord_vector_distribution([f], 1, 0, q) == {(0,): q - 2, (1,): 2}
+
+    def test_guard_rejects_overflowing_products(self):
+        # 3 (q-1)^2 >= 2^31: a level-2 product would overflow int32
+        f = parse_poly("x1", ("x1",))
+        with pytest.raises(BudgetExceeded, match="overflow"):
+            ord_vector_distribution([f], 1, 2, 32749)

@@ -264,6 +264,6 @@ class TestCone:
         cells = {2: [(1, 1, 0), (1, 1, 1), (2, 2, 1), (2, 2, 2), (2, 1, 1)], 3: [(1, 1, 0), (1, 1, 1)]}
         for q, triples in cells.items():
             for level, m, p in triples:
-                direct = _cone_side_counts_direct(pair, level, q, m, p, 10**9, 1 << 20)
+                direct = _cone_side_counts_direct(pair, level, q, m, p, 10**9)
                 closed = _cone_side_counts_generic(4, 2, 2, level, q, m, p)
                 assert direct == closed, (q, level, m, p)

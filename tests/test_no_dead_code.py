@@ -1,0 +1,67 @@
+"""Every module-level function, class and method in the package is used.
+
+A definition counts as used when its name occurs as a whole word somewhere
+in ``src/`` or ``tests/`` outside its own definition (its header and body).
+The check is by name only: two definitions of the same name vouch for each
+other only through real uses, never through their ``def`` lines.  Dunder
+methods are called by the interpreter and are not checked.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _definitions(tree):
+    """(name, first line, last line) of module-level defs, classes and methods."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if not isinstance(node, kinds):
+            continue
+        yield node.name, node.lineno, node.end_lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, kinds):
+                    yield item.name, item.lineno, item.end_lineno
+
+
+def _unused_definitions(root):
+    package = sorted((root / "src" / "arcdet").rglob("*.py"))
+    files = package + sorted((root / "tests").rglob("*.py"))
+    sources = {path: path.read_text(encoding="utf-8").splitlines() for path in files}
+    unused = []
+    for path in package:
+        tree = ast.parse("\n".join(sources[path]))
+        for name, first, last in _definitions(tree):
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            use = re.compile(rf"(?<!def )(?<!class )\b{re.escape(name)}\b")
+            used = any(
+                use.search(line)
+                for other, lines in sources.items()
+                for lineno, line in enumerate(lines, start=1)
+                if not (other == path and first <= lineno <= last)
+            )
+            if not used:
+                unused.append(f"{path.relative_to(root)}:{first} {name}")
+    return unused
+
+
+def test_every_definition_is_referenced():
+    assert _unused_definitions(ROOT) == []
+
+
+def test_guard_sees_an_unused_definition(tmp_path):
+    # the guard itself must flag a definition that nothing references
+    pkg = tmp_path / "src" / "arcdet"
+    pkg.mkdir(parents=True)
+    (tmp_path / "tests").mkdir()
+    (pkg / "mod.py").write_text(
+        "def used():\n    return 1\n\n\n"
+        "def orphan():\n    return orphan\n\n\n"
+        "class Box:\n    def open(self):\n        return used()\n"
+    )
+    (tmp_path / "tests" / "test_mod.py").write_text("from arcdet.mod import Box\n")
+    assert [entry.split()[-1] for entry in _unused_definitions(tmp_path)] == ["orphan", "open"]
