@@ -1,11 +1,17 @@
 """Contact-locus counting: affine jets, constraints, and projective jets.
 
-Projective jets of P^(r-1) are handled through the homogeneous model: the
-tuples u in (F_q[t]/t^(N+1))^r with at least one unit coordinate, modulo
-the unit group of the truncated ring, which has q^N (q-1) elements.  Order
-conditions on the incidence forms are unit-scaling invariant, so cone
-counts divide exactly by the unit-group size; a failed division means the
-condition was not scaling invariant and is reported as an internal error.
+Every exact count here is a reduction of one ``ord_vector_distribution``
+table keyed by (coordinate orders, generator orders): keep the keys a
+coordinate constraint admits, take the contact order as the minimum of the
+generator orders, and test it against m.
+
+Projective jets of P^(r-1) use the homogeneous model: the tuples u in
+(F_q[t]/t^(N+1))^r with at least one unit coordinate (the
+``unit_coordinate`` constraint on the coordinate table), modulo the unit
+group of the truncated ring, which has q^N (q-1) elements.  Order
+conditions on the forms are unit-scaling invariant, so cone counts divide
+exactly by the unit-group size; a failed division means the condition was
+not scaling invariant and is reported as an internal error.
 """
 
 from __future__ import annotations
@@ -20,16 +26,11 @@ from .consensus import (
     extract_codim,
     wilson_interval,
 )
-from .counting import (
-    batch_conv,
-    batch_ord,
-    iter_digit_batches,
-    ord_vector_distribution,
-    sample_ord_hits,
-)
+from .counting import ord_vector_distribution, sample_ord_hits
 from .errors import BudgetExceeded, InternalInvariantError, ValidationError
 from .fields import GF
 from .jets import DEFAULT_BUDGET, IdealGens, jet_space_size
+from .poly import MultiPoly
 
 DEFAULT_PRIMES = (2, 3, 5)
 
@@ -72,28 +73,18 @@ class ContactQuery:
             raise ValidationError(f"unknown constraint {self.constraint!r}")
 
 
-def _exact_contact_count(gens: IdealGens, n, level, q, mode, m, constraint, budget):
-    """Exact count plus the number of sentinel jets (pullbacks vanishing to level)."""
-    polys = list(gens.nonzero())
-    if not polys:
-        raise ValidationError("cannot count contact along the zero ideal")
-    track = list(range(n)) if constraint else []
-    coord_polys = []
-    if track:
-        from .poly import MultiPoly
-
-        names = gens.variables
-        coord_polys = [MultiPoly.variable(gens.field, names, names[i]) for i in track]
-    table = ord_vector_distribution(coord_polys + polys, n, level, q, budget=budget)
+def _contact_hits(table, k, constraint, level, mode, m):
+    """Reduce a table keyed by (k coordinate orders, form orders) to the
+    number of jets meeting the order condition plus the number of sentinel
+    jets (forms vanishing to level), over the keys the constraint admits."""
     pred = CONSTRAINT_REGISTRY[constraint] if constraint else None
-    k = len(coord_polys)
     hits = 0
     sentinel = 0
     for key, cnt in table.items():
-        coord_part, gen_part = key[:k], key[k:]
+        coord_part, form_part = key[:k], key[k:]
         if pred is not None and not pred(coord_part, level):
             continue
-        o = min(gen_part)
+        o = min(form_part)
         if o == level + 1:
             sentinel += cnt
         if mode == MODE_EXACT:
@@ -103,6 +94,16 @@ def _exact_contact_count(gens: IdealGens, n, level, q, mode, m, constraint, budg
             if o >= m:
                 hits += cnt
     return hits, sentinel
+
+
+def _exact_contact_count(gens: IdealGens, n, level, q, mode, m, constraint, budget):
+    """Exact count plus the number of sentinel jets (pullbacks vanishing to level)."""
+    polys = list(gens.nonzero())
+    if not polys:
+        raise ValidationError("cannot count contact along the zero ideal")
+    coords = MultiPoly.coordinates(gens.field, gens.variables) if constraint else []
+    table = ord_vector_distribution(coords + polys, n, level, q, budget=budget)
+    return _contact_hits(table, len(coords), constraint, level, mode, m)
 
 
 def count_contact(
@@ -162,84 +163,43 @@ def count_contact(
 # --------------------------------------------------------------------------
 
 
-def _proj_cone_hits(forms_per_u, r, level, q, mode, m):
-    """Count homogeneous-coordinate tuples with a unit coordinate meeting the
-    order condition.  ``forms_per_u`` maps a (B, r, N+1) batch of u-tuples to
-    a list of (B, N+1) form pullbacks."""
-    width = r * (level + 1)
-    hits = 0
-    for digits in iter_digit_batches(width, q):
-        u = digits.reshape(digits.shape[0], r, level + 1)
-        unit_mask = (u[:, :, 0] != 0).any(axis=1)
-        best = None
-        for series in forms_per_u(u):
-            o = batch_ord(series, level)
-            best = o if best is None else np.minimum(best, o)
-        if mode == MODE_EXACT:
-            cond = best == m
-        else:
-            cond = best >= m
-        hits += int((cond & unit_mask).sum())
-    return hits
+def _proj_cone_table(gens, r, level, q, lam, budget):
+    """Cone table keyed by (orders of u_1..u_r, orders of the forms)."""
+    if lam is None:
+        coords = MultiPoly.coordinates(gens[0].field, gens[0].variables)
+        return ord_vector_distribution(coords + list(gens), r, level, q, budget=budget)
+    names = tuple(f"u{j}" for j in range(1, r + 1))
+    table = ord_vector_distribution(MultiPoly.coordinates(GF(q), names), r, level, q, budget=budget)
+    # ord(t^lam_j u_j) = min(lam_j + ord u_j, N+1), exactly, in F_q[t]/(t^(N+1))
+    return {o + tuple(min(l + e, level + 1) for l, e in zip(lam, o)): c for o, c in table.items()}
 
 
 def proj_count_contact(
     gens,
     r: int,
     query: ContactQuery,
-    fixed_base=None,
+    lam=None,
     budget=DEFAULT_BUDGET,
 ) -> CountReport:
     """Count projective jets of P^(r-1) meeting an order condition.
 
-    With ``fixed_base`` (an s x r SeriesMatrix, the base jet already pulled
-    back), the forms are sum_j w_ij u_j.  Without it, ``gens`` must be
-    polynomials in r variables u_1..u_r.  Raw cone counts are divided by
-    the unit group size q^N (q-1); the quotient must be exact.
+    The forms are either ``gens``, polynomials in r variables u_1..u_r, or,
+    with ``lam`` (a profile of length r and ``gens`` None), the pullbacks
+    t^lam_j u_j of the base jet diag(t^lam).  Each prime's cone count is
+    the coordinate table of u_1..u_r and the forms, reduced under the
+    ``unit_coordinate`` constraint; it is divided by the unit group size
+    q^N (q-1), and the quotient must be exact.
     """
+    if lam is None:
+        if not gens or any(len(g.variables) != r for g in gens):
+            raise ValidationError("chart/cone generators must use exactly r variables")
+    elif gens is not None or len(lam) != r or r < 1:
+        raise ValidationError("a profile lam needs r = len(lam) >= 1 and no generators")
     level = query.level
     counts = []
     for q in query.primes:
-        total_cone = jet_space_size(r, level, q)
-        if total_cone > budget:
-            raise BudgetExceeded(f"projective cone has {total_cone} points, over budget {budget}")
-
-        if fixed_base is not None:
-            if fixed_base.cols != r:
-                raise ValidationError("base matrix width disagrees with r")
-            if fixed_base.level != level:
-                raise ValidationError("base matrix level disagrees with the query level")
-            gfq = GF(q)
-            w = [
-                [np.array([int(gfq.of(c)) for c in fixed_base.entry(i, j).coeffs], dtype=np.int64) for j in range(r)]
-                for i in range(fixed_base.rows)
-            ]
-
-            def forms(u, w=w):
-                out = []
-                for row in w:
-                    acc = np.zeros((u.shape[0], level + 1), dtype=np.int64)
-                    for j, wij in enumerate(row):
-                        if not wij.any():
-                            continue
-                        fixed = np.broadcast_to(wij, (u.shape[0], level + 1))
-                        acc += batch_conv(fixed, u[:, j, :], q)
-                    np.mod(acc, q, out=acc)
-                    out.append(acc)
-                return out
-
-        else:
-            if any(len(g.variables) != r for g in gens):
-                raise ValidationError("chart/cone generators must use exactly r variables")
-            gfq = GF(q)
-            mapped = [g if g.field == gfq else g.map_coeffs(gfq) for g in gens]
-
-            def forms(u, mapped=mapped):
-                from .counting import eval_poly_batch
-
-                return [eval_poly_batch(g, u, q) for g in mapped]
-
-        cone = _proj_cone_hits(forms, r, level, q, query.mode, query.m)
+        table = _proj_cone_table(gens, r, level, q, lam, budget)
+        cone, _ = _contact_hits(table, r, "unit_coordinate", level, query.mode, query.m)
         unit_group = q**level * (q - 1)
         if cone % unit_group != 0:
             raise InternalInvariantError(

@@ -428,21 +428,23 @@ def _side_table(polys_side, split_part, side_vars, all_names, level, q, batch_ca
     return out
 
 
-def _additive_split_distribution(polys, n, level, q, budget, batch_cap):
-    if n < 2:
-        return None
+def _split_blocks(polys, n):
+    """Greedy balance of the term components over two blocks by digit width:
+    the sorted variables of each block, or None for a single component."""
     comps = _term_components(polys, n)
     if len(comps) < 2:
         return None
-    # Greedy balance of components over two blocks by digit width.
-    comps = sorted(comps, key=len, reverse=True)
-    block_a, block_b = [], []
-    for comp in comps:
-        (block_a if sum(map(len, block_a)) <= sum(map(len, block_b)) else block_b).append(comp)
-    vars_a = sorted(v for comp in block_a for v in comp)
-    vars_b = sorted(v for comp in block_b for v in comp)
-    if not vars_a or not vars_b:
+    vars_a, vars_b = [], []
+    for comp in sorted(comps, key=len, reverse=True):
+        (vars_a if len(vars_a) <= len(vars_b) else vars_b).extend(comp)
+    return sorted(vars_a), sorted(vars_b)
+
+
+def _additive_split_distribution(polys, n, level, q, budget, batch_cap):
+    blocks = _split_blocks(polys, n)
+    if blocks is None:
         return None
+    vars_a, vars_b = blocks
     wa, wb = len(vars_a) * (level + 1), len(vars_b) * (level + 1)
     if q**wa > budget or q**wb > budget:
         return None
@@ -552,21 +554,10 @@ def _shift_split_cost(polys, n, level, q):
 
 
 def _additive_split_cost(polys, n, level, q):
-    if n < 2:
+    blocks = _split_blocks(polys, n)
+    if blocks is None:
         return None
-    comps = _term_components(polys, n)
-    if len(comps) < 2:
-        return None
-    comps = sorted(comps, key=len, reverse=True)
-    size_a = size_b = 0
-    for comp in comps:
-        if size_a <= size_b:
-            size_a += len(comp)
-        else:
-            size_b += len(comp)
-    if not size_a or not size_b:
-        return None
-    return q ** (size_a * (level + 1)) + q ** (size_b * (level + 1))
+    return sum(q ** (len(vs) * (level + 1)) for vs in blocks)
 
 
 def ord_vector_distribution(

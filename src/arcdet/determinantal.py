@@ -22,10 +22,9 @@ from .consensus import (
 from .contact import MODE_AT_LEAST, ContactQuery, proj_count_contact
 from .counting import ord_vector_distribution
 from .errors import BudgetExceeded, InternalInvariantError, ValidationError
-from .fields import QQ
 from .jets import DEFAULT_BUDGET, IdealGens, jet_space_size
 from .lct import LCT_DEFAULT_PRIMES, LctEstimate, lct_estimate
-from .matrices import PolyMatrix, SeriesMatrix, minors
+from .matrices import PolyMatrix, minors
 from .poly import MultiPoly
 from .snf import LambdaProfile
 from .jets import JetPoint, ord_along_ideal
@@ -327,10 +326,8 @@ def fiber_count_check(
         raise ValidationError("m must be at most the level")
     if lam.parts and lam.parts[-1] > level:
         raise ValidationError("profile exceeds the level")
-    r = len(lam.parts)
-    base = SeriesMatrix.diagonal_powers(QQ, level, r, lam.parts)
     query = ContactQuery(MODE_AT_LEAST, m, level, primes=tuple(primes))
-    report = proj_count_contact(None, r, query, fixed_base=base, budget=budget)
+    report = proj_count_contact(None, len(lam.parts), query, lam=lam.parts, budget=budget)
     formula = fiber_codim_formula(lam, m)
     if formula is None:
         verdict = VERDICT_PASS if report.status == STATUS_EXACT_EMPTY else VERDICT_FAIL

@@ -69,11 +69,6 @@ class LctEstimate:
         return out
 
 
-def _coordinate_polys(gens: IdealGens):
-    names = gens.variables
-    return [MultiPoly.variable(gens.field, names, v) for v in names]
-
-
 def contact_codim_stratified(
     gens: IdealGens,
     m: int,
@@ -96,7 +91,7 @@ def contact_codim_stratified(
         raise ValidationError("zero ideal has no contact loci")
 
     if stratifier == "coords":
-        bucket_polys = _coordinate_polys(gens)
+        bucket_polys = MultiPoly.coordinates(gens.field, gens.variables)
         groups = [(i,) for i in range(len(bucket_polys))]
     elif stratifier == "polys":
         bucket_polys = list(strat_polys or [])

@@ -65,6 +65,11 @@ class MultiPoly:
         exps = tuple(1 if v == name else 0 for v in variables)
         return cls(field, variables, {exps: field.one})
 
+    @classmethod
+    def coordinates(cls, field, variables):
+        """The coordinate functions, one per variable, in order."""
+        return [cls.variable(field, variables, v) for v in variables]
+
     # --- helpers ------------------------------------------------------------
 
     def is_zero(self):

@@ -1,8 +1,10 @@
 """Contact counting operations: affine, constrained, sampled, projective."""
 
+from itertools import product
+
 import pytest
 
-from arcdet import IdealGens, QQ, SeriesMatrix, parse_poly
+from arcdet import GF, BudgetExceeded, IdealGens, TruncSeries, enumerate_jets, parse_poly
 from arcdet.consensus import (
     STATUS_AMBIGUOUS,
     STATUS_CONSENSUS,
@@ -137,27 +139,53 @@ class TestCountContact:
         )
 
 
+def oracle_proj_counts(lam, level, q, mode, m):
+    """(q, projective count, projective total) by pure-Python enumeration of
+    the cone: multiply t^lam_j by u_j as series and read the forms' orders."""
+    bases = [TruncSeries.t_power(GF(q), level, l) for l in lam]
+    cone = 0
+    for jet in enumerate_jets(len(lam), level, q):
+        if not any(u.is_unit() for u in jet.coords):
+            continue
+        o = min(level + 1 if f.ord() is None else f.ord() for f in (b * u for b, u in zip(bases, jet.coords)))
+        cone += o == m if mode == MODE_EXACT else o >= m
+    unit_group = q**level * (q - 1)
+    assert cone % unit_group == 0
+    r = len(lam)
+    return (q, cone // unit_group, (q ** (r * (level + 1)) - q ** (r * level)) // unit_group)
+
+
 class TestProjective:
     def test_fiber_over_diag_base(self):
-        base = SeriesMatrix.diagonal_powers(QQ, 2, 2, (0, 2))
-        rep = proj_count_contact(None, 2, ContactQuery(MODE_AT_LEAST, 1, 2, primes=(2, 3)), fixed_base=base)
+        rep = proj_count_contact(None, 2, ContactQuery(MODE_AT_LEAST, 1, 2, primes=(2, 3)), lam=(0, 2))
         assert rep.consensus_codim == 1
 
+    def test_over_budget_profile_gets_exact_split(self):
+        query = ContactQuery(MODE_AT_LEAST, 1, 2, primes=(2, 3))
+        small = proj_count_contact(None, 2, query, lam=(0, 2), budget=1)
+        assert small.counts == proj_count_contact(None, 2, query, lam=(0, 2)).counts
+
     def test_empty_beyond_top_part(self):
-        base = SeriesMatrix.diagonal_powers(QQ, 3, 2, (0, 2))
-        rep = proj_count_contact(None, 2, ContactQuery(MODE_AT_LEAST, 3, 3, primes=(2, 3)), fixed_base=base)
+        rep = proj_count_contact(None, 2, ContactQuery(MODE_AT_LEAST, 3, 3, primes=(2, 3)), lam=(0, 2))
         assert rep.status == STATUS_EXACT_EMPTY
 
     def test_unit_base_forces_order_zero(self):
-        base = SeriesMatrix.diagonal_powers(QQ, 2, 2, (0, 0))
-        rep = proj_count_contact(None, 2, ContactQuery(MODE_AT_LEAST, 1, 2, primes=(2, 3)), fixed_base=base)
+        rep = proj_count_contact(None, 2, ContactQuery(MODE_AT_LEAST, 1, 2, primes=(2, 3)), lam=(0, 0))
         assert rep.status == STATUS_EXACT_EMPTY
 
     def test_cone_counts_divisible_by_unit_group(self):
         # exercised internally: a failed division raises
         for lam in [(0, 1), (1, 2), (0, 0, 2)]:
-            base = SeriesMatrix.diagonal_powers(QQ, 2, len(lam), lam)
-            proj_count_contact(None, len(lam), ContactQuery(MODE_AT_LEAST, 1, 2, primes=(2, 3)), fixed_base=base)
+            proj_count_contact(None, len(lam), ContactQuery(MODE_AT_LEAST, 1, 2, primes=(2, 3)), lam=lam)
+
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("mode", [MODE_EXACT, MODE_AT_LEAST])
+    def test_profile_counts_match_series_oracle(self, q, mode):
+        level = 2
+        for lam in product(range(3), repeat=2):
+            for m in range(level + 1):
+                rep = proj_count_contact(None, 2, ContactQuery(mode, m, level, primes=(q,)), lam=lam)
+                assert rep.counts == (oracle_proj_counts(lam, level, q, mode, m),), (lam, m)
 
     def test_polynomial_generators_without_base(self):
         # chart-style generators over the u variables themselves
@@ -166,3 +194,15 @@ class TestProjective:
         rep = proj_count_contact(gens, 2, ContactQuery(MODE_AT_LEAST, 1, 1, primes=(2, 3)))
         # ord(u1) >= 1 with some unit coordinate: u2 must be the unit
         assert rep.consensus_codim == 1
+
+    def test_int32_overflow_is_refused(self):
+        # at q=65537 one product of reduced coefficients already exceeds 2^31
+        gens = [parse_poly("y1^2", ["y1"])]
+        with pytest.raises(BudgetExceeded, match="overflow"):
+            proj_count_contact(gens, 1, ContactQuery(MODE_EXACT, 0, 0, primes=(65537,)))
+
+    def test_profile_and_generators_are_exclusive(self):
+        gens = [parse_poly("y1", ["y1", "y2"])]
+        for args, lam in [((gens, 2), (0, 1)), ((None, 2), (0, 1, 2)), ((None, 2), None)]:
+            with pytest.raises(ValidationError):
+                proj_count_contact(*args, ContactQuery(MODE_AT_LEAST, 1, 2, primes=(2,)), lam=lam)

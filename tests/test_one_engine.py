@@ -1,0 +1,33 @@
+"""Every jet count goes through the one engine in ``counting.py``.
+
+The digit grid, the batched series kernels and the batched polynomial
+evaluator are the engine's internals: no other module under ``src/arcdet``
+names them, so no second enumerator can grow beside
+``ord_vector_distribution``.
+"""
+
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+ENGINE_INTERNALS = ("iter_digit_batches", "batch_conv", "batch_ord", "eval_poly_batch")
+
+
+def _modules_naming_internals(package):
+    use = re.compile(r"\b(" + "|".join(ENGINE_INTERNALS) + r")\b")
+    return sorted(
+        f"{path.relative_to(package)}: {match}"
+        for path in package.rglob("*.py")
+        if path.name != "counting.py"
+        for match in sorted(set(use.findall(path.read_text(encoding="utf-8"))))
+    )
+
+
+def test_only_counting_uses_engine_internals():
+    assert _modules_naming_internals(ROOT / "src" / "arcdet") == []
+
+
+def test_guard_sees_a_second_enumerator(tmp_path):
+    (tmp_path / "counting.py").write_text("def batch_ord(s):\n    return s\n")
+    (tmp_path / "other.py").write_text("from .counting import batch_ord, iter_digit_batches\n")
+    assert _modules_naming_internals(tmp_path) == ["other.py: batch_ord", "other.py: iter_digit_batches"]
