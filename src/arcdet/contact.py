@@ -1,9 +1,9 @@
 """Contact-locus counting: affine jets, constraints, and projective jets.
 
-Every exact count here is a reduction of one ``ord_vector_distribution``
-table keyed by (coordinate orders, generator orders): keep the keys a
-coordinate constraint admits, take the contact order as the minimum of the
-generator orders, and test it against m.
+Every exact count here is a reduction of one ``contact_order_table`` keyed
+by (least coordinate order, contact order) -- or by the contact order
+alone when no coordinate constraint applies: keep the keys the constraint
+admits and test the contact order against m.
 
 Projective jets of P^(r-1) use the homogeneous model: the tuples u in
 (F_q[t]/t^(N+1))^r with at least one unit coordinate (the
@@ -26,7 +26,7 @@ from .consensus import (
     extract_codim,
     wilson_interval,
 )
-from .counting import ord_vector_distribution, sample_ord_hits
+from .counting import contact_order_table, sample_ord_hits
 from .errors import BudgetExceeded, InternalInvariantError, ValidationError
 from .fields import GF
 from .jets import DEFAULT_BUDGET, IdealGens, jet_space_size
@@ -38,13 +38,13 @@ MODE_EXACT = "exact"
 MODE_AT_LEAST = "at_least"
 
 
-# Constraint registry: named predicates on the vector of clamped coordinate
-# orders, used to intersect a contact condition with coordinate strata.
+# Constraint registry: named predicates on the least clamped coordinate
+# order, used to intersect a contact condition with coordinate strata.
 CONSTRAINT_REGISTRY = {
     # some coordinate is a unit series
-    "unit_coordinate": lambda coord_ords, level: min(coord_ords) == 0,
+    "unit_coordinate": lambda least: least == 0,
     # every coordinate vanishes at t=0
-    "origin_based": lambda coord_ords, level: min(coord_ords) >= 1,
+    "origin_based": lambda least: least >= 1,
 }
 
 
@@ -73,18 +73,18 @@ class ContactQuery:
             raise ValidationError(f"unknown constraint {self.constraint!r}")
 
 
-def _contact_hits(table, k, constraint, level, mode, m):
-    """Reduce a table keyed by (k coordinate orders, form orders) to the
-    number of jets meeting the order condition plus the number of sentinel
-    jets (forms vanishing to level), over the keys the constraint admits."""
+def _contact_hits(table, constraint, level, mode, m):
+    """Reduce a table keyed by ([least coordinate order,] contact order) to
+    the number of jets meeting the order condition plus the number of
+    sentinel jets (forms vanishing to level), over the keys the constraint
+    admits; the coordinate entry is present exactly when a constraint is."""
     pred = CONSTRAINT_REGISTRY[constraint] if constraint else None
     hits = 0
     sentinel = 0
     for key, cnt in table.items():
-        coord_part, form_part = key[:k], key[k:]
-        if pred is not None and not pred(coord_part, level):
+        if pred is not None and not pred(key[0]):
             continue
-        o = min(form_part)
+        o = key[-1]
         if o == level + 1:
             sentinel += cnt
         if mode == MODE_EXACT:
@@ -101,9 +101,9 @@ def _exact_contact_count(gens: IdealGens, n, level, q, mode, m, constraint, budg
     polys = list(gens.nonzero())
     if not polys:
         raise ValidationError("cannot count contact along the zero ideal")
-    coords = MultiPoly.coordinates(gens.field, gens.variables) if constraint else []
-    table = ord_vector_distribution(coords + polys, n, level, q, budget=budget)
-    return _contact_hits(table, len(coords), constraint, level, mode, m)
+    coords = [MultiPoly.coordinates(gens.field, gens.variables)] if constraint else []
+    table = contact_order_table(coords + [polys], n, level, q, budget=budget)
+    return _contact_hits(table, constraint, level, mode, m)
 
 
 def count_contact(
@@ -164,14 +164,19 @@ def count_contact(
 
 
 def _proj_cone_table(gens, r, level, q, lam, budget):
-    """Cone table keyed by (orders of u_1..u_r, orders of the forms)."""
+    """Cone table keyed by (least order of u_1..u_r, contact order of the forms)."""
     if lam is None:
         coords = MultiPoly.coordinates(gens[0].field, gens[0].variables)
-        return ord_vector_distribution(coords + list(gens), r, level, q, budget=budget)
+        return contact_order_table([coords, gens], r, level, q, budget=budget)
     names = tuple(f"u{j}" for j in range(1, r + 1))
-    table = ord_vector_distribution(MultiPoly.coordinates(GF(q), names), r, level, q, budget=budget)
-    # ord(t^lam_j u_j) = min(lam_j + ord u_j, N+1), exactly, in F_q[t]/(t^(N+1))
-    return {o + tuple(min(l + e, level + 1) for l, e in zip(lam, o)): c for o, c in table.items()}
+    coords = MultiPoly.coordinates(GF(q), names)
+    table = contact_order_table([[u] for u in coords], r, level, q, budget=budget)
+    out = {}
+    for o, c in table.items():
+        # ord(t^lam_j u_j) = min(lam_j + ord u_j, N+1), exactly, in F_q[t]/(t^(N+1))
+        key = (min(o), min(min(l + e, level + 1) for l, e in zip(lam, o)))
+        out[key] = out.get(key, 0) + c
+    return out
 
 
 def proj_count_contact(
@@ -199,7 +204,7 @@ def proj_count_contact(
     counts = []
     for q in query.primes:
         table = _proj_cone_table(gens, r, level, q, lam, budget)
-        cone, _ = _contact_hits(table, r, "unit_coordinate", level, query.mode, query.m)
+        cone, _ = _contact_hits(table, "unit_coordinate", level, query.mode, query.m)
         unit_group = q**level * (q - 1)
         if cone % unit_group != 0:
             raise InternalInvariantError(

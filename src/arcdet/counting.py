@@ -3,8 +3,10 @@
 The basic object computed here is, for a list of polynomials p_1..p_k on
 A^n and a jet level N over F_q, the exact count of jets by the vector of
 clamped pullback orders (ord values live in {0..N} with N+1 standing for
-"vanishes to this level").  Everything downstream (contact counts, lambda
-strata, lct cells) is a reduction of such a table.
+"vanishes to this level").  Every check reads contact orders along ideals,
+the least order of each ideal's generators, so every caller goes through
+``contact_order_table``: it names the ideals, and the engine owns the key
+layout and picks the cheapest exact strategy.
 
 Three exact strategies, chosen by cost:
 
@@ -26,9 +28,11 @@ against each other and against the pure-Python jet enumeration.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, ValidationError
 from .jets import DEFAULT_BUDGET
 
 DEFAULT_BATCH_CAP = 1 << 22
@@ -561,14 +565,14 @@ def _additive_split_cost(polys, n, level, q):
 
 
 def ord_vector_distribution(
-    polys, n, level, q, budget=DEFAULT_BUDGET, batch_cap=DEFAULT_BATCH_CAP, prefer="direct"
+    polys, n, level, q, budget=DEFAULT_BUDGET, batch_cap=DEFAULT_BATCH_CAP, prefer="cheapest"
 ):
     """Exact jet counts keyed by the clamped order vector of the given polynomials.
 
     Keys are tuples with one entry per polynomial, each in {0..level} or
     level+1 (the truncation sentinel).  ``prefer`` is "direct" (full
     enumeration whenever it fits the budget, split strategies as fallback)
-    or "cheapest" (lowest estimated enumeration cost first).  All
+    or "cheapest", the default (lowest estimated enumeration cost first).  All
     strategies are exact and interchangeable.  Raises BudgetExceeded when
     nothing fits.
     """
@@ -612,6 +616,27 @@ def ord_vector_distribution(
     raise BudgetExceeded(
         f"jet space has {size} points, over the budget {budget}, and no exact split applies"
     )
+
+
+def contact_order_table(ideals, n, level, q, budget=DEFAULT_BUDGET, prefer="cheapest"):
+    """Exact jet counts keyed by the contact order along each ideal.
+
+    ``ideals`` is a list of non-empty generator lists.  A key holds one
+    entry per ideal: the least clamped pullback order of its generators,
+    in {0..level} or level+1 (the truncation sentinel).  ``prefer`` is
+    passed to ``ord_vector_distribution``.
+    """
+    if any(not gens for gens in ideals):
+        raise ValidationError("an ideal needs at least one generator")
+    polys = [g for gens in ideals for g in gens]
+    table = ord_vector_distribution(polys, n, level, q, budget=budget, prefer=prefer)
+    ends = list(accumulate(len(gens) for gens in ideals))
+    spans = list(zip([0] + ends, ends))
+    out = {}
+    for key, cnt in table.items():
+        orders = tuple(min(key[a:b]) for a, b in spans)
+        out[orders] = out.get(orders, 0) + cnt
+    return out
 
 
 def sample_ord_hits(gens, n, level, q, mode, m, samples, rng, batch_cap=DEFAULT_BATCH_CAP):

@@ -20,7 +20,7 @@ from .consensus import (
     extract_codim,
 )
 from .contact import MODE_AT_LEAST, ContactQuery, proj_count_contact
-from .counting import ord_vector_distribution
+from .counting import contact_order_table
 from .errors import BudgetExceeded, InternalInvariantError, ValidationError
 from .jets import DEFAULT_BUDGET, IdealGens, jet_space_size
 from .lct import LCT_DEFAULT_PRIMES, LctEstimate, lct_estimate
@@ -52,19 +52,6 @@ def minor_ideal_tower(A: PolyMatrix):
             gens = [MultiPoly.zero(A.field, A.variables)]
         tower.append(IdealGens(tuple(gens)))
     return tower
-
-
-def _flat_minor_tower(A: PolyMatrix):
-    """The nonzero minors of every level in one list, and each level's indices into it."""
-    flat = []
-    groups = []
-    for ideal in minor_ideal_tower(A):
-        if ideal.is_zero_ideal():
-            raise ValidationError("matrix has an identically vanishing minor level")
-        gens = ideal.nonzero()
-        groups.append(tuple(range(len(flat), len(flat) + len(gens))))
-        flat.extend(gens)
-    return flat, groups
 
 
 @dataclass(frozen=True)
@@ -219,42 +206,32 @@ def stratum_counts(
         raise ValidationError("m must be at most the level")
     A = pair.matrix
     n = len(A.variables)
-    flat, groups = _flat_minor_tower(A)
-    table = ord_vector_distribution(flat, n, level, q, budget=budget)
+    # keyed by the sigma vectors; full enumeration keeps this pass independent
+    # of the cheapest-strategy total below
+    tower = [ideal.nonzero() for ideal in minor_ideal_tower(A)]
+    table = contact_order_table(tower, n, level, q, budget=budget, prefer="direct")
 
     r = pair.r
     per_lambda = {}
     residual = 0
     strata_total = 0
-    for key, cnt in table.items():
-        sigma = [min(key[i] for i in grp) for grp in groups]
+    for sigma, cnt in table.items():
         if sigma[-1] != m:
             continue
         strata_total += cnt
-        if any(s > level for s in sigma[:-1]):
+        if any(s > level for s in sigma):
             residual += cnt  # undetermined prefix: cannot happen for m <= level
             continue
-        parts = []
-        prev = 0
-        ok = True
-        for s_val in sigma:
-            lam = s_val - prev
-            if parts and lam < parts[-1]:
-                ok = False
-                break
-            parts.append(lam)
-            prev = s_val
-        if not ok:
+        parts = tuple(b - a for a, b in zip((0,) + sigma, sigma))
+        if any(x > y for x, y in zip(parts, parts[1:])):
             raise InternalInvariantError(f"decreasing profile from minor orders: {sigma}")
-        per_lambda[tuple(parts)] = per_lambda.get(tuple(parts), 0) + cnt
+        per_lambda[parts] = per_lambda.get(parts, 0) + cnt
 
     # independent total from the maximal-minor ideal alone, by whatever exact
     # strategy is cheapest (usually a different algorithm than the direct
     # classification pass above)
-    z_table = ord_vector_distribution(
-        list(pair.z_gens.nonzero()), n, level, q, budget=budget, prefer="cheapest"
-    )
-    cont_m = sum(cnt for key, cnt in z_table.items() if min(key) == m)
+    z_table = contact_order_table([pair.z_gens.nonzero()], n, level, q, budget=budget)
+    cont_m = z_table.get((m,), 0)
 
     expected = profiles_of_size(r, m, level)
     listed = []
@@ -403,12 +380,8 @@ class CorollaryReport:
 
 def lct_z_estimate(pair: DeterminantalPair, M: int, primes=LCT_DEFAULT_PRIMES, budget=DEFAULT_BUDGET):
     """lct(X, Z_A), with Cont^m bucketed by the orders of the lower minor ideals."""
-    flat, groups = _flat_minor_tower(pair.matrix)
-    lower = flat[: groups[-1][0]]
-    return lct_estimate(
-        pair.z_gens, M, primes=primes, budget=budget,
-        stratifier="polys", strat_polys=lower, strat_groups=groups[:-1],
-    )
+    lower = [ideal.nonzero() for ideal in minor_ideal_tower(pair.matrix)[:-1]]
+    return lct_estimate(pair.z_gens, M, primes=primes, budget=budget, strata=lower)
 
 
 def lct_w_estimate(pair: DeterminantalPair, M: int, primes=LCT_DEFAULT_PRIMES, budget=DEFAULT_BUDGET):
@@ -418,7 +391,7 @@ def lct_w_estimate(pair: DeterminantalPair, M: int, primes=LCT_DEFAULT_PRIMES, b
     localizes; the minimum is None unless every chart has an estimate.
     """
     charts = tuple(
-        lct_estimate(pair.chart_gens(i), M, primes=primes, budget=budget, stratifier=None)
+        lct_estimate(pair.chart_gens(i), M, primes=primes, budget=budget, strata=[])
         for i in range(pair.r)
     )
     vals = [c.estimate for c in charts if c.estimate is not None]
@@ -542,17 +515,9 @@ def rational_singularity_probe(
         level = m
         counts = []
         for q in primes:
-            table = ord_vector_distribution(
-                list(pair.z_gens.nonzero()) + sing_gens, n, level, q,
-                budget=budget, prefer="cheapest",
-            )
-            k = len(pair.z_gens.nonzero())
-            hits = 0
-            for key, cnt in table.items():
-                if min(key[:k]) != m:
-                    continue
-                if min(key[k:]) >= 1:  # base point inside the singular locus
-                    hits += cnt
+            table = contact_order_table([pair.z_gens.nonzero(), sing_gens], n, level, q, budget=budget)
+            # s >= 1: the base point lies inside the singular locus
+            hits = sum(cnt for (z, s), cnt in table.items() if z == m and s >= 1)
             counts.append((q, hits, jet_space_size(n, level, q)))
         rep = extract_codim(counts, n * (level + 1))
         if rep.status == STATUS_EXACT_EMPTY:
@@ -633,20 +598,10 @@ def _cone_side_counts_direct(pair, level, q, m_exact, p_exact, budget, cache=Non
     table = cache.get(key) if cache is not None else None
     if table is None:
         y_polys = [MultiPoly.variable(pair.matrix.field, joint, y) for y in pair.y_names]
-        polys = y_polys + list(pair.w_gens.nonzero())
-        table = ord_vector_distribution(polys, n_joint, level, q, budget=budget)
+        table = contact_order_table([y_polys, pair.w_gens.nonzero()], n_joint, level, q, budget=budget)
         if cache is not None:
             cache[key] = table
-    k = len(pair.y_names)
-    hits = 0
-    for tkey, cnt in table.items():
-        y_part, g_part = tkey[:k], tkey[k:]
-        if min(y_part) != p_exact:
-            continue
-        if min(g_part) != m_exact:
-            continue
-        hits += cnt
-    return hits
+    return table.get((p_exact, m_exact), 0)
 
 
 def _cone_side_counts_generic(n, r, s, level, q, m_exact, p_exact):

@@ -221,14 +221,20 @@ def _validate_campaign(campaign: Campaign):
                 errors.append(f"{task.name}: missing profile 'lam'")
             else:
                 try:
-                    LambdaProfile(tuple(lam))
+                    parts = LambdaProfile(tuple(lam)).parts
                 except (ValueError, TypeError) as exc:
                     errors.append(f"{task.name}: bad profile: {exc}")
+                else:
+                    if parts and parts[-1] > p.get("level", -1):
+                        errors.append(f"{task.name}: profile exceeds the level")
                 if p.get("m", -1) > p.get("level", -1):
                     errors.append(f"{task.name}: m must be at most level")
         if task.kind in ("lct_z", "lct_w", "corollary", "configuration"):
             if p.get("max_m", 0) < 1:
                 errors.append(f"{task.name}: max_m must be at least 1")
+            primes = p.get("primes", LCT_DEFAULT_PRIMES)
+            if not isinstance(primes, (list, tuple)) or len(set(primes)) < 2:
+                errors.append(f"{task.name}: threshold estimation needs at least two distinct primes")
     return errors
 
 

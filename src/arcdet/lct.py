@@ -5,9 +5,10 @@ estimator computes those codimensions from finite-field counts at level
 N = m (the contact order is determined by coefficients up to t^m, so any
 higher level just multiplies counts by exact powers of q).
 
-For each m the Cont^m count is stratified: by default jets are bucketed by
-the vector of clamped coordinate orders, and for determinantal ideals the
-caller can bucket by minor-order partial sums (the lambda stratification).
+For each m the Cont^m count is stratified: jets are bucketed by their
+contact orders along a list of stratifying ideals -- by default the
+coordinates, and for determinantal ideals the lower minor ideals, whose
+orders are the partial sums of the profile (the lambda stratification).
 Buckets are exact cells for the instance families treated here, which is
 what lets the cyclotomic fit certify codimensions instead of rounding.
 """
@@ -25,7 +26,7 @@ from .consensus import (
     extract_codim,
     extract_codim_bucketed,
 )
-from .counting import ord_vector_distribution
+from .counting import contact_order_table
 from .errors import ValidationError
 from .jets import DEFAULT_BUDGET, IdealGens, jet_space_size
 from .poly import MultiPoly
@@ -74,15 +75,13 @@ def contact_codim_stratified(
     m: int,
     primes,
     budget=DEFAULT_BUDGET,
-    stratifier="coords",
-    strat_polys=None,
-    strat_groups=None,
+    strata=None,
 ) -> CountReport:
     """Codimension of Cont^m(ideal) at level m, with exact stratified extraction.
 
-    ``stratifier`` is "coords" (bucket by clamped coordinate orders),
-    "polys" (bucket by the order vectors of ``strat_polys``, grouped into
-    minima by ``strat_groups``), or None.
+    Jets are bucketed by their contact orders along ``strata``, a list of
+    ideals (generator lists); None means the coordinates, one ideal each,
+    and [] puts every jet in one bucket.
     """
     n = len(gens.variables)
     level = m
@@ -90,36 +89,19 @@ def contact_codim_stratified(
     if not work:
         raise ValidationError("zero ideal has no contact loci")
 
-    if stratifier == "coords":
-        bucket_polys = MultiPoly.coordinates(gens.field, gens.variables)
-        groups = [(i,) for i in range(len(bucket_polys))]
-    elif stratifier == "polys":
-        bucket_polys = list(strat_polys or [])
-        groups = list(strat_groups or [(i,) for i in range(len(bucket_polys))])
-    elif stratifier is None:
-        bucket_polys = []
-        groups = []
-    else:
-        raise ValidationError(f"unknown stratifier {stratifier!r}")
-
-    k = len(bucket_polys)
-    per_prime_tables = {}
-    for q in primes:
-        per_prime_tables[q] = ord_vector_distribution(
-            bucket_polys + work, n, level, q, budget=budget, prefer="cheapest"
-        )
+    if strata is None:
+        strata = [[x] for x in MultiPoly.coordinates(gens.field, gens.variables)]
 
     totals = []
     bucket_counts = {}
     for q in primes:
         total_hits = 0
-        for key, cnt in per_prime_tables[q].items():
-            strat_part, gen_part = key[:k], key[k:]
-            if min(gen_part) != m:
+        table = contact_order_table([*strata, work], n, level, q, budget=budget)
+        for (*bucket_key, order), cnt in table.items():
+            if order != m:
                 continue
             total_hits += cnt
-            bucket_key = tuple(min(strat_part[i] for i in g) for g in groups) if groups else ()
-            per = bucket_counts.setdefault(bucket_key, {})
+            per = bucket_counts.setdefault(tuple(bucket_key), {})
             per[q] = per.get(q, 0) + cnt
         totals.append((q, total_hits, jet_space_size(n, level, q)))
 
@@ -147,9 +129,7 @@ def lct_estimate(
     M: int,
     primes=LCT_DEFAULT_PRIMES,
     budget=DEFAULT_BUDGET,
-    stratifier="coords",
-    strat_polys=None,
-    strat_groups=None,
+    strata=None,
 ) -> LctEstimate:
     """min over 1 <= m <= M of codim(Cont^m)/m, with certification flags.
 
@@ -158,6 +138,7 @@ def lct_estimate(
     bound.  Sanity guards: the estimate may exceed neither the number of
     generators (a subscheme cut by d equations has threshold at most d)
     nor the ambient dimension; violations are flagged as internal errors.
+    ``strata`` buckets each Cont^m as in ``contact_codim_stratified``.
     """
     if M < 1:
         raise ValidationError("M must be at least 1")
@@ -172,10 +153,7 @@ def lct_estimate(
     certified = True
     errors = []
     for m in range(1, M + 1):
-        rep = contact_codim_stratified(
-            gens, m, primes, budget=budget,
-            stratifier=stratifier, strat_polys=strat_polys, strat_groups=strat_groups,
-        )
+        rep = contact_codim_stratified(gens, m, primes, budget=budget, strata=strata)
         ratio = None
         if rep.status == STATUS_EXACT_EMPTY:
             pass

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+import arcdet.counting
 from arcdet import GF, BudgetExceeded, IdealGens, TruncSeries, enumerate_jets, parse_poly
 from arcdet.consensus import (
     STATUS_AMBIGUOUS,
@@ -164,6 +165,19 @@ class TestProjective:
         query = ContactQuery(MODE_AT_LEAST, 1, 2, primes=(2, 3))
         small = proj_count_contact(None, 2, query, lam=(0, 2), budget=1)
         assert small.counts == proj_count_contact(None, 2, query, lam=(0, 2)).counts
+
+    def test_profile_fiber_enumerates_nothing(self, monkeypatch):
+        query = ContactQuery(MODE_AT_LEAST, 2, 3, primes=(2, 3))
+        expected = proj_count_contact(None, 3, query, lam=(1, 2, 3))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the fiber count enumerated coordinate jets")
+
+        monkeypatch.setattr(arcdet.counting, "iter_digit_batches", refuse)
+        rep = proj_count_contact(None, 3, query, lam=(1, 2, 3))
+        assert rep.counts == expected.counts
+        assert [q for q, _, _ in rep.counts] == [2, 3]
+        assert rep.consensus_codim == 1  # (m - lambda_1) for the one part below m
 
     def test_empty_beyond_top_part(self):
         rep = proj_count_contact(None, 2, ContactQuery(MODE_AT_LEAST, 3, 3, primes=(2, 3)), lam=(0, 2))

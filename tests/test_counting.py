@@ -6,19 +6,22 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from arcdet import GF, BudgetExceeded, MultiPoly, enumerate_jets, parse_poly
+from arcdet import GF, BudgetExceeded, IdealGens, MultiPoly, PolyMatrix, enumerate_jets, parse_poly
 from arcdet.counting import (
     _additive_split_distribution,
     _direct_distribution,
     _shift_split_distribution,
     batch_conv,
     batch_ord,
+    contact_order_table,
     eval_poly_batch,
     iter_digit_batches,
     ord_value_counts,
     ord_vector_distribution,
 )
-from arcdet.jets import substitute_jet
+from arcdet.determinantal import minor_ideal_tower
+from arcdet.errors import ValidationError
+from arcdet.jets import ord_along_ideal, substitute_jet
 
 
 def brute_table(polys, n, level, q):
@@ -55,6 +58,38 @@ class TestAgainstOracle:
         vs = ("x1",)
         f = parse_poly("x1^3 + 2*x1", vs)
         assert ord_vector_distribution([f], 1, 4, 5) == brute_table([f], 1, 4, 5)
+
+
+def brute_contact_table(ideals, n, level, q):
+    """Pure-Python oracle: jets counted by their contact order along each ideal."""
+    gf = GF(q)
+    mapped = [IdealGens(tuple(g.map_coeffs(gf) for g in gens)) for gens in ideals]
+    out = Counter()
+    for jet in enumerate_jets(n, level, q):
+        orders = (ord_along_ideal(ideal, jet) for ideal in mapped)
+        out[tuple(level + 1 if o is None else o for o in orders)] += 1
+    return dict(out)
+
+
+class TestContactOrderTable:
+    @pytest.mark.parametrize("prefer", ["cheapest", "direct"])
+    def test_minor_tower(self, prefer):
+        vs = ("x1", "x2", "x3", "x4")
+        A = PolyMatrix([[parse_poly("x1", vs), parse_poly("x2", vs)], [parse_poly("x3", vs), parse_poly("x4", vs)]])
+        tower = [ideal.nonzero() for ideal in minor_ideal_tower(A)]
+        assert contact_order_table(tower, 4, 1, 2, prefer=prefer) == brute_contact_table(tower, 4, 1, 2)
+
+    @pytest.mark.parametrize("prefer", ["cheapest", "direct"])
+    def test_coordinates_and_product(self, prefer):
+        vs = ("x1", "x2")
+        x1, x2 = MultiPoly.coordinates(GF(3), vs)
+        ideals = [[x1], [x2], [x1, x2], [parse_poly("x1*x2", vs)]]
+        assert contact_order_table(ideals, 2, 1, 3, prefer=prefer) == brute_contact_table(ideals, 2, 1, 3)
+
+    def test_empty_ideal_is_refused(self):
+        x1 = parse_poly("x1", ("x1",))
+        with pytest.raises(ValidationError):
+            contact_order_table([[x1], []], 1, 1, 2)
 
 
 class TestStrategyEquivalence:

@@ -5,6 +5,7 @@ import pytest
 from arcdet.errors import ValidationError
 from arcdet.harness import Campaign, Task, builtin_corpus, run_campaign
 from arcdet.io import campaign_from_doc
+from arcdet.jets import IdealGens
 from arcdet.matrices import PolyMatrix
 from arcdet.poly import parse_poly
 
@@ -46,6 +47,23 @@ class TestValidation:
         c = Campaign.make("bad", {}, [Task.make("t", "fiber_formula", lam=[2, 1], m=1, level=2)])
         with pytest.raises(ValidationError):
             run_campaign(c)
+
+    def test_run_time_errors_are_validation_errors(self):
+        # both tasks used to fail mid-run with a bare message naming no task
+        c = Campaign.make(
+            "bad",
+            {"x1": ("ideal", IdealGens((parse_poly("x1", ("x1",)),)))},
+            [
+                Task.make("one-prime", "lct_z", ideal="x1", max_m=2, primes=[3, 3]),
+                Task.make("tall-profile", "fiber_formula", lam=[1, 3], m=1, level=2),
+            ],
+        )
+        with pytest.raises(ValidationError) as err:
+            run_campaign(c)
+        msg = str(err.value)
+        assert "campaign validation failed" in msg
+        assert "one-prime: threshold estimation needs at least two distinct primes" in msg
+        assert "tall-profile: profile exceeds the level" in msg
 
 
 class TestExecution:

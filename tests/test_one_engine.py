@@ -1,16 +1,19 @@
 """Every jet count goes through the one engine in ``counting.py``.
 
-The digit grid, the batched series kernels and the batched polynomial
-evaluator are the engine's internals: no other module under ``src/arcdet``
-names them, so no second enumerator can grow beside
-``ord_vector_distribution``.
+The digit grid, the batched series kernels, the batched polynomial
+evaluator and the order-vector table are the engine's internals: no other
+module under ``src/arcdet`` names them, so every check reads its contact
+orders from ``contact_order_table`` and no second enumerator can grow
+beside it.
 """
 
 import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-ENGINE_INTERNALS = ("iter_digit_batches", "batch_conv", "batch_ord", "eval_poly_batch")
+ENGINE_INTERNALS = (
+    "iter_digit_batches", "batch_conv", "batch_ord", "eval_poly_batch", "ord_vector_distribution",
+)
 
 
 def _modules_naming_internals(package):
