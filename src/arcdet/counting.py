@@ -10,7 +10,7 @@ layout and picks the cheapest exact strategy.
 
 Three exact strategies, chosen by cost:
 
-* direct      -- vectorized enumeration of the full coefficient grid.
+* direct      -- vectorized enumeration of the full jet grid.
 * shift split -- a variable that occurs exactly once in the whole list,
                  as a lone constant-coefficient degree-1 term, acts as a
                  uniform shift; its generator's order distribution is the
@@ -24,10 +24,23 @@ Three exact strategies, chosen by cost:
 
 All three produce identical tables; the test suite cross-checks them
 against each other and against the pure-Python jet enumeration.
+
+The jet grid.  A series in O_N = F_q[t]/(t^(N+1)) is one code in [0, Q),
+Q = q^(N+1), whose base-q digit i is the coefficient of t^i.  When
+Q <= RING_TABLE_CAP, ``ring_tables`` builds the add, mul and ord tables of
+O_N once per (q, N), on first use, and the direct and additive-split
+strategies walk a grid of n int16 coordinate codes: a pullback is a chain
+of table gathers, an order is one lookup and the split polynomial's value
+code is the pullback code itself.  The tables are never written after
+construction, so threads may share them.  Above the cap the same
+strategies walk the grid of n(N+1) base-q coefficient digits with int32
+series products (``iter_digit_batches``, ``batch_conv``, ``batch_ord``),
+the kernels that also build the tables.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -35,7 +48,18 @@ import numpy as np
 from .errors import BudgetExceeded, ValidationError
 from .jets import DEFAULT_BUDGET
 
-DEFAULT_BATCH_CAP = 1 << 22
+# rows per enumeration batch: a batch's temporaries stay small enough for the
+# caches (1 << 17 rows ran 1.5-2x faster than 1 << 22 on both grids)
+DEFAULT_BATCH_CAP = 1 << 17
+# largest Q = q^(N+1) whose ring is enumerated by lookup tables; larger rings take
+# the coefficient path.  Measured on one [x1, x2, x1*x2] table, fresh process,
+# one thread: the tables, build included, took 1.1 s at Q = 2048 and 0.7 s at
+# Q = 2187 (q=3, N=6, the largest ring of the builtin campaigns) against 3.2 s
+# and 1.7 s for the coefficient path; at Q = 4096 the build alone takes 6.3 s
+# and 64 MB, which a one-coordinate table never repays.
+RING_TABLE_CAP = 3**7
+# rows of random digits per draw: the random stream of a sampled count depends on it
+_SAMPLE_BATCH = 1 << 22
 _MAX_COMBINE = 1 << 26
 
 
@@ -44,24 +68,24 @@ _MAX_COMBINE = 1 << 26
 # --------------------------------------------------------------------------
 
 
-def iter_digit_batches(width, q, batch_cap=DEFAULT_BATCH_CAP):
-    """Yield (B, width) int32 arrays covering the odometer grid of base-q digits.
+def _grid_batches(width, base, dtype, batch_cap):
+    """Yield (B, width) arrays covering the odometer grid of base-``base`` digits.
 
-    The low digits cycle with period q^w, so one cached block is tiled and
+    The low digits cycle with period base^w, so one cached block is tiled and
     only the remaining high digits are computed per batch.
     """
-    total = q**width
+    total = base**width
     if total > 2**62:  # pragma: no cover - beyond any practical budget
         raise BudgetExceeded("grid too large to index")
 
     w = 0
-    while w < width and q ** (w + 1) <= min(batch_cap, total):
+    while w < width and base ** (w + 1) <= min(batch_cap, total):
         w += 1
-    block = q**w
-    cache = np.empty((block, w), dtype=np.int32)
+    block = base**w
+    cache = np.empty((block, w), dtype=dtype)
     rem = np.arange(block, dtype=np.int64)
     for pos in range(w):
-        rem, d = np.divmod(rem, q)
+        rem, d = np.divmod(rem, base)
         cache[:, pos] = d
 
     n_highs = (total + block - 1) // block
@@ -71,17 +95,23 @@ def iter_digit_batches(width, q, batch_cap=DEFAULT_BATCH_CAP):
         h1 = min(h0 + highs_per_batch, n_highs)
         rows = min(total, h1 * block) - h0 * block
         if buf is None or buf.shape[0] < rows:
-            buf = np.empty((highs_per_batch * block, width), dtype=np.int32)
+            buf = np.empty((highs_per_batch * block, width), dtype=dtype)
             reps = (buf.shape[0] + block - 1) // block
             buf[:, :w] = np.tile(cache, (reps, 1))[: buf.shape[0]]
         digits = buf[:rows]
         if w < width:
-            rem = np.repeat(np.arange(h0, h1, dtype=np.int64), block)[:rows]
+            # each high value fills one whole block of rows (block divides total)
+            rem = np.arange(h0, h1, dtype=np.int64)
             for pos in range(w, width):
-                rem, d = np.divmod(rem, q)
-                digits[:, pos] = d
+                rem, d = np.divmod(rem, base)
+                digits.reshape(h1 - h0, block, width)[:, :, pos] = d[:, None]
         # the buffer is reused between iterations: consume before advancing
         yield digits
+
+
+def iter_digit_batches(width, q, batch_cap=DEFAULT_BATCH_CAP):
+    """Yield (B, width) int32 arrays covering the odometer grid of base-q digits."""
+    yield from _grid_batches(width, q, np.int32, batch_cap)
 
 
 def batch_conv(a, b, q):
@@ -171,6 +201,139 @@ def _plain_variable_index(poly):
     return exps.index(1)
 
 
+def _series_codes(series, q):
+    """Codes of (B, N+1) coefficient rows: base-q digit i is the coefficient of t^i."""
+    code = np.zeros(series.shape[0], dtype=np.int64)
+    for j in reversed(range(series.shape[1])):
+        code *= q
+        code += series[:, j]
+    return code
+
+
+# --------------------------------------------------------------------------
+# lookup tables of F_q[t]/(t^(N+1)) on series codes
+# --------------------------------------------------------------------------
+
+
+class RingTables:
+    """Read-only lookup tables of O_N = F_q[t]/(t^(N+1)) on series codes in [0, Q).
+
+    ``add`` and ``mul`` are flat Q*Q int16 tables read at a*Q + b and ``ord``
+    holds the clamped order (N+1 for the zero series).  The coefficient
+    kernels they replace build them, batch by batch over the Q*Q grid of pairs.
+    """
+
+    def __init__(self, q, level):
+        width = level + 1
+        size = q**width
+        self.q, self.size = q, size
+        digits = next(iter_digit_batches(width, q, batch_cap=size))
+        self.ord = batch_ord(digits, level).astype(np.int8)
+        self.add = np.empty(size * size, dtype=np.int16)
+        self.mul = np.empty(size * size, dtype=np.int16)
+        start = 0
+        # row a + Q*b of the pair grid holds a's digits low and b's high
+        for pairs in iter_digit_batches(2 * width, q):
+            # column-major operands: the kernels read one coefficient column at a time
+            a, b = np.asfortranarray(pairs[:, :width]), np.asfortranarray(pairs[:, width:])
+            stop = start + pairs.shape[0]
+            self.add[start:stop] = _series_codes((a + b) % q, q)
+            self.mul[start:stop] = _series_codes(batch_conv(a, b, q), q)
+            start = stop
+        for table in (self.ord, self.add, self.mul):
+            table.flags.writeable = False
+
+    def _pair_index(self, a, b):
+        idx = a.astype(np.intp)
+        idx *= self.size
+        idx += b
+        return idx
+
+    def plus(self, a, b):
+        return self.add.take(self._pair_index(a, b))
+
+    def times(self, a, b):
+        return self.mul.take(self._pair_index(a, b))
+
+
+@lru_cache(maxsize=16)
+def ring_tables(q, level):
+    """The ring tables of F_q[t]/(t^(level+1)), built on first use and shared.
+
+    The 16 most recently used rings are kept.  All builtin campaigns together
+    use 14 rings (12 in the largest, ``lct-known-values``), so none is
+    rebuilt; one at Q = RING_TABLE_CAP holds 19 MB.
+    """
+    return RingTables(q, level)
+
+
+def eval_poly_codes(poly, codes, ring):
+    """Pullback codes of a polynomial on a batch of jets.
+
+    ``codes`` has shape (B, n), one series code per coordinate; coefficients
+    of ``poly`` are reduced mod q.  Returns (B,) int16 codes.
+    """
+    var = _plain_variable_index(poly)
+    if var is not None:
+        return codes[:, var]
+    q = ring.q
+    powers = {}
+
+    def power(i, e):
+        if e == 1:
+            return codes[:, i]
+        if (i, e) not in powers:
+            half = power(i, e // 2)
+            sq = ring.times(half, half)
+            powers[i, e] = sq if e % 2 == 0 else ring.times(sq, codes[:, i])
+        return powers[i, e]
+
+    out = None
+    for exps, coeff in poly.terms.items():
+        c = int(coeff) % q  # callers hand over GF(q) polynomials
+        if c == 0:
+            continue
+        term = None
+        for i, e in enumerate(exps):
+            if e:
+                term = power(i, e) if term is None else ring.times(term, power(i, e))
+        if term is None:
+            term = np.full(codes.shape[0], c, dtype=np.int16)  # the constant c has code c
+        elif c != 1:
+            term = ring.mul[c * ring.size : (c + 1) * ring.size].take(term)  # row c of mul
+        out = term if out is None else ring.plus(out, term)
+    return np.zeros(codes.shape[0], dtype=np.int16) if out is None else out
+
+
+def _order_batches(polys, n, level, q, batch_cap, value_poly=None):
+    """Walk the jet grid in batches.  Per batch yield its row count, the clamped
+    pullback order of each of ``polys`` and the value code of ``value_poly``'s
+    pullback (None without one).
+
+    Within RING_TABLE_CAP the grid is n coordinate codes and a pullback is a
+    chain of table gathers; above it, n(N+1) coefficient digits and int32
+    series products.
+    """
+    if q ** (level + 1) <= RING_TABLE_CAP:
+        ring = ring_tables(q, level)
+        for codes in _grid_batches(n, ring.size, np.int16, batch_cap):
+            cols = [ring.ord.take(eval_poly_codes(p, codes, ring)) for p in polys]
+            value = None if value_poly is None else eval_poly_codes(value_poly, codes, ring)
+            yield codes.shape[0], cols, value
+        return
+    var_slots = [(i, _plain_variable_index(p)) for i, p in enumerate(polys)]
+    plain = {i: v for i, v in var_slots if v is not None}
+    for digits in iter_digit_batches(n * (level + 1), q, batch_cap):
+        coords = digits.reshape(digits.shape[0], n, level + 1)
+        coord_ords = batch_ord(coords, level) if plain else None  # (B, n) in one pass
+        cols = [
+            coord_ords[:, plain[i]] if i in plain else batch_ord(eval_poly_batch(p, coords, q), level)
+            for i, p in enumerate(polys)
+        ]
+        value = None if value_poly is None else _series_codes(eval_poly_batch(value_poly, coords, q), q)
+        yield digits.shape[0], cols, value
+
+
 # --------------------------------------------------------------------------
 # key handling
 # --------------------------------------------------------------------------
@@ -179,9 +342,10 @@ def _plain_variable_index(poly):
 def _encode_ord_vectors(ord_cols, level):
     """Mixed-radix encode a list of (B,) ord arrays into one int64 code array."""
     base = level + 2
-    code = np.zeros_like(ord_cols[0])
+    code = np.zeros(ord_cols[0].shape[0], dtype=np.int64)
     for col in reversed(ord_cols):
-        code = code * base + col
+        code *= base
+        code += col
     return code
 
 
@@ -217,19 +381,7 @@ def _direct_distribution(polys, n, level, q, batch_cap):
     use_bincount = dense_size <= (1 << 22)
     dense = np.zeros(dense_size, dtype=np.int64) if use_bincount else None
     table = {}
-    var_slots = [(i, _plain_variable_index(p)) for i, p in enumerate(polys)]
-    plain = {i: v for i, v in var_slots if v is not None}
-    for digits in iter_digit_batches(width, q, batch_cap):
-        coords = digits.reshape(digits.shape[0], n, level + 1)
-        coord_ords = None
-        if plain:
-            coord_ords = batch_ord(coords, level)  # (B, n) in one pass
-        cols = []
-        for i, p in enumerate(polys):
-            if i in plain:
-                cols.append(coord_ords[:, plain[i]])
-            else:
-                cols.append(batch_ord(eval_poly_batch(p, coords, q), level))
+    for _, cols, _ in _order_batches(polys, n, level, q, batch_cap):
         codes = _encode_ord_vectors(cols, level)
         if use_bincount:
             dense += np.bincount(codes, minlength=dense_size)
@@ -404,26 +556,15 @@ def _side_table(polys_side, split_part, side_vars, all_names, level, q, batch_ca
     names = [all_names[v] for v in side_vars]
     reduced = [_restrict_poly(p, side_vars, names) for p in polys_side]
     split_red = _restrict_poly(split_part, side_vars, names) if split_part is not None else None
-    n_side = len(side_vars)
-    width = n_side * (level + 1)
-    vwidth = level + 1
-    vspace = q**vwidth
+    vspace = q ** (level + 1)
 
     out = {}
-    for digits in iter_digit_batches(width, q, batch_cap):
-        coords = digits.reshape(digits.shape[0], n_side, level + 1)
-        cols = [batch_ord(eval_poly_batch(p, coords, q), level) for p in reduced]
-        key_code = _encode_ord_vectors(cols, level) if cols else np.zeros(digits.shape[0], dtype=np.int64)
-        if split_red is not None:
-            vals = eval_poly_batch(split_red, coords, q)
-            vcode = np.zeros(digits.shape[0], dtype=np.int64)
-            mult = 1
-            for j in range(vwidth):
-                vcode += vals[:, j] * mult
-                mult *= q
-        else:
-            vcode = np.zeros(digits.shape[0], dtype=np.int64)
-        uniq, cnt = np.unique(key_code * vspace + vcode, return_counts=True)
+    for rows, cols, vcode in _order_batches(reduced, len(side_vars), level, q, batch_cap, split_red):
+        key_code = _encode_ord_vectors(cols, level) if cols else np.zeros(rows, dtype=np.int64)
+        key_code *= vspace
+        if vcode is not None:
+            key_code += vcode
+        uniq, cnt = np.unique(key_code, return_counts=True)
         for code, c in zip(uniq.tolist(), cnt.tolist()):
             kc, vc = divmod(code, vspace)
             key = _decode_ord_code(kc, len(reduced), level)
@@ -505,8 +646,8 @@ def _additive_split_distribution(polys, n, level, q, budget, batch_cap):
         return None
 
     vwidth = level + 1
-    # prefix-collapsed copies of each side's value vectors, per order threshold
-    neg = {o: _negation_permutation(q, o) for o in range(vwidth + 1)}
+    # digitwise negation of value codes; on codes below q^o it negates the o-digit prefix
+    neg = _negation_permutation(q, vwidth)
 
     def prefixes(vec):
         return {o: vec.reshape(-1, q**o).sum(axis=0) for o in range(vwidth + 1)}
@@ -523,7 +664,7 @@ def _additive_split_distribution(polys, n, level, q, budget, batch_cap):
             else:
                 geq = []
                 for o in range(vwidth + 1):
-                    geq.append(int(np.dot(va[o], vb[o][neg[o]])))
+                    geq.append(int(np.dot(va[o], vb[o][neg[: q**o]])))
                 counts_by_ord = {}
                 for o in range(vwidth):
                     c = geq[o] - geq[o + 1]
@@ -564,9 +705,7 @@ def _additive_split_cost(polys, n, level, q):
     return sum(q ** (len(vs) * (level + 1)) for vs in blocks)
 
 
-def ord_vector_distribution(
-    polys, n, level, q, budget=DEFAULT_BUDGET, batch_cap=DEFAULT_BATCH_CAP, prefer="cheapest"
-):
+def ord_vector_distribution(polys, n, level, q, budget=DEFAULT_BUDGET, prefer="cheapest"):
     """Exact jet counts keyed by the clamped order vector of the given polynomials.
 
     Keys are tuples with one entry per polynomial, each in {0..level} or
@@ -605,12 +744,12 @@ def ord_vector_distribution(
     for name in order:
         if name == "direct":
             if size <= budget:
-                return _direct_distribution(polys, n, level, q, batch_cap)
+                return _direct_distribution(polys, n, level, q, DEFAULT_BATCH_CAP)
             continue
         if name == "shift":
-            t = _shift_split_distribution(polys, n, level, q, budget, batch_cap)
+            t = _shift_split_distribution(polys, n, level, q, budget, DEFAULT_BATCH_CAP)
         else:
-            t = _additive_split_distribution(polys, n, level, q, budget, batch_cap)
+            t = _additive_split_distribution(polys, n, level, q, budget, DEFAULT_BATCH_CAP)
         if t is not None:
             return t
     raise BudgetExceeded(
@@ -639,7 +778,7 @@ def contact_order_table(ideals, n, level, q, budget=DEFAULT_BUDGET, prefer="chea
     return out
 
 
-def sample_ord_hits(gens, n, level, q, mode, m, samples, rng, batch_cap=DEFAULT_BATCH_CAP):
+def sample_ord_hits(gens, n, level, q, mode, m, samples, rng):
     """Monte Carlo hit count for an order condition; returns (hits, samples)."""
     from .fields import GF
 
@@ -649,7 +788,7 @@ def sample_ord_hits(gens, n, level, q, mode, m, samples, rng, batch_cap=DEFAULT_
     hits = 0
     done = 0
     while done < samples:
-        b = min(batch_cap, samples - done)
+        b = min(_SAMPLE_BATCH, samples - done)
         digits = rng.integers(0, q, size=(b, width), dtype=np.int64)
         coords = digits.reshape(b, n, level + 1)
         best = None

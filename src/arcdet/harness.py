@@ -175,6 +175,25 @@ _ALLOWED_PARAMS = {
 }
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _param_type_errors(p):
+    """Integer parameters that are not ints (bools count as not): the scalars
+    m, p, level, prime and max_m, and every element of primes and lam."""
+    errors = [
+        f"{name} must be an integer, got {p[name]!r}"
+        for name in ("m", "p", "level", "prime", "max_m")
+        if name in p and not _is_int(p[name])
+    ]
+    for name in ("primes", "lam"):
+        value = p.get(name)
+        if value is not None and not (isinstance(value, (list, tuple)) and all(map(_is_int, value))):
+            errors.append(f"{name} must be a list of integers, got {value!r}")
+    return errors
+
+
 def _validate_campaign(campaign: Campaign):
     errors = []
     inputs = campaign.input_dict()
@@ -190,6 +209,8 @@ def _validate_campaign(campaign: Campaign):
         unknown = set(p) - _ALLOWED_PARAMS[task.kind]
         if unknown:
             errors.append(f"{task.name}: unknown parameters for {task.kind}: {sorted(unknown)}")
+        type_errors = _param_type_errors(p)
+        errors.extend(f"{task.name}: {msg}" for msg in type_errors)
         ref_field = {
             "stratification": "matrix",
             "lct_z": "ideal",
@@ -209,6 +230,8 @@ def _validate_campaign(campaign: Campaign):
                 errors.append(f"{task.name}: missing input reference {ref_field!r}")
             elif ref not in inputs:
                 errors.append(f"{task.name}: undeclared input {ref!r}")
+        if type_errors:
+            continue  # the range checks below compare these values
         if task.kind == "stratification":
             if p.get("m", -1) > p.get("level", -1):
                 errors.append(f"{task.name}: m must be at most level")

@@ -6,10 +6,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import arcdet.counting
 from arcdet import GF, BudgetExceeded, IdealGens, MultiPoly, PolyMatrix, enumerate_jets, parse_poly
 from arcdet.counting import (
+    DEFAULT_BATCH_CAP,
+    RING_TABLE_CAP,
     _additive_split_distribution,
     _direct_distribution,
+    _negation_permutation,
     _shift_split_distribution,
     batch_conv,
     batch_ord,
@@ -18,10 +22,12 @@ from arcdet.counting import (
     iter_digit_batches,
     ord_value_counts,
     ord_vector_distribution,
+    ring_tables,
 )
 from arcdet.determinantal import minor_ideal_tower
 from arcdet.errors import ValidationError
 from arcdet.jets import ord_along_ideal, substitute_jet
+from arcdet.series import TruncSeries
 
 
 def brute_table(polys, n, level, q):
@@ -139,6 +145,89 @@ class TestStrategyEquivalence:
         t = ord_vector_distribution([det], 4, 2, 3, budget=10**5, prefer="cheapest")
         d = ord_vector_distribution([det], 4, 2, 3, budget=10**9, prefer="direct")
         assert t == d
+
+
+class TestRingTables:
+    @pytest.mark.parametrize("q, level", [(2, 0), (2, 1), (2, 2), (2, 3), (3, 0), (3, 1), (3, 2), (5, 1)])
+    def test_tables_match_series(self, q, level):
+        gf = GF(q)
+        size = q ** (level + 1)
+        series = [TruncSeries(gf, level, [code // q**i % q for i in range(level + 1)]) for code in range(size)]
+        code_of = {s: code for code, s in enumerate(series)}
+        ring = ring_tables(q, level)
+        assert ring.ord.tolist() == [level + 1 if s.ord() is None else s.ord() for s in series]
+        assert _negation_permutation(q, level + 1).tolist() == [code_of[-s] for s in series]
+        for a, sa in enumerate(series):
+            row = slice(a * size, (a + 1) * size)
+            assert ring.add[row].tolist() == [code_of[sa + sb] for sb in series]
+            assert ring.mul[row].tolist() == [code_of[sa * sb] for sb in series]
+
+    def test_tables_are_read_only(self):
+        ring = ring_tables(2, 1)
+        for table in (ring.add, ring.mul, ring.ord):
+            with pytest.raises(ValueError):
+                table[0] = 0
+
+
+def pullback_value_counts(poly, level, q):
+    """Pure-Python oracle: how many jets of A^1 pull ``poly`` back to each series."""
+    mapped = poly.map_coeffs(GF(q))
+    return Counter(substitute_jet(mapped, jet) for jet in enumerate_jets(1, level, q))
+
+
+def ord_counts(values, level):
+    out = Counter()
+    for s, cnt in values.items():
+        out[(level + 1 if s.ord() is None else s.ord(),)] += cnt
+    return out
+
+
+class TestTableCap:
+    """Every strategy on both sides of RING_TABLE_CAP, against enumerate_jets:
+    q=2 at level 10 (Q = 2048, ring tables) and level 11 (Q = 4096, coefficients)."""
+
+    @pytest.mark.parametrize("level", [10, 11])
+    def test_direct(self, level):
+        assert (2 ** (level + 1) <= RING_TABLE_CAP) == (level == 10)
+        f = parse_poly("x1^3 + x1^2 + 1", ("x1",))
+        want = ord_counts(pullback_value_counts(f, level, 2), level)
+        assert _direct_distribution([f.map_coeffs(GF(2))], 1, level, 2, DEFAULT_BATCH_CAP) == want
+
+    @pytest.mark.parametrize("level", [10, 11])
+    def test_shift_split(self, level):
+        vs = ("x1", "x2")
+        f, x2 = (parse_poly(e, vs).map_coeffs(GF(2)) for e in ("x1^3 + x1", "x2"))
+        f_ords = ord_counts(pullback_value_counts(parse_poly("x1^3 + x1", ("x1",)), level, 2), level)
+        x_ords = ord_counts(pullback_value_counts(parse_poly("x1", ("x1",)), level, 2), level)
+        want = {fk + xk: fc * xc for fk, fc in f_ords.items() for xk, xc in x_ords.items()}
+        assert _shift_split_distribution([f, x2], 2, level, 2, 10**9, DEFAULT_BATCH_CAP) == want
+
+    @pytest.mark.parametrize("level", [10, 11])
+    def test_additive_split(self, level):
+        # x1^2 and x2^4 + x2^2 are squares over F_2, so each side takes few values
+        h = parse_poly("x1^2 + x2^4 + x2^2", ("x1", "x2")).map_coeffs(GF(2))
+        va = pullback_value_counts(parse_poly("x1^2", ("x1",)), level, 2)
+        vb = pullback_value_counts(parse_poly("x1^4 + x1^2", ("x1",)), level, 2)
+        want = Counter()
+        for a, ca in va.items():
+            for b, cb in vb.items():
+                want.update(ord_counts({a + b: ca * cb}, level))
+        assert _additive_split_distribution([h], 2, level, 2, 10**9, DEFAULT_BATCH_CAP) == want
+
+    def test_tables_replace_the_coefficient_kernels(self, monkeypatch):
+        ring_tables(3, 2)  # built by the coefficient kernels, before they are refused
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("coefficient kernel called within the table cap")
+
+        for name in ("iter_digit_batches", "batch_conv", "batch_ord"):
+            monkeypatch.setattr(arcdet.counting, name, refuse)
+        vs = ("x1", "x2", "x3", "x4")
+        det = parse_poly("x1*x4 - x2*x3", vs).map_coeffs(GF(3))
+        polys = [MultiPoly.variable(GF(3), vs, v) for v in vs] + [det]
+        direct = _direct_distribution(polys, 4, 2, 3, DEFAULT_BATCH_CAP)
+        assert _additive_split_distribution(polys, 4, 2, 3, 10**9, DEFAULT_BATCH_CAP) == direct
+        assert sum(direct.values()) == 3**12
 
 
 class TestBatchOps:

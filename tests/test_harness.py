@@ -65,6 +65,28 @@ class TestValidation:
         assert "one-prime: threshold estimation needs at least two distinct primes" in msg
         assert "tall-profile: profile exceeds the level" in msg
 
+    def test_mistyped_integer_parameters(self):
+        # a string m used to escape as a bare TypeError from the m <= level check
+        c = Campaign.make(
+            "bad",
+            {"m": ("matrix", tiny_matrix())},
+            [
+                Task.make("a", "stratification", matrix="m", m="1", level=2, prime=2),
+                Task.make("b", "fiber_formula", lam=[1, True], m=1, level=2.0, primes=[2, "3"]),
+                Task.make("c", "cone", matrix="m", m=1, p=False, level=1),
+                Task.make("d", "lct_w", matrix="m", max_m=None),
+            ],
+        )
+        with pytest.raises(ValidationError) as err:
+            run_campaign(c)
+        msg = str(err.value)
+        assert "a: m must be an integer, got '1'" in msg
+        assert "b: level must be an integer, got 2.0" in msg
+        assert "b: primes must be a list of integers, got [2, '3']" in msg
+        assert "b: lam must be a list of integers, got [1, True]" in msg
+        assert "c: p must be an integer, got False" in msg
+        assert "d: max_m must be an integer, got None" in msg
+
 
 class TestExecution:
     def test_corpus_membership(self):

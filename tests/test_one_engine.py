@@ -1,10 +1,10 @@
 """Every jet count goes through the one engine in ``counting.py``.
 
 The digit grid, the batched series kernels, the batched polynomial
-evaluator and the order-vector table are the engine's internals: no other
-module under ``src/arcdet`` names them, so every check reads its contact
-orders from ``contact_order_table`` and no second enumerator can grow
-beside it.
+evaluators (on coefficient digits and on ring codes), the ring lookup tables
+and the order-vector table are the engine's internals: no other module under
+``src/arcdet`` names them, so every check reads its contact orders from
+``contact_order_table`` and no second enumerator or kernel can grow beside it.
 """
 
 import re
@@ -13,6 +13,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 ENGINE_INTERNALS = (
     "iter_digit_batches", "batch_conv", "batch_ord", "eval_poly_batch", "ord_vector_distribution",
+    "RingTables", "ring_tables", "eval_poly_codes",
 )
 
 
