@@ -8,7 +8,7 @@ the least order of each ideal's generators, so every caller goes through
 ``contact_order_table``: it names the ideals, and the engine owns the key
 layout and picks the cheapest exact strategy.
 
-Three exact strategies, chosen by cost:
+Four exact strategies, chosen by cost:
 
 * direct      -- vectorized enumeration of the full jet grid.
 * shift split -- a variable that occurs exactly once in the whole list,
@@ -20,9 +20,15 @@ Three exact strategies, chosen by cost:
                  disconnected, the list splits into two blocks sharing at
                  most one additively-split polynomial; each block is
                  enumerated separately and the blocks are convolved by
-                 matching value prefixes.
+                 matching value prefixes, one integer matrix product per
+                 prefix length.
+* monomial    -- when every polynomial is a monomial c*x^a (or zero), the
+                 order of c*x^a is min(<a, e>, N+1) for the vector e of
+                 coordinate orders, so the table is the product of the
+                 per-coordinate order counts over the (N+2)^n cells e,
+                 reduced by that key; nothing is enumerated.
 
-All three produce identical tables; the test suite cross-checks them
+All four produce identical tables; the test suite cross-checks them
 against each other and against the pure-Python jet enumeration.
 
 The jet grid.  A series in O_N = F_q[t]/(t^(N+1)) is one code in [0, Q),
@@ -52,11 +58,12 @@ from .jets import DEFAULT_BUDGET
 # caches (1 << 17 rows ran 1.5-2x faster than 1 << 22 on both grids)
 DEFAULT_BATCH_CAP = 1 << 17
 # largest Q = q^(N+1) whose ring is enumerated by lookup tables; larger rings take
-# the coefficient path.  Measured on one [x1, x2, x1*x2] table, fresh process,
-# one thread: the tables, build included, took 1.1 s at Q = 2048 and 0.7 s at
-# Q = 2187 (q=3, N=6, the largest ring of the builtin campaigns) against 3.2 s
-# and 1.7 s for the coefficient path; at Q = 4096 the build alone takes 6.3 s
-# and 64 MB, which a one-coordinate table never repays.
+# the coefficient path.  Measured on one [x1, x2, x1*x2] table enumerated
+# directly, fresh process, one thread: the tables, build included, took 1.1 s at
+# Q = 2048 and 0.7 s at Q = 2187 (q=3, N=6) against 3.2 s and 1.7 s for the
+# coefficient path; at Q = 4096 the build alone takes 6.3 s and 64 MB, which a
+# one-coordinate table never repays.  The builtin campaigns now count their
+# monomial lists without enumerating and use no ring above Q = 3^5 = 243.
 RING_TABLE_CAP = 3**7
 # rows of random digits per draw: the random stream of a sampled count depends on it
 _SAMPLE_BATCH = 1 << 22
@@ -261,8 +268,9 @@ def ring_tables(q, level):
     """The ring tables of F_q[t]/(t^(level+1)), built on first use and shared.
 
     The 16 most recently used rings are kept.  All builtin campaigns together
-    use 14 rings (12 in the largest, ``lct-known-values``), so none is
-    rebuilt; one at Q = RING_TABLE_CAP holds 19 MB.
+    use 10 rings, none above Q = 3^5 (8 each in ``lct-known-values`` and
+    ``corollary-generic-2x2``), so none is rebuilt; one at Q = RING_TABLE_CAP
+    holds 19 MB.
     """
     return RingTables(q, level)
 
@@ -593,6 +601,8 @@ def _additive_split_distribution(polys, n, level, q, budget, batch_cap):
     wa, wb = len(vars_a) * (level + 1), len(vars_b) * (level + 1)
     if q**wa > budget or q**wb > budget:
         return None
+    if q ** (wa + wb) >= 2**63:
+        return None  # the combine counts pairs of jets in int64
 
     set_a = set(vars_a)
     side_a_polys, side_b_polys, split_idx = [], [], []
@@ -645,43 +655,66 @@ def _additive_split_distribution(polys, n, level, q, budget, batch_cap):
     if len(tab_a) * len(tab_b) * (q ** (level + 1)) > _MAX_COMBINE:
         return None
 
-    vwidth = level + 1
-    # digitwise negation of value codes; on codes below q^o it negates the o-digit prefix
-    neg = _negation_permutation(q, vwidth)
+    keys_a, keys_b = list(tab_a), list(tab_b)
+    mat_a, mat_b = np.stack(list(tab_a.values())), np.stack(list(tab_b.values()))
+    if split_poly is None:
+        # no value codes to match: a pair of keys counts the product of the two totals
+        by_ord = np.outer(mat_a.sum(axis=1), mat_b.sum(axis=1))[None]
+    else:
+        vwidth = level + 1
+        # digitwise negation of value codes; on codes below q^o it negates the o-digit prefix
+        neg = _negation_permutation(q, vwidth)
+        # geq[o][i, j]: pairs of key i of A and key j of B whose values cancel in
+        # their o lowest digits, that is whose sum has order >= o.  Row i of the
+        # prefix matrix counts A's values by their o lowest digits.
+        geq = np.empty((vwidth + 1, len(keys_a), len(keys_b)), dtype=np.int64)
+        pre_a, pre_b = mat_a, mat_b
+        for o in range(vwidth, -1, -1):
+            geq[o] = pre_a @ pre_b[:, neg[: q**o]].T
+            if o:
+                pre_a = pre_a.reshape(len(keys_a), q, q ** (o - 1)).sum(axis=1)
+                pre_b = pre_b.reshape(len(keys_b), q, q ** (o - 1)).sum(axis=1)
+        # exactly order o for o <= level; index level + 1 is the sentinel
+        by_ord = np.concatenate([geq[:-1] - geq[1:], geq[-1:]])
 
-    def prefixes(vec):
-        return {o: vec.reshape(-1, q**o).sum(axis=0) for o in range(vwidth + 1)}
+    # only the nonzero cells become keys: side A's entries, side B's entries and
+    # the split polynomial's order, each in its own slots of ``polys``
+    o, i, j = np.nonzero(by_ord)
+    keys = np.empty((o.size, len(polys)), dtype=np.int64)
+    keys[:, [pi for pi, _ in side_a_polys]] = np.array(keys_a, dtype=np.int64)[i]
+    keys[:, [pi for pi, _ in side_b_polys]] = np.array(keys_b, dtype=np.int64)[j]
+    keys[:, split_idx] = o[:, None]
+    return dict(zip(map(tuple, keys.tolist()), by_ord[o, i, j].tolist()))
 
-    pa = {k: prefixes(v) for k, v in tab_a.items()}
-    pb = {k: prefixes(v) for k, v in tab_b.items()}
 
-    table = {}
-    for ka, va in pa.items():
-        for kb, vb in pb.items():
-            if split_poly is None:
-                total = int(va[0][0] * vb[0][0])
-                counts_by_ord = {None: total}
-            else:
-                geq = []
-                for o in range(vwidth + 1):
-                    geq.append(int(np.dot(va[o], vb[o][neg[: q**o]])))
-                counts_by_ord = {}
-                for o in range(vwidth):
-                    c = geq[o] - geq[o + 1]
-                    if c:
-                        counts_by_ord[o] = c
-                if geq[vwidth]:
-                    counts_by_ord[level + 1] = geq[vwidth]
-            for o, c in counts_by_ord.items():
-                full = [None] * len(polys)
-                for (pi, _), e in zip(side_a_polys, ka):
-                    full[pi] = e
-                for (pi, _), e in zip(side_b_polys, kb):
-                    full[pi] = e
-                if split_poly is not None:
-                    full[split_poly[0]] = o
-                key = tuple(full)
-                table[key] = table.get(key, 0) + c
+# --------------------------------------------------------------------------
+# strategy: monomial
+# --------------------------------------------------------------------------
+
+
+def _monomial_distribution(polys, n, level, q):
+    """Table of a list of monomials, from coordinate orders alone.
+
+    With e the vector of clamped coordinate orders, ord(c x^a) = min(<a, e>, N+1)
+    (a unit times t^<a, e>), so the table is the product of ``ord_value_counts``
+    over the (N+2)^n cells e, reduced by that key.  The cells are summed one
+    coordinate at a time, keyed by the partial clamped sums, in Python ints.
+    """
+    top = level + 1
+    weights = ord_value_counts(level, q)
+    exps = [next(iter(p.terms), None) for p in polys]  # None: the zero polynomial
+    table = {tuple(top if a is None else 0 for a in exps): 1}
+    for v in range(n):
+        col = [0 if a is None else a[v] for a in exps]
+        if not any(col):
+            table = {key: cnt * q**top for key, cnt in table.items()}  # sum(weights) = q^(N+1)
+            continue
+        nxt = {}
+        for key, cnt in table.items():
+            for e, w in enumerate(weights):
+                new = tuple(min(s + e * c, top) for s, c in zip(key, col))
+                nxt[new] = nxt.get(new, 0) + cnt * w
+        table = nxt
     return table
 
 
@@ -705,13 +738,20 @@ def _additive_split_cost(polys, n, level, q):
     return sum(q ** (len(vs) * (level + 1)) for vs in blocks)
 
 
+def _monomial_cost(polys, n, level):
+    if any(len(p.terms) > 1 for p in polys):
+        return None
+    return (level + 2) ** n
+
+
 def ord_vector_distribution(polys, n, level, q, budget=DEFAULT_BUDGET, prefer="cheapest"):
     """Exact jet counts keyed by the clamped order vector of the given polynomials.
 
     Keys are tuples with one entry per polynomial, each in {0..level} or
     level+1 (the truncation sentinel).  ``prefer`` is "direct" (full
-    enumeration whenever it fits the budget, split strategies as fallback)
-    or "cheapest", the default (lowest estimated enumeration cost first).  All
+    enumeration whenever it fits the budget, the other strategies as fallback)
+    or "cheapest", the default (lowest estimated cost first: jets enumerated,
+    or (N+2)^n coordinate-order cells for the monomial strategy).  All
     strategies are exact and interchangeable.  Raises BudgetExceeded when
     nothing fits.
     """
@@ -725,27 +765,25 @@ def ord_vector_distribution(polys, n, level, q, budget=DEFAULT_BUDGET, prefer="c
     polys = [p if p.field == gfq else p.map_coeffs(gfq) for p in polys]
     size = q ** (n * (level + 1))
 
-    plans = [("direct", size)]
-    c1 = _shift_split_cost(polys, n, level, q)
-    if c1 is not None:
-        plans.append(("shift", c1))
-    c2 = _additive_split_cost(polys, n, level, q)
-    if c2 is not None:
-        plans.append(("additive", c2))
+    costs = {
+        "direct": size,
+        "shift": _shift_split_cost(polys, n, level, q),
+        "additive": _additive_split_cost(polys, n, level, q),
+        "monomial": _monomial_cost(polys, n, level),
+    }
+    plans = [(name, cost) for name, cost in costs.items() if cost is not None]
     if prefer == "cheapest":
         order = [name for name, cost in sorted(plans, key=lambda nc: nc[1]) if cost <= budget]
     else:
         order = [name for name, cost in plans if cost <= budget]
-    # keep the remaining strategies as fallbacks; they self-check the budget
-    for name in ("direct", "shift", "additive"):
-        if name not in order and any(n2 == name for n2, _ in plans):
-            order.append(name)
+    # keep the split strategies as fallbacks past the budget; they self-check it
+    order += [name for name in ("shift", "additive") if name not in order and costs[name] is not None]
 
     for name in order:
         if name == "direct":
-            if size <= budget:
-                return _direct_distribution(polys, n, level, q, DEFAULT_BATCH_CAP)
-            continue
+            return _direct_distribution(polys, n, level, q, DEFAULT_BATCH_CAP)
+        if name == "monomial":
+            return _monomial_distribution(polys, n, level, q)
         if name == "shift":
             t = _shift_split_distribution(polys, n, level, q, budget, DEFAULT_BATCH_CAP)
         else:

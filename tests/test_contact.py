@@ -109,8 +109,9 @@ class TestCountContact:
         assert counts[3] == 3  # a0 = 0 forced by both the constraint and the condition
 
     def test_sampled_mode(self):
-        # x1^2 defeats every exact split, so a tiny budget forces sampling
-        gens = IdealGens((parse_poly("x1^2", ["x1", "x2"]),))
+        # x1^2 + x1*x2 is no monomial and defeats every exact split, so a tiny
+        # budget forces sampling
+        gens = IdealGens((parse_poly("x1^2 + x1*x2", ["x1", "x2"]),))
         rep = count_contact(
             gens,
             ContactQuery(MODE_AT_LEAST, 1, 4, primes=(5,)),

@@ -1,5 +1,5 @@
 """The vectorized counting engine against the pure-Python oracle,
-and the exact equivalence of its three strategies."""
+and the exact equivalence of its four strategies."""
 
 from collections import Counter
 
@@ -13,6 +13,7 @@ from arcdet.counting import (
     RING_TABLE_CAP,
     _additive_split_distribution,
     _direct_distribution,
+    _monomial_distribution,
     _negation_permutation,
     _shift_split_distribution,
     batch_conv,
@@ -26,6 +27,7 @@ from arcdet.counting import (
 )
 from arcdet.determinantal import minor_ideal_tower
 from arcdet.errors import ValidationError
+from arcdet.harness import builtin_corpus, run_campaign
 from arcdet.jets import ord_along_ideal, substitute_jet
 from arcdet.series import TruncSeries
 
@@ -116,6 +118,13 @@ class TestStrategyEquivalence:
         s = _additive_split_distribution(polys, 3, 2, 2, 10**9, 1 << 20)
         assert s == d
 
+    def test_additive_split_matches_values_with_their_negatives(self):
+        # over F_3 the squares are not closed under negation: a sum of squares
+        # cancels only where -(x2^2) matches x1^2, never where x2^2 does
+        f = parse_poly("x1^2 + x2^2", ("x1", "x2")).map_coeffs(GF(3))
+        d = _direct_distribution([f], 2, 2, 3, 1 << 20)
+        assert _additive_split_distribution([f], 2, 2, 3, 10**9, 1 << 20) == d
+
     def test_shift_split_matches_direct(self):
         cv = ("x1", "x2", "x3", "x4", "y2")
         g1 = parse_poly("x1 + x2*y2", cv).map_coeffs(GF(3))
@@ -138,6 +147,16 @@ class TestStrategyEquivalence:
         g2 = parse_poly("x1*x2", vs).map_coeffs(GF(3))  # x1 occurs twice overall
         assert _shift_split_distribution([g1, g2], 2, 1, 3, 10**9, 1 << 20) is None
 
+    @pytest.mark.parametrize("q, level", [(2, 2), (3, 1), (5, 1)])
+    def test_monomial_matches_direct(self, q, level):
+        vs = ("x1", "x2", "x3", "x4")
+        # coefficients other than 1, powers, a constant, the zero polynomial,
+        # variables repeated across the list and one variable (x4) in none
+        exprs = ["x1", "2*x1^2*x2", "x2^3", "3", "x1*x3", "4*x3^2*x1"]
+        polys = [parse_poly(e, vs).map_coeffs(GF(q)) for e in exprs] + [MultiPoly(GF(q), vs)]
+        d = _direct_distribution(polys, 4, level, q, 1 << 20)
+        assert _monomial_distribution(polys, 4, level, q) == d
+
     def test_cheapest_prefers_split(self):
         vs = ("x1", "x2", "x3", "x4")
         det = parse_poly("x1*x4 - x2*x3", vs)
@@ -145,6 +164,35 @@ class TestStrategyEquivalence:
         t = ord_vector_distribution([det], 4, 2, 3, budget=10**5, prefer="cheapest")
         d = ord_vector_distribution([det], 4, 2, 3, budget=10**9, prefer="direct")
         assert t == d
+
+
+class TestMonomialStrategy:
+    def test_far_beyond_enumeration(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the monomial strategy enumerated a grid")
+
+        monkeypatch.setattr(arcdet.counting, "_grid_batches", refuse)
+        n, level, q = 6, 12, 7
+        vs = tuple(f"x{i}" for i in range(1, n + 1))
+        polys = [parse_poly(e, vs) for e in ("x1*x2^2*x3", "x4^3*x5*x6", "3*x1*x6")]
+        table = ord_vector_distribution(polys, n, level, q)
+        assert sum(table.values()) == q ** (n * (level + 1))
+        # every key 0: all six coordinates are units
+        assert table[(0, 0, 0)] == ((q - 1) * q**level) ** n
+        assert all(type(c) is int for c in table.values())
+
+    def test_lct_known_values_builds_small_rings_only(self, monkeypatch):
+        requested = []
+        build = arcdet.counting.ring_tables
+
+        def record(q, level):
+            requested.append(q ** (level + 1))
+            return build(q, level)
+
+        monkeypatch.setattr(arcdet.counting, "ring_tables", record)
+        report = run_campaign(builtin_corpus()["lct-known-values"])
+        assert not report.failed
+        assert requested and max(requested) <= 3**6
 
 
 class TestRingTables:
@@ -213,6 +261,15 @@ class TestTableCap:
             for b, cb in vb.items():
                 want.update(ord_counts({a + b: ca * cb}, level))
         assert _additive_split_distribution([h], 2, level, 2, 10**9, DEFAULT_BATCH_CAP) == want
+
+    def test_additive_combine_refuses_int64_overflow(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a side was enumerated")
+
+        monkeypatch.setattr(arcdet.counting, "_order_batches", refuse)
+        # each block has 2^32 jets, within the budget, but 2^64 pairs overflow int64
+        h = parse_poly("x1 + x2", ("x1", "x2")).map_coeffs(GF(2))
+        assert _additive_split_distribution([h], 2, 31, 2, 2**40, DEFAULT_BATCH_CAP) is None
 
     def test_tables_replace_the_coefficient_kernels(self, monkeypatch):
         ring_tables(3, 2)  # built by the coefficient kernels, before they are refused

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import arcdet.counting
 from arcdet import (
     GF,
     QQ,
@@ -134,6 +135,25 @@ class TestStrata:
         rep = stratum_counts(DeterminantalPair.from_matrix(generic_2x2()), 0, 1, 2)
         nonzero = dict((lam, c) for lam, c in rep.per_lambda if c)
         assert set(nonzero) == {(0, 0)}
+        assert rep.partition_ok
+
+    def test_monomial_tower_is_still_classified_by_enumeration(self, monkeypatch):
+        # diag(x1, x2): every minor is a monomial, so the cheapest total counts
+        # from coordinate orders while the classification enumerates every jet
+        calls = []
+        for name in ("_direct_distribution", "_monomial_distribution"):
+            strategy = getattr(arcdet.counting, name)
+
+            def record(*args, _name=name, _strategy=strategy):
+                calls.append(_name)
+                return _strategy(*args)
+
+            monkeypatch.setattr(arcdet.counting, name, record)
+        vs = ("x1", "x2")
+        zero = MultiPoly.zero(QQ, vs)
+        A = PolyMatrix([[parse_poly("x1", vs), zero], [zero, parse_poly("x2", vs)]])
+        rep = stratum_counts(DeterminantalPair.from_matrix(A), 2, 2, 3)
+        assert calls == ["_direct_distribution", "_monomial_distribution"]
         assert rep.partition_ok
 
     def test_profile_enumeration(self):

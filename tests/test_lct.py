@@ -1,6 +1,7 @@
 """Threshold estimation on loci with known exact values."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -29,6 +30,54 @@ class TestMonomials:
         est = lct_estimate(gens, 4, primes=(2, 3))
         empty = [m for m, rep, _ in est.per_m if rep.status == "EXACT_EMPTY"]
         assert empty == [1, 3]
+
+
+def howald_codims(exps, n, M):
+    """codim Cont^m of the monomial ideal (x^a : a in exps) for m = 1..M, in
+    closed form: contact loci of a monomial ideal are unions of cells of
+    clamped coordinate orders e in {0..m+1}^n, the cell e has codimension
+    sum(e) at level m and order min(min_a <a, e>, m+1).  None: Cont^m is empty."""
+    out = {}
+    for m in range(1, M + 1):
+        hits = [
+            sum(e)
+            for e in product(range(m + 2), repeat=n)
+            if min(min(sum(ai * ei for ai, ei in zip(a, e)), m + 1) for a in exps) == m
+        ]
+        out[m] = min(hits, default=None)
+    return out
+
+
+class TestHowald:
+    """Howald, "Multiplier ideals of monomial ideals" (Trans. AMS 353, 2001):
+    lct = 1/t for the least t with t*(1,...,1) in the Newton polyhedron.  The
+    engine counts these ideals by coordinate orders alone, so levels and primes
+    far beyond enumeration are reachable."""
+
+    @pytest.mark.parametrize(
+        "gens, variables, exps, M, primes, lct",
+        [
+            # Newton polygon x/2 + y/3 >= 1: t = 6/5, reached at m = 6 by e = (3, 2)
+            (["x1^2", "x2^3"], ["x1", "x2"], [(2, 0), (0, 3)], 6, (2, 3), Fraction(5, 6)),
+            # (x1^a x2^b, x3^c): lct = 1/max(a, b) + 1/c
+            (["x1^2*x2", "x3^3"], ["x1", "x2", "x3"], [(2, 1, 0), (0, 0, 3)], 12, (5, 7), Fraction(5, 6)),
+            (["x1*x2^2", "x3^4"], ["x1", "x2", "x3"], [(1, 2, 0), (0, 0, 4)], 12, (3, 7), Fraction(3, 4)),
+            (["x1*x2"], ["x1", "x2"], [(1, 1)], 8, (5, 7), Fraction(1)),
+        ],
+        ids=["x1^2,x2^3", "x1^2*x2,x3^3", "x1*x2^2,x3^4", "x1*x2"],
+    )
+    def test_codims_and_threshold(self, gens, variables, exps, M, primes, lct):
+        ideal = IdealGens(tuple(parse_poly(g, variables) for g in gens))
+        est = lct_estimate(ideal, M, primes=primes)
+        closed = howald_codims(exps, len(variables), M)
+        for m, rep, _ in est.per_m:
+            if closed[m] is None:
+                assert rep.status == "EXACT_EMPTY"
+            else:
+                assert rep.consensus_codim == closed[m], m
+        assert est.estimate == min(Fraction(c, m) for m, c in closed.items() if c is not None)
+        assert est.estimate == lct
+        assert est.certified_upper_bound
 
 
 class TestGuards:

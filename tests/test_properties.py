@@ -10,6 +10,7 @@ from arcdet.consensus import cyclotomic_fit
 from arcdet.counting import (
     _additive_split_distribution,
     _direct_distribution,
+    _monomial_distribution,
     _shift_split_distribution,
 )
 from arcdet.determinantal import lambda_profile, minor_ideal_tower
@@ -60,6 +61,21 @@ def test_shift_split_agrees_on_random_rest(terms):
     direct = _direct_distribution([g], 3, level, q, 1 << 20)
     split = _shift_split_distribution([g], 3, level, q, 10**9, 1 << 20)
     assert split == direct
+
+
+monomials = st.tuples(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)), st.integers(0, 4))
+
+
+@given(st.lists(monomials, min_size=1, max_size=4), st.sampled_from([(2, 2), (3, 1)]))
+@settings(max_examples=40, deadline=None)
+def test_monomial_agrees_on_random_lists(terms, field_level):
+    """Lists of monomials c*x^a (c = 0 gives the zero polynomial) against
+    direct enumeration."""
+    q, level = field_level
+    vs = ("x1", "x2", "x3")
+    polys = [_poly_from({e: c}, vs, q) for e, c in terms]
+    direct = _direct_distribution(polys, 3, level, q, 1 << 20)
+    assert _monomial_distribution(polys, 3, level, q) == direct
 
 
 # --- exact fit recovers planted cell shapes ---------------------------------
