@@ -137,7 +137,7 @@ class TestStrata:
         assert set(nonzero) == {(0, 0)}
         assert rep.partition_ok
 
-    def test_monomial_tower_is_still_classified_by_enumeration(self, monkeypatch):
+    def test_monomial_tower_is_classified_by_enumeration(self, monkeypatch):
         # diag(x1, x2): every minor is a monomial, so the cheapest total counts
         # from coordinate orders while the classification enumerates every jet
         calls = []

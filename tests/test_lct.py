@@ -55,21 +55,21 @@ class TestHowald:
     far beyond enumeration are reachable."""
 
     @pytest.mark.parametrize(
-        "gens, variables, exps, M, primes, lct",
+        "gens, variables, M, primes, lct",
         [
             # Newton polygon x/2 + y/3 >= 1: t = 6/5, reached at m = 6 by e = (3, 2)
-            (["x1^2", "x2^3"], ["x1", "x2"], [(2, 0), (0, 3)], 6, (2, 3), Fraction(5, 6)),
+            (["x1^2", "x2^3"], ["x1", "x2"], 6, (2, 3), Fraction(5, 6)),
             # (x1^a x2^b, x3^c): lct = 1/max(a, b) + 1/c
-            (["x1^2*x2", "x3^3"], ["x1", "x2", "x3"], [(2, 1, 0), (0, 0, 3)], 12, (5, 7), Fraction(5, 6)),
-            (["x1*x2^2", "x3^4"], ["x1", "x2", "x3"], [(1, 2, 0), (0, 0, 4)], 12, (3, 7), Fraction(3, 4)),
-            (["x1*x2"], ["x1", "x2"], [(1, 1)], 8, (5, 7), Fraction(1)),
+            (["x1^2*x2", "x3^3"], ["x1", "x2", "x3"], 12, (5, 7), Fraction(5, 6)),
+            (["x1*x2^2", "x3^4"], ["x1", "x2", "x3"], 12, (3, 7), Fraction(3, 4)),
+            (["x1*x2"], ["x1", "x2"], 8, (5, 7), Fraction(1)),
         ],
         ids=["x1^2,x2^3", "x1^2*x2,x3^3", "x1*x2^2,x3^4", "x1*x2"],
     )
-    def test_codims_and_threshold(self, gens, variables, exps, M, primes, lct):
+    def test_codims_and_threshold(self, gens, variables, M, primes, lct):
         ideal = IdealGens(tuple(parse_poly(g, variables) for g in gens))
         est = lct_estimate(ideal, M, primes=primes)
-        closed = howald_codims(exps, len(variables), M)
+        closed = howald_codims([next(iter(g.terms)) for g in ideal.generators], len(variables), M)
         for m, rep, _ in est.per_m:
             if closed[m] is None:
                 assert rep.status == "EXACT_EMPTY"
