@@ -35,35 +35,49 @@ The jet grid.  A series in O_N = F_q[t]/(t^(N+1)) is one code in [0, Q),
 Q = q^(N+1), whose base-q digit i is the coefficient of t^i.  When
 Q <= RING_TABLE_CAP, ``ring_tables`` builds the add, mul and ord tables of
 O_N once per (q, N), on first use, and the direct and additive-split
-strategies walk a grid of n int16 coordinate codes: a pullback is a chain
-of table gathers, an order is one lookup and the split polynomial's value
-code is the pullback code itself.  The tables are never written after
-construction, so threads may share them.  Above the cap the same
-strategies walk the grid of n(N+1) base-q coefficient digits with int32
-series products (``iter_digit_batches``, ``batch_conv``, ``batch_ord``),
-the kernels that also build the tables.
+strategies walk the grid as open meshes: per batch, one int16 code array per
+coordinate, the low coordinates spanning a (1, block) array that every batch
+shares and the high ones a (highs, 1) array.  The coordinates are laid out
+by term component and cut between two components where a block allows.  A
+pullback is a chain of table gathers on these arrays, and numpy broadcasting
+evaluates each sub-expression at the size of the coordinates it uses: only
+what combines both sides reaches the size of the batch.  An order is one
+gather from the order table, scaled to its key digit; a key that depends on
+one side only stands for every jet of the batch that shares it, and direct
+enumeration checks that its counts sum to q^(n(N+1)).  The tables are never
+written after construction, so threads may share them.  Above the cap the
+same strategies walk the grid of n(N+1) base-q coefficient digits with int32
+series products (``iter_digit_batches``, ``batch_conv``, ``batch_ord``), the
+kernels that also build the tables.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate
 
 import numpy as np
 
-from .errors import BudgetExceeded, ValidationError
+from .errors import BudgetExceeded, InternalInvariantError, ValidationError
 from .jets import DEFAULT_BUDGET
 
-# rows per enumeration batch: a batch's temporaries stay small enough for the
-# caches (1 << 17 rows ran 1.5-2x faster than 1 << 22 on both grids)
+# rows per enumeration batch.  Timed with the open-mesh kernel on a 2-vCPU Xeon,
+# fresh single-threaded processes (median of 3 processes, each the median of 5
+# runs), at 2^15, 2^16, 2^17, 2^18 and 2^19 rows: the 3^16-jet stratification
+# table took 0.53, 0.45, 0.39, 0.39 and 0.38 s and the 2^24-jet cone table 0.26,
+# 0.26, 0.24, 0.26 and 0.26 s; the coefficient-path fallback ([x1, x2, x1*x2] at
+# q=3, N=6) took 1.59, 1.77, 1.86, 1.85 and 1.97 s while its peak memory grew
+# from 34 to 99 MB.  None of this moves the cap off 2^17.
 DEFAULT_BATCH_CAP = 1 << 17
 # largest Q = q^(N+1) whose ring is enumerated by lookup tables; larger rings take
-# the coefficient path.  Measured on one [x1, x2, x1*x2] table enumerated
-# directly, fresh process, one thread: the tables, build included, took 1.1 s at
-# Q = 2048 and 0.7 s at Q = 2187 (q=3, N=6) against 3.2 s and 1.7 s for the
-# coefficient path; at Q = 4096 the build alone takes 6.3 s and 64 MB, which a
-# one-coordinate table never repays.  The builtin campaigns now count their
-# monomial lists without enumerating and use no ring above Q = 3^5 = 243.
+# the coefficient path.  Timed on one [x1, x2, x1*x2] table enumerated directly,
+# 2-vCPU Xeon, fresh process, one thread, median of 3: the tables took 1.5 s at Q = 2048
+# (q=2, N=10) and 1.1 s at Q = 2187 (q=3, N=6) against 3.5 s and 2.0 s on the
+# coefficient path, nearly all of it the table build (the open-mesh walk itself
+# takes 0.04 s).  At Q = 4096 the build alone takes 6.8 s and the process peaks
+# at 137 MB (71 MB on the coefficient path), which a one-coordinate table never
+# repays.  The builtin campaigns count their monomial lists without enumerating
+# and use no ring above Q = 3^5 = 243.
 RING_TABLE_CAP = 3**7
 # rows of random digits per draw: the random stream of a sampled count depends on it
 _SAMPLE_BATCH = 1 << 22
@@ -75,50 +89,55 @@ _MAX_COMBINE = 1 << 26
 # --------------------------------------------------------------------------
 
 
-def _grid_batches(width, base, dtype, batch_cap):
-    """Yield (B, width) arrays covering the odometer grid of base-``base`` digits.
+def _mesh_batches(width, base, batch_cap, cuts=()):
+    """Cover the odometer grid of ``width`` base-``base`` digits by open meshes.
 
-    The low digits cycle with period base^w, so one cached block is tiled and
-    only the remaining high digits are computed per batch.
+    Per batch yield its row count, the w low digits as (1, block) arrays, the
+    same objects in every batch, and the other digits as (highs, 1) arrays.
+    Row h*block + b of a batch takes its low digits from b and its high digits
+    from the batch's h-th high value, so the batches cover the grid exactly once.
+    w is the largest of ``cuts`` whose block fits ``batch_cap``, or without one
+    the largest w that fits.
     """
     total = base**width
     if total > 2**62:  # pragma: no cover - beyond any practical budget
         raise BudgetExceeded("grid too large to index")
+    dtype = np.int16 if base <= 1 << 15 else np.int32
+
+    def digits(values, count, shape):
+        out = []
+        for _ in range(count):
+            values, d = np.divmod(values, base)
+            out.append(d.astype(dtype).reshape(shape))
+        return out
 
     w = 0
     while w < width and base ** (w + 1) <= min(batch_cap, total):
         w += 1
+    w = max((cut for cut in cuts if cut <= w), default=w)
     block = base**w
-    cache = np.empty((block, w), dtype=dtype)
-    rem = np.arange(block, dtype=np.int64)
-    for pos in range(w):
-        rem, d = np.divmod(rem, base)
-        cache[:, pos] = d
-
-    n_highs = (total + block - 1) // block
-    highs_per_batch = max(1, min(batch_cap // block, n_highs))
-    buf = None
-    for h0 in range(0, n_highs, highs_per_batch):
-        h1 = min(h0 + highs_per_batch, n_highs)
-        rows = min(total, h1 * block) - h0 * block
-        if buf is None or buf.shape[0] < rows:
-            buf = np.empty((highs_per_batch * block, width), dtype=dtype)
-            reps = (buf.shape[0] + block - 1) // block
-            buf[:, :w] = np.tile(cache, (reps, 1))[: buf.shape[0]]
-        digits = buf[:rows]
-        if w < width:
-            # each high value fills one whole block of rows (block divides total)
-            rem = np.arange(h0, h1, dtype=np.int64)
-            for pos in range(w, width):
-                rem, d = np.divmod(rem, base)
-                digits.reshape(h1 - h0, block, width)[:, :, pos] = d[:, None]
-        # the buffer is reused between iterations: consume before advancing
-        yield digits
+    lows = digits(np.arange(block, dtype=np.int64), w, (1, block))
+    n_highs = total // block
+    step = max(1, batch_cap // block)
+    for h0 in range(0, n_highs, step):
+        h1 = min(h0 + step, n_highs)
+        yield (h1 - h0) * block, lows, digits(np.arange(h0, h1, dtype=np.int64), width - w, (h1 - h0, 1))
 
 
 def iter_digit_batches(width, q, batch_cap=DEFAULT_BATCH_CAP):
     """Yield (B, width) int32 arrays covering the odometer grid of base-q digits."""
-    yield from _grid_batches(width, q, np.int32, batch_cap)
+    buf = None
+    for rows, lows, highs in _mesh_batches(width, q, batch_cap):
+        if buf is None:
+            buf = np.empty((rows, width), dtype=np.int32)  # the first batch is the largest
+            for pos, d in enumerate(lows):  # the same in every batch: written once
+                buf.reshape(-1, d.size, width)[..., pos] = d
+        grid = buf[:rows]
+        mesh = grid.reshape(-1, q ** len(lows), width)
+        for pos, d in enumerate(highs, start=len(lows)):
+            mesh[..., pos] = d
+        # the buffer is reused between iterations: consume before advancing
+        yield grid
 
 
 def batch_conv(a, b, q):
@@ -126,7 +145,8 @@ def batch_conv(a, b, q):
 
     Each output coefficient sums at most N+1 products of reduced
     coefficients before it is reduced, so int32 operands are exact while
-    (N+1)(q-1)^2 < 2^31; ``ord_vector_distribution`` checks this at entry.
+    (N+1)(q-1)^2 < 2^31; ``_order_batches`` checks this before it walks the
+    coefficient grid.
     """
     n1 = a.shape[-1]
     out = np.zeros_like(a)
@@ -251,10 +271,13 @@ class RingTables:
             table.flags.writeable = False
 
     def _pair_index(self, a, b):
-        idx = a.astype(np.intp)
+        # both tables are symmetric, so the smaller operand is the one scaled;
+        # Q*Q <= RING_TABLE_CAP**2 < 2^31 fits int32
+        if a.size > b.size:
+            a, b = b, a
+        idx = a.astype(np.int32)
         idx *= self.size
-        idx += b
-        return idx
+        return idx + b
 
     def plus(self, a, b):
         return self.add.take(self._pair_index(a, b))
@@ -275,86 +298,126 @@ def ring_tables(q, level):
     return RingTables(q, level)
 
 
-def eval_poly_codes(poly, codes, ring):
-    """Pullback codes of a polynomial on a batch of jets.
+def _fold(arrays, op):
+    """Reduce broadcastable arrays by the associative, commutative ``op``: equal
+    shapes first, then the partial results from the smallest up, so only the
+    steps that combine both sides of a mesh run at the size of the batch."""
+    groups = {}
+    for a in arrays:
+        groups.setdefault(a.shape, []).append(a)
+    partial = sorted((reduce(op, group) for group in groups.values()), key=np.size)
+    return reduce(op, partial)
 
-    ``codes`` has shape (B, n), one series code per coordinate; coefficients
-    of ``poly`` are reduced mod q.  Returns (B,) int16 codes.
+
+def _add_into(a, b):
+    """a + b, written into an operand that already has the result's shape.
+    Only for arrays the caller owns."""
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    if a.shape == shape:
+        a += b
+        return a
+    if b.shape == shape:
+        b += a
+        return b
+    return a + b
+
+
+def eval_poly_codes(poly, coords, ring):
+    """Pullback codes of a polynomial on an open mesh of jets.
+
+    ``coords`` holds one 2-d int16 code array per coordinate, all
+    broadcastable against each other; coefficients of ``poly`` are reduced
+    mod q.  Returns int16 codes shaped as the broadcast of the coordinates
+    the polynomial uses, (1, 1) for a constant.
     """
     var = _plain_variable_index(poly)
     if var is not None:
-        return codes[:, var]
-    q = ring.q
+        return coords[var]
     powers = {}
 
     def power(i, e):
         if e == 1:
-            return codes[:, i]
+            return coords[i]
         if (i, e) not in powers:
             half = power(i, e // 2)
             sq = ring.times(half, half)
-            powers[i, e] = sq if e % 2 == 0 else ring.times(sq, codes[:, i])
+            powers[i, e] = sq if e % 2 == 0 else ring.times(sq, coords[i])
         return powers[i, e]
 
-    out = None
+    terms = []
     for exps, coeff in poly.terms.items():
-        c = int(coeff) % q  # callers hand over GF(q) polynomials
+        c = int(coeff) % ring.q  # callers hand over GF(q) polynomials
         if c == 0:
             continue
-        term = None
-        for i, e in enumerate(exps):
-            if e:
-                term = power(i, e) if term is None else ring.times(term, power(i, e))
-        if term is None:
-            term = np.full(codes.shape[0], c, dtype=np.int16)  # the constant c has code c
-        elif c != 1:
-            term = ring.mul[c * ring.size : (c + 1) * ring.size].take(term)  # row c of mul
-        out = term if out is None else ring.plus(out, term)
-    return np.zeros(codes.shape[0], dtype=np.int16) if out is None else out
+        factors = sorted((power(i, e) for i, e in enumerate(exps) if e), key=np.size)
+        if not factors:
+            terms.append(np.full((1, 1), c, dtype=np.int16))  # the constant c has code c
+            continue
+        if c != 1:
+            factors[0] = ring.mul[c * ring.size : (c + 1) * ring.size].take(factors[0])  # row c of mul
+        terms.append(_fold(factors, ring.times))
+    return _fold(terms, ring.plus) if terms else np.zeros((1, 1), dtype=np.int16)
 
 
 def _order_batches(polys, n, level, q, batch_cap, value_poly=None):
-    """Walk the jet grid in batches.  Per batch yield its row count, the clamped
-    pullback order of each of ``polys`` and the value code of ``value_poly``'s
-    pullback (None without one).
+    """Walk the jet grid in batches.  Per batch yield its row count and the
+    keys of its jets: an int array that broadcasts over the batch, each entry
+    standing for rows // size jets.  A key is mixed-radix: the value code of
+    ``value_poly``'s pullback in [0, Q) as the lowest digit when one is given,
+    then the clamped pullback order of each of ``polys`` in base N+2.
 
-    Within RING_TABLE_CAP the grid is n coordinate codes and a pullback is a
-    chain of table gathers; above it, n(N+1) coefficient digits and int32
-    series products.
+    Within RING_TABLE_CAP the grid is an open mesh of n coordinate codes, laid
+    out by term component and cut between two components where a block
+    allows, so that each term stays on one side of it where it can: a
+    pullback is a chain of table gathers that reaches the size of the batch
+    only where it combines both sides, and an order digit is one gather from
+    the order table scaled by its weight.  Above the cap the grid holds n(N+1)
+    coefficient digits per jet and pullbacks are int32 series products.
     """
+    base = level + 2
+    vspace = 1 if value_poly is None else q ** (level + 1)
+    radix = vspace * base ** len(polys)
+    if radix > 2**63:
+        raise BudgetExceeded(f"keys of {len(polys)} orders at level {level} overflow int64")
+    dtype = np.int32 if radix <= 2**31 else np.int64
+    weights = [vspace * base**i for i in range(len(polys))]
     if q ** (level + 1) <= RING_TABLE_CAP:
         ring = ring_tables(q, level)
-        for codes in _grid_batches(n, ring.size, np.int16, batch_cap):
-            cols = [ring.ord.take(eval_poly_codes(p, codes, ring)) for p in polys]
-            value = None if value_poly is None else eval_poly_codes(value_poly, codes, ring)
-            yield codes.shape[0], cols, value
+        order_digits = [ring.ord.astype(dtype) * w for w in weights]
+        extra = [] if value_poly is None else [value_poly]
+        # smaller components first, so that more cuts between them fit a block
+        comps = sorted(_term_components(polys + extra, n), key=len)
+        layout = [v for comp in comps for v in comp]
+        cuts = list(accumulate(len(comp) for comp in comps))
+        coords = [None] * n
+        for rows, lows, highs in _mesh_batches(n, ring.size, batch_cap, cuts):
+            for v, digit in zip(layout, lows + highs):
+                coords[v] = digit
+            parts = [t.take(eval_poly_codes(p, coords, ring)) for t, p in zip(order_digits, polys)]
+            parts += [eval_poly_codes(p, coords, ring).astype(dtype) for p in extra]
+            yield rows, _fold(parts, _add_into) if parts else np.zeros((1, 1), dtype=dtype)
         return
+    if (level + 1) * (q - 1) ** 2 >= 2**31:
+        raise BudgetExceeded(
+            f"int32 series products overflow at q={q}, level {level}: need (N+1)(q-1)^2 < 2^31"
+        )
     var_slots = [(i, _plain_variable_index(p)) for i, p in enumerate(polys)]
     plain = {i: v for i, v in var_slots if v is not None}
     for digits in iter_digit_batches(n * (level + 1), q, batch_cap):
         coords = digits.reshape(digits.shape[0], n, level + 1)
         coord_ords = batch_ord(coords, level) if plain else None  # (B, n) in one pass
-        cols = [
-            coord_ords[:, plain[i]] if i in plain else batch_ord(eval_poly_batch(p, coords, q), level)
-            for i, p in enumerate(polys)
-        ]
-        value = None if value_poly is None else _series_codes(eval_poly_batch(value_poly, coords, q), q)
-        yield digits.shape[0], cols, value
+        key = np.zeros(digits.shape[0], dtype=np.int64)
+        for i, p in enumerate(polys):
+            col = coord_ords[:, plain[i]] if i in plain else batch_ord(eval_poly_batch(p, coords, q), level)
+            key += weights[i] * col
+        if value_poly is not None:
+            key += _series_codes(eval_poly_batch(value_poly, coords, q), q)
+        yield digits.shape[0], key
 
 
 # --------------------------------------------------------------------------
 # key handling
 # --------------------------------------------------------------------------
-
-
-def _encode_ord_vectors(ord_cols, level):
-    """Mixed-radix encode a list of (B,) ord arrays into one int64 code array."""
-    base = level + 2
-    code = np.zeros(ord_cols[0].shape[0], dtype=np.int64)
-    for col in reversed(ord_cols):
-        code *= base
-        code += col
-    return code
 
 
 def _decode_ord_code(code, k, level):
@@ -366,12 +429,10 @@ def _decode_ord_code(code, k, level):
     return tuple(out)
 
 
-def _accumulate(table, codes, k, level):
-    """Add the batch's code counts into the running python dict."""
-    uniq, cnt = np.unique(codes, return_counts=True)
-    for code, c in zip(uniq.tolist(), cnt.tolist()):
-        key = _decode_ord_code(code, k, level)
-        table[key] = table.get(key, 0) + int(c)
+def _key_counts(rows, key):
+    """Distinct keys of a batch and how many of its jets have each."""
+    uniq, cnt = np.unique(key, return_counts=True)
+    return zip(uniq.tolist(), (cnt * (rows // key.size)).tolist())
 
 
 # --------------------------------------------------------------------------
@@ -380,24 +441,29 @@ def _accumulate(table, codes, k, level):
 
 
 def _direct_distribution(polys, n, level, q, batch_cap):
-    width = n * (level + 1)
+    total = q ** (n * (level + 1))
     if not polys:
-        return {(): q**width}
+        return {(): total}
     k = len(polys)
-    base = level + 2
-    dense_size = base**k
+    dense_size = (level + 2) ** k
     use_bincount = dense_size <= (1 << 22)
     dense = np.zeros(dense_size, dtype=np.int64) if use_bincount else None
     table = {}
-    for _, cols, _ in _order_batches(polys, n, level, q, batch_cap):
-        codes = _encode_ord_vectors(cols, level)
+    for rows, key in _order_batches(polys, n, level, q, batch_cap):
         if use_bincount:
-            dense += np.bincount(codes, minlength=dense_size)
+            counts = np.bincount(key.ravel())
+            counts *= rows // key.size
+            dense[: counts.size] += counts
         else:
-            _accumulate(table, codes, k, level)
+            for code, c in _key_counts(rows, key):
+                ords = _decode_ord_code(code, k, level)
+                table[ords] = table.get(ords, 0) + c
     if use_bincount:
         for code in np.nonzero(dense)[0].tolist():
             table[_decode_ord_code(code, k, level)] = int(dense[code])
+    counted = sum(table.values())
+    if counted != total:
+        raise InternalInvariantError(f"direct enumeration counted {counted} of {total} jets")
     return table
 
 
@@ -564,19 +630,13 @@ def _side_table(polys_side, split_part, side_vars, all_names, level, q, batch_ca
     names = [all_names[v] for v in side_vars]
     reduced = [_restrict_poly(p, side_vars, names) for p in polys_side]
     split_red = _restrict_poly(split_part, side_vars, names) if split_part is not None else None
-    vspace = q ** (level + 1)
+    vspace = 1 if split_red is None else q ** (level + 1)
 
     out = {}
-    for rows, cols, vcode in _order_batches(reduced, len(side_vars), level, q, batch_cap, split_red):
-        key_code = _encode_ord_vectors(cols, level) if cols else np.zeros(rows, dtype=np.int64)
-        key_code *= vspace
-        if vcode is not None:
-            key_code += vcode
-        uniq, cnt = np.unique(key_code, return_counts=True)
-        for code, c in zip(uniq.tolist(), cnt.tolist()):
+    for rows, key in _order_batches(reduced, len(side_vars), level, q, batch_cap, split_red):
+        for code, c in _key_counts(rows, key):
             kc, vc = divmod(code, vspace)
-            key = _decode_ord_code(kc, len(reduced), level)
-            vec = out.setdefault(key, np.zeros(vspace, dtype=np.int64))
+            vec = out.setdefault(_decode_ord_code(kc, len(reduced), level), np.zeros(vspace, dtype=np.int64))
             vec[vc] += c
     return out
 
@@ -755,10 +815,6 @@ def ord_vector_distribution(polys, n, level, q, budget=DEFAULT_BUDGET, prefer="c
     strategies are exact and interchangeable.  Raises BudgetExceeded when
     nothing fits.
     """
-    if (level + 1) * (q - 1) ** 2 >= 2**31:
-        raise BudgetExceeded(
-            f"int32 series products overflow at q={q}, level {level}: need (N+1)(q-1)^2 < 2^31"
-        )
     from .fields import GF
 
     gfq = GF(q)

@@ -174,7 +174,7 @@ class TestProjective:
         def refuse(*args, **kwargs):
             raise AssertionError("the fiber count enumerated coordinate jets")
 
-        monkeypatch.setattr(arcdet.counting, "iter_digit_batches", refuse)
+        monkeypatch.setattr(arcdet.counting, "_order_batches", refuse)
         rep = proj_count_contact(None, 3, query, lam=(1, 2, 3))
         assert rep.counts == expected.counts
         assert [q for q, _, _ in rep.counts] == [2, 3]
@@ -211,8 +211,9 @@ class TestProjective:
         assert rep.consensus_codim == 1
 
     def test_int32_overflow_is_refused(self):
-        # at q=65537 one product of reduced coefficients already exceeds 2^31
-        gens = [parse_poly("y1^2", ["y1"])]
+        # at q=65537 one product of reduced coefficients already exceeds 2^31;
+        # y1^2 + y1 is no monomial, so it has to be enumerated
+        gens = [parse_poly("y1^2 + y1", ["y1"])]
         with pytest.raises(BudgetExceeded, match="overflow"):
             proj_count_contact(gens, 1, ContactQuery(MODE_EXACT, 0, 0, primes=(65537,)))
 

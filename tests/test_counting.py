@@ -13,6 +13,7 @@ from arcdet.counting import (
     RING_TABLE_CAP,
     _additive_split_distribution,
     _direct_distribution,
+    _mesh_batches,
     _monomial_distribution,
     _negation_permutation,
     _shift_split_distribution,
@@ -26,7 +27,7 @@ from arcdet.counting import (
     ring_tables,
 )
 from arcdet.determinantal import minor_ideal_tower
-from arcdet.errors import ValidationError
+from arcdet.errors import InternalInvariantError, ValidationError
 from arcdet.harness import builtin_corpus, run_campaign
 from arcdet.jets import ord_along_ideal, substitute_jet
 from arcdet.series import TruncSeries
@@ -171,7 +172,7 @@ class TestMonomialStrategy:
         def refuse(*args, **kwargs):
             raise AssertionError("the monomial strategy enumerated a grid")
 
-        monkeypatch.setattr(arcdet.counting, "_grid_batches", refuse)
+        monkeypatch.setattr(arcdet.counting, "_order_batches", refuse)
         n, level, q = 6, 12, 7
         vs = tuple(f"x{i}" for i in range(1, n + 1))
         polys = [parse_poly(e, vs) for e in ("x1*x2^2*x3", "x4^3*x5*x6", "3*x1*x6")]
@@ -228,6 +229,81 @@ def ord_counts(values, level):
     for s, cnt in values.items():
         out[(level + 1 if s.ord() is None else s.ord(),)] += cnt
     return out
+
+
+class TestMeshKernel:
+    """The open-mesh walk against enumerate_jets, at batch caps that give a
+    single block, whole batches, a ragged last batch and blocks of one code.
+    At q=3, N=1 a coordinate code lies in [0, 9)."""
+
+    CAPS = [1 << 20, 81, 405, 20, 5]
+    # One term component over x1, x2, x3: no cut between components fits a
+    # block below all 3 coordinates, so at caps 81 and 405 (w = 2) x3 is high
+    # and x1*x3 and 2*x1^2*x3 straddle the sides; at 405 the last batch holds
+    # 4 of 9 high values, at 20 (w = 1) 1 of 81, at 5 (w = 0) 4 of 729.
+    # Coefficients 2, powers, a constant, constant terms and the zero
+    # polynomial.  Over F_3, 2*x1^2*x3 + x1 + x3 + 2 changes its table if the
+    # 2 multiplies both factors (2*2 = 1), unlike 2*x1^2*x2 + x3 (x3 -> 2*x3
+    # absorbs it).
+    STRADDLING = ["x1", "2*x1^2*x2 + x3", "x1*x3 + x2^2", "2*x1^2*x3 + x1 + x3 + 2", "x2^3 + x2 + 1", "2", "0"]
+    # Components {x3}, {x4} (in no polynomial) and {x1, x2}, laid out in that
+    # order: caps 81 and 405 cut after x4 (w = 2), 20 after x3 (w = 1).
+    COMPONENTS = ["x1*x2 + 2*x2^2", "2*x3 + 1", "x1", "0"]
+    # blocks {x1, x2} and {x3, x4} (x4 in no polynomial); the split polynomial
+    # has a constant term and a coefficient 2 on each side
+    ADDITIVE = ["x1", "2*x1^2*x2 + 2*x3^2 + 1", "x1*x2 + 2", "x3", "0"]
+
+    @pytest.fixture(scope="class")
+    def oracle(self):
+        out = {}
+        for name, n, exprs in (
+            ("straddling", 3, self.STRADDLING),
+            ("components", 4, self.COMPONENTS),
+            ("additive", 4, self.ADDITIVE),
+        ):
+            vs = ("x1", "x2", "x3", "x4")[:n]
+            polys = [parse_poly(e, vs).map_coeffs(GF(3)) for e in exprs]
+            out[name] = n, polys, brute_table(polys, n, 1, 3)
+        return out
+
+    @pytest.mark.parametrize("case", ["straddling", "components"])
+    @pytest.mark.parametrize("cap", CAPS)
+    def test_direct(self, oracle, case, cap):
+        n, polys, want = oracle[case]
+        assert _direct_distribution(polys, n, 1, 3, cap) == want
+
+    @pytest.mark.parametrize("cap", CAPS)
+    def test_additive_split(self, oracle, cap):
+        n, polys, want = oracle["additive"]
+        assert _additive_split_distribution(polys, n, 1, 3, 10**9, cap) == want
+
+    @pytest.mark.parametrize(
+        "cap, cuts, w",
+        [
+            (40, (), 1),  # 81 highs, 4 per batch: the last batch holds 1
+            (100, (1, 3), 1),  # the cut at 1 rather than w = 2; 11 highs per batch, the last holds 4
+            (100, (3,), 2),  # no cut fits: the largest w that does
+        ],
+    )
+    def test_mesh_covers_the_grid_once(self, cap, cuts, w):
+        seen = Counter()
+        for rows, lows, highs in _mesh_batches(3, 9, cap, cuts):
+            assert len(lows) == w
+            codes = sum(d.astype(np.int64) * 9**pos for pos, d in enumerate(lows + highs))
+            assert codes.size == rows
+            seen.update(codes.ravel().tolist())
+        assert seen == Counter(range(9**3))
+
+    def test_a_lost_batch_is_caught(self, monkeypatch):
+        walk = arcdet.counting._mesh_batches
+
+        def drop_last(*args):
+            yield from list(walk(*args))[:-1]
+
+        monkeypatch.setattr(arcdet.counting, "_mesh_batches", drop_last)
+        f = parse_poly("x1*x2", ("x1", "x2")).map_coeffs(GF(3))
+        with pytest.raises(InternalInvariantError, match="counted"):
+            _direct_distribution([f], 2, 1, 3, 40)
 
 
 class TestTableCap:
@@ -328,7 +404,22 @@ class TestInt32Bounds:
         assert ord_vector_distribution([f], 1, 0, q) == {(0,): q - 2, (1,): 2}
 
     def test_guard_rejects_overflowing_products(self):
-        # 3 (q-1)^2 >= 2^31: a level-2 product would overflow int32
-        f = parse_poly("x1", ("x1",))
+        # 3 (q-1)^2 >= 2^31: a level-2 product would overflow int32, and
+        # x1^2 + x1 has no strategy but enumeration
+        q = 32749
+        f = parse_poly("x1^2 + x1", ("x1",))
         with pytest.raises(BudgetExceeded, match="overflow"):
-            ord_vector_distribution([f], 1, 2, 32749)
+            ord_vector_distribution([f], 1, 2, q, budget=q**3)
+
+    def test_keys_beyond_int64_are_refused(self):
+        # 40 orders in base N+2 = 4 need 80 bits: refused, not wrapped
+        polys = [parse_poly(e, ("x1",)).map_coeffs(GF(2)) for e in ["x1", "x1^2 + x1"] * 20]
+        with pytest.raises(BudgetExceeded, match="overflow int64"):
+            _direct_distribution(polys, 1, 2, 2, DEFAULT_BATCH_CAP)
+
+    def test_monomials_of_large_primes_are_counted(self):
+        # no series product is taken, so the int32 bound does not apply
+        q = 32749
+        table = ord_vector_distribution([parse_poly("x1", ("x1",))], 1, 2, q)
+        assert table == {(e,): c for e, c in enumerate(ord_value_counts(2, q))}
+        assert sum(table.values()) == q**3

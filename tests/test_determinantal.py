@@ -156,6 +156,22 @@ class TestStrata:
         assert calls == ["_direct_distribution", "_monomial_distribution"]
         assert rep.partition_ok
 
+    def test_generic_tower_is_classified_by_enumeration(self, monkeypatch):
+        # the partition identity compares two algorithms: the classification
+        # enumerates every jet, the total splits det = x1*x4 - x2*x3 additively
+        calls = []
+        for name in ("_direct_distribution", "_additive_split_distribution", "_monomial_distribution"):
+            strategy = getattr(arcdet.counting, name)
+
+            def record(*args, _name=name, _strategy=strategy):
+                calls.append(_name)
+                return _strategy(*args)
+
+            monkeypatch.setattr(arcdet.counting, name, record)
+        rep = stratum_counts(DeterminantalPair.from_matrix(generic_2x2()), 2, 2, 3)
+        assert calls == ["_direct_distribution", "_additive_split_distribution"]
+        assert rep.partition_ok
+
     def test_profile_enumeration(self):
         assert profiles_of_size(2, 2, 3) == [(0, 2), (1, 1)]
         assert profiles_of_size(3, 3, 3) == [(0, 0, 3), (0, 1, 2), (1, 1, 1)]

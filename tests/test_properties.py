@@ -1,6 +1,7 @@
 """Randomized cross-checks between independent computation routes."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,7 @@ from arcdet.counting import (
     _shift_split_distribution,
 )
 from arcdet.determinantal import lambda_profile, minor_ideal_tower
-from arcdet.jets import ord_along_ideal
+from arcdet.jets import enumerate_jets, ord_along_ideal, substitute_jet
 
 
 # --- strategy agreement on randomized additive-split instances -------------
@@ -76,6 +77,24 @@ def test_monomial_agrees_on_random_lists(terms, field_level):
     polys = [_poly_from({e: c}, vs, q) for e, c in terms]
     direct = _direct_distribution(polys, 3, level, q, 1 << 20)
     assert _monomial_distribution(polys, 3, level, q) == direct
+
+
+terms3 = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), st.integers(0, 2), max_size=3)
+
+
+@given(st.lists(terms3, min_size=1, max_size=3), st.sampled_from([1 << 20, 16, 5, 1]))
+@settings(max_examples=30, deadline=None)
+def test_direct_agrees_with_jet_enumeration(polys_terms, cap):
+    """Random lists over F_3 at level 1 (constants, zero polynomials and
+    unused coordinates included) against the pure-Python jet enumeration, at
+    batch caps from one block down to one jet per batch."""
+    q, level, vs = 3, 1, ("x1", "x2", "x3")
+    polys = [_poly_from(terms, vs, q) for terms in polys_terms]
+    want = Counter()
+    for jet in enumerate_jets(3, level, q):
+        orders = (substitute_jet(p, jet).ord() for p in polys)
+        want[tuple(level + 1 if o is None else o for o in orders)] += 1
+    assert _direct_distribution(polys, 3, level, q, cap) == want
 
 
 # --- exact fit recovers planted cell shapes ---------------------------------
