@@ -32,23 +32,26 @@ All four produce identical tables; the test suite cross-checks them
 against each other and against the pure-Python jet enumeration.
 
 The jet grid.  A series in O_N = F_q[t]/(t^(N+1)) is one code in [0, Q),
-Q = q^(N+1), whose base-q digit i is the coefficient of t^i.  When
-Q <= RING_TABLE_CAP, ``ring_tables`` builds the add, mul and ord tables of
-O_N once per (q, N), on first use, and the direct and additive-split
-strategies walk the grid as open meshes: per batch, one int16 code array per
-coordinate, the low coordinates spanning a (1, block) array that every batch
-shares and the high ones a (highs, 1) array.  The coordinates are laid out
-by term component and cut between two components where a block allows.  A
-pullback is a chain of table gathers on these arrays, and numpy broadcasting
-evaluates each sub-expression at the size of the coordinates it uses: only
-what combines both sides reaches the size of the batch.  An order is one
-gather from the order table, scaled to its key digit; a key that depends on
-one side only stands for every jet of the batch that shares it, and direct
-enumeration checks that its counts sum to q^(n(N+1)).  The tables are never
-written after construction, so threads may share them.  Above the cap the
-same strategies walk the grid of n(N+1) base-q coefficient digits with int32
-series products (``iter_digit_batches``, ``batch_conv``, ``batch_ord``), the
-kernels that also build the tables.
+Q = q^(N+1), whose base-q digit i is the coefficient of t^i.  ``SeriesRing``
+is the one arithmetic kernel: plus, times, scale and order on broadcastable
+arrays of codes, computed digit by digit mod q.  ``RingTables`` is a cache of
+it, add, mul and ord lookup tables built once per (q, N) on first use, and
+``series_ring`` returns the tables when Q <= RING_TABLE_CAP and the computed
+ring above.  Every enumerating strategy walks the grid as open meshes: per
+batch, one code array per coordinate, the low coordinates spanning a
+(1, block) array that every batch shares and the high ones a (highs, 1)
+array.  The coordinates are laid out by term component and cut between two
+components where a block allows.  A pullback is a chain of ring operations
+on these arrays, and numpy broadcasting evaluates each sub-expression at the
+size of the coordinates it uses: only what combines both sides reaches the
+size of the batch.  An order is the ring order of a code scaled to its key
+digit (one gather with the tables); a key that depends on one side only
+stands for every jet of the batch that shares it, and direct enumeration
+checks that its counts sum to q^(n(N+1)).  Codes take the narrowest of
+int16, int32 and int64 that holds Q - 1, in the mesh and in the ring alike.
+The tables are never written after construction, so threads may share them.
+Sampling draws coefficient digits, turns them into codes and evaluates them
+through the same ring.
 """
 
 from __future__ import annotations
@@ -65,19 +68,20 @@ from .jets import DEFAULT_BUDGET
 # fresh single-threaded processes (median of 3 processes, each the median of 5
 # runs), at 2^15, 2^16, 2^17, 2^18 and 2^19 rows: the 3^16-jet stratification
 # table took 0.53, 0.45, 0.39, 0.39 and 0.38 s and the 2^24-jet cone table 0.26,
-# 0.26, 0.24, 0.26 and 0.26 s; the coefficient-path fallback ([x1, x2, x1*x2] at
-# q=3, N=6) took 1.59, 1.77, 1.86, 1.85 and 1.97 s while its peak memory grew
-# from 34 to 99 MB.  None of this moves the cap off 2^17.
+# 0.26, 0.24, 0.26 and 0.26 s; with the computed ring ([x1, x2, x1*x2] at q=2,
+# N=11, one run per process) 2.61, 2.39, 2.36, 2.61 and 2.65 s while the peak
+# memory grew from 32 to 48 MB.  None of this moves the cap off 2^17.
 DEFAULT_BATCH_CAP = 1 << 17
-# largest Q = q^(N+1) whose ring is enumerated by lookup tables; larger rings take
-# the coefficient path.  Timed on one [x1, x2, x1*x2] table enumerated directly,
-# 2-vCPU Xeon, fresh process, one thread, median of 3: the tables took 1.5 s at Q = 2048
-# (q=2, N=10) and 1.1 s at Q = 2187 (q=3, N=6) against 3.5 s and 2.0 s on the
-# coefficient path, nearly all of it the table build (the open-mesh walk itself
-# takes 0.04 s).  At Q = 4096 the build alone takes 6.8 s and the process peaks
-# at 137 MB (71 MB on the coefficient path), which a one-coordinate table never
-# repays.  The builtin campaigns count their monomial lists without enumerating
-# and use no ring above Q = 3^5 = 243.
+# largest Q = q^(N+1) whose ring is cached as lookup tables; larger rings are
+# computed.  Timed on one [x1, x2, x1*x2] table enumerated directly, 2-vCPU Xeon,
+# fresh process, one thread, median of 3: at Q = 2048 (q=2, N=10) the tables took
+# 0.73 s to build and 0.04 s to walk against 0.61 s computed, at Q = 2187 (q=3,
+# N=6) 0.45 s and 0.04 s against 0.41 s.  A second table of the same ring costs
+# the tables another 0.04 s and the computed ring another 0.4-0.6 s, so tables
+# win from a ring's second table on.  At Q = 4096 the build takes 3.1 s and the
+# process peaks at 102 MB (computed: 2.5 s, 35 MB), at Q = 6561 4.8 s and 200 MB
+# (computed: 4.1 s, 35 MB), and the cache keeps 16 rings.  The builtin campaigns
+# count their monomial lists without enumerating and use no ring above Q = 3^5.
 RING_TABLE_CAP = 3**7
 # rows of random digits per draw: the random stream of a sampled count depends on it
 _SAMPLE_BATCH = 1 << 22
@@ -85,8 +89,13 @@ _MAX_COMBINE = 1 << 26
 
 
 # --------------------------------------------------------------------------
-# batched grids and series arithmetic mod q
+# the ring F_q[t]/(t^(N+1)) on series codes
 # --------------------------------------------------------------------------
+
+
+def _code_dtype(size):
+    """The narrowest int dtype that holds every code in [0, size)."""
+    return np.int16 if size <= 1 << 15 else np.int32 if size <= 1 << 31 else np.int64
 
 
 def _mesh_batches(width, base, batch_cap, cuts=()):
@@ -97,12 +106,13 @@ def _mesh_batches(width, base, batch_cap, cuts=()):
     Row h*block + b of a batch takes its low digits from b and its high digits
     from the batch's h-th high value, so the batches cover the grid exactly once.
     w is the largest of ``cuts`` whose block fits ``batch_cap``, or without one
-    the largest w that fits.
+    the largest w that fits.  Digits are series codes when ``base`` is a ring
+    size, so they take the ring's dtype.
     """
     total = base**width
     if total > 2**62:  # pragma: no cover - beyond any practical budget
         raise BudgetExceeded("grid too large to index")
-    dtype = np.int16 if base <= 1 << 15 else np.int32
+    dtype = _code_dtype(base)
 
     def digits(values, count, shape):
         out = []
@@ -124,149 +134,94 @@ def _mesh_batches(width, base, batch_cap, cuts=()):
         yield (h1 - h0) * block, lows, digits(np.arange(h0, h1, dtype=np.int64), width - w, (h1 - h0, 1))
 
 
-def iter_digit_batches(width, q, batch_cap=DEFAULT_BATCH_CAP):
-    """Yield (B, width) int32 arrays covering the odometer grid of base-q digits."""
-    buf = None
-    for rows, lows, highs in _mesh_batches(width, q, batch_cap):
-        if buf is None:
-            buf = np.empty((rows, width), dtype=np.int32)  # the first batch is the largest
-            for pos, d in enumerate(lows):  # the same in every batch: written once
-                buf.reshape(-1, d.size, width)[..., pos] = d
-        grid = buf[:rows]
-        mesh = grid.reshape(-1, q ** len(lows), width)
-        for pos, d in enumerate(highs, start=len(lows)):
-            mesh[..., pos] = d
-        # the buffer is reused between iterations: consume before advancing
-        yield grid
+class SeriesRing:
+    """O_N = F_q[t]/(t^(N+1)) on broadcastable arrays of series codes in [0, Q).
 
-
-def batch_conv(a, b, q):
-    """Truncated product of batched series: (B, N+1) x (B, N+1) -> (B, N+1).
-
-    Each output coefficient sums at most N+1 products of reduced
-    coefficients before it is reduced, so int32 operands are exact while
-    (N+1)(q-1)^2 < 2^31; ``_order_batches`` checks this before it walks the
-    coefficient grid.
-    """
-    n1 = a.shape[-1]
-    out = np.zeros_like(a)
-    tmp = np.empty(a.shape[0], dtype=a.dtype)
-    for k in range(n1):
-        acc = out[:, k]
-        for i in range(k + 1):
-            np.multiply(a[:, i], b[:, k - i], out=tmp)
-            acc += tmp
-        np.mod(acc, q, out=acc)
-    return out
-
-
-def batch_ord(series, level):
-    """Order of batched series; the sentinel level+1 marks identically-zero rows."""
-    nz = series != 0
-    has = nz.any(axis=-1)
-    first = np.argmax(nz, axis=-1)
-    return np.where(has, first, level + 1).astype(np.int64)
-
-
-def eval_poly_batch(poly, coords, q):
-    """Pullback series of a polynomial on a batch of jets.
-
-    ``coords`` has shape (B, n, N+1); coefficients of ``poly`` are reduced
-    mod q.  Returns (B, N+1).
-    """
-    var = _plain_variable_index(poly)
-    if var is not None:
-        return coords[:, var, :]
-    B, n, width = coords.shape
-    out = np.zeros((B, width), dtype=coords.dtype)
-    limit = int(np.iinfo(out.dtype).max)
-    bound = 0  # largest value an entry of ``out`` can hold so far
-    powers = [dict() for _ in range(n)]
-
-    def power(i, e):
-        if e == 1:
-            return coords[:, i, :]
-        cache = powers[i]
-        if e not in cache:
-            half = power(i, e // 2)
-            sq = batch_conv(half, half, q)
-            cache[e] = sq if e % 2 == 0 else batch_conv(sq, coords[:, i, :], q)
-        return cache[e]
-
-    for exps, coeff in poly.terms.items():
-        c = int(coeff) % q  # callers hand over GF(q) polynomials
-        if c == 0:
-            continue
-        term = None
-        for i, e in enumerate(exps):
-            if e == 0:
-                continue
-            factor = power(i, e)
-            term = factor if term is None else batch_conv(term, factor, q)
-        # term entries are reduced digits, so this term adds at most c*(q-1)
-        if bound + c * (q - 1) > limit:
-            np.mod(out, q, out=out)
-            bound = q - 1
-        bound += c * (q - 1)
-        if term is None:
-            out[:, 0] += c  # constant term
-        elif c == 1:
-            out += term
-        else:
-            out += c * term
-    np.mod(out, q, out=out)
-    return out
-
-
-def _plain_variable_index(poly):
-    """Index of v when poly == 1*v, else None (enables the no-copy fast path)."""
-    if len(poly.terms) != 1:
-        return None
-    (exps, c), = poly.terms.items()
-    if int(c) != 1 or sum(exps) != 1:
-        return None
-    return exps.index(1)
-
-
-def _series_codes(series, q):
-    """Codes of (B, N+1) coefficient rows: base-q digit i is the coefficient of t^i."""
-    code = np.zeros(series.shape[0], dtype=np.int64)
-    for j in reversed(range(series.shape[1])):
-        code *= q
-        code += series[:, j]
-    return code
-
-
-# --------------------------------------------------------------------------
-# lookup tables of F_q[t]/(t^(N+1)) on series codes
-# --------------------------------------------------------------------------
-
-
-class RingTables:
-    """Read-only lookup tables of O_N = F_q[t]/(t^(N+1)) on series codes in [0, Q).
-
-    ``add`` and ``mul`` are flat Q*Q int16 tables read at a*Q + b and ``ord``
-    holds the clamped order (N+1 for the zero series).  The coefficient
-    kernels they replace build them, batch by batch over the Q*Q grid of pairs.
+    Every operation splits its operands into their N+1 base-q digits, works
+    digit by digit mod q and reassembles the code.  A truncated product sums
+    at most N+1 digit products before it is reduced; digits are int32 unless
+    that sum, (N+1)(q-1)^2, or a code needs int64.  Codes take
+    ``_code_dtype(Q)`` and must fit int64.
     """
 
     def __init__(self, q, level):
-        width = level + 1
-        size = q**width
-        self.q, self.size = q, size
-        digits = next(iter_digit_batches(width, q, batch_cap=size))
-        self.ord = batch_ord(digits, level).astype(np.int8)
-        self.add = np.empty(size * size, dtype=np.int16)
-        self.mul = np.empty(size * size, dtype=np.int16)
-        start = 0
-        # row a + Q*b of the pair grid holds a's digits low and b's high
-        for pairs in iter_digit_batches(2 * width, q):
-            # column-major operands: the kernels read one coefficient column at a time
-            a, b = np.asfortranarray(pairs[:, :width]), np.asfortranarray(pairs[:, width:])
-            stop = start + pairs.shape[0]
-            self.add[start:stop] = _series_codes((a + b) % q, q)
-            self.mul[start:stop] = _series_codes(batch_conv(a, b, q), q)
-            start = stop
+        size = q ** (level + 1)
+        if size > 2**63 - 1:
+            raise BudgetExceeded(f"series codes of F_{q}[t]/(t^{level + 1}) overflow int64")
+        self.q, self.level, self.size = q, level, size
+        self.dtype = _code_dtype(size)
+        wide = size > 2**31 or (level + 1) * (q - 1) ** 2 >= 2**31
+        self._work = np.int64 if wide else np.int32
+
+    def _digits(self, a):
+        """The N+1 digits of codes ``a``, the coefficient of t^0 first."""
+        rest = np.asarray(a, dtype=self._work)
+        out = []
+        for _ in range(self.level):
+            rest, d = np.divmod(rest, self.q)
+            out.append(d)
+        return out + [rest]
+
+    def from_digits(self, digits):
+        """Codes of reduced digit arrays, the coefficient of t^0 first."""
+        code = np.asarray(digits[-1], dtype=self._work)
+        for d in reversed(digits[:-1]):
+            code = code * self.q + d
+        return code.astype(self.dtype)
+
+    def plus(self, a, b):
+        q = self.q
+        return self.from_digits([(x + y) % q for x, y in zip(self._digits(a), self._digits(b))])
+
+    def times(self, a, b):
+        q = self.q
+        da = self._digits(a)
+        db = da if b is a else self._digits(b)
+        code = 0
+        for k in reversed(range(self.level + 1)):  # Horner, from the coefficient of t^N down
+            acc = da[0] * db[k]
+            for i in range(1, k + 1):
+                acc += da[i] * db[k - i]
+            acc %= q
+            acc += code * q
+            code = acc
+        return code.astype(self.dtype)
+
+    def scale(self, c, a):
+        """c*a for a constant c in [0, q)."""
+        return self.from_digits([c * d % self.q for d in self._digits(a)])
+
+    def order(self, a):
+        """Clamped orders of codes ``a``: the number of low zero digits, N+1 for 0."""
+        a = np.asarray(a, dtype=np.int64)
+        return sum((a % self.q**i == 0).astype(np.int8) for i in range(1, self.level + 2))
+
+    def weighted_order(self, weight, dtype):
+        """A function from codes to their orders times ``weight``, as ``dtype``."""
+        return lambda a: self.order(a).astype(dtype) * weight
+
+
+class RingTables(SeriesRing):
+    """O_N with every operation a lookup: a read-only cache of ``SeriesRing``.
+
+    ``add`` and ``mul`` are flat Q*Q int16 tables read at a*Q + b and ``ord``
+    holds the clamped order (N+1 for the zero series).  The computed ring
+    fills them, a batch of rows of the pair grid at a time.
+    """
+
+    def __init__(self, q, level):
+        super().__init__(q, level)
+        size = self.size
+        codes = np.arange(size, dtype=self.dtype)
+        self.ord = super().order(codes)
+        self.add = np.empty((size, size), dtype=np.int16)
+        self.mul = np.empty((size, size), dtype=np.int16)
+        rows = max(1, DEFAULT_BATCH_CAP // size)
+        for a0 in range(0, size, rows):
+            a = codes[a0 : a0 + rows, None]
+            self.add[a0 : a0 + rows] = super().plus(a, codes)
+            self.mul[a0 : a0 + rows] = super().times(a, codes)
+        self.add, self.mul = self.add.ravel(), self.mul.ravel()
         for table in (self.ord, self.add, self.mul):
             table.flags.writeable = False
 
@@ -285,6 +240,15 @@ class RingTables:
     def times(self, a, b):
         return self.mul.take(self._pair_index(a, b))
 
+    def scale(self, c, a):
+        return self.mul[c * self.size : (c + 1) * self.size].take(a)  # row c of mul
+
+    def order(self, a):
+        return self.ord.take(a)
+
+    def weighted_order(self, weight, dtype):
+        return (self.ord.astype(dtype) * weight).take
+
 
 @lru_cache(maxsize=16)
 def ring_tables(q, level):
@@ -296,6 +260,21 @@ def ring_tables(q, level):
     holds 19 MB.
     """
     return RingTables(q, level)
+
+
+def series_ring(q, level):
+    """F_q[t]/(t^(level+1)): its lookup tables within RING_TABLE_CAP, else computed."""
+    return ring_tables(q, level) if q ** (level + 1) <= RING_TABLE_CAP else SeriesRing(q, level)
+
+
+def _plain_variable_index(poly):
+    """Index of v when poly == 1*v, else None (enables the no-copy fast path)."""
+    if len(poly.terms) != 1:
+        return None
+    (exps, c), = poly.terms.items()
+    if int(c) != 1 or sum(exps) != 1:
+        return None
+    return exps.index(1)
 
 
 def _fold(arrays, op):
@@ -325,10 +304,10 @@ def _add_into(a, b):
 def eval_poly_codes(poly, coords, ring):
     """Pullback codes of a polynomial on an open mesh of jets.
 
-    ``coords`` holds one 2-d int16 code array per coordinate, all
-    broadcastable against each other; coefficients of ``poly`` are reduced
-    mod q.  Returns int16 codes shaped as the broadcast of the coordinates
-    the polynomial uses, (1, 1) for a constant.
+    ``coords`` holds one 2-d code array per coordinate, all broadcastable
+    against each other; coefficients of ``poly`` are reduced mod q.  Returns
+    codes shaped as the broadcast of the coordinates the polynomial uses,
+    (1, 1) for a constant.
     """
     var = _plain_variable_index(poly)
     if var is not None:
@@ -351,12 +330,12 @@ def eval_poly_codes(poly, coords, ring):
             continue
         factors = sorted((power(i, e) for i, e in enumerate(exps) if e), key=np.size)
         if not factors:
-            terms.append(np.full((1, 1), c, dtype=np.int16))  # the constant c has code c
+            terms.append(np.full((1, 1), c, dtype=ring.dtype))  # the constant c has code c
             continue
         if c != 1:
-            factors[0] = ring.mul[c * ring.size : (c + 1) * ring.size].take(factors[0])  # row c of mul
+            factors[0] = ring.scale(c, factors[0])
         terms.append(_fold(factors, ring.times))
-    return _fold(terms, ring.plus) if terms else np.zeros((1, 1), dtype=np.int16)
+    return _fold(terms, ring.plus) if terms else np.zeros((1, 1), dtype=ring.dtype)
 
 
 def _order_batches(polys, n, level, q, batch_cap, value_poly=None):
@@ -366,53 +345,37 @@ def _order_batches(polys, n, level, q, batch_cap, value_poly=None):
     ``value_poly``'s pullback in [0, Q) as the lowest digit when one is given,
     then the clamped pullback order of each of ``polys`` in base N+2.
 
-    Within RING_TABLE_CAP the grid is an open mesh of n coordinate codes, laid
-    out by term component and cut between two components where a block
-    allows, so that each term stays on one side of it where it can: a
-    pullback is a chain of table gathers that reaches the size of the batch
-    only where it combines both sides, and an order digit is one gather from
-    the order table scaled by its weight.  Above the cap the grid holds n(N+1)
-    coefficient digits per jet and pullbacks are int32 series products.
+    The grid is an open mesh of n coordinate codes, laid out by term component
+    and cut between two components where a block allows, so that each term
+    stays on one side of it where it can: a pullback is a chain of ring
+    operations that reaches the size of the batch only where it combines both
+    sides, and an order digit is the order of a code scaled by its weight.
     """
+    # no grid is enumerated over a prime whose digit products leave int32; only sampling evaluates its ring
+    if (level + 1) * (q - 1) ** 2 >= 2**31:
+        raise BudgetExceeded(
+            f"series products overflow int32 at q={q}, level {level}: enumeration needs (N+1)(q-1)^2 < 2^31"
+        )
+    ring = series_ring(q, level)
     base = level + 2
-    vspace = 1 if value_poly is None else q ** (level + 1)
+    vspace = 1 if value_poly is None else ring.size
     radix = vspace * base ** len(polys)
     if radix > 2**63:
         raise BudgetExceeded(f"keys of {len(polys)} orders at level {level} overflow int64")
     dtype = np.int32 if radix <= 2**31 else np.int64
-    weights = [vspace * base**i for i in range(len(polys))]
-    if q ** (level + 1) <= RING_TABLE_CAP:
-        ring = ring_tables(q, level)
-        order_digits = [ring.ord.astype(dtype) * w for w in weights]
-        extra = [] if value_poly is None else [value_poly]
-        # smaller components first, so that more cuts between them fit a block
-        comps = sorted(_term_components(polys + extra, n), key=len)
-        layout = [v for comp in comps for v in comp]
-        cuts = list(accumulate(len(comp) for comp in comps))
-        coords = [None] * n
-        for rows, lows, highs in _mesh_batches(n, ring.size, batch_cap, cuts):
-            for v, digit in zip(layout, lows + highs):
-                coords[v] = digit
-            parts = [t.take(eval_poly_codes(p, coords, ring)) for t, p in zip(order_digits, polys)]
-            parts += [eval_poly_codes(p, coords, ring).astype(dtype) for p in extra]
-            yield rows, _fold(parts, _add_into) if parts else np.zeros((1, 1), dtype=dtype)
-        return
-    if (level + 1) * (q - 1) ** 2 >= 2**31:
-        raise BudgetExceeded(
-            f"int32 series products overflow at q={q}, level {level}: need (N+1)(q-1)^2 < 2^31"
-        )
-    var_slots = [(i, _plain_variable_index(p)) for i, p in enumerate(polys)]
-    plain = {i: v for i, v in var_slots if v is not None}
-    for digits in iter_digit_batches(n * (level + 1), q, batch_cap):
-        coords = digits.reshape(digits.shape[0], n, level + 1)
-        coord_ords = batch_ord(coords, level) if plain else None  # (B, n) in one pass
-        key = np.zeros(digits.shape[0], dtype=np.int64)
-        for i, p in enumerate(polys):
-            col = coord_ords[:, plain[i]] if i in plain else batch_ord(eval_poly_batch(p, coords, q), level)
-            key += weights[i] * col
-        if value_poly is not None:
-            key += _series_codes(eval_poly_batch(value_poly, coords, q), q)
-        yield digits.shape[0], key
+    order_digits = [ring.weighted_order(vspace * base**i, dtype) for i in range(len(polys))]
+    extra = [] if value_poly is None else [value_poly]
+    # smaller components first, so that more cuts between them fit a block
+    comps = sorted(_term_components(polys + extra, n), key=len)
+    layout = [v for comp in comps for v in comp]
+    cuts = list(accumulate(len(comp) for comp in comps))
+    coords = [None] * n
+    for rows, lows, highs in _mesh_batches(n, ring.size, batch_cap, cuts):
+        for v, digit in zip(layout, lows + highs):
+            coords[v] = digit
+        parts = [order(eval_poly_codes(p, coords, ring)) for order, p in zip(order_digits, polys)]
+        parts += [eval_poly_codes(p, coords, ring).astype(dtype) for p in extra]
+        yield rows, _fold(parts, _add_into) if parts else np.zeros((1, 1), dtype=dtype)
 
 
 # --------------------------------------------------------------------------
@@ -873,26 +836,25 @@ def contact_order_table(ideals, n, level, q, budget=DEFAULT_BUDGET, prefer="chea
 
 
 def sample_ord_hits(gens, n, level, q, mode, m, samples, rng):
-    """Monte Carlo hit count for an order condition; returns (hits, samples)."""
+    """Monte Carlo hit count for an order condition; returns (hits, samples).
+
+    Each draw is n(N+1) random coefficient digits per jet, turned into n codes
+    and evaluated through the ring.
+    """
     from .fields import GF
 
     gfq = GF(q)
     gens = [g if g.field == gfq else g.map_coeffs(gfq) for g in gens]
-    width = n * (level + 1)
+    ring = series_ring(q, level)
+    width = level + 1
     hits = 0
     done = 0
     while done < samples:
         b = min(_SAMPLE_BATCH, samples - done)
-        digits = rng.integers(0, q, size=(b, width), dtype=np.int64)
-        coords = digits.reshape(b, n, level + 1)
-        best = None
-        for g in gens:
-            o = batch_ord(eval_poly_batch(g, coords, q), level)
-            best = o if best is None else np.minimum(best, o)
-        if mode == "exact":
-            hits += int((best == m).sum())
-        else:
-            hits += int((best >= m).sum())
+        digits = rng.integers(0, q, size=(b, n * width), dtype=np.int64)
+        coords = [ring.from_digits(list(digits[:, v * width : (v + 1) * width].T))[:, None] for v in range(n)]
+        best = reduce(np.minimum, (ring.order(eval_poly_codes(g, coords, ring)) for g in gens))
+        best = np.broadcast_to(best, (b, 1))  # a constant generator gives one order for every row
+        hits += int((best == m).sum() if mode == "exact" else (best >= m).sum())
         done += b
     return hits, samples
-

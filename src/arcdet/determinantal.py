@@ -591,9 +591,6 @@ def _cone_side_counts_direct(pair, level, q, m_exact, p_exact, budget, cache=Non
     """
     joint = pair.w_gens.variables
     n_joint = len(joint)
-    size = jet_space_size(n_joint, level, q)
-    if size > budget:
-        raise BudgetExceeded(f"joint cone space has {size} points")
     key = (level, q)
     table = cache.get(key) if cache is not None else None
     if table is None:
@@ -634,9 +631,10 @@ def cone_comparison_check(
 
     Verifies the exact counting identity LHS = q^(n p) * RHS (the two sides
     are enumerated independently at levels N and N-p) and the codimension
-    relation codim(LHS) = p*r + codim(RHS).  Oversized spaces fall back to
-    the closed form available for generic-coordinate matrices.  Passing one
-    ``table_cache`` dict across a grid of cells shares enumerations.
+    relation codim(LHS) = p*r + codim(RHS).  A side the engine cannot count
+    exactly within the budget falls back to the closed form available for
+    generic-coordinate matrices.  Passing one ``table_cache`` dict across a
+    grid of cells shares enumerations.
     """
     if not (0 <= p <= m <= level):
         raise ValidationError("need 0 <= p <= m <= level")

@@ -121,6 +121,15 @@ class TestCountContact:
         )
         assert rep.status == STATUS_SAMPLED
         assert "wilson" in rep.detail
+        # Q = 5^5 is above the table cap: the computed ring evaluates the draws
+        assert rep.counts == ((5, 690, 9765625),)
+
+    def test_sampled_mode_through_the_ring_tables(self):
+        # Q = 3^3 is within the table cap; the same stream of digits as above it
+        gens = IdealGens((parse_poly("x1^2 + x1*x2", ["x1", "x2"]),))
+        rep = count_contact(gens, ContactQuery(MODE_EXACT, 1, 2, primes=(3,)), budget=100, samples=2000, seed=1)
+        assert rep.status == STATUS_SAMPLED
+        assert rep.counts == ((3, 623, 729),)
 
     def test_single_prime_report_is_ambiguous(self):
         rep = count_contact(single_var_ideal(), ContactQuery(MODE_AT_LEAST, 1, 2, primes=(3,)))

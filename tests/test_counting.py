@@ -17,14 +17,14 @@ from arcdet.counting import (
     _monomial_distribution,
     _negation_permutation,
     _shift_split_distribution,
-    batch_conv,
-    batch_ord,
+    SeriesRing,
     contact_order_table,
-    eval_poly_batch,
-    iter_digit_batches,
+    eval_poly_codes,
     ord_value_counts,
     ord_vector_distribution,
     ring_tables,
+    sample_ord_hits,
+    series_ring,
 )
 from arcdet.determinantal import minor_ideal_tower
 from arcdet.errors import InternalInvariantError, ValidationError
@@ -196,20 +196,52 @@ class TestMonomialStrategy:
         assert requested and max(requested) <= 3**6
 
 
+def code_series(gf, level, code):
+    """The TruncSeries of a series code: base-q digit i is the coefficient of t^i."""
+    return TruncSeries(gf, level, [code // gf.q**i % gf.q for i in range(level + 1)])
+
+
 class TestRingTables:
     @pytest.mark.parametrize("q, level", [(2, 0), (2, 1), (2, 2), (2, 3), (3, 0), (3, 1), (3, 2), (5, 1)])
     def test_tables_match_series(self, q, level):
+        # both rings, every pair of codes: the tables and the computed ring that fills them
         gf = GF(q)
         size = q ** (level + 1)
-        series = [TruncSeries(gf, level, [code // q**i % q for i in range(level + 1)]) for code in range(size)]
+        series = [code_series(gf, level, code) for code in range(size)]
         code_of = {s: code for code, s in enumerate(series)}
-        ring = ring_tables(q, level)
-        assert ring.ord.tolist() == [level + 1 if s.ord() is None else s.ord() for s in series]
+        codes = np.arange(size)
         assert _negation_permutation(q, level + 1).tolist() == [code_of[-s] for s in series]
-        for a, sa in enumerate(series):
-            row = slice(a * size, (a + 1) * size)
-            assert ring.add[row].tolist() == [code_of[sa + sb] for sb in series]
-            assert ring.mul[row].tolist() == [code_of[sa * sb] for sb in series]
+        for ring in (ring_tables(q, level), SeriesRing(q, level)):
+            assert ring.order(codes).tolist() == [level + 1 if s.ord() is None else s.ord() for s in series]
+            assert ring.plus(codes[:, None], codes).tolist() == [[code_of[a + b] for b in series] for a in series]
+            assert ring.times(codes[:, None], codes).tolist() == [[code_of[a * b] for b in series] for a in series]
+            for c in range(q):
+                assert ring.scale(c, codes).tolist() == [code_of[s * c] for s in series]
+
+    @pytest.mark.parametrize(
+        "q, level, low",
+        [
+            (32749, 1, 0),  # 2(q-1)^2 just below 2^31: int32 digit products
+            (40009, 1, 0),  # 2(q-1)^2 above 2^31 while codes fit int32: int64 digit products
+            (2, 32, 2**31),  # codes past int32
+        ],
+    )
+    def test_computed_ring_matches_series(self, q, level, low):
+        gf = GF(q)
+        size = q ** (level + 1)
+        ring = series_ring(q, level)
+        assert type(ring) is SeriesRing and np.iinfo(ring.dtype).max >= size - 1
+        rng = np.random.default_rng(7)
+        a, b = (rng.integers(low, size, 300, dtype=np.int64) for _ in range(2))
+        a[:3], b[:3] = [0, low, size - 1], [size - 1, size - 1, 0]
+
+        def series(codes):
+            return [code_series(gf, level, int(x)) for x in codes]
+
+        sa, sb = series(a), series(b)
+        assert series(ring.plus(a, b)) == [x + y for x, y in zip(sa, sb)]
+        assert series(ring.times(a, b)) == [x * y for x, y in zip(sa, sb)]
+        assert ring.order(a).tolist() == [level + 1 if x.ord() is None else x.ord() for x in sa]
 
     def test_tables_are_read_only(self):
         ring = ring_tables(2, 1)
@@ -308,7 +340,7 @@ class TestMeshKernel:
 
 class TestTableCap:
     """Every strategy on both sides of RING_TABLE_CAP, against enumerate_jets:
-    q=2 at level 10 (Q = 2048, ring tables) and level 11 (Q = 4096, coefficients)."""
+    q=2 at level 10 (Q = 2048, ring tables) and level 11 (Q = 4096, computed ring)."""
 
     @pytest.mark.parametrize("level", [10, 11])
     def test_direct(self, level):
@@ -348,13 +380,13 @@ class TestTableCap:
         assert _additive_split_distribution([h], 2, 31, 2, 2**40, DEFAULT_BATCH_CAP) is None
 
     def test_tables_replace_the_coefficient_kernels(self, monkeypatch):
-        ring_tables(3, 2)  # built by the coefficient kernels, before they are refused
+        ring_tables(3, 2)  # filled by the computed ring, before its operations are refused
 
         def refuse(*args, **kwargs):
-            raise AssertionError("coefficient kernel called within the table cap")
+            raise AssertionError("computed ring operation called within the table cap")
 
-        for name in ("iter_digit_batches", "batch_conv", "batch_ord"):
-            monkeypatch.setattr(arcdet.counting, name, refuse)
+        for name in ("plus", "times", "scale", "order"):
+            monkeypatch.setattr(SeriesRing, name, refuse)
         vs = ("x1", "x2", "x3", "x4")
         det = parse_poly("x1*x4 - x2*x3", vs).map_coeffs(GF(3))
         polys = [MultiPoly.variable(GF(3), vs, v) for v in vs] + [det]
@@ -363,24 +395,19 @@ class TestTableCap:
         assert sum(direct.values()) == 3**12
 
 
+class TestSampling:
+    @pytest.mark.parametrize("q, level", [(3, 1), (7, 5)])  # the tables, the computed ring
+    def test_constant_generators_count_every_draw(self, q, level):
+        # a constant pulls back to one (1, 1) code, which still stands for every draw
+        vs = ("x1", "x2")
+        gens = [parse_poly(e, vs) for e in ("2", "x1 + 1")]
+        rng = np.random.default_rng(0)
+        assert sample_ord_hits(gens[:1], 2, level, q, "exact", 0, 1000, rng) == (1000, 1000)
+        assert sample_ord_hits(gens[:1], 2, level, q, "at_least", 1, 1000, rng) == (0, 1000)
+        assert sample_ord_hits(gens, 2, level, q, "exact", 0, 1000, rng) == (1000, 1000)
+
+
 class TestBatchOps:
-    def test_digit_batches_cover(self):
-        seen = []
-        for batch in iter_digit_batches(3, 2, batch_cap=3):
-            seen.extend(map(tuple, batch.tolist()))
-        assert len(seen) == 8 and len(set(seen)) == 8
-
-    def test_batch_conv_matches_series(self):
-        a = np.array([[1, 2, 0, 1]], dtype=np.int32)
-        b = np.array([[2, 1, 1, 0]], dtype=np.int32)
-        out = batch_conv(a, b, 3)
-        # (1 + 2t + t^3)(2 + t + t^2) mod 3, truncated at t^3
-        assert out.tolist() == [[2, (1 + 4) % 3, (1 + 2 + 0) % 3, (2 + 0 + 2) % 3]]
-
-    def test_batch_ord_sentinel(self):
-        s = np.array([[0, 0, 0], [0, 1, 0]])
-        assert batch_ord(s, 2).tolist() == [3, 1]
-
     def test_ord_value_counts(self):
         d = ord_value_counts(2, 3)
         assert d == [2 * 9, 2 * 3, 2, 1]
@@ -393,9 +420,26 @@ class TestInt32Bounds:
         q = 16381
         vs = tuple(f"x{i}" for i in range(1, 10))
         f = parse_poly(" + ".join(f"{q - 1}*{v}" for v in vs), vs).map_coeffs(GF(q))
-        coords = np.full((1, 9, 2), q - 1, dtype=np.int32)
+        ring = SeriesRing(q, 1)
+        coords = [np.full((1, 1), q**2 - 1, dtype=ring.dtype)] * 9  # both digits q - 1
         expected = 9 * (q - 1) ** 2 % q
-        assert eval_poly_batch(f, coords, q).tolist() == [[expected, expected]]
+        assert eval_poly_codes(f, coords, ring).tolist() == [[expected + expected * q]]
+
+    @pytest.mark.parametrize(
+        "level, dtype", [(14, np.int16), (15, np.int32), (30, np.int32), (31, np.int64), (32, np.int64)]
+    )
+    def test_mesh_and_ring_share_the_code_dtype(self, level, dtype):
+        # q=2: codes in [0, 2^(N+1)) take the narrowest dtype that holds 2^(N+1) - 1
+        ring = SeriesRing(2, level)
+        _, _, (codes,) = next(_mesh_batches(1, ring.size, 4))
+        assert ring.dtype == codes.dtype == dtype
+        top = np.array([ring.size - 1], dtype=ring.dtype)  # 1 + t + ... + t^N
+        assert ring.plus(top, top).tolist() == [0] and ring.order(top).tolist() == [0]
+
+    def test_codes_beyond_int64_are_refused(self):
+        assert SeriesRing(2, 61).size == 2**62
+        with pytest.raises(BudgetExceeded, match="overflow int64"):
+            SeriesRing(2, 62)
 
     def test_guard_admits_large_prime_at_level_zero(self):
         # (N+1)(q-1)^2 < 2^31 holds at N=0 for primes above 2^15

@@ -275,6 +275,17 @@ class TestCone:
                     # codim(Cont^2 cap Cont^1(zero section)) = 1*1 + codim(Cont^1 punctured) = 2
                     assert check.lhs_report.consensus_codim == 2
 
+    def test_budget_is_left_to_the_engine(self):
+        # the joint space of diag(x1, x2) has 2^16 and 3^16 jets, over the
+        # budget, but its incidence forms x1*y1, x2*y2 are monomials: the
+        # engine counts them exactly instead of raising
+        vs = ("x1", "x2")
+        zero = MultiPoly.zero(QQ, vs)
+        A = PolyMatrix([[parse_poly("x1", vs), zero], [zero, parse_poly("x2", vs)]])
+        check = cone_comparison_check(A, 2, 1, 3, primes=(2, 3), budget=1000)
+        assert check == cone_comparison_check(A, 2, 1, 3, primes=(2, 3))
+        assert check.method == "direct/direct" and check.verdict == "PASS"
+
     def test_generic_small(self):
         check = cone_comparison_check(generic_2x2(), 1, 1, 1, primes=(2, 3))
         assert check.verdict == "PASS"

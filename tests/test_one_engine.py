@@ -1,8 +1,8 @@
 """Every jet count goes through the one engine in ``counting.py``.
 
-The digit grid, the batched series kernels, the batched polynomial
-evaluators (on coefficient digits and on ring codes), the ring lookup tables
-and the order-vector table are the engine's internals: no other module under
+The ring F_q[t]/(t^(N+1)) on series codes (computed, or its lookup tables),
+the selector between them, the polynomial evaluator on ring codes and the
+order-vector table are the engine's internals: no other module under
 ``src/arcdet`` names them, so every check reads its contact orders from
 ``contact_order_table`` and no second enumerator or kernel can grow beside it.
 """
@@ -12,8 +12,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 ENGINE_INTERNALS = (
-    "iter_digit_batches", "batch_conv", "batch_ord", "eval_poly_batch", "ord_vector_distribution",
-    "RingTables", "ring_tables", "eval_poly_codes",
+    "SeriesRing", "RingTables", "ring_tables", "series_ring", "eval_poly_codes", "ord_vector_distribution",
 )
 
 
@@ -32,6 +31,6 @@ def test_only_counting_uses_engine_internals():
 
 
 def test_guard_sees_a_second_enumerator(tmp_path):
-    (tmp_path / "counting.py").write_text("def batch_ord(s):\n    return s\n")
-    (tmp_path / "other.py").write_text("from .counting import batch_ord, iter_digit_batches\n")
-    assert _modules_naming_internals(tmp_path) == ["other.py: batch_ord", "other.py: iter_digit_batches"]
+    (tmp_path / "counting.py").write_text("def series_ring(q, level):\n    return q\n")
+    (tmp_path / "other.py").write_text("from .counting import SeriesRing, series_ring\n")
+    assert _modules_naming_internals(tmp_path) == ["other.py: SeriesRing", "other.py: series_ring"]
