@@ -17,6 +17,7 @@ not scaling invariant and is reported as an internal error.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import getitem
 
 import numpy as np
 
@@ -171,10 +172,11 @@ def _proj_cone_table(gens, r, level, q, lam, budget):
     names = tuple(f"u{j}" for j in range(1, r + 1))
     coords = MultiPoly.coordinates(GF(q), names)
     table = contact_order_table([[u] for u in coords], r, level, q, budget=budget)
+    # ord(t^lam_j u_j) = min(lam_j + ord u_j, N+1), exactly, in F_q[t]/(t^(N+1))
+    shifted = [[min(l + e, level + 1) for e in range(level + 2)] for l in lam]
     out = {}
     for o, c in table.items():
-        # ord(t^lam_j u_j) = min(lam_j + ord u_j, N+1), exactly, in F_q[t]/(t^(N+1))
-        key = (min(o), min(min(l + e, level + 1) for l, e in zip(lam, o)))
+        key = (min(o), min(map(getitem, shifted, o)))
         out[key] = out.get(key, 0) + c
     return out
 

@@ -29,7 +29,10 @@ Four exact strategies, chosen by cost:
                  reduced by that key; nothing is enumerated.
 
 All four produce identical tables; the test suite cross-checks them
-against each other and against the pure-Python jet enumeration.
+against each other and against the pure-Python jet enumeration.  Inside a
+``table_cache()`` scope, which ``harness.run_campaign`` opens around its
+tasks, ``contact_order_table`` counts each table once, keyed by the content
+of the call, and hands it out read-only to every later call.
 
 The jet grid.  A series in O_N = F_q[t]/(t^(N+1)) is one code in [0, Q),
 Q = q^(N+1), whose base-q digit i is the coefficient of t^i.  ``SeriesRing``
@@ -56,12 +59,17 @@ through the same ring.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import accumulate
+from types import MappingProxyType
 
 import numpy as np
 
 from .errors import BudgetExceeded, InternalInvariantError, ValidationError
+from .fields import GF
 from .jets import DEFAULT_BUDGET
 
 # rows per enumeration batch.  Timed with the open-mesh kernel on a 2-vCPU Xeon,
@@ -778,8 +786,6 @@ def ord_vector_distribution(polys, n, level, q, budget=DEFAULT_BUDGET, prefer="c
     strategies are exact and interchangeable.  Raises BudgetExceeded when
     nothing fits.
     """
-    from .fields import GF
-
     gfq = GF(q)
     polys = [p if p.field == gfq else p.map_coeffs(gfq) for p in polys]
     size = q ** (n * (level + 1))
@@ -814,16 +820,67 @@ def ord_vector_distribution(polys, n, level, q, budget=DEFAULT_BUDGET, prefer="c
     )
 
 
+@dataclass
+class TableCache:
+    """The contact-order tables of one scope, keyed by content, and how many
+    lookups found a table (hits) or had to count one (misses)."""
+
+    tables: dict = field(default_factory=dict)
+    hits: int = 0
+    misses: int = 0
+
+
+_TABLE_CACHE = ContextVar("table_cache", default=None)
+
+
+@contextmanager
+def table_cache():
+    """A scope in which ``contact_order_table`` counts each table once.
+
+    Yields the scope's ``TableCache``.  Its tables go when the scope ends, so
+    nothing is reused across scopes; outside every scope nothing is stored.
+    """
+    scope = TableCache()
+    token = _TABLE_CACHE.set(scope)
+    try:
+        yield scope
+    finally:
+        _TABLE_CACHE.reset(token)
+
+
 def contact_order_table(ideals, n, level, q, budget=DEFAULT_BUDGET, prefer="cheapest"):
     """Exact jet counts keyed by the contact order along each ideal.
 
     ``ideals`` is a list of non-empty generator lists.  A key holds one
     entry per ideal: the least clamped pullback order of its generators,
     in {0..level} or level+1 (the truncation sentinel).  ``prefer`` is
-    passed to ``ord_vector_distribution``.
+    passed to ``ord_vector_distribution``.  The table is read-only.
+
+    Inside a ``table_cache()`` scope, a call whose ideals reduce mod q to the
+    same generators in the same order, with the same n, level, q, ``prefer``
+    and ``budget``, gets the table of the earlier call; a table the budget
+    refuses is not stored.
     """
     if any(not gens for gens in ideals):
         raise ValidationError("an ideal needs at least one generator")
+    gfq = GF(q)
+    ideals = [[g if g.field == gfq else g.map_coeffs(gfq) for g in gens] for gens in ideals]
+    scope = _TABLE_CACHE.get()
+    if scope is None:
+        return _contact_order_table(ideals, n, level, q, budget, prefer)
+    # a GF(q) polynomial holds no zero terms
+    content = tuple(tuple(tuple(sorted(g.terms.items())) for g in gens) for gens in ideals)
+    key = (content, n, level, q, prefer, budget)
+    table = scope.tables.get(key)
+    if table is None:
+        scope.misses += 1
+        table = scope.tables[key] = _contact_order_table(ideals, n, level, q, budget, prefer)
+    else:
+        scope.hits += 1
+    return table
+
+
+def _contact_order_table(ideals, n, level, q, budget, prefer):
     polys = [g for gens in ideals for g in gens]
     table = ord_vector_distribution(polys, n, level, q, budget=budget, prefer=prefer)
     ends = list(accumulate(len(gens) for gens in ideals))
@@ -832,7 +889,7 @@ def contact_order_table(ideals, n, level, q, budget=DEFAULT_BUDGET, prefer="chea
     for key, cnt in table.items():
         orders = tuple(min(key[a:b]) for a, b in spans)
         out[orders] = out.get(orders, 0) + cnt
-    return out
+    return MappingProxyType(out)
 
 
 def sample_ord_hits(gens, n, level, q, mode, m, samples, rng):
@@ -841,8 +898,6 @@ def sample_ord_hits(gens, n, level, q, mode, m, samples, rng):
     Each draw is n(N+1) random coefficient digits per jet, turned into n codes
     and evaluated through the ring.
     """
-    from .fields import GF
-
     gfq = GF(q)
     gens = [g if g.field == gfq else g.map_coeffs(gfq) for g in gens]
     ring = series_ring(q, level)

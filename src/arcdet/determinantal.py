@@ -583,21 +583,11 @@ class ConeCheck:
         }
 
 
-def _cone_side_counts_direct(pair, level, q, m_exact, p_exact, budget, cache=None):
-    """Count jets of X x A^r with exact incidence order and exact zero-section order.
-
-    The joint distribution table depends only on (level, q); a cache dict
-    lets a grid of (m, p) cells share one enumeration per level and prime.
-    """
+def _cone_side_counts_direct(pair, level, q, m_exact, p_exact, budget):
+    """Count jets of X x A^r with exact incidence order and exact zero-section order."""
     joint = pair.w_gens.variables
-    n_joint = len(joint)
-    key = (level, q)
-    table = cache.get(key) if cache is not None else None
-    if table is None:
-        y_polys = [MultiPoly.variable(pair.matrix.field, joint, y) for y in pair.y_names]
-        table = contact_order_table([y_polys, pair.w_gens.nonzero()], n_joint, level, q, budget=budget)
-        if cache is not None:
-            cache[key] = table
+    y_polys = [MultiPoly.variable(pair.matrix.field, joint, y) for y in pair.y_names]
+    table = contact_order_table([y_polys, pair.w_gens.nonzero()], len(joint), level, q, budget=budget)
     return table.get((p_exact, m_exact), 0)
 
 
@@ -624,7 +614,6 @@ def cone_comparison_check(
     level: int,
     primes=LCT_DEFAULT_PRIMES,
     budget=DEFAULT_BUDGET,
-    table_cache=None,
 ) -> ConeCheck:
     """Affine-cone comparison: jets of the cone with zero-section contact p
     against the punctured model shifted by p.
@@ -633,8 +622,7 @@ def cone_comparison_check(
     are enumerated independently at levels N and N-p) and the codimension
     relation codim(LHS) = p*r + codim(RHS).  A side the engine cannot count
     exactly within the budget falls back to the closed form available for
-    generic-coordinate matrices.  Passing one ``table_cache`` dict across a
-    grid of cells shares enumerations.
+    generic-coordinate matrices.
     """
     if not (0 <= p <= m <= level):
         raise ValidationError("need 0 <= p <= m <= level")
@@ -649,7 +637,7 @@ def cone_comparison_check(
     identity_ok = True
     for q in primes:
         try:
-            lhs = _cone_side_counts_direct(pair, level, q, m, p, budget, table_cache)
+            lhs = _cone_side_counts_direct(pair, level, q, m, p, budget)
             method_l = "direct"
         except BudgetExceeded:
             if not generic:
@@ -657,7 +645,7 @@ def cone_comparison_check(
             lhs = _cone_side_counts_generic(n, r, s, level, q, m, p)
             method_l = "closed-form"
         try:
-            rhs = _cone_side_counts_direct(pair, level - p, q, m - p, 0, budget, table_cache)
+            rhs = _cone_side_counts_direct(pair, level - p, q, m - p, 0, budget)
             method_r = "direct"
         except BudgetExceeded:
             if not generic:

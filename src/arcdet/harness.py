@@ -30,6 +30,7 @@ from .configurations import (
     matroid_from_columns,
     patterson_matrix,
 )
+from .counting import table_cache
 from .determinantal import (
     VERDICT_PASS,
     DeterminantalPair,
@@ -357,7 +358,7 @@ def _run_cone(task, inputs, ctx):
     A = _resolve(inputs, p["matrix"], "matrix")
     check = cone_comparison_check(
         A, p["m"], p["p"], p["level"], primes=tuple(p.get("primes", LCT_DEFAULT_PRIMES)),
-        budget=ctx["budget"], table_cache=ctx["cone_cache"].setdefault(p["matrix"], {}),
+        budget=ctx["budget"],
     )
     return check.verdict, check.payload()
 
@@ -523,28 +524,30 @@ def run_campaign(campaign: Campaign, seed=0, budget=DEFAULT_BUDGET) -> Report:
     if errors:
         raise ValidationError("campaign validation failed:\n  " + "\n  ".join(errors))
     inputs = campaign.input_dict()
-    ctx = {"seed": seed, "budget": budget, "cone_cache": {}}
+    ctx = {"seed": seed, "budget": budget}
     start = time.monotonic()
     results = []
     failed = False
-    for task in campaign.tasks:
-        runner = _RUNNERS[task.kind]
-        try:
-            status, payload = runner(task, inputs, ctx)
-        except BudgetExceeded as exc:
-            status, payload = STATUS_SKIPPED, {"reason": str(exc)}
-        if status == STATUS_FAIL and task.is_identity_check:
-            failed = True
-        results.append(
-            TaskResult(
-                name=task.name,
-                kind=task.kind,
-                status=status,
-                identity_check=task.is_identity_check,
-                params=_jsonable(task.param_dict()),
-                payload=_jsonable(payload),
+    # the tasks of this run share each contact-order table; none outlives it
+    with table_cache():
+        for task in campaign.tasks:
+            runner = _RUNNERS[task.kind]
+            try:
+                status, payload = runner(task, inputs, ctx)
+            except BudgetExceeded as exc:
+                status, payload = STATUS_SKIPPED, {"reason": str(exc)}
+            if status == STATUS_FAIL and task.is_identity_check:
+                failed = True
+            results.append(
+                TaskResult(
+                    name=task.name,
+                    kind=task.kind,
+                    status=status,
+                    identity_check=task.is_identity_check,
+                    params=_jsonable(task.param_dict()),
+                    payload=_jsonable(payload),
+                )
             )
-        )
     wall = time.monotonic() - start
     return Report(
         campaign=campaign.name, seed=seed, budget=budget,

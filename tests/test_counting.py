@@ -2,11 +2,13 @@
 and the exact equivalence of its four strategies."""
 
 from collections import Counter
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
 import arcdet.counting
+import arcdet.harness
 from arcdet import GF, BudgetExceeded, IdealGens, MultiPoly, PolyMatrix, enumerate_jets, parse_poly
 from arcdet.counting import (
     DEFAULT_BATCH_CAP,
@@ -25,6 +27,7 @@ from arcdet.counting import (
     ring_tables,
     sample_ord_hits,
     series_ring,
+    table_cache,
 )
 from arcdet.determinantal import minor_ideal_tower
 from arcdet.errors import InternalInvariantError, ValidationError
@@ -99,6 +102,99 @@ class TestContactOrderTable:
         x1 = parse_poly("x1", ("x1",))
         with pytest.raises(ValidationError):
             contact_order_table([[x1], []], 1, 1, 2)
+
+
+def record_run_scopes(monkeypatch):
+    """The table-cache scopes that ``run_campaign`` opens, in order."""
+    scopes = []
+
+    @contextmanager
+    def recording():
+        with table_cache() as scope:
+            scopes.append(scope)
+            yield scope
+
+    monkeypatch.setattr(arcdet.harness, "table_cache", recording)
+    return scopes
+
+
+class TestTableCache:
+    def test_fiber_grid_counts_each_coordinate_table_once(self, monkeypatch):
+        # 180 cells x 2 primes read 4 coordinate tables: r, q in {2, 3}
+        scopes = record_run_scopes(monkeypatch)
+        run_campaign(builtin_corpus()["fiber-formula-grid"])
+        assert (scopes[0].misses, scopes[0].hits) == (4, 176)
+
+    def test_cone_grid_shares_its_tables(self, monkeypatch):
+        # 72 side lookups of 16 keys: 14 tables, and 2 the budget refuses
+        scopes = record_run_scopes(monkeypatch)
+        run_campaign(builtin_corpus()["cone-comparison-basic"])
+        assert len(scopes[0].tables) == 14
+        assert scopes[0].hits + scopes[0].misses == 72
+
+    def test_nothing_is_reused_across_runs(self, monkeypatch):
+        scopes = record_run_scopes(monkeypatch)
+        campaign = builtin_corpus()["fiber-formula-grid"]
+        first, second = run_campaign(campaign), run_campaign(campaign)
+        assert first.canonical_json() == second.canonical_json()
+        assert [(s.misses, s.hits) for s in scopes] == [(4, 176), (4, 176)]
+
+    def test_outside_a_scope_nothing_is_stored(self):
+        x1 = parse_poly("x1", ("x1",))
+        with table_cache() as scope:
+            pass
+        contact_order_table([[x1]], 1, 2, 3)
+        assert arcdet.counting._TABLE_CACHE.get() is None
+        assert (scope.tables, scope.hits, scope.misses) == ({}, 0, 0)
+
+    def test_prefer_direct_is_its_own_table(self, monkeypatch):
+        calls = []
+        direct = arcdet.counting._direct_distribution
+
+        def counted(*args):
+            calls.append(args)
+            return direct(*args)
+
+        monkeypatch.setattr(arcdet.counting, "_direct_distribution", counted)
+        x1x2 = parse_poly("x1*x2", ("x1", "x2"))
+        with table_cache() as scope:
+            cheapest = contact_order_table([[x1x2]], 2, 2, 3)  # the monomial strategy
+            assert calls == []
+            assert contact_order_table([[x1x2]], 2, 2, 3, prefer="direct") == cheapest
+            assert len(calls) == 1
+        assert (scope.misses, scope.hits) == (2, 0)
+
+    def test_a_table_is_not_served_past_its_budget(self):
+        # one component, not monomial, no lone shift: only enumeration counts it
+        f = parse_poly("x1*x2 + x1^2", ("x1", "x2"))
+        with table_cache() as scope:
+            contact_order_table([[f]], 2, 1, 2, budget=10**6)
+            with pytest.raises(BudgetExceeded):
+                contact_order_table([[f]], 2, 1, 2, budget=10)
+            assert len(scope.tables) == 1
+            with pytest.raises(BudgetExceeded):
+                contact_order_table([[f]], 2, 1, 2, budget=10)
+        assert (scope.misses, scope.hits) == (3, 0)
+
+    def test_key_is_the_reduction_mod_q(self):
+        vs = ("x1", "x2")
+        x1, x2, f = (parse_poly(e, vs) for e in ("x1", "x2", "x1 + 3*x2"))
+        with table_cache() as scope:
+            # x1 + 3*x2 is x1 over GF(3): one entry
+            assert contact_order_table([[f]], 2, 1, 3) == contact_order_table([[x1]], 2, 1, 3)
+            assert (len(scope.tables), scope.hits) == (1, 1)
+            contact_order_table([[x2]], 2, 1, 3)
+            assert len(scope.tables) == 2
+
+    def test_returned_tables_are_read_only(self):
+        x1 = parse_poly("x1", ("x1",))
+        with table_cache():
+            table = contact_order_table([[x1]], 1, 1, 2)
+            with pytest.raises(TypeError):
+                table[(0,)] = 0
+            assert contact_order_table([[x1]], 1, 1, 2) == {(0,): 2, (1,): 1, (2,): 1}
+        with pytest.raises(TypeError):
+            contact_order_table([[x1]], 1, 1, 2)[(0,)] = 0
 
 
 class TestStrategyEquivalence:
