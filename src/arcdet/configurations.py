@@ -134,12 +134,15 @@ class ConfigurationMatrix:
 
 @dataclass(frozen=True)
 class Matroid:
+    """Column matroid of a configuration; ranks are read off its columns."""
+
     ground_size: int
     rank: int
     bases: frozenset  # of tuples
+    cfg: ConfigurationMatrix
 
     def rank_of(self, subset):
-        raise NotImplementedError  # replaced per-instance below
+        return self.cfg.column_rank(sorted(subset))
 
     def payload(self):
         return {
@@ -147,14 +150,6 @@ class Matroid:
             "rank": self.rank,
             "bases": sorted(list(b) for b in self.bases),
         }
-
-
-@dataclass(frozen=True)
-class LinearMatroid(Matroid):
-    cfg: ConfigurationMatrix = None
-
-    def rank_of(self, subset):
-        return self.cfg.column_rank(sorted(subset))
 
 
 @dataclass(frozen=True)
@@ -208,14 +203,14 @@ def cauchy_binet_expansion(cfg: ConfigurationMatrix) -> SupportExpansion:
     return expansion
 
 
-def matroid_from_columns(cfg: ConfigurationMatrix) -> LinearMatroid:
+def matroid_from_columns(cfg: ConfigurationMatrix) -> Matroid:
     bases = []
     for idx in combinations(range(cfg.n), cfg.r):
         if _det_rational(list(zip(*cfg.columns(idx)))) != 0:
             bases.append(idx)
     if not bases:
         raise InternalInvariantError("a full-rank matrix has at least one column basis")
-    return LinearMatroid(ground_size=cfg.n, rank=cfg.r, bases=frozenset(bases), cfg=cfg)
+    return Matroid(ground_size=cfg.n, rank=cfg.r, bases=frozenset(bases), cfg=cfg)
 
 
 def is_connected(m: Matroid) -> bool:

@@ -16,8 +16,10 @@ bands.  Ambiguity is surfaced as a status, never rounded away.
 Log-rounding alone is provably unreliable here: at q=2 the factor (q-1)
 is invisible, and exact-contact cells come in families whose component
 count inflates the leading coefficient, so the guard band is essential,
-not decorative.  ``extract_codim_bucketed`` applies the same two steps to
-each cell of an exact partition.
+not decorative.  ``extract_codim_bucketed`` is a reduction over it: it runs
+``extract_codim`` on each cell of an exact partition and takes the largest
+cell dimension, so the fit, its ambient-dimension guard and the vote exist
+once.
 """
 
 from __future__ import annotations
@@ -177,72 +179,39 @@ def extract_codim(counts, ambient_dim):
     )
 
 
-def extract_codim_bucketed(bucket_counts, ambient_dim, totals=None):
+def extract_codim_bucketed(bucket_counts, ambient_dim, totals):
     """Codimension of a locus from an exact partition into buckets.
 
-    ``bucket_counts``: dict mapping bucket key -> dict prime -> count.  The
-    locus dimension is the max over buckets; buckets decided by the exact
-    fit contribute exact dimensions, the rest contribute guarded intervals.
-    ``totals`` (per-prime (q, raw, total)) is attached for reporting; when
-    omitted it is summed from the buckets with total 0.
+    ``bucket_counts``: dict mapping bucket key -> dict prime -> count;
+    ``totals``: per-prime (q, raw, total) of the whole locus.  Every bucket
+    goes through ``extract_codim`` at the primes of ``totals`` (a prime a
+    bucket does not name counts 0), and the locus dimension is the largest
+    bucket dimension.  It is decided only when a decided bucket carries it
+    and no undecided bucket's interval reaches above it; otherwise the
+    interval runs from the largest low end to the largest high end.
     """
-    primes = sorted({q for per in bucket_counts.values() for q in per})
-    if totals is None:
-        sums = {q: 0 for q in primes}
-        for per in bucket_counts.values():
-            for q, c in per.items():
-                sums[q] += c
-        totals = tuple((q, sums[q], 0) for q in primes)
     totals = tuple(totals)
-
-    if all(all(c == 0 for c in per.values()) for per in bucket_counts.values()) or not bucket_counts:
-        return CountReport(totals, ambient_dim, STATUS_EXACT_EMPTY, method="empty"), {}
-
-    decided_max = None
-    low_max = None
-    high_max = None
-    details = {}
-    for key in sorted(bucket_counts):
-        per = bucket_counts[key]
-        vals = [(q, per.get(q, 0)) for q in primes]
-        if all(c == 0 for _, c in vals):
-            continue
-        if all(c > 0 for _, c in vals):
-            fit = cyclotomic_fit(vals)
-            if fit is not None:
-                dim, shape = fit
-                details[key] = ("fit", dim, shape)
-                decided_max = dim if decided_max is None else max(decided_max, dim)
-                continue
-        _, lo, hi, agreed = _rounding_vote(vals)
-        if agreed:
-            details[key] = ("rounding", lo, "")
-            decided_max = lo if decided_max is None else max(decided_max, lo)
-        else:
-            details[key] = ("interval", (lo, hi), "")
-            low_max = lo if low_max is None else max(low_max, lo)
-            high_max = hi if high_max is None else max(high_max, hi)
-
+    decided, intervals = [], []
+    for per in bucket_counts.values():
+        rep = extract_codim([(q, per.get(q, 0), total) for q, _, total in totals], ambient_dim)
+        if rep.status == STATUS_CONSENSUS:
+            decided.append(rep.consensus_codim)
+        elif rep.status == STATUS_AMBIGUOUS:
+            intervals.append(rep.codim_interval)
+    nonempty = len(decided) + len(intervals)
+    if not nonempty:
+        return CountReport(totals, ambient_dim, STATUS_EXACT_EMPTY, method="empty")
     # A consensus needs a decided bucket on top: undecided buckets may sit
     # strictly below it, but they can never carry the maximum themselves.
-    if decided_max is not None and (high_max is None or high_max <= decided_max):
-        return (
-            CountReport(
-                totals, ambient_dim, STATUS_CONSENSUS, dims={},
-                consensus_codim=ambient_dim - decided_max, method="buckets",
-                detail=f"{len(details)} nonempty buckets",
-            ),
-            details,
+    if decided and all(low >= min(decided) for low, _ in intervals):
+        return CountReport(
+            totals, ambient_dim, STATUS_CONSENSUS, consensus_codim=min(decided),
+            method="buckets", detail=f"{nonempty} nonempty buckets",
         )
-    lo_all = low_max if decided_max is None else max(decided_max, low_max)
-    hi_all = high_max if decided_max is None else max(decided_max, high_max)
-    return (
-        CountReport(
-            totals, ambient_dim, STATUS_AMBIGUOUS, dims={},
-            codim_interval=(ambient_dim - hi_all, ambient_dim - lo_all), method="buckets",
-            detail=f"{len(details)} nonempty buckets, some undecided",
-        ),
-        details,
+    lows, highs = zip(*intervals)
+    return CountReport(
+        totals, ambient_dim, STATUS_AMBIGUOUS, codim_interval=(min((*decided, *lows)), min((*decided, *highs))),
+        method="buckets", detail=f"{nonempty} nonempty buckets, some undecided",
     )
 
 

@@ -20,6 +20,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .configurations import (
     ConfigurationMatrix,
@@ -396,15 +397,13 @@ def _run_one_generic(task, inputs, ctx):
 
 
 def _full_rank_sign_matrices(r, n):
-    """All full-rank r x n matrices with entries in {-1, 0, 1}."""
-    from itertools import product
-
-    from .configurations import _rank_rational
-
+    """All full-rank r x n configurations with entries in {-1, 0, 1}."""
     for flat in product((-1, 0, 1), repeat=r * n):
-        rows = [flat[i * n : (i + 1) * n] for i in range(r)]
-        if _rank_rational([[Fraction(v) for v in row] for row in rows]) == r:
-            yield rows
+        try:
+            cfg = ConfigurationMatrix.from_rows([flat[i * n : (i + 1) * n] for i in range(r)])
+        except ValidationError:
+            continue  # rank-deficient draw
+        yield cfg
 
 
 def _run_one_generic_grid(p):
@@ -412,15 +411,14 @@ def _run_one_generic_grid(p):
     checked = 0
     disagreements = []
     for n in range(r, p.get("n_max", 4) + 1):
-        for rows in _full_rank_sign_matrices(r, n):
-            cfg = ConfigurationMatrix.from_rows(rows)
+        for cfg in _full_rank_sign_matrices(r, n):
             had = hadamard_one_generic(cfg)
             # the r=2 gcd certificate decides exactly; the prime sweep only
             # hunts for small witnesses, so two primes suffice here
             lin = linear_one_generic(patterson_matrix(cfg), primes=(2, 3))
             checked += 1
             if had.one_generic != lin.one_generic:
-                disagreements.append({"d": [list(row) for row in rows]})
+                disagreements.append({"d": [[int(v) for v in row] for row in cfg.d]})
     payload = {"checked": checked, "disagreements": disagreements}
     return (STATUS_PASS if not disagreements else STATUS_FAIL), payload
 

@@ -106,22 +106,16 @@ def contact_codim_stratified(
         totals.append((q, total_hits, jet_space_size(n, level, q)))
 
     ambient = n * (level + 1)
-    if all(t[1] == 0 for t in totals):
-        return extract_codim(totals, ambient)
     # Buckets first: each bucket is a single exact cell for the instance
     # families here, and single-cell counts are basis elements of the fit,
     # which cannot collide across two primes.  Totals of unions can (and
     # do) collide with wrong basis elements, so the flat fit is only a
     # fallback.
-    if bucket_counts:
-        merged, _ = extract_codim_bucketed(bucket_counts, ambient, totals=totals)
-        if merged.status in (STATUS_EXACT_EMPTY, STATUS_CONSENSUS):
-            return merged
-        flat = extract_codim(totals, ambient)
-        if flat.status == STATUS_CONSENSUS:
-            return flat
+    merged = extract_codim_bucketed(bucket_counts, ambient, totals)
+    if merged.status != STATUS_AMBIGUOUS:
         return merged
-    return extract_codim(totals, ambient)
+    flat = extract_codim(totals, ambient)
+    return flat if flat.status == STATUS_CONSENSUS else merged
 
 
 def lct_estimate(

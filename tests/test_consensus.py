@@ -93,28 +93,50 @@ class TestExtract:
             ("a",): {2: 4, 3: 18},   # dim 3 cell
             ("b",): {2: 2, 3: 6},    # dim 2 cell
         }
-        rep, details = extract_codim_bucketed(buckets, 5)
+        rep = extract_codim_bucketed(buckets, 5, ((2, 6, 2**5), (3, 24, 3**5)))
         assert rep.status == STATUS_CONSENSUS
         assert rep.consensus_codim == 2
-        assert details[("a",)][0] == "fit"
+        assert rep.method == "buckets" and rep.detail == "2 nonempty buckets"
 
     def test_bucketed_empty(self):
-        rep, _ = extract_codim_bucketed({("a",): {2: 0, 3: 0}}, 5)
+        rep = extract_codim_bucketed({("a",): {2: 0, 3: 0}}, 5, ((2, 0, 2**5), (3, 0, 3**5)))
         assert rep.status == STATUS_EXACT_EMPTY
+        assert rep == extract_codim(((2, 0, 2**5), (3, 0, 3**5)), 5)
 
     def test_bucket_ambiguity_can_be_masked_by_higher_cell(self):
         buckets = {
             ("big",): {2: 64, 3: 729},      # q^6: dim 6
             ("odd",): {2: 0, 3: 2},         # empty at one prime: single vote dim 0
         }
-        rep, details = extract_codim_bucketed(buckets, 8)
+        rep = extract_codim_bucketed(buckets, 8, ((2, 64, 2**8), (3, 731, 3**8)))
         assert rep.status == STATUS_CONSENSUS
         assert rep.consensus_codim == 2
 
     def test_single_prime_bucket_alone_stays_ambiguous(self):
         # an undecided bucket may never carry the dimension maximum
-        rep, _ = extract_codim_bucketed({("odd",): {2: 0, 3: 9}}, 8)
+        rep = extract_codim_bucketed({("odd",): {2: 0, 3: 9}}, 8, ((2, 0, 2**8), (3, 9, 3**8)))
         assert rep.status == STATUS_AMBIGUOUS
+
+    def test_undecided_bucket_above_decided_widens_interval(self):
+        buckets = {
+            ("fit",): {2: 4, 3: 18},    # dim 3 cell, codim 2
+            ("odd",): {2: 16, 3: 9},    # votes dim 4 and dim 2: codim in [1, 3]
+        }
+        rep = extract_codim_bucketed(buckets, 5, ((2, 20, 2**5), (3, 27, 3**5)))
+        assert rep.status == STATUS_AMBIGUOUS
+        # the decided codim counts at both ends of the interval
+        assert rep.codim_interval == (1, 2)
+        assert rep.detail == "2 nonempty buckets, some undecided"
+
+    def test_bucket_fit_above_ambient_is_refused(self):
+        # (q-1)^3 fits 1 and 8 with dim 3 > 2; extract_codim refuses that fit,
+        # and so must every bucket
+        totals = ((2, 1, 2**6), (3, 8, 3**6))
+        rep = extract_codim_bucketed({("a",): {2: 1, 3: 8}}, 2, totals)
+        assert rep.status == STATUS_AMBIGUOUS
+        assert rep.codim_interval == (0, 2)
+        assert rep.consensus_codim is None
+        assert extract_codim(totals, 2).codim_interval == (0, 2)
 
 
 class TestWilson:

@@ -7,8 +7,12 @@ order-vector table are the engine's internals: no other module under
 ``contact_order_table`` and no second enumerator or kernel can grow beside it.
 Tables are shared only through the one run-scoped cache: ``harness`` opens its
 scope, no other module names it, and the cone-only cache stays deleted.
+Codimensions have one extraction path as well: only ``consensus.extract_codim``
+calls the cyclotomic fit and the rounding vote, so a bucketed or flat count
+cannot drift from it.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -20,6 +24,8 @@ ENGINE_INTERNALS = (
 CACHE_SCOPE = ("table_cache", "TableCache")
 # the cone-only cache that the scope replaced
 DELETED_CACHES = ("cone_cache",)
+# the two steps of codimension extraction, run only by consensus.extract_codim
+EXTRACTION_STEPS = ("cyclotomic_fit", "_rounding_vote")
 
 
 def _modules_naming(package, names, owners=()):
@@ -30,6 +36,27 @@ def _modules_naming(package, names, owners=()):
         if path.name not in owners
         for match in sorted(set(use.findall(path.read_text(encoding="utf-8"))))
     )
+
+
+def _callers(package, names):
+    """(module, enclosing function, callee) for each call of one of ``names``."""
+    found = set()
+
+    def visit(path, node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(path, child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                callee = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if callee in names:
+                    found.add((str(path.relative_to(package)), owner, callee))
+            visit(path, child, owner)
+
+    for path in package.rglob("*.py"):
+        visit(path, ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return sorted(found)
 
 
 def test_only_counting_uses_engine_internals():
@@ -58,3 +85,24 @@ def test_guard_sees_a_second_cache(tmp_path):
         "other.py: TableCache", "other.py: table_cache",
     ]
     assert _modules_naming(tmp_path, DELETED_CACHES) == ["harness.py: cone_cache"]
+
+
+def test_only_extract_codim_runs_the_fit_and_the_vote():
+    assert _callers(ROOT / "src" / "arcdet", EXTRACTION_STEPS) == [
+        ("consensus.py", "extract_codim", "_rounding_vote"),
+        ("consensus.py", "extract_codim", "cyclotomic_fit"),
+    ]
+
+
+def test_guard_sees_a_second_extraction_path(tmp_path):
+    (tmp_path / "consensus.py").write_text(
+        "def extract_codim(counts):\n    return cyclotomic_fit(counts) or _rounding_vote(counts)\n\n\n"
+        "def extract_codim_bucketed(buckets):\n    return [cyclotomic_fit(per) for per in buckets]\n"
+    )
+    (tmp_path / "lct.py").write_text("from . import consensus\n\nDIM = consensus._rounding_vote([(2, 4)])\n")
+    assert _callers(tmp_path, EXTRACTION_STEPS) == [
+        ("consensus.py", "extract_codim", "_rounding_vote"),
+        ("consensus.py", "extract_codim", "cyclotomic_fit"),
+        ("consensus.py", "extract_codim_bucketed", "cyclotomic_fit"),
+        ("lct.py", "<module>", "_rounding_vote"),
+    ]
