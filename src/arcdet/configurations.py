@@ -326,7 +326,7 @@ def _kernel_vector(rows):
     return c
 
 
-def linear_one_generic(A: PolyMatrix, primes=(2, 3, 5), confirm_small=True) -> GenericityVerdict:
+def linear_one_generic(A: PolyMatrix, primes=(2, 3, 5)) -> GenericityVerdict:
     """Search for vectors v, w with v^T A w identically zero (A linear homogeneous).
 
     Finite-field witnesses are lifted and re-checked over Q.  A positive
@@ -357,11 +357,12 @@ def linear_one_generic(A: PolyMatrix, primes=(2, 3, 5), confirm_small=True) -> G
 
     for q in primes:
         gf = GF(q)
+        C_q = [[[int(gf.of(c)) for c in row] for row in plane] for plane in C]  # the tensor mod q
         tuples = _nonzero_tuples(r, q)
         for v in tuples:
             for w in tuples:
                 zero_mod_q = all(
-                    sum(v[i] * int(gf.of(C[k][i][j])) * w[j] for i in range(r) for j in range(r)) % q == 0
+                    sum(v[i] * C_q[k][i][j] * w[j] for i in range(r) for j in range(r)) % q == 0
                     for k in range(n)
                 )
                 if zero_mod_q:
@@ -374,7 +375,7 @@ def linear_one_generic(A: PolyMatrix, primes=(2, 3, 5), confirm_small=True) -> G
                             witness={"v": [str(x) for x in v_lift], "w": [str(x) for x in w_lift]},
                         )
 
-    if confirm_small and r <= 2:
+    if r <= 2:
         witness = _rank_drop_certificate_r2(C, n) if r == 2 else _rank_drop_certificate_r1(C, n)
         if witness is None:
             return GenericityVerdict(one_generic=True, confirmed=True, witness=None)

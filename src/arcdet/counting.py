@@ -6,9 +6,15 @@ clamped pullback orders (ord values live in {0..N} with N+1 standing for
 "vanishes to this level").  Every check reads contact orders along ideals,
 the least order of each ideal's generators, so every caller goes through
 ``contact_order_table``: it names the ideals, and the engine owns the key
-layout and picks the cheapest exact strategy.
+layout and plans the table.
 
-Four exact strategies, chosen by cost:
+Each strategy that applies is planned once, as (name, cost, largest, count):
+its cost (jets enumerated, or the monomial strategy's (N+2)^n cells), its
+largest single enumeration and the call that counts the table.  A plan fits
+when its largest single enumeration is within the budget.
+``prefer="cheapest"`` counts with the fitting plan of least cost,
+``prefer="direct"`` with the first fitting plan in the order below, and
+exactly one strategy counts each table.
 
 * direct      -- vectorized enumeration of the full jet grid.
 * shift split -- a variable that occurs exactly once in the whole list,
@@ -21,7 +27,8 @@ Four exact strategies, chosen by cost:
                  most one additively-split polynomial; each block is
                  enumerated separately and the blocks are convolved by
                  matching value prefixes, one integer matrix product per
-                 prefix length.
+                 prefix length.  The plan refuses a combine that could pass
+                 _MAX_COMBINE cells before anything is enumerated.
 * monomial    -- when every polynomial is a monomial c*x^a (or zero), the
                  order of c*x^a is min(<a, e>, N+1) for the vector e of
                  coordinate orders, so the table is the product of the
@@ -49,9 +56,10 @@ on these arrays, and numpy broadcasting evaluates each sub-expression at the
 size of the coordinates it uses: only what combines both sides reaches the
 size of the batch.  An order is the ring order of a code scaled to its key
 digit (one gather with the tables); a key that depends on one side only
-stands for every jet of the batch that shares it, and direct enumeration
-checks that its counts sum to q^(n(N+1)).  Codes take the narrowest of
-int16, int32 and int64 that holds Q - 1, in the mesh and in the ring alike.
+stands for every jet of the batch that shares it, and every enumeration,
+direct or of one block, checks that its counts sum to the size of its grid.
+Codes take the narrowest of int16, int32 and int64 that holds Q - 1, in the
+mesh and in the ring alike.
 The tables are never written after construction, so threads may share them.
 Sampling draws coefficient digits, turns them into codes and evaluates them
 through the same ring.
@@ -63,7 +71,8 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from itertools import accumulate
+from itertools import accumulate, product
+from math import prod
 from types import MappingProxyType
 
 import numpy as np
@@ -71,6 +80,7 @@ import numpy as np
 from .errors import BudgetExceeded, InternalInvariantError, ValidationError
 from .fields import GF
 from .jets import DEFAULT_BUDGET
+from .poly import MultiPoly
 
 # rows per enumeration batch.  Timed with the open-mesh kernel on a 2-vCPU Xeon,
 # fresh single-threaded processes (median of 3 processes, each the median of 5
@@ -400,10 +410,44 @@ def _decode_ord_code(code, k, level):
     return tuple(out)
 
 
-def _key_counts(rows, key):
-    """Distinct keys of a batch and how many of its jets have each."""
-    uniq, cnt = np.unique(key, return_counts=True)
-    return zip(uniq.tolist(), (cnt * (rows // key.size)).tolist())
+def _tally(batches, radix, total):
+    """Jets per key code over the batches of ``_order_batches``, as {code: count}.
+
+    Codes lie in [0, radix): a bincount array tallies them up to 2^22 codes, a
+    dict above.  The counts must sum to ``total``, the size of the grid walked,
+    so a lost or repeated batch raises InternalInvariantError.
+    """
+    dense = np.zeros(radix, dtype=np.int64) if radix <= 1 << 22 else None
+    counts = {}
+    for rows, key in batches:
+        scale = rows // key.size  # each key entry stands for this many jets
+        if dense is not None:
+            part = np.bincount(key.ravel())
+            part *= scale
+            dense[: part.size] += part
+            continue
+        uniq, cnt = np.unique(key, return_counts=True)
+        for code, c in zip(uniq.tolist(), (cnt * scale).tolist()):
+            counts[code] = counts.get(code, 0) + c
+    if dense is not None:
+        counts = {code: int(dense[code]) for code in np.nonzero(dense)[0].tolist()}
+    counted = sum(counts.values())
+    if counted != total:
+        raise InternalInvariantError(f"enumeration counted {counted} of {total} jets")
+    return counts
+
+
+def _restrict_poly(p, keep_vars, constant=True):
+    """The terms of p in the variables ``keep_vars`` alone, as a polynomial in
+    those variables; its constant term only if ``constant``."""
+    keep = set(keep_vars)
+    r = MultiPoly(p.field, [p.variables[v] for v in keep_vars])
+    r.terms = {
+        tuple(exps[v] for v in keep_vars): c
+        for exps, c in p.terms.items()
+        if all(v in keep for v, e in enumerate(exps) if e) and (constant or any(exps))
+    }
+    return r
 
 
 # --------------------------------------------------------------------------
@@ -416,26 +460,8 @@ def _direct_distribution(polys, n, level, q, batch_cap):
     if not polys:
         return {(): total}
     k = len(polys)
-    dense_size = (level + 2) ** k
-    use_bincount = dense_size <= (1 << 22)
-    dense = np.zeros(dense_size, dtype=np.int64) if use_bincount else None
-    table = {}
-    for rows, key in _order_batches(polys, n, level, q, batch_cap):
-        if use_bincount:
-            counts = np.bincount(key.ravel())
-            counts *= rows // key.size
-            dense[: counts.size] += counts
-        else:
-            for code, c in _key_counts(rows, key):
-                ords = _decode_ord_code(code, k, level)
-                table[ords] = table.get(ords, 0) + c
-    if use_bincount:
-        for code in np.nonzero(dense)[0].tolist():
-            table[_decode_ord_code(code, k, level)] = int(dense[code])
-    counted = sum(table.values())
-    if counted != total:
-        raise InternalInvariantError(f"direct enumeration counted {counted} of {total} jets")
-    return table
+    counts = _tally(_order_batches(polys, n, level, q, batch_cap), (level + 2) ** k, total)
+    return {_decode_ord_code(code, k, level): c for code, c in counts.items()}
 
 
 # --------------------------------------------------------------------------
@@ -443,33 +469,22 @@ def _direct_distribution(polys, n, level, q, batch_cap):
 # --------------------------------------------------------------------------
 
 
-def _variable_occurrences(polys, n):
-    """occ[v] = list of (poly index, exponent vector) of terms containing v."""
-    occ = [[] for _ in range(n)]
+def _find_shift_assignment(polys, n):
+    """Map poly index -> shift variable: a variable whose one occurrence in the
+    whole list is a term c*v, at most one per polynomial."""
+    occ = [[] for _ in range(n)]  # occ[v]: (poly index, exponents) of the terms containing v
     for pi, p in enumerate(polys):
         for exps in p.terms:
             for v, e in enumerate(exps):
                 if e:
                     occ[v].append((pi, exps))
-    return occ
-
-
-def _find_shift_assignment(polys, n):
-    """Map poly index -> shift variable, for variables usable as uniform shifts."""
-    occ = _variable_occurrences(polys, n)
     assigned = {}
-    used_polys = set()
     for v in range(n):
         if len(occ[v]) != 1:
             continue
         pi, exps = occ[v][0]
-        if pi in used_polys:
-            continue
-        # the term must be exactly c * v
-        if exps[v] != 1 or any(e for w, e in enumerate(exps) if w != v):
-            continue
-        assigned[pi] = v
-        used_polys.add(pi)
+        if pi not in assigned and exps[v] == 1 and sum(exps) == 1:
+            assigned[pi] = v
     return assigned
 
 
@@ -480,76 +495,33 @@ def ord_value_counts(level, q):
     return d
 
 
-def _shift_split_distribution(polys, n, level, q, budget, batch_cap):
-    assigned = _find_shift_assignment(polys, n)
-    if not assigned:
-        return None
-    shift_vars = sorted(assigned.values())
-    keep_vars = [v for v in range(n) if v not in shift_vars]
-    b_width = len(keep_vars) * (level + 1)
-    if q**b_width > budget:
-        return None
-
-    # Re-express the non-shift polynomials over the kept variables.
-    keep_names = [polys[0].variables[v] for v in keep_vars] if polys else []
-    b_polys = []
-    b_index = []
-    for pi, p in enumerate(polys):
-        if pi in assigned:
-            continue
-        reduced = _restrict_poly(p, keep_vars, keep_names)
-        if reduced is None:
-            return None  # mentions a shift variable: not eligible
-        b_polys.append(reduced)
-        b_index.append(pi)
-
-    if keep_vars:
-        b_table = _direct_distribution(b_polys, len(keep_vars), level, q, batch_cap)
-    else:
-        b_table = {(): 1}
-
-    dvals = ord_value_counts(level, q)
-    shift_polys = sorted(assigned)  # poly indices using a shift variable
+def _shift_split_distribution(polys, level, q, assigned, kept, batch_cap):
+    """Table of ``polys`` where each polynomial i of ``assigned`` holds its shift
+    variable, which occurs nowhere else: its order is distributed as
+    ``ord_value_counts``, independently of the rest, whose table is enumerated
+    over the ``kept`` variables alone."""
+    rest = [pi for pi in range(len(polys)) if pi not in assigned]
+    shifted = sorted(assigned)
+    rest_polys = [_restrict_poly(polys[pi], kept) for pi in rest]
+    rest_table = _direct_distribution(rest_polys, len(kept), level, q, batch_cap)
+    weights = ord_value_counts(level, q)
+    slots = rest + shifted  # the polynomial of each entry of a rest key followed by its tail
+    layout = sorted(range(len(slots)), key=slots.__getitem__)
     table = {}
-
-    def expand(prefix_counts):
-        # tensor the unconditional order distribution for each shift poly
-        items = list(prefix_counts.items())
-        for _ in shift_polys:
-            nxt = []
-            for key, cnt in items:
-                for e, d in enumerate(dvals):
-                    nxt.append((key + (e,), cnt * d))
-            items = nxt
-        return items
-
-    for b_key, b_count in b_table.items():
-        for tail, cnt in expand({(): b_count}):
-            full = [None] * len(polys)
-            for slot, e in zip(b_index, b_key):
-                full[slot] = e
-            for slot, e in zip(shift_polys, tail):
-                full[slot] = e
-            table_key = tuple(full)
-            table[table_key] = table.get(table_key, 0) + cnt
+    for rest_key, count in rest_table.items():
+        for tail in product(range(level + 2), repeat=len(shifted)):
+            entries = rest_key + tail
+            table[tuple(entries[i] for i in layout)] = count * prod(weights[e] for e in tail)
     return table
 
 
-def _restrict_poly(p, keep_vars, keep_names):
-    """View p in the kept variables; None if it mentions a dropped one."""
-    out_terms = {}
-    for exps, c in p.terms.items():
-        new = []
-        for v in keep_vars:
-            new.append(exps[v])
-        if sum(exps) != sum(new):
-            return None
-        out_terms[tuple(new)] = c
-    from .poly import MultiPoly
-
-    r = MultiPoly(p.field, keep_names)
-    r.terms = dict(out_terms)
-    return r
+def _shift_plan(polys, n, level, q):
+    assigned = _find_shift_assignment(polys, n)
+    if not assigned:
+        return None
+    kept = sorted(set(range(n)) - set(assigned.values()))
+    size = q ** (len(kept) * (level + 1))
+    return "shift", size, size, lambda cap: _shift_split_distribution(polys, level, q, assigned, kept, cap)
 
 
 # --------------------------------------------------------------------------
@@ -595,100 +567,35 @@ def _negation_permutation(q, width):
     return neg
 
 
-def _side_table(polys_side, split_part, side_vars, all_names, level, q, batch_cap):
-    """Enumerate one block: counts indexed by (ord-key of side polys, value code
-    of the split polynomial's part on this side)."""
-    names = [all_names[v] for v in side_vars]
-    reduced = [_restrict_poly(p, side_vars, names) for p in polys_side]
-    split_red = _restrict_poly(split_part, side_vars, names) if split_part is not None else None
-    vspace = 1 if split_red is None else q ** (level + 1)
-
-    out = {}
-    for rows, key in _order_batches(reduced, len(side_vars), level, q, batch_cap, split_red):
-        for code, c in _key_counts(rows, key):
-            kc, vc = divmod(code, vspace)
-            vec = out.setdefault(_decode_ord_code(kc, len(reduced), level), np.zeros(vspace, dtype=np.int64))
-            vec[vc] += c
-    return out
+def _side_table(polys, value_poly, n, level, q, batch_cap):
+    """Enumerate one block: the ord-keys of ``polys`` that occur, and per key a
+    row counting its jets by the value code of ``value_poly`` (one column
+    without one)."""
+    k = len(polys)
+    vspace = 1 if value_poly is None else q ** (level + 1)
+    batches = _order_batches(polys, n, level, q, batch_cap, value_poly)
+    rows = {}
+    for code, c in _tally(batches, vspace * (level + 2) ** k, q ** (n * (level + 1))).items():
+        kc, vc = divmod(code, vspace)
+        rows.setdefault(_decode_ord_code(kc, k, level), np.zeros(vspace, dtype=np.int64))[vc] = c
+    return list(rows), np.stack(list(rows.values()))
 
 
-def _split_blocks(polys, n):
-    """Greedy balance of the term components over two blocks by digit width:
-    the sorted variables of each block, or None for a single component."""
-    comps = _term_components(polys, n)
-    if len(comps) < 2:
-        return None
-    vars_a, vars_b = [], []
-    for comp in sorted(comps, key=len, reverse=True):
-        (vars_a if len(vars_a) <= len(vars_b) else vars_b).extend(comp)
-    return sorted(vars_a), sorted(vars_b)
+def _additive_split_distribution(polys, level, q, sides, split, batch_cap):
+    """Table of ``polys`` over two blocks of variables, each enumerated alone.
 
-
-def _additive_split_distribution(polys, n, level, q, budget, batch_cap):
-    blocks = _split_blocks(polys, n)
-    if blocks is None:
-        return None
-    vars_a, vars_b = blocks
-    wa, wb = len(vars_a) * (level + 1), len(vars_b) * (level + 1)
-    if q**wa > budget or q**wb > budget:
-        return None
-    if q ** (wa + wb) >= 2**63:
-        return None  # the combine counts pairs of jets in int64
-
-    set_a = set(vars_a)
-    side_a_polys, side_b_polys, split_idx = [], [], []
-    split_poly = None
-    for pi, p in enumerate(polys):
-        sides = set()
-        for exps in p.terms:
-            vs = {v for v, e in enumerate(exps) if e}
-            if vs <= set_a:
-                sides.add("A")
-            elif vs and not (vs & set_a):
-                sides.add("B")
-            elif not vs:
-                sides.add("const")
-            else:
-                return None  # a term straddles the blocks: components were wrong
-        if sides <= {"A", "const"} and "A" in sides:
-            side_a_polys.append((pi, p))
-        elif sides <= {"B", "const"} and "B" in sides:
-            side_b_polys.append((pi, p))
-        elif sides == {"const"} or not sides:
-            side_a_polys.append((pi, p))  # constant: evaluate anywhere
-        else:
-            if split_poly is not None:
-                return None  # at most one additively split polynomial
-            split_poly = (pi, p)
-            split_idx.append(pi)
-
-    names = polys[0].variables if polys else ()
-
-    def split_parts(p):
-        from .poly import MultiPoly
-
-        pa = MultiPoly(p.field, names)
-        pb = MultiPoly(p.field, names)
-        ta, tb = {}, {}
-        for exps, c in p.terms.items():
-            vs = {v for v, e in enumerate(exps) if e}
-            (ta if (vs <= set_a) else tb)[exps] = c
-        pa.terms, pb.terms = ta, tb
-        return pa, pb
-
-    part_a = part_b = None
-    if split_poly is not None:
-        part_a, part_b = split_parts(split_poly[1])
-
-    tab_a = _side_table([p for _, p in side_a_polys], part_a, vars_a, names, level, q, batch_cap)
-    tab_b = _side_table([p for _, p in side_b_polys], part_b, vars_b, names, level, q, batch_cap)
-
-    if len(tab_a) * len(tab_b) * (q ** (level + 1)) > _MAX_COMBINE:
-        return None
-
-    keys_a, keys_b = list(tab_a), list(tab_b)
-    mat_a, mat_b = np.stack(list(tab_a.values())), np.stack(list(tab_b.values()))
-    if split_poly is None:
+    ``sides`` holds per block its variables and the slots of the polynomials
+    whose terms lie in it; ``split`` is the slot of the one polynomial with
+    terms in both, or None.  Its order is read from the sum of the values of
+    its two parts, the first part holding its constant term.
+    """
+    tables = []
+    for first, (side_vars, slots) in zip((True, False), sides):
+        value = None if split is None else _restrict_poly(polys[split], side_vars, constant=first)
+        side_polys = [_restrict_poly(polys[pi], side_vars) for pi in slots]
+        tables.append(_side_table(side_polys, value, len(side_vars), level, q, batch_cap))
+    (keys_a, mat_a), (keys_b, mat_b) = tables
+    if split is None:
         # no value codes to match: a pair of keys counts the product of the two totals
         by_ord = np.outer(mat_a.sum(axis=1), mat_b.sum(axis=1))[None]
     else:
@@ -712,10 +619,42 @@ def _additive_split_distribution(polys, n, level, q, budget, batch_cap):
     # the split polynomial's order, each in its own slots of ``polys``
     o, i, j = np.nonzero(by_ord)
     keys = np.empty((o.size, len(polys)), dtype=np.int64)
-    keys[:, [pi for pi, _ in side_a_polys]] = np.array(keys_a, dtype=np.int64)[i]
-    keys[:, [pi for pi, _ in side_b_polys]] = np.array(keys_b, dtype=np.int64)[j]
-    keys[:, split_idx] = o[:, None]
+    keys[:, sides[0][1]] = np.array(keys_a, dtype=np.int64)[i]
+    keys[:, sides[1][1]] = np.array(keys_b, dtype=np.int64)[j]
+    keys[:, [] if split is None else [split]] = o[:, None]
     return dict(zip(map(tuple, keys.tolist()), by_ord[o, i, j].tolist()))
+
+
+def _additive_plan(polys, n, level, q):
+    """Two blocks of variables, unions of term components balanced by width.
+
+    Refused for a single component, for a second polynomial with terms in both
+    blocks, for pairs of jets past int64, and when the combine could pass
+    _MAX_COMBINE cells: a side has at most min(q^w, (N+2)^k) distinct keys for
+    its w digits and k polynomials.
+    """
+    comps = _term_components(polys, n)
+    if len(comps) < 2:
+        return None
+    vars_a, vars_b = [], []
+    for comp in sorted(comps, key=len, reverse=True):
+        (vars_a if len(vars_a) <= len(vars_b) else vars_b).extend(comp)
+    in_a = set(vars_a)
+    slots_a, slots_b, both = [], [], []
+    for pi, p in enumerate(polys):
+        # each term lies in one block; a constant polynomial goes to the first
+        blocks = {next(v for v, e in enumerate(exps) if e) in in_a for exps in p.terms if any(exps)}
+        (both if len(blocks) == 2 else slots_b if blocks == {False} else slots_a).append(pi)
+    sides = ((sorted(vars_a), slots_a), (sorted(vars_b), slots_b))
+    width = level + 1
+    sizes = [q ** (len(side_vars) * width) for side_vars, _ in sides]
+    keys = [min(size, (level + 2) ** len(slots)) for size, (_, slots) in zip(sizes, sides)]
+    if len(both) > 1 or sizes[0] * sizes[1] >= 2**63 or keys[0] * keys[1] * q**width > _MAX_COMBINE:
+        return None
+    split = both[0] if both else None
+    return "additive", sum(sizes), max(sizes), lambda cap: _additive_split_distribution(
+        polys, level, q, sides, split, cap
+    )
 
 
 # --------------------------------------------------------------------------
@@ -754,70 +693,45 @@ def _monomial_distribution(polys, n, level, q):
 # --------------------------------------------------------------------------
 
 
-def _shift_split_cost(polys, n, level, q):
-    assigned = _find_shift_assignment(polys, n)
-    if not assigned:
-        return None
-    b_width = (n - len(assigned)) * (level + 1)
-    return q**b_width
+def _plans(polys, n, level, q):
+    """The strategies that apply to ``polys``, in the fixed order direct, shift,
+    additive, monomial.
 
-
-def _additive_split_cost(polys, n, level, q):
-    blocks = _split_blocks(polys, n)
-    if blocks is None:
-        return None
-    return sum(q ** (len(vs) * (level + 1)) for vs in blocks)
-
-
-def _monomial_cost(polys, n, level):
-    if any(len(p.terms) > 1 for p in polys):
-        return None
-    return (level + 2) ** n
+    A plan is (name, cost, largest, count).  ``cost`` ranks plans: jets
+    enumerated, or the (N+2)^n cells of the monomial strategy.  ``largest`` is
+    its largest single enumeration (its cells for the monomial strategy), the
+    one figure the budget bounds, and ``count(batch_cap)`` counts the table.
+    """
+    size = q ** (n * (level + 1))
+    plans = [("direct", size, size, lambda cap: _direct_distribution(polys, n, level, q, cap))]
+    plans += filter(None, (_shift_plan(polys, n, level, q), _additive_plan(polys, n, level, q)))
+    if all(len(p.terms) <= 1 for p in polys):
+        cells = (level + 2) ** n
+        plans.append(("monomial", cells, cells, lambda cap: _monomial_distribution(polys, n, level, q)))
+    return plans
 
 
 def ord_vector_distribution(polys, n, level, q, budget=DEFAULT_BUDGET, prefer="cheapest"):
     """Exact jet counts keyed by the clamped order vector of the given polynomials.
 
     Keys are tuples with one entry per polynomial, each in {0..level} or
-    level+1 (the truncation sentinel).  ``prefer`` is "direct" (full
-    enumeration whenever it fits the budget, the other strategies as fallback)
-    or "cheapest", the default (lowest estimated cost first: jets enumerated,
-    or (N+2)^n coordinate-order cells for the monomial strategy).  All
-    strategies are exact and interchangeable.  Raises BudgetExceeded when
-    nothing fits.
+    level+1 (the truncation sentinel).  Every strategy that applies is planned
+    once, and a plan fits when its largest single enumeration is within
+    ``budget``.  ``prefer`` is "cheapest", the default (the fitting plan of
+    least cost, ties to the earlier in the order direct, shift, additive,
+    monomial), or "direct" (the first fitting plan in that order, so full
+    enumeration whenever it fits).  One strategy counts the table; all are
+    exact and interchangeable.  Raises BudgetExceeded when no plan fits.
     """
     gfq = GF(q)
     polys = [p if p.field == gfq else p.map_coeffs(gfq) for p in polys]
-    size = q ** (n * (level + 1))
-
-    costs = {
-        "direct": size,
-        "shift": _shift_split_cost(polys, n, level, q),
-        "additive": _additive_split_cost(polys, n, level, q),
-        "monomial": _monomial_cost(polys, n, level),
-    }
-    plans = [(name, cost) for name, cost in costs.items() if cost is not None]
-    if prefer == "cheapest":
-        order = [name for name, cost in sorted(plans, key=lambda nc: nc[1]) if cost <= budget]
-    else:
-        order = [name for name, cost in plans if cost <= budget]
-    # keep the split strategies as fallbacks past the budget; they self-check it
-    order += [name for name in ("shift", "additive") if name not in order and costs[name] is not None]
-
-    for name in order:
-        if name == "direct":
-            return _direct_distribution(polys, n, level, q, DEFAULT_BATCH_CAP)
-        if name == "monomial":
-            return _monomial_distribution(polys, n, level, q)
-        if name == "shift":
-            t = _shift_split_distribution(polys, n, level, q, budget, DEFAULT_BATCH_CAP)
-        else:
-            t = _additive_split_distribution(polys, n, level, q, budget, DEFAULT_BATCH_CAP)
-        if t is not None:
-            return t
-    raise BudgetExceeded(
-        f"jet space has {size} points, over the budget {budget}, and no exact split applies"
-    )
+    fitting = [plan for plan in _plans(polys, n, level, q) if plan[2] <= budget]
+    if not fitting:
+        raise BudgetExceeded(
+            f"jet space has {q ** (n * (level + 1))} points, over the budget {budget}, and no exact split applies"
+        )
+    _, _, _, count = min(fitting, key=lambda plan: plan[1]) if prefer == "cheapest" else fitting[0]
+    return count(DEFAULT_BATCH_CAP)
 
 
 @dataclass

@@ -28,7 +28,6 @@ from .configurations import (
     configuration_lct_campaign,
     hadamard_one_generic,
     linear_one_generic,
-    matroid_from_columns,
     patterson_matrix,
 )
 from .counting import table_cache

@@ -222,14 +222,12 @@ class TestLinearGenericity:
 
     def test_cross_oracle_sweep(self):
         # all full-rank 2 x 3 sign matrices
-        from arcdet.configurations import _rank_rational
-
         checked = 0
         for flat in product((-1, 0, 1), repeat=6):
-            rows = [flat[:3], flat[3:]]
-            if _rank_rational([[Fraction(v) for v in r] for r in rows]) != 2:
-                continue
-            cfg = ConfigurationMatrix.from_rows(rows)
+            try:
+                cfg = ConfigurationMatrix.from_rows([flat[:3], flat[3:]])
+            except ValidationError:
+                continue  # rank-deficient draw
             assert hadamard_one_generic(cfg).one_generic == linear_one_generic(patterson_matrix(cfg)).one_generic
             checked += 1
         assert checked > 100

@@ -1,5 +1,5 @@
-"""The vectorized counting engine against the pure-Python oracle,
-and the exact equivalence of its four strategies."""
+"""The vectorized counting engine against the pure-Python oracle, the
+exact equivalence of its four strategies, and the planner that picks one."""
 
 from collections import Counter
 from contextlib import contextmanager
@@ -13,12 +13,11 @@ from arcdet import GF, BudgetExceeded, IdealGens, MultiPoly, PolyMatrix, enumera
 from arcdet.counting import (
     DEFAULT_BATCH_CAP,
     RING_TABLE_CAP,
-    _additive_split_distribution,
     _direct_distribution,
     _mesh_batches,
     _monomial_distribution,
     _negation_permutation,
-    _shift_split_distribution,
+    _plans,
     SeriesRing,
     contact_order_table,
     eval_poly_codes,
@@ -29,7 +28,8 @@ from arcdet.counting import (
     series_ring,
     table_cache,
 )
-from arcdet.determinantal import minor_ideal_tower
+from arcdet.contact import MODE_EXACT, ContactQuery, count_contact
+from arcdet.determinantal import DeterminantalPair, minor_ideal_tower
 from arcdet.errors import InternalInvariantError, ValidationError
 from arcdet.harness import builtin_corpus, run_campaign
 from arcdet.jets import ord_along_ideal, substitute_jet
@@ -70,6 +70,16 @@ class TestAgainstOracle:
         vs = ("x1",)
         f = parse_poly("x1^3 + 2*x1", vs)
         assert ord_vector_distribution([f], 1, 4, 5) == brute_table([f], 1, 4, 5)
+
+
+def planned(name, polys, n, level, q, cap=DEFAULT_BATCH_CAP):
+    """The table counted by the plan ``name`` of ``_plans``, which must apply."""
+    plans = {plan[0]: plan for plan in _plans(polys, n, level, q)}
+    return plans[name][3](cap)
+
+
+def plan_names(polys, n, level, q):
+    return [plan[0] for plan in _plans(polys, n, level, q)]
 
 
 def brute_contact_table(ideals, n, level, q):
@@ -204,45 +214,41 @@ class TestStrategyEquivalence:
         coords = [MultiPoly.variable(GF(3), vs, v) for v in vs]
         polys = coords + [det]
         d = _direct_distribution(polys, 4, 2, 3, 1 << 20)
-        s = _additive_split_distribution(polys, 4, 2, 3, 10**9, 1 << 20)
-        assert s == d
+        assert planned("additive", polys, 4, 2, 3) == d
 
     def test_additive_split_three_components(self):
         vs = ("x1", "x2", "x3")
         f = parse_poly("x1*x2 + x3", vs).map_coeffs(GF(2))
         polys = [MultiPoly.variable(GF(2), vs, "x3"), f]
         d = _direct_distribution(polys, 3, 2, 2, 1 << 20)
-        s = _additive_split_distribution(polys, 3, 2, 2, 10**9, 1 << 20)
-        assert s == d
+        assert planned("additive", polys, 3, 2, 2) == d
 
     def test_additive_split_matches_values_with_their_negatives(self):
         # over F_3 the squares are not closed under negation: a sum of squares
         # cancels only where -(x2^2) matches x1^2, never where x2^2 does
         f = parse_poly("x1^2 + x2^2", ("x1", "x2")).map_coeffs(GF(3))
         d = _direct_distribution([f], 2, 2, 3, 1 << 20)
-        assert _additive_split_distribution([f], 2, 2, 3, 10**9, 1 << 20) == d
+        assert planned("additive", [f], 2, 2, 3) == d
 
     def test_shift_split_matches_direct(self):
         cv = ("x1", "x2", "x3", "x4", "y2")
         g1 = parse_poly("x1 + x2*y2", cv).map_coeffs(GF(3))
         g2 = parse_poly("x3 + x4*y2", cv).map_coeffs(GF(3))
         d = _direct_distribution([g1, g2], 5, 1, 3, 1 << 20)
-        s = _shift_split_distribution([g1, g2], 5, 1, 3, 10**9, 1 << 20)
-        assert s == d
+        assert planned("shift", [g1, g2], 5, 1, 3) == d
 
     def test_shift_split_partial(self):
         tv = ("x1", "x2", "x3", "y2")
         g1 = parse_poly("x1 + x2 - x2*y2", tv).map_coeffs(GF(2))
         g2 = parse_poly("-x2 + x2*y2 + x3*y2", tv).map_coeffs(GF(2))
         d = _direct_distribution([g1, g2], 4, 2, 2, 1 << 20)
-        s = _shift_split_distribution([g1, g2], 4, 2, 2, 10**9, 1 << 20)
-        assert s == d
+        assert planned("shift", [g1, g2], 4, 2, 2) == d
 
     def test_shift_split_refuses_repeated_variable(self):
         vs = ("x1", "x2")
         g1 = parse_poly("x1 + x2", vs).map_coeffs(GF(3))
         g2 = parse_poly("x1*x2", vs).map_coeffs(GF(3))  # x1 occurs twice overall
-        assert _shift_split_distribution([g1, g2], 2, 1, 3, 10**9, 1 << 20) is None
+        assert "shift" not in plan_names([g1, g2], 2, 1, 3)
 
     @pytest.mark.parametrize("q, level", [(2, 2), (3, 1), (5, 1)])
     def test_monomial_matches_direct(self, q, level):
@@ -261,6 +267,84 @@ class TestStrategyEquivalence:
         t = ord_vector_distribution([det], 4, 2, 3, budget=10**5, prefer="cheapest")
         d = ord_vector_distribution([det], 4, 2, 3, budget=10**9, prefer="direct")
         assert t == d
+
+
+class TestPlans:
+    """One plan per strategy, one budget rule, and sum-checked enumerations."""
+
+    def test_shift_split_with_no_kept_variable(self):
+        # x1 is a shift variable and no variable is kept: the constant and the
+        # zero polynomial still get their orders, 0 and the sentinel
+        vs = ("x1",)
+        polys = [parse_poly(e, vs).map_coeffs(GF(3)) for e in ("x1", "2", "0")]
+        want = {(0, 0, 2): 6, (1, 0, 2): 2, (2, 0, 2): 1}
+        assert _direct_distribution(polys, 1, 1, 3, DEFAULT_BATCH_CAP) == want
+        assert planned("shift", polys, 1, 1, 3) == want
+        assert ord_vector_distribution(polys, 1, 1, 3) == want
+
+    def test_unit_generator_gives_contact_order_zero(self):
+        vs = ("x1",)
+        ideal = IdealGens((parse_poly("x1", vs), parse_poly("1", vs)))
+        rep = count_contact(ideal, ContactQuery(MODE_EXACT, 0, 1, primes=(2, 3)))
+        assert [list(c) for c in rep.counts] == [[2, 4, 4], [3, 9, 9]]
+
+    def test_generic_cone_table_is_not_split(self, monkeypatch):
+        # two incidence forms have terms in both blocks: the additive plan is
+        # refused while planning, and only enumeration applies
+        def refuse(*args):
+            raise AssertionError("the additive split was reached")
+
+        monkeypatch.setattr(arcdet.counting, "_additive_split_distribution", refuse)
+        vs = ("x1", "x2", "x3", "x4")
+        A = PolyMatrix([[parse_poly("x1", vs), parse_poly("x2", vs)], [parse_poly("x3", vs), parse_poly("x4", vs)]])
+        pair = DeterminantalPair.from_matrix(A)
+        joint = pair.w_gens.variables
+        ideals = [[MultiPoly.variable(GF(2), joint, y) for y in pair.y_names], pair.w_gens.map_coeffs(GF(2)).nonzero()]
+        assert plan_names([g for gens in ideals for g in gens], 6, 1, 2) == ["direct"]
+        table = contact_order_table(ideals, 6, 1, 2)
+        assert sum(table.values()) == 2**12
+
+    def test_combine_bound_is_checked_before_enumeration(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a side was enumerated while planning")
+
+        monkeypatch.setattr(arcdet.counting, "_order_batches", refuse)
+        vs = ("x1", "x2", "x3", "x4")
+        polys = [MultiPoly.variable(GF(3), vs, v) for v in vs] + [parse_poly("x1*x4 - x2*x3", vs).map_coeffs(GF(3))]
+        # each side has two coordinates: at most 4^2 keys, and 3^3 values of the split
+        monkeypatch.setattr(arcdet.counting, "_MAX_COMBINE", 16 * 16 * 27)
+        assert "additive" in plan_names(polys, 4, 2, 3)
+        monkeypatch.setattr(arcdet.counting, "_MAX_COMBINE", 16 * 16 * 27 - 1)
+        assert "additive" not in plan_names(polys, 4, 2, 3)
+
+    def test_blocks_within_the_budget_are_counted_past_their_sum(self):
+        # each block has 27 jets and both 54: only the additive plan fits 27
+        f = parse_poly("x1^2 + x2^2", ("x1", "x2")).map_coeffs(GF(3))
+        assert plan_names([f], 2, 2, 3) == ["direct", "additive"]
+        assert ord_vector_distribution([f], 2, 2, 3, budget=27) == _direct_distribution([f], 2, 2, 3, DEFAULT_BATCH_CAP)
+        with pytest.raises(BudgetExceeded, match="over the budget 26"):
+            ord_vector_distribution([f], 2, 2, 3, budget=26)
+
+    def test_cost_ties_go_to_the_earlier_plan(self, monkeypatch):
+        # at q=2, N=0 the 2^2 jets of x1*x2 tie with its (N+2)^2 monomial cells
+        def refuse(*args):
+            raise AssertionError("the later plan of equal cost was taken")
+
+        monkeypatch.setattr(arcdet.counting, "_monomial_distribution", refuse)
+        f = parse_poly("x1*x2", ("x1", "x2")).map_coeffs(GF(2))
+        assert [plan[:3] for plan in _plans([f], 2, 0, 2)] == [("direct", 4, 4), ("monomial", 4, 4)]
+        assert ord_vector_distribution([f], 2, 0, 2) == {(0,): 1, (1,): 3}
+
+    def test_a_lost_side_batch_is_caught(self, monkeypatch):
+        walk = arcdet.counting._mesh_batches
+
+        def drop_last(*args):
+            yield from list(walk(*args))[:-1]
+
+        monkeypatch.setattr(arcdet.counting, "_mesh_batches", drop_last)
+        f = parse_poly("x1*x2 + x3*x4", ("x1", "x2", "x3", "x4")).map_coeffs(GF(3))
+        with pytest.raises(InternalInvariantError, match="counted 72 of 81"):
+            planned("additive", [f], 4, 1, 3, cap=40)
 
 
 class TestMonomialStrategy:
@@ -403,7 +487,7 @@ class TestMeshKernel:
     @pytest.mark.parametrize("cap", CAPS)
     def test_additive_split(self, oracle, cap):
         n, polys, want = oracle["additive"]
-        assert _additive_split_distribution(polys, n, 1, 3, 10**9, cap) == want
+        assert planned("additive", polys, n, 1, 3, cap) == want
 
     @pytest.mark.parametrize(
         "cap, cuts, w",
@@ -452,7 +536,7 @@ class TestTableCap:
         f_ords = ord_counts(pullback_value_counts(parse_poly("x1^3 + x1", ("x1",)), level, 2), level)
         x_ords = ord_counts(pullback_value_counts(parse_poly("x1", ("x1",)), level, 2), level)
         want = {fk + xk: fc * xc for fk, fc in f_ords.items() for xk, xc in x_ords.items()}
-        assert _shift_split_distribution([f, x2], 2, level, 2, 10**9, DEFAULT_BATCH_CAP) == want
+        assert planned("shift", [f, x2], 2, level, 2) == want
 
     @pytest.mark.parametrize("level", [10, 11])
     def test_additive_split(self, level):
@@ -464,16 +548,16 @@ class TestTableCap:
         for a, ca in va.items():
             for b, cb in vb.items():
                 want.update(ord_counts({a + b: ca * cb}, level))
-        assert _additive_split_distribution([h], 2, level, 2, 10**9, DEFAULT_BATCH_CAP) == want
+        assert planned("additive", [h], 2, level, 2) == want
 
     def test_additive_combine_refuses_int64_overflow(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("a side was enumerated")
 
         monkeypatch.setattr(arcdet.counting, "_order_batches", refuse)
-        # each block has 2^32 jets, within the budget, but 2^64 pairs overflow int64
+        # each block has 2^32 jets, but 2^64 pairs of them overflow int64
         h = parse_poly("x1 + x2", ("x1", "x2")).map_coeffs(GF(2))
-        assert _additive_split_distribution([h], 2, 31, 2, 2**40, DEFAULT_BATCH_CAP) is None
+        assert "additive" not in plan_names([h], 2, 31, 2)
 
     def test_tables_replace_the_coefficient_kernels(self, monkeypatch):
         ring_tables(3, 2)  # filled by the computed ring, before its operations are refused
@@ -487,7 +571,7 @@ class TestTableCap:
         det = parse_poly("x1*x4 - x2*x3", vs).map_coeffs(GF(3))
         polys = [MultiPoly.variable(GF(3), vs, v) for v in vs] + [det]
         direct = _direct_distribution(polys, 4, 2, 3, DEFAULT_BATCH_CAP)
-        assert _additive_split_distribution(polys, 4, 2, 3, 10**9, DEFAULT_BATCH_CAP) == direct
+        assert planned("additive", polys, 4, 2, 3) == direct
         assert sum(direct.values()) == 3**12
 
 

@@ -1,10 +1,12 @@
-"""Every module-level function, class and method in the package is used.
+"""Every module-level function, class and method in the package is used,
+and no package module imports a name it never reads.
 
 A definition counts as used when its name occurs as a whole word somewhere
 in ``src/`` or ``tests/`` outside its own definition (its header and body).
 The check is by name only: two definitions of the same name vouch for each
 other only through real uses, never through their ``def`` lines.  Dunder
-methods are called by the interpreter and are not checked.
+methods are called by the interpreter and are not checked.  ``__init__.py``
+imports names to re-export them, so its imports are not checked.
 """
 
 import ast
@@ -65,3 +67,43 @@ def test_guard_sees_an_unused_definition(tmp_path):
     )
     (tmp_path / "tests" / "test_mod.py").write_text("from arcdet.mod import Box\n")
     assert [entry.split()[-1] for entry in _unused_definitions(tmp_path)] == ["orphan", "open"]
+
+
+def _unused_imports(root):
+    """Names that a package module other than ``__init__.py`` imports and never reads."""
+    unused = []
+    for path in sorted((root / "src" / "arcdet").rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused += [f"{path.relative_to(root)}:{node.lineno} {name}" for name in names if name not in read]
+    return unused
+
+
+def test_no_module_imports_an_unused_name():
+    assert _unused_imports(ROOT) == []
+
+
+def test_guard_sees_an_unused_import(tmp_path):
+    # the guard must flag names imported and never read, wherever the import is
+    pkg = tmp_path / "src" / "arcdet"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("from .mod import used\n")
+    (pkg / "mod.py").write_text(
+        "from __future__ import annotations\n\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from math import prod, sqrt\n\n\n"
+        "def used(xs):\n"
+        "    from json import dumps\n"
+        "    return prod(xs) + np.size(xs)\n"
+    )
+    assert [entry.split()[-1] for entry in _unused_imports(tmp_path)] == ["os", "sqrt", "dumps"]

@@ -8,12 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from arcdet import GF, IdealGens, JetPoint, MultiPoly, PolyMatrix, TruncSeries, parse_poly
 from arcdet.consensus import cyclotomic_fit
-from arcdet.counting import (
-    _additive_split_distribution,
-    _direct_distribution,
-    _monomial_distribution,
-    _shift_split_distribution,
-)
+from arcdet.counting import _direct_distribution, _monomial_distribution, _plans
 from arcdet.determinantal import lambda_profile, minor_ideal_tower
 from arcdet.jets import enumerate_jets, ord_along_ideal, substitute_jet
 
@@ -21,6 +16,12 @@ from arcdet.jets import enumerate_jets, ord_along_ideal, substitute_jet
 # --- strategy agreement on randomized additive-split instances -------------
 
 exponents = st.tuples(st.integers(0, 2), st.integers(0, 2))
+
+
+def planned(name, polys, n, level, q, cap=1 << 20):
+    """The table counted by the plan ``name`` of ``_plans``, which must apply."""
+    plans = {plan[0]: plan for plan in _plans(polys, n, level, q)}
+    return plans[name][3](cap)
 
 
 def _poly_from(terms, variables, q):
@@ -45,9 +46,8 @@ def test_additive_split_agrees_on_random_pairs(terms_a, terms_b):
     if f.is_zero():
         return
     direct = _direct_distribution([f], 4, level, q, 1 << 20)
-    split = _additive_split_distribution([f], 4, level, q, 10**9, 1 << 20)
-    if split is not None:
-        assert split == direct
+    # no term holds a variable of each pair: two or more term components, one polynomial
+    assert planned("additive", [f], 4, level, q) == direct
 
 
 @given(st.dictionaries(exponents, st.integers(1, 4), min_size=1, max_size=3))
@@ -60,8 +60,7 @@ def test_shift_split_agrees_on_random_rest(terms):
     rest[(1, 0, 0)] = 1  # the shift variable
     g = _poly_from(rest, vs, q)
     direct = _direct_distribution([g], 3, level, q, 1 << 20)
-    split = _shift_split_distribution([g], 3, level, q, 10**9, 1 << 20)
-    assert split == direct
+    assert planned("shift", [g], 3, level, q) == direct
 
 
 monomials = st.tuples(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)), st.integers(0, 4))
