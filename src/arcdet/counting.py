@@ -16,7 +16,12 @@ when its largest single enumeration is within the budget.
 ``prefer="direct"`` with the first fitting plan in the order below, and
 exactly one strategy counts each table.
 
-* direct      -- vectorized enumeration of the full jet grid.
+* direct      -- enumeration of the full jet grid, counted as pairs of
+                 block states.  The variables split into two blocks of term
+                 components; each block's grid is walked and tallied by its
+                 state (the orders of the polynomials that lie in it alone
+                 and the values of its parts of those with terms in both),
+                 and every pair of states is combined through the ring.
 * shift split -- a variable that occurs exactly once in the whole list,
                  as a lone constant-coefficient degree-1 term, acts as a
                  uniform shift; its generator's order distribution is the
@@ -47,17 +52,19 @@ is the one arithmetic kernel: plus, times, scale and order on broadcastable
 arrays of codes, computed digit by digit mod q.  ``RingTables`` is a cache of
 it, add, mul and ord lookup tables built once per (q, N) on first use, and
 ``series_ring`` returns the tables when Q <= RING_TABLE_CAP and the computed
-ring above.  Every enumerating strategy walks the grid as open meshes: per
-batch, one code array per coordinate, the low coordinates spanning a
-(1, block) array that every batch shares and the high ones a (highs, 1)
-array.  The coordinates are laid out by term component and cut between two
-components where a block allows.  A pullback is a chain of ring operations
-on these arrays, and numpy broadcasting evaluates each sub-expression at the
-size of the coordinates it uses: only what combines both sides reaches the
-size of the batch.  An order is the ring order of a code scaled to its key
-digit (one gather with the tables); a key that depends on one side only
-stands for every jet of the batch that shares it, and every enumeration,
-direct or of one block, checks that its counts sum to the size of its grid.
+ring above.  Every enumerating strategy walks a block of the grid as open
+meshes: per batch, one code array per coordinate, the low coordinates
+spanning a (1, block) array that every batch shares and the high ones a
+(highs, 1) array.  The coordinates are laid out by term component and cut
+between two components where a block allows.  A pullback is a chain of ring
+operations on these arrays, and numpy broadcasting evaluates each
+sub-expression at the size of the coordinates it uses: only what combines
+both sides of the cut reaches the size of the batch.  A key is mixed-radix:
+value codes of the spanning parts, then orders, each the ring order of a
+code scaled to its key digit (one gather with the tables).  A key that
+depends on one side of the cut only stands for every jet of the batch that
+shares it.  Every walk of a block, and direct's combine of block states,
+checks that its counts sum to the size of its grid.
 Codes take the narrowest of int16, int32 and int64 that holds Q - 1, in the
 mesh and in the ring alike.
 The tables are never written after construction, so threads may share them.
@@ -82,13 +89,14 @@ from .fields import GF
 from .jets import DEFAULT_BUDGET
 from .poly import MultiPoly
 
-# rows per enumeration batch.  Timed with the open-mesh kernel on a 2-vCPU Xeon,
-# fresh single-threaded processes (median of 3 processes, each the median of 5
-# runs), at 2^15, 2^16, 2^17, 2^18 and 2^19 rows: the 3^16-jet stratification
-# table took 0.53, 0.45, 0.39, 0.39 and 0.38 s and the 2^24-jet cone table 0.26,
-# 0.26, 0.24, 0.26 and 0.26 s; with the computed ring ([x1, x2, x1*x2] at q=2,
-# N=11, one run per process) 2.61, 2.39, 2.36, 2.61 and 2.65 s while the peak
-# memory grew from 32 to 48 MB.  None of this moves the cap off 2^17.
+# rows per enumeration batch, and pairs of block states per batch of direct's
+# combine.  Timed on a 2-vCPU Xeon, one thread, median of 7 runs in one process,
+# at 2^15, 2^16, 2^17, 2^18 and 2^19: the 3^16-jet stratification table took
+# about 1 ms and the 2^24-jet cone table 3-5 ms at every cap, both counted as
+# pairs of block states; a table of one term component walks its whole grid,
+# and [x1, x2, x1*x2] over the computed ring (q=2, N=11) took 2.3-2.4 s while
+# the peak memory of a fresh process grew from 33 to 49 MB.  None of this
+# moves the cap off 2^17.
 DEFAULT_BATCH_CAP = 1 << 17
 # largest Q = q^(N+1) whose ring is cached as lookup tables; larger rings are
 # computed.  Timed on one [x1, x2, x1*x2] table enumerated directly, 2-vCPU Xeon,
@@ -356,12 +364,12 @@ def eval_poly_codes(poly, coords, ring):
     return _fold(terms, ring.plus) if terms else np.zeros((1, 1), dtype=ring.dtype)
 
 
-def _order_batches(polys, n, level, q, batch_cap, value_poly=None):
-    """Walk the jet grid in batches.  Per batch yield its row count and the
-    keys of its jets: an int array that broadcasts over the batch, each entry
-    standing for rows // size jets.  A key is mixed-radix: the value code of
-    ``value_poly``'s pullback in [0, Q) as the lowest digit when one is given,
-    then the clamped pullback order of each of ``polys`` in base N+2.
+def _order_batches(polys, n, level, q, batch_cap, values=()):
+    """Walk the jet grid in batches.  Per batch yield the number of jets each
+    key entry stands for and the keys of its jets: an int array that
+    broadcasts over the batch.  A key is mixed-radix: the value codes of the
+    pullbacks of ``values`` in [0, Q) as the lowest digits, then the clamped
+    pullback order of each of ``polys`` in base N+2.
 
     The grid is an open mesh of n coordinate codes, laid out by term component
     and cut between two components where a block allows, so that each term
@@ -376,15 +384,14 @@ def _order_batches(polys, n, level, q, batch_cap, value_poly=None):
         )
     ring = series_ring(q, level)
     base = level + 2
-    vspace = 1 if value_poly is None else ring.size
+    vspace = ring.size ** len(values)
     radix = vspace * base ** len(polys)
     if radix > 2**63:
         raise BudgetExceeded(f"keys of {len(polys)} orders at level {level} overflow int64")
     dtype = np.int32 if radix <= 2**31 else np.int64
     order_digits = [ring.weighted_order(vspace * base**i, dtype) for i in range(len(polys))]
-    extra = [] if value_poly is None else [value_poly]
     # smaller components first, so that more cuts between them fit a block
-    comps = sorted(_term_components(polys + extra, n), key=len)
+    comps = sorted(_term_components(list(polys) + list(values), n), key=len)
     layout = [v for comp in comps for v in comp]
     cuts = list(accumulate(len(comp) for comp in comps))
     coords = [None] * n
@@ -392,8 +399,9 @@ def _order_batches(polys, n, level, q, batch_cap, value_poly=None):
         for v, digit in zip(layout, lows + highs):
             coords[v] = digit
         parts = [order(eval_poly_codes(p, coords, ring)) for order, p in zip(order_digits, polys)]
-        parts += [eval_poly_codes(p, coords, ring).astype(dtype) for p in extra]
-        yield rows, _fold(parts, _add_into) if parts else np.zeros((1, 1), dtype=dtype)
+        parts += [eval_poly_codes(p, coords, ring).astype(dtype) * ring.size**j for j, p in enumerate(values)]
+        key = _fold(parts, _add_into) if parts else np.zeros((1, 1), dtype=dtype)
+        yield rows // key.size, key
 
 
 # --------------------------------------------------------------------------
@@ -401,40 +409,64 @@ def _order_batches(polys, n, level, q, batch_cap, value_poly=None):
 # --------------------------------------------------------------------------
 
 
-def _decode_ord_code(code, k, level):
-    base = level + 2
-    out = []
-    for _ in range(k):
-        out.append(int(code % base))
-        code //= base
-    return tuple(out)
+def _digits(codes, radices):
+    """Mixed-radix digits of int64 ``codes``, the lowest first: one column per radix."""
+    out = np.empty((codes.size, len(radices)), dtype=np.int64)
+    for i, radix in enumerate(radices):
+        codes, out[:, i] = np.divmod(codes, radix)
+    return out
 
 
 def _tally(batches, radix, total):
-    """Jets per key code over the batches of ``_order_batches``, as {code: count}.
+    """Jets per key code over ``batches`` of (weight, key), as int64 arrays of
+    the codes that occur and of their counts.
 
-    Codes lie in [0, radix): a bincount array tallies them up to 2^22 codes, a
-    dict above.  The counts must sum to ``total``, the size of the grid walked,
-    so a lost or repeated batch raises InternalInvariantError.
+    Codes lie in [0, radix); each entry of ``key`` stands for ``weight`` jets,
+    an int or an int64 array of the key's shape, accumulated exactly in int64
+    (``np.add.at`` for an array, never float bincount weights).  A dense array
+    tallies the codes when radix <= min(2^22, total), so that a small grid
+    never scans a large range, and a dict otherwise.  The counts must sum
+    to ``total``, the size of the grid walked, so a lost or repeated batch
+    raises InternalInvariantError.
     """
-    dense = np.zeros(radix, dtype=np.int64) if radix <= 1 << 22 else None
+    dense = np.zeros(radix, dtype=np.int64) if radix <= min(1 << 22, total) else None
     counts = {}
-    for rows, key in batches:
-        scale = rows // key.size  # each key entry stands for this many jets
+    for weight, key in batches:
+        key, weight = key.ravel(), np.ravel(weight)
         if dense is not None:
-            part = np.bincount(key.ravel())
-            part *= scale
-            dense[: part.size] += part
+            if weight.size == 1:  # a walk's batch: bincount is faster than np.add.at
+                part = np.bincount(key)
+                part *= weight
+                dense[: part.size] += part
+            else:
+                np.add.at(dense, key, weight)
             continue
-        uniq, cnt = np.unique(key, return_counts=True)
-        for code, c in zip(uniq.tolist(), (cnt * scale).tolist()):
+        if weight.size == 1:
+            uniq, cnt = np.unique(key, return_counts=True)
+            cnt *= weight
+        else:
+            uniq, inv = np.unique(key, return_inverse=True)
+            cnt = np.zeros(uniq.size, dtype=np.int64)
+            np.add.at(cnt, inv, weight)
+        for code, c in zip(uniq.tolist(), cnt.tolist()):
             counts[code] = counts.get(code, 0) + c
     if dense is not None:
-        counts = {code: int(dense[code]) for code in np.nonzero(dense)[0].tolist()}
-    counted = sum(counts.values())
+        codes = np.flatnonzero(dense)
+        counts = dense[codes]
+    else:
+        codes = np.fromiter(counts, dtype=np.int64, count=len(counts))
+        counts = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
+    counted = sum(counts.tolist())
     if counted != total:
         raise InternalInvariantError(f"enumeration counted {counted} of {total} jets")
-    return counts
+    return codes, counts
+
+
+def _side_walk(polys, values, n, level, q, batch_cap):
+    """Tally the jets of one block of n variables by state: the value codes of
+    ``values`` and the orders of ``polys``, keyed as in ``_order_batches``."""
+    radix = q ** ((level + 1) * len(values)) * (level + 2) ** len(polys)
+    return _tally(_order_batches(polys, n, level, q, batch_cap, values), radix, q ** (n * (level + 1)))
 
 
 def _restrict_poly(p, keep_vars, constant=True):
@@ -456,12 +488,53 @@ def _restrict_poly(p, keep_vars, constant=True):
 
 
 def _direct_distribution(polys, n, level, q, batch_cap):
+    """Table of ``polys`` over the full jet grid, counted as pairs of block states.
+
+    The variables split into the two blocks of ``_blocks``, and every term lies
+    in one of them, so a jet reaches the table only through the state of each
+    block: the orders of the polynomials that lie in that block alone and the
+    value codes of its parts of those with terms in both, the first part
+    holding the constant term.  Each block's grid is walked and tallied by
+    state.  Every pair of states is then combined through the ring, which
+    reads the orders of the spanning polynomials from the sums of their
+    parts, and the pair counts the product of the two states' counts.  A list
+    of one component, or one whose states or keys would overflow int64, is
+    one block paired with the empty grid, which has one state.
+    """
     total = q ** (n * (level + 1))
     if not polys:
         return {(): total}
-    k = len(polys)
-    counts = _tally(_order_batches(polys, n, level, q, batch_cap), (level + 2) ** k, total)
-    return {_decode_ord_code(code, k, level): c for code, c in counts.items()}
+    base, size = level + 2, q ** (level + 1)
+    sides, spans = _blocks(polys, n)
+    radices = [size ** len(spans) * base ** len(slots) for _, slots in sides]
+    if max(radices + [base ** len(polys)]) > 2**63:
+        sides, spans = ((list(range(n)), list(range(len(polys)))), ([], [])), []
+    states = []
+    for first, (side_vars, slots) in zip((True, False), sides):
+        values = [_restrict_poly(polys[s], side_vars, constant=first) for s in spans]
+        side_polys = [_restrict_poly(polys[pi], side_vars) for pi in slots]
+        codes, counts = _side_walk(side_polys, values, len(side_vars), level, q, batch_cap)
+        digits = _digits(codes, [size] * len(spans) + [base] * len(slots))
+        # the side's orders in their slots of the full key
+        key = digits[:, len(spans) :] @ base ** np.array(slots, dtype=np.int64)
+        states.append((key, digits[:, : len(spans)], counts))
+    (key_a, val_a, cnt_a), (key_b, val_b, cnt_b) = states
+    ring = series_ring(q, level)
+    span_orders = [ring.weighted_order(base**s, np.int64) for s in spans]
+    # no batch of pairs passes batch_cap: whole rows of B's states where they fit
+    cols = min(key_b.size, batch_cap)
+    rows = max(1, batch_cap // cols)
+
+    def pairs():
+        for i, j in product(range(0, key_a.size, rows), range(0, key_b.size, cols)):
+            a, b = slice(i, i + rows), slice(j, j + cols)
+            key = key_a[a, None] + key_b[b]
+            for s, order in enumerate(span_orders):
+                key += order(ring.plus(val_a[a, s, None], val_b[b, s]))
+            yield cnt_a[a, None] * cnt_b[b], key
+
+    codes, counts = _tally(pairs(), base ** len(polys), total)
+    return dict(zip(map(tuple, _digits(codes, [base] * len(polys)).tolist()), counts.tolist()))
 
 
 # --------------------------------------------------------------------------
@@ -554,6 +627,27 @@ def _term_components(polys, n):
     return list(comps.values())
 
 
+def _blocks(polys, n):
+    """Two blocks of variables, unions of term components balanced by width,
+    and the polynomials of each.
+
+    Returns per block its variables and the slots of the polynomials whose
+    terms all lie in it, a constant or zero polynomial going to the first, and
+    the slots of the polynomials with terms in both.  With one component the
+    second block is empty.
+    """
+    vars_a, vars_b = [], []
+    for comp in sorted(_term_components(polys, n), key=len, reverse=True):
+        (vars_a if len(vars_a) <= len(vars_b) else vars_b).extend(comp)
+    in_a = set(vars_a)
+    slots_a, slots_b, both = [], [], []
+    for pi, p in enumerate(polys):
+        # each term lies in one block
+        blocks = {next(v for v, e in enumerate(exps) if e) in in_a for exps in p.terms if any(exps)}
+        (both if len(blocks) == 2 else slots_b if blocks == {False} else slots_a).append(pi)
+    return ((sorted(vars_a), slots_a), (sorted(vars_b), slots_b)), both
+
+
 def _negation_permutation(q, width):
     codes = np.arange(q**width, dtype=np.int64)
     neg = np.zeros_like(codes)
@@ -568,17 +662,17 @@ def _negation_permutation(q, width):
 
 
 def _side_table(polys, value_poly, n, level, q, batch_cap):
-    """Enumerate one block: the ord-keys of ``polys`` that occur, and per key a
-    row counting its jets by the value code of ``value_poly`` (one column
-    without one)."""
-    k = len(polys)
-    vspace = 1 if value_poly is None else q ** (level + 1)
-    batches = _order_batches(polys, n, level, q, batch_cap, value_poly)
-    rows = {}
-    for code, c in _tally(batches, vspace * (level + 2) ** k, q ** (n * (level + 1))).items():
-        kc, vc = divmod(code, vspace)
-        rows.setdefault(_decode_ord_code(kc, k, level), np.zeros(vspace, dtype=np.int64))[vc] = c
-    return list(rows), np.stack(list(rows.values()))
+    """Enumerate one block: the ord-keys of ``polys`` that occur, as rows of
+    digits, and per key a row counting its jets by the value code of
+    ``value_poly`` (one column without one)."""
+    values = [] if value_poly is None else [value_poly]
+    vspace = q ** ((level + 1) * len(values))
+    codes, counts = _side_walk(polys, values, n, level, q, batch_cap)
+    key_codes, value_codes = np.divmod(codes, vspace)
+    keys, row = np.unique(key_codes, return_inverse=True)
+    mat = np.zeros((keys.size, vspace), dtype=np.int64)
+    mat[row, value_codes] = counts
+    return _digits(keys, [level + 2] * len(polys)), mat
 
 
 def _additive_split_distribution(polys, level, q, sides, split, batch_cap):
@@ -619,33 +713,23 @@ def _additive_split_distribution(polys, level, q, sides, split, batch_cap):
     # the split polynomial's order, each in its own slots of ``polys``
     o, i, j = np.nonzero(by_ord)
     keys = np.empty((o.size, len(polys)), dtype=np.int64)
-    keys[:, sides[0][1]] = np.array(keys_a, dtype=np.int64)[i]
-    keys[:, sides[1][1]] = np.array(keys_b, dtype=np.int64)[j]
+    keys[:, sides[0][1]] = keys_a[i]
+    keys[:, sides[1][1]] = keys_b[j]
     keys[:, [] if split is None else [split]] = o[:, None]
     return dict(zip(map(tuple, keys.tolist()), by_ord[o, i, j].tolist()))
 
 
 def _additive_plan(polys, n, level, q):
-    """Two blocks of variables, unions of term components balanced by width.
+    """The two blocks of ``_blocks``, each enumerated alone.
 
     Refused for a single component, for a second polynomial with terms in both
     blocks, for pairs of jets past int64, and when the combine could pass
     _MAX_COMBINE cells: a side has at most min(q^w, (N+2)^k) distinct keys for
     its w digits and k polynomials.
     """
-    comps = _term_components(polys, n)
-    if len(comps) < 2:
+    sides, both = _blocks(polys, n)
+    if not sides[1][0]:
         return None
-    vars_a, vars_b = [], []
-    for comp in sorted(comps, key=len, reverse=True):
-        (vars_a if len(vars_a) <= len(vars_b) else vars_b).extend(comp)
-    in_a = set(vars_a)
-    slots_a, slots_b, both = [], [], []
-    for pi, p in enumerate(polys):
-        # each term lies in one block; a constant polynomial goes to the first
-        blocks = {next(v for v, e in enumerate(exps) if e) in in_a for exps in p.terms if any(exps)}
-        (both if len(blocks) == 2 else slots_b if blocks == {False} else slots_a).append(pi)
-    sides = ((sorted(vars_a), slots_a), (sorted(vars_b), slots_b))
     width = level + 1
     sizes = [q ** (len(side_vars) * width) for side_vars, _ in sides]
     keys = [min(size, (level + 2) ** len(slots)) for size, (_, slots) in zip(sizes, sides)]

@@ -207,7 +207,8 @@ def stratum_counts(
     A = pair.matrix
     n = len(A.variables)
     # keyed by the sigma vectors; full enumeration keeps this pass independent
-    # of the cheapest-strategy total below
+    # of the cheapest-strategy total below.  It counts every jet as a pair of
+    # block states, whose spanning minors it evaluates through the ring.
     tower = [ideal.nonzero() for ideal in minor_ideal_tower(A)]
     table = contact_order_table(tower, n, level, q, budget=budget, prefer="direct")
 
@@ -228,8 +229,9 @@ def stratum_counts(
         per_lambda[parts] = per_lambda.get(parts, 0) + cnt
 
     # independent total from the maximal-minor ideal alone, by whatever exact
-    # strategy is cheapest (usually a different algorithm than the direct
-    # classification pass above)
+    # strategy is cheapest.  For a determinant of two blocks that is the
+    # additive split, which combines its blocks by prefix matrix products, a
+    # different algorithm from the pairs of block states of the pass above.
     z_table = contact_order_table([pair.z_gens.nonzero()], n, level, q, budget=budget)
     cont_m = z_table.get((m,), 0)
 

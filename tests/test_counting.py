@@ -1,6 +1,7 @@
 """The vectorized counting engine against the pure-Python oracle, the
 exact equivalence of its four strategies, and the planner that picks one."""
 
+import tracemalloc
 from collections import Counter
 from contextlib import contextmanager
 
@@ -345,6 +346,124 @@ class TestPlans:
         f = parse_poly("x1*x2 + x3*x4", ("x1", "x2", "x3", "x4")).map_coeffs(GF(3))
         with pytest.raises(InternalInvariantError, match="counted 72 of 81"):
             planned("additive", [f], 4, 1, 3, cap=40)
+
+
+class TestBlockStates:
+    """Direct enumeration as pairs of block states, against the jets one by
+    one and against every other strategy that applies.  At q=3, N=1 a
+    coordinate code lies in [0, 9); cap 5 walks each block in batches of at
+    most 5 jets and combines at most 5 pairs of states per batch."""
+
+    CASES = {
+        # blocks {x1, x2} and {x3}: two spanning polynomials, one holding a
+        # constant term, a constant, the zero polynomial and a polynomial of the
+        # second block with a constant term, which stays on that block
+        "spans": (3, ["x1*x2 + x3", "x1 + 2*x3^2 + 1", "x2^2", "2", "0", "x3 + 1"]),
+        # one component: one block, paired with the empty grid
+        "one component": (3, ["x1*x2 + 2*x2*x3 + 1", "x3^2", "x1"]),
+        # components {x1, x2}, {x3} and {x4}, the last two in the second block
+        "three components": (4, ["x1*x2 + x3 + x4^2", "x1 + 2*x4", "x3 + 1", "x2"]),
+    }
+
+    @pytest.fixture(scope="class")
+    def oracle(self):
+        out = {}
+        for name, (n, exprs) in self.CASES.items():
+            vs = ("x1", "x2", "x3", "x4")[:n]
+            polys = [parse_poly(e, vs).map_coeffs(GF(3)) for e in exprs]
+            out[name] = n, polys, brute_table(polys, n, 1, 3)
+        return out
+
+    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize("cap", [1 << 20, 20, 5])
+    def test_direct_matches_jets_and_strategies(self, oracle, case, cap):
+        n, polys, want = oracle[case]
+        assert _direct_distribution(polys, n, 1, 3, cap) == want
+        for name in plan_names(polys, n, 1, 3):
+            assert planned(name, polys, n, 1, 3, cap) == want, name
+
+    def test_no_batch_passes_the_cap(self, monkeypatch, oracle):
+        # the "spans" blocks have 62 and 9 states: one state of the first block
+        # paired with every state of the second would pass the cap 5
+        tally = arcdet.counting._tally
+        sizes = []
+
+        def record(batches, radix, total):
+            def checked():
+                for weight, key in batches:
+                    sizes.append(key.size)
+                    yield weight, key
+
+            return tally(checked(), radix, total)
+
+        monkeypatch.setattr(arcdet.counting, "_tally", record)
+        n, polys, want = oracle["spans"]
+        assert _direct_distribution(polys, n, 1, 3, 5) == want
+        assert max(sizes) == 5
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_a_lost_batch_on_either_side_is_caught(self, monkeypatch, side):
+        walk = arcdet.counting._mesh_batches
+        calls = []
+
+        def drop_last(*args):
+            calls.append(args)
+            batches = list(walk(*args))
+            yield from batches[:-1] if len(calls) == side + 1 else batches
+
+        monkeypatch.setattr(arcdet.counting, "_mesh_batches", drop_last)
+        # each block has 81 jets, walked in batches of 36, 36 and 9
+        f = parse_poly("x1*x2 + x3*x4", ("x1", "x2", "x3", "x4")).map_coeffs(GF(3))
+        with pytest.raises(InternalInvariantError, match="counted 72 of 81"):
+            _direct_distribution([f], 4, 1, 3, 40)
+        assert len(calls) == side + 1
+
+    @pytest.mark.parametrize("copies, widths", [(2, [1, 1]), (20, [2, 0])])
+    def test_side_codes_past_int64_count_as_one_side(self, monkeypatch, copies, widths):
+        # every polynomial spans the blocks {x1} and {x2}: a block state holds
+        # one value code in [0, 9) per polynomial, and 9^20 passes 2^63 while
+        # the 3^20 keys of the table fit
+        walk = arcdet.counting._mesh_batches
+        walked = []
+
+        def record(width, *args):
+            walked.append(width)
+            return walk(width, *args)
+
+        monkeypatch.setattr(arcdet.counting, "_mesh_batches", record)
+        vs = ("x1", "x2")
+        exprs = ["x1 + x2", "x1 + 2*x2", "x1^2 + x2", "2*x1 + x2^2 + 1"]
+        polys = [parse_poly(exprs[i % 4], vs).map_coeffs(GF(3)) for i in range(copies)]
+        assert _direct_distribution(polys, 2, 1, 3, DEFAULT_BATCH_CAP) == brute_table(polys, 2, 1, 3)
+        assert walked == widths
+
+    def test_direct_preference_past_its_budget_takes_the_split(self, monkeypatch):
+        # the budget rule is unchanged: direct's largest enumeration is the
+        # whole 3^16-jet grid, however few block states it walks
+        vs = ("x1", "x2", "x3", "x4")
+        A = PolyMatrix([[parse_poly(v, vs) for v in row] for row in (("x1", "x2"), ("x3", "x4"))])
+        tower = [g for ideal in minor_ideal_tower(A) for g in ideal.nonzero()]
+        want = ord_vector_distribution(tower, 4, 3, 3, budget=3**16, prefer="direct")
+
+        def refuse(*args):
+            raise AssertionError("direct enumeration ran past its budget")
+
+        monkeypatch.setattr(arcdet.counting, "_direct_distribution", refuse)
+        assert ord_vector_distribution(tower, 4, 3, 3, budget=3**16 - 1, prefer="direct") == want
+        assert sum(want.values()) == 3**16
+
+    def test_tally_is_sized_by_the_grid(self):
+        # 11 orders in base 4 have 4^11 codes, a 32 MB dense tally, for 27 jets
+        x1 = parse_poly("x1", ("x1",)).map_coeffs(GF(3))
+        polys = [x1**e for e in range(1, 12)]
+        tracemalloc.start()
+        try:
+            table = _direct_distribution(polys, 1, 2, 3, DEFAULT_BATCH_CAP)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert table == _monomial_distribution(polys, 1, 2, 3)
 
 
 class TestMonomialStrategy:

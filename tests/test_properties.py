@@ -96,6 +96,32 @@ def test_direct_agrees_with_jet_enumeration(polys_terms, cap):
     assert _direct_distribution(polys, 3, level, q, cap) == want
 
 
+pair_terms = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(0, 1), max_size=2)
+
+
+@given(st.lists(st.tuples(pair_terms, pair_terms), min_size=1, max_size=3), st.sampled_from([1 << 20, 16, 3]))
+@settings(max_examples=30, deadline=None)
+def test_block_states_agree_with_jet_enumeration(parts, cap):
+    """Sums f(x1, x2) + g(x3, x4) over F_2 at level 1, so that no term joins
+    the pairs: several polynomials span the blocks, some lie in one, some are
+    constants or zero.  Direct enumeration, as pairs of block states, against
+    the pure-Python jet enumeration and every other strategy that applies, at
+    batch caps from one block down to three jets per batch."""
+    q, level, vs = 2, 1, ("x1", "x2", "x3", "x4")
+    polys = []
+    for fa, fb in parts:
+        terms = {(a, b, 0, 0): c for (a, b), c in fa.items()}
+        terms.update({(0, 0, a, b): c for (a, b), c in fb.items()})
+        polys.append(_poly_from(terms, vs, q))
+    want = Counter()
+    for jet in enumerate_jets(4, level, q):
+        orders = (substitute_jet(p, jet).ord() for p in polys)
+        want[tuple(level + 1 if o is None else o for o in orders)] += 1
+    assert _direct_distribution(polys, 4, level, q, cap) == want
+    for name, _, _, count in _plans(polys, 4, level, q)[1:]:
+        assert count(cap) == want, name
+
+
 # --- exact fit recovers planted cell shapes ---------------------------------
 
 
