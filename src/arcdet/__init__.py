@@ -43,6 +43,7 @@ from .configurations import (
     SupportExpansion,
     cauchy_binet_expansion,
     configuration_lct_campaign,
+    cross_oracle_payload,
     hadamard_one_generic,
     incidence_jacobian,
     is_connected,

@@ -18,7 +18,7 @@ from fractions import Fraction
 from .contact import MODE_AT_LEAST, MODE_EXACT, ContactQuery, count_contact
 from .configurations import (
     cauchy_binet_expansion,
-    hadamard_one_generic,
+    cross_oracle_payload,
     is_connected,
     is_square_free,
     linear_one_generic,
@@ -236,12 +236,9 @@ def _cmd_matroid(args):
 
 def _cmd_one_generic(args):
     if args.config:
-        cfg = configuration_from_doc(load_json(args.config))
-        had = hadamard_one_generic(cfg)
-        lin = linear_one_generic(patterson_matrix(cfg))
-        agree = had.one_generic == lin.one_generic
-        _emit({"hadamard": had.payload(), "linear": lin.payload(), "agree": agree}, args)
-        return 0 if agree else 1
+        payload = cross_oracle_payload(configuration_from_doc(load_json(args.config)))
+        _emit(payload, args)
+        return 0 if payload["agree"] else 1
     A = matrix_from_doc(load_json(args.matrix))
     verdict = linear_one_generic(A)
     _emit(verdict.payload(), args)

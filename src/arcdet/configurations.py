@@ -5,17 +5,22 @@ Its Patterson matrix D diag(x) D^T is symmetric with linear entries; the
 determinant expands over column r-subsets with coefficients det(D|_I)^2,
 supported exactly on the bases of the column matroid.  (The expansion is
 cross-checked against direct symbolic expansion on every call.)
+
+Exact linear algebra is one fraction-free integer elimination, ``_echelon``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from math import lcm
+
+import numpy as np
 
 from .determinantal import VERDICT_FAIL, VERDICT_PASS, corollary_check
 from .errors import BudgetExceeded, InternalInvariantError, ValidationError
-from .fields import GF, QQ
+from .fields import QQ
 from .jets import DEFAULT_BUDGET
 from .lct import LCT_DEFAULT_PRIMES
 from .matrices import PolyMatrix, det_division_free
@@ -24,57 +29,56 @@ from .poly import MultiPoly
 SUBSET_BUDGET = 20
 
 
-def _rank_rational(rows):
-    """Row rank of a matrix of Fractions, by fraction-free style elimination."""
-    mat = [list(r) for r in rows]
-    if not mat:
-        return 0
-    n_rows, n_cols = len(mat), len(mat[0])
-    rank = 0
-    col = 0
-    for col in range(n_cols):
-        pivot = None
-        for i in range(rank, n_rows):
-            if mat[i][col] != 0:
-                pivot = i
-                break
+def _echelon(rows):
+    """Fraction-free (Bareiss) row echelon form of a rational matrix.
+
+    Each row is first scaled to integers by the lcm of its denominators.
+    Returns ``(echelon, pivots, det)``: the nonzero echelon rows as lists of
+    ints, their pivot columns, and for a square matrix its determinant
+    (0 when singular; None when the matrix is not square).
+    """
+    mat, scale = [], 1
+    for row in rows:
+        den = lcm(*(v.denominator for v in row))
+        mat.append([v.numerator * (den // v.denominator) for v in row])
+        scale *= den
+    width = len(mat[0]) if mat else 0
+    pivots, sign, prev = [], 1, 1
+    for col in range(width):
+        k = len(pivots)
+        if k == len(mat):
+            break
+        pivot = next((i for i in range(k, len(mat)) if mat[i][col]), None)
         if pivot is None:
             continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = Fraction(1) / mat[rank][col]
-        mat[rank] = [v * inv for v in mat[rank]]
-        for i in range(n_rows):
-            if i != rank and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
+        if pivot != k:
+            mat[k], mat[pivot] = mat[pivot], mat[k]
+            sign = -sign
+        top = mat[k]
+        p = top[col]
+        for i in range(k + 1, len(mat)):
+            row = mat[i]
+            f = row[col]
+            mat[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
+        prev = p
+        pivots.append(col)
+    det = None
+    if len(mat) == width:
+        det = Fraction(sign * prev, scale) if len(pivots) == width else Fraction(0)
+    return mat[: len(pivots)], pivots, det
 
 
-def _det_rational(rows):
-    mat = [list(r) for r in rows]
-    k = len(mat)
-    det = Fraction(1)
-    for col in range(k):
-        pivot = None
-        for i in range(col, k):
-            if mat[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            mat[col], mat[pivot] = mat[pivot], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = Fraction(1) / mat[col][col]
-        for i in range(col + 1, k):
-            if mat[i][col] != 0:
-                f = mat[i][col] * inv
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[col])]
-    return det
+def _null_vector(echelon, pivots, width):
+    """The kernel vector of an echelon system whose first free column is 1 and
+    other free columns 0, pivots back-solved; None when every column pivots."""
+    free = [c for c in range(width) if c not in pivots]
+    if not free:
+        return None
+    x = [Fraction(0)] * width
+    x[free[0]] = Fraction(1)
+    for row, col in reversed(list(zip(echelon, pivots))):
+        x[col] = Fraction(-sum(row[j] * x[j] for j in range(col + 1, width)), row[col])
+    return x
 
 
 @dataclass(frozen=True)
@@ -90,7 +94,7 @@ class ConfigurationMatrix:
         n = len(rows[0])
         if any(len(r) != n for r in rows):
             raise ValidationError("ragged configuration matrix")
-        if _rank_rational(rows) != len(rows):
+        if len(_echelon(rows)[1]) != len(rows):
             raise ValidationError("configuration matrix must have full row rank")
         object.__setattr__(self, "d", rows)
 
@@ -124,12 +128,11 @@ class ConfigurationMatrix:
         return len(self.d[0])
 
     def columns(self, idx):
-        return [[self.d[i][j] for j in idx] for i in range(self.r)]
+        """The selected columns of D, each as a list of r entries."""
+        return [[row[e] for row in self.d] for e in idx]
 
     def column_rank(self, idx):
-        cols = self.columns(idx)
-        # transpose so rows of the ranked matrix are the selected columns
-        return _rank_rational([list(row) for row in zip(*cols)]) if idx else 0
+        return len(_echelon(self.columns(idx))[1])
 
 
 @dataclass(frozen=True)
@@ -186,7 +189,7 @@ def cauchy_binet_expansion(cfg: ConfigurationMatrix) -> SupportExpansion:
     symbolic expansion of det(Patterson).  A mismatch is an internal error."""
     coeffs = []
     for idx in combinations(range(cfg.n), cfg.r):
-        d = _det_rational(list(zip(*cfg.columns(idx))))
+        d = _echelon(cfg.columns(idx))[2]
         if d != 0:
             coeffs.append((idx, d * d))
     expansion = SupportExpansion(tuple(coeffs))
@@ -206,31 +209,32 @@ def cauchy_binet_expansion(cfg: ConfigurationMatrix) -> SupportExpansion:
 def matroid_from_columns(cfg: ConfigurationMatrix) -> Matroid:
     bases = []
     for idx in combinations(range(cfg.n), cfg.r):
-        if _det_rational(list(zip(*cfg.columns(idx)))) != 0:
+        if _echelon(cfg.columns(idx))[2] != 0:
             bases.append(idx)
     if not bases:
         raise InternalInvariantError("a full-rank matrix has at least one column basis")
     return Matroid(ground_size=cfg.n, rank=cfg.r, bases=frozenset(bases), cfg=cfg)
 
 
+def _splits(n):
+    """Every split S | E-S of range(n) into two nonempty parts, once each
+    (S never holds the last element), as a pair of sorted lists."""
+    if n > SUBSET_BUDGET:
+        raise BudgetExceeded(f"split scan limited to {SUBSET_BUDGET} elements")
+    for mask in range(1, 2 ** (n - 1)):
+        yield (
+            [e for e in range(n) if (mask >> e) & 1],
+            [e for e in range(n) if not ((mask >> e) & 1)],
+        )
+
+
 def is_connected(m: Matroid) -> bool:
     """No proper nonempty S with rank(S) + rank(complement) = rank(E).
 
-    Single-element matroids are connected by the direct-sum convention.
-    Scans all 2^(n-1) complementary splits.
+    Single-element matroids are connected by the direct-sum convention
+    (they have no split).  Scans all 2^(n-1) - 1 complementary splits.
     """
-    n = m.ground_size
-    if n == 1:
-        return True
-    if n > SUBSET_BUDGET:
-        raise BudgetExceeded(f"connectivity scan limited to {SUBSET_BUDGET} elements")
-    ground = list(range(n))
-    for mask in range(1, 2 ** (n - 1)):
-        s = [e for e in ground if (mask >> e) & 1]
-        comp = [e for e in ground if not ((mask >> e) & 1)]
-        if m.rank_of(s) + m.rank_of(comp) == m.rank:
-            return False
-    return True
+    return not any(m.rank_of(s) + m.rank_of(comp) == m.rank for s, comp in _splits(m.ground_size))
 
 
 def is_square_free(p: MultiPoly) -> bool:
@@ -259,20 +263,15 @@ def hadamard_one_generic(cfg: ConfigurationMatrix) -> GenericityVerdict:
     rank(D|_S) < r (a vector supported in S exists iff the complementary
     column rank drops).  Exact over Q; returns explicit witness vectors.
     """
-    n, r = cfg.n, cfg.r
-    if n > SUBSET_BUDGET:
-        raise BudgetExceeded(f"subset scan limited to {SUBSET_BUDGET} columns")
-    for mask in range(1, 2 ** (n - 1)):
-        s = [e for e in range(n) if (mask >> e) & 1]
-        comp = [e for e in range(n) if not ((mask >> e) & 1)]
-        if cfg.column_rank(comp) < r and cfg.column_rank(s) < r:
+    for s, comp in _splits(cfg.n):
+        if cfg.column_rank(comp) < cfg.r and cfg.column_rank(s) < cfg.r:
             v = _vector_supported_in(cfg, s)
             w = _vector_supported_in(cfg, comp)
             return GenericityVerdict(
                 one_generic=False,
                 confirmed=True,
                 witness={
-                    "split": [list(s), list(comp)],
+                    "split": [s, comp],
                     "v": [str(x) for x in v],
                     "w": [str(x) for x in w],
                 },
@@ -283,55 +282,24 @@ def hadamard_one_generic(cfg: ConfigurationMatrix) -> GenericityVerdict:
 def _vector_supported_in(cfg, support):
     """A nonzero row-space vector vanishing outside the given column set."""
     outside = [e for e in range(cfg.n) if e not in set(support)]
-    # solve c . D|_outside = 0 for a nonzero coefficient vector c
-    rows = [[cfg.d[i][e] for e in outside] for i in range(cfg.r)]
-    c = _kernel_vector(rows)
+    # c . D|_outside = 0: c lies in the kernel of the outside columns
+    echelon, pivots, _ = _echelon(cfg.columns(outside))
+    c = _null_vector(echelon, pivots, cfg.r)
     if c is None:
         raise InternalInvariantError("rank predicate promised a kernel vector")
     return [sum(c[i] * cfg.d[i][e] for i in range(cfg.r)) for e in range(cfg.n)]
 
 
-def _kernel_vector(rows):
-    """A nonzero solution of c . rows = 0 (c indexes the rows), or None."""
-    r = len(rows)
-    cols = len(rows[0]) if rows and rows[0] else 0
-    # row-reduce the transpose: kernel of the map c -> c . rows
-    mat = [[rows[i][j] for i in range(r)] for j in range(cols)]  # cols x r
-    pivots = []
-    rank = 0
-    for col in range(r):
-        pivot = None
-        for i in range(rank, len(mat)):
-            if mat[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = Fraction(1) / mat[rank][col]
-        mat[rank] = [v * inv for v in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(r) if c not in pivots]
-    if not free:
-        return None
-    c = [Fraction(0)] * r
-    c[free[0]] = Fraction(1)
-    for row_idx, col in enumerate(pivots):
-        c[col] = -mat[row_idx][free[0]]
-    return c
-
-
 def linear_one_generic(A: PolyMatrix, primes=(2, 3, 5)) -> GenericityVerdict:
     """Search for vectors v, w with v^T A w identically zero (A linear homogeneous).
 
-    Finite-field witnesses are lifted and re-checked over Q.  A positive
-    verdict ("no witness found") is exact for r <= 2 via a binary-form gcd
-    certificate; otherwise it is evidence only (confirmed=False).
+    With a_ij = sum_k C[k][i][j] x_k, a witness is a pair with
+    v^T C_k w = 0 for every k.  Each prime's nonzero residue tuples are
+    tested all at once on the integer tensor (C times the lcm of its
+    denominators) reduced mod q; the first candidate, v outer and w inner,
+    that also vanishes over Q is returned.  Without one, the verdict is
+    exact for r <= 2 by the rank-one certificate ``_rank_one_witness``;
+    otherwise it is evidence only (confirmed=False).
     """
     r = A.rows
     if A.rows != A.cols:
@@ -341,184 +309,69 @@ def linear_one_generic(A: PolyMatrix, primes=(2, 3, 5)) -> GenericityVerdict:
             if not e.is_zero() and not e.is_homogeneous(1):
                 raise ValidationError("entries must be homogeneous linear")
     n = len(A.variables)
-    # coefficient tensor: C[k][i][j] with a_ij = sum_k C[k][i][j] x_k
     C = [[[Fraction(0)] * r for _ in range(r)] for _ in range(n)]
     for i in range(r):
         for j in range(r):
             for exps, c in A.entry(i, j).terms.items():
-                k = exps.index(1)
-                C[k][i][j] = Fraction(c)
-
-    def bilinear_all_zero(v, w):
-        return all(
-            sum(v[i] * C[k][i][j] * w[j] for i in range(r) for j in range(r)) == 0
-            for k in range(n)
-        )
+                C[exps.index(1)][i][j] = Fraction(c)
+    den = lcm(*(c.denominator for plane in C for row in plane for c in row))
+    Z = [[[c.numerator * (den // c.denominator) for c in row] for row in plane] for plane in C]
 
     for q in primes:
-        gf = GF(q)
-        C_q = [[[int(gf.of(c)) for c in row] for row in plane] for plane in C]  # the tensor mod q
-        tuples = _nonzero_tuples(r, q)
-        for v in tuples:
-            for w in tuples:
-                zero_mod_q = all(
-                    sum(v[i] * C_q[k][i][j] * w[j] for i in range(r) for j in range(r)) % q == 0
-                    for k in range(n)
+        tuples = np.array(list(product(range(q), repeat=r))[1:], dtype=np.int64)
+        Z_q = np.array([[[c % q for c in row] for row in plane] for plane in Z], dtype=np.int64).reshape(n, r, r)
+        # values[a, b, k] = tuples[a]^T Z_k tuples[b] mod q
+        values = np.einsum("ai,kij,bj->abk", tuples, Z_q, tuples) % q
+        for a, b in np.argwhere(~values.any(axis=2)):
+            v, w = tuples[a].tolist(), tuples[b].tolist()
+            if all(sum(v[i] * plane[i][j] * w[j] for i in range(r) for j in range(r)) == 0 for plane in Z):
+                return GenericityVerdict(
+                    one_generic=False,
+                    confirmed=True,
+                    witness={"v": [str(x) for x in v], "w": [str(x) for x in w]},
                 )
-                if zero_mod_q:
-                    v_lift = [Fraction(x) for x in v]
-                    w_lift = [Fraction(x) for x in w]
-                    if bilinear_all_zero(v_lift, w_lift):
-                        return GenericityVerdict(
-                            one_generic=False,
-                            confirmed=True,
-                            witness={"v": [str(x) for x in v_lift], "w": [str(x) for x in w_lift]},
-                        )
 
-    if r <= 2:
-        witness = _rank_drop_certificate_r2(C, n) if r == 2 else _rank_drop_certificate_r1(C, n)
-        if witness is None:
-            return GenericityVerdict(one_generic=True, confirmed=True, witness=None)
-        return GenericityVerdict(one_generic=False, confirmed=True, witness=witness)
-    return GenericityVerdict(one_generic=True, confirmed=False, witness=None)
+    if r > 2:
+        return GenericityVerdict(one_generic=True, confirmed=False, witness=None)
+    witness = _rank_one_witness(Z, r)
+    return GenericityVerdict(one_generic=witness is None, confirmed=True, witness=witness)
 
 
-def _nonzero_tuples(r, q):
-    out = []
+def _rank_one_witness(Z, r):
+    """Exact test for r <= 2: is some v w^T (v, w nonzero) orthogonal to every C_k?
 
-    def rec(prefix):
-        if len(prefix) == r:
-            if any(prefix):
-                out.append(tuple(prefix))
-            return
-        for v in range(q):
-            rec(prefix + [v])
-
-    rec([])
-    return out
-
-
-def _rank_drop_certificate_r1(C, n):
-    # r = 1: v^T A w = v1 w1 a_11; a witness exists iff a_11 = 0
-    if all(C[k][0][0] == 0 for k in range(n)):
-        return {"v": ["1"], "w": ["1"]}
-    return None
-
-
-def _rank_drop_certificate_r2(C, n):
-    """Exact emptiness test of {(v, w) in P^1 x P^1 : v^T A w = 0} for r = 2.
-
-    For fixed v the w-solutions exist iff the n x 2 matrix M(v) with rows
-    v^T C_k has rank < 2; its 2x2 minors are binary quadratics in v, and a
-    common projective root exists iff their gcd is nonconstant.  Univariate
-    gcd over Q decides this exactly.
+    Since v^T C_k w = <C_k, v w^T>, a witness is a rank-one matrix in the
+    orthogonal complement K of span{C_k}.  For r = 1 that needs every C_k to
+    be 0.  For r = 2, with d = dim span{C_k}: if d <= 2, K is a plane or
+    more and meets the quadric det = 0 over C; if d = 3, K is spanned by one
+    B, rational, and B = v w^T is a witness iff det B = 0; if d = 4, K = 0.
+    Returns the witness (exact v, w where rational) or None.
     """
-    # rows of M(v): (v1*C[k][0][0] + v2*C[k][1][0], v1*C[k][0][1] + v2*C[k][1][1])
-    # minor over rows k < l: quadratic in (v1, v2); coefficients of v1^2, v1 v2, v2^2
-    quads = []
-    for k in range(n):
-        for l in range(k + 1, n):
-            a1, b1 = C[k][0][0], C[k][0][1]
-            c1, d1 = C[k][1][0], C[k][1][1]
-            a2, b2 = C[l][0][0], C[l][0][1]
-            c2, d2 = C[l][1][0], C[l][1][1]
-            # det of [[v1 a1 + v2 c1, v1 b1 + v2 d1], [v1 a2 + v2 c2, v1 b2 + v2 d2]]
-            q2 = a1 * b2 - b1 * a2
-            q1 = a1 * d2 - b1 * c2 + c1 * b2 - d1 * a2
-            q0 = c1 * d2 - d1 * c2
-            if q2 != 0 or q1 != 0 or q0 != 0:
-                quads.append((q2, q1, q0))
-    if not quads:
-        # every minor vanishes identically: rank M(v) < 2 for all v
-        return {"v": ["symbolic"], "w": ["symbolic"], "note": "all minors vanish identically"}
-    g = quads[0]
-    for nxt in quads[1:]:
-        g = _binary_form_gcd(g, nxt)
-        if g is None:
-            return None  # gcd constant: no common root anywhere
-    # g is a nonconstant common factor: a complex witness v exists
-    root = _rational_root_of_binary_form(g)
-    return {
-        "v": root if root else ["nonrational common root"],
-        "w": ["determined by v"],
-        "note": f"common factor of rank-drop quadratics: {g}",
-    }
-
-
-def _binary_form_gcd(f, g):
-    """gcd of binary forms given by coefficient tuples (highest power of v1 first).
-
-    Dehomogenizes at v2 = 1 and tracks v2-powers; returns a coefficient
-    tuple, or None when the gcd is constant (coprime forms)."""
-
-    def strip(poly):
-        poly = list(poly)
-        while poly and poly[0] == 0:
-            poly.pop(0)
-        return poly
-
-    def v2_multiplicity(poly):
-        m = 0
-        p = list(poly)
-        while p and p[-1] == 0:
-            p.pop()
-            m += 1
-        return m, p
-
-    m_f, pf = v2_multiplicity(strip(f))
-    m_g, pg = v2_multiplicity(strip(g))
-    common_v2 = min(m_f, m_g)
-
-    def poly_gcd(a, b):
-        a, b = list(a), list(b)
-        while b and any(c != 0 for c in b):
-            a, b = b, _poly_mod(a, b)
-        return a
-
-    gcd_affine = poly_gcd(pf, pg) if pf and pg else (pf or pg)
-    gcd_affine = strip(gcd_affine)
-    if (not gcd_affine or len(gcd_affine) == 1) and common_v2 == 0:
+    if r == 1:
+        return {"v": ["1"], "w": ["1"]} if all(plane[0][0] == 0 for plane in Z) else None
+    echelon, pivots, _ = _echelon([[c for row in plane for c in row] for plane in Z])
+    d = len(pivots)
+    if d <= 2:
+        return {"span_dim": d, "note": "every plane of 2x2 matrices meets det = 0 over C"}
+    if d == 4:
         return None
-    result = list(gcd_affine if gcd_affine else [Fraction(1)])
-    result += [Fraction(0)] * common_v2
-    return tuple(result)
+    b11, b12, b21, b22 = _null_vector(echelon, pivots, 4)
+    if b11 * b22 != b12 * b21:
+        return None
+    # B = v w^T: w is a nonzero row of B and v_i = B[i][j] / w_j at a nonzero w_j
+    B = ((b11, b12), (b21, b22))
+    w = next(row for row in B if any(row))
+    j = 0 if w[0] else 1
+    return {"v": [str(row[j] / w[j]) for row in B], "w": [str(x) for x in w]}
 
 
-def _poly_mod(a, b):
-    a = [Fraction(c) for c in a]
-    b = [Fraction(c) for c in b]
-    while b and b[0] == 0:
-        b.pop(0)
-    if not b:
-        raise ZeroDivisionError
-    while len(a) >= len(b) and any(c != 0 for c in a):
-        if a[0] == 0:
-            a.pop(0)
-            continue
-        f = a[0] / b[0]
-        for i in range(len(b)):
-            a[i] -= f * b[i]
-        a.pop(0)
-    return a
-
-
-def _rational_root_of_binary_form(g):
-    """Try small rational projective roots of a binary form; None if not found."""
-    coeffs = list(g)
-    deg = len(coeffs) - 1
-    if all(c == 0 for c in coeffs[:-1]):
-        return ["1", "0"]
-
-    def value(v1, v2):
-        return sum(c * v1 ** (deg - i) * v2**i for i, c in enumerate(coeffs))
-
-    for num in range(-6, 7):
-        for den in range(1, 7):
-            if value(Fraction(num), Fraction(den)) == 0:
-                return [str(Fraction(num)), str(Fraction(den))]
-    if value(Fraction(1), Fraction(0)) == 0:
-        return ["1", "0"]
-    return None
+def cross_oracle_payload(cfg: ConfigurationMatrix) -> dict:
+    """Both 1-genericity oracles on one configuration: Hadamard's on the
+    columns of D and the bilinear search on its Patterson matrix, and
+    whether their verdicts agree."""
+    had = hadamard_one_generic(cfg)
+    lin = linear_one_generic(patterson_matrix(cfg))
+    return {"hadamard": had.payload(), "linear": lin.payload(), "agree": had.one_generic == lin.one_generic}
 
 
 def incidence_jacobian(A: PolyMatrix):

@@ -26,6 +26,7 @@ from .configurations import (
     ConfigurationMatrix,
     cauchy_binet_expansion,
     configuration_lct_campaign,
+    cross_oracle_payload,
     hadamard_one_generic,
     linear_one_generic,
     patterson_matrix,
@@ -387,12 +388,8 @@ def _run_one_generic(task, inputs, ctx):
     p = task.param_dict()
     if p.get("mode") == "grid":
         return _run_one_generic_grid(p)
-    cfg = _resolve(inputs, p["configuration"], "configuration")
-    had = hadamard_one_generic(cfg)
-    lin = linear_one_generic(patterson_matrix(cfg))
-    agree = had.one_generic == lin.one_generic
-    payload = {"hadamard": had.payload(), "linear": lin.payload(), "agree": agree}
-    return (STATUS_PASS if agree else STATUS_FAIL), payload
+    payload = cross_oracle_payload(_resolve(inputs, p["configuration"], "configuration"))
+    return (STATUS_PASS if payload["agree"] else STATUS_FAIL), payload
 
 
 def _full_rank_sign_matrices(r, n):
@@ -412,8 +409,8 @@ def _run_one_generic_grid(p):
     for n in range(r, p.get("n_max", 4) + 1):
         for cfg in _full_rank_sign_matrices(r, n):
             had = hadamard_one_generic(cfg)
-            # the r=2 gcd certificate decides exactly; the prime sweep only
-            # hunts for small witnesses, so two primes suffice here
+            # the r=2 rank-one certificate decides exactly; the prime sweep
+            # only hunts for small witnesses, so two primes suffice here
             lin = linear_one_generic(patterson_matrix(cfg), primes=(2, 3))
             checked += 1
             if had.one_generic != lin.one_generic:

@@ -121,6 +121,16 @@ class TestSubcommands:
         assert rc == 0
         assert json.loads(out.read_text())["agree"] is True
 
+    def test_one_generic_denominator_divisible_by_a_search_prime(self, tmp_path):
+        # the entry 1/4 of the Patterson matrix has no residue mod 2; the
+        # search reduces the integer coefficient tensor instead
+        doc = tmp_path / "half.json"
+        doc.write_text(json.dumps({"d_matrix": [[1, "1/2", 0], [0, 1, 1]]}))
+        out = tmp_path / "og.json"
+        assert main(["one-generic", "--config", str(doc), "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["linear"]["one_generic"] == payload["hadamard"]["one_generic"]
+
 
 class TestFormats:
     def test_csv_matches_json_numbers(self, docs, tmp_path):

@@ -1,13 +1,16 @@
 """Configuration pipeline: Patterson matrices, matroids, 1-genericity."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from arcdet import parse_poly
+from arcdet import QQ, MultiPoly, parse_poly
 from arcdet.configurations import (
     ConfigurationMatrix,
+    _echelon,
+    _null_vector,
     cauchy_binet_expansion,
     configuration_lct_campaign,
     hadamard_one_generic,
@@ -28,6 +31,63 @@ def triangle():
 
 def identity2():
     return ConfigurationMatrix.from_rows([[1, 0], [0, 1]])
+
+
+def linear_matrix(C):
+    """The matrix sum_k C[k] x_k for a list of r x r coefficient matrices."""
+    names = tuple(f"x{k + 1}" for k in range(len(C)))
+    r = len(C[0])
+    unit = [tuple(int(k == e) for e in range(len(C))) for k in range(len(C))]
+    return PolyMatrix([
+        [MultiPoly(QQ, names, {unit[k]: Fraction(C[k][i][j]) for k in range(len(C))}) for j in range(r)]
+        for i in range(r)
+    ])
+
+
+def bilinear_form(A, v, w):
+    """v^T A w, with v and w given as rational strings."""
+    total = MultiPoly.zero(QQ, A.variables)
+    for i, vi in enumerate(v):
+        for j, wj in enumerate(w):
+            total = total + MultiPoly.constant(QQ, A.variables, Fraction(vi) * Fraction(wj)) * A.entry(i, j)
+    return total
+
+
+def constant_det(rows):
+    """det of a rational matrix by the division-free symbolic expansion."""
+    entries = [[MultiPoly.constant(QQ, ("x1",), v) for v in row] for row in rows]
+    return det_division_free(PolyMatrix(entries)).terms.get((0,), Fraction(0))
+
+
+rationals = st.builds(Fraction, st.sampled_from([0, 0, 0, 1, -1, 2, -3]), st.integers(1, 3))
+
+
+class TestEchelon:
+    @given(st.integers(1, 4), st.integers(1, 4), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_against_division_free_minors(self, k, m, data):
+        rows = [[data.draw(rationals) for _ in range(m)] for _ in range(k)]
+        echelon, pivots, det = _echelon(rows)
+        if k == m:
+            assert det == constant_det(rows)
+        else:
+            assert det is None
+        rank = max(
+            (size for size in range(1, min(k, m) + 1)
+             for ri in combinations(range(k), size)
+             for ci in combinations(range(m), size)
+             if constant_det([[rows[i][j] for j in ci] for i in ri]) != 0),
+            default=0,
+        )
+        assert len(pivots) == len(echelon) == rank
+        # kernel of c -> c . rows, read off the echelon form of the transpose
+        echelon_t, pivots_t, _ = _echelon([list(col) for col in zip(*rows)])
+        c = _null_vector(echelon_t, pivots_t, k)
+        if rank == k:
+            assert c is None
+        else:
+            assert any(c)
+            assert all(sum(c[i] * rows[i][j] for i in range(k)) == 0 for j in range(m))
 
 
 class TestPatterson:
@@ -192,6 +252,12 @@ class TestHadamard:
     def test_rank_one_full_support(self):
         assert hadamard_one_generic(ConfigurationMatrix.from_rows([[1, 1]])).one_generic
 
+    def test_witness_is_the_first_free_kernel_vector(self):
+        # w is supported in {2, 3}: its coefficient vector c has two free
+        # coordinates, and the first of them is set to 1
+        v = hadamard_one_generic(ConfigurationMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+        assert v.witness == {"split": [[0], [1, 2]], "v": ["1", "0", "0"], "w": ["0", "1", "0"]}
+
     def test_witness_vectors_have_disjoint_support(self):
         v = hadamard_one_generic(identity2())
         vec_v = [Fraction(x) for x in v.witness["v"]]
@@ -213,6 +279,64 @@ class TestLinearGenericity:
         v = linear_one_generic(A)
         assert not v.one_generic
         assert v.witness is not None
+
+    def test_witness_at_v_equal_one_zero(self):
+        # v = (1, 0), w = (7, -11) kills every coefficient matrix; no residue
+        # tuple lifts to it, so the rank-one certificate has to find it
+        vs = ("x1", "x2", "x3")
+        A = PolyMatrix([
+            [parse_poly("11*x1", vs), parse_poly("7*x1", vs)],
+            [parse_poly("x2", vs), parse_poly("x3", vs)],
+        ])
+        verdict = linear_one_generic(A)
+        assert not verdict.one_generic and verdict.confirmed
+        v, w = verdict.witness["v"], verdict.witness["w"]
+        assert any(Fraction(x) for x in v) and any(Fraction(x) for x in w)
+        assert bilinear_form(A, v, w).is_zero()
+
+    @given(
+        st.integers(1, 2).flatmap(lambda r: st.tuples(
+            st.lists(st.integers(-3, 3), min_size=r, max_size=r).filter(any),
+            st.lists(st.integers(-3, 3), min_size=r, max_size=r).filter(any),
+            st.lists(st.lists(st.integers(-3, 3), min_size=r * r, max_size=r * r), min_size=1, max_size=4),
+        ))
+    )
+    @example(([1, 2], [0, 1], [[1, 0, 0, 0], [0, 0, 1, 0], [0, 2, 0, -1]]))  # w_1 = 0
+    @settings(max_examples=150, deadline=None)
+    def test_certificate_finds_planted_witness(self, drawn):
+        v, w, flats = drawn
+        r = len(v)
+        # project each random C_k orthogonally to B = v w^T, so v^T C_k w = 0
+        B = [vi * wj for vi in v for wj in w]
+        norm = sum(b * b for b in B)
+        planes = [[norm * c - sum(x * b for x, b in zip(flat, B)) * b for c, b in zip(flat, B)] for flat in flats]
+        A = linear_matrix([[plane[i * r : (i + 1) * r] for i in range(r)] for plane in planes])
+        assert bilinear_form(A, v, w).is_zero()
+        verdict = linear_one_generic(A, primes=())
+        assert not verdict.one_generic and verdict.confirmed
+        if "v" in verdict.witness:
+            assert bilinear_form(A, verdict.witness["v"], verdict.witness["w"]).is_zero()
+
+    @given(st.integers(1, 3).flatmap(lambda r: st.lists(
+        st.lists(st.sampled_from([0, 0, 0, 1, -1, 2]), min_size=r * r, max_size=r * r), min_size=1, max_size=3,
+    )))
+    @settings(max_examples=60, deadline=None)
+    def test_search_returns_the_first_residue_witness(self, flats):
+        # reference loop: an exact zero vanishes mod q too, so the search
+        # returns the first (q, v, w), v outer and w inner, that is exact
+        r = round(len(flats[0]) ** 0.5)
+        planes = [[flat[i * r : (i + 1) * r] for i in range(r)] for flat in flats]
+        tuples = {q: [t for t in product(range(q), repeat=r) if any(t)] for q in (2, 3)}
+        expected = next((
+            {"v": [str(x) for x in v], "w": [str(x) for x in w]}
+            for q in (2, 3) for v in tuples[q] for w in tuples[q]
+            if all(sum(v[i] * plane[i][j] * w[j] for i in range(r) for j in range(r)) == 0 for plane in planes)
+        ), None)
+        verdict = linear_one_generic(linear_matrix(planes), primes=(2, 3))
+        if expected is not None:
+            assert not verdict.one_generic and verdict.witness == expected
+        else:
+            assert verdict.confirmed == (r <= 2)
 
     def test_agrees_with_hadamard_on_patterson(self):
         for cfg in (identity2(), triangle(), ConfigurationMatrix.from_rows([[1, 1]])):

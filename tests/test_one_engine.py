@@ -9,7 +9,9 @@ Tables are shared only through the one run-scoped cache: ``harness`` opens its
 scope, no other module names it, and the cone-only cache stays deleted.
 Codimensions have one extraction path as well: only ``consensus.extract_codim``
 calls the cyclotomic fit and the rounding vote, so a bucketed or flat count
-cannot drift from it.
+cannot drift from it.  The configuration oracles have one exact elimination,
+``configurations._echelon``: the helpers it and the rank-one certificate
+replaced stay deleted.
 """
 
 import ast
@@ -24,6 +26,14 @@ ENGINE_INTERNALS = (
 CACHE_SCOPE = ("table_cache", "TableCache")
 # the cone-only cache that the scope replaced
 DELETED_CACHES = ("cone_cache",)
+# configurations.py: the Fraction eliminations that _echelon replaced, the
+# binary-form gcd certificate that _rank_one_witness replaced, and the tuple
+# list that the per-prime contraction replaced
+DELETED_HELPERS = (
+    "_rank_rational", "_det_rational", "_kernel_vector", "_nonzero_tuples",
+    "_rank_drop_certificate_r1", "_rank_drop_certificate_r2", "_binary_form_gcd", "_poly_mod",
+    "_rational_root_of_binary_form",
+)
 # the two steps of codimension extraction, run only by consensus.extract_codim
 EXTRACTION_STEPS = ("cyclotomic_fit", "_rounding_vote")
 
@@ -75,6 +85,18 @@ def test_only_the_run_scope_shares_tables():
     package = ROOT / "src" / "arcdet"
     assert _modules_naming(package, CACHE_SCOPE, ("counting.py", "harness.py")) == []
     assert _modules_naming(package, DELETED_CACHES) == []
+
+
+def test_configuration_oracles_keep_one_elimination():
+    assert _modules_naming(ROOT / "src" / "arcdet", DELETED_HELPERS) == []
+    assert _modules_naming(ROOT / "tests", DELETED_HELPERS, ("test_one_engine.py",)) == []
+
+
+def test_guard_sees_a_second_elimination(tmp_path):
+    (tmp_path / "configurations.py").write_text(
+        "def _echelon(rows):\n    pass\n\n\ndef _det_rational(rows):\n    return _echelon(rows)[2]\n"
+    )
+    assert _modules_naming(tmp_path, DELETED_HELPERS) == ["configurations.py: _det_rational"]
 
 
 def test_guard_sees_a_second_cache(tmp_path):
