@@ -35,7 +35,7 @@ from .determinantal import (
 )
 from .errors import ArcdetError, ValidationError
 from .fields import GF, QQ
-from .harness import _jsonable, builtin_corpus, run_campaign
+from .harness import _is_prime, _jsonable, builtin_corpus, run_campaign
 from .io import (
     campaign_from_doc,
     configuration_from_doc,
@@ -50,13 +50,23 @@ from .series import TruncSeries
 from .snf import LambdaProfile, smith_normal_form
 
 
+def _prime_arg(text):
+    try:
+        q = int(text)
+    except ValueError:
+        q = 0
+    if not _is_prime(q):
+        raise argparse.ArgumentTypeError(f"--prime expects a prime below 2^31, got {text!r}")
+    return q
+
+
 def _primes_arg(text):
     try:
         primes = tuple(int(p) for p in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"--primes expects comma-separated integers, got {text!r}")
-    if not primes:
-        raise argparse.ArgumentTypeError("--primes needs at least one prime")
+    if not all(map(_is_prime, primes)):
+        raise argparse.ArgumentTypeError(f"--primes expects primes below 2^31, got {text!r}")
     return primes
 
 
@@ -281,7 +291,7 @@ def _add_common(p, *, level=False, max_m=False, m=False, primes=True, prime=Fals
     if primes:
         p.add_argument("--primes", type=_primes_arg, default=LCT_DEFAULT_PRIMES, help="comma-separated primes")
     if prime:
-        p.add_argument("--prime", type=int, required=True, help="field size (prime)")
+        p.add_argument("--prime", type=_prime_arg, required=True, help="field size (prime)")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="max jets per exact enumeration")
     p.add_argument("--seed", type=int, default=0, help="random seed for sampled mode")
     p.add_argument("--out", type=str, default=None, help="write the report to this path")

@@ -18,7 +18,7 @@ from math import lcm
 
 import numpy as np
 
-from .determinantal import VERDICT_FAIL, VERDICT_PASS, corollary_check
+from .determinantal import corollary_check
 from .errors import BudgetExceeded, InternalInvariantError, ValidationError
 from .fields import QQ
 from .jets import DEFAULT_BUDGET
@@ -438,8 +438,7 @@ def configuration_lct_campaign(
     connectivity, 1-genericity, and the two-threshold consistency check."""
     A = patterson_matrix(cfg)
     det = det_division_free(A)
-    sq_free = is_square_free(det)
-    if not sq_free:
+    if not is_square_free(det):
         raise InternalInvariantError("a Patterson determinant is square-free by construction")
     cauchy_binet_expansion(cfg)  # raises on mismatch
     matroid = matroid_from_columns(cfg)
@@ -450,15 +449,12 @@ def configuration_lct_campaign(
         "support coefficients are det(D|_I)^2 (Cauchy-Binet for D diag(x) D^T); "
         "the support statement is unaffected by the square"
     )
-    verdict = corollary.verdict
-    if verdict == VERDICT_PASS and not sq_free:
-        verdict = VERDICT_FAIL
     return ConfigurationReport(
         determinant=str(det),
-        square_free=sq_free,
+        square_free=True,
         connected=connected,
         one_generic=generic,
         corollary=corollary,
         expansion_note=note,
-        verdict=verdict,
+        verdict=corollary.verdict,
     )

@@ -40,14 +40,15 @@ VERDICT_AMBIGUOUS = "AMBIGUOUS"
 
 
 def minor_ideal_tower(A: PolyMatrix):
-    """IdealGens for the l-minor ideals, l = 1..cols; zero minors are dropped.
+    """IdealGens for the l-minor ideals, l = 1..cols; zero minors and repeated
+    minors are dropped (the first occurrence is kept).
 
     A level whose minors all vanish identically is kept as the explicit
     zero ideal (a single zero polynomial).
     """
     tower = []
     for ell in range(1, A.cols + 1):
-        gens = [g for g in minors(A, ell) if not g.is_zero()]
+        gens = list(dict.fromkeys(g for g in minors(A, ell) if not g.is_zero()))
         if not gens:
             gens = [MultiPoly.zero(A.field, A.variables)]
         tower.append(IdealGens(tuple(gens)))

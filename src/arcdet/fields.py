@@ -81,10 +81,11 @@ class PrimeField:
     """The field F_q for a machine-word prime q.  Elements are ints in [0, q)."""
 
     def __init__(self, q: int):
+        # the limit first: trial division of a huge modulus would not finish
+        if isinstance(q, int) and q > _WORD_LIMIT:
+            raise ValueError(f"modulus {q} exceeds the machine-word limit 2^31")
         if not isinstance(q, int) or not _is_prime(q):
             raise ValueError(f"modulus {q} is not prime")
-        if q > _WORD_LIMIT:
-            raise ValueError(f"modulus {q} exceeds the machine-word limit 2^31")
         self.q = q
         self.char = q
 

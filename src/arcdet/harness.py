@@ -1,12 +1,17 @@
 """Config-driven verification campaigns with deterministic reports.
 
 A campaign declares named inputs (matrices, ideals, configurations) and an
-ordered task list.  Validation runs before execution and reports every
-problem at once; execution is sequential (tasks are pure functions of
-immutable inputs, so order cannot change results) and the report lists
-tasks in declaration order.  Identity checks and estimate checks are
-segregated so a rounding ambiguity can never mask a broken identity; any
-failed identity marks the whole run FAILED.
+ordered task list.  Each task kind is declared once, in ``_KINDS``: its
+runner, whether it checks an identity, its parameters (each with a type and
+either a default or the fact that it is required), and one check across its
+parameters.  Validation is one loop over that table; it runs before
+execution and reports every problem at once.  A runner receives its
+parameters with the defaults filled in and its input references resolved.
+Execution is sequential (tasks are pure functions of immutable inputs, so
+order cannot change results) and the report lists tasks in declaration
+order, with their parameters as declared.  Identity checks and estimate
+checks are segregated so a rounding ambiguity can never mask a broken
+identity; any failed identity marks the whole run FAILED.
 
 Reports serialize to canonical JSON.  Wall-clock time is recorded next to
 the canonical payload, not inside it, so equal inputs and seed give
@@ -43,11 +48,11 @@ from .determinantal import (
     profiles_of_size,
     stratum_counts,
 )
-from .errors import ArcdetError, BudgetExceeded, ValidationError
+from .errors import ArcdetError, BudgetExceeded, TruncationInsufficient, ValidationError
 from .fields import GF, QQ
 from .jets import DEFAULT_BUDGET, IdealGens
 from .lct import LCT_DEFAULT_PRIMES, lct_estimate
-from .matrices import PolyMatrix, SeriesMatrix, minors
+from .matrices import PolyMatrix, SeriesMatrix, det_division_free, minors
 from .poly import MultiPoly, parse_poly
 from .series import TruncSeries
 from .snf import LambdaProfile, reconstruct, smith_normal_form
@@ -56,21 +61,6 @@ STATUS_PASS = "PASS"
 STATUS_FAIL = "FAIL"
 STATUS_AMBIGUOUS = "AMBIGUOUS"
 STATUS_SKIPPED = "SKIPPED_BUDGET"
-
-TASK_KINDS = (
-    "stratification",
-    "fiber_formula",
-    "lct_z",
-    "lct_w",
-    "corollary",
-    "cone",
-    "configuration",
-    "one_generic",
-    "snf_roundtrip",
-    "cauchy_binet",
-)
-
-IDENTITY_KINDS = {"stratification", "fiber_formula", "cone", "one_generic", "snf_roundtrip", "cauchy_binet"}
 
 
 @dataclass(frozen=True)
@@ -85,10 +75,6 @@ class Task:
 
     def param_dict(self):
         return dict(self.params)
-
-    @property
-    def is_identity_check(self):
-        return self.kind in IDENTITY_KINDS
 
 
 @dataclass(frozen=True)
@@ -160,235 +146,164 @@ def _jsonable(value):
 
 
 # --------------------------------------------------------------------------
-# validation
+# parameter types: a type is a tuple of (test, what the test wants) steps,
+# and the first step a value fails names its problem
 # --------------------------------------------------------------------------
-
-_ALLOWED_PARAMS = {
-    "stratification": {"matrix", "m", "level", "prime"},
-    "fiber_formula": {"lam", "m", "level", "primes"},
-    "lct_z": {"ideal", "matrix", "max_m", "primes", "expect", "tolerance", "require_consensus"},
-    "lct_w": {"matrix", "max_m", "primes", "expect", "tolerance"},
-    "corollary": {"matrix", "max_m", "primes", "expect_z", "expect_w"},
-    "cone": {"matrix", "m", "p", "level", "primes"},
-    "configuration": {"configuration", "max_m", "primes", "expect_connected", "expect_z", "expect_w"},
-    "one_generic": {"configuration", "mode", "r", "n_max"},
-    "snf_roundtrip": {"count", "level", "prime", "shapes"},
-    "cauchy_binet": {"count", "r_max", "n_max", "entry_bound"},
-}
 
 
 def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _param_type_errors(p):
-    """Integer parameters that are not ints (bools count as not): the scalars
-    m, p, level, prime and max_m, and every element of primes and lam."""
-    errors = [
-        f"{name} must be an integer, got {p[name]!r}"
-        for name in ("m", "p", "level", "prime", "max_m")
-        if name in p and not _is_int(p[name])
-    ]
-    for name in ("primes", "lam"):
-        value = p.get(name)
-        if value is not None and not (isinstance(value, (list, tuple)) and all(map(_is_int, value))):
-            errors.append(f"{name} must be a list of integers, got {value!r}")
-    return errors
+def _is_int_list(value):
+    return isinstance(value, (list, tuple)) and all(map(_is_int, value))
 
 
-def _validate_campaign(campaign: Campaign):
-    errors = []
-    inputs = campaign.input_dict()
-    names = set()
-    for task in campaign.tasks:
-        if task.name in names:
-            errors.append(f"duplicate task name {task.name!r}")
-        names.add(task.name)
-        if task.kind not in TASK_KINDS:
-            errors.append(f"{task.name}: unknown task kind {task.kind!r}")
-            continue
-        p = task.param_dict()
-        unknown = set(p) - _ALLOWED_PARAMS[task.kind]
-        if unknown:
-            errors.append(f"{task.name}: unknown parameters for {task.kind}: {sorted(unknown)}")
-        type_errors = _param_type_errors(p)
-        errors.extend(f"{task.name}: {msg}" for msg in type_errors)
-        ref_field = {
-            "stratification": "matrix",
-            "lct_z": "ideal",
-            "lct_w": "matrix",
-            "corollary": "matrix",
-            "cone": "matrix",
-            "configuration": "configuration",
-            "one_generic": "configuration",
-        }.get(task.kind)
-        if task.kind == "one_generic" and p.get("mode") == "grid":
-            ref_field = None  # self-contained sweep, no declared input
-        if ref_field:
-            ref = p.get(ref_field)
-            if ref is None and task.kind == "lct_z" and p.get("matrix"):
-                ref_field, ref = "matrix", p.get("matrix")
-            if ref is None:
-                errors.append(f"{task.name}: missing input reference {ref_field!r}")
-            elif ref not in inputs:
-                errors.append(f"{task.name}: undeclared input {ref!r}")
-        if type_errors:
-            continue  # the range checks below compare these values
-        if task.kind == "stratification":
-            if p.get("m", -1) > p.get("level", -1):
-                errors.append(f"{task.name}: m must be at most level")
-        if task.kind == "cone":
-            if not (0 <= p.get("p", -1) <= p.get("m", -1) <= p.get("level", -1)):
-                errors.append(f"{task.name}: need 0 <= p <= m <= level")
-        if task.kind == "fiber_formula":
-            lam = p.get("lam")
-            if lam is None:
-                errors.append(f"{task.name}: missing profile 'lam'")
-            else:
-                try:
-                    parts = LambdaProfile(tuple(lam)).parts
-                except (ValueError, TypeError) as exc:
-                    errors.append(f"{task.name}: bad profile: {exc}")
-                else:
-                    if parts and parts[-1] > p.get("level", -1):
-                        errors.append(f"{task.name}: profile exceeds the level")
-                if p.get("m", -1) > p.get("level", -1):
-                    errors.append(f"{task.name}: m must be at most level")
-        if task.kind in ("lct_z", "lct_w", "corollary", "configuration"):
-            if p.get("max_m", 0) < 1:
-                errors.append(f"{task.name}: max_m must be at least 1")
-            primes = p.get("primes", LCT_DEFAULT_PRIMES)
-            if not isinstance(primes, (list, tuple)) or len(set(primes)) < 2:
-                errors.append(f"{task.name}: threshold estimation needs at least two distinct primes")
-    return errors
+def _is_prime(value):
+    try:
+        GF(value)
+    except ValueError:
+        return False
+    return True
+
+
+def _is_profile(value):
+    try:
+        return len(LambdaProfile(tuple(value))) > 0
+    except ValueError:
+        return False
+
+
+def _is_rational(value):
+    if not isinstance(value, str):
+        return _is_int(value)
+    try:
+        Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        return False
+    return True
+
+
+def _is_shapes(value):
+    return isinstance(value, (list, tuple)) and len(value) > 0 and all(
+        _is_int_list(s) and len(s) == 2 and s[0] >= s[1] >= 1 for s in value
+    )
+
+
+_INTEGER = (_is_int, "an integer")
+_INTEGERS = (_is_int_list, "a list of integers")
+_NATURAL = (_INTEGER, (lambda v: v >= 0, "at least 0"))
+_POSITIVE = (_INTEGER, (lambda v: v >= 1, "at least 1"))
+_PRIME = (_INTEGER, (_is_prime, "a prime below 2^31"))
+_PRIMES = (_INTEGERS, (lambda v: len(v) > 0 and all(map(_is_prime, v)), "a non-empty list of primes below 2^31"))
+_PROFILE = (_INTEGERS, (_is_profile, "a non-empty nondecreasing list of non-negative integers"))
+_RATIONAL = ((_is_rational, "an integer or a rational string such as '1/2'"),)
+_FLAG = ((lambda v: isinstance(v, bool), "true or false"),)
+_GRID = ((lambda v: v == "grid", "'grid'"),)
+_SHAPES = ((_is_shapes, "a non-empty list of [rows, cols] with rows >= cols >= 1"),)
+_INPUT = "input"  # an input reference, named after the input kind it must name
+
+
+def _param_problem(spec, name, value, inputs):
+    """What is wrong with one parameter value, or None."""
+    if spec is _INPUT:
+        if not isinstance(value, str) or value not in inputs:
+            return f"undeclared input {value!r}"
+        kind = inputs[value][0]
+        return None if kind == name else f"input {value!r} is a {kind}, expected {name}"
+    for test, wanted in spec:
+        if not test(value):
+            return f"{name} must be {wanted}, got {value!r}"
+    return None
 
 
 # --------------------------------------------------------------------------
-# task runners
+# task runners: runner(params, budget, seed) -> (status, payload)
 # --------------------------------------------------------------------------
-
-
-def _resolve(inputs, name, want):
-    kind, value = inputs[name]
-    if kind != want:
-        raise ValidationError(f"input {name!r} is a {kind}, expected {want}")
-    return value
 
 
 def _fraction_close(value, target, tol):
     return value is not None and abs(Fraction(value) - Fraction(target)) <= Fraction(tol)
 
 
-def _run_stratification(task, inputs, ctx):
-    p = task.param_dict()
-    A = _resolve(inputs, p["matrix"], "matrix")
-    pair = DeterminantalPair.from_matrix(A)
-    rep = stratum_counts(pair, p["m"], p["level"], p["prime"], budget=ctx["budget"])
-    status = STATUS_PASS if rep.partition_ok else STATUS_FAIL
-    return status, rep.payload()
+def _run_stratification(p, budget, seed):
+    pair = DeterminantalPair.from_matrix(p["matrix"])
+    rep = stratum_counts(pair, p["m"], p["level"], p["prime"], budget=budget)
+    return (STATUS_PASS if rep.partition_ok else STATUS_FAIL), rep.payload()
 
 
-def _run_fiber(task, inputs, ctx):
-    p = task.param_dict()
+def _run_fiber(p, budget, seed):
     fc = fiber_count_check(
-        LambdaProfile(tuple(p["lam"])), p["m"], p["level"],
-        primes=tuple(p.get("primes", LCT_DEFAULT_PRIMES)), budget=ctx["budget"],
+        LambdaProfile(tuple(p["lam"])), p["m"], p["level"], primes=tuple(p["primes"]), budget=budget
     )
     return fc.verdict, fc.payload()
 
 
-def _run_lct_z(task, inputs, ctx):
-    p = task.param_dict()
-    primes = tuple(p.get("primes", LCT_DEFAULT_PRIMES))
-    if "matrix" in p:
-        pair = DeterminantalPair.from_matrix(_resolve(inputs, p["matrix"], "matrix"))
-        est = lct_z_estimate(pair, p["max_m"], primes=primes, budget=ctx["budget"])
+def _run_lct_z(p, budget, seed):
+    primes = tuple(p["primes"])
+    if p["matrix"] is not None:
+        pair = DeterminantalPair.from_matrix(p["matrix"])
+        est = lct_z_estimate(pair, p["max_m"], primes=primes, budget=budget)
     else:
-        gens = _resolve(inputs, p["ideal"], "ideal")
-        est = lct_estimate(gens, p["max_m"], primes=primes, budget=ctx["budget"])
-    payload = est.payload()
+        est = lct_estimate(p["ideal"], p["max_m"], primes=primes, budget=budget)
     status = STATUS_PASS
     if est.internal_errors:
         status = STATUS_FAIL
-    elif "expect" in p:
-        tol = Fraction(p.get("tolerance", 0))
-        ok = _fraction_close(est.estimate, Fraction(p["expect"]), tol)
+    elif p["expect"] is not None:
+        ok = _fraction_close(est.estimate, p["expect"], p["tolerance"])
         status = STATUS_PASS if ok else STATUS_FAIL
-        if ok and p.get("require_consensus") and not est.certified_upper_bound:
+        if ok and p["require_consensus"] and not est.certified_upper_bound:
             status = STATUS_AMBIGUOUS
     elif not est.certified_upper_bound:
         status = STATUS_AMBIGUOUS
-    return status, payload
+    return status, est.payload()
 
 
-def _run_lct_w(task, inputs, ctx):
-    p = task.param_dict()
-    pair = DeterminantalPair.from_matrix(_resolve(inputs, p["matrix"], "matrix"))
-    charts, w = lct_w_estimate(
-        pair, p["max_m"], primes=tuple(p.get("primes", LCT_DEFAULT_PRIMES)), budget=ctx["budget"]
-    )
-    payload = {
-        "charts": [c.payload() for c in charts],
-        "lct_w": None if w is None else str(w),
-    }
+def _run_lct_w(p, budget, seed):
+    pair = DeterminantalPair.from_matrix(p["matrix"])
+    charts, w = lct_w_estimate(pair, p["max_m"], primes=tuple(p["primes"]), budget=budget)
+    payload = {"charts": [c.payload() for c in charts], "lct_w": None if w is None else str(w)}
     status = STATUS_PASS
     if w is None:
         status = STATUS_AMBIGUOUS
-    elif "expect" in p:
-        tol = Fraction(p.get("tolerance", 0))
-        status = STATUS_PASS if _fraction_close(w, Fraction(p["expect"]), tol) else STATUS_FAIL
+    elif p["expect"] is not None:
+        status = STATUS_PASS if _fraction_close(w, p["expect"], p["tolerance"]) else STATUS_FAIL
     return status, payload
 
 
-def _run_corollary(task, inputs, ctx):
-    p = task.param_dict()
-    A = _resolve(inputs, p["matrix"], "matrix")
-    rep = corollary_check(A, p["max_m"], primes=tuple(p.get("primes", LCT_DEFAULT_PRIMES)), budget=ctx["budget"])
-    status = rep.verdict
-    if status == VERDICT_PASS:
-        tol = Fraction(1, 2 * p["max_m"])
-        if "expect_z" in p and not _fraction_close(rep.lct_z.estimate, Fraction(p["expect_z"]), tol):
-            status = STATUS_FAIL
-        if "expect_w" in p and not _fraction_close(rep.lct_w, Fraction(p["expect_w"]), tol):
-            status = STATUS_FAIL
-    return status, rep.payload()
+def _expected_thresholds(verdict, p, lct_z, lct_w):
+    """PASS turns FAIL when a threshold misses its expected value by more than 1/(2 max_m)."""
+    if verdict != VERDICT_PASS:
+        return verdict
+    tol = Fraction(1, 2 * p["max_m"])
+    for expect, value in ((p["expect_z"], lct_z), (p["expect_w"], lct_w)):
+        if expect is not None and not _fraction_close(value, expect, tol):
+            return STATUS_FAIL
+    return verdict
 
 
-def _run_cone(task, inputs, ctx):
-    p = task.param_dict()
-    A = _resolve(inputs, p["matrix"], "matrix")
-    check = cone_comparison_check(
-        A, p["m"], p["p"], p["level"], primes=tuple(p.get("primes", LCT_DEFAULT_PRIMES)),
-        budget=ctx["budget"],
-    )
+def _run_corollary(p, budget, seed):
+    rep = corollary_check(p["matrix"], p["max_m"], primes=tuple(p["primes"]), budget=budget)
+    return _expected_thresholds(rep.verdict, p, rep.lct_z.estimate, rep.lct_w), rep.payload()
+
+
+def _run_cone(p, budget, seed):
+    check = cone_comparison_check(p["matrix"], p["m"], p["p"], p["level"], primes=tuple(p["primes"]), budget=budget)
     return check.verdict, check.payload()
 
 
-def _run_configuration(task, inputs, ctx):
-    p = task.param_dict()
-    cfg = _resolve(inputs, p["configuration"], "configuration")
-    rep = configuration_lct_campaign(
-        cfg, p["max_m"], primes=tuple(p.get("primes", LCT_DEFAULT_PRIMES)), budget=ctx["budget"]
-    )
-    status = rep.verdict
-    if status == VERDICT_PASS:
-        tol = Fraction(1, 2 * p["max_m"])
-        if "expect_connected" in p and rep.connected != p["expect_connected"]:
-            status = STATUS_FAIL
-        if "expect_z" in p and not _fraction_close(rep.corollary.lct_z.estimate, Fraction(p["expect_z"]), tol):
-            status = STATUS_FAIL
-        if "expect_w" in p and not _fraction_close(rep.corollary.lct_w, Fraction(p["expect_w"]), tol):
-            status = STATUS_FAIL
-        if not rep.square_free:
-            status = STATUS_FAIL
+def _run_configuration(p, budget, seed):
+    rep = configuration_lct_campaign(p["configuration"], p["max_m"], primes=tuple(p["primes"]), budget=budget)
+    status = _expected_thresholds(rep.verdict, p, rep.corollary.lct_z.estimate, rep.corollary.lct_w)
+    if status == VERDICT_PASS and p["expect_connected"] is not None and rep.connected != p["expect_connected"]:
+        status = STATUS_FAIL
     return status, rep.payload()
 
 
-def _run_one_generic(task, inputs, ctx):
-    p = task.param_dict()
-    if p.get("mode") == "grid":
-        return _run_one_generic_grid(p)
-    payload = cross_oracle_payload(_resolve(inputs, p["configuration"], "configuration"))
+def _run_one_generic(p, budget, seed):
+    if p["mode"] == "grid":
+        return _run_one_generic_grid(p["r"], p["n_max"])
+    payload = cross_oracle_payload(p["configuration"])
     return (STATUS_PASS if payload["agree"] else STATUS_FAIL), payload
 
 
@@ -402,11 +317,10 @@ def _full_rank_sign_matrices(r, n):
         yield cfg
 
 
-def _run_one_generic_grid(p):
-    r = p.get("r", 2)
+def _run_one_generic_grid(r, n_max):
     checked = 0
     disagreements = []
-    for n in range(r, p.get("n_max", 4) + 1):
+    for n in range(r, n_max + 1):
         for cfg in _full_rank_sign_matrices(r, n):
             had = hadamard_one_generic(cfg)
             # the r=2 rank-one certificate decides exactly; the prime sweep
@@ -421,26 +335,17 @@ def _run_one_generic_grid(p):
 
 def _random_series_matrix(rng, rows, cols, level, q):
     f = GF(q)
-    return SeriesMatrix(
-        [
-            [TruncSeries(f, level, [rng.randrange(q) for _ in range(level + 1)]) for _ in range(cols)]
-            for _ in range(rows)
-        ]
-    )
+    return SeriesMatrix([
+        [TruncSeries(f, level, [rng.randrange(q) for _ in range(level + 1)]) for _ in range(cols)]
+        for _ in range(rows)
+    ])
 
 
-def _run_snf_roundtrip(task, inputs, ctx):
-    p = task.param_dict()
-    rng = random.Random(f"{ctx['seed']}:{task.name}")
-    level = p.get("level", 6)
-    q = p.get("prime", 5)
-    shapes = [tuple(s) for s in p.get("shapes", [(2, 2), (3, 2)])]
-    count = p.get("count", 200)
-    from .errors import TruncationInsufficient
-    from .matrices import det_division_free
-
-    done = 0
-    skipped = 0
+def _run_snf_roundtrip(p, budget, seed):
+    rng = random.Random(seed)
+    level, q, count = p["level"], p["prime"], p["count"]
+    shapes = [tuple(s) for s in p["shapes"]]
+    done = skipped = 0
     failures = []
     while done < count:
         shape = shapes[done % len(shapes)]
@@ -461,8 +366,7 @@ def _run_snf_roundtrip(task, inputs, ctx):
         # minor-order oracle
         sigma_prev = 0
         for ell in range(1, shape[1] + 1):
-            orders = [mm.ord() for mm in minors(M, ell)]
-            orders = [o for o in orders if o is not None]
+            orders = [o for o in (mm.ord() for mm in minors(M, ell)) if o is not None]
             sigma = min(orders) if orders else None
             expect = sigma_prev + res.lam.parts[ell - 1]
             if sigma != expect:
@@ -473,16 +377,14 @@ def _run_snf_roundtrip(task, inputs, ctx):
     return (STATUS_PASS if not failures else STATUS_FAIL), payload
 
 
-def _run_cauchy_binet(task, inputs, ctx):
-    p = task.param_dict()
-    rng = random.Random(f"{ctx['seed']}:{task.name}")
-    count = p.get("count", 100)
-    bound = p.get("entry_bound", 3)
+def _run_cauchy_binet(p, budget, seed):
+    rng = random.Random(seed)
+    bound = p["entry_bound"]
     done = 0
     failures = []
-    while done < count:
-        r = rng.randint(1, p.get("r_max", 3))
-        n = rng.randint(r, p.get("n_max", 6))
+    while done < p["count"]:
+        r = rng.randint(1, p["r_max"])
+        n = rng.randint(r, p["n_max"])
         rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(r)]
         try:
             cfg = ConfigurationMatrix.from_rows(rows)
@@ -497,51 +399,155 @@ def _run_cauchy_binet(task, inputs, ctx):
     return (STATUS_PASS if not failures else STATUS_FAIL), payload
 
 
-_RUNNERS = {
-    "stratification": _run_stratification,
-    "fiber_formula": _run_fiber,
-    "lct_z": _run_lct_z,
-    "lct_w": _run_lct_w,
-    "corollary": _run_corollary,
-    "cone": _run_cone,
-    "configuration": _run_configuration,
-    "one_generic": _run_one_generic,
-    "snf_roundtrip": _run_snf_roundtrip,
-    "cauchy_binet": _run_cauchy_binet,
+# --------------------------------------------------------------------------
+# the task kinds
+# --------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Kind:
+    run: object  # runner(params, budget, seed) -> (status, payload)
+    identity: bool  # a FAIL marks the whole run FAILED
+    required: dict  # parameter name -> type
+    optional: dict  # parameter name -> (type, default)
+    check: object = lambda p: None  # complete params -> problem across them, or None
+
+
+def _two_primes(p):
+    return None if len(set(p["primes"])) >= 2 else "threshold estimation needs at least two distinct primes"
+
+
+def _lct_z_problem(p):
+    if p["ideal"] is None and p["matrix"] is None:
+        return "missing input reference 'ideal'"
+    if p["ideal"] is not None and p["matrix"] is not None:
+        return "takes one of 'ideal' and 'matrix', not both"
+    return _two_primes(p)
+
+
+def _one_generic_problem(p):
+    if p["mode"] is None:
+        return None if p["configuration"] is not None else "missing input reference 'configuration'"
+    if p["configuration"] is not None:
+        return "mode 'grid' takes no configuration"
+    return None if p["r"] <= p["n_max"] else "need r <= n_max"
+
+
+_FIT = {"primes": (_PRIMES, LCT_DEFAULT_PRIMES)}
+_EXPECT = {"expect": (_RATIONAL, None), "tolerance": (_RATIONAL, 0)}
+_EXPECT_ZW = {"expect_z": (_RATIONAL, None), "expect_w": (_RATIONAL, None)}
+
+_KINDS = {
+    "stratification": _Kind(
+        _run_stratification, True, {"matrix": _INPUT, "m": _NATURAL, "level": _NATURAL, "prime": _PRIME}, {},
+        lambda p: "m must be at most level" if p["m"] > p["level"] else None,
+    ),
+    "fiber_formula": _Kind(
+        _run_fiber, True, {"lam": _PROFILE, "m": _NATURAL, "level": _NATURAL}, _FIT,
+        lambda p: "profile exceeds the level" if p["lam"][-1] > p["level"]
+        else "m must be at most level" if p["m"] > p["level"] else None,
+    ),
+    "lct_z": _Kind(
+        _run_lct_z, False, {"max_m": _POSITIVE},
+        {"ideal": (_INPUT, None), "matrix": (_INPUT, None), **_FIT, **_EXPECT, "require_consensus": (_FLAG, False)},
+        _lct_z_problem,
+    ),
+    "lct_w": _Kind(_run_lct_w, False, {"matrix": _INPUT, "max_m": _POSITIVE}, {**_FIT, **_EXPECT}, _two_primes),
+    "corollary": _Kind(
+        _run_corollary, False, {"matrix": _INPUT, "max_m": _POSITIVE}, {**_FIT, **_EXPECT_ZW}, _two_primes
+    ),
+    "cone": _Kind(
+        _run_cone, True, {"matrix": _INPUT, "m": _NATURAL, "p": _NATURAL, "level": _NATURAL}, _FIT,
+        lambda p: None if p["p"] <= p["m"] <= p["level"] else "need 0 <= p <= m <= level",
+    ),
+    "configuration": _Kind(
+        _run_configuration, False, {"configuration": _INPUT, "max_m": _POSITIVE},
+        {**_FIT, "expect_connected": (_FLAG, None), **_EXPECT_ZW}, _two_primes,
+    ),
+    "one_generic": _Kind(
+        _run_one_generic, True, {},
+        {"configuration": (_INPUT, None), "mode": (_GRID, None), "r": (_POSITIVE, 2), "n_max": (_POSITIVE, 4)},
+        _one_generic_problem,
+    ),
+    "snf_roundtrip": _Kind(
+        _run_snf_roundtrip, True, {},
+        {"count": (_NATURAL, 200), "level": (_NATURAL, 6), "prime": (_PRIME, 5),
+         "shapes": (_SHAPES, ((2, 2), (3, 2)))},
+    ),
+    "cauchy_binet": _Kind(
+        _run_cauchy_binet, True, {},
+        {"count": (_NATURAL, 100), "r_max": (_POSITIVE, 3), "n_max": (_POSITIVE, 6), "entry_bound": (_POSITIVE, 3)},
+        lambda p: None if p["r_max"] <= p["n_max"] else "need r_max <= n_max",
+    ),
 }
+
+
+# --------------------------------------------------------------------------
+# validation and execution
+# --------------------------------------------------------------------------
+
+
+def _validate_campaign(campaign: Campaign):
+    """Check every task against its kind in ``_KINDS``; raise one
+    ValidationError that lists every problem.  Returns (task, kind, params)
+    for each task, its params holding the defaults and the resolved inputs."""
+    inputs = campaign.input_dict()
+    errors, calls, names = [], [], set()
+    for task in campaign.tasks:
+        if task.name in names:
+            errors.append(f"duplicate task name {task.name!r}")
+        names.add(task.name)
+        kind = _KINDS.get(task.kind)
+        if kind is None:
+            errors.append(f"{task.name}: unknown task kind {task.kind!r}")
+            continue
+        given = task.param_dict()
+        params = {name: default for name, (_, default) in kind.optional.items()}
+        specs = {**kind.required, **{name: spec for name, (spec, _) in kind.optional.items()}}
+        problems, sound = [], True
+        for name, spec in specs.items():
+            if name in given:
+                problem = _param_problem(spec, name, given[name], inputs)
+                params[name] = inputs[given[name]][1] if spec is _INPUT and not problem else given[name]
+            elif name in kind.required:
+                problem = f"missing {'input reference' if spec is _INPUT else 'parameter'} {name!r}"
+            else:
+                continue
+            if problem:
+                problems.append(problem)
+                if spec is not _INPUT:
+                    sound = False
+        if sound:  # the check across parameters compares values; it tests inputs only for presence
+            problems.append(kind.check(params))
+        if set(given) - set(specs):
+            problems.append(f"unknown parameters for {task.kind}: {sorted(set(given) - set(specs))}")
+        errors.extend(f"{task.name}: {problem}" for problem in problems if problem)
+        calls.append((task, kind, params))
+    if errors:
+        raise ValidationError("campaign validation failed:\n  " + "\n  ".join(errors))
+    return calls
 
 
 def run_campaign(campaign: Campaign, seed=0, budget=DEFAULT_BUDGET) -> Report:
     """Validate, execute, and report.  Identical inputs and seed give
     byte-identical canonical reports."""
-    errors = _validate_campaign(campaign)
-    if errors:
-        raise ValidationError("campaign validation failed:\n  " + "\n  ".join(errors))
-    inputs = campaign.input_dict()
-    ctx = {"seed": seed, "budget": budget}
+    calls = _validate_campaign(campaign)
     start = time.monotonic()
     results = []
     failed = False
     # the tasks of this run share each contact-order table; none outlives it
     with table_cache():
-        for task in campaign.tasks:
-            runner = _RUNNERS[task.kind]
+        for task, kind, params in calls:
             try:
-                status, payload = runner(task, inputs, ctx)
+                status, payload = kind.run(params, budget, f"{seed}:{task.name}")
             except BudgetExceeded as exc:
                 status, payload = STATUS_SKIPPED, {"reason": str(exc)}
-            if status == STATUS_FAIL and task.is_identity_check:
+            if status == STATUS_FAIL and kind.identity:
                 failed = True
-            results.append(
-                TaskResult(
-                    name=task.name,
-                    kind=task.kind,
-                    status=status,
-                    identity_check=task.is_identity_check,
-                    params=_jsonable(task.param_dict()),
-                    payload=_jsonable(payload),
-                )
-            )
+            results.append(TaskResult(
+                name=task.name, kind=task.kind, status=status, identity_check=kind.identity,
+                params=_jsonable(task.param_dict()), payload=_jsonable(payload),
+            ))
     wall = time.monotonic() - start
     return Report(
         campaign=campaign.name, seed=seed, budget=budget,
@@ -577,26 +583,24 @@ def builtin_corpus():
     """The named campaigns used by the acceptance suite.  Immutable."""
     corpus = {}
 
-    tasks = []
-    for m in (1, 2, 3):
-        for q in (2, 3):
-            tasks.append(Task.make(f"strata-m{m}-q{q}", "stratification", matrix="generic2x2", m=m, level=m, prime=q))
+    tasks = [
+        Task.make(f"strata-m{m}-q{q}", "stratification", matrix="generic2x2", m=m, level=m, prime=q)
+        for m in (1, 2, 3)
+        for q in (2, 3)
+    ]
     corpus["stratification-generic-2x2"] = Campaign.make(
         "stratification-generic-2x2", {"generic2x2": ("matrix", _generic_2x2())}, tasks
     )
 
-    tasks = []
-    for r in (2, 3):
+    tasks = [
+        Task.make(
+            f"fiber-r{r}-l{'_'.join(map(str, lam))}-m{m}", "fiber_formula", lam=list(lam), m=m, level=3, primes=[2, 3]
+        )
+        for r in (2, 3)
         # every nondecreasing r-tuple with parts <= 3, in lexicographic order
-        profiles = sorted(lam for total in range(3 * r + 1) for lam in profiles_of_size(r, total, 3))
-        for lam in profiles:
-            for m in (1, 2, 3):
-                tasks.append(
-                    Task.make(
-                        f"fiber-r{r}-l{'_'.join(map(str, lam))}-m{m}",
-                        "fiber_formula", lam=list(lam), m=m, level=3, primes=[2, 3],
-                    )
-                )
+        for lam in sorted(lam for total in range(3 * r + 1) for lam in profiles_of_size(r, total, 3))
+        for m in (1, 2, 3)
+    ]
     corpus["fiber-formula-grid"] = Campaign.make("fiber-formula-grid", {}, tasks)
 
     inputs = {
@@ -626,13 +630,12 @@ def builtin_corpus():
         [Task.make("corollary", "corollary", matrix="diagx1", max_m=4, expect_z="1/2", expect_w="1")],
     )
 
-    tasks = []
-    for m in (1, 2, 3):
-        for p in range(0, m + 1):
-            tasks.append(Task.make(f"cone-x1-m{m}-p{p}", "cone", matrix="single", m=m, p=p, level=m, primes=[2, 3]))
-    for m in (1, 2, 3):
-        for p in range(0, m + 1):
-            tasks.append(Task.make(f"cone-generic-m{m}-p{p}", "cone", matrix="generic2x2", m=m, p=p, level=m, primes=[2, 3]))
+    tasks = [
+        Task.make(f"cone-{label}-m{m}-p{p}", "cone", matrix=matrix, m=m, p=p, level=m, primes=[2, 3])
+        for label, matrix in (("x1", "single"), ("generic", "generic2x2"))
+        for m in (1, 2, 3)
+        for p in range(0, m + 1)
+    ]
     corpus["cone-comparison-basic"] = Campaign.make(
         "cone-comparison-basic",
         {
@@ -645,12 +648,8 @@ def builtin_corpus():
     corpus["configuration-triangle"] = Campaign.make(
         "configuration-triangle",
         {"triangle": ("configuration", _triangle_configuration())},
-        [
-            Task.make(
-                "triangle", "configuration", configuration="triangle", max_m=3,
-                expect_connected=True, expect_z="1", expect_w="2",
-            )
-        ],
+        [Task.make("triangle", "configuration", configuration="triangle", max_m=3,
+                   expect_connected=True, expect_z="1", expect_w="2")],
     )
 
     corpus["snf-roundtrip-random"] = Campaign.make(

@@ -51,6 +51,18 @@ class TestExitCodes:
         rc = main(["verify", "--campaign", "corpus:not-a-thing"])
         assert rc == 2
 
+    def test_non_prime_in_primes_is_usage_error(self, capsys):
+        # PrimeField used to raise a bare ValueError, which exited 1 with a traceback
+        rc = main(["fiber", "--lam", "1,2", "--m", "1", "--level", "2", "--primes", "2,4"])
+        assert rc == 2
+        assert "--primes expects primes below 2^31, got '2,4'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("prime", ["4", "1", "x", "2147483659"])
+    def test_non_prime_prime_is_usage_error(self, docs, capsys, prime):
+        rc = main(["strata", "--matrix", str(docs["matrix"]), "--m", "1", "--level", "1", "--prime", prime])
+        assert rc == 2
+        assert f"--prime expects a prime below 2^31, got '{prime}'" in capsys.readouterr().err
+
     def test_conflicting_lct_inputs(self, docs, capsys):
         rc = main(["lct", "--ideal", str(docs["ideal"]), "--matrix", str(docs["matrix"]), "--max-m", "2"])
         assert rc == 2

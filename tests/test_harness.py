@@ -1,9 +1,17 @@
 """Campaign validation, execution, determinism, and budget behavior."""
 
+import dataclasses
+import hashlib
+import re
+from pathlib import Path
+
 import pytest
 
+import arcdet.harness
+from arcdet.configurations import ConfigurationMatrix, patterson_matrix
+from arcdet.determinantal import minor_ideal_tower
 from arcdet.errors import ValidationError
-from arcdet.harness import Campaign, Task, builtin_corpus, run_campaign
+from arcdet.harness import _KINDS, Campaign, Task, builtin_corpus, run_campaign
 from arcdet.io import campaign_from_doc
 from arcdet.jets import IdealGens
 from arcdet.matrices import PolyMatrix
@@ -87,6 +95,68 @@ class TestValidation:
         assert "c: p must be an integer, got False" in msg
         assert "d: max_m must be an integer, got None" in msg
 
+    def test_every_invalid_task_is_rejected_before_any_task_runs(self, monkeypatch):
+        # each invalid task used to escape mid-run (KeyError, a bare ValueError
+        # or IndexError) or to run in the wrong mode; the valid one must not run
+        ran = []
+        monkeypatch.setattr(arcdet.harness, "stratum_counts", lambda *args, **kw: ran.append(args))
+        c = Campaign.make(
+            "bad",
+            {
+                "m": ("matrix", tiny_matrix()),
+                "x1": ("ideal", IdealGens((parse_poly("x1", ("x1",)),))),
+                "tri": ("configuration", ConfigurationMatrix.from_rows([[1, -1, 0], [0, 1, -1]])),
+            },
+            [
+                Task.make("valid", "stratification", matrix="m", m=1, level=1, prime=2),
+                Task.make("no-m", "stratification", matrix="m", level=2, prime=2),
+                Task.make("both", "lct_z", ideal="x1", matrix="nope", max_m=2),
+                Task.make("prime-4", "stratification", matrix="m", m=1, level=1, prime=4),
+                Task.make("snf-prime-4", "snf_roundtrip", prime=4),
+                Task.make("primes-2-4", "fiber_formula", lam=[1, 1], m=1, level=2, primes=[2, 4]),
+                Task.make("gird", "one_generic", configuration="tri", mode="gird"),
+                Task.make("wrong-kind", "configuration", configuration="m", max_m=2),
+                Task.make("expect-x", "lct_z", ideal="x1", max_m=2, expect="x"),
+                Task.make("r-above-n", "cauchy_binet", r_max=5, n_max=2),
+                Task.make("one-number-shape", "snf_roundtrip", shapes=[[2]]),
+            ],
+        )
+        with pytest.raises(ValidationError) as err:
+            run_campaign(c)
+        assert str(err.value).splitlines() == [
+            "campaign validation failed:",
+            "  no-m: missing parameter 'm'",
+            "  both: undeclared input 'nope'",
+            "  both: takes one of 'ideal' and 'matrix', not both",
+            "  prime-4: prime must be a prime below 2^31, got 4",
+            "  snf-prime-4: prime must be a prime below 2^31, got 4",
+            "  primes-2-4: primes must be a non-empty list of primes below 2^31, got [2, 4]",
+            "  gird: mode must be 'grid', got 'gird'",
+            "  wrong-kind: input 'm' is a matrix, expected configuration",
+            "  expect-x: expect must be an integer or a rational string such as '1/2', got 'x'",
+            "  r-above-n: need r_max <= n_max",
+            "  one-number-shape: shapes must be a non-empty list of [rows, cols] with rows >= cols >= 1, got [[2]]",
+        ]
+        assert ran == []
+
+    def test_runners_get_defaults_and_resolved_inputs(self, monkeypatch):
+        seen = []
+
+        def record(p, budget, seed):
+            seen.append((p, seed))
+            return "PASS", {}
+
+        monkeypatch.setitem(_KINDS, "lct_z", dataclasses.replace(_KINDS["lct_z"], run=record))
+        gens = IdealGens((parse_poly("x1", ("x1",)),))
+        c = Campaign.make("c", {"x1": ("ideal", gens)}, [Task.make("t", "lct_z", ideal="x1", max_m=2)])
+        rep = run_campaign(c, seed=7)
+        assert seen == [(
+            {"ideal": gens, "matrix": None, "primes": (2, 3), "expect": None, "tolerance": 0,
+             "require_consensus": False, "max_m": 2},
+            "7:t",
+        )]
+        assert rep.results[0].params == {"ideal": "x1", "max_m": 2}
+
 
 class TestExecution:
     def test_corpus_membership(self):
@@ -152,6 +222,14 @@ class TestDeterminism:
         b = run_campaign(corpus["corollary-diag-x1x1"], seed=3)
         assert a.canonical_json() == b.canonical_json()
 
+    def test_triangle_tower_drops_the_repeated_generator(self):
+        # the two off-diagonal -x2 entries of the Patterson matrix are one generator
+        tower = minor_ideal_tower(patterson_matrix(ConfigurationMatrix.from_rows([[1, -1, 0], [0, 1, -1]])))
+        assert [str(g) for g in tower[0]] == ["x1 + x2", "-x2", "x2 + x3"]
+        rep = run_campaign(builtin_corpus()["configuration-triangle"], seed=0)
+        digest = hashlib.sha256(rep.canonical_json().encode()).hexdigest()
+        assert digest == "74046be81ecb30ea4f2fb2f92d50b867a18d72b3e3536ec6bd1c1983efe9dd0a"
+
     def test_randomized_task_seeded(self):
         corpus = builtin_corpus()
         a = run_campaign(corpus["snf-roundtrip-random"], seed=5)
@@ -178,3 +256,23 @@ class TestCampaignDocuments:
     def test_unknown_field_rejected(self):
         with pytest.raises(ValidationError):
             campaign_from_doc({"tasks": [], "extra": 1})
+
+
+class TestReadme:
+    def test_task_table_matches_the_declarations(self):
+        # README's "Campaign documents" table lists each kind's parameters;
+        # a required parameter of _KINDS must sit in the required column and
+        # a parameter listed as optional must have a default there
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = text.split("## Campaign documents", 1)[1].split("\n## ", 1)[0]
+        rows = {}
+        for line in section.splitlines():
+            cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+            if line.startswith("| `") and len(cells) == 3:
+                kind = cells[0].strip("`")
+                rows[kind] = [set(re.findall(r"`(\w+)`", cell)) for cell in cells[1:]]
+        assert set(rows) == set(_KINDS)
+        for kind, (required, optional) in rows.items():
+            declared = _KINDS[kind]
+            assert required | optional == set(declared.required) | set(declared.optional), kind
+            assert set(declared.required) <= required and optional <= set(declared.optional), kind

@@ -119,6 +119,12 @@ class TestPrimeFieldCoefficients:
         q = p.map_coeffs(GF(3))
         assert q.terms == {(1,): 2}  # 1/2 = 2 mod 3
 
+    def test_huge_modulus_is_refused_before_trial_division(self):
+        # the square of the prime 2^61 - 1 has no factor below 2^61, so
+        # testing it for primality by trial division would not finish
+        with pytest.raises(ValueError, match="exceeds the machine-word limit"):
+            GF((2**61 - 1) ** 2)
+
 
 class TestCalculus:
     def test_partial(self):
