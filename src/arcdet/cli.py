@@ -1,5 +1,12 @@
 """Command-line front end.  One subcommand per operation, batch oriented.
 
+The subcommands ``lct``, ``strata``, ``fiber``, ``cone`` and ``one-generic
+--config`` each run one task of a campaign task kind (``lct_z``,
+``stratification``, ``fiber_formula``, ``cone``, ``one_generic``) through
+``harness.run_task``: each flag sets the task parameter it is named after
+(``--config`` the ``configuration``), a document flag names an input read by
+``io``, and the kind validates them as it would in a campaign.
+
 Exit codes: 0 for computed results and PASS verdicts, 1 for FAIL verdicts
 or failed campaigns, 2 for usage and validation errors.  Numeric payloads
 carry exact rationals as "p/q" strings plus decimal convenience fields;
@@ -13,68 +20,47 @@ import csv
 import io as _io
 import json
 import sys
-from fractions import Fraction
 
 from .contact import MODE_AT_LEAST, MODE_EXACT, ContactQuery, count_contact
 from .configurations import (
     cauchy_binet_expansion,
-    cross_oracle_payload,
     is_connected,
     is_square_free,
     linear_one_generic,
     matroid_from_columns,
     patterson_matrix,
 )
-from .determinantal import (
-    DeterminantalPair,
-    cone_comparison_check,
-    fiber_count_check,
-    lambda_profile,
-    lct_z_estimate,
-    stratum_counts,
-)
+from .determinantal import lambda_profile
 from .errors import ArcdetError, ValidationError
-from .fields import GF, QQ
-from .harness import _is_prime, _jsonable, builtin_corpus, run_campaign
+from .harness import _KINDS, STATUS_FAIL, _is_prime, _jsonable, builtin_corpus, run_campaign, run_task
 from .io import (
+    INPUT_READERS,
     campaign_from_doc,
     configuration_from_doc,
     ideal_from_doc,
+    jet_from_doc,
     load_json,
     matrix_from_doc,
+    series_matrix_from_doc,
 )
-from .jets import DEFAULT_BUDGET, JetPoint
-from .lct import LCT_DEFAULT_PRIMES, lct_estimate
-from .matrices import SeriesMatrix, det_division_free
-from .series import TruncSeries
-from .snf import LambdaProfile, smith_normal_form
+from .jets import DEFAULT_BUDGET
+from .lct import LCT_DEFAULT_PRIMES
+from .matrices import det_division_free
+from .snf import smith_normal_form
 
 
-def _prime_arg(text):
+def _ints_arg(text):
     try:
-        q = int(text)
+        return [int(p) for p in text.split(",")]
     except ValueError:
-        q = 0
-    if not _is_prime(q):
-        raise argparse.ArgumentTypeError(f"--prime expects a prime below 2^31, got {text!r}")
-    return q
+        raise argparse.ArgumentTypeError(f"expects comma-separated integers, got {text!r}")
 
 
 def _primes_arg(text):
-    try:
-        primes = tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"--primes expects comma-separated integers, got {text!r}")
+    primes = _ints_arg(text)
     if not all(map(_is_prime, primes)):
         raise argparse.ArgumentTypeError(f"--primes expects primes below 2^31, got {text!r}")
-    return primes
-
-
-def _lam_arg(text):
-    try:
-        return tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"--lam expects comma-separated integers, got {text!r}")
+    return tuple(primes)
 
 
 def _flatten(payload, prefix=""):
@@ -115,51 +101,24 @@ def _emit(payload, args):
         sys.stdout.write(text)
 
 
-def _series_matrix_from_doc(doc):
-    for key in doc:
-        if key not in ("prime", "field", "level", "entries"):
-            raise ValidationError(f"unknown field {key!r} in series matrix document")
-    if "level" not in doc or "entries" not in doc:
-        raise ValidationError("series matrix document needs 'level' and 'entries'")
-    field = GF(int(doc["prime"])) if "prime" in doc else QQ
-    level = int(doc["level"])
-    entries = [
-        [TruncSeries.from_coeffs(field, level, [Fraction(str(c)) for c in cell]) for cell in row]
-        for row in doc["entries"]
-    ]
-    return SeriesMatrix(entries)
-
-
-def _jet_from_doc(doc):
-    for key in doc:
-        if key not in ("prime", "field", "level", "coords"):
-            raise ValidationError(f"unknown field {key!r} in jet document")
-    if "level" not in doc or "coords" not in doc:
-        raise ValidationError("jet document needs 'level' and 'coords'")
-    field = GF(int(doc["prime"])) if "prime" in doc else QQ
-    level = int(doc["level"])
-    coords = tuple(
-        TruncSeries.from_coeffs(field, level, [Fraction(str(c)) for c in cell]) for cell in doc["coords"]
-    )
-    return JetPoint(coords)
-
-
 # --------------------------------------------------------------------------
 # subcommand handlers: return process exit status
 # --------------------------------------------------------------------------
 
 
-def _cmd_lct(args):
-    if (args.ideal is None) == (args.matrix is None):
-        raise ValidationError("lct needs exactly one of --ideal or --matrix")
-    if args.matrix:
-        pair = DeterminantalPair.from_matrix(matrix_from_doc(load_json(args.matrix)))
-        est = lct_z_estimate(pair, args.max_m, primes=args.primes, budget=args.budget)
-    else:
-        gens = ideal_from_doc(load_json(args.ideal))
-        est = lct_estimate(gens, args.max_m, primes=args.primes, budget=args.budget)
-    _emit(est.payload(), args)
-    return 1 if est.internal_errors else 0
+def _cmd_task(args):
+    """Run one task of the subcommand's kind; exit 1 exactly on FAIL."""
+    declared = _KINDS[args.kind]
+    params, inputs = {}, {}
+    for name in (*declared.required, *declared.optional):
+        value = getattr(args, name, None)
+        if value is not None:
+            params[name] = value
+            if name in INPUT_READERS:
+                inputs[value] = (name, INPUT_READERS[name](load_json(value)))
+    status, payload = run_task(args.kind, params, inputs, budget=args.budget)
+    _emit(payload, args)
+    return 1 if status == STATUS_FAIL else 0
 
 
 def _cmd_count(args):
@@ -175,14 +134,14 @@ def _cmd_count(args):
 
 def _cmd_profile(args):
     A = matrix_from_doc(load_json(args.matrix))
-    jet = _jet_from_doc(load_json(args.jet))
+    jet = jet_from_doc(load_json(args.jet))
     lam = lambda_profile(A, jet)
     _emit({"lambda": list(lam.parts), "truncated": lam.truncation_flag}, args)
     return 0
 
 
 def _cmd_snf(args):
-    M = _series_matrix_from_doc(load_json(args.matrix))
+    M = series_matrix_from_doc(load_json(args.matrix))
     res = smith_normal_form(M)
     payload = {
         "lambda": list(res.lam.parts),
@@ -192,31 +151,6 @@ def _cmd_snf(args):
     }
     _emit(payload, args)
     return 0
-
-
-def _cmd_strata(args):
-    A = matrix_from_doc(load_json(args.matrix))
-    pair = DeterminantalPair.from_matrix(A)
-    rep = stratum_counts(pair, args.m, args.level, args.prime, budget=args.budget)
-    _emit(rep.payload(), args)
-    return 0 if rep.partition_ok else 1
-
-
-def _cmd_fiber(args):
-    check = fiber_count_check(
-        LambdaProfile(args.lam), args.m, args.level, primes=args.primes, budget=args.budget
-    )
-    _emit(check.payload(), args)
-    return 1 if check.verdict == "FAIL" else 0
-
-
-def _cmd_cone(args):
-    A = matrix_from_doc(load_json(args.matrix))
-    check = cone_comparison_check(
-        A, args.m, args.p, args.level, primes=args.primes, budget=args.budget
-    )
-    _emit(check.payload(), args)
-    return 1 if check.verdict == "FAIL" else 0
 
 
 def _cmd_patterson(args):
@@ -245,10 +179,8 @@ def _cmd_matroid(args):
 
 
 def _cmd_one_generic(args):
-    if args.config:
-        payload = cross_oracle_payload(configuration_from_doc(load_json(args.config)))
-        _emit(payload, args)
-        return 0 if payload["agree"] else 1
+    if args.configuration:
+        return _cmd_task(args)
     A = matrix_from_doc(load_json(args.matrix))
     verdict = linear_one_generic(A)
     _emit(verdict.payload(), args)
@@ -291,7 +223,7 @@ def _add_common(p, *, level=False, max_m=False, m=False, primes=True, prime=Fals
     if primes:
         p.add_argument("--primes", type=_primes_arg, default=LCT_DEFAULT_PRIMES, help="comma-separated primes")
     if prime:
-        p.add_argument("--prime", type=_prime_arg, required=True, help="field size (prime)")
+        p.add_argument("--prime", type=int, required=True, help="field size (prime)")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="max jets per exact enumeration")
     p.add_argument("--seed", type=int, default=0, help="random seed for sampled mode")
     p.add_argument("--out", type=str, default=None, help="write the report to this path")
@@ -306,7 +238,7 @@ def build_parser():
     p.add_argument("--ideal", type=str, help="ideal document path")
     p.add_argument("--matrix", type=str, help="matrix document path (uses the maximal-minor ideal)")
     _add_common(p, max_m=True)
-    p.set_defaults(handler=_cmd_lct)
+    p.set_defaults(handler=_cmd_task, kind="lct_z")
 
     p = sub.add_parser("count", help="contact-locus point counts")
     p.add_argument("--ideal", type=str, required=True)
@@ -329,17 +261,17 @@ def build_parser():
     p = sub.add_parser("strata", help="lambda stratification of a contact locus")
     p.add_argument("--matrix", type=str, required=True)
     _add_common(p, level=True, m=True, primes=False, prime=True)
-    p.set_defaults(handler=_cmd_strata)
+    p.set_defaults(handler=_cmd_task, kind="stratification")
 
     p = sub.add_parser("fiber", help="projective fiber codimension check")
-    p.add_argument("--lam", type=_lam_arg, required=True, help="comma-separated profile")
+    p.add_argument("--lam", type=_ints_arg, required=True, help="comma-separated profile")
     _add_common(p, level=True, m=True)
-    p.set_defaults(handler=_cmd_fiber)
+    p.set_defaults(handler=_cmd_task, kind="fiber_formula")
 
     p = sub.add_parser("cone", help="affine cone comparison check")
     p.add_argument("--matrix", type=str, required=True)
     _add_common(p, level=True, m=True, p_flag=True)
-    p.set_defaults(handler=_cmd_cone)
+    p.set_defaults(handler=_cmd_task, kind="cone")
 
     p = sub.add_parser("patterson", help="Patterson matrix of a configuration")
     p.add_argument("--config", type=str, required=True)
@@ -352,10 +284,13 @@ def build_parser():
     p.set_defaults(handler=_cmd_matroid)
 
     p = sub.add_parser("one-generic", help="1-genericity checks")
-    p.add_argument("--config", type=str, help="configuration document (runs both oracles)")
-    p.add_argument("--matrix", type=str, help="matrix document (linear-search oracle only)")
+    documents = p.add_mutually_exclusive_group(required=True)
+    documents.add_argument(
+        "--config", dest="configuration", metavar="CONFIG", help="configuration document (runs both oracles)"
+    )
+    documents.add_argument("--matrix", type=str, help="matrix document (linear-search oracle only)")
     _add_common(p)
-    p.set_defaults(handler=_cmd_one_generic)
+    p.set_defaults(handler=_cmd_one_generic, kind="one_generic")
 
     p = sub.add_parser("verify", help="run a verification campaign")
     p.add_argument("--campaign", type=str, required=True, help="corpus:NAME or a campaign document path")
@@ -374,12 +309,9 @@ def main(argv=None):
         return int(exc.code) if exc.code else 0
     try:
         return args.handler(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ArcdetError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ValidationError) else 1
 
 
 if __name__ == "__main__":

@@ -648,19 +648,6 @@ def _blocks(polys, n):
     return ((sorted(vars_a), slots_a), (sorted(vars_b), slots_b)), both
 
 
-def _negation_permutation(q, width):
-    codes = np.arange(q**width, dtype=np.int64)
-    neg = np.zeros_like(codes)
-    rem = codes.copy()
-    mult = 1
-    for _ in range(width):
-        d = rem % q
-        neg += ((q - d) % q) * mult
-        rem //= q
-        mult *= q
-    return neg
-
-
 def _side_table(polys, value_poly, n, level, q, batch_cap):
     """Enumerate one block: the ord-keys of ``polys`` that occur, as rows of
     digits, and per key a row counting its jets by the value code of
@@ -694,8 +681,9 @@ def _additive_split_distribution(polys, level, q, sides, split, batch_cap):
         by_ord = np.outer(mat_a.sum(axis=1), mat_b.sum(axis=1))[None]
     else:
         vwidth = level + 1
-        # digitwise negation of value codes; on codes below q^o it negates the o-digit prefix
-        neg = _negation_permutation(q, vwidth)
+        ring = series_ring(q, level)
+        # negation of value codes, scaling by q - 1; on codes below q^o it negates the o-digit prefix
+        neg = ring.scale(q - 1, np.arange(ring.size))
         # geq[o][i, j]: pairs of key i of A and key j of B whose values cancel in
         # their o lowest digits, that is whose sum has order >= o.  Row i of the
         # prefix matrix counts A's values by their o lowest digits.

@@ -67,6 +67,8 @@ class DeterminantalPair:
     @classmethod
     def from_matrix(cls, A: PolyMatrix):
         r = A.cols
+        if A.rows < r:
+            raise ValidationError(f"a determinantal pair needs at least as many rows as columns, got {A.rows}x{r}")
         z = [g for g in minors(A, r) if not g.is_zero()]
         if not z:
             raise ValidationError(

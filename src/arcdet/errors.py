@@ -5,7 +5,11 @@ class ArcdetError(Exception):
     """Base class for all package errors."""
 
 
-class ParseError(ArcdetError):
+class ValidationError(ArcdetError):
+    """Invalid input document, flag combination, or campaign description."""
+
+
+class ParseError(ValidationError):
     """Syntax error in a polynomial expression.
 
     Carries the 0-based position of the offending character.
@@ -30,10 +34,6 @@ class BudgetExceeded(ArcdetError):
 
     Exact mode refuses to run; callers may retry in sampled mode.
     """
-
-
-class ValidationError(ArcdetError):
-    """Invalid input document, flag combination, or campaign description."""
 
 
 class InternalInvariantError(ArcdetError):

@@ -6,12 +6,14 @@ runner, whether it checks an identity, its parameters (each with a type and
 either a default or the fact that it is required), and one check across its
 parameters.  Validation is one loop over that table; it runs before
 execution and reports every problem at once.  A runner receives its
-parameters with the defaults filled in and its input references resolved.
-Execution is sequential (tasks are pure functions of immutable inputs, so
-order cannot change results) and the report lists tasks in declaration
-order, with their parameters as declared.  Identity checks and estimate
-checks are segregated so a rounding ambiguity can never mask a broken
-identity; any failed identity marks the whole run FAILED.
+parameters with the defaults filled in and its input references resolved,
+each matrix input checked once to define a determinantal pair; ``run_task``
+runs a single task so.  Execution is sequential (tasks are pure functions
+of immutable inputs, so order cannot change results) and the report lists
+tasks in declaration order, with their parameters as declared.  Identity
+checks and estimate checks are segregated so a rounding ambiguity can
+never mask a broken identity; any failed identity marks the whole run
+FAILED.
 
 Reports serialize to canonical JSON.  Wall-clock time is recorded next to
 the canonical payload, not inside it, so equal inputs and seed give
@@ -160,6 +162,8 @@ def _is_int_list(value):
 
 
 def _is_prime(value):
+    if not _is_int(value):
+        return False
     try:
         GF(value)
     except ValueError:
@@ -202,15 +206,31 @@ _FLAG = ((lambda v: isinstance(v, bool), "true or false"),)
 _GRID = ((lambda v: v == "grid", "'grid'"),)
 _SHAPES = ((_is_shapes, "a non-empty list of [rows, cols] with rows >= cols >= 1"),)
 _INPUT = "input"  # an input reference, named after the input kind it must name
+_PAIR = "pair"  # a matrix input that DeterminantalPair.from_matrix accepts
+_SQUARE = "square"  # a _PAIR input whose matrix is square
+_REFERENCES = (_INPUT, _PAIR, _SQUARE)
 
 
-def _param_problem(spec, name, value, inputs):
-    """What is wrong with one parameter value, or None."""
-    if spec is _INPUT:
+def _param_problem(spec, name, value, inputs, pairs):
+    """What is wrong with one parameter value, or None.  ``pairs`` maps each
+    matrix input already checked to its pair problem, so each is built once."""
+    if spec in _REFERENCES:
         if not isinstance(value, str) or value not in inputs:
             return f"undeclared input {value!r}"
-        kind = inputs[value][0]
-        return None if kind == name else f"input {value!r} is a {kind}, expected {name}"
+        kind, payload = inputs[value]
+        if kind != name:
+            return f"input {value!r} is a {kind}, expected {name}"
+        if spec is _INPUT:
+            return None
+        if spec is _SQUARE and payload.rows != payload.cols:
+            return f"input {value!r} is {payload.rows}x{payload.cols}, not square"
+        if value not in pairs:
+            pairs[value] = None
+            try:
+                DeterminantalPair.from_matrix(payload)
+            except ValidationError as exc:
+                pairs[value] = f"input {value!r}: {exc}"
+        return pairs[value]
     for test, wanted in spec:
         if not test(value):
             return f"{name} must be {wanted}, got {value!r}"
@@ -439,7 +459,7 @@ _EXPECT_ZW = {"expect_z": (_RATIONAL, None), "expect_w": (_RATIONAL, None)}
 
 _KINDS = {
     "stratification": _Kind(
-        _run_stratification, True, {"matrix": _INPUT, "m": _NATURAL, "level": _NATURAL, "prime": _PRIME}, {},
+        _run_stratification, True, {"matrix": _PAIR, "m": _NATURAL, "level": _NATURAL, "prime": _PRIME}, {},
         lambda p: "m must be at most level" if p["m"] > p["level"] else None,
     ),
     "fiber_formula": _Kind(
@@ -449,15 +469,15 @@ _KINDS = {
     ),
     "lct_z": _Kind(
         _run_lct_z, False, {"max_m": _POSITIVE},
-        {"ideal": (_INPUT, None), "matrix": (_INPUT, None), **_FIT, **_EXPECT, "require_consensus": (_FLAG, False)},
+        {"ideal": (_INPUT, None), "matrix": (_PAIR, None), **_FIT, **_EXPECT, "require_consensus": (_FLAG, False)},
         _lct_z_problem,
     ),
-    "lct_w": _Kind(_run_lct_w, False, {"matrix": _INPUT, "max_m": _POSITIVE}, {**_FIT, **_EXPECT}, _two_primes),
+    "lct_w": _Kind(_run_lct_w, False, {"matrix": _PAIR, "max_m": _POSITIVE}, {**_FIT, **_EXPECT}, _two_primes),
     "corollary": _Kind(
-        _run_corollary, False, {"matrix": _INPUT, "max_m": _POSITIVE}, {**_FIT, **_EXPECT_ZW}, _two_primes
+        _run_corollary, False, {"matrix": _SQUARE, "max_m": _POSITIVE}, {**_FIT, **_EXPECT_ZW}, _two_primes
     ),
     "cone": _Kind(
-        _run_cone, True, {"matrix": _INPUT, "m": _NATURAL, "p": _NATURAL, "level": _NATURAL}, _FIT,
+        _run_cone, True, {"matrix": _PAIR, "m": _NATURAL, "p": _NATURAL, "level": _NATURAL}, _FIT,
         lambda p: None if p["p"] <= p["m"] <= p["level"] else "need 0 <= p <= m <= level",
     ),
     "configuration": _Kind(
@@ -492,7 +512,7 @@ def _validate_campaign(campaign: Campaign):
     ValidationError that lists every problem.  Returns (task, kind, params)
     for each task, its params holding the defaults and the resolved inputs."""
     inputs = campaign.input_dict()
-    errors, calls, names = [], [], set()
+    errors, calls, names, pairs = [], [], set(), {}
     for task in campaign.tasks:
         if task.name in names:
             errors.append(f"duplicate task name {task.name!r}")
@@ -507,15 +527,15 @@ def _validate_campaign(campaign: Campaign):
         problems, sound = [], True
         for name, spec in specs.items():
             if name in given:
-                problem = _param_problem(spec, name, given[name], inputs)
-                params[name] = inputs[given[name]][1] if spec is _INPUT and not problem else given[name]
+                problem = _param_problem(spec, name, given[name], inputs, pairs)
+                params[name] = inputs[given[name]][1] if spec in _REFERENCES and not problem else given[name]
             elif name in kind.required:
-                problem = f"missing {'input reference' if spec is _INPUT else 'parameter'} {name!r}"
+                problem = f"missing {'input reference' if spec in _REFERENCES else 'parameter'} {name!r}"
             else:
                 continue
             if problem:
                 problems.append(problem)
-                if spec is not _INPUT:
+                if spec not in _REFERENCES:
                     sound = False
         if sound:  # the check across parameters compares values; it tests inputs only for presence
             problems.append(kind.check(params))
@@ -526,6 +546,15 @@ def _validate_campaign(campaign: Campaign):
     if errors:
         raise ValidationError("campaign validation failed:\n  " + "\n  ".join(errors))
     return calls
+
+
+def run_task(kind, params, inputs, budget=DEFAULT_BUDGET):
+    """(status, payload) of one task of ``kind``, validated and run as the only
+    task, named ``kind``, of a campaign on ``inputs`` at seed 0; a budget
+    refusal raises BudgetExceeded."""
+    task = Task.make(kind, kind, **params)
+    ((_, declared, resolved),) = _validate_campaign(Campaign.make(kind, inputs, [task]))
+    return declared.run(resolved, budget, f"0:{kind}")
 
 
 def run_campaign(campaign: Campaign, seed=0, budget=DEFAULT_BUDGET) -> Report:

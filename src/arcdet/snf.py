@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InternalInvariantError, TruncationInsufficient
+from .errors import InternalInvariantError, TruncationInsufficient, ValidationError
 from .matrices import SeriesMatrix, det_division_free
 from .series import TruncSeries
 
@@ -81,7 +81,7 @@ def smith_normal_form(matrix: SeriesMatrix) -> SnfResult:
     """
     s, r = matrix.rows, matrix.cols
     if s < r:
-        raise ValueError("expected rows >= cols")
+        raise ValidationError(f"Smith normal form needs at least as many rows as columns, got {s}x{r}")
     level = matrix.level
     field = matrix.field
 

@@ -30,6 +30,11 @@ def docs(tmp_path):
     return paths
 
 
+WIDE = {"vars": ["x1", "x2", "x3"], "rows": [["x1", "x2", "x3"]]}
+SERIES = {"prime": 5, "level": 1, "entries": [[[0, 1], [1]], [[1], [0, 1]]]}
+JET = {"prime": 5, "level": 1}
+
+
 class TestExitCodes:
     def test_lct_ok(self, docs, tmp_path, capsys):
         out = tmp_path / "out.json"
@@ -59,13 +64,57 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("prime", ["4", "1", "x", "2147483659"])
     def test_non_prime_prime_is_usage_error(self, docs, capsys, prime):
+        # the stratification kind checks primality; argparse only reads the integer
         rc = main(["strata", "--matrix", str(docs["matrix"]), "--m", "1", "--level", "1", "--prime", prime])
         assert rc == 2
-        assert f"--prime expects a prime below 2^31, got '{prime}'" in capsys.readouterr().err
+        expected = "invalid int value: 'x'" if prime == "x" else f"prime must be a prime below 2^31, got {prime}"
+        assert expected in capsys.readouterr().err
 
     def test_conflicting_lct_inputs(self, docs, capsys):
         rc = main(["lct", "--ideal", str(docs["ideal"]), "--matrix", str(docs["matrix"]), "--max-m", "2"])
         assert rc == 2
+
+    @pytest.mark.parametrize("argv, doc", [
+        pytest.param(["fiber", "--lam", "2,1", "--m", "1", "--level", "2"], None, id="fiber-decreasing-profile"),
+        pytest.param(["strata", "--m", "1", "--level", "1", "--prime", "2", "--matrix", "{doc}"], WIDE,
+                     id="strata-1x3"),
+        pytest.param(["cone", "--m", "1", "--p", "0", "--level", "1", "--matrix", "{doc}"], WIDE, id="cone-1x3"),
+        pytest.param(["lct", "--max-m", "2", "--matrix", "{doc}"], WIDE, id="lct-1x3"),
+        pytest.param(["snf", "--matrix", "{doc}"], {**SERIES, "field": "GF(5)"}, id="series-field-key"),
+        pytest.param(["snf", "--matrix", "{doc}"], {**SERIES, "prime": 6}, id="series-prime-6"),
+        pytest.param(["snf", "--matrix", "{doc}"], {**SERIES, "level": "x"}, id="series-level-x"),
+        pytest.param(["snf", "--matrix", "{doc}"], {**SERIES, "entries": [[["a"]]]}, id="series-coefficient-a"),
+        pytest.param(["snf", "--matrix", "{doc}"], {**SERIES, "entries": [[[1], [0]]]}, id="series-1x2"),
+        pytest.param(["profile", "--matrix", "{matrix}", "--jet", "{doc}"],
+                     {**JET, "coords": [[1], [0], [0], [0, 0, 1]]}, id="jet-coordinate-past-level"),
+        pytest.param(["patterson", "--config", "{doc}"], {"graph": {"vertices": "a", "edges": [[1, 2]]}},
+                     id="graph-vertices-a"),
+        pytest.param(["matroid", "--config", "{doc}"], {"graph": {"vertices": 3, "edges": [[1, "x"]]}},
+                     id="graph-edge-x"),
+        pytest.param(["one-generic", "--config", "{doc}"], {"graph": {"vertices": 3, "edges": [1, 2]}},
+                     id="graph-flat-edges"),
+        pytest.param(["patterson", "--config", "{doc}"], {"d_matrix": [1, 2]}, id="d-matrix-flat-rows"),
+        pytest.param(["one-generic"], None, id="one-generic-without-document"),
+        pytest.param(["lct", "--max-m", "2", "--ideal", "{doc}"], {"vars": 5, "generators": ["x1"]},
+                     id="ideal-vars-5"),
+        pytest.param(["lct", "--max-m", "2", "--ideal", "{doc}"], {"vars": ["x1"], "generators": ["x1 +"]},
+                     id="ideal-syntax-error"),
+        pytest.param(["strata", "--m", "1", "--level", "1", "--prime", "2", "--matrix", "{doc}"],
+                     {"vars": ["x1"], "rows": [["x1", 2]]}, id="matrix-entry-2"),
+        pytest.param(["strata", "--m", "1", "--level", "1", "--prime", "2", "--matrix", "{doc}"],
+                     {"vars": ["x1"], "rows": [["x1", "x1"], ["x1"]]}, id="matrix-ragged"),
+        pytest.param(["verify", "--campaign", "{doc}"], {"tasks": 5}, id="campaign-tasks-5"),
+        pytest.param(["snf", "--matrix", "{dir}"], None, id="directory-document"),
+    ])
+    def test_invalid_input_is_one_error_line(self, docs, tmp_path, capsys, argv, doc):
+        # each case used to exit 1 with a traceback, or (the "field" key) to be ignored
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        rc = main([arg.format(doc=path, matrix=docs["matrix"], dir=tmp_path) for arg in argv])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1
+        assert "Traceback" not in err
 
 
 class TestSubcommands:

@@ -17,7 +17,6 @@ from arcdet.counting import (
     _direct_distribution,
     _mesh_batches,
     _monomial_distribution,
-    _negation_permutation,
     _plans,
     SeriesRing,
     contact_order_table,
@@ -509,8 +508,9 @@ class TestRingTables:
         series = [code_series(gf, level, code) for code in range(size)]
         code_of = {s: code for code, s in enumerate(series)}
         codes = np.arange(size)
-        assert _negation_permutation(q, level + 1).tolist() == [code_of[-s] for s in series]
         for ring in (ring_tables(q, level), SeriesRing(q, level)):
+            # the negation table of the additive split
+            assert ring.scale(q - 1, codes).tolist() == [code_of[-s] for s in series]
             assert ring.order(codes).tolist() == [level + 1 if s.ord() is None else s.ord() for s in series]
             assert ring.plus(codes[:, None], codes).tolist() == [[code_of[a + b] for b in series] for a in series]
             assert ring.times(codes[:, None], codes).tolist() == [[code_of[a * b] for b in series] for a in series]

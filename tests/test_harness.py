@@ -9,9 +9,9 @@ import pytest
 
 import arcdet.harness
 from arcdet.configurations import ConfigurationMatrix, patterson_matrix
-from arcdet.determinantal import minor_ideal_tower
+from arcdet.determinantal import DeterminantalPair, minor_ideal_tower
 from arcdet.errors import ValidationError
-from arcdet.harness import _KINDS, Campaign, Task, builtin_corpus, run_campaign
+from arcdet.harness import _KINDS, Campaign, Task, _jsonable, builtin_corpus, run_campaign, run_task
 from arcdet.io import campaign_from_doc
 from arcdet.jets import IdealGens
 from arcdet.matrices import PolyMatrix
@@ -138,6 +138,65 @@ class TestValidation:
             "  one-number-shape: shapes must be a non-empty list of [rows, cols] with rows >= cols >= 1, got [[2]]",
         ]
         assert ran == []
+
+    def test_a_wide_matrix_is_refused_before_any_task_runs(self, monkeypatch):
+        # the 1x3 matrix used to abort the run with a bare ValueError from the
+        # minors, after the snf_roundtrip task had run
+        ran = []
+        monkeypatch.setitem(_KINDS, "snf_roundtrip", dataclasses.replace(
+            _KINDS["snf_roundtrip"], run=lambda *args: ran.append(args) or ("PASS", {})
+        ))
+        vs = ("x1", "x2", "x3")
+        wide = PolyMatrix([[parse_poly(v, vs) for v in vs]])
+        c = Campaign.make("bad", {"wide": ("matrix", wide)}, [
+            Task.make("snf", "snf_roundtrip", count=1),
+            Task.make("strata-wide", "stratification", matrix="wide", m=1, level=1, prime=2),
+        ])
+        with pytest.raises(ValidationError) as err:
+            run_campaign(c)
+        assert str(err.value).splitlines() == [
+            "campaign validation failed:",
+            "  strata-wide: input 'wide': a determinantal pair needs at least as many rows as columns, got 1x3",
+        ]
+        assert ran == []
+
+    def test_each_matrix_input_is_checked_once(self, monkeypatch):
+        # a corollary on a 2x1 matrix used to fail mid-run naming no task
+        built = []
+        from_matrix = DeterminantalPair.from_matrix.__func__
+        monkeypatch.setattr(DeterminantalPair, "from_matrix", classmethod(
+            lambda cls, A: built.append(A) or from_matrix(cls, A)
+        ))
+        vs = ("x1", "x2")
+        tall = PolyMatrix([[parse_poly("x1", vs)], [parse_poly("x2", vs)]])
+        zero = PolyMatrix([[parse_poly("0", vs)]])
+        c = Campaign.make("bad", {"tall": ("matrix", tall), "zero": ("matrix", zero)}, [
+            Task.make("strata-tall", "stratification", matrix="tall", m=1, level=1, prime=2),
+            Task.make("cone-tall", "cone", matrix="tall", m=1, p=0, level=1),
+            Task.make("corollary-tall", "corollary", matrix="tall", max_m=2),
+            Task.make("lct-zero", "lct_z", matrix="zero", max_m=2),
+            Task.make("lct-w-zero", "lct_w", matrix="zero", max_m=2),
+        ])
+        with pytest.raises(ValidationError) as err:
+            run_campaign(c)
+        vanishes = "input 'zero': the maximal-minor ideal vanishes identically; the degeneracy locus must be proper"
+        assert str(err.value).splitlines() == [
+            "campaign validation failed:",
+            "  corollary-tall: input 'tall' is 2x1, not square",
+            f"  lct-zero: {vanishes}",
+            f"  lct-w-zero: {vanishes}",
+        ]
+        assert built == [tall, zero]
+
+    def test_one_task_runs_as_in_a_campaign(self):
+        c = Campaign.make("one", {"m": ("matrix", _generic())}, [
+            Task.make("strata", "stratification", matrix="m", m=1, level=1, prime=2),
+        ])
+        (result,) = run_campaign(c).results
+        status, payload = run_task("stratification", dict(c.tasks[0].params), c.input_dict())
+        assert (status, _jsonable(payload)) == (result.status, result.payload)
+        with pytest.raises(ValidationError, match="stratification: prime must be a prime below 2"):
+            run_task("stratification", {"matrix": "m", "m": 1, "level": 1, "prime": 4}, c.input_dict())
 
     def test_runners_get_defaults_and_resolved_inputs(self, monkeypatch):
         seen = []

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from arcdet.errors import ParseError, ValidationError
-from arcdet.io import configuration_from_doc, ideal_from_doc, matrix_from_doc
+from arcdet.fields import GF, QQ
+from arcdet.io import configuration_from_doc, ideal_from_doc, jet_from_doc, matrix_from_doc, series_matrix_from_doc
 
 
 class TestMatrixDocs:
@@ -60,3 +61,25 @@ class TestConfigurationDocs:
     def test_bad_edge_arity(self):
         with pytest.raises(ValidationError):
             configuration_from_doc({"graph": {"vertices": 3, "edges": [[1, 2, 3]]}})
+
+
+class TestSeriesDocs:
+    def test_series_matrix_over_q_and_gf(self):
+        m = series_matrix_from_doc({"level": 2, "entries": [[[0, "1/2"]], [[1]]]})
+        assert m.field == QQ and m.entries[0][0].coeffs == (0, Fraction(1, 2), 0)
+        m = series_matrix_from_doc({"prime": 5, "level": 1, "entries": [[[0, "1/2"]]]})
+        assert m.field == GF(5) and m.entries[0][0].coeffs == (0, 3)
+
+    def test_jet(self):
+        jet = jet_from_doc({"prime": 3, "level": 1, "coords": [[1], [0, 2]]})
+        assert [c.coeffs for c in jet.coords] == [(1, 0), (0, 2)]
+
+    @pytest.mark.parametrize("doc", [
+        {"level": 1, "entries": [[[0, 1]], [[0], [1]]]},  # ragged
+        {"level": 1, "entries": [[]]},
+        {"level": -1, "entries": [[[0]]]},
+        {"prime": 5, "level": 1, "entries": [[["1/5"]]]},  # no residue mod 5
+    ])
+    def test_bad_series_matrix(self, doc):
+        with pytest.raises(ValidationError):
+            series_matrix_from_doc(doc)
