@@ -110,13 +110,13 @@ def _cmd_task(args):
     """Run one task of the subcommand's kind; exit 1 exactly on FAIL."""
     declared = _KINDS[args.kind]
     params, inputs = {}, {}
-    for name in (*declared.required, *declared.optional):
+    for name in declared.specs:
         value = getattr(args, name, None)
         if value is not None:
             params[name] = value
             if name in INPUT_READERS:
                 inputs[value] = (name, INPUT_READERS[name](load_json(value)))
-    status, payload = run_task(args.kind, params, inputs, budget=args.budget)
+    status, payload = run_task(args.kind, params, inputs, budget=getattr(args, "budget", DEFAULT_BUDGET))
     _emit(payload, args)
     return 1 if status == STATUS_FAIL else 0
 
@@ -211,7 +211,9 @@ def _cmd_verify(args):
 # --------------------------------------------------------------------------
 
 
-def _add_common(p, *, level=False, max_m=False, m=False, primes=True, prime=False, p_flag=False):
+def _add_common(p, *, level=False, max_m=False, m=False, primes=False, prime=False, p_flag=False, budget=False,
+                seed=False):
+    """Add the flags that the subcommand reads, and ``--out`` and ``--format``."""
     if level:
         p.add_argument("--level", type=int, required=True, help="jet truncation level N")
     if max_m:
@@ -224,8 +226,10 @@ def _add_common(p, *, level=False, max_m=False, m=False, primes=True, prime=Fals
         p.add_argument("--primes", type=_primes_arg, default=LCT_DEFAULT_PRIMES, help="comma-separated primes")
     if prime:
         p.add_argument("--prime", type=int, required=True, help="field size (prime)")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="max jets per exact enumeration")
-    p.add_argument("--seed", type=int, default=0, help="random seed for sampled mode")
+    if budget:
+        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="max jets per exact enumeration")
+    if seed:
+        p.add_argument("--seed", type=int, default=0, help="random seed for sampled mode")
     p.add_argument("--out", type=str, default=None, help="write the report to this path")
     p.add_argument("--format", choices=("json", "csv", "text"), default="json")
 
@@ -237,50 +241,50 @@ def build_parser():
     p = sub.add_parser("lct", help="jet-theoretic log canonical threshold estimate")
     p.add_argument("--ideal", type=str, help="ideal document path")
     p.add_argument("--matrix", type=str, help="matrix document path (uses the maximal-minor ideal)")
-    _add_common(p, max_m=True)
+    _add_common(p, max_m=True, primes=True, budget=True)
     p.set_defaults(handler=_cmd_task, kind="lct_z")
 
     p = sub.add_parser("count", help="contact-locus point counts")
     p.add_argument("--ideal", type=str, required=True)
     p.add_argument("--mode", choices=("exact", "at-least"), default="exact")
     p.add_argument("--constraint", type=str, default=None)
-    _add_common(p, level=True, m=True)
+    _add_common(p, level=True, m=True, primes=True, budget=True, seed=True)
     p.set_defaults(handler=_cmd_count)
 
     p = sub.add_parser("profile", help="lambda profile of a jet against a matrix")
     p.add_argument("--matrix", type=str, required=True)
     p.add_argument("--jet", type=str, required=True)
-    _add_common(p, primes=False)
+    _add_common(p)
     p.set_defaults(handler=_cmd_profile)
 
     p = sub.add_parser("snf", help="Smith normal form of a truncated series matrix")
     p.add_argument("--matrix", type=str, required=True, help="series matrix document path")
-    _add_common(p, primes=False)
+    _add_common(p)
     p.set_defaults(handler=_cmd_snf)
 
     p = sub.add_parser("strata", help="lambda stratification of a contact locus")
     p.add_argument("--matrix", type=str, required=True)
-    _add_common(p, level=True, m=True, primes=False, prime=True)
+    _add_common(p, level=True, m=True, prime=True, budget=True)
     p.set_defaults(handler=_cmd_task, kind="stratification")
 
     p = sub.add_parser("fiber", help="projective fiber codimension check")
     p.add_argument("--lam", type=_ints_arg, required=True, help="comma-separated profile")
-    _add_common(p, level=True, m=True)
+    _add_common(p, level=True, m=True, primes=True, budget=True)
     p.set_defaults(handler=_cmd_task, kind="fiber_formula")
 
     p = sub.add_parser("cone", help="affine cone comparison check")
     p.add_argument("--matrix", type=str, required=True)
-    _add_common(p, level=True, m=True, p_flag=True)
+    _add_common(p, level=True, m=True, p_flag=True, primes=True, budget=True)
     p.set_defaults(handler=_cmd_task, kind="cone")
 
     p = sub.add_parser("patterson", help="Patterson matrix of a configuration")
     p.add_argument("--config", type=str, required=True)
-    _add_common(p, primes=False)
+    _add_common(p)
     p.set_defaults(handler=_cmd_patterson)
 
     p = sub.add_parser("matroid", help="column matroid of a configuration")
     p.add_argument("--config", type=str, required=True)
-    _add_common(p, primes=False)
+    _add_common(p)
     p.set_defaults(handler=_cmd_matroid)
 
     p = sub.add_parser("one-generic", help="1-genericity checks")
@@ -294,7 +298,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run a verification campaign")
     p.add_argument("--campaign", type=str, required=True, help="corpus:NAME or a campaign document path")
-    _add_common(p, primes=False)
+    _add_common(p, budget=True, seed=True)
     p.set_defaults(handler=_cmd_verify)
 
     return parser

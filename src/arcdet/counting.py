@@ -18,10 +18,12 @@ exactly one strategy counts each table.
 
 * direct      -- enumeration of the full jet grid, counted as pairs of
                  block states.  The variables split into two blocks of term
-                 components; each block's grid is walked and tallied by its
-                 state (the orders of the polynomials that lie in it alone
-                 and the values of its parts of those with terms in both),
-                 and every pair of states is combined through the ring.
+                 components; each block is walked and tallied by its state
+                 (the orders of the polynomials that lie in it alone and the
+                 values of its parts of those with terms in both), and every
+                 pair of states is combined through the ring.  A block walks
+                 its whole grid, or its quotient by the units of O_N (below)
+                 when that applies.
 * shift split -- a variable that occurs exactly once in the whole list,
                  as a lone constant-coefficient degree-1 term, acts as a
                  uniform shift; its generator's order distribution is the
@@ -52,14 +54,16 @@ is the one arithmetic kernel: plus, times, scale and order on broadcastable
 arrays of codes, computed digit by digit mod q.  ``RingTables`` is a cache of
 it, add, mul and ord lookup tables built once per (q, N) on first use, and
 ``series_ring`` returns the tables when Q <= RING_TABLE_CAP and the computed
-ring above.  Every enumerating strategy walks a block of the grid as open
-meshes: per batch, one code array per coordinate, the low coordinates
-spanning a (1, block) array that every batch shares and the high ones a
-(highs, 1) array.  The coordinates are laid out by term component and cut
-between two components where a block allows.  A pullback is a chain of ring
-operations on these arrays, and numpy broadcasting evaluates each
-sub-expression at the size of the coordinates it uses: only what combines
-both sides of the cut reaches the size of the batch.  A key is mixed-radix:
+ring above.  Every enumerating strategy walks a product of code sets, one
+per coordinate, each a range of codes that stops at Q: the full range, the
+multiples of q (tO) or the single code 1.  It walks them as open meshes: per
+batch, one code array per coordinate, the low coordinates spanning a
+(1, block) array that every batch shares and the high ones a (highs, 1)
+array.  The coordinates are laid out by term component and cut between two
+components where a block allows.  A pullback is a chain of ring operations on
+these arrays, and numpy broadcasting evaluates each sub-expression at the
+size of the coordinates it uses: only what combines both sides of the cut
+reaches the size of the batch.  A key is mixed-radix:
 value codes of the spanning parts, then orders, each the ring order of a
 code scaled to its key digit (one gather with the tables).  A key that
 depends on one side of the cut only stands for every jet of the batch that
@@ -70,6 +74,19 @@ mesh and in the ring alike.
 The tables are never written after construction, so threads may share them.
 Sampling draws coefficient digits, turns them into codes and evaluates them
 through the same ring.
+
+The homogeneity quotient.  When every polynomial of a block is homogeneous,
+of a degree d_j >= 1, in a set G of its coordinates, a unit u of O_N that
+scales the G-coordinates keeps every order.  A block with no value parts
+whose grid passes one batch, and that all of its coordinates or all but one
+grade so, walks one jet of each orbit that has a unit G-coordinate: the
+first such coordinate is the code 1 and the G-coordinates before it lie in
+tO, one mesh per coordinate of G.  The jets whose G-coordinates all lie in tO
+are the block's table one level down, each order raised by d_j:
+T_N = (q-1) q^N V_N + q^|R| shift_d(T_(N-1)), with R the other coordinates.
+This walks (q-1) q^N times fewer jets at the top level; it is the reduction
+that Igusa's and Denef's accounts of the local zeta function of a
+homogeneous polynomial make.
 """
 
 from __future__ import annotations
@@ -124,40 +141,45 @@ def _code_dtype(size):
     return np.int16 if size <= 1 << 15 else np.int32 if size <= 1 << 31 else np.int64
 
 
-def _mesh_batches(width, base, batch_cap, cuts=()):
-    """Cover the odometer grid of ``width`` base-``base`` digits by open meshes.
+def _mesh_batches(sets, batch_cap, cuts=()):
+    """Cover the product of code sets, one ``range`` of series codes per
+    coordinate, by open meshes.
 
-    Per batch yield its row count, the w low digits as (1, block) arrays, the
-    same objects in every batch, and the other digits as (highs, 1) arrays.
-    Row h*block + b of a batch takes its low digits from b and its high digits
-    from the batch's h-th high value, so the batches cover the grid exactly once.
-    w is the largest of ``cuts`` whose block fits ``batch_cap``, or without one
-    the largest w that fits.  Digits are series codes when ``base`` is a ring
-    size, so they take the ring's dtype.
+    Per batch yield its row count, the codes of the w low coordinates as
+    (1, block) arrays, the same objects in every batch, and those of the others
+    as (highs, 1) arrays.  Row h*block + b of a batch takes its low codes from
+    b and its high codes from the batch's h-th high index, so the batches cover
+    the product exactly once.  w is the largest of ``cuts`` whose block fits
+    ``batch_cap``, or without one the largest w that fits.  Codes take the
+    narrowest dtype that holds every code below the largest stop of ``sets``,
+    so a grid of ranges that stop at the ring size takes the ring's dtype.
     """
-    total = base**width
+    sizes = [len(s) for s in sets]
+    total = prod(sizes)
     if total > 2**62:  # pragma: no cover - beyond any practical budget
         raise BudgetExceeded("grid too large to index")
-    dtype = _code_dtype(base)
+    dtype = _code_dtype(max((s.stop for s in sets), default=1))
 
-    def digits(values, count, shape):
+    def codes(index, part, shape):
         out = []
-        for _ in range(count):
-            values, d = np.divmod(values, base)
+        for s in part:
+            index, d = np.divmod(index, len(s))
+            if s != range(len(s)):  # tO or the code 1
+                d = d * s.step + s.start
             out.append(d.astype(dtype).reshape(shape))
         return out
 
     w = 0
-    while w < width and base ** (w + 1) <= min(batch_cap, total):
+    while w < len(sets) and prod(sizes[: w + 1]) <= min(batch_cap, total):
         w += 1
     w = max((cut for cut in cuts if cut <= w), default=w)
-    block = base**w
-    lows = digits(np.arange(block, dtype=np.int64), w, (1, block))
+    block = prod(sizes[:w])
+    lows = codes(np.arange(block, dtype=np.int64), sets[:w], (1, block))
     n_highs = total // block
     step = max(1, batch_cap // block)
     for h0 in range(0, n_highs, step):
         h1 = min(h0 + step, n_highs)
-        yield (h1 - h0) * block, lows, digits(np.arange(h0, h1, dtype=np.int64), width - w, (h1 - h0, 1))
+        yield (h1 - h0) * block, lows, codes(np.arange(h0, h1, dtype=np.int64), sets[w:], (h1 - h0, 1))
 
 
 class SeriesRing:
@@ -364,18 +386,19 @@ def eval_poly_codes(poly, coords, ring):
     return _fold(terms, ring.plus) if terms else np.zeros((1, 1), dtype=ring.dtype)
 
 
-def _order_batches(polys, n, level, q, batch_cap, values=()):
-    """Walk the jet grid in batches.  Per batch yield the number of jets each
-    key entry stands for and the keys of its jets: an int array that
+def _order_batches(polys, sets, level, q, batch_cap, values=()):
+    """Walk the jets of a grid in batches: the product of ``sets``, one
+    ``range`` of series codes per coordinate.  Per batch yield the number of
+    jets each key entry stands for and the keys of its jets: an int array that
     broadcasts over the batch.  A key is mixed-radix: the value codes of the
     pullbacks of ``values`` in [0, Q) as the lowest digits, then the clamped
     pullback order of each of ``polys`` in base N+2.
 
-    The grid is an open mesh of n coordinate codes, laid out by term component
-    and cut between two components where a block allows, so that each term
-    stays on one side of it where it can: a pullback is a chain of ring
-    operations that reaches the size of the batch only where it combines both
-    sides, and an order digit is the order of a code scaled by its weight.
+    The grid is an open mesh of the coordinate codes, laid out by term
+    component and cut between two components where a block allows, so that
+    each term stays on one side of it where it can: a pullback is a chain of
+    ring operations that reaches the size of the batch only where it combines
+    both sides, and an order digit is the order of a code scaled by its weight.
     """
     # no grid is enumerated over a prime whose digit products leave int32; only sampling evaluates its ring
     if (level + 1) * (q - 1) ** 2 >= 2**31:
@@ -391,11 +414,11 @@ def _order_batches(polys, n, level, q, batch_cap, values=()):
     dtype = np.int32 if radix <= 2**31 else np.int64
     order_digits = [ring.weighted_order(vspace * base**i, dtype) for i in range(len(polys))]
     # smaller components first, so that more cuts between them fit a block
-    comps = sorted(_term_components(list(polys) + list(values), n), key=len)
+    comps = sorted(_term_components(list(polys) + list(values), len(sets)), key=len)
     layout = [v for comp in comps for v in comp]
     cuts = list(accumulate(len(comp) for comp in comps))
-    coords = [None] * n
-    for rows, lows, highs in _mesh_batches(n, ring.size, batch_cap, cuts):
+    coords = [None] * len(sets)
+    for rows, lows, highs in _mesh_batches([sets[v] for v in layout], batch_cap, cuts):
         for v, digit in zip(layout, lows + highs):
             coords[v] = digit
         parts = [order(eval_poly_codes(p, coords, ring)) for order, p in zip(order_digits, polys)]
@@ -464,9 +487,75 @@ def _tally(batches, radix, total):
 
 def _side_walk(polys, values, n, level, q, batch_cap):
     """Tally the jets of one block of n variables by state: the value codes of
-    ``values`` and the orders of ``polys``, keyed as in ``_order_batches``."""
-    radix = q ** ((level + 1) * len(values)) * (level + 2) ** len(polys)
-    return _tally(_order_batches(polys, n, level, q, batch_cap, values), radix, q ** (n * (level + 1)))
+    ``values`` and the orders of ``polys``, keyed as in ``_order_batches``.
+
+    A block with no values whose grid passes one batch, and whose polynomials
+    ``_grading`` grades, walks its quotient by the units of O_N
+    (``_quotient_walk``); every other block walks its whole grid."""
+    size = q ** (level + 1)
+    grading = None if values or size**n <= batch_cap else _grading(polys, n)
+    if grading is not None:
+        return _quotient_walk(polys, n, level, q, batch_cap, *grading)
+    radix = size ** len(values) * (level + 2) ** len(polys)
+    return _tally(_order_batches(polys, [range(size)] * n, level, q, batch_cap, values), radix, size**n)
+
+
+def _grading(polys, n):
+    """(graded, degrees): coordinates in which each polynomial is homogeneous
+    of a degree d_j >= 1 (the zero polynomial of any), and those degrees.  All
+    n coordinates are tried, then each set that leaves one out; any of them
+    saves as much as another.  None when none of them grades the list."""
+    for graded in [list(range(n))] + [[v for v in range(n) if v != u] for u in range(n)]:
+        degrees = [{sum(exps[v] for v in graded) for exps in p.terms} or {1} for p in polys]
+        if graded and all(len(d) == 1 and 0 not in d for d in degrees):
+            return graded, [d.pop() for d in degrees]
+    return None
+
+
+def _quotient_walk(polys, n, level, q, batch_cap, graded, degrees):
+    """Tally the jets of n variables by the orders of ``polys``, keyed as in
+    ``_order_batches``, each homogeneous of degree ``degrees[j]`` >= 1 in the
+    coordinates ``graded``; R is the other coordinates.
+
+    A unit u of O_N scales the graded coordinates by u and each p_j by u^d_j,
+    which keeps every order.  A jet with a unit graded coordinate is one of the
+    (q-1) q^N of its orbit, and exactly one of them has its first unit graded
+    coordinate equal to 1.  V_N tallies those jets, one mesh per graded
+    coordinate i: the graded coordinates before i in tO, i the code 1, and
+    the later graded coordinates and R in full.  A jet whose graded
+    coordinates all lie in tO is t*delta on them, and p_j(t*delta, r) is
+    t^d_j p_j(delta, r): its order is d_j plus the order of p_j one level
+    down, clamped to N+1, while the top digit of each coordinate of R is
+    free.  So
+
+        T_N = (q-1) q^N V_N + q^|R| shift_d(T_(N-1)),
+
+    with T_(N-1) walked by ``_side_walk`` and T_(-1) one empty jet.  V_N's
+    counts must sum to the size of the union of its meshes, and T_N's to
+    q^(n(N+1)).
+    """
+    size, base = q ** (level + 1), level + 2
+    units = (q - 1) * q**level
+    rest = n - len(graded)
+    meshes = []
+    for k, i in enumerate(graded):
+        sets = [range(size)] * n
+        for v in graded[:k]:
+            sets[v] = range(0, size, q)
+        sets[i] = range(1, size, size)  # the code 1; every set stops at Q
+        meshes.append(sets)
+    radix = base ** len(polys)
+    # one jet of each orbit whose graded coordinates are not all in tO
+    reps = (size ** len(graded) - q ** (level * len(graded))) * size**rest // units
+    walks = (batch for sets in meshes for batch in _order_batches(polys, sets, level, q, batch_cap))
+    codes, counts = _tally(walks, radix, reps)
+    if level:
+        below, below_counts = _side_walk(polys, (), n, level - 1, q, batch_cap)
+    else:
+        below, below_counts = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
+    entries = np.minimum(_digits(below, [level + 1] * len(polys)) + np.array(degrees, dtype=np.int64), level + 1)
+    shifted = entries @ base ** np.arange(len(polys), dtype=np.int64)
+    return _tally([(units * counts, codes), (q**rest * below_counts, shifted)], radix, size**n)
 
 
 def _restrict_poly(p, keep_vars, constant=True):

@@ -26,6 +26,7 @@ import json
 import random
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import product
 
@@ -432,6 +433,16 @@ class _Kind:
     optional: dict  # parameter name -> (type, default)
     check: object = lambda p: None  # complete params -> problem across them, or None
 
+    @cached_property
+    def specs(self):
+        """Parameter name -> type, the required parameters first."""
+        return {**self.required, **{name: spec for name, (spec, _) in self.optional.items()}}
+
+    @cached_property
+    def defaults(self):
+        """Optional parameter name -> default."""
+        return {name: default for name, (_, default) in self.optional.items()}
+
 
 def _two_primes(p):
     return None if len(set(p["primes"])) >= 2 else "threshold estimation needs at least two distinct primes"
@@ -522,10 +533,9 @@ def _validate_campaign(campaign: Campaign):
             errors.append(f"{task.name}: unknown task kind {task.kind!r}")
             continue
         given = task.param_dict()
-        params = {name: default for name, (_, default) in kind.optional.items()}
-        specs = {**kind.required, **{name: spec for name, (spec, _) in kind.optional.items()}}
+        params = dict(kind.defaults)
         problems, sound = [], True
-        for name, spec in specs.items():
+        for name, spec in kind.specs.items():
             if name in given:
                 problem = _param_problem(spec, name, given[name], inputs, pairs)
                 params[name] = inputs[given[name]][1] if spec in _REFERENCES and not problem else given[name]
@@ -539,8 +549,8 @@ def _validate_campaign(campaign: Campaign):
                     sound = False
         if sound:  # the check across parameters compares values; it tests inputs only for presence
             problems.append(kind.check(params))
-        if set(given) - set(specs):
-            problems.append(f"unknown parameters for {task.kind}: {sorted(set(given) - set(specs))}")
+        if set(given) - set(kind.specs):
+            problems.append(f"unknown parameters for {task.kind}: {sorted(set(given) - set(kind.specs))}")
         errors.extend(f"{task.name}: {problem}" for problem in problems if problem)
         calls.append((task, kind, params))
     if errors:

@@ -116,6 +116,30 @@ class TestExitCodes:
         assert len([line for line in err.splitlines() if "error:" in line]) == 1
         assert "Traceback" not in err
 
+    # each subcommand runs without the flag; only the flag is refused
+    VALID = {
+        "lct": ["lct", "--ideal", "{ideal}", "--max-m", "2"],
+        "strata": ["strata", "--matrix", "{matrix}", "--m", "1", "--level", "1", "--prime", "2"],
+        "fiber": ["fiber", "--lam", "0,2", "--m", "1", "--level", "2"],
+        "cone": ["cone", "--matrix", "{matrix}", "--m", "1", "--p", "0", "--level", "1"],
+        "profile": ["profile", "--matrix", "{matrix}", "--jet", "{jet}"],
+        "snf": ["snf", "--matrix", "{snf}"],
+        "patterson": ["patterson", "--config", "{config}"],
+        "matroid": ["matroid", "--config", "{config}"],
+        "one-generic": ["one-generic", "--config", "{config}"],
+    }
+
+    @pytest.mark.parametrize("command, flag", [
+        *[(command, ["--seed", "1"]) for command in VALID],
+        *[(command, ["--budget", "1000"]) for command in ("profile", "snf", "patterson", "matroid", "one-generic")],
+        ("one-generic", ["--primes", "2,3"]),
+    ])
+    def test_flags_that_nothing_reads_are_refused(self, docs, tmp_path, capsys, command, flag):
+        argv = [arg.format(**docs) for arg in self.VALID[command]] + ["--out", str(tmp_path / "out.json")]
+        assert main(argv) == 0
+        assert main(argv + flag) == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
 
 class TestSubcommands:
     def test_count(self, docs, tmp_path):

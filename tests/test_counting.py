@@ -15,6 +15,7 @@ from arcdet.counting import (
     DEFAULT_BATCH_CAP,
     RING_TABLE_CAP,
     _direct_distribution,
+    _grading,
     _mesh_batches,
     _monomial_distribution,
     _plans,
@@ -425,9 +426,9 @@ class TestBlockStates:
         walk = arcdet.counting._mesh_batches
         walked = []
 
-        def record(width, *args):
-            walked.append(width)
-            return walk(width, *args)
+        def record(sets, *args):
+            walked.append(len(sets))
+            return walk(sets, *args)
 
         monkeypatch.setattr(arcdet.counting, "_mesh_batches", record)
         vs = ("x1", "x2")
@@ -463,6 +464,124 @@ class TestBlockStates:
             tracemalloc.stop()
         assert peak < 1 << 20
         assert table == _monomial_distribution(polys, 1, 2, 3)
+
+
+def mesh_rows(monkeypatch):
+    """Jets walked by ``_mesh_batches`` so far, one entry per call."""
+    walk = arcdet.counting._mesh_batches
+    rows = []
+
+    def counted(*args):
+        rows.append(0)
+        for batch in walk(*args):
+            rows[-1] += batch[0]
+            yield batch
+
+    monkeypatch.setattr(arcdet.counting, "_mesh_batches", counted)
+    return rows
+
+
+class TestUnitQuotient:
+    """A block whose grid passes one batch, and whose polynomials are each
+    homogeneous of a degree >= 1 in some coordinates, walks one unit-normalised
+    jet per orbit and the table one level down.  Cap 5 forces that walk at
+    every level above 0 (q=2: 2^6 and 2^9 jets; q=3: 3^6 jets)."""
+
+    CASES = {
+        # graded in all coordinates, degrees 1 and 2 (the triangle's Z list)
+        "full": (3, ["x1 + x2", "2*x2", "x2 + x3", "x1*x2 + x1*x3 + x2*x3"], [0, 1, 2]),
+        # a W chart: degree 1 in x1, x2, not graded in x3
+        "partial": (3, ["x1*x3 + x2*x3 + x1"], [0, 1]),
+        # degrees 2 and 1 in x1, x2, with an ungraded cube of x3
+        "ungraded cube": (3, ["x1^2 + x1*x2*x3^3", "x2 + x1*x3 + x2*x3^2"], [0, 1]),
+        # degrees 3 and 2, and the zero polynomial, graded in every degree
+        "degree 3": (3, ["x1*x2*x3 + x1^3", "x1^2", "0"], [0, 1, 2]),
+    }
+
+    @pytest.fixture(scope="class")
+    def oracle(self):
+        out = {}
+        for name, (n, exprs, _) in self.CASES.items():
+            vs = ("x1", "x2", "x3")[:n]
+            for q, level in ((2, 1), (2, 2), (3, 1)):
+                polys = [parse_poly(e, vs).map_coeffs(GF(q)) for e in exprs]
+                out[name, q, level] = n, polys, brute_table(polys, n, level, q)
+        return out
+
+    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize("q, level", [(2, 1), (2, 2), (3, 1)])
+    def test_quotient_matches_jets_and_strategies(self, monkeypatch, oracle, case, q, level):
+        n, polys, want = oracle[case, q, level]
+        assert _grading(polys, n)[0] == self.CASES[case][2]
+        walk = arcdet.counting._quotient_walk
+        levels = []
+
+        def spy(polys, n, level, *args):
+            levels.append(level)
+            return walk(polys, n, level, *args)
+
+        monkeypatch.setattr(arcdet.counting, "_quotient_walk", spy)
+        assert _direct_distribution(polys, n, level, q, 5) == want
+        assert levels == list(range(level, -1, -1))
+        for name in plan_names(polys, n, level, q):
+            assert planned(name, polys, n, level, q, 5) == want, name
+
+    @pytest.mark.parametrize("exprs", [
+        ["x1*x2 + x2*x3 + 1"], ["x1*x2 + x2*x3^2 + x3", "x1"], ["x1*x2*x3 + x3"], ["x1*x3 + x2*x3", "x3^2 + x3"],
+    ])
+    def test_lists_outside_the_path_walk_the_whole_grid(self, monkeypatch, exprs):
+        # one term component with a constant term, with a term of degree 0 in
+        # each set of coordinates tried, or with a polynomial free of the only
+        # set, x1 and x2, that grades the others
+        vs = ("x1", "x2", "x3")
+        polys = [parse_poly(e, vs).map_coeffs(GF(3)) for e in exprs]
+        assert _grading(polys, 3) is None
+        rows = mesh_rows(monkeypatch)
+        assert _direct_distribution(polys, 3, 1, 3, 5) == brute_table(polys, 3, 1, 3)
+        assert rows[0] == 3**6
+
+    def test_a_grid_within_one_batch_is_walked_whole(self, monkeypatch, oracle):
+        n, polys, want = oracle["full", 3, 1]
+        rows = mesh_rows(monkeypatch)
+        assert _direct_distribution(polys, n, 1, 3, 3**6) == want
+        assert rows == [3**6, 1]  # the block, then the empty second block
+        rows.clear()
+        assert _direct_distribution(polys, n, 1, 3, 3**6 - 1) == want
+        # 9^2 + 3*9 + 3*3 unit-normalised jets, then level 0 walked whole
+        assert rows == [81, 27, 9, 27, 1]
+
+    @pytest.mark.parametrize("dropped", [0, 1, 2])
+    def test_a_dropped_mesh_is_caught(self, monkeypatch, oracle, dropped):
+        walk = arcdet.counting._mesh_batches
+        calls = []
+
+        def drop(*args):
+            calls.append(args)
+            if len(calls) != dropped + 1:
+                yield from walk(*args)
+
+        monkeypatch.setattr(arcdet.counting, "_mesh_batches", drop)
+        n, polys, _ = oracle["full", 3, 1]
+        with pytest.raises(InternalInvariantError, match="counted"):
+            _direct_distribution(polys, n, 1, 3, 5)
+
+    def test_configuration_triangle_walks_few_jets(self, monkeypatch):
+        # its three q=3, N=3 tables have 3^12-jet grids of one term component
+        count = arcdet.counting.ord_vector_distribution
+        rows = mesh_rows(monkeypatch)
+        walked = []
+
+        def table(polys, n, level, q, **kwargs):
+            start = len(rows)
+            out = count(polys, n, level, q, **kwargs)
+            if (q, level) == (3, 3):
+                walked.append(sum(rows[start:]))
+            return out
+
+        monkeypatch.setattr(arcdet.counting, "ord_vector_distribution", table)
+        report = run_campaign(builtin_corpus()["configuration-triangle"])
+        assert not report.failed
+        assert len(walked) == 3 and max(walked) <= 30_000, walked
 
 
 class TestMonomialStrategy:
@@ -618,12 +737,23 @@ class TestMeshKernel:
     )
     def test_mesh_covers_the_grid_once(self, cap, cuts, w):
         seen = Counter()
-        for rows, lows, highs in _mesh_batches(3, 9, cap, cuts):
+        for rows, lows, highs in _mesh_batches([range(9)] * 3, cap, cuts):
             assert len(lows) == w
             codes = sum(d.astype(np.int64) * 9**pos for pos, d in enumerate(lows + highs))
             assert codes.size == rows
             seen.update(codes.ravel().tolist())
         assert seen == Counter(range(9**3))
+
+    @pytest.mark.parametrize("cap, cuts", [(100, ()), (5, ()), (5, (2,)), (1, ())])
+    def test_mesh_covers_a_product_of_code_sets_once(self, cap, cuts):
+        # tO, the code 1 and the full range at q=3, N=1
+        sets = [range(0, 9, 3), range(1, 9, 9), range(9)]
+        seen = Counter()
+        for rows, lows, highs in _mesh_batches(sets, cap, cuts):
+            codes = sum(d.astype(np.int64) * 9**pos for pos, d in enumerate(lows + highs))
+            assert codes.size == rows <= max(cap, 9)
+            seen.update(codes.ravel().tolist())
+        assert seen == Counter(a + 9 + 81 * c for a in sets[0] for c in sets[2])
 
     def test_a_lost_batch_is_caught(self, monkeypatch):
         walk = arcdet.counting._mesh_batches
@@ -730,7 +860,7 @@ class TestInt32Bounds:
     def test_mesh_and_ring_share_the_code_dtype(self, level, dtype):
         # q=2: codes in [0, 2^(N+1)) take the narrowest dtype that holds 2^(N+1) - 1
         ring = SeriesRing(2, level)
-        _, _, (codes,) = next(_mesh_batches(1, ring.size, 4))
+        _, _, (codes,) = next(_mesh_batches([range(ring.size)], 4))
         assert ring.dtype == codes.dtype == dtype
         top = np.array([ring.size - 1], dtype=ring.dtype)  # 1 + t + ... + t^N
         assert ring.plus(top, top).tolist() == [0] and ring.order(top).tolist() == [0]

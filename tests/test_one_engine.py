@@ -1,10 +1,11 @@
 """Every jet count goes through the one engine in ``counting.py``.
 
 The ring F_q[t]/(t^(N+1)) on series codes (computed, or its lookup tables),
-the selector between them, the polynomial evaluator on ring codes and the
-order-vector table are the engine's internals: no other module under
-``src/arcdet`` names them, so every check reads its contact orders from
-``contact_order_table`` and no second enumerator or kernel can grow beside it.
+the selector between them, the polynomial evaluator on ring codes, the walk
+of the homogeneity quotient and the order-vector table are the engine's
+internals: no other module under ``src/arcdet`` names them, so every check
+reads its contact orders from ``contact_order_table`` and no second
+enumerator or kernel can grow beside it.
 Tables are shared only through the one run-scoped cache: ``harness`` opens its
 scope, no other module names it, and the cone-only cache stays deleted.
 Codimensions have one extraction path as well: only ``consensus.extract_codim``
@@ -21,6 +22,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 ENGINE_INTERNALS = (
     "SeriesRing", "RingTables", "ring_tables", "series_ring", "eval_poly_codes", "ord_vector_distribution",
+    "_quotient_walk",
 )
 # the cache scope: counting.py defines it and harness.py opens it once per run
 CACHE_SCOPE = ("table_cache", "TableCache")

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from arcdet import GF, IdealGens, JetPoint, MultiPoly, PolyMatrix, TruncSeries, parse_poly
 from arcdet.consensus import cyclotomic_fit
-from arcdet.counting import _direct_distribution, _monomial_distribution, _plans
+from arcdet.counting import _direct_distribution, _grading, _monomial_distribution, _plans
 from arcdet.determinantal import lambda_profile, minor_ideal_tower
 from arcdet.jets import enumerate_jets, ord_along_ideal, substitute_jet
 
@@ -119,6 +119,44 @@ def test_block_states_agree_with_jet_enumeration(parts, cap):
         want[tuple(level + 1 if o is None else o for o in orders)] += 1
     assert _direct_distribution(polys, 4, level, q, cap) == want
     for name, _, _, count in _plans(polys, 4, level, q)[1:]:
+        assert count(cap) == want, name
+
+
+def _graded_terms(partial):
+    """Terms of one polynomial over x1, x2, x3, homogeneous of a degree 1-3 in
+    every coordinate, or only in x1 and x2 (``partial``), with x3 free."""
+    def terms(degree):
+        heads = st.tuples(st.integers(0, degree), st.integers(0, 2))
+        if partial:  # (a, degree - a) in x1, x2 and any power of x3
+            exps = heads.map(lambda h: (h[0], degree - h[0], h[1]))
+        else:
+            exps = heads.filter(lambda h: h[0] + h[1] <= degree).map(lambda h: (h[0], h[1], degree - h[0] - h[1]))
+        return st.dictionaries(exps, st.integers(0, 2), min_size=1, max_size=3)
+
+    return st.integers(1, 3).flatmap(terms)
+
+
+@given(
+    st.booleans().flatmap(lambda partial: st.lists(_graded_terms(partial), min_size=1, max_size=3)),
+    st.sampled_from([(2, 2), (3, 1)]),
+    st.sampled_from([16, 5, 1]),
+)
+@settings(max_examples=40, deadline=None)
+def test_graded_lists_agree_with_jet_enumeration(polys_terms, field_level, cap):
+    """Lists graded in all three coordinates, or in x1 and x2 with x3
+    ungraded, of degrees 1-3 (a coefficient 0 mod q may drop terms or leave
+    the zero polynomial).  At these caps a block of the one term component
+    walks one unit-normalised jet per orbit; the table must match the
+    pure-Python jet enumeration and every other strategy that applies."""
+    q, level = field_level
+    vs = ("x1", "x2", "x3")
+    polys = [_poly_from(terms, vs, q) for terms in polys_terms]
+    assert _grading(polys, 3) is not None
+    want = Counter()
+    for jet in enumerate_jets(3, level, q):
+        orders = (substitute_jet(p, jet).ord() for p in polys)
+        want[tuple(level + 1 if o is None else o for o in orders)] += 1
+    for name, _, _, count in _plans(polys, 3, level, q):
         assert count(cap) == want, name
 
 
