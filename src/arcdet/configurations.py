@@ -18,7 +18,7 @@ from math import lcm
 
 import numpy as np
 
-from .determinantal import corollary_check
+from .determinantal import DeterminantalPair, corollary_check
 from .errors import BudgetExceeded, InternalInvariantError, ValidationError
 from .fields import QQ
 from .jets import DEFAULT_BUDGET
@@ -444,7 +444,7 @@ def configuration_lct_campaign(
     matroid = matroid_from_columns(cfg)
     connected = is_connected(matroid)
     generic = hadamard_one_generic(cfg)
-    corollary = corollary_check(A, M, primes=primes, budget=budget)
+    corollary = corollary_check(DeterminantalPair.from_matrix(A), M, primes=primes, budget=budget)
     note = (
         "support coefficients are det(D|_I)^2 (Cauchy-Binet for D diag(x) D^T); "
         "the support statement is unaffected by the square"

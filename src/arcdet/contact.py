@@ -17,7 +17,7 @@ not scaling invariant and is reported as an internal error.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from operator import getitem
+from itertools import chain
 
 import numpy as np
 
@@ -172,13 +172,15 @@ def _proj_cone_table(gens, r, level, q, lam, budget):
     names = tuple(f"u{j}" for j in range(1, r + 1))
     coords = MultiPoly.coordinates(GF(q), names)
     table = contact_order_table([[u] for u in coords], r, level, q, budget=budget)
+    orders = np.fromiter(chain.from_iterable(table), dtype=np.int64).reshape(-1, r)
+    # counts stay exact: int64 while the q^(r(N+1)) jets fit, Python ints past it
+    dtype = np.int64 if q ** (r * (level + 1)) < 2**63 else object
+    cells = np.zeros((level + 2, level + 2), dtype=dtype)
     # ord(t^lam_j u_j) = min(lam_j + ord u_j, N+1), exactly, in F_q[t]/(t^(N+1))
-    shifted = [[min(l + e, level + 1) for e in range(level + 2)] for l in lam]
-    out = {}
-    for o, c in table.items():
-        key = (min(o), min(map(getitem, shifted, o)))
-        out[key] = out.get(key, 0) + c
-    return out
+    contact = np.minimum(orders + np.array(lam), level + 1).min(1)
+    np.add.at(cells, (orders.min(1), contact), np.array(list(table.values()), dtype=dtype))
+    least, contact = np.nonzero(cells)
+    return dict(zip(zip(least.tolist(), contact.tolist()), cells[least, contact].tolist()))
 
 
 def proj_count_contact(

@@ -45,8 +45,11 @@ exactly one strategy counts each table.
 All four produce identical tables; the test suite cross-checks them
 against each other and against the pure-Python jet enumeration.  Inside a
 ``table_cache()`` scope, which ``harness.run_campaign`` opens around its
-tasks, ``contact_order_table`` counts each table once, keyed by the content
-of the call, and hands it out read-only to every later call.
+tasks, ``contact_order_table`` keys its tables by the content of the call
+without the level and holds the deepest table counted for each key.  That
+table serves every shallower level read-only: a level-N jet has q^(n(D-N))
+lifts to level D, and each lift's contact orders clamped at N+1 are the
+jet's, so the level-N table is the level-D one clamped, summed and divided.
 
 The jet grid.  A series in O_N = F_q[t]/(t^(N+1)) is one code in [0, Q),
 Q = q^(N+1), whose base-q digit i is the coefficient of t^i.  ``SeriesRing``
@@ -897,8 +900,9 @@ def ord_vector_distribution(polys, n, level, q, budget=DEFAULT_BUDGET, prefer="c
 
 @dataclass
 class TableCache:
-    """The contact-order tables of one scope, keyed by content, and how many
-    lookups found a table (hits) or had to count one (misses)."""
+    """The contact-order tables of one scope, and how many lookups found a
+    table (hits) or had to count one (misses).  ``tables`` maps the content
+    of a call without its level to (level, table), the deepest table counted."""
 
     tables: dict = field(default_factory=dict)
     hits: int = 0
@@ -910,7 +914,8 @@ _TABLE_CACHE = ContextVar("table_cache", default=None)
 
 @contextmanager
 def table_cache():
-    """A scope in which ``contact_order_table`` counts each table once.
+    """A scope in which ``contact_order_table`` counts each table once, at the
+    deepest level asked, and derives the shallower levels from it.
 
     Yields the scope's ``TableCache``.  Its tables go when the scope ends, so
     nothing is reused across scopes; outside every scope nothing is stored.
@@ -931,10 +936,12 @@ def contact_order_table(ideals, n, level, q, budget=DEFAULT_BUDGET, prefer="chea
     in {0..level} or level+1 (the truncation sentinel).  ``prefer`` is
     passed to ``ord_vector_distribution``.  The table is read-only.
 
-    Inside a ``table_cache()`` scope, a call whose ideals reduce mod q to the
-    same generators in the same order, with the same n, level, q, ``prefer``
-    and ``budget``, gets the table of the earlier call; a table the budget
-    refuses is not stored.
+    Inside a ``table_cache()`` scope, calls whose ideals reduce mod q to the
+    same generators in the same order, with the same n, q, ``prefer`` and
+    ``budget``, share one held table, the deepest counted: a call at or
+    below its level is served by truncating it, a deeper call counts its
+    own table and holds it instead.  A table the budget refuses is not
+    stored and leaves the held one in place.
     """
     if any(not gens for gens in ideals):
         raise ValidationError("an ideal needs at least one generator")
@@ -945,14 +952,35 @@ def contact_order_table(ideals, n, level, q, budget=DEFAULT_BUDGET, prefer="chea
         return _contact_order_table(ideals, n, level, q, budget, prefer)
     # a GF(q) polynomial holds no zero terms
     content = tuple(tuple(tuple(sorted(g.terms.items())) for g in gens) for gens in ideals)
-    key = (content, n, level, q, prefer, budget)
-    table = scope.tables.get(key)
-    if table is None:
-        scope.misses += 1
-        table = scope.tables[key] = _contact_order_table(ideals, n, level, q, budget, prefer)
-    else:
+    key = (content, n, q, prefer, budget)
+    held = scope.tables.get(key)
+    if held is not None and held[0] >= level:
         scope.hits += 1
+        return _truncated(*held, level, n, q)
+    scope.misses += 1
+    table = _contact_order_table(ideals, n, level, q, budget, prefer)
+    scope.tables[key] = (level, table)
     return table
+
+
+def _truncated(deep, table, level, n, q):
+    """The level-``level`` table of a level-``deep`` contact-order table: each
+    jet has q^(n(deep-level)) lifts, whose orders clamped at level+1 are its own."""
+    if deep == level:
+        return table
+    sums = {}
+    for key, cnt in table.items():
+        key = tuple(min(o, level + 1) for o in key)
+        sums[key] = sums.get(key, 0) + cnt
+    lifts = q ** (n * (deep - level))
+    out = {}
+    for key, cnt in sums.items():
+        out[key], rest = divmod(cnt, lifts)
+        if rest:
+            raise InternalInvariantError(
+                f"{cnt} level-{deep} jets of contact orders {key} are not whole fibers of {lifts} lifts"
+            )
+    return MappingProxyType(out)
 
 
 def _contact_order_table(ideals, n, level, q, budget, prefer):

@@ -404,7 +404,7 @@ def lct_w_estimate(pair: DeterminantalPair, M: int, primes=LCT_DEFAULT_PRIMES, b
 
 
 def corollary_check(
-    A: PolyMatrix,
+    pair: DeterminantalPair,
     M: int,
     primes=LCT_DEFAULT_PRIMES,
     budget=DEFAULT_BUDGET,
@@ -414,10 +414,9 @@ def corollary_check(
     The verdicts allow the rounding guard 1/(2M) since estimates are minima
     of fractions with denominator at most M.
     """
-    if A.rows != A.cols:
-        raise ValidationError(f"corollary check needs a square matrix, got {A.rows}x{A.cols}")
-    pair = DeterminantalPair.from_matrix(A)
     r = pair.r
+    if pair.s != r:
+        raise ValidationError(f"corollary check needs a square matrix, got {pair.s}x{r}")
     tol = Fraction(1, 2 * M)
 
     lct_z = lct_z_estimate(pair, M, primes=primes, budget=budget)
@@ -613,7 +612,7 @@ def _cone_side_counts_generic(n, r, s, level, q, m_exact, p_exact):
 
 
 def cone_comparison_check(
-    A: PolyMatrix,
+    pair: DeterminantalPair,
     m: int,
     p: int,
     level: int,
@@ -631,10 +630,9 @@ def cone_comparison_check(
     """
     if not (0 <= p <= m <= level):
         raise ValidationError("need 0 <= p <= m <= level")
-    pair = DeterminantalPair.from_matrix(A)
-    n = len(A.variables)
+    n = len(pair.matrix.variables)
     r, s = pair.r, pair.s
-    generic = _is_generic_coordinate_matrix(A)
+    generic = _is_generic_coordinate_matrix(pair.matrix)
 
     lhs_counts, rhs_counts = [], []
     methods = set()

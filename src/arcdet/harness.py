@@ -7,13 +7,13 @@ either a default or the fact that it is required), and one check across its
 parameters.  Validation is one loop over that table; it runs before
 execution and reports every problem at once.  A runner receives its
 parameters with the defaults filled in and its input references resolved,
-each matrix input checked once to define a determinantal pair; ``run_task``
-runs a single task so.  Execution is sequential (tasks are pure functions
-of immutable inputs, so order cannot change results) and the report lists
-tasks in declaration order, with their parameters as declared.  Identity
-checks and estimate checks are segregated so a rounding ambiguity can
-never mask a broken identity; any failed identity marks the whole run
-FAILED.
+each matrix input to the determinantal pair it defines, built once;
+``run_task`` runs a single task so.  Execution is sequential (tasks are
+pure functions of immutable inputs, so order cannot change results) and
+the report lists tasks in declaration order, with their parameters as
+declared.  Identity checks and estimate checks are segregated so a
+rounding ambiguity can never mask a broken identity; any failed identity
+marks the whole run FAILED.
 
 Reports serialize to canonical JSON.  Wall-clock time is recorded next to
 the canonical payload, not inside it, so equal inputs and seed give
@@ -207,39 +207,41 @@ _FLAG = ((lambda v: isinstance(v, bool), "true or false"),)
 _GRID = ((lambda v: v == "grid", "'grid'"),)
 _SHAPES = ((_is_shapes, "a non-empty list of [rows, cols] with rows >= cols >= 1"),)
 _INPUT = "input"  # an input reference, named after the input kind it must name
-_PAIR = "pair"  # a matrix input that DeterminantalPair.from_matrix accepts
+_PAIR = "pair"  # a matrix input that DeterminantalPair.from_matrix accepts, resolved to the pair
 _SQUARE = "square"  # a _PAIR input whose matrix is square
 _REFERENCES = (_INPUT, _PAIR, _SQUARE)
 
 
-def _param_problem(spec, name, value, inputs, pairs):
-    """What is wrong with one parameter value, or None.  ``pairs`` maps each
-    matrix input already checked to its pair problem, so each is built once."""
-    if spec in _REFERENCES:
-        if not isinstance(value, str) or value not in inputs:
-            return f"undeclared input {value!r}"
-        kind, payload = inputs[value]
-        if kind != name:
-            return f"input {value!r} is a {kind}, expected {name}"
-        if spec is _INPUT:
-            return None
-        if spec is _SQUARE and payload.rows != payload.cols:
-            return f"input {value!r} is {payload.rows}x{payload.cols}, not square"
-        if value not in pairs:
-            pairs[value] = None
-            try:
-                DeterminantalPair.from_matrix(payload)
-            except ValidationError as exc:
-                pairs[value] = f"input {value!r}: {exc}"
-        return pairs[value]
-    for test, wanted in spec:
-        if not test(value):
-            return f"{name} must be {wanted}, got {value!r}"
-    return None
+def _resolve(spec, name, value, inputs, pairs):
+    """(what a runner receives, what is wrong or None) for one parameter value.
+    An input reference resolves to its payload, and a matrix that must define
+    a determinantal pair to the pair; ``pairs`` maps each matrix input already
+    checked to (pair, problem), so each pair is built once."""
+    if spec not in _REFERENCES:
+        for test, wanted in spec:
+            if not test(value):
+                return value, f"{name} must be {wanted}, got {value!r}"
+        return value, None
+    if not isinstance(value, str) or value not in inputs:
+        return value, f"undeclared input {value!r}"
+    kind, payload = inputs[value]
+    if kind != name:
+        return value, f"input {value!r} is a {kind}, expected {name}"
+    if spec is _INPUT:
+        return payload, None
+    if spec is _SQUARE and payload.rows != payload.cols:
+        return value, f"input {value!r} is {payload.rows}x{payload.cols}, not square"
+    if value not in pairs:
+        try:
+            pairs[value] = DeterminantalPair.from_matrix(payload), None
+        except ValidationError as exc:
+            pairs[value] = value, f"input {value!r}: {exc}"
+    return pairs[value]
 
 
 # --------------------------------------------------------------------------
-# task runners: runner(params, budget, seed) -> (status, payload)
+# task runners: runner(params, budget, seed) -> (status, payload); a
+# "matrix" parameter holds the input's DeterminantalPair
 # --------------------------------------------------------------------------
 
 
@@ -248,8 +250,7 @@ def _fraction_close(value, target, tol):
 
 
 def _run_stratification(p, budget, seed):
-    pair = DeterminantalPair.from_matrix(p["matrix"])
-    rep = stratum_counts(pair, p["m"], p["level"], p["prime"], budget=budget)
+    rep = stratum_counts(p["matrix"], p["m"], p["level"], p["prime"], budget=budget)
     return (STATUS_PASS if rep.partition_ok else STATUS_FAIL), rep.payload()
 
 
@@ -263,8 +264,7 @@ def _run_fiber(p, budget, seed):
 def _run_lct_z(p, budget, seed):
     primes = tuple(p["primes"])
     if p["matrix"] is not None:
-        pair = DeterminantalPair.from_matrix(p["matrix"])
-        est = lct_z_estimate(pair, p["max_m"], primes=primes, budget=budget)
+        est = lct_z_estimate(p["matrix"], p["max_m"], primes=primes, budget=budget)
     else:
         est = lct_estimate(p["ideal"], p["max_m"], primes=primes, budget=budget)
     status = STATUS_PASS
@@ -281,8 +281,7 @@ def _run_lct_z(p, budget, seed):
 
 
 def _run_lct_w(p, budget, seed):
-    pair = DeterminantalPair.from_matrix(p["matrix"])
-    charts, w = lct_w_estimate(pair, p["max_m"], primes=tuple(p["primes"]), budget=budget)
+    charts, w = lct_w_estimate(p["matrix"], p["max_m"], primes=tuple(p["primes"]), budget=budget)
     payload = {"charts": [c.payload() for c in charts], "lct_w": None if w is None else str(w)}
     status = STATUS_PASS
     if w is None:
@@ -537,8 +536,7 @@ def _validate_campaign(campaign: Campaign):
         problems, sound = [], True
         for name, spec in kind.specs.items():
             if name in given:
-                problem = _param_problem(spec, name, given[name], inputs, pairs)
-                params[name] = inputs[given[name]][1] if spec in _REFERENCES and not problem else given[name]
+                params[name], problem = _resolve(spec, name, given[name], inputs, pairs)
             elif name in kind.required:
                 problem = f"missing {'input reference' if spec in _REFERENCES else 'parameter'} {name!r}"
             else:

@@ -3,7 +3,10 @@
 The threshold of a pair is the infimum over m of codim(Cont^m)/m, and the
 estimator computes those codimensions from finite-field counts at level
 N = m (the contact order is determined by coefficients up to t^m, so any
-higher level just multiplies counts by exact powers of q).
+higher level just multiplies counts by exact powers of q).  It counts the
+deepest level M first: where a campaign run shares its contact-order tables,
+the level-M table of each prime then serves every level m < M by
+truncation, so one table is counted per prime.
 
 For each m the Cont^m count is stratified: jets are bucketed by their
 contact orders along a list of stratifying ideals -- by default the
@@ -146,8 +149,10 @@ def lct_estimate(
     lower = None
     certified = True
     errors = []
+    # the deepest level first, so that its tables serve the shallower ones
+    reports = {m: contact_codim_stratified(gens, m, primes, budget=budget, strata=strata) for m in range(M, 0, -1)}
     for m in range(1, M + 1):
-        rep = contact_codim_stratified(gens, m, primes, budget=budget, strata=strata)
+        rep = reports[m]
         ratio = None
         if rep.status == STATUS_EXACT_EMPTY:
             pass

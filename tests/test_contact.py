@@ -1,5 +1,6 @@
 """Contact counting operations: affine, constrained, sampled, projective."""
 
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -17,11 +18,13 @@ from arcdet.contact import (
     MODE_AT_LEAST,
     MODE_EXACT,
     ContactQuery,
+    _proj_cone_table,
     count_contact,
     proj_count_contact,
 )
+from arcdet.counting import ord_value_counts
 from arcdet.errors import ValidationError
-from arcdet.jets import jet_space_size
+from arcdet.jets import DEFAULT_BUDGET, jet_space_size
 
 
 def single_var_ideal():
@@ -210,6 +213,17 @@ class TestProjective:
             for m in range(level + 1):
                 rep = proj_count_contact(None, 2, ContactQuery(mode, m, level, primes=(q,)), lam=lam)
                 assert rep.counts == (oracle_proj_counts(lam, level, q, mode, m),), (lam, m)
+
+    @pytest.mark.parametrize("level", [3, 31])  # 2^8 coordinate jets, and 2^64: past int64
+    def test_profile_table_counts_stay_exact(self, level):
+        lam, per = (1, 5), ord_value_counts(level, 2)
+        expected = Counter()
+        for orders in product(range(level + 2), repeat=2):
+            contact = min(min(l + o, level + 1) for l, o in zip(lam, orders))
+            expected[min(orders), contact] += per[orders[0]] * per[orders[1]]
+        table = _proj_cone_table(None, 2, level, 2, lam, DEFAULT_BUDGET)
+        assert table == dict(expected)
+        assert sum(table.values()) == 2 ** (2 * (level + 1))
 
     def test_polynomial_generators_without_base(self):
         # chart-style generators over the u variables themselves

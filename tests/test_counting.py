@@ -137,11 +137,48 @@ class TestTableCache:
         assert (scopes[0].misses, scopes[0].hits) == (4, 176)
 
     def test_cone_grid_shares_its_tables(self, monkeypatch):
-        # 72 side lookups of 16 keys: 14 tables, and 2 the budget refuses
+        # 72 side lookups of 4 tables (n = 2 and 6 joint variables, q = 2 and 3),
+        # each held at its deepest level: 3, or 1 where the budget refuses the
+        # 3^18 and 3^24 jets of levels 2 and 3
         scopes = record_run_scopes(monkeypatch)
         run_campaign(builtin_corpus()["cone-comparison-basic"])
-        assert len(scopes[0].tables) == 14
+        held = sorted((n, q, level) for (_, n, q, _, _), (level, _) in scopes[0].tables.items())
+        assert held == [(2, 2, 3), (2, 3, 3), (6, 2, 3), (6, 3, 1)]
         assert scopes[0].hits + scopes[0].misses == 72
+
+    def test_the_deepest_table_serves_every_shallower_level(self):
+        vs = ("x1", "x2")
+        x1, x2, f = (parse_poly(e, vs) for e in ("x1", "x2", "x1*x2 + x1^3"))
+        ideals = [[x1, x2], [f], [x2]]
+        with table_cache() as scope:
+            assert contact_order_table(ideals, 2, 3, 2) == brute_contact_table(ideals, 2, 3, 2)
+            for level in (2, 1, 0):
+                assert contact_order_table(ideals, 2, level, 2) == brute_contact_table(ideals, 2, level, 2)
+        assert (scope.misses, scope.hits) == (1, 3)
+
+    def test_a_deeper_table_replaces_the_held_one(self):
+        # one component, no grading, no lone shift: only enumeration counts it,
+        # and the budget of 2^8 jets admits levels up to 3 at n = 2, q = 2
+        f = parse_poly("x1*x2 + x1^3", ("x1", "x2"))
+        with table_cache() as scope:
+            contact_order_table([[f]], 2, 1, 2, budget=2**8)
+            contact_order_table([[f]], 2, 3, 2, budget=2**8)
+            assert [level for level, _ in scope.tables.values()] == [3]
+            with pytest.raises(BudgetExceeded):
+                contact_order_table([[f]], 2, 4, 2, budget=2**8)
+            ((level, table),) = scope.tables.values()
+            assert level == 3 and table == brute_contact_table([[f]], 2, 3, 2)
+            assert contact_order_table([[f]], 2, 2, 2, budget=2**8) == brute_contact_table([[f]], 2, 2, 2)
+        assert (scope.misses, scope.hits) == (3, 1)
+
+    def test_a_held_count_that_is_not_whole_fibers_is_caught(self):
+        x1 = parse_poly("x1", ("x1",))
+        with table_cache() as scope:
+            contact_order_table([[x1]], 1, 2, 3)
+            ((key, (level, table)),) = scope.tables.items()
+            scope.tables[key] = (level, {**table, (0,): table[(0,)] + 1})
+            with pytest.raises(InternalInvariantError, match="whole fibers"):
+                contact_order_table([[x1]], 1, 1, 3)
 
     def test_nothing_is_reused_across_runs(self, monkeypatch):
         scopes = record_run_scopes(monkeypatch)

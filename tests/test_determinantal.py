@@ -220,13 +220,13 @@ class TestTransforms:
 
 class TestCorollary:
     def test_generic(self):
-        rep = corollary_check(generic_2x2(), 4, primes=(2, 3))
+        rep = corollary_check(DeterminantalPair.from_matrix(generic_2x2()), 4, primes=(2, 3))
         assert rep.lct_z.estimate == 1
         assert rep.lct_w == 2
         assert rep.verdict == "PASS"
 
     def test_diag(self):
-        rep = corollary_check(diag_x1_x1(), 4, primes=(2, 3))
+        rep = corollary_check(DeterminantalPair.from_matrix(diag_x1_x1()), 4, primes=(2, 3))
         assert rep.lct_z.estimate == Fraction(1, 2)
         assert rep.lct_w == 1
         # Theorem bound attained with equality: min(2 * 1/2, 1 + 1/2) = 1
@@ -237,11 +237,11 @@ class TestCorollary:
         vs = tuple(f"x{i}" for i in range(1, 7))
         m = PolyMatrix([[parse_poly(f"x{2*i + j + 1}", vs) for j in range(2)] for i in range(3)])
         with pytest.raises(ValidationError):
-            corollary_check(m, 2)
+            corollary_check(DeterminantalPair.from_matrix(m), 2)
 
     def test_estimates_respect_forward_bound(self):
         for A in (generic_2x2(), diag_x1_x1()):
-            rep = corollary_check(A, 4, primes=(2, 3))
+            rep = corollary_check(DeterminantalPair.from_matrix(A), 4, primes=(2, 3))
             eps = rep.tolerance
             c = rep.lct_z.estimate - eps
             if c > 0:
@@ -269,7 +269,7 @@ class TestCone:
         A = PolyMatrix([[parse_poly("x1", ("x1",))]])
         for m in (1, 2):
             for p in range(m + 1):
-                check = cone_comparison_check(A, m, p, m, primes=(2, 3))
+                check = cone_comparison_check(DeterminantalPair.from_matrix(A), m, p, m, primes=(2, 3))
                 assert check.verdict == "PASS"
                 if p == 1 and m == 2:
                     # codim(Cont^2 cap Cont^1(zero section)) = 1*1 + codim(Cont^1 punctured) = 2
@@ -282,23 +282,23 @@ class TestCone:
         vs = ("x1", "x2")
         zero = MultiPoly.zero(QQ, vs)
         A = PolyMatrix([[parse_poly("x1", vs), zero], [zero, parse_poly("x2", vs)]])
-        check = cone_comparison_check(A, 2, 1, 3, primes=(2, 3), budget=1000)
-        assert check == cone_comparison_check(A, 2, 1, 3, primes=(2, 3))
+        check = cone_comparison_check(DeterminantalPair.from_matrix(A), 2, 1, 3, primes=(2, 3), budget=1000)
+        assert check == cone_comparison_check(DeterminantalPair.from_matrix(A), 2, 1, 3, primes=(2, 3))
         assert check.method == "direct/direct" and check.verdict == "PASS"
 
     def test_generic_small(self):
-        check = cone_comparison_check(generic_2x2(), 1, 1, 1, primes=(2, 3))
+        check = cone_comparison_check(DeterminantalPair.from_matrix(generic_2x2()), 1, 1, 1, primes=(2, 3))
         assert check.verdict == "PASS"
         assert check.count_identity_ok
 
     def test_degenerate_p_zero(self):
         A = PolyMatrix([[parse_poly("x1", ("x1",))]])
-        check = cone_comparison_check(A, 2, 0, 2, primes=(2, 3))
+        check = cone_comparison_check(DeterminantalPair.from_matrix(A), 2, 0, 2, primes=(2, 3))
         assert check.verdict == "PASS"
 
     def test_bad_parameters(self):
         with pytest.raises(ValidationError):
-            cone_comparison_check(generic_2x2(), 1, 2, 3)
+            cone_comparison_check(DeterminantalPair.from_matrix(generic_2x2()), 1, 2, 3)
 
     def test_closed_form_matches_direct(self):
         from arcdet.determinantal import (

@@ -268,6 +268,21 @@ class TestExecution:
         big = run_campaign(c, budget=10**9)
         assert big.results[0].status == "PASS"
 
+    def test_a_threshold_past_its_budget_is_refused_at_its_deepest_level(self):
+        # the level max_m = 2 is counted first: its 2^6 jets at q = 2 are refused
+        # before any shallower table is counted
+        f = IdealGens((parse_poly("x1*x2 + x1^3", ("x1", "x2")),))
+        vs = ("x1",)
+        x1, zero = parse_poly("x1", vs), parse_poly("0", vs)
+        diag = PolyMatrix([[x1, zero], [zero, x1]])
+        c = Campaign.make("lct-budget", {"f": ("ideal", f), "d": ("matrix", diag)}, [
+            Task.make("z", "lct_z", ideal="f", max_m=2),
+            Task.make("w", "lct_w", matrix="d", max_m=2),
+        ])
+        rep = run_campaign(c, budget=10)
+        assert [r.status for r in rep.results] == ["SKIPPED_BUDGET"] * 2
+        assert rep.results[0].payload["reason"].startswith("jet space has 64 points, over the budget 10")
+
 
 def _generic():
     vs = ("x1", "x2", "x3", "x4")

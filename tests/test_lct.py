@@ -5,7 +5,9 @@ from itertools import product
 
 import pytest
 
+import arcdet.counting
 from arcdet import IdealGens, parse_poly
+from arcdet.counting import table_cache
 from arcdet.errors import ValidationError
 from arcdet.lct import lct_estimate
 
@@ -101,3 +103,23 @@ class TestGuards:
         gens = IdealGens((parse_poly("x1 + x2^2", ["x1", "x2"]),))
         est = lct_estimate(gens, 3, primes=(2, 3))
         assert est.estimate == 1
+
+
+class TestTables:
+    def test_one_table_per_prime_in_a_scope(self, monkeypatch):
+        counted = []
+        count = arcdet.counting._contact_order_table
+
+        def recording(ideals, n, level, q, budget, prefer):
+            counted.append((level, q))
+            return count(ideals, n, level, q, budget, prefer)
+
+        monkeypatch.setattr(arcdet.counting, "_contact_order_table", recording)
+        gens = IdealGens((parse_poly("x1*x2 + x1^3", ["x1", "x2"]),))
+        with table_cache():
+            est = lct_estimate(gens, 3, primes=(2, 3))
+        assert counted == [(3, 2), (3, 3)]
+        counted.clear()
+        # outside a scope every level is counted, into the same estimate
+        assert lct_estimate(gens, 3, primes=(2, 3)) == est
+        assert sorted(counted) == [(m, q) for m in (1, 2, 3) for q in (2, 3)]

@@ -8,7 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from arcdet import GF, IdealGens, JetPoint, MultiPoly, PolyMatrix, TruncSeries, parse_poly
 from arcdet.consensus import cyclotomic_fit
-from arcdet.counting import _direct_distribution, _grading, _monomial_distribution, _plans
+from arcdet.counting import (
+    _direct_distribution,
+    _grading,
+    _monomial_distribution,
+    _plans,
+    contact_order_table,
+    table_cache,
+)
 from arcdet.determinantal import lambda_profile, minor_ideal_tower
 from arcdet.jets import enumerate_jets, ord_along_ideal, substitute_jet
 
@@ -158,6 +165,27 @@ def test_graded_lists_agree_with_jet_enumeration(polys_terms, field_level, cap):
         want[tuple(level + 1 if o is None else o for o in orders)] += 1
     for name, _, _, count in _plans(polys, 3, level, q):
         assert count(cap) == want, name
+
+
+# --- a held table truncates to the tables of lower levels -------------------
+
+
+@given(
+    st.lists(st.lists(st.dictionaries(exponents, st.just(1), min_size=1, max_size=3), min_size=1, max_size=2),
+             min_size=1, max_size=3),
+    st.sampled_from(["cheapest", "direct"]),
+)
+@settings(max_examples=30, deadline=None)
+def test_truncated_tables_equal_counted_ones(ideal_terms, prefer):
+    """The level-3 contact-order table held in a scope, truncated to each
+    lower level, equals the table counted at that level."""
+    q, vs = 2, ("x1", "x2")
+    ideals = [[_poly_from(terms, vs, q) for terms in gens] for gens in ideal_terms]
+    with table_cache() as scope:
+        contact_order_table(ideals, 2, 3, q, prefer=prefer)
+        truncated = [contact_order_table(ideals, 2, level, q, prefer=prefer) for level in (0, 1, 2)]
+    assert (scope.misses, scope.hits) == (1, 3)
+    assert truncated == [contact_order_table(ideals, 2, level, q, prefer=prefer) for level in (0, 1, 2)]
 
 
 # --- exact fit recovers planted cell shapes ---------------------------------
