@@ -10,7 +10,7 @@ from .errors import (
     ValidationError,
 )
 from .fields import GF, QQ
-from .series import TruncSeries, series_ord
+from .series import TruncSeries
 from .poly import MultiPoly, parse_poly, poly_to_string
 from .matrices import PolyMatrix, SeriesMatrix, det_division_free, minors
 from .snf import LambdaProfile, SnfResult, smith_normal_form

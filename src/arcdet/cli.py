@@ -2,10 +2,12 @@
 
 The subcommands ``lct``, ``strata``, ``fiber``, ``cone`` and ``one-generic
 --config`` each run one task of a campaign task kind (``lct_z``,
-``stratification``, ``fiber_formula``, ``cone``, ``one_generic``) through
-``harness.run_task``: each flag sets the task parameter it is named after
-(``--config`` the ``configuration``), a document flag names an input read by
-``io``, and the kind validates them as it would in a campaign.
+``stratification``, ``fiber_formula``, ``cone``, ``one_generic``) as the
+only task, named after its kind, of a campaign run by
+``harness.run_campaign`` at seed 0: each flag sets the task parameter it is
+named after (``--config`` the ``configuration``), a document flag names an
+input read by ``io``, and the kind validates them as in any campaign.  A
+budget refusal of the task is an error, not a skipped result.
 
 Exit codes: 0 for computed results and PASS verdicts, 1 for FAIL verdicts
 or failed campaigns, 2 for usage and validation errors.  Numeric payloads
@@ -31,8 +33,8 @@ from .configurations import (
     patterson_matrix,
 )
 from .determinantal import lambda_profile
-from .errors import ArcdetError, ValidationError
-from .harness import _KINDS, STATUS_FAIL, _is_prime, _jsonable, builtin_corpus, run_campaign, run_task
+from .errors import ArcdetError, BudgetExceeded, ValidationError
+from .harness import _KINDS, STATUS_FAIL, STATUS_SKIPPED, Campaign, Task, _is_prime, _jsonable, builtin_corpus, run_campaign
 from .io import (
     INPUT_READERS,
     campaign_from_doc,
@@ -116,9 +118,12 @@ def _cmd_task(args):
             params[name] = value
             if name in INPUT_READERS:
                 inputs[value] = (name, INPUT_READERS[name](load_json(value)))
-    status, payload = run_task(args.kind, params, inputs, budget=getattr(args, "budget", DEFAULT_BUDGET))
-    _emit(payload, args)
-    return 1 if status == STATUS_FAIL else 0
+    campaign = Campaign.make(args.kind, inputs, [Task.make(args.kind, args.kind, **params)])
+    (result,) = run_campaign(campaign, budget=getattr(args, "budget", DEFAULT_BUDGET)).results
+    if result.status == STATUS_SKIPPED:
+        raise BudgetExceeded(result.payload["reason"])
+    _emit(result.payload, args)
+    return 1 if result.status == STATUS_FAIL else 0
 
 
 def _cmd_count(args):

@@ -5,13 +5,16 @@ by (least coordinate order, contact order) -- or by the contact order
 alone when no coordinate constraint applies: keep the keys the constraint
 admits and test the contact order against m.
 
-Projective jets of P^(r-1) use the homogeneous model: the tuples u in
-(F_q[t]/t^(N+1))^r with at least one unit coordinate (the
-``unit_coordinate`` constraint on the coordinate table), modulo the unit
-group of the truncated ring, which has q^N (q-1) elements.  Order
-conditions on the forms are unit-scaling invariant, so cone counts divide
-exactly by the unit-group size; a failed division means the condition was
-not scaling invariant and is reported as an internal error.
+Projective jets of P^(r-1) are counted in the fiber over the base jet
+diag(t^lam), r = len(lam), in the homogeneous model: the tuples u in
+(F_q[t]/t^(N+1))^r with at least one unit coordinate, modulo the unit group
+of the truncated ring, which has q^N (q-1) elements.  The forms are the
+pullbacks t^lam_j u_j, of contact order min_j min(lam_j + ord u_j, N+1), so
+the cone count is read off the unit-coordinate row of one array of
+(least coordinate order, contact order) cells.  Order conditions on the
+forms are unit-scaling invariant, so cone counts divide exactly by the
+unit-group size; a failed division means the condition was not scaling
+invariant and is reported as an internal error.
 """
 
 from __future__ import annotations
@@ -164,13 +167,11 @@ def count_contact(
 # --------------------------------------------------------------------------
 
 
-def _proj_cone_table(gens, r, level, q, lam, budget):
-    """Cone table keyed by (least order of u_1..u_r, contact order of the forms)."""
-    if lam is None:
-        coords = MultiPoly.coordinates(gens[0].field, gens[0].variables)
-        return contact_order_table([coords, gens], r, level, q, budget=budget)
-    names = tuple(f"u{j}" for j in range(1, r + 1))
-    coords = MultiPoly.coordinates(GF(q), names)
+def _proj_cone_table(lam, level, q, budget):
+    """(N+2) x (N+2) array of cone counts over diag(t^lam), indexed by (least
+    order of u_1..u_r, contact order of the forms t^lam_j u_j)."""
+    r = len(lam)
+    coords = MultiPoly.coordinates(GF(q), tuple(f"u{j}" for j in range(1, r + 1)))
     table = contact_order_table([[u] for u in coords], r, level, q, budget=budget)
     orders = np.fromiter(chain.from_iterable(table), dtype=np.int64).reshape(-1, r)
     # counts stay exact: int64 while the q^(r(N+1)) jets fit, Python ints past it
@@ -179,36 +180,21 @@ def _proj_cone_table(gens, r, level, q, lam, budget):
     # ord(t^lam_j u_j) = min(lam_j + ord u_j, N+1), exactly, in F_q[t]/(t^(N+1))
     contact = np.minimum(orders + np.array(lam), level + 1).min(1)
     np.add.at(cells, (orders.min(1), contact), np.array(list(table.values()), dtype=dtype))
-    least, contact = np.nonzero(cells)
-    return dict(zip(zip(least.tolist(), contact.tolist()), cells[least, contact].tolist()))
+    return cells
 
 
-def proj_count_contact(
-    gens,
-    r: int,
-    query: ContactQuery,
-    lam=None,
-    budget=DEFAULT_BUDGET,
-) -> CountReport:
-    """Count projective jets of P^(r-1) meeting an order condition.
-
-    The forms are either ``gens``, polynomials in r variables u_1..u_r, or,
-    with ``lam`` (a profile of length r and ``gens`` None), the pullbacks
-    t^lam_j u_j of the base jet diag(t^lam).  Each prime's cone count is
-    the coordinate table of u_1..u_r and the forms, reduced under the
-    ``unit_coordinate`` constraint; it is divided by the unit group size
-    q^N (q-1), and the quotient must be exact.
+def proj_count_contact(lam, query: ContactQuery, budget=DEFAULT_BUDGET) -> CountReport:
+    """Count projective jets of P^(r-1), r = len(lam), in the fiber over the
+    base jet diag(t^lam): those whose forms t^lam_j u_j meet the order
+    condition.  Each prime's cone count, the unit-coordinate row of
+    ``_proj_cone_table``, is divided by the unit group size q^N (q-1), and
+    the quotient must be exact.
     """
-    if lam is None:
-        if not gens or any(len(g.variables) != r for g in gens):
-            raise ValidationError("chart/cone generators must use exactly r variables")
-    elif gens is not None or len(lam) != r or r < 1:
-        raise ValidationError("a profile lam needs r = len(lam) >= 1 and no generators")
-    level = query.level
+    r, level, m = len(lam), query.level, query.m
     counts = []
     for q in query.primes:
-        table = _proj_cone_table(gens, r, level, q, lam, budget)
-        cone, _ = _contact_hits(table, "unit_coordinate", level, query.mode, query.m)
+        units = _proj_cone_table(lam, level, q, budget)[0]
+        cone = int(units[m] if query.mode == MODE_EXACT else units[m:].sum())
         unit_group = q**level * (q - 1)
         if cone % unit_group != 0:
             raise InternalInvariantError(

@@ -309,7 +309,7 @@ def fiber_count_check(
     if lam.parts and lam.parts[-1] > level:
         raise ValidationError("profile exceeds the level")
     query = ContactQuery(MODE_AT_LEAST, m, level, primes=tuple(primes))
-    report = proj_count_contact(None, len(lam.parts), query, lam=lam.parts, budget=budget)
+    report = proj_count_contact(lam.parts, query, budget=budget)
     formula = fiber_codim_formula(lam, m)
     if formula is None:
         verdict = VERDICT_PASS if report.status == STATUS_EXACT_EMPTY else VERDICT_FAIL

@@ -7,8 +7,9 @@ either a default or the fact that it is required), and one check across its
 parameters.  Validation is one loop over that table; it runs before
 execution and reports every problem at once.  A runner receives its
 parameters with the defaults filled in and its input references resolved,
-each matrix input to the determinantal pair it defines, built once;
-``run_task`` runs a single task so.  Execution is sequential (tasks are
+each matrix input to the determinantal pair it defines, built once.
+``run_campaign`` is the one place a runner is called; the CLI runs a single
+task as a campaign of one.  Execution is sequential (tasks are
 pure functions of immutable inputs, so order cannot change results) and
 the report lists tasks in declaration order, with their parameters as
 declared.  Identity checks and estimate checks are segregated so a
@@ -554,15 +555,6 @@ def _validate_campaign(campaign: Campaign):
     if errors:
         raise ValidationError("campaign validation failed:\n  " + "\n  ".join(errors))
     return calls
-
-
-def run_task(kind, params, inputs, budget=DEFAULT_BUDGET):
-    """(status, payload) of one task of ``kind``, validated and run as the only
-    task, named ``kind``, of a campaign on ``inputs`` at seed 0; a budget
-    refusal raises BudgetExceeded."""
-    task = Task.make(kind, kind, **params)
-    ((_, declared, resolved),) = _validate_campaign(Campaign.make(kind, inputs, [task]))
-    return declared.run(resolved, budget, f"0:{kind}")
 
 
 def run_campaign(campaign: Campaign, seed=0, budget=DEFAULT_BUDGET) -> Report:

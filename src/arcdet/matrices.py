@@ -51,9 +51,6 @@ class PolyMatrix:
     def submatrix(self, row_idx, col_idx):
         return PolyMatrix([[self.entries[i][j] for j in col_idx] for i in row_idx])
 
-    def transpose(self):
-        return PolyMatrix([[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)])
-
     def pullback(self, jet):
         """Entrywise substitution of a jet: the series matrix gamma*(A)."""
         return SeriesMatrix([[e.substitute_series(jet.coords) for e in row] for row in self.entries])

@@ -9,8 +9,6 @@ need a finite order must treat ``None`` as an error, never as infinity.
 
 from __future__ import annotations
 
-from .errors import TruncationInsufficient
-
 
 class TruncSeries:
     __slots__ = ("field", "level", "coeffs")
@@ -137,17 +135,6 @@ class TruncSeries:
             out[k] = f.neg(f.mul(inv0, acc))
         return TruncSeries(f, self.level, out)
 
-    def shift_down(self, k):
-        """Exact division by t^k.  The result is only known to level N-k."""
-        if k == 0:
-            return self
-        o = self.ord()
-        if o is None or o < k:
-            raise ValueError(f"series is not divisible by t^{k}")
-        if self.level - k < 0:
-            raise TruncationInsufficient(f"cannot divide by t^{k} at level {self.level}")
-        return TruncSeries(self.field, self.level - k, self.coeffs[k:])
-
     # --- protocol ----------------------------------------------------------
 
     def __eq__(self, other):
@@ -174,8 +161,3 @@ class TruncSeries:
                 terms.append(f"{c}*t^{i}" if c != 1 else f"t^{i}")
         body = " + ".join(terms) if terms else "0"
         return f"{body} + O(t^{self.level + 1})"
-
-
-def series_ord(s: TruncSeries):
-    """Order of a truncated series: first nonzero index, or None (sentinel)."""
-    return s.ord()

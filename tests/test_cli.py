@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import arcdet.counting
 from arcdet.cli import main
 
 
@@ -215,6 +216,36 @@ class TestSubcommands:
         assert main(["one-generic", "--config", str(doc), "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert payload["linear"]["one_generic"] == payload["hadamard"]["one_generic"]
+
+
+class TestTaskCampaign:
+    @pytest.fixture()
+    def ideal(self, tmp_path):
+        doc = tmp_path / "f.json"
+        doc.write_text(json.dumps({"vars": ["x1", "x2"], "generators": ["x1*x2 + x1^3"]}))
+        return str(doc)
+
+    def test_lct_counts_one_table_per_prime(self, ideal, monkeypatch, capsys):
+        # the task runs in its campaign's table scope, where the level-4 table
+        # of each prime serves levels 1-3; without it each level counts its own
+        counted = []
+        count = arcdet.counting._contact_order_table
+
+        def record(ideals, n, level, q, budget, prefer):
+            counted.append((level, q))
+            return count(ideals, n, level, q, budget, prefer)
+
+        monkeypatch.setattr(arcdet.counting, "_contact_order_table", record)
+        assert main(["lct", "--ideal", ideal, "--max-m", "4"]) == 0
+        assert counted == [(4, 2), (4, 3)]
+        assert json.loads(capsys.readouterr().out)["estimate"] == "1"
+
+    def test_budget_refusal_is_an_error(self, ideal, capsys):
+        # the campaign skips a refused task; the subcommand reports it and fails
+        assert main(["lct", "--ideal", ideal, "--max-m", "4", "--budget", "10"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: jet space has 1024 points, over the budget 10, and no exact split applies\n"
 
 
 class TestFormats:

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 import arcdet.counting
-from arcdet import GF, BudgetExceeded, IdealGens, TruncSeries, enumerate_jets, parse_poly
+from arcdet import GF, IdealGens, TruncSeries, enumerate_jets, parse_poly
 from arcdet.consensus import (
     STATUS_AMBIGUOUS,
     STATUS_CONSENSUS,
@@ -171,39 +171,39 @@ def oracle_proj_counts(lam, level, q, mode, m):
 
 class TestProjective:
     def test_fiber_over_diag_base(self):
-        rep = proj_count_contact(None, 2, ContactQuery(MODE_AT_LEAST, 1, 2, primes=(2, 3)), lam=(0, 2))
+        rep = proj_count_contact((0, 2), ContactQuery(MODE_AT_LEAST, 1, 2, primes=(2, 3)))
         assert rep.consensus_codim == 1
 
     def test_over_budget_profile_gets_exact_split(self):
         query = ContactQuery(MODE_AT_LEAST, 1, 2, primes=(2, 3))
-        small = proj_count_contact(None, 2, query, lam=(0, 2), budget=1)
-        assert small.counts == proj_count_contact(None, 2, query, lam=(0, 2)).counts
+        small = proj_count_contact((0, 2), query, budget=1)
+        assert small.counts == proj_count_contact((0, 2), query).counts
 
     def test_profile_fiber_enumerates_nothing(self, monkeypatch):
         query = ContactQuery(MODE_AT_LEAST, 2, 3, primes=(2, 3))
-        expected = proj_count_contact(None, 3, query, lam=(1, 2, 3))
+        expected = proj_count_contact((1, 2, 3), query)
 
         def refuse(*args, **kwargs):
             raise AssertionError("the fiber count enumerated coordinate jets")
 
         monkeypatch.setattr(arcdet.counting, "_order_batches", refuse)
-        rep = proj_count_contact(None, 3, query, lam=(1, 2, 3))
+        rep = proj_count_contact((1, 2, 3), query)
         assert rep.counts == expected.counts
         assert [q for q, _, _ in rep.counts] == [2, 3]
         assert rep.consensus_codim == 1  # (m - lambda_1) for the one part below m
 
     def test_empty_beyond_top_part(self):
-        rep = proj_count_contact(None, 2, ContactQuery(MODE_AT_LEAST, 3, 3, primes=(2, 3)), lam=(0, 2))
+        rep = proj_count_contact((0, 2), ContactQuery(MODE_AT_LEAST, 3, 3, primes=(2, 3)))
         assert rep.status == STATUS_EXACT_EMPTY
 
     def test_unit_base_forces_order_zero(self):
-        rep = proj_count_contact(None, 2, ContactQuery(MODE_AT_LEAST, 1, 2, primes=(2, 3)), lam=(0, 0))
+        rep = proj_count_contact((0, 0), ContactQuery(MODE_AT_LEAST, 1, 2, primes=(2, 3)))
         assert rep.status == STATUS_EXACT_EMPTY
 
     def test_cone_counts_divisible_by_unit_group(self):
         # exercised internally: a failed division raises
         for lam in [(0, 1), (1, 2), (0, 0, 2)]:
-            proj_count_contact(None, len(lam), ContactQuery(MODE_AT_LEAST, 1, 2, primes=(2, 3)), lam=lam)
+            proj_count_contact(lam, ContactQuery(MODE_AT_LEAST, 1, 2, primes=(2, 3)))
 
     @pytest.mark.parametrize("q", [2, 3])
     @pytest.mark.parametrize("mode", [MODE_EXACT, MODE_AT_LEAST])
@@ -211,7 +211,7 @@ class TestProjective:
         level = 2
         for lam in product(range(3), repeat=2):
             for m in range(level + 1):
-                rep = proj_count_contact(None, 2, ContactQuery(mode, m, level, primes=(q,)), lam=lam)
+                rep = proj_count_contact(lam, ContactQuery(mode, m, level, primes=(q,)))
                 assert rep.counts == (oracle_proj_counts(lam, level, q, mode, m),), (lam, m)
 
     @pytest.mark.parametrize("level", [3, 31])  # 2^8 coordinate jets, and 2^64: past int64
@@ -221,27 +221,6 @@ class TestProjective:
         for orders in product(range(level + 2), repeat=2):
             contact = min(min(l + o, level + 1) for l, o in zip(lam, orders))
             expected[min(orders), contact] += per[orders[0]] * per[orders[1]]
-        table = _proj_cone_table(None, 2, level, 2, lam, DEFAULT_BUDGET)
-        assert table == dict(expected)
-        assert sum(table.values()) == 2 ** (2 * (level + 1))
-
-    def test_polynomial_generators_without_base(self):
-        # chart-style generators over the u variables themselves
-        us = ["y1", "y2"]
-        gens = [parse_poly("y1", us)]
-        rep = proj_count_contact(gens, 2, ContactQuery(MODE_AT_LEAST, 1, 1, primes=(2, 3)))
-        # ord(u1) >= 1 with some unit coordinate: u2 must be the unit
-        assert rep.consensus_codim == 1
-
-    def test_int32_overflow_is_refused(self):
-        # at q=65537 one product of reduced coefficients already exceeds 2^31;
-        # y1^2 + y1 is no monomial, so it has to be enumerated
-        gens = [parse_poly("y1^2 + y1", ["y1"])]
-        with pytest.raises(BudgetExceeded, match="overflow"):
-            proj_count_contact(gens, 1, ContactQuery(MODE_EXACT, 0, 0, primes=(65537,)))
-
-    def test_profile_and_generators_are_exclusive(self):
-        gens = [parse_poly("y1", ["y1", "y2"])]
-        for args, lam in [((gens, 2), (0, 1)), ((None, 2), (0, 1, 2)), ((None, 2), None)]:
-            with pytest.raises(ValidationError):
-                proj_count_contact(*args, ContactQuery(MODE_AT_LEAST, 1, 2, primes=(2,)), lam=lam)
+        cells = _proj_cone_table(lam, level, 2, DEFAULT_BUDGET).tolist()
+        assert {(i, j): c for i, row in enumerate(cells) for j, c in enumerate(row) if c} == dict(expected)
+        assert sum(map(sum, cells)) == 2 ** (2 * (level + 1))

@@ -11,7 +11,7 @@ import arcdet.harness
 from arcdet.configurations import ConfigurationMatrix, patterson_matrix
 from arcdet.determinantal import DeterminantalPair, minor_ideal_tower
 from arcdet.errors import ValidationError
-from arcdet.harness import _KINDS, Campaign, Task, _jsonable, builtin_corpus, run_campaign, run_task
+from arcdet.harness import _KINDS, Campaign, Task, builtin_corpus, run_campaign
 from arcdet.io import campaign_from_doc
 from arcdet.jets import IdealGens
 from arcdet.matrices import PolyMatrix
@@ -189,14 +189,16 @@ class TestValidation:
         assert built == [tall, zero]
 
     def test_one_task_runs_as_in_a_campaign(self):
-        c = Campaign.make("one", {"m": ("matrix", _generic())}, [
-            Task.make("strata", "stratification", matrix="m", m=1, level=1, prime=2),
-        ])
-        (result,) = run_campaign(c).results
-        status, payload = run_task("stratification", dict(c.tasks[0].params), c.input_dict())
-        assert (status, _jsonable(payload)) == (result.status, result.payload)
+        # the CLI runs one task as a campaign of one, named after its kind
+        inputs = {"m": ("matrix", _generic())}
+        strata = Task.make("stratification", "stratification", matrix="m", m=1, level=1, prime=2)
+        cone = Task.make("cone", "cone", matrix="m", m=1, p=1, level=1, primes=[2, 3])
+        (alone,) = run_campaign(Campaign.make("stratification", inputs, [strata])).results
+        both = run_campaign(Campaign.make("both", inputs, [cone, strata])).results
+        assert alone == both[1]
+        bad = Task.make("stratification", "stratification", matrix="m", m=1, level=1, prime=4)
         with pytest.raises(ValidationError, match="stratification: prime must be a prime below 2"):
-            run_task("stratification", {"matrix": "m", "m": 1, "level": 1, "prime": 4}, c.input_dict())
+            run_campaign(Campaign.make("stratification", inputs, [bad]))
 
     def test_runners_get_defaults_and_resolved_inputs(self, monkeypatch):
         seen = []

@@ -6,10 +6,12 @@ from itertools import product
 import pytest
 
 import arcdet.counting
+import arcdet.lct
 from arcdet import IdealGens, parse_poly
+from arcdet.consensus import STATUS_AMBIGUOUS, STATUS_CONSENSUS
 from arcdet.counting import table_cache
 from arcdet.errors import ValidationError
-from arcdet.lct import lct_estimate
+from arcdet.lct import contact_codim_stratified, lct_estimate
 
 
 class TestMonomials:
@@ -103,6 +105,25 @@ class TestGuards:
         gens = IdealGens((parse_poly("x1 + x2^2", ["x1", "x2"]),))
         est = lct_estimate(gens, 3, primes=(2, 3))
         assert est.estimate == 1
+
+    def test_flat_fit_decides_what_the_buckets_cannot(self, monkeypatch):
+        # x1 + x3 + x1^3 is smooth, so codim Cont^1 = 1; over F_2 no jet with
+        # three unit coordinates meets it, and the coordinate buckets, read
+        # alone, give the interval (2, 2), which misses the codimension
+        bucketed = []
+        extract = arcdet.lct.extract_codim_bucketed
+
+        def recording(*args):
+            bucketed.append(extract(*args))
+            return bucketed[-1]
+
+        monkeypatch.setattr(arcdet.lct, "extract_codim_bucketed", recording)
+        gens = IdealGens((parse_poly("x1 + x3 + x1^3", ["x1", "x2", "x3"]),))
+        rep = contact_codim_stratified(gens, 1, (2, 3))
+        (merged,) = bucketed
+        assert (merged.status, merged.codim_interval) == (STATUS_AMBIGUOUS, (2, 2))
+        assert (rep.status, rep.consensus_codim, rep.method) == (STATUS_CONSENSUS, 1, "fit")
+        assert rep.counts == ((2, 16, 64), (3, 162, 729))  # q^4 (q - 1) jets
 
 
 class TestTables:

@@ -1,16 +1,19 @@
 """Every module-level function, class and method in the package is used,
 and no package module imports a name it never reads.
 
-A definition counts as used when its name occurs as a whole word somewhere
-in ``src/`` or ``tests/`` outside its own definition (its header and body).
-The check is by name only: two definitions of the same name vouch for each
-other only through real uses, never through their ``def`` lines.  Dunder
-methods are called by the interpreter and are not checked.  ``__init__.py``
-imports names to re-export them, so its imports are not checked.
+A definition counts as used when its name occurs as a name token of code,
+not in a comment or a string, somewhere in ``src/`` or ``tests/`` outside
+its own definition (its header and body); before Python 3.12 an f-string is
+one string token, so a name inside its braces does not count.  The check is
+by name only: two definitions of the same name vouch for each other only
+through real uses, never through their ``def`` lines.  Dunder methods are
+called by the interpreter and are not checked.  ``__init__.py`` imports
+names to re-export them, so its imports are not checked.
 """
 
 import ast
-import re
+import tokenize
+from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -29,24 +32,30 @@ def _definitions(tree):
                     yield item.name, item.lineno, item.end_lineno
 
 
+def _name_uses(files):
+    """Name -> (path, line) of each of its name tokens in ``files``, leaving
+    out the names that ``def`` and ``class`` lines define."""
+    uses = defaultdict(list)
+    for path in files:
+        with path.open("rb") as fh:
+            previous = None
+            for token in tokenize.tokenize(fh.readline):
+                if token.type == tokenize.NAME and previous not in ("def", "class"):
+                    uses[token.string].append((path, token.start[0]))
+                previous = token.string
+    return uses
+
+
 def _unused_definitions(root):
     package = sorted((root / "src" / "arcdet").rglob("*.py"))
-    files = package + sorted((root / "tests").rglob("*.py"))
-    sources = {path: path.read_text(encoding="utf-8").splitlines() for path in files}
+    uses = _name_uses(package + sorted((root / "tests").rglob("*.py")))
     unused = []
     for path in package:
-        tree = ast.parse("\n".join(sources[path]))
+        tree = ast.parse(path.read_text(encoding="utf-8"))
         for name, first, last in _definitions(tree):
             if name.startswith("__") and name.endswith("__"):
                 continue
-            use = re.compile(rf"(?<!def )(?<!class )\b{re.escape(name)}\b")
-            used = any(
-                use.search(line)
-                for other, lines in sources.items()
-                for lineno, line in enumerate(lines, start=1)
-                if not (other == path and first <= lineno <= last)
-            )
-            if not used:
+            if all(other == path and first <= lineno <= last for other, lineno in uses[name]):
                 unused.append(f"{path.relative_to(root)}:{first} {name}")
     return unused
 
@@ -67,6 +76,22 @@ def test_guard_sees_an_unused_definition(tmp_path):
     )
     (tmp_path / "tests" / "test_mod.py").write_text("from arcdet.mod import Box\n")
     assert [entry.split()[-1] for entry in _unused_definitions(tmp_path)] == ["orphan", "open"]
+
+
+def test_guard_reads_code_not_comments_or_strings(tmp_path):
+    # a name that only a comment or a string mentions is still unused
+    pkg = tmp_path / "src" / "arcdet"
+    pkg.mkdir(parents=True)
+    (tmp_path / "tests").mkdir()
+    (pkg / "mod.py").write_text(
+        "def used():\n    return 1\n\n\n"
+        "def noted():\n    return 2\n"
+    )
+    (tmp_path / "tests" / "test_mod.py").write_text(
+        "from arcdet.mod import used  # noted\n\n\n"
+        "def test_used():\n    assert used() == 1, 'noted'\n"
+    )
+    assert [entry.split()[-1] for entry in _unused_definitions(tmp_path)] == ["noted"]
 
 
 def _unused_imports(root):

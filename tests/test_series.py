@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arcdet import GF, QQ, TruncSeries, series_ord
+from arcdet import GF, QQ, TruncSeries
 
 
 def S(coeffs, level=None, field=GF(5)):
@@ -13,13 +13,13 @@ def S(coeffs, level=None, field=GF(5)):
 
 class TestOrd:
     def test_plain(self):
-        assert series_ord(S([0, 0, 0, 1, 1], level=5)) == 3
+        assert S([0, 0, 0, 1, 1], level=5).ord() == 3
 
     def test_unit(self):
-        assert series_ord(S([1, 1])) == 0
+        assert S([1, 1]).ord() == 0
 
     def test_sentinel(self):
-        assert series_ord(S([0, 0, 0], level=2)) is None
+        assert S([0, 0, 0], level=2).ord() is None
 
 
 class TestArithmetic:
@@ -40,13 +40,6 @@ class TestArithmetic:
     def test_inverse_needs_unit(self):
         with pytest.raises(ZeroDivisionError):
             S([0, 1]).inverse()
-
-    def test_shift_down(self):
-        s = S([0, 0, 1, 2], level=3)
-        d = s.shift_down(2)
-        assert d.level == 1 and d.coeffs == (1, 2)
-        with pytest.raises(ValueError):
-            S([1, 0]).shift_down(1)
 
     def test_rational_series(self):
         s = TruncSeries.from_coeffs(QQ, 2, [1, -1])
