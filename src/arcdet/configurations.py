@@ -255,28 +255,39 @@ class GenericityVerdict:
         return out
 
 
-def hadamard_one_generic(cfg: ConfigurationMatrix) -> GenericityVerdict:
+def hadamard_split(cfg: ConfigurationMatrix):
     """Hadamard criterion: the Patterson matrix is 1-generic iff the row
     space contains no two vectors with disjoint supports.
 
     Such a pair exists iff some split S | E-S has rank(D|_(E-S)) < r and
     rank(D|_S) < r (a vector supported in S exists iff the complementary
-    column rank drops).  Exact over Q; returns explicit witness vectors.
+    column rank drops).  Returns the first such split (S, E-S), or None
+    when the Patterson matrix is 1-generic.  Exact over Q.
     """
     for s, comp in _splits(cfg.n):
         if cfg.column_rank(comp) < cfg.r and cfg.column_rank(s) < cfg.r:
-            v = _vector_supported_in(cfg, s)
-            w = _vector_supported_in(cfg, comp)
-            return GenericityVerdict(
-                one_generic=False,
-                confirmed=True,
-                witness={
-                    "split": [s, comp],
-                    "v": [str(x) for x in v],
-                    "w": [str(x) for x in w],
-                },
-            )
-    return GenericityVerdict(one_generic=True, confirmed=True, witness=None)
+            return s, comp
+    return None
+
+
+def hadamard_one_generic(cfg: ConfigurationMatrix) -> GenericityVerdict:
+    """The verdict of ``hadamard_split``, with explicit witness vectors
+    supported in the two sides of its split."""
+    split = hadamard_split(cfg)
+    if split is None:
+        return GenericityVerdict(one_generic=True, confirmed=True, witness=None)
+    s, comp = split
+    v = _vector_supported_in(cfg, s)
+    w = _vector_supported_in(cfg, comp)
+    return GenericityVerdict(
+        one_generic=False,
+        confirmed=True,
+        witness={
+            "split": [s, comp],
+            "v": [str(x) for x in v],
+            "w": [str(x) for x in w],
+        },
+    )
 
 
 def _vector_supported_in(cfg, support):

@@ -43,7 +43,14 @@ exactly one strategy counts each table.
                  reduced by that key; nothing is enumerated.
 
 All four produce identical tables; the test suite cross-checks them
-against each other and against the pure-Python jet enumeration.  Inside a
+against each other and against the pure-Python jet enumeration.  Each
+returns its table as two arrays, (keys, counts): one int64 row of clamped
+orders per order vector that occurs, and its jets, int64 or, once the grid
+has q^(n(N+1)) >= 2^63 jets, Python ints in an object array.
+``contact_order_table`` takes each ideal's least order over its span of a
+row with one ``np.minimum.reduceat``, sums the counts of equal rows and
+checks that they sum to the grid; its read-only mapping and the public dict
+of ``ord_vector_distribution`` are the only dicts built from a table.  Inside a
 ``table_cache()`` scope, which ``harness.run_campaign`` opens around its
 tasks, ``contact_order_table`` keys its tables by the content of the call
 without the level and holds the deepest table counted for each key.  That
@@ -443,6 +450,32 @@ def _digits(codes, radices):
     return out
 
 
+def _count_dtype(total):
+    """The dtype that counts the jets of a grid of ``total`` exactly: int64
+    while they fit, else object (Python ints)."""
+    return np.int64 if total < 2**63 else object
+
+
+def _sum_by_key(keys, counts, axis=None):
+    """The distinct entries of ``keys`` (its rows, with axis=0), sorted, and
+    the sum of ``counts`` over each."""
+    uniq, inverse = np.unique(keys, axis=axis, return_inverse=True)
+    sums = np.zeros(len(uniq), dtype=counts.dtype)
+    np.add.at(sums, inverse.ravel(), counts)
+    return uniq, sums
+
+
+def _sum_by_row(rows, counts, base):
+    """The distinct rows of ``rows``, whose entries lie in [0, base), and the
+    sum of ``counts`` over each.  Rows are compared as base-``base`` codes
+    while base^width fits int64, and whole past it."""
+    width = rows.shape[1]
+    if base**width > 2**63:
+        return _sum_by_key(rows, counts, axis=0)
+    codes, sums = _sum_by_key(rows @ base ** np.arange(width, dtype=np.int64), counts)
+    return _digits(codes, [base] * width), sums
+
+
 def _tally(batches, radix, total):
     """Jets per key code over ``batches`` of (weight, key), as int64 arrays of
     the codes that occur and of their counts.
@@ -451,12 +484,15 @@ def _tally(batches, radix, total):
     an int or an int64 array of the key's shape, accumulated exactly in int64
     (``np.add.at`` for an array, never float bincount weights).  A dense array
     tallies the codes when radix <= min(2^22, total), so that a small grid
-    never scans a large range, and a dict otherwise.  The counts must sum
+    never scans a large range.  Otherwise each batch is reduced to its distinct
+    codes, and the held reductions are merged into one whenever they pass
+    twice the size of the last merge (and 2^20 entries).  The counts must sum
     to ``total``, the size of the grid walked, so a lost or repeated batch
     raises InternalInvariantError.
     """
     dense = np.zeros(radix, dtype=np.int64) if radix <= min(1 << 22, total) else None
-    counts = {}
+    empty = np.zeros(0, dtype=np.int64)
+    held, bound = [(empty, empty)], 1 << 20
     for weight, key in batches:
         key, weight = key.ravel(), np.ravel(weight)
         if dense is not None:
@@ -469,19 +505,17 @@ def _tally(batches, radix, total):
             continue
         if weight.size == 1:
             uniq, cnt = np.unique(key, return_counts=True)
-            cnt *= weight
+            held.append((uniq, cnt * weight))
         else:
-            uniq, inv = np.unique(key, return_inverse=True)
-            cnt = np.zeros(uniq.size, dtype=np.int64)
-            np.add.at(cnt, inv, weight)
-        for code, c in zip(uniq.tolist(), cnt.tolist()):
-            counts[code] = counts.get(code, 0) + c
+            held.append(_sum_by_key(key, weight))
+        if sum(codes.size for codes, _ in held) > bound:
+            held = [_sum_by_key(*map(np.concatenate, zip(*held)))]
+            bound = max(bound, 2 * held[0][0].size)
     if dense is not None:
         codes = np.flatnonzero(dense)
         counts = dense[codes]
     else:
-        codes = np.fromiter(counts, dtype=np.int64, count=len(counts))
-        counts = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
+        codes, counts = _sum_by_key(*map(np.concatenate, zip(*held)))
     counted = sum(counts.tolist())
     if counted != total:
         raise InternalInvariantError(f"enumeration counted {counted} of {total} jets")
@@ -595,7 +629,7 @@ def _direct_distribution(polys, n, level, q, batch_cap):
     """
     total = q ** (n * (level + 1))
     if not polys:
-        return {(): total}
+        return np.zeros((1, 0), dtype=np.int64), np.array([total], dtype=_count_dtype(total))
     base, size = level + 2, q ** (level + 1)
     sides, spans = _blocks(polys, n)
     radices = [size ** len(spans) * base ** len(slots) for _, slots in sides]
@@ -626,7 +660,7 @@ def _direct_distribution(polys, n, level, q, batch_cap):
             yield cnt_a[a, None] * cnt_b[b], key
 
     codes, counts = _tally(pairs(), base ** len(polys), total)
-    return dict(zip(map(tuple, _digits(codes, [base] * len(polys)).tolist()), counts.tolist()))
+    return _digits(codes, [base] * len(polys)), counts
 
 
 # --------------------------------------------------------------------------
@@ -668,16 +702,17 @@ def _shift_split_distribution(polys, level, q, assigned, kept, batch_cap):
     rest = [pi for pi in range(len(polys)) if pi not in assigned]
     shifted = sorted(assigned)
     rest_polys = [_restrict_poly(polys[pi], kept) for pi in rest]
-    rest_table = _direct_distribution(rest_polys, len(kept), level, q, batch_cap)
-    weights = ord_value_counts(level, q)
-    slots = rest + shifted  # the polynomial of each entry of a rest key followed by its tail
-    layout = sorted(range(len(slots)), key=slots.__getitem__)
-    table = {}
-    for rest_key, count in rest_table.items():
-        for tail in product(range(level + 2), repeat=len(shifted)):
-            entries = rest_key + tail
-            table[tuple(entries[i] for i in layout)] = count * prod(weights[e] for e in tail)
-    return table
+    rest_keys, rest_counts = _direct_distribution(rest_polys, len(kept), level, q, batch_cap)
+    base = level + 2
+    dtype = _count_dtype(q ** ((len(kept) + len(shifted)) * (level + 1)))
+    # every tail of orders of the shifted polynomials, weighted as in ord_value_counts
+    tails = _digits(np.arange(base ** len(shifted), dtype=np.int64), [base] * len(shifted))
+    weights = np.array(ord_value_counts(level, q), dtype=dtype)[tails].prod(axis=1)
+    # row r * len(tails) + t: rest key r followed by tail t, each in its slots
+    keys = np.empty((len(rest_keys) * len(tails), len(polys)), dtype=np.int64)
+    keys[:, rest] = np.repeat(rest_keys, len(tails), axis=0)
+    keys[:, shifted] = np.tile(tails, (len(rest_keys), 1))
+    return keys, np.multiply.outer(rest_counts.astype(dtype), weights).ravel()
 
 
 def _shift_plan(polys, n, level, q):
@@ -796,7 +831,7 @@ def _additive_split_distribution(polys, level, q, sides, split, batch_cap):
     keys[:, sides[0][1]] = keys_a[i]
     keys[:, sides[1][1]] = keys_b[j]
     keys[:, [] if split is None else [split]] = o[:, None]
-    return dict(zip(map(tuple, keys.tolist()), by_ord[o, i, j].tolist()))
+    return keys, by_ord[o, i, j]
 
 
 def _additive_plan(polys, n, level, q):
@@ -832,24 +867,23 @@ def _monomial_distribution(polys, n, level, q):
     With e the vector of clamped coordinate orders, ord(c x^a) = min(<a, e>, N+1)
     (a unit times t^<a, e>), so the table is the product of ``ord_value_counts``
     over the (N+2)^n cells e, reduced by that key.  The cells are summed one
-    coordinate at a time, keyed by the partial clamped sums, in Python ints.
+    coordinate at a time, keyed by the partial clamped sums.
     """
     top = level + 1
-    weights = ord_value_counts(level, q)
+    dtype = _count_dtype(q ** (n * top))
+    weights = np.array(ord_value_counts(level, q), dtype=dtype)
     exps = [next(iter(p.terms), None) for p in polys]  # None: the zero polynomial
-    table = {tuple(top if a is None else 0 for a in exps): 1}
+    keys = np.array([[top if a is None else 0 for a in exps]], dtype=np.int64)
+    counts = np.ones(1, dtype=dtype)
     for v in range(n):
-        col = [0 if a is None else a[v] for a in exps]
-        if not any(col):
-            table = {key: cnt * q**top for key, cnt in table.items()}  # sum(weights) = q^(N+1)
+        col = np.array([0 if a is None else a[v] for a in exps], dtype=np.int64)
+        if not col.any():
+            counts = counts * q**top  # sum(weights) = q^(N+1)
             continue
-        nxt = {}
-        for key, cnt in table.items():
-            for e, w in enumerate(weights):
-                new = tuple(min(s + e * c, top) for s, c in zip(key, col))
-                nxt[new] = nxt.get(new, 0) + cnt * w
-        table = nxt
-    return table
+        # row r * (N+2) + e: partial key r, then coordinate v of order e
+        keys = np.minimum(keys[:, None, :] + np.outer(np.arange(top + 1), col), top).reshape(-1, len(polys))
+        keys, counts = _sum_by_row(keys, np.multiply.outer(counts, weights).ravel(), top + 1)
+    return keys, counts
 
 
 # --------------------------------------------------------------------------
@@ -875,6 +909,20 @@ def _plans(polys, n, level, q):
     return plans
 
 
+def _order_table(polys, n, level, q, budget, prefer):
+    """The table of ``ord_vector_distribution`` as (keys, counts), one row per
+    order vector, as its one plan counts it."""
+    gfq = GF(q)
+    polys = [p if p.field == gfq else p.map_coeffs(gfq) for p in polys]
+    fitting = [plan for plan in _plans(polys, n, level, q) if plan[2] <= budget]
+    if not fitting:
+        raise BudgetExceeded(
+            f"jet space has {q ** (n * (level + 1))} points, over the budget {budget}, and no exact split applies"
+        )
+    _, _, _, count = min(fitting, key=lambda plan: plan[1]) if prefer == "cheapest" else fitting[0]
+    return count(DEFAULT_BATCH_CAP)
+
+
 def ord_vector_distribution(polys, n, level, q, budget=DEFAULT_BUDGET, prefer="cheapest"):
     """Exact jet counts keyed by the clamped order vector of the given polynomials.
 
@@ -887,15 +935,8 @@ def ord_vector_distribution(polys, n, level, q, budget=DEFAULT_BUDGET, prefer="c
     enumeration whenever it fits).  One strategy counts the table; all are
     exact and interchangeable.  Raises BudgetExceeded when no plan fits.
     """
-    gfq = GF(q)
-    polys = [p if p.field == gfq else p.map_coeffs(gfq) for p in polys]
-    fitting = [plan for plan in _plans(polys, n, level, q) if plan[2] <= budget]
-    if not fitting:
-        raise BudgetExceeded(
-            f"jet space has {q ** (n * (level + 1))} points, over the budget {budget}, and no exact split applies"
-        )
-    _, _, _, count = min(fitting, key=lambda plan: plan[1]) if prefer == "cheapest" else fitting[0]
-    return count(DEFAULT_BATCH_CAP)
+    keys, counts = _order_table(polys, n, level, q, budget, prefer)
+    return dict(zip(map(tuple, keys.tolist()), counts.tolist()))
 
 
 @dataclass
@@ -933,8 +974,9 @@ def contact_order_table(ideals, n, level, q, budget=DEFAULT_BUDGET, prefer="chea
 
     ``ideals`` is a list of non-empty generator lists.  A key holds one
     entry per ideal: the least clamped pullback order of its generators,
-    in {0..level} or level+1 (the truncation sentinel).  ``prefer`` is
-    passed to ``ord_vector_distribution``.  The table is read-only.
+    in {0..level} or level+1 (the truncation sentinel).  ``prefer`` and
+    ``budget`` plan the table as in ``ord_vector_distribution``.  The table
+    is read-only.
 
     Inside a ``table_cache()`` scope, calls whose ideals reduce mod q to the
     same generators in the same order, with the same n, q, ``prefer`` and
@@ -984,15 +1026,14 @@ def _truncated(deep, table, level, n, q):
 
 
 def _contact_order_table(ideals, n, level, q, budget, prefer):
-    polys = [g for gens in ideals for g in gens]
-    table = ord_vector_distribution(polys, n, level, q, budget=budget, prefer=prefer)
-    ends = list(accumulate(len(gens) for gens in ideals))
-    spans = list(zip([0] + ends, ends))
-    out = {}
-    for key, cnt in table.items():
-        orders = tuple(min(key[a:b]) for a, b in spans)
-        out[orders] = out.get(orders, 0) + cnt
-    return MappingProxyType(out)
+    keys, counts = _order_table([g for gens in ideals for g in gens], n, level, q, budget, prefer)
+    # an ideal's contact order is the least order over its span of the key
+    starts = [0, *accumulate(len(gens) for gens in ideals)][:-1]
+    orders, sums = _sum_by_row(np.minimum.reduceat(keys, starts, axis=1), counts, level + 2)
+    counted, total = sum(sums.tolist()), q ** (n * (level + 1))
+    if counted != total:
+        raise InternalInvariantError(f"the contact-order table counted {counted} of {total} jets")
+    return MappingProxyType(dict(zip(map(tuple, orders.tolist()), sums.tolist())))
 
 
 def sample_ord_hits(gens, n, level, q, mode, m, samples, rng):

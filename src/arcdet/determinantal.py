@@ -40,8 +40,8 @@ VERDICT_AMBIGUOUS = "AMBIGUOUS"
 
 
 def minor_ideal_tower(A: PolyMatrix):
-    """IdealGens for the l-minor ideals, l = 1..cols; zero minors and repeated
-    minors are dropped (the first occurrence is kept).
+    """A tuple of IdealGens for the l-minor ideals, l = 1..cols; zero minors
+    and repeated minors are dropped (the first occurrence is kept).
 
     A level whose minors all vanish identically is kept as the explicit
     zero ideal (a single zero polynomial).
@@ -52,17 +52,19 @@ def minor_ideal_tower(A: PolyMatrix):
         if not gens:
             gens = [MultiPoly.zero(A.field, A.variables)]
         tower.append(IdealGens(tuple(gens)))
-    return tower
+    return tuple(tower)
 
 
 @dataclass(frozen=True)
 class DeterminantalPair:
-    """A matrix together with its degeneracy ideal and incidence forms."""
+    """A matrix together with its degeneracy ideal, incidence forms and
+    minor-ideal tower (``minor_ideal_tower``), each built once."""
 
     matrix: PolyMatrix
     z_gens: IdealGens
     w_gens: IdealGens
     y_names: tuple
+    tower: tuple
 
     @classmethod
     def from_matrix(cls, A: PolyMatrix):
@@ -86,7 +88,10 @@ class DeterminantalPair:
             w.append(acc)
         if all(g.is_zero() for g in w):
             raise ValidationError("incidence forms vanish identically")
-        return cls(matrix=A, z_gens=IdealGens(tuple(z)), w_gens=IdealGens(tuple(w)), y_names=y_names)
+        return cls(
+            matrix=A, z_gens=IdealGens(tuple(z)), w_gens=IdealGens(tuple(w)), y_names=y_names,
+            tower=minor_ideal_tower(A),
+        )
 
     @property
     def r(self):
@@ -207,12 +212,11 @@ def stratum_counts(
     """
     if m > level:
         raise ValidationError("m must be at most the level")
-    A = pair.matrix
-    n = len(A.variables)
+    n = len(pair.matrix.variables)
     # keyed by the sigma vectors; full enumeration keeps this pass independent
     # of the cheapest-strategy total below.  It counts every jet as a pair of
     # block states, whose spanning minors it evaluates through the ring.
-    tower = [ideal.nonzero() for ideal in minor_ideal_tower(A)]
+    tower = [ideal.nonzero() for ideal in pair.tower]
     table = contact_order_table(tower, n, level, q, budget=budget, prefer="direct")
 
     r = pair.r
@@ -385,7 +389,7 @@ class CorollaryReport:
 
 def lct_z_estimate(pair: DeterminantalPair, M: int, primes=LCT_DEFAULT_PRIMES, budget=DEFAULT_BUDGET):
     """lct(X, Z_A), with Cont^m bucketed by the orders of the lower minor ideals."""
-    lower = [ideal.nonzero() for ideal in minor_ideal_tower(pair.matrix)[:-1]]
+    lower = [ideal.nonzero() for ideal in pair.tower[:-1]]
     return lct_estimate(pair.z_gens, M, primes=primes, budget=budget, strata=lower)
 
 

@@ -4,6 +4,8 @@ exact equivalence of its four strategies, and the planner that picks one."""
 import tracemalloc
 from collections import Counter
 from contextlib import contextmanager
+from itertools import product
+from math import prod
 
 import numpy as np
 import pytest
@@ -73,10 +75,16 @@ class TestAgainstOracle:
         assert ord_vector_distribution([f], 1, 4, 5) == brute_table([f], 1, 4, 5)
 
 
+def as_dict(table):
+    """A strategy's (keys, counts) table as a dict of order-vector tuples."""
+    keys, counts = table
+    return dict(zip(map(tuple, keys.tolist()), counts.tolist()))
+
+
 def planned(name, polys, n, level, q, cap=DEFAULT_BATCH_CAP):
     """The table counted by the plan ``name`` of ``_plans``, which must apply."""
     plans = {plan[0]: plan for plan in _plans(polys, n, level, q)}
-    return plans[name][3](cap)
+    return as_dict(plans[name][3](cap))
 
 
 def plan_names(polys, n, level, q):
@@ -113,6 +121,29 @@ class TestContactOrderTable:
         x1 = parse_poly("x1", ("x1",))
         with pytest.raises(ValidationError):
             contact_order_table([[x1], []], 1, 1, 2)
+
+    @pytest.mark.parametrize(
+        "strategy, prefer", [("_direct_distribution", "direct"), ("_monomial_distribution", "cheapest")]
+    )
+    def test_a_dropped_row_is_caught(self, monkeypatch, strategy, prefer):
+        count = getattr(arcdet.counting, strategy)
+
+        def drop_last(*args):
+            keys, counts = count(*args)
+            return keys[:-1], counts[:-1]
+
+        monkeypatch.setattr(arcdet.counting, strategy, drop_last)
+        x1x2 = parse_poly("x1*x2", ("x1", "x2"))
+        with pytest.raises(InternalInvariantError, match="counted"):
+            contact_order_table([[x1x2]], 2, 2, 3, prefer=prefer)
+
+    def test_contact_rows_past_int64_are_compared_whole(self):
+        # 41 ideals at level 1 take 3^41 > 2^63 contact keys: the monomial
+        # strategy and the contact reduction compare rows, not codes
+        x1 = parse_poly("x1", ("x1",))
+        ideals = [[x1**e] for e in range(1, 40)] + [[x1**2, x1], [x1**3]]
+        assert 3 ** len(ideals) > 2**63
+        assert contact_order_table(ideals, 1, 1, 3) == brute_contact_table(ideals, 1, 1, 3)
 
 
 def record_run_scopes(monkeypatch):
@@ -251,35 +282,35 @@ class TestStrategyEquivalence:
         det = parse_poly("x1*x4 - x2*x3", vs).map_coeffs(GF(3))
         coords = [MultiPoly.variable(GF(3), vs, v) for v in vs]
         polys = coords + [det]
-        d = _direct_distribution(polys, 4, 2, 3, 1 << 20)
+        d = as_dict(_direct_distribution(polys, 4, 2, 3, 1 << 20))
         assert planned("additive", polys, 4, 2, 3) == d
 
     def test_additive_split_three_components(self):
         vs = ("x1", "x2", "x3")
         f = parse_poly("x1*x2 + x3", vs).map_coeffs(GF(2))
         polys = [MultiPoly.variable(GF(2), vs, "x3"), f]
-        d = _direct_distribution(polys, 3, 2, 2, 1 << 20)
+        d = as_dict(_direct_distribution(polys, 3, 2, 2, 1 << 20))
         assert planned("additive", polys, 3, 2, 2) == d
 
     def test_additive_split_matches_values_with_their_negatives(self):
         # over F_3 the squares are not closed under negation: a sum of squares
         # cancels only where -(x2^2) matches x1^2, never where x2^2 does
         f = parse_poly("x1^2 + x2^2", ("x1", "x2")).map_coeffs(GF(3))
-        d = _direct_distribution([f], 2, 2, 3, 1 << 20)
+        d = as_dict(_direct_distribution([f], 2, 2, 3, 1 << 20))
         assert planned("additive", [f], 2, 2, 3) == d
 
     def test_shift_split_matches_direct(self):
         cv = ("x1", "x2", "x3", "x4", "y2")
         g1 = parse_poly("x1 + x2*y2", cv).map_coeffs(GF(3))
         g2 = parse_poly("x3 + x4*y2", cv).map_coeffs(GF(3))
-        d = _direct_distribution([g1, g2], 5, 1, 3, 1 << 20)
+        d = as_dict(_direct_distribution([g1, g2], 5, 1, 3, 1 << 20))
         assert planned("shift", [g1, g2], 5, 1, 3) == d
 
     def test_shift_split_partial(self):
         tv = ("x1", "x2", "x3", "y2")
         g1 = parse_poly("x1 + x2 - x2*y2", tv).map_coeffs(GF(2))
         g2 = parse_poly("-x2 + x2*y2 + x3*y2", tv).map_coeffs(GF(2))
-        d = _direct_distribution([g1, g2], 4, 2, 2, 1 << 20)
+        d = as_dict(_direct_distribution([g1, g2], 4, 2, 2, 1 << 20))
         assert planned("shift", [g1, g2], 4, 2, 2) == d
 
     def test_shift_split_refuses_repeated_variable(self):
@@ -295,8 +326,8 @@ class TestStrategyEquivalence:
         # variables repeated across the list and one variable (x4) in none
         exprs = ["x1", "2*x1^2*x2", "x2^3", "3", "x1*x3", "4*x3^2*x1"]
         polys = [parse_poly(e, vs).map_coeffs(GF(q)) for e in exprs] + [MultiPoly(GF(q), vs)]
-        d = _direct_distribution(polys, 4, level, q, 1 << 20)
-        assert _monomial_distribution(polys, 4, level, q) == d
+        d = as_dict(_direct_distribution(polys, 4, level, q, 1 << 20))
+        assert as_dict(_monomial_distribution(polys, 4, level, q)) == d
 
     def test_cheapest_prefers_split(self):
         vs = ("x1", "x2", "x3", "x4")
@@ -316,7 +347,7 @@ class TestPlans:
         vs = ("x1",)
         polys = [parse_poly(e, vs).map_coeffs(GF(3)) for e in ("x1", "2", "0")]
         want = {(0, 0, 2): 6, (1, 0, 2): 2, (2, 0, 2): 1}
-        assert _direct_distribution(polys, 1, 1, 3, DEFAULT_BATCH_CAP) == want
+        assert as_dict(_direct_distribution(polys, 1, 1, 3, DEFAULT_BATCH_CAP)) == want
         assert planned("shift", polys, 1, 1, 3) == want
         assert ord_vector_distribution(polys, 1, 1, 3) == want
 
@@ -359,7 +390,8 @@ class TestPlans:
         # each block has 27 jets and both 54: only the additive plan fits 27
         f = parse_poly("x1^2 + x2^2", ("x1", "x2")).map_coeffs(GF(3))
         assert plan_names([f], 2, 2, 3) == ["direct", "additive"]
-        assert ord_vector_distribution([f], 2, 2, 3, budget=27) == _direct_distribution([f], 2, 2, 3, DEFAULT_BATCH_CAP)
+        want = as_dict(_direct_distribution([f], 2, 2, 3, DEFAULT_BATCH_CAP))
+        assert ord_vector_distribution([f], 2, 2, 3, budget=27) == want
         with pytest.raises(BudgetExceeded, match="over the budget 26"):
             ord_vector_distribution([f], 2, 2, 3, budget=26)
 
@@ -415,7 +447,7 @@ class TestBlockStates:
     @pytest.mark.parametrize("cap", [1 << 20, 20, 5])
     def test_direct_matches_jets_and_strategies(self, oracle, case, cap):
         n, polys, want = oracle[case]
-        assert _direct_distribution(polys, n, 1, 3, cap) == want
+        assert as_dict(_direct_distribution(polys, n, 1, 3, cap)) == want
         for name in plan_names(polys, n, 1, 3):
             assert planned(name, polys, n, 1, 3, cap) == want, name
 
@@ -435,7 +467,7 @@ class TestBlockStates:
 
         monkeypatch.setattr(arcdet.counting, "_tally", record)
         n, polys, want = oracle["spans"]
-        assert _direct_distribution(polys, n, 1, 3, 5) == want
+        assert as_dict(_direct_distribution(polys, n, 1, 3, 5)) == want
         assert max(sizes) == 5
 
     @pytest.mark.parametrize("side", [0, 1])
@@ -471,7 +503,7 @@ class TestBlockStates:
         vs = ("x1", "x2")
         exprs = ["x1 + x2", "x1 + 2*x2", "x1^2 + x2", "2*x1 + x2^2 + 1"]
         polys = [parse_poly(exprs[i % 4], vs).map_coeffs(GF(3)) for i in range(copies)]
-        assert _direct_distribution(polys, 2, 1, 3, DEFAULT_BATCH_CAP) == brute_table(polys, 2, 1, 3)
+        assert as_dict(_direct_distribution(polys, 2, 1, 3, DEFAULT_BATCH_CAP)) == brute_table(polys, 2, 1, 3)
         assert walked == widths
 
     def test_direct_preference_past_its_budget_takes_the_split(self, monkeypatch):
@@ -500,7 +532,7 @@ class TestBlockStates:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
-        assert table == _monomial_distribution(polys, 1, 2, 3)
+        assert as_dict(table) == as_dict(_monomial_distribution(polys, 1, 2, 3))
 
 
 def mesh_rows(monkeypatch):
@@ -558,7 +590,7 @@ class TestUnitQuotient:
             return walk(polys, n, level, *args)
 
         monkeypatch.setattr(arcdet.counting, "_quotient_walk", spy)
-        assert _direct_distribution(polys, n, level, q, 5) == want
+        assert as_dict(_direct_distribution(polys, n, level, q, 5)) == want
         assert levels == list(range(level, -1, -1))
         for name in plan_names(polys, n, level, q):
             assert planned(name, polys, n, level, q, 5) == want, name
@@ -574,16 +606,16 @@ class TestUnitQuotient:
         polys = [parse_poly(e, vs).map_coeffs(GF(3)) for e in exprs]
         assert _grading(polys, 3) is None
         rows = mesh_rows(monkeypatch)
-        assert _direct_distribution(polys, 3, 1, 3, 5) == brute_table(polys, 3, 1, 3)
+        assert as_dict(_direct_distribution(polys, 3, 1, 3, 5)) == brute_table(polys, 3, 1, 3)
         assert rows[0] == 3**6
 
     def test_a_grid_within_one_batch_is_walked_whole(self, monkeypatch, oracle):
         n, polys, want = oracle["full", 3, 1]
         rows = mesh_rows(monkeypatch)
-        assert _direct_distribution(polys, n, 1, 3, 3**6) == want
+        assert as_dict(_direct_distribution(polys, n, 1, 3, 3**6)) == want
         assert rows == [3**6, 1]  # the block, then the empty second block
         rows.clear()
-        assert _direct_distribution(polys, n, 1, 3, 3**6 - 1) == want
+        assert as_dict(_direct_distribution(polys, n, 1, 3, 3**6 - 1)) == want
         # 9^2 + 3*9 + 3*3 unit-normalised jets, then level 0 walked whole
         assert rows == [81, 27, 9, 27, 1]
 
@@ -604,21 +636,68 @@ class TestUnitQuotient:
 
     def test_configuration_triangle_walks_few_jets(self, monkeypatch):
         # its three q=3, N=3 tables have 3^12-jet grids of one term component
-        count = arcdet.counting.ord_vector_distribution
+        count = arcdet.counting._order_table
         rows = mesh_rows(monkeypatch)
         walked = []
 
-        def table(polys, n, level, q, **kwargs):
+        def table(polys, n, level, q, *args):
             start = len(rows)
-            out = count(polys, n, level, q, **kwargs)
+            out = count(polys, n, level, q, *args)
             if (q, level) == (3, 3):
                 walked.append(sum(rows[start:]))
             return out
 
-        monkeypatch.setattr(arcdet.counting, "ord_vector_distribution", table)
+        monkeypatch.setattr(arcdet.counting, "_order_table", table)
         report = run_campaign(builtin_corpus()["configuration-triangle"])
         assert not report.failed
         assert len(walked) == 3 and max(walked) <= 30_000, walked
+
+
+def contact_reduction(table, spans):
+    """Pure-Python reduction of an order-vector table to contact orders: the
+    least entry of each (start, stop) span of a key."""
+    out = Counter()
+    for key, cnt in table.items():
+        out[tuple(min(key[a:b]) for a, b in spans)] += cnt
+    return dict(out)
+
+
+class TestCountsPastInt64:
+    """Tables of more than 2^63 jets are counted in Python ints, through the
+    contact reduction as well."""
+
+    def test_monomial_contact_orders(self):
+        # the monomial lists of test_far_beyond_enumeration: 7^78 jets
+        n, level, q = 6, 12, 7
+        vs = tuple(f"x{i}" for i in range(1, n + 1))
+        polys = [parse_poly(e, vs) for e in ("x1*x2^2*x3", "x4^3*x5*x6", "3*x1*x6")]
+        want = ord_vector_distribution(polys, n, level, q)
+        assert sum(want.values()) == q ** (n * (level + 1)) > 2**63
+        for ideals, spans in (
+            ([[p] for p in polys], [(0, 1), (1, 2), (2, 3)]),
+            ([polys[:2], polys[2:]], [(0, 2), (2, 3)]),
+        ):
+            table = contact_order_table(ideals, n, level, q)
+            assert table == contact_reduction(want, spans)
+            assert all(type(c) is int for c in table.values())
+
+    def test_shift_split_contact_orders(self):
+        # 101^10 jets of x1, y1..y4 at level 1, of which the all-unit row alone
+        # passes 2^63; y1..y4 are shifts, so only the 101^2 jets of x1 are enumerated
+        q, level, vs = 101, 1, ("x1", "y1", "y2", "y3", "y4")
+        polys = [parse_poly(e, vs) for e in ("x1^2 + x1", "x1^3 + y1", "y2", "x1^2 + y3", "y4")]
+        assert plan_names(polys, 5, level, q) == ["direct", "shift"]
+        rest = ord_vector_distribution([parse_poly("x1^2 + x1", ("x1",))], 1, level, q)
+        weights = ord_value_counts(level, q)
+        want = {
+            key + tail: cnt * prod(weights[e] for e in tail)
+            for key, cnt in rest.items()
+            for tail in product(range(level + 2), repeat=4)
+        }
+        assert sum(want.values()) == q**10 and max(want.values()) > 2**63
+        table = contact_order_table([[polys[0]], polys[1:3], polys[3:]], 5, level, q)
+        assert table == contact_reduction(want, [(0, 1), (1, 3), (3, 5)])
+        assert all(type(c) is int for c in table.values())
 
 
 class TestMonomialStrategy:
@@ -757,7 +836,7 @@ class TestMeshKernel:
     @pytest.mark.parametrize("cap", CAPS)
     def test_direct(self, oracle, case, cap):
         n, polys, want = oracle[case]
-        assert _direct_distribution(polys, n, 1, 3, cap) == want
+        assert as_dict(_direct_distribution(polys, n, 1, 3, cap)) == want
 
     @pytest.mark.parametrize("cap", CAPS)
     def test_additive_split(self, oracle, cap):
@@ -813,7 +892,7 @@ class TestTableCap:
         assert (2 ** (level + 1) <= RING_TABLE_CAP) == (level == 10)
         f = parse_poly("x1^3 + x1^2 + 1", ("x1",))
         want = ord_counts(pullback_value_counts(f, level, 2), level)
-        assert _direct_distribution([f.map_coeffs(GF(2))], 1, level, 2, DEFAULT_BATCH_CAP) == want
+        assert as_dict(_direct_distribution([f.map_coeffs(GF(2))], 1, level, 2, DEFAULT_BATCH_CAP)) == want
 
     @pytest.mark.parametrize("level", [10, 11])
     def test_shift_split(self, level):
@@ -856,7 +935,7 @@ class TestTableCap:
         vs = ("x1", "x2", "x3", "x4")
         det = parse_poly("x1*x4 - x2*x3", vs).map_coeffs(GF(3))
         polys = [MultiPoly.variable(GF(3), vs, v) for v in vs] + [det]
-        direct = _direct_distribution(polys, 4, 2, 3, DEFAULT_BATCH_CAP)
+        direct = as_dict(_direct_distribution(polys, 4, 2, 3, DEFAULT_BATCH_CAP))
         assert planned("additive", polys, 4, 2, 3) == direct
         assert sum(direct.values()) == 3**12
 

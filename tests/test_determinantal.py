@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import arcdet.counting
+import arcdet.determinantal
 from arcdet import (
     GF,
     QQ,
@@ -29,6 +30,7 @@ from arcdet.determinantal import (
     threshold_bound_forward,
 )
 from arcdet.errors import ValidationError
+from arcdet.harness import builtin_corpus, run_campaign
 from arcdet.snf import LambdaProfile
 
 VS = ("x1", "x2", "x3", "x4")
@@ -85,6 +87,26 @@ class TestPair:
         pair = DeterminantalPair.from_matrix(diag_x1_x1())
         chart = pair.chart_gens(0)
         assert sorted(str(g) for g in chart) == ["x1", "x1*y2"]
+
+    @pytest.mark.parametrize("matrix", [generic_2x2, diag_x1_x1])
+    def test_tower_is_the_minor_ideal_tower(self, matrix):
+        assert DeterminantalPair.from_matrix(matrix()).tower == minor_ideal_tower(matrix())
+
+    def test_stratification_builds_each_tower_once(self, monkeypatch):
+        # validation builds each matrix input's pair once per run, and every
+        # stratum count reads the pair's tower
+        build = arcdet.determinantal.minor_ideal_tower
+        calls = []
+
+        def counted(A):
+            calls.append(A)
+            return build(A)
+
+        monkeypatch.setattr(arcdet.determinantal, "minor_ideal_tower", counted)
+        campaign = builtin_corpus()["stratification-generic-2x2"]
+        report = run_campaign(campaign)
+        assert not report.failed and len(campaign.tasks) > 1
+        assert len(calls) == sum(1 for _, (kind, _) in campaign.inputs if kind == "matrix") == 1
 
 
 class TestLambdaProfile:

@@ -25,10 +25,16 @@ from arcdet.jets import enumerate_jets, ord_along_ideal, substitute_jet
 exponents = st.tuples(st.integers(0, 2), st.integers(0, 2))
 
 
+def as_dict(table):
+    """A strategy's (keys, counts) table as a dict of order-vector tuples."""
+    keys, counts = table
+    return dict(zip(map(tuple, keys.tolist()), counts.tolist()))
+
+
 def planned(name, polys, n, level, q, cap=1 << 20):
     """The table counted by the plan ``name`` of ``_plans``, which must apply."""
     plans = {plan[0]: plan for plan in _plans(polys, n, level, q)}
-    return plans[name][3](cap)
+    return as_dict(plans[name][3](cap))
 
 
 def _poly_from(terms, variables, q):
@@ -52,7 +58,7 @@ def test_additive_split_agrees_on_random_pairs(terms_a, terms_b):
     f = _poly_from({**fa, **fb}, vs, q)
     if f.is_zero():
         return
-    direct = _direct_distribution([f], 4, level, q, 1 << 20)
+    direct = as_dict(_direct_distribution([f], 4, level, q, 1 << 20))
     # no term holds a variable of each pair: two or more term components, one polynomial
     assert planned("additive", [f], 4, level, q) == direct
 
@@ -66,7 +72,7 @@ def test_shift_split_agrees_on_random_rest(terms):
     rest = {(0, e1, e2): c for (e1, e2), c in terms.items()}
     rest[(1, 0, 0)] = 1  # the shift variable
     g = _poly_from(rest, vs, q)
-    direct = _direct_distribution([g], 3, level, q, 1 << 20)
+    direct = as_dict(_direct_distribution([g], 3, level, q, 1 << 20))
     assert planned("shift", [g], 3, level, q) == direct
 
 
@@ -81,8 +87,8 @@ def test_monomial_agrees_on_random_lists(terms, field_level):
     q, level = field_level
     vs = ("x1", "x2", "x3")
     polys = [_poly_from({e: c}, vs, q) for e, c in terms]
-    direct = _direct_distribution(polys, 3, level, q, 1 << 20)
-    assert _monomial_distribution(polys, 3, level, q) == direct
+    direct = as_dict(_direct_distribution(polys, 3, level, q, 1 << 20))
+    assert as_dict(_monomial_distribution(polys, 3, level, q)) == direct
 
 
 terms3 = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), st.integers(0, 2), max_size=3)
@@ -100,7 +106,7 @@ def test_direct_agrees_with_jet_enumeration(polys_terms, cap):
     for jet in enumerate_jets(3, level, q):
         orders = (substitute_jet(p, jet).ord() for p in polys)
         want[tuple(level + 1 if o is None else o for o in orders)] += 1
-    assert _direct_distribution(polys, 3, level, q, cap) == want
+    assert as_dict(_direct_distribution(polys, 3, level, q, cap)) == want
 
 
 pair_terms = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(0, 1), max_size=2)
@@ -124,9 +130,9 @@ def test_block_states_agree_with_jet_enumeration(parts, cap):
     for jet in enumerate_jets(4, level, q):
         orders = (substitute_jet(p, jet).ord() for p in polys)
         want[tuple(level + 1 if o is None else o for o in orders)] += 1
-    assert _direct_distribution(polys, 4, level, q, cap) == want
+    assert as_dict(_direct_distribution(polys, 4, level, q, cap)) == want
     for name, _, _, count in _plans(polys, 4, level, q)[1:]:
-        assert count(cap) == want, name
+        assert as_dict(count(cap)) == want, name
 
 
 def _graded_terms(partial):
@@ -164,7 +170,41 @@ def test_graded_lists_agree_with_jet_enumeration(polys_terms, field_level, cap):
         orders = (substitute_jet(p, jet).ord() for p in polys)
         want[tuple(level + 1 if o is None else o for o in orders)] += 1
     for name, _, _, count in _plans(polys, 3, level, q):
-        assert count(cap) == want, name
+        assert as_dict(count(cap)) == want, name
+
+
+# --- contact orders against the jets one by one ------------------------------
+
+
+@given(
+    st.lists(st.lists(st.dictionaries(exponents, st.integers(1, 2), min_size=1, max_size=3), min_size=1, max_size=3),
+             min_size=1, max_size=3),
+    st.integers(0, 2),
+    st.integers(0, 8),
+    st.sampled_from([(2, 2), (3, 1)]),
+    st.sampled_from(["cheapest", "direct"]),
+)
+@settings(max_examples=40, deadline=None)
+def test_contact_order_table_agrees_with_jet_enumeration(ideal_terms, constant, slot, field_level, prefer):
+    """Lists of one to three ideals of one to three generators over x1, x2, one
+    of them the constant ``constant`` (0 is the zero polynomial), against the
+    pure-Python contact orders of every jet, outside a table scope and inside
+    one, where the second call is served from the held table."""
+    q, level = field_level
+    vs = ("x1", "x2")
+    ideals = [[_poly_from(terms, vs, q) for terms in gens] for gens in ideal_terms]
+    gens = ideals[slot % len(ideals)]
+    at = slot % len(gens) if len(gens) == 3 else len(gens)  # replace a generator, or add one
+    gens[at : at + 1] = [_poly_from({(0, 0): constant}, vs, q)]
+    want = Counter()
+    for jet in enumerate_jets(2, level, q):
+        orders = (ord_along_ideal(IdealGens(tuple(g)), jet) for g in ideals)
+        want[tuple(level + 1 if o is None else o for o in orders)] += 1
+    assert contact_order_table(ideals, 2, level, q, prefer=prefer) == want
+    with table_cache() as scope:
+        assert contact_order_table(ideals, 2, level, q, prefer=prefer) == want
+        assert contact_order_table(ideals, 2, level, q, prefer=prefer) == want
+    assert (scope.misses, scope.hits) == (1, 1)
 
 
 # --- a held table truncates to the tables of lower levels -------------------
