@@ -46,12 +46,12 @@ All four produce identical tables; the test suite cross-checks them
 against each other and against the pure-Python jet enumeration.  Each
 returns its table as two arrays, (keys, counts): one int64 row of clamped
 orders per order vector that occurs, and its jets, int64 or, once the grid
-has q^(n(N+1)) >= 2^63 jets, Python ints in an object array.
+has q^(n(N+1)) >= 2^63 jets, Python ints in an object array;
+``ord_vector_distribution`` returns the table of the one strategy it plans.
 ``contact_order_table`` takes each ideal's least order over its span of a
 row with one ``np.minimum.reduceat``, sums the counts of equal rows and
-checks that they sum to the grid; its read-only mapping and the public dict
-of ``ord_vector_distribution`` are the only dicts built from a table.  Inside a
-``table_cache()`` scope, which ``harness.run_campaign`` opens around its
+checks that they sum to the grid; its read-only mapping is the only dict
+built from a table.  Inside a ``table_cache()`` scope, which ``harness.run_campaign`` opens around its
 tasks, ``contact_order_table`` keys its tables by the content of the call
 without the level and holds the deepest table counted for each key.  That
 table serves every shallower level read-only: a level-N jet has q^(n(D-N))
@@ -484,38 +484,26 @@ def _tally(batches, radix, total):
     an int or an int64 array of the key's shape, accumulated exactly in int64
     (``np.add.at`` for an array, never float bincount weights).  A dense array
     tallies the codes when radix <= min(2^22, total), so that a small grid
-    never scans a large range.  Otherwise each batch is reduced to its distinct
-    codes, and the held reductions are merged into one whenever they pass
-    twice the size of the last merge (and 2^20 entries).  The counts must sum
-    to ``total``, the size of the grid walked, so a lost or repeated batch
-    raises InternalInvariantError.
+    never scans a large range; otherwise each batch is summed by code into
+    the running result.  The counts must sum to ``total``, the size of the
+    grid walked, so a lost or repeated batch raises InternalInvariantError.
     """
     dense = np.zeros(radix, dtype=np.int64) if radix <= min(1 << 22, total) else None
-    empty = np.zeros(0, dtype=np.int64)
-    held, bound = [(empty, empty)], 1 << 20
+    codes = counts = np.zeros(0, dtype=np.int64)
     for weight, key in batches:
         key, weight = key.ravel(), np.ravel(weight)
-        if dense is not None:
-            if weight.size == 1:  # a walk's batch: bincount is faster than np.add.at
-                part = np.bincount(key)
-                part *= weight
-                dense[: part.size] += part
-            else:
-                np.add.at(dense, key, weight)
-            continue
-        if weight.size == 1:
-            uniq, cnt = np.unique(key, return_counts=True)
-            held.append((uniq, cnt * weight))
+        if dense is None:
+            weight = np.broadcast_to(weight, key.shape)
+            codes, counts = _sum_by_key(np.concatenate([codes, key]), np.concatenate([counts, weight]))
+        elif weight.size == 1:  # a walk's batch: bincount is faster than np.add.at
+            part = np.bincount(key)
+            part *= weight
+            dense[: part.size] += part
         else:
-            held.append(_sum_by_key(key, weight))
-        if sum(codes.size for codes, _ in held) > bound:
-            held = [_sum_by_key(*map(np.concatenate, zip(*held)))]
-            bound = max(bound, 2 * held[0][0].size)
+            np.add.at(dense, key, weight)
     if dense is not None:
         codes = np.flatnonzero(dense)
         counts = dense[codes]
-    else:
-        codes, counts = _sum_by_key(*map(np.concatenate, zip(*held)))
     counted = sum(counts.tolist())
     if counted != total:
         raise InternalInvariantError(f"enumeration counted {counted} of {total} jets")
@@ -909,9 +897,18 @@ def _plans(polys, n, level, q):
     return plans
 
 
-def _order_table(polys, n, level, q, budget, prefer):
-    """The table of ``ord_vector_distribution`` as (keys, counts), one row per
-    order vector, as its one plan counts it."""
+def ord_vector_distribution(polys, n, level, q, budget=DEFAULT_BUDGET, prefer="cheapest"):
+    """Exact jet counts by the clamped order vector of the given polynomials,
+    as (keys, counts): one int64 row per order vector that occurs, with one
+    entry per polynomial in {0..level} or level+1 (the truncation sentinel),
+    and its jets (see ``_count_dtype``).  Every strategy that applies is planned
+    once, and a plan fits when its largest single enumeration is within
+    ``budget``.  ``prefer`` is "cheapest", the default (the fitting plan of
+    least cost, ties to the earlier in the order direct, shift, additive,
+    monomial), or "direct" (the first fitting plan in that order, so full
+    enumeration whenever it fits).  One strategy counts the table; all are
+    exact and interchangeable.  Raises BudgetExceeded when no plan fits.
+    """
     gfq = GF(q)
     polys = [p if p.field == gfq else p.map_coeffs(gfq) for p in polys]
     fitting = [plan for plan in _plans(polys, n, level, q) if plan[2] <= budget]
@@ -921,22 +918,6 @@ def _order_table(polys, n, level, q, budget, prefer):
         )
     _, _, _, count = min(fitting, key=lambda plan: plan[1]) if prefer == "cheapest" else fitting[0]
     return count(DEFAULT_BATCH_CAP)
-
-
-def ord_vector_distribution(polys, n, level, q, budget=DEFAULT_BUDGET, prefer="cheapest"):
-    """Exact jet counts keyed by the clamped order vector of the given polynomials.
-
-    Keys are tuples with one entry per polynomial, each in {0..level} or
-    level+1 (the truncation sentinel).  Every strategy that applies is planned
-    once, and a plan fits when its largest single enumeration is within
-    ``budget``.  ``prefer`` is "cheapest", the default (the fitting plan of
-    least cost, ties to the earlier in the order direct, shift, additive,
-    monomial), or "direct" (the first fitting plan in that order, so full
-    enumeration whenever it fits).  One strategy counts the table; all are
-    exact and interchangeable.  Raises BudgetExceeded when no plan fits.
-    """
-    keys, counts = _order_table(polys, n, level, q, budget, prefer)
-    return dict(zip(map(tuple, keys.tolist()), counts.tolist()))
 
 
 @dataclass
@@ -1026,7 +1007,8 @@ def _truncated(deep, table, level, n, q):
 
 
 def _contact_order_table(ideals, n, level, q, budget, prefer):
-    keys, counts = _order_table([g for gens in ideals for g in gens], n, level, q, budget, prefer)
+    polys = [g for gens in ideals for g in gens]
+    keys, counts = ord_vector_distribution(polys, n, level, q, budget=budget, prefer=prefer)
     # an ideal's contact order is the least order over its span of the key
     starts = [0, *accumulate(len(gens) for gens in ideals)][:-1]
     orders, sums = _sum_by_row(np.minimum.reduceat(keys, starts, axis=1), counts, level + 2)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .consensus import (
     STATUS_AMBIGUOUS,
@@ -57,14 +58,12 @@ def minor_ideal_tower(A: PolyMatrix):
 
 @dataclass(frozen=True)
 class DeterminantalPair:
-    """A matrix together with its degeneracy ideal, incidence forms and
-    minor-ideal tower (``minor_ideal_tower``), each built once."""
+    """A matrix together with its degeneracy ideal and incidence forms."""
 
     matrix: PolyMatrix
     z_gens: IdealGens
     w_gens: IdealGens
     y_names: tuple
-    tower: tuple
 
     @classmethod
     def from_matrix(cls, A: PolyMatrix):
@@ -88,10 +87,12 @@ class DeterminantalPair:
             w.append(acc)
         if all(g.is_zero() for g in w):
             raise ValidationError("incidence forms vanish identically")
-        return cls(
-            matrix=A, z_gens=IdealGens(tuple(z)), w_gens=IdealGens(tuple(w)), y_names=y_names,
-            tower=minor_ideal_tower(A),
-        )
+        return cls(matrix=A, z_gens=IdealGens(tuple(z)), w_gens=IdealGens(tuple(w)), y_names=y_names)
+
+    @cached_property
+    def tower(self):
+        """The matrix's ``minor_ideal_tower``, built on first read."""
+        return minor_ideal_tower(self.matrix)
 
     @property
     def r(self):

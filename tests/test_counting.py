@@ -58,7 +58,7 @@ class TestAgainstOracle:
     def test_single_poly(self, q):
         vs = ("x1", "x2")
         f = parse_poly("x1*x2 + x2^2", vs)
-        assert ord_vector_distribution([f], 2, 2, q) == brute_table([f], 2, 2, q)
+        assert as_dict(ord_vector_distribution([f], 2, 2, q)) == brute_table([f], 2, 2, q)
 
     def test_multi_poly_with_coords(self):
         vs = ("x1", "x2")
@@ -67,12 +67,12 @@ class TestAgainstOracle:
             MultiPoly.variable(GF(3), vs, "x2"),
             parse_poly("x1*x2", vs).map_coeffs(GF(3)),
         ]
-        assert ord_vector_distribution(polys, 2, 2, 3) == brute_table(polys, 2, 2, 3)
+        assert as_dict(ord_vector_distribution(polys, 2, 2, 3)) == brute_table(polys, 2, 2, 3)
 
     def test_cubic(self):
         vs = ("x1",)
         f = parse_poly("x1^3 + 2*x1", vs)
-        assert ord_vector_distribution([f], 1, 4, 5) == brute_table([f], 1, 4, 5)
+        assert as_dict(ord_vector_distribution([f], 1, 4, 5)) == brute_table([f], 1, 4, 5)
 
 
 def as_dict(table):
@@ -333,8 +333,8 @@ class TestStrategyEquivalence:
         vs = ("x1", "x2", "x3", "x4")
         det = parse_poly("x1*x4 - x2*x3", vs)
         # over budget for direct, split still exact
-        t = ord_vector_distribution([det], 4, 2, 3, budget=10**5, prefer="cheapest")
-        d = ord_vector_distribution([det], 4, 2, 3, budget=10**9, prefer="direct")
+        t = as_dict(ord_vector_distribution([det], 4, 2, 3, budget=10**5, prefer="cheapest"))
+        d = as_dict(ord_vector_distribution([det], 4, 2, 3, budget=10**9, prefer="direct"))
         assert t == d
 
 
@@ -349,7 +349,7 @@ class TestPlans:
         want = {(0, 0, 2): 6, (1, 0, 2): 2, (2, 0, 2): 1}
         assert as_dict(_direct_distribution(polys, 1, 1, 3, DEFAULT_BATCH_CAP)) == want
         assert planned("shift", polys, 1, 1, 3) == want
-        assert ord_vector_distribution(polys, 1, 1, 3) == want
+        assert as_dict(ord_vector_distribution(polys, 1, 1, 3)) == want
 
     def test_unit_generator_gives_contact_order_zero(self):
         vs = ("x1",)
@@ -391,7 +391,7 @@ class TestPlans:
         f = parse_poly("x1^2 + x2^2", ("x1", "x2")).map_coeffs(GF(3))
         assert plan_names([f], 2, 2, 3) == ["direct", "additive"]
         want = as_dict(_direct_distribution([f], 2, 2, 3, DEFAULT_BATCH_CAP))
-        assert ord_vector_distribution([f], 2, 2, 3, budget=27) == want
+        assert as_dict(ord_vector_distribution([f], 2, 2, 3, budget=27)) == want
         with pytest.raises(BudgetExceeded, match="over the budget 26"):
             ord_vector_distribution([f], 2, 2, 3, budget=26)
 
@@ -403,7 +403,7 @@ class TestPlans:
         monkeypatch.setattr(arcdet.counting, "_monomial_distribution", refuse)
         f = parse_poly("x1*x2", ("x1", "x2")).map_coeffs(GF(2))
         assert [plan[:3] for plan in _plans([f], 2, 0, 2)] == [("direct", 4, 4), ("monomial", 4, 4)]
-        assert ord_vector_distribution([f], 2, 0, 2) == {(0,): 1, (1,): 3}
+        assert as_dict(ord_vector_distribution([f], 2, 0, 2)) == {(0,): 1, (1,): 3}
 
     def test_a_lost_side_batch_is_caught(self, monkeypatch):
         walk = arcdet.counting._mesh_batches
@@ -512,14 +512,40 @@ class TestBlockStates:
         vs = ("x1", "x2", "x3", "x4")
         A = PolyMatrix([[parse_poly(v, vs) for v in row] for row in (("x1", "x2"), ("x3", "x4"))])
         tower = [g for ideal in minor_ideal_tower(A) for g in ideal.nonzero()]
-        want = ord_vector_distribution(tower, 4, 3, 3, budget=3**16, prefer="direct")
+        want = as_dict(ord_vector_distribution(tower, 4, 3, 3, budget=3**16, prefer="direct"))
 
         def refuse(*args):
             raise AssertionError("direct enumeration ran past its budget")
 
         monkeypatch.setattr(arcdet.counting, "_direct_distribution", refuse)
-        assert ord_vector_distribution(tower, 4, 3, 3, budget=3**16 - 1, prefer="direct") == want
+        assert as_dict(ord_vector_distribution(tower, 4, 3, 3, budget=3**16 - 1, prefer="direct")) == want
         assert sum(want.values()) == 3**16
+
+    def test_a_sparse_tally_sums_every_batch(self, monkeypatch):
+        # seven orders in base 3 have 3^7 codes for the 3^6 jets, so the codes
+        # are summed batch by batch instead of in a dense array
+        tally = arcdet.counting._tally
+        calls = []
+
+        def record(batches, radix, total):
+            call = [radix, total, 0]
+            calls.append(call)
+
+            def counted():
+                for batch in batches:
+                    call[2] += 1
+                    yield batch
+
+            return tally(counted(), radix, total)
+
+        monkeypatch.setattr(arcdet.counting, "_tally", record)
+        vs = ("x1", "x2", "x3")
+        exprs = [*self.CASES["spans"][1], "x1*x3 + x2"]
+        polys = [parse_poly(e, vs).map_coeffs(GF(3)) for e in exprs]
+        assert as_dict(_direct_distribution(polys, 3, 1, 3, 5)) == brute_table(polys, 3, 1, 3)
+        # the walk of the one block and the pairing of its states with the
+        # empty block both tally the 3^6 jets sparsely, in several batches
+        assert [(radix, total) for radix, total, batches in calls if batches > 1] == [(3**7, 3**6)] * 2
 
     def test_tally_is_sized_by_the_grid(self):
         # 11 orders in base 4 have 4^11 codes, a 32 MB dense tally, for 27 jets
@@ -636,18 +662,18 @@ class TestUnitQuotient:
 
     def test_configuration_triangle_walks_few_jets(self, monkeypatch):
         # its three q=3, N=3 tables have 3^12-jet grids of one term component
-        count = arcdet.counting._order_table
+        count = arcdet.counting.ord_vector_distribution
         rows = mesh_rows(monkeypatch)
         walked = []
 
-        def table(polys, n, level, q, *args):
+        def table(polys, n, level, q, **kwargs):
             start = len(rows)
-            out = count(polys, n, level, q, *args)
+            out = count(polys, n, level, q, **kwargs)
             if (q, level) == (3, 3):
                 walked.append(sum(rows[start:]))
             return out
 
-        monkeypatch.setattr(arcdet.counting, "_order_table", table)
+        monkeypatch.setattr(arcdet.counting, "ord_vector_distribution", table)
         report = run_campaign(builtin_corpus()["configuration-triangle"])
         assert not report.failed
         assert len(walked) == 3 and max(walked) <= 30_000, walked
@@ -671,7 +697,7 @@ class TestCountsPastInt64:
         n, level, q = 6, 12, 7
         vs = tuple(f"x{i}" for i in range(1, n + 1))
         polys = [parse_poly(e, vs) for e in ("x1*x2^2*x3", "x4^3*x5*x6", "3*x1*x6")]
-        want = ord_vector_distribution(polys, n, level, q)
+        want = as_dict(ord_vector_distribution(polys, n, level, q))
         assert sum(want.values()) == q ** (n * (level + 1)) > 2**63
         for ideals, spans in (
             ([[p] for p in polys], [(0, 1), (1, 2), (2, 3)]),
@@ -687,7 +713,7 @@ class TestCountsPastInt64:
         q, level, vs = 101, 1, ("x1", "y1", "y2", "y3", "y4")
         polys = [parse_poly(e, vs) for e in ("x1^2 + x1", "x1^3 + y1", "y2", "x1^2 + y3", "y4")]
         assert plan_names(polys, 5, level, q) == ["direct", "shift"]
-        rest = ord_vector_distribution([parse_poly("x1^2 + x1", ("x1",))], 1, level, q)
+        rest = as_dict(ord_vector_distribution([parse_poly("x1^2 + x1", ("x1",))], 1, level, q))
         weights = ord_value_counts(level, q)
         want = {
             key + tail: cnt * prod(weights[e] for e in tail)
@@ -709,7 +735,7 @@ class TestMonomialStrategy:
         n, level, q = 6, 12, 7
         vs = tuple(f"x{i}" for i in range(1, n + 1))
         polys = [parse_poly(e, vs) for e in ("x1*x2^2*x3", "x4^3*x5*x6", "3*x1*x6")]
-        table = ord_vector_distribution(polys, n, level, q)
+        table = as_dict(ord_vector_distribution(polys, n, level, q))
         assert sum(table.values()) == q ** (n * (level + 1))
         # every key 0: all six coordinates are units
         assert table[(0, 0, 0)] == ((q - 1) * q**level) ** n
@@ -990,7 +1016,7 @@ class TestInt32Bounds:
         # (N+1)(q-1)^2 < 2^31 holds at N=0 for primes above 2^15
         q = 40009
         f = parse_poly("x1^2 + x1", ("x1",))
-        assert ord_vector_distribution([f], 1, 0, q) == {(0,): q - 2, (1,): 2}
+        assert as_dict(ord_vector_distribution([f], 1, 0, q)) == {(0,): q - 2, (1,): 2}
 
     def test_guard_rejects_overflowing_products(self):
         # 3 (q-1)^2 >= 2^31: a level-2 product would overflow int32, and
@@ -1009,6 +1035,6 @@ class TestInt32Bounds:
     def test_monomials_of_large_primes_are_counted(self):
         # no series product is taken, so the int32 bound does not apply
         q = 32749
-        table = ord_vector_distribution([parse_poly("x1", ("x1",))], 1, 2, q)
+        table = as_dict(ord_vector_distribution([parse_poly("x1", ("x1",))], 1, 2, q))
         assert table == {(e,): c for e, c in enumerate(ord_value_counts(2, q))}
         assert sum(table.values()) == q**3

@@ -94,7 +94,7 @@ class TestPair:
 
     def test_stratification_builds_each_tower_once(self, monkeypatch):
         # validation builds each matrix input's pair once per run, and every
-        # stratum count reads the pair's tower
+        # stratum count reads the tower the pair built on the first read
         build = arcdet.determinantal.minor_ideal_tower
         calls = []
 
