@@ -9,8 +9,8 @@ named after (``--config`` the ``configuration``), a document flag names an
 input read by ``io``, and the kind validates them as in any campaign.  A
 budget refusal of the task is an error, not a skipped result.
 
-Exit codes: 0 for computed results and PASS verdicts, 1 for FAIL verdicts
-or failed campaigns, 2 for usage and validation errors.  Numeric payloads
+Exit codes: 0 for computed results and PASS verdicts, 1 for FAIL verdicts,
+failed campaigns and budget refusals, 2 for usage and validation errors.  Numeric payloads
 carry exact rationals as "p/q" strings plus decimal convenience fields;
 ``--format csv`` flattens the same payload into key,value rows.
 """
@@ -132,7 +132,7 @@ def _cmd_count(args):
         MODE_EXACT if args.mode == "exact" else MODE_AT_LEAST,
         args.m, args.level, primes=args.primes, constraint=args.constraint,
     )
-    rep = count_contact(gens, query, budget=args.budget, seed=args.seed)
+    rep = count_contact(gens, query, budget=args.budget)
     _emit(rep.payload(), args)
     return 0
 
@@ -216,8 +216,7 @@ def _cmd_verify(args):
 # --------------------------------------------------------------------------
 
 
-def _add_common(p, *, level=False, max_m=False, m=False, primes=False, prime=False, p_flag=False, budget=False,
-                seed=False):
+def _add_common(p, *, level=False, max_m=False, m=False, primes=False, prime=False, p_flag=False, budget=False):
     """Add the flags that the subcommand reads, and ``--out`` and ``--format``."""
     if level:
         p.add_argument("--level", type=int, required=True, help="jet truncation level N")
@@ -233,8 +232,6 @@ def _add_common(p, *, level=False, max_m=False, m=False, primes=False, prime=Fal
         p.add_argument("--prime", type=int, required=True, help="field size (prime)")
     if budget:
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="max jets per exact enumeration")
-    if seed:
-        p.add_argument("--seed", type=int, default=0, help="random seed for sampled mode")
     p.add_argument("--out", type=str, default=None, help="write the report to this path")
     p.add_argument("--format", choices=("json", "csv", "text"), default="json")
 
@@ -253,7 +250,7 @@ def build_parser():
     p.add_argument("--ideal", type=str, required=True)
     p.add_argument("--mode", choices=("exact", "at-least"), default="exact")
     p.add_argument("--constraint", type=str, default=None)
-    _add_common(p, level=True, m=True, primes=True, budget=True, seed=True)
+    _add_common(p, level=True, m=True, primes=True, budget=True)
     p.set_defaults(handler=_cmd_count)
 
     p = sub.add_parser("profile", help="lambda profile of a jet against a matrix")
@@ -303,7 +300,8 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run a verification campaign")
     p.add_argument("--campaign", type=str, required=True, help="corpus:NAME or a campaign document path")
-    _add_common(p, budget=True, seed=True)
+    p.add_argument("--seed", type=int, default=0, help="seed of the randomized campaign tasks")
+    _add_common(p, budget=True)
     p.set_defaults(handler=_cmd_verify)
 
     return parser

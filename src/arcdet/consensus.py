@@ -32,7 +32,6 @@ GUARD_BAND = 0.45
 STATUS_EXACT_EMPTY = "EXACT_EMPTY"
 STATUS_CONSENSUS = "CONSENSUS"
 STATUS_AMBIGUOUS = "AMBIGUOUS"
-STATUS_SAMPLED = "SAMPLED"
 
 
 @dataclass(frozen=True)
@@ -188,14 +187,19 @@ def extract_codim_bucketed(bucket_counts, ambient_dim, totals):
     bucket does not name counts 0), and the locus dimension is the largest
     bucket dimension.  It is decided only when a decided bucket carries it
     and no undecided bucket's interval reaches above it; otherwise the
-    interval runs from the largest low end to the largest high end.
+    interval runs from the largest low end to the largest high end.  The
+    method is "buckets:rounding" when a rounding vote decided some bucket,
+    since a vote is no certificate, and "buckets" otherwise.
     """
     totals = tuple(totals)
     decided, intervals = [], []
+    method = "buckets"
     for per in bucket_counts.values():
         rep = extract_codim([(q, per.get(q, 0), total) for q, _, total in totals], ambient_dim)
         if rep.status == STATUS_CONSENSUS:
             decided.append(rep.consensus_codim)
+            if rep.method == "rounding":
+                method = "buckets:rounding"
         elif rep.status == STATUS_AMBIGUOUS:
             intervals.append(rep.codim_interval)
     nonempty = len(decided) + len(intervals)
@@ -206,20 +210,10 @@ def extract_codim_bucketed(bucket_counts, ambient_dim, totals):
     if decided and all(low >= min(decided) for low, _ in intervals):
         return CountReport(
             totals, ambient_dim, STATUS_CONSENSUS, consensus_codim=min(decided),
-            method="buckets", detail=f"{nonempty} nonempty buckets",
+            method=method, detail=f"{nonempty} nonempty buckets",
         )
     lows, highs = zip(*intervals)
     return CountReport(
         totals, ambient_dim, STATUS_AMBIGUOUS, codim_interval=(min((*decided, *lows)), min((*decided, *highs))),
-        method="buckets", detail=f"{nonempty} nonempty buckets, some undecided",
+        method=method, detail=f"{nonempty} nonempty buckets, some undecided",
     )
-
-
-def wilson_interval(hits, samples, z=1.96):
-    if samples == 0:
-        return (0.0, 1.0)
-    phat = hits / samples
-    denom = 1 + z * z / samples
-    center = (phat + z * z / (2 * samples)) / denom
-    half = z * math.sqrt(phat * (1 - phat) / samples + z * z / (4 * samples * samples)) / denom
-    return (max(0.0, center - half), min(1.0, center + half))

@@ -24,14 +24,9 @@ from itertools import chain
 
 import numpy as np
 
-from .consensus import (
-    STATUS_SAMPLED,
-    CountReport,
-    extract_codim,
-    wilson_interval,
-)
-from .counting import contact_order_table, sample_ord_hits
-from .errors import BudgetExceeded, InternalInvariantError, ValidationError
+from .consensus import CountReport, extract_codim
+from .counting import _count_dtype, contact_order_table
+from .errors import InternalInvariantError, ValidationError
 from .fields import GF
 from .jets import DEFAULT_BUDGET, IdealGens, jet_space_size
 from .poly import MultiPoly
@@ -100,64 +95,28 @@ def _contact_hits(table, constraint, level, mode, m):
     return hits, sentinel
 
 
-def _exact_contact_count(gens: IdealGens, n, level, q, mode, m, constraint, budget):
-    """Exact count plus the number of sentinel jets (pullbacks vanishing to level)."""
+def count_contact(gens: IdealGens, query: ContactQuery, budget=DEFAULT_BUDGET) -> CountReport:
+    """Count jets meeting the order condition, per configured prime, exactly.
+
+    Each prime's count reduces one ``contact_order_table`` of the ideal,
+    keyed first by the least coordinate order when a constraint applies.
+    Sentinel jets (pullbacks vanishing to the level) satisfy every
+    "at least m" condition with m <= level, and never an exact one.  A prime
+    whose table no exact strategy fits within the budget raises
+    ``BudgetExceeded``.
+    """
     polys = list(gens.nonzero())
     if not polys:
         raise ValidationError("cannot count contact along the zero ideal")
-    coords = [MultiPoly.coordinates(gens.field, gens.variables)] if constraint else []
-    table = contact_order_table(coords + [polys], n, level, q, budget=budget)
-    return _contact_hits(table, constraint, level, mode, m)
-
-
-def count_contact(
-    gens: IdealGens,
-    query: ContactQuery,
-    budget=DEFAULT_BUDGET,
-    seed=0,
-    samples=200_000,
-) -> CountReport:
-    """Count jets meeting the order condition, per configured prime.
-
-    Sentinel jets (pullbacks vanishing to the level) satisfy every
-    "at least m" condition with m <= level, and never an exact one.
-    Primes whose space exceeds the budget are sampled; any sampled prime
-    downgrades the whole report to SAMPLED.
-    """
     n = len(gens.variables)
+    coords = [MultiPoly.coordinates(gens.field, gens.variables)] if query.constraint else []
     counts = []
     sentinels = []
-    sampled = []
     for q in query.primes:
-        total = jet_space_size(n, query.level, q)
-        try:
-            raw, bot = _exact_contact_count(
-                gens, n, query.level, q, query.mode, query.m, query.constraint, budget
-            )
-            counts.append((q, raw, total))
-            sentinels.append((q, bot))
-        except BudgetExceeded:
-            if query.constraint:
-                raise  # constrained counts are only defined exactly
-            rng = np.random.default_rng((seed, q))
-            hits, ns = sample_ord_hits(
-                list(gens.nonzero()), n, query.level, q, query.mode, query.m, samples, rng
-            )
-            sampled.append((q, hits, ns, total))
-
-    if sampled:
-        detail = "; ".join(
-            f"q={q}: {hits}/{ns} hits, wilson {wilson_interval(hits, ns)}" for q, hits, ns, _ in sampled
-        )
-        all_counts = tuple(counts) + tuple((q, hits, total) for q, hits, ns, total in sampled)
-        return CountReport(
-            counts=all_counts,
-            ambient_dim=n * (query.level + 1),
-            status=STATUS_SAMPLED,
-            method="sampled",
-            detail=detail,
-        )
-
+        table = contact_order_table(coords + [polys], n, query.level, q, budget=budget)
+        hits, bot = _contact_hits(table, query.constraint, query.level, query.mode, query.m)
+        counts.append((q, hits, jet_space_size(n, query.level, q)))
+        sentinels.append((q, bot))
     report = extract_codim(counts, n * (query.level + 1))
     return replace(report, sentinel_counts=tuple(sentinels))
 
@@ -174,8 +133,7 @@ def _proj_cone_table(lam, level, q, budget):
     coords = MultiPoly.coordinates(GF(q), tuple(f"u{j}" for j in range(1, r + 1)))
     table = contact_order_table([[u] for u in coords], r, level, q, budget=budget)
     orders = np.fromiter(chain.from_iterable(table), dtype=np.int64).reshape(-1, r)
-    # counts stay exact: int64 while the q^(r(N+1)) jets fit, Python ints past it
-    dtype = np.int64 if q ** (r * (level + 1)) < 2**63 else object
+    dtype = _count_dtype(q ** (r * (level + 1)))
     cells = np.zeros((level + 2, level + 2), dtype=dtype)
     # ord(t^lam_j u_j) = min(lam_j + ord u_j, N+1), exactly, in F_q[t]/(t^(N+1))
     contact = np.minimum(orders + np.array(lam), level + 1).min(1)

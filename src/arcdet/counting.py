@@ -82,8 +82,6 @@ checks that its counts sum to the size of its grid.
 Codes take the narrowest of int16, int32 and int64 that holds Q - 1, in the
 mesh and in the ring alike.
 The tables are never written after construction, so threads may share them.
-Sampling draws coefficient digits, turns them into codes and evaluates them
-through the same ring.
 
 The homogeneity quotient.  When every polynomial of a block is homogeneous,
 of a degree d_j >= 1, in a set G of its coordinates, a unit u of O_N that
@@ -136,8 +134,6 @@ DEFAULT_BATCH_CAP = 1 << 17
 # (computed: 4.1 s, 35 MB), and the cache keeps 16 rings.  The builtin campaigns
 # count their monomial lists without enumerating and use no ring above Q = 3^5.
 RING_TABLE_CAP = 3**7
-# rows of random digits per draw: the random stream of a sampled count depends on it
-_SAMPLE_BATCH = 1 << 22
 _MAX_COMBINE = 1 << 26
 
 
@@ -410,7 +406,7 @@ def _order_batches(polys, sets, level, q, batch_cap, values=()):
     ring operations that reaches the size of the batch only where it combines
     both sides, and an order digit is the order of a code scaled by its weight.
     """
-    # no grid is enumerated over a prime whose digit products leave int32; only sampling evaluates its ring
+    # no grid is enumerated over a prime whose digit products leave int32
     if (level + 1) * (q - 1) ** 2 >= 2**31:
         raise BudgetExceeded(
             f"series products overflow int32 at q={q}, level {level}: enumeration needs (N+1)(q-1)^2 < 2^31"
@@ -1016,26 +1012,3 @@ def _contact_order_table(ideals, n, level, q, budget, prefer):
     if counted != total:
         raise InternalInvariantError(f"the contact-order table counted {counted} of {total} jets")
     return MappingProxyType(dict(zip(map(tuple, orders.tolist()), sums.tolist())))
-
-
-def sample_ord_hits(gens, n, level, q, mode, m, samples, rng):
-    """Monte Carlo hit count for an order condition; returns (hits, samples).
-
-    Each draw is n(N+1) random coefficient digits per jet, turned into n codes
-    and evaluated through the ring.
-    """
-    gfq = GF(q)
-    gens = [g if g.field == gfq else g.map_coeffs(gfq) for g in gens]
-    ring = series_ring(q, level)
-    width = level + 1
-    hits = 0
-    done = 0
-    while done < samples:
-        b = min(_SAMPLE_BATCH, samples - done)
-        digits = rng.integers(0, q, size=(b, n * width), dtype=np.int64)
-        coords = [ring.from_digits(list(digits[:, v * width : (v + 1) * width].T))[:, None] for v in range(n)]
-        best = reduce(np.minimum, (ring.order(eval_poly_codes(g, coords, ring)) for g in gens))
-        best = np.broadcast_to(best, (b, 1))  # a constant generator gives one order for every row
-        hits += int((best == m).sum() if mode == "exact" else (best >= m).sum())
-        done += b
-    return hits, samples

@@ -417,7 +417,9 @@ def corollary_check(
     """Estimate both thresholds of a square pair and test the biconditional.
 
     The verdicts allow the rounding guard 1/(2M) since estimates are minima
-    of fractions with denominator at most M.
+    of fractions with denominator at most M.  A failed check is a FAIL only
+    when every estimate is certified, and AMBIGUOUS otherwise; an internal
+    error of the Z estimate is always a FAIL.
     """
     r = pair.r
     if pair.s != r:
@@ -450,12 +452,15 @@ def corollary_check(
     if c_prime > 0:
         backward_ok = z >= threshold_bound_backward(c_prime, r) - tol
 
+    # only certified estimates can refute the theorem; an internal error always fails
     decided = lct_z.certified_upper_bound and all(c.certified_upper_bound for c in charts)
-    ok = biconditional_ok and forward_ok and backward_ok and prop24_ok and not lct_z.internal_errors
-    if ok:
-        verdict = VERDICT_PASS if decided else VERDICT_AMBIGUOUS
-    else:
+    ok = biconditional_ok and forward_ok and backward_ok and prop24_ok
+    if lct_z.internal_errors:
         verdict = VERDICT_FAIL
+    elif decided:
+        verdict = VERDICT_PASS if ok else VERDICT_FAIL
+    else:
+        verdict = VERDICT_AMBIGUOUS
     return CorollaryReport(
         lct_z=lct_z, lct_w_charts=charts, lct_w=lct_w, r=r, tolerance=tol,
         z_is_one=z_is_one, w_is_r=w_is_r, biconditional_ok=biconditional_ok,

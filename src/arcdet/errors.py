@@ -32,7 +32,7 @@ class TruncationInsufficient(ArcdetError):
 class BudgetExceeded(ArcdetError):
     """An enumeration would exceed the configured jet budget.
 
-    Exact mode refuses to run; callers may retry in sampled mode.
+    Counts are exact or refused: no count is estimated past the budget.
     """
 
 

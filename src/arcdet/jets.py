@@ -113,12 +113,12 @@ def enumerate_jets(n, level, q, budget=DEFAULT_BUDGET):
     """Yield every jet of A^n at the given level over F_q exactly once.
 
     Deterministic odometer order over coefficients.  Refuses to start when
-    the space exceeds the budget; use the sampled counting mode instead.
+    the space exceeds the budget.
     """
     total = jet_space_size(n, level, q)
     if total > budget:
         raise BudgetExceeded(
-            f"jet space has {total} points, over the budget {budget}; use sampled mode"
+            f"jet space has {total} points, over the budget {budget}"
         )
     width = n * (level + 1)
     digits = [0] * width

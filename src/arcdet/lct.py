@@ -132,9 +132,10 @@ def lct_estimate(
 
     The estimate uses decided cells (exact fit or consensus); ambiguous
     cells lower the certification flag and feed only the reported lower
-    bound.  Sanity guards: the estimate may exceed neither the number of
-    generators (a subscheme cut by d equations has threshold at most d)
-    nor the ambient dimension; violations are flagged as internal errors.
+    bound, and a cell that a rounding vote decided lowers the flag too.
+    Sanity guards: the estimate may exceed neither the number of generators
+    (a subscheme cut by d equations has threshold at most d) nor the ambient
+    dimension; violations are flagged as internal errors.
     ``strata`` buckets each Cont^m as in ``contact_codim_stratified``.
     """
     if M < 1:
@@ -167,7 +168,8 @@ def lct_estimate(
             if rep.codim_interval is not None:
                 lo = Fraction(rep.codim_interval[0], m)
                 lower = lo if lower is None else min(lower, lo)
-        if rep.status == STATUS_AMBIGUOUS:
+        # a rounding vote is evidence, not a certificate
+        if rep.status == STATUS_AMBIGUOUS or rep.method in ("rounding", "buckets:rounding"):
             certified = False
         per_m.append((m, rep, ratio))
 

@@ -120,6 +120,7 @@ class TestExitCodes:
     # each subcommand runs without the flag; only the flag is refused
     VALID = {
         "lct": ["lct", "--ideal", "{ideal}", "--max-m", "2"],
+        "count": ["count", "--ideal", "{ideal}", "--m", "1", "--level", "1"],
         "strata": ["strata", "--matrix", "{matrix}", "--m", "1", "--level", "1", "--prime", "2"],
         "fiber": ["fiber", "--lam", "0,2", "--m", "1", "--level", "2"],
         "cone": ["cone", "--matrix", "{matrix}", "--m", "1", "--p", "0", "--level", "1"],
@@ -131,9 +132,10 @@ class TestExitCodes:
     }
 
     @pytest.mark.parametrize("command, flag", [
-        *[(command, ["--seed", "1"]) for command in VALID],
+        *[(command, ["--seed", "1"]) for command in VALID if command != "count"],
         *[(command, ["--budget", "1000"]) for command in ("profile", "snf", "patterson", "matroid", "one-generic")],
         ("one-generic", ["--primes", "2,3"]),
+        ("count", ["--seed", "1"]),  # last, so the cases above keep their ids
     ])
     def test_flags_that_nothing_reads_are_refused(self, docs, tmp_path, capsys, command, flag):
         argv = [arg.format(**docs) for arg in self.VALID[command]] + ["--out", str(tmp_path / "out.json")]
@@ -152,6 +154,17 @@ class TestSubcommands:
         assert rc == 0
         payload = json.loads(out.read_text())
         assert payload["counts"] == [[3, 6, 27], [5, 20, 125]]
+
+    def test_count_past_the_budget_is_an_error(self, tmp_path, capsys):
+        # x1^2 + x1*x2 is no monomial and defeats every exact split: no count is estimated
+        ideal = tmp_path / "f.json"
+        ideal.write_text(json.dumps({"vars": ["x1", "x2"], "generators": ["x1^2 + x1*x2"]}))
+        argv = ["count", "--ideal", str(ideal), "--m", "1", "--level", "4", "--mode", "at-least",
+                "--primes", "5", "--budget", "1000"]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: jet space has 9765625 points, over the budget 1000, and no exact split applies\n"
 
     def test_snf(self, docs, tmp_path):
         out = tmp_path / "snf.json"

@@ -7,7 +7,6 @@ from arcdet.consensus import (
     cyclotomic_fit,
     extract_codim,
     extract_codim_bucketed,
-    wilson_interval,
 )
 
 
@@ -98,6 +97,14 @@ class TestExtract:
         assert rep.consensus_codim == 2
         assert rep.method == "buckets" and rep.detail == "2 nonempty buckets"
 
+    def test_bucketed_rounding_vote_is_named(self):
+        # the rank locus bucket is decided by a vote, and a fitted bucket is not
+        rank_locus, fitted = {2: 10, 3: 33}, {2: 4, 3: 18}
+        totals = ((2, 14, 16), (3, 51, 81))
+        rep = extract_codim_bucketed({("a",): rank_locus, ("b",): fitted}, 4, totals)
+        assert (rep.status, rep.consensus_codim, rep.method) == (STATUS_CONSENSUS, 1, "buckets:rounding")
+        assert extract_codim_bucketed({("b",): fitted}, 4, totals).method == "buckets"
+
     def test_bucketed_empty(self):
         rep = extract_codim_bucketed({("a",): {2: 0, 3: 0}}, 5, ((2, 0, 2**5), (3, 0, 3**5)))
         assert rep.status == STATUS_EXACT_EMPTY
@@ -137,14 +144,3 @@ class TestExtract:
         assert rep.codim_interval == (0, 2)
         assert rep.consensus_codim is None
         assert extract_codim(totals, 2).codim_interval == (0, 2)
-
-
-class TestWilson:
-    def test_interval_contains_phat(self):
-        lo, hi = wilson_interval(50, 200)
-        assert lo < 0.25 < hi
-        assert 0.0 <= lo and hi <= 1.0
-
-    def test_zero_hits(self):
-        lo, hi = wilson_interval(0, 100)
-        assert lo == 0.0 and hi < 0.1

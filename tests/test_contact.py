@@ -1,4 +1,4 @@
-"""Contact counting operations: affine, constrained, sampled, projective."""
+"""Contact counting operations: affine, constrained, projective."""
 
 from collections import Counter
 from itertools import product
@@ -11,7 +11,6 @@ from arcdet.consensus import (
     STATUS_AMBIGUOUS,
     STATUS_CONSENSUS,
     STATUS_EXACT_EMPTY,
-    STATUS_SAMPLED,
     extract_codim,
 )
 from arcdet.contact import (
@@ -23,7 +22,7 @@ from arcdet.contact import (
     proj_count_contact,
 )
 from arcdet.counting import ord_value_counts
-from arcdet.errors import ValidationError
+from arcdet.errors import BudgetExceeded, ValidationError
 from arcdet.jets import DEFAULT_BUDGET, jet_space_size
 
 
@@ -111,28 +110,11 @@ class TestCountContact:
         counts = dict((q, raw) for q, raw, _ in rep.counts)
         assert counts[3] == 3  # a0 = 0 forced by both the constraint and the condition
 
-    def test_sampled_mode(self):
-        # x1^2 + x1*x2 is no monomial and defeats every exact split, so a tiny
-        # budget forces sampling
+    def test_past_the_budget_is_refused(self):
+        # x1^2 + x1*x2 is no monomial and defeats every exact split
         gens = IdealGens((parse_poly("x1^2 + x1*x2", ["x1", "x2"]),))
-        rep = count_contact(
-            gens,
-            ContactQuery(MODE_AT_LEAST, 1, 4, primes=(5,)),
-            budget=1000,
-            samples=2000,
-            seed=1,
-        )
-        assert rep.status == STATUS_SAMPLED
-        assert "wilson" in rep.detail
-        # Q = 5^5 is above the table cap: the computed ring evaluates the draws
-        assert rep.counts == ((5, 690, 9765625),)
-
-    def test_sampled_mode_through_the_ring_tables(self):
-        # Q = 3^3 is within the table cap; the same stream of digits as above it
-        gens = IdealGens((parse_poly("x1^2 + x1*x2", ["x1", "x2"]),))
-        rep = count_contact(gens, ContactQuery(MODE_EXACT, 1, 2, primes=(3,)), budget=100, samples=2000, seed=1)
-        assert rep.status == STATUS_SAMPLED
-        assert rep.counts == ((3, 623, 729),)
+        with pytest.raises(BudgetExceeded, match="over the budget 1000, and no exact split applies"):
+            count_contact(gens, ContactQuery(MODE_AT_LEAST, 1, 4, primes=(5,)), budget=1000)
 
     def test_single_prime_report_is_ambiguous(self):
         rep = count_contact(single_var_ideal(), ContactQuery(MODE_AT_LEAST, 1, 2, primes=(3,)))

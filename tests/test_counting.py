@@ -27,7 +27,6 @@ from arcdet.counting import (
     ord_value_counts,
     ord_vector_distribution,
     ring_tables,
-    sample_ord_hits,
     series_ring,
     table_cache,
 )
@@ -964,18 +963,6 @@ class TestTableCap:
         direct = as_dict(_direct_distribution(polys, 4, 2, 3, DEFAULT_BATCH_CAP))
         assert planned("additive", polys, 4, 2, 3) == direct
         assert sum(direct.values()) == 3**12
-
-
-class TestSampling:
-    @pytest.mark.parametrize("q, level", [(3, 1), (7, 5)])  # the tables, the computed ring
-    def test_constant_generators_count_every_draw(self, q, level):
-        # a constant pulls back to one (1, 1) code, which still stands for every draw
-        vs = ("x1", "x2")
-        gens = [parse_poly(e, vs) for e in ("2", "x1 + 1")]
-        rng = np.random.default_rng(0)
-        assert sample_ord_hits(gens[:1], 2, level, q, "exact", 0, 1000, rng) == (1000, 1000)
-        assert sample_ord_hits(gens[:1], 2, level, q, "at_least", 1, 1000, rng) == (0, 1000)
-        assert sample_ord_hits(gens, 2, level, q, "exact", 0, 1000, rng) == (1000, 1000)
 
 
 class TestBatchOps:

@@ -7,9 +7,10 @@ import pytest
 
 import arcdet.counting
 import arcdet.lct
-from arcdet import IdealGens, parse_poly
-from arcdet.consensus import STATUS_AMBIGUOUS, STATUS_CONSENSUS
+from arcdet import QQ, IdealGens, MultiPoly, PolyMatrix, parse_poly
+from arcdet.consensus import STATUS_AMBIGUOUS, STATUS_CONSENSUS, extract_codim
 from arcdet.counting import table_cache
+from arcdet.determinantal import VERDICT_AMBIGUOUS, VERDICT_FAIL, DeterminantalPair, corollary_check
 from arcdet.errors import ValidationError
 from arcdet.lct import contact_codim_stratified, lct_estimate
 
@@ -124,6 +125,49 @@ class TestGuards:
         assert (merged.status, merged.codim_interval) == (STATUS_AMBIGUOUS, (2, 2))
         assert (rep.status, rep.consensus_codim, rep.method) == (STATUS_CONSENSUS, 1, "fit")
         assert rep.counts == ((2, 16, 64), (3, 162, 729))  # q^4 (q - 1) jets
+
+
+class TestRoundingVote:
+    # C4's chart y2 = 1 at m = 2 over F_2 and F_3: both logs round to 13 of 18
+    # inside the guard band, a codim-5 vote, where the true codimension is 6
+    C4_CHART = extract_codim([(2, 8832, 2**18), (3, 1116342, 3**18)], 18)
+
+    @staticmethod
+    def fit(codim):
+        return extract_codim([(q, q ** (9 - codim), q**9) for q in (2, 3)], 9)
+
+    def patch(self, monkeypatch, chart_m2):
+        # Z gives codim m (lct 1); each W chart gives codim 3 at m = 1 and
+        # ``chart_m2`` at m = 2, so lct_w = 5/2 against r = 3
+        def fake(gens, m, primes, budget=None, strata=None):
+            if strata != []:
+                return self.fit(m)
+            return chart_m2 if m == 2 else self.fit(3)
+
+        monkeypatch.setattr(arcdet.lct, "contact_codim_stratified", fake)
+
+    @staticmethod
+    def diagonal_pair():
+        vs = ("x1", "x2", "x3")
+        x = [parse_poly(v, vs) for v in vs]
+        zero = MultiPoly.zero(QQ, vs)
+        return DeterminantalPair.from_matrix(PolyMatrix([[x[i] if i == j else zero for j in range(3)] for i in range(3)]))
+
+    def test_estimate_on_a_vote_is_not_certified(self, monkeypatch):
+        rep = self.C4_CHART
+        assert (rep.status, rep.consensus_codim, rep.method, rep.dims) == (STATUS_CONSENSUS, 5, "rounding", {2: 13, 3: 13})
+        self.patch(monkeypatch, rep)
+        est = lct_estimate(self.diagonal_pair().chart_gens(1), 2, strata=[])
+        assert (est.estimate, est.witness_m) == (Fraction(5, 2), 2)
+        assert not est.certified_upper_bound
+
+    @pytest.mark.parametrize("certified", [False, True])
+    def test_only_certified_estimates_fail_the_corollary(self, monkeypatch, certified):
+        # the same codim 5 by the exact fit is a certificate, and its 5/2 fails
+        self.patch(monkeypatch, self.fit(5) if certified else self.C4_CHART)
+        rep = corollary_check(self.diagonal_pair(), 2)
+        assert (rep.lct_z.estimate, rep.lct_w, rep.z_is_one, rep.biconditional_ok) == (1, Fraction(5, 2), True, False)
+        assert rep.verdict == (VERDICT_FAIL if certified else VERDICT_AMBIGUOUS)
 
 
 class TestTables:

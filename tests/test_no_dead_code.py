@@ -1,9 +1,10 @@
-"""Every module-level function, class and method in the package is used,
-and no package module imports a name it never reads.
+"""Every module-level function, class, method and assigned name in the
+package is used, and no package module imports a name it never reads.
 
 A definition counts as used when its name occurs as a name token of code,
 not in a comment or a string, somewhere in ``src/`` or ``tests/`` outside
-its own definition (its header and body); before Python 3.12 an f-string is
+its own definition (its header and body, or the whole assignment
+statement of a module-level name); before Python 3.12 an f-string is
 one string token, so a name inside its braces does not count.  The check is
 by name only: two definitions of the same name vouch for each other only
 through real uses, never through their ``def`` lines.  Dunder methods are
@@ -20,9 +21,17 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def _definitions(tree):
-    """(name, first line, last line) of module-level defs, classes and methods."""
+    """(name, first line, last line) of module-level defs, classes, methods
+    and names that a module-level assignment binds."""
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node.lineno, node.end_lineno
+            continue
         if not isinstance(node, kinds):
             continue
         yield node.name, node.lineno, node.end_lineno
@@ -92,6 +101,22 @@ def test_guard_reads_code_not_comments_or_strings(tmp_path):
         "def test_used():\n    assert used() == 1, 'noted'\n"
     )
     assert [entry.split()[-1] for entry in _unused_definitions(tmp_path)] == ["noted"]
+
+
+def test_guard_sees_an_unused_constant(tmp_path):
+    # a module-level name that only its own statement mentions is unused
+    pkg = tmp_path / "src" / "arcdet"
+    pkg.mkdir(parents=True)
+    (tmp_path / "tests").mkdir()
+    (pkg / "mod.py").write_text(
+        "USED = 1\n"
+        "PAIR_A, PAIR_B = 2, 3\n"
+        "SELF_NAMED = {'SELF_NAMED': 4}\n"
+        "TABLE: dict = {\n    'x': SELF_NAMED,\n}\n\n\n"
+        "def read():\n    return USED + PAIR_A\n"
+    )
+    (tmp_path / "tests" / "test_mod.py").write_text("from arcdet.mod import read\n")
+    assert [entry.split()[-1] for entry in _unused_definitions(tmp_path)] == ["PAIR_B", "TABLE"]
 
 
 def _unused_imports(root):
