@@ -96,6 +96,8 @@ def cyclotomic_fit(counts):
     rests = {q: c // q**a for q, c in counts}
     bound = max(r.bit_length() for r in rests.values()) + 1
     big = [q for q in rests if q > 2]  # (q-1) is invisible at q=2
+    # for each (b, e) at most one f matches, and one prime's rest pins it
+    top = max(rests)
     matches = []
     for b in range(bound + 1):
         if any((q - 1) ** b > rests[q] for q in big):
@@ -104,12 +106,12 @@ def cyclotomic_fit(counts):
             be = {q: (q - 1) ** b * (q + 1) ** e for q in rests}
             if any(be[q] > rests[q] for q in rests):
                 break
-            for f in range(bound + 1):
-                val = {q: be[q] * (q * q + q + 1) ** f for q in rests}
-                if any(val[q] > rests[q] for q in rests):
-                    break
-                if all(val[q] == rests[q] for q in rests):
-                    matches.append((b, e, f))
+            quotient, left = divmod(rests[top], be[top])
+            if left:
+                continue
+            f, unit = _v_adic(quotient, top * top + top + 1)
+            if unit == 1 and all(be[q] * (q * q + q + 1) ** f == rests[q] for q in rests):
+                matches.append((b, e, f))
     dims = {a + b + e + 2 * f for b, e, f in matches}
     if len(dims) != 1:
         return None

@@ -10,22 +10,21 @@ diag(t^lam), r = len(lam), in the homogeneous model: the tuples u in
 (F_q[t]/t^(N+1))^r with at least one unit coordinate, modulo the unit group
 of the truncated ring, which has q^N (q-1) elements.  The forms are the
 pullbacks t^lam_j u_j, of contact order min_j min(lam_j + ord u_j, N+1), so
-the cone count is read off the unit-coordinate row of one array of
-(least coordinate order, contact order) cells.  Order conditions on the
-forms are unit-scaling invariant, so cone counts divide exactly by the
-unit-group size; a failed division means the condition was not scaling
-invariant and is reported as an internal error.
+the cone count sums the keys of one coordinate-order table whose least
+coordinate order is 0 and whose contact order meets the condition.  Order
+conditions on the forms are unit-scaling invariant, so cone counts divide
+exactly by the unit-group size; a failed division means the condition was
+not scaling invariant and is reported as an internal error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import chain
 
 import numpy as np
 
 from .consensus import CountReport, extract_codim
-from .counting import _count_dtype, contact_order_table
+from .counting import contact_order_table
 from .errors import InternalInvariantError, ValidationError
 from .fields import GF
 from .jets import DEFAULT_BUDGET, IdealGens, jet_space_size
@@ -38,7 +37,8 @@ MODE_AT_LEAST = "at_least"
 
 
 # Constraint registry: named predicates on the least clamped coordinate
-# order, used to intersect a contact condition with coordinate strata.
+# order, elementwise over an array of them, used to intersect a contact
+# condition with coordinate strata.
 CONSTRAINT_REGISTRY = {
     # some coordinate is a unit series
     "unit_coordinate": lambda least: least == 0,
@@ -77,22 +77,13 @@ def _contact_hits(table, constraint, level, mode, m):
     the number of jets meeting the order condition plus the number of
     sentinel jets (forms vanishing to level), over the keys the constraint
     admits; the coordinate entry is present exactly when a constraint is."""
-    pred = CONSTRAINT_REGISTRY[constraint] if constraint else None
-    hits = 0
-    sentinel = 0
-    for key, cnt in table.items():
-        if pred is not None and not pred(key[0]):
-            continue
-        o = key[-1]
-        if o == level + 1:
-            sentinel += cnt
-        if mode == MODE_EXACT:
-            if o == m:
-                hits += cnt
-        else:
-            if o >= m:
-                hits += cnt
-    return hits, sentinel
+    keys, counts = table
+    if constraint:
+        admitted = CONSTRAINT_REGISTRY[constraint](keys[:, 0])
+        keys, counts = keys[admitted], counts[admitted]
+    contact = keys[:, -1]
+    hit = contact == m if mode == MODE_EXACT else contact >= m
+    return int(counts[hit].sum()), int(counts[contact == level + 1].sum())
 
 
 def count_contact(gens: IdealGens, query: ContactQuery, budget=DEFAULT_BUDGET) -> CountReport:
@@ -127,32 +118,30 @@ def count_contact(gens: IdealGens, query: ContactQuery, budget=DEFAULT_BUDGET) -
 
 
 def _proj_cone_table(lam, level, q, budget):
-    """(N+2) x (N+2) array of cone counts over diag(t^lam), indexed by (least
-    order of u_1..u_r, contact order of the forms t^lam_j u_j)."""
+    """The cone over diag(t^lam) as three arrays, one entry per key of the
+    coordinate table: the least order of u_1..u_r, the contact order of the
+    forms t^lam_j u_j, and the count of jets."""
     r = len(lam)
     coords = MultiPoly.coordinates(GF(q), tuple(f"u{j}" for j in range(1, r + 1)))
-    table = contact_order_table([[u] for u in coords], r, level, q, budget=budget)
-    orders = np.fromiter(chain.from_iterable(table), dtype=np.int64).reshape(-1, r)
-    dtype = _count_dtype(q ** (r * (level + 1)))
-    cells = np.zeros((level + 2, level + 2), dtype=dtype)
+    orders, counts = contact_order_table([[u] for u in coords], r, level, q, budget=budget)
     # ord(t^lam_j u_j) = min(lam_j + ord u_j, N+1), exactly, in F_q[t]/(t^(N+1))
     contact = np.minimum(orders + np.array(lam), level + 1).min(1)
-    np.add.at(cells, (orders.min(1), contact), np.array(list(table.values()), dtype=dtype))
-    return cells
+    return orders.min(1), contact, counts
 
 
 def proj_count_contact(lam, query: ContactQuery, budget=DEFAULT_BUDGET) -> CountReport:
     """Count projective jets of P^(r-1), r = len(lam), in the fiber over the
     base jet diag(t^lam): those whose forms t^lam_j u_j meet the order
-    condition.  Each prime's cone count, the unit-coordinate row of
-    ``_proj_cone_table``, is divided by the unit group size q^N (q-1), and
-    the quotient must be exact.
+    condition.  Each prime's cone count, summed over the keys of
+    ``_proj_cone_table`` with a unit coordinate, is divided by the unit group
+    size q^N (q-1), and the quotient must be exact.
     """
     r, level, m = len(lam), query.level, query.m
     counts = []
     for q in query.primes:
-        units = _proj_cone_table(lam, level, q, budget)[0]
-        cone = int(units[m] if query.mode == MODE_EXACT else units[m:].sum())
+        least, contact, jets = _proj_cone_table(lam, level, q, budget)
+        hit = contact == m if query.mode == MODE_EXACT else contact >= m
+        cone = int(jets[(least == 0) & hit].sum())
         unit_group = q**level * (q - 1)
         if cone % unit_group != 0:
             raise InternalInvariantError(

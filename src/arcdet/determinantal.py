@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+import numpy as np
+
 from .consensus import (
     STATUS_AMBIGUOUS,
     STATUS_EXACT_EMPTY,
@@ -218,32 +220,30 @@ def stratum_counts(
     # of the cheapest-strategy total below.  It counts every jet as a pair of
     # block states, whose spanning minors it evaluates through the ring.
     tower = [ideal.nonzero() for ideal in pair.tower]
-    table = contact_order_table(tower, n, level, q, budget=budget, prefer="direct")
-
-    r = pair.r
-    per_lambda = {}
-    residual = 0
-    strata_total = 0
-    for sigma, cnt in table.items():
-        if sigma[-1] != m:
-            continue
-        strata_total += cnt
-        if any(s > level for s in sigma):
-            residual += cnt  # undetermined prefix: cannot happen for m <= level
-            continue
-        parts = tuple(b - a for a, b in zip((0,) + sigma, sigma))
-        if any(x > y for x, y in zip(parts, parts[1:])):
-            raise InternalInvariantError(f"decreasing profile from minor orders: {sigma}")
-        per_lambda[parts] = per_lambda.get(parts, 0) + cnt
+    keys, counts = contact_order_table(tower, n, level, q, budget=budget, prefer="direct")
+    hit = keys[:, -1] == m
+    sigmas, cnts = keys[hit], counts[hit]
+    strata_total = int(cnts.sum())
+    # an undetermined prefix: cannot happen for m <= level
+    undetermined = (sigmas > level).any(axis=1)
+    residual = int(cnts[undetermined].sum())
+    sigmas, cnts = sigmas[~undetermined], cnts[~undetermined]
+    parts = np.diff(sigmas, axis=1, prepend=0)
+    decreasing = (parts[:, :-1] > parts[:, 1:]).any(axis=1)
+    if decreasing.any():
+        sigma = tuple(sigmas[decreasing][0].tolist())
+        raise InternalInvariantError(f"decreasing profile from minor orders: {sigma}")
+    # the rows are distinct, and so are their profiles
+    per_lambda = dict(zip(map(tuple, parts.tolist()), cnts.tolist()))
 
     # independent total from the maximal-minor ideal alone, by whatever exact
     # strategy is cheapest.  For a determinant of two blocks that is the
     # additive split, which combines its blocks by prefix matrix products, a
     # different algorithm from the pairs of block states of the pass above.
-    z_table = contact_order_table([pair.z_gens.nonzero()], n, level, q, budget=budget)
-    cont_m = z_table.get((m,), 0)
+    z_keys, z_counts = contact_order_table([pair.z_gens.nonzero()], n, level, q, budget=budget)
+    cont_m = int(z_counts[z_keys[:, 0] == m].sum())
 
-    expected = profiles_of_size(r, m, level)
+    expected = profiles_of_size(pair.r, m, level)
     listed = []
     for lam in sorted(set(expected) | set(per_lambda)):
         listed.append((lam, per_lambda.get(lam, 0)))
@@ -308,7 +308,11 @@ class FiberCheck:
 def fiber_count_check(
     lam: LambdaProfile, m: int, level: int, primes=LCT_DEFAULT_PRIMES, budget=DEFAULT_BUDGET
 ) -> FiberCheck:
-    """Count the projective fiber over diag(t^lambda) and compare with the formula."""
+    """Count the projective fiber over diag(t^lambda) and compare with the formula.
+
+    A codimension that only a rounding vote decided passes when it agrees
+    with the formula and is AMBIGUOUS when it does not: a vote is evidence,
+    not a certificate."""
     if m > level:
         raise ValidationError("m must be at most the level")
     if lam.parts and lam.parts[-1] > level:
@@ -320,10 +324,12 @@ def fiber_count_check(
         verdict = VERDICT_PASS if report.status == STATUS_EXACT_EMPTY else VERDICT_FAIL
     elif report.status == STATUS_EXACT_EMPTY:
         verdict = VERDICT_FAIL
-    elif report.consensus_codim is not None:
-        verdict = VERDICT_PASS if report.consensus_codim == formula else VERDICT_FAIL
+    elif report.consensus_codim == formula:
+        verdict = VERDICT_PASS
+    elif report.consensus_codim is not None and report.method != "rounding":
+        verdict = VERDICT_FAIL
     else:
-        verdict = VERDICT_AMBIGUOUS
+        verdict = VERDICT_AMBIGUOUS  # undecided, or a vote, which is no certificate
     return FiberCheck(
         lam=lam.parts, m=m, level=level, formula_codim=formula, report=report, verdict=verdict
     )
@@ -529,9 +535,9 @@ def rational_singularity_probe(
         level = m
         counts = []
         for q in primes:
-            table = contact_order_table([pair.z_gens.nonzero(), sing_gens], n, level, q, budget=budget)
+            keys, cnts = contact_order_table([pair.z_gens.nonzero(), sing_gens], n, level, q, budget=budget)
             # s >= 1: the base point lies inside the singular locus
-            hits = sum(cnt for (z, s), cnt in table.items() if z == m and s >= 1)
+            hits = int(cnts[(keys[:, 0] == m) & (keys[:, 1] >= 1)].sum())
             counts.append((q, hits, jet_space_size(n, level, q)))
         rep = extract_codim(counts, n * (level + 1))
         if rep.status == STATUS_EXACT_EMPTY:
@@ -601,8 +607,8 @@ def _cone_side_counts_direct(pair, level, q, m_exact, p_exact, budget):
     """Count jets of X x A^r with exact incidence order and exact zero-section order."""
     joint = pair.w_gens.variables
     y_polys = [MultiPoly.variable(pair.matrix.field, joint, y) for y in pair.y_names]
-    table = contact_order_table([y_polys, pair.w_gens.nonzero()], len(joint), level, q, budget=budget)
-    return table.get((p_exact, m_exact), 0)
+    keys, counts = contact_order_table([y_polys, pair.w_gens.nonzero()], len(joint), level, q, budget=budget)
+    return int(counts[(keys == (p_exact, m_exact)).all(axis=1)].sum())
 
 
 def _cone_side_counts_generic(n, r, s, level, q, m_exact, p_exact):
@@ -636,7 +642,8 @@ def cone_comparison_check(
     are enumerated independently at levels N and N-p) and the codimension
     relation codim(LHS) = p*r + codim(RHS).  A side the engine cannot count
     exactly within the budget falls back to the closed form available for
-    generic-coordinate matrices.
+    generic-coordinate matrices.  A codimension relation that fails only on
+    a rounding vote is undecided, so the verdict is AMBIGUOUS, not FAIL.
     """
     if not (0 <= p <= m <= level):
         raise ValidationError("need 0 <= p <= m <= level")
@@ -680,6 +687,8 @@ def cone_comparison_check(
         codim_ok = True
     elif lhs_rep.consensus_codim is not None and rhs_rep.consensus_codim is not None:
         codim_ok = lhs_rep.consensus_codim == p * r + rhs_rep.consensus_codim
+        if not codim_ok and "rounding" in (lhs_rep.method, rhs_rep.method):
+            codim_ok = None  # a vote against the relation is no certificate
     elif lhs_rep.status == STATUS_AMBIGUOUS or rhs_rep.status == STATUS_AMBIGUOUS:
         codim_ok = None
     else:

@@ -137,7 +137,14 @@ class Report:
         return json.dumps(_jsonable(self.canonical_payload()), sort_keys=True, separators=(",", ":"))
 
 
+_JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
 def _jsonable(value):
+    # most leaves are JSON scalars: an exact type test spares them the ABC
+    # check of isinstance(value, Fraction)
+    if type(value) in _JSON_SCALARS:
+        return value
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, dict):

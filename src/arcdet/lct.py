@@ -12,8 +12,10 @@ For each m the Cont^m count is stratified: jets are bucketed by their
 contact orders along a list of stratifying ideals -- by default the
 coordinates, and for determinantal ideals the lower minor ideals, whose
 orders are the partial sums of the profile (the lambda stratification).
-Buckets are exact cells for the instance families treated here, which is
-what lets the cyclotomic fit certify codimensions instead of rounding.
+A bucket is often a single cell of the shape ``consensus.cyclotomic_fit``
+fits, which lets the fit certify its codimension instead of rounding, but
+not always: each lambda stratum of diag(x1, x2, x3) at m = 2 counts
+3(q-1)^3 q^4 jets, a union of three cells that no single shape fits.
 """
 
 from __future__ import annotations
@@ -98,22 +100,17 @@ def contact_codim_stratified(
     totals = []
     bucket_counts = {}
     for q in primes:
-        total_hits = 0
-        table = contact_order_table([*strata, work], n, level, q, budget=budget)
-        for (*bucket_key, order), cnt in table.items():
-            if order != m:
-                continue
-            total_hits += cnt
-            per = bucket_counts.setdefault(tuple(bucket_key), {})
-            per[q] = per.get(q, 0) + cnt
-        totals.append((q, total_hits, jet_space_size(n, level, q)))
+        keys, counts = contact_order_table([*strata, work], n, level, q, budget=budget)
+        hit = keys[:, -1] == m
+        # the rows are distinct, so each bucket occurs at most once per prime
+        for bucket_key, cnt in zip(map(tuple, keys[hit, :-1].tolist()), counts[hit].tolist()):
+            bucket_counts.setdefault(bucket_key, {})[q] = cnt
+        totals.append((q, int(counts[hit].sum()), jet_space_size(n, level, q)))
 
     ambient = n * (level + 1)
-    # Buckets first: each bucket is a single exact cell for the instance
-    # families here, and single-cell counts are basis elements of the fit,
-    # which cannot collide across two primes.  Totals of unions can (and
-    # do) collide with wrong basis elements, so the flat fit is only a
-    # fallback.
+    # Buckets first: a bucket is usually a single cell, whose count is a
+    # basis element of the fit.  Totals of unions collide with wrong basis
+    # elements more often, so the flat fit is only a fallback.
     merged = extract_codim_bucketed(bucket_counts, ambient, totals)
     if merged.status != STATUS_AMBIGUOUS:
         return merged

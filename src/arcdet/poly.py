@@ -62,8 +62,10 @@ class MultiPoly:
         variables = tuple(variables)
         if name not in variables:
             raise ValueError(f"undeclared variable {name}")
-        exps = tuple(1 if v == name else 0 for v in variables)
-        return cls(field, variables, {exps: field.one})
+        # one valid term: the per-term checks of __init__ have nothing to do
+        p = cls(field, variables)
+        p.terms = {tuple(1 if v == name else 0 for v in variables): field.one}
+        return p
 
     @classmethod
     def coordinates(cls, field, variables):

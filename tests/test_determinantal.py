@@ -29,6 +29,7 @@ from arcdet.determinantal import (
     threshold_bound_backward,
     threshold_bound_forward,
 )
+from arcdet.consensus import STATUS_CONSENSUS, extract_codim
 from arcdet.errors import ValidationError
 from arcdet.harness import builtin_corpus, run_campaign
 from arcdet.snf import LambdaProfile
@@ -336,3 +337,50 @@ class TestCone:
                 direct = _cone_side_counts_direct(pair, level, q, m, p, 10**9)
                 closed = _cone_side_counts_generic(4, 2, 2, level, q, m, p)
                 assert direct == closed, (q, level, m, p)
+
+
+class TestRoundingVoteVerdicts:
+    """A codimension that only a rounding vote decided cannot fail a check;
+    the same codimension from the exact fit does.  The reports are patched in
+    the way ``test_lct.TestRoundingVote`` patches them."""
+
+    # C4's chart y2 = 1 at m = 2 over F_2 and F_3: a codim-5 vote inside the
+    # guard band, where the true codimension is 6
+    VOTE = extract_codim([(2, 8832, 2**18), (3, 1116342, 3**18)], 18)
+
+    @staticmethod
+    def fit(codim, ambient=18):
+        return extract_codim([(q, q ** (ambient - codim), q**ambient) for q in (2, 3)], ambient)
+
+    def test_the_reports(self):
+        assert (self.VOTE.status, self.VOTE.consensus_codim, self.VOTE.method) == (STATUS_CONSENSUS, 5, "rounding")
+        assert (self.fit(5).consensus_codim, self.fit(5).method) == (5, "fit")
+
+    @pytest.mark.parametrize("certified", [False, True])
+    def test_fiber_check(self, monkeypatch, certified):
+        # the fiber over diag(t^2, t^2) at m = 1 has formula codimension 0
+        report = self.fit(5) if certified else self.VOTE
+        monkeypatch.setattr(arcdet.determinantal, "proj_count_contact", lambda lam, query, budget: report)
+        fc = fiber_count_check(LambdaProfile((2, 2)), 1, 2)
+        assert (fc.formula_codim, fc.report) == (0, report)
+        assert fc.verdict == ("FAIL" if certified else "AMBIGUOUS")
+
+    def test_a_vote_that_agrees_passes(self, monkeypatch):
+        monkeypatch.setattr(arcdet.determinantal, "proj_count_contact", lambda lam, query, budget: self.VOTE)
+        assert fiber_count_check(LambdaProfile((0, 0, 0, 0, 0, 5)), 1, 5).verdict == "PASS"
+
+    @pytest.mark.parametrize("certified", [False, True])
+    def test_cone_check(self, monkeypatch, certified):
+        # generic 2x2, m = p = 1 at level 1: the left side (ambient 12) reads
+        # codim 5 and the right side (ambient 6) codim 2, where the relation
+        # wants p*r + 2 = 4; the counts themselves are real and agree
+        def fake(counts, ambient):
+            if ambient == 12:
+                return self.fit(5, 12) if certified else self.VOTE
+            return self.fit(2, 6)
+
+        monkeypatch.setattr(arcdet.determinantal, "extract_codim", fake)
+        check = cone_comparison_check(DeterminantalPair.from_matrix(generic_2x2()), 1, 1, 1, primes=(2, 3))
+        assert check.count_identity_ok
+        assert check.codim_identity_ok is (False if certified else None)
+        assert check.verdict == ("FAIL" if certified else "AMBIGUOUS")

@@ -2,16 +2,19 @@
 
 import dataclasses
 import hashlib
+import json
 import re
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import arcdet.harness
 from arcdet.configurations import ConfigurationMatrix, patterson_matrix
 from arcdet.determinantal import DeterminantalPair, minor_ideal_tower
 from arcdet.errors import ValidationError
-from arcdet.harness import _KINDS, Campaign, Task, builtin_corpus, run_campaign
+from arcdet.harness import _KINDS, _jsonable, Campaign, Task, builtin_corpus, run_campaign
 from arcdet.io import campaign_from_doc
 from arcdet.jets import IdealGens
 from arcdet.matrices import PolyMatrix
@@ -305,6 +308,14 @@ class TestDeterminism:
         rep = run_campaign(builtin_corpus()["configuration-triangle"], seed=0)
         digest = hashlib.sha256(rep.canonical_json().encode()).hexdigest()
         assert digest == "74046be81ecb30ea4f2fb2f92d50b867a18d72b3e3536ec6bd1c1983efe9dd0a"
+
+    def test_jsonable_leaves(self):
+        # JSON scalars pass as they are, a Fraction and any other leaf (an
+        # np.int64 too) become strings, tuples lists and dict keys strings
+        payload = {"r": Fraction(1, 3), 2: ({"t": (1, 2.5)}, True), "none": None, "n": np.int64(7), "s": "x"}
+        assert json.dumps(_jsonable(payload), sort_keys=True) == (
+            '{"2": [{"t": [1, 2.5]}, true], "n": "7", "none": null, "r": "1/3", "s": "x"}'
+        )
 
     def test_randomized_task_seeded(self):
         corpus = builtin_corpus()

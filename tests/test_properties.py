@@ -7,7 +7,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from arcdet import GF, IdealGens, JetPoint, MultiPoly, PolyMatrix, TruncSeries, parse_poly
-from arcdet.consensus import cyclotomic_fit
+from arcdet.consensus import _v_adic, cyclotomic_fit
 from arcdet.counting import (
     _direct_distribution,
     _grading,
@@ -18,17 +18,12 @@ from arcdet.counting import (
 )
 from arcdet.determinantal import lambda_profile, minor_ideal_tower
 from arcdet.jets import enumerate_jets, ord_along_ideal, substitute_jet
+from table_dicts import as_dict
 
 
 # --- strategy agreement on randomized additive-split instances -------------
 
 exponents = st.tuples(st.integers(0, 2), st.integers(0, 2))
-
-
-def as_dict(table):
-    """A strategy's (keys, counts) table as a dict of order-vector tuples."""
-    keys, counts = table
-    return dict(zip(map(tuple, keys.tolist()), counts.tolist()))
 
 
 def planned(name, polys, n, level, q, cap=1 << 20):
@@ -200,10 +195,10 @@ def test_contact_order_table_agrees_with_jet_enumeration(ideal_terms, constant, 
     for jet in enumerate_jets(2, level, q):
         orders = (ord_along_ideal(IdealGens(tuple(g)), jet) for g in ideals)
         want[tuple(level + 1 if o is None else o for o in orders)] += 1
-    assert contact_order_table(ideals, 2, level, q, prefer=prefer) == want
+    assert as_dict(contact_order_table(ideals, 2, level, q, prefer=prefer)) == want
     with table_cache() as scope:
-        assert contact_order_table(ideals, 2, level, q, prefer=prefer) == want
-        assert contact_order_table(ideals, 2, level, q, prefer=prefer) == want
+        assert as_dict(contact_order_table(ideals, 2, level, q, prefer=prefer)) == want
+        assert as_dict(contact_order_table(ideals, 2, level, q, prefer=prefer)) == want
     assert (scope.misses, scope.hits) == (1, 1)
 
 
@@ -223,9 +218,9 @@ def test_truncated_tables_equal_counted_ones(ideal_terms, prefer):
     ideals = [[_poly_from(terms, vs, q) for terms in gens] for gens in ideal_terms]
     with table_cache() as scope:
         contact_order_table(ideals, 2, 3, q, prefer=prefer)
-        truncated = [contact_order_table(ideals, 2, level, q, prefer=prefer) for level in (0, 1, 2)]
+        truncated = [as_dict(contact_order_table(ideals, 2, level, q, prefer=prefer)) for level in (0, 1, 2)]
     assert (scope.misses, scope.hits) == (1, 3)
-    assert truncated == [contact_order_table(ideals, 2, level, q, prefer=prefer) for level in (0, 1, 2)]
+    assert truncated == [as_dict(contact_order_table(ideals, 2, level, q, prefer=prefer)) for level in (0, 1, 2)]
 
 
 # --- exact fit recovers planted cell shapes ---------------------------------
@@ -238,6 +233,67 @@ def test_fit_recovers_planted_exponents(a, b, e, f):
     fitted = cyclotomic_fit(counts)
     assert fitted is not None
     assert fitted[0] == a + b + e + 2 * f
+
+
+def _triple_search_fit(counts):
+    """The oracle of ``cyclotomic_fit``: the same fit, with f searched for
+    every (b, e) instead of pinned by one prime's rest."""
+    counts = sorted(set((q, c) for q, c in counts))
+    if len(counts) < 2 or any(c <= 0 for _, c in counts):
+        return None
+    if len({q for q, _ in counts}) < 2:
+        return None
+    a = None
+    for q, c in counts:
+        va, _ = _v_adic(c, q)
+        if a is None:
+            a = va
+        elif va != a:
+            return None
+    rests = {q: c // q**a for q, c in counts}
+    bound = max(r.bit_length() for r in rests.values()) + 1
+    big = [q for q in rests if q > 2]
+    matches = []
+    for b in range(bound + 1):
+        if any((q - 1) ** b > rests[q] for q in big):
+            break
+        for e in range(bound + 1):
+            be = {q: (q - 1) ** b * (q + 1) ** e for q in rests}
+            if any(be[q] > rests[q] for q in rests):
+                break
+            for f in range(bound + 1):
+                val = {q: be[q] * (q * q + q + 1) ** f for q in rests}
+                if any(val[q] > rests[q] for q in rests):
+                    break
+                if all(val[q] == rests[q] for q in rests):
+                    matches.append((b, e, f))
+    dims = {a + b + e + 2 * f for b, e, f in matches}
+    if len(dims) != 1:
+        return None
+    b, e, f = matches[0]
+    return dims.pop(), f"q^{a}(q-1)^{b}(q+1)^{e}(q^2+q+1)^{f}"
+
+
+@given(
+    st.sampled_from([1, 2, 3, 6]),
+    st.integers(0, 6),
+    st.integers(0, 4),
+    st.integers(0, 3),
+    st.integers(0, 2),
+    st.lists(st.sampled_from([2, 3, 5, 7]), min_size=2, max_size=3, unique=True),
+)
+@settings(max_examples=200)
+def test_fit_agrees_with_the_triple_search(k, a, b, e, f, primes):
+    """Planted cells times a leading coefficient k, which can make both fits
+    fail or fit a wrong shape: the same (dim, shape) or None from both."""
+    counts = [(q, k * q**a * (q - 1) ** b * (q + 1) ** e * (q * q + q + 1) ** f) for q in primes]
+    assert cyclotomic_fit(counts) == _triple_search_fit(counts)
+
+
+@given(st.lists(st.tuples(st.sampled_from([2, 3, 5, 7]), st.integers(1, 10**6)), min_size=2, max_size=3))
+@settings(max_examples=200)
+def test_fit_agrees_with_the_triple_search_on_any_counts(counts):
+    assert cyclotomic_fit(counts) == _triple_search_fit(counts)
 
 
 # --- profile containment and tall matrices ----------------------------------
