@@ -367,22 +367,12 @@ def eval_poly_codes(poly, coords, ring):
     if var is not None:
         return coords[var]
     powers = {}
-
-    def power(i, e):
-        if e == 1:
-            return coords[i]
-        if (i, e) not in powers:
-            half = power(i, e // 2)
-            sq = ring.times(half, half)
-            powers[i, e] = sq if e % 2 == 0 else ring.times(sq, coords[i])
-        return powers[i, e]
-
     terms = []
     for exps, coeff in poly.terms.items():
         c = int(coeff) % ring.q  # callers hand over GF(q) polynomials
         if c == 0:
             continue
-        factors = sorted((power(i, e) for i, e in enumerate(exps) if e), key=np.size)
+        factors = sorted((_power(ring, coords, powers, i, e) for i, e in enumerate(exps) if e), key=np.size)
         if not factors:
             terms.append(np.full((1, 1), c, dtype=ring.dtype))  # the constant c has code c
             continue
@@ -390,6 +380,21 @@ def eval_poly_codes(poly, coords, ring):
             factors[0] = ring.scale(c, factors[0])
         terms.append(_fold(factors, ring.times))
     return _fold(terms, ring.plus) if terms else np.zeros((1, 1), dtype=ring.dtype)
+
+
+def _power(ring, coords, powers, i, e):
+    """coords[i]^e through the ring, by squaring, memoized in ``powers``.
+
+    A module-level function, not a closure that calls itself: such a closure
+    is a reference cycle, and it held the batch's code arrays until the next
+    garbage collection."""
+    if e == 1:
+        return coords[i]
+    if (i, e) not in powers:
+        half = _power(ring, coords, powers, i, e // 2)
+        sq = ring.times(half, half)
+        powers[i, e] = sq if e % 2 == 0 else ring.times(sq, coords[i])
+    return powers[i, e]
 
 
 def _order_batches(polys, sets, level, q, batch_cap, values=()):
