@@ -48,6 +48,13 @@ class CountReport:
     detail: str = ""
     sentinel_counts: tuple = ()  # jets vanishing to level, per prime, when tracked
 
+    @property
+    def certified(self):
+        """Whether the report is exact: empty, the full space, or a
+        codimension that no rounding vote decided.  A vote is evidence, not
+        a certificate, so a check may pass on it but never fail on it."""
+        return self.status != STATUS_AMBIGUOUS and self.method not in ("rounding", "buckets:rounding")
+
     def payload(self):
         out = {
             "counts": [[q, raw, total] for q, raw, total in self.counts],

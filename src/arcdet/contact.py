@@ -118,15 +118,15 @@ def count_contact(gens: IdealGens, query: ContactQuery, budget=DEFAULT_BUDGET) -
 
 
 def _proj_cone_table(lam, level, q, budget):
-    """The cone over diag(t^lam) as three arrays, one entry per key of the
-    coordinate table: the least order of u_1..u_r, the contact order of the
-    forms t^lam_j u_j, and the count of jets."""
+    """The cone over diag(t^lam) as a (keys, counts) table with one row per
+    row of the coordinate table, keyed by (least order of u_1..u_r, contact
+    order of the forms t^lam_j u_j); rows may repeat a key."""
     r = len(lam)
     coords = MultiPoly.coordinates(GF(q), tuple(f"u{j}" for j in range(1, r + 1)))
     orders, counts = contact_order_table([[u] for u in coords], r, level, q, budget=budget)
     # ord(t^lam_j u_j) = min(lam_j + ord u_j, N+1), exactly, in F_q[t]/(t^(N+1))
     contact = np.minimum(orders + np.array(lam), level + 1).min(1)
-    return orders.min(1), contact, counts
+    return np.column_stack((orders.min(1), contact)), counts
 
 
 def proj_count_contact(lam, query: ContactQuery, budget=DEFAULT_BUDGET) -> CountReport:
@@ -139,9 +139,8 @@ def proj_count_contact(lam, query: ContactQuery, budget=DEFAULT_BUDGET) -> Count
     r, level, m = len(lam), query.level, query.m
     counts = []
     for q in query.primes:
-        least, contact, jets = _proj_cone_table(lam, level, q, budget)
-        hit = contact == m if query.mode == MODE_EXACT else contact >= m
-        cone = int(jets[(least == 0) & hit].sum())
+        table = _proj_cone_table(lam, level, q, budget)
+        cone = _contact_hits(table, "unit_coordinate", level, query.mode, m)[0]
         unit_group = q**level * (q - 1)
         if cone % unit_group != 0:
             raise InternalInvariantError(

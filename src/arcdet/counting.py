@@ -996,9 +996,11 @@ def _truncated(deep, table, level, n, q):
     """The level-``level`` table of a level-``deep`` contact-order table: each
     jet has q^(n(deep-level)) lifts, whose orders clamped at level+1 are its own.
 
-    The builtin tables have 4-64 rows, and on those a dict of rows sums as
-    fast as ``_sum_by_row`` or faster: on a 2-vCPU Xeon, 21 against 43 us at
-    16 rows and 54 against 50 us at 64."""
+    The builtin tables have 4-64 rows, most of them few, so a dict of rows
+    sums them faster than ``_sum_by_row`` over a whole pass: on a 2-vCPU
+    Xeon, 1.6 against 4.6-6.1 ms for the 82 truncations of a ``thresholds``
+    pass, although per table it wins only on small ones (21 against 43 us at
+    16 rows) and is about 8% slower at 64 rows (54 against 50 us)."""
     if deep == level:
         return table
     keys, counts = table

@@ -326,7 +326,7 @@ def fiber_count_check(
         verdict = VERDICT_FAIL
     elif report.consensus_codim == formula:
         verdict = VERDICT_PASS
-    elif report.consensus_codim is not None and report.method != "rounding":
+    elif report.certified:
         verdict = VERDICT_FAIL
     else:
         verdict = VERDICT_AMBIGUOUS  # undecided, or a vote, which is no certificate
@@ -687,7 +687,7 @@ def cone_comparison_check(
         codim_ok = True
     elif lhs_rep.consensus_codim is not None and rhs_rep.consensus_codim is not None:
         codim_ok = lhs_rep.consensus_codim == p * r + rhs_rep.consensus_codim
-        if not codim_ok and "rounding" in (lhs_rep.method, rhs_rep.method):
+        if not codim_ok and not (lhs_rep.certified and rhs_rep.certified):
             codim_ok = None  # a vote against the relation is no certificate
     elif lhs_rep.status == STATUS_AMBIGUOUS or rhs_rep.status == STATUS_AMBIGUOUS:
         codim_ok = None

@@ -137,13 +137,10 @@ class Report:
         return json.dumps(_jsonable(self.canonical_payload()), sort_keys=True, separators=(",", ":"))
 
 
-_JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
-
-
 def _jsonable(value):
-    # most leaves are JSON scalars: an exact type test spares them the ABC
-    # check of isinstance(value, Fraction)
-    if type(value) in _JSON_SCALARS:
+    # most leaves are JSON scalars: testing them first, against concrete
+    # types, spares them the ABC check of isinstance(value, Fraction)
+    if isinstance(value, (bool, int, float, str)) or value is None:
         return value
     if isinstance(value, Fraction):
         return str(value)
@@ -151,8 +148,6 @@ def _jsonable(value):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, (bool, int, float, str)) or value is None:
-        return value
     return str(value)
 
 

@@ -165,8 +165,7 @@ def lct_estimate(
             if rep.codim_interval is not None:
                 lo = Fraction(rep.codim_interval[0], m)
                 lower = lo if lower is None else min(lower, lo)
-        # a rounding vote is evidence, not a certificate
-        if rep.status == STATUS_AMBIGUOUS or rep.method in ("rounding", "buckets:rounding"):
+        if not rep.certified:
             certified = False
         per_m.append((m, rep, ratio))
 

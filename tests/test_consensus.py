@@ -105,6 +105,24 @@ class TestExtract:
         assert (rep.status, rep.consensus_codim, rep.method) == (STATUS_CONSENSUS, 1, "buckets:rounding")
         assert extract_codim_bucketed({("b",): fitted}, 4, totals).method == "buckets"
 
+    def test_only_exact_reports_are_certified(self):
+        # empty, full and fitted reports are exact; a vote, decided or not, is not
+        exact = [
+            extract_codim([(2, 0, 16), (3, 0, 81)], 4),
+            extract_codim([(2, 16, 16), (3, 81, 81)], 4),
+            extract_codim([(2, 4, 16), (3, 18, 81)], 4),
+        ]
+        assert [rep.method for rep in exact] == ["empty", "full", "fit"]
+        assert all(rep.certified for rep in exact)
+        vote = extract_codim([(2, 10, 16), (3, 33, 81)], 4)
+        undecided = extract_codim([(2, 10, 16)], 4)
+        assert (vote.status, undecided.status) == (STATUS_CONSENSUS, STATUS_AMBIGUOUS)
+        assert not vote.certified and not undecided.certified
+        totals = ((2, 14, 16), (3, 51, 81))
+        fitted, rank_locus = {2: 4, 3: 18}, {2: 10, 3: 33}
+        assert extract_codim_bucketed({("b",): fitted}, 4, totals).certified
+        assert not extract_codim_bucketed({("a",): rank_locus, ("b",): fitted}, 4, totals).certified
+
     def test_bucketed_empty(self):
         rep = extract_codim_bucketed({("a",): {2: 0, 3: 0}}, 5, ((2, 0, 2**5), (3, 0, 3**5)))
         assert rep.status == STATUS_EXACT_EMPTY

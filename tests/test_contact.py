@@ -203,10 +203,10 @@ class TestProjective:
         for orders in product(range(level + 2), repeat=2):
             contact = min(min(l + o, level + 1) for l, o in zip(lam, orders))
             expected[min(orders), contact] += per[orders[0]] * per[orders[1]]
-        least, contact, counts = _proj_cone_table(lam, level, 2, DEFAULT_BUDGET)
+        keys, counts = _proj_cone_table(lam, level, 2, DEFAULT_BUDGET)
         cells = Counter()
-        for i, j, c in zip(least.tolist(), contact.tolist(), counts.tolist()):
-            cells[i, j] += c
+        for key, c in zip(map(tuple, keys.tolist()), counts.tolist()):
+            cells[key] += c
         assert dict(cells) == dict(expected)
         assert sum(counts.tolist()) == 2 ** (2 * (level + 1))
         assert all(type(c) is int for c in cells.values())
