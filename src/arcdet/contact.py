@@ -78,12 +78,14 @@ def _contact_hits(table, constraint, level, mode, m):
     sentinel jets (forms vanishing to level), over the keys the constraint
     admits; the coordinate entry is present exactly when a constraint is."""
     keys, counts = table
-    if constraint:
-        admitted = CONSTRAINT_REGISTRY[constraint](keys[:, 0])
-        keys, counts = keys[admitted], counts[admitted]
     contact = keys[:, -1]
     hit = contact == m if mode == MODE_EXACT else contact >= m
-    return int(counts[hit].sum()), int(counts[contact == level + 1].sum())
+    sentinel = contact == level + 1
+    if constraint:
+        admitted = CONSTRAINT_REGISTRY[constraint](keys[:, 0])
+        hit &= admitted
+        sentinel &= admitted
+    return int(counts[hit].sum()), int(counts[sentinel].sum())
 
 
 def count_contact(gens: IdealGens, query: ContactQuery, budget=DEFAULT_BUDGET) -> CountReport:

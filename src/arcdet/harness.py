@@ -138,17 +138,13 @@ class Report:
 
 
 def _jsonable(value):
-    # most leaves are JSON scalars: testing them first, against concrete
-    # types, spares them the ABC check of isinstance(value, Fraction)
-    if isinstance(value, (bool, int, float, str)) or value is None:
+    if isinstance(value, (int, float, str)) or value is None:
         return value
-    if isinstance(value, Fraction):
-        return str(value)
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    return str(value)
+    return str(value)  # a Fraction, a numpy integer, ...
 
 
 # --------------------------------------------------------------------------
