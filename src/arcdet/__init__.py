@@ -45,7 +45,6 @@ from .configurations import (
     configuration_lct_campaign,
     cross_oracle_payload,
     hadamard_one_generic,
-    incidence_jacobian,
     is_connected,
     is_square_free,
     linear_one_generic,

@@ -18,7 +18,7 @@ from math import lcm
 
 import numpy as np
 
-from .determinantal import DeterminantalPair, corollary_check
+from .determinantal import DeterminantalPair, corollary_check, lct_w_estimate, lct_z_estimate
 from .errors import BudgetExceeded, InternalInvariantError, ValidationError
 from .fields import QQ
 from .jets import DEFAULT_BUDGET
@@ -385,38 +385,6 @@ def cross_oracle_payload(cfg: ConfigurationMatrix) -> dict:
     return {"hadamard": had.payload(), "linear": lin.payload(), "agree": had.one_generic == lin.one_generic}
 
 
-def incidence_jacobian(A: PolyMatrix):
-    """The Jacobian block [A | B(y)] of the incidence forms, B(y)_ik = sum_j
-    (da_ij/dx_k) y_j, with respect to (y then x) ordering."""
-    r = A.rows
-    if A.rows != A.cols:
-        raise ValidationError("expected a square matrix")
-    nonzero = any(not e.is_zero() for row in A.entries for e in row)
-    if not nonzero:
-        raise ValidationError("zero matrix has no incidence forms")
-    for row in A.entries:
-        for e in row:
-            if not e.is_zero() and not e.is_homogeneous(1):
-                raise ValidationError("entries must be homogeneous linear")
-    x_names = A.variables
-    y_names = tuple(f"y{j + 1}" for j in range(r))
-    joint = x_names + y_names
-    a_block = [[A.entry(i, j).extend_variables(joint) for j in range(r)] for i in range(r)]
-    b_block = []
-    for i in range(r):
-        row = []
-        for k, xk in enumerate(x_names):
-            acc = MultiPoly.zero(A.field, joint)
-            for j in range(r):
-                d = A.entry(i, j).partial(xk)
-                if d.is_zero():
-                    continue
-                acc = acc + d.extend_variables(joint) * MultiPoly.variable(A.field, joint, y_names[j])
-            row.append(acc)
-        b_block.append(row)
-    return PolyMatrix([a_block[i] + b_block[i] for i in range(r)])
-
-
 @dataclass(frozen=True)
 class ConfigurationReport:
     determinant: str
@@ -455,7 +423,12 @@ def configuration_lct_campaign(
     matroid = matroid_from_columns(cfg)
     connected = is_connected(matroid)
     generic = hadamard_one_generic(cfg)
-    corollary = corollary_check(DeterminantalPair.from_matrix(A), M, primes=primes, budget=budget)
+    pair = DeterminantalPair.from_matrix(A)
+    corollary = corollary_check(
+        lct_z_estimate(pair, M, primes=primes, budget=budget),
+        lct_w_estimate(pair, M, primes=primes, budget=budget),
+        pair.r,
+    )
     note = (
         "support coefficients are det(D|_I)^2 (Cauchy-Binet for D diag(x) D^T); "
         "the support statement is unaffected by the square"

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -156,22 +157,7 @@ def lambda_profile(A: PolyMatrix, jet: JetPoint) -> LambdaProfile:
 
 def profiles_of_size(r, m, max_part):
     """Nondecreasing r-tuples with sum m and largest part <= max_part."""
-    out = []
-
-    def rec(prefix, remaining, last):
-        k = len(prefix)
-        if k == r:
-            if remaining == 0:
-                out.append(tuple(prefix))
-            return
-        for v in range(last, min(max_part, remaining) + 1):
-            # the remaining parts are >= v, so they need at least (r-k-1)*v
-            if remaining - v > (r - k - 1) * max_part:
-                continue
-            rec(prefix + [v], remaining - v, v)
-
-    rec([], m, 0)
-    return out
+    return [lam for lam in combinations_with_replacement(range(max_part + 1), r) if sum(lam) == m]
 
 
 # --------------------------------------------------------------------------
@@ -414,26 +400,23 @@ def lct_w_estimate(pair: DeterminantalPair, M: int, primes=LCT_DEFAULT_PRIMES, b
     return charts, (min(vals) if len(vals) == len(charts) else None)
 
 
-def corollary_check(
-    pair: DeterminantalPair,
-    M: int,
-    primes=LCT_DEFAULT_PRIMES,
-    budget=DEFAULT_BUDGET,
-) -> CorollaryReport:
-    """Estimate both thresholds of a square pair and test the biconditional.
+def corollary_check(lct_z: LctEstimate, lct_w, r: int) -> CorollaryReport:
+    """Test the biconditional lct(X, Z_A) = 1 <=> lct(Y, W_A) = r, and the
+    threshold bounds, on two estimates of a square pair with r columns.
 
-    The verdicts allow the rounding guard 1/(2M) since estimates are minima
-    of fractions with denominator at most M.  A failed check is a FAIL only
+    ``lct_z`` is the Z estimate and ``lct_w`` the (charts, minimum) pair of
+    ``lct_w_estimate``, both up to one level M, read from ``lct_z``.  The
+    verdicts allow the rounding guard 1/(2M) since estimates are minima of
+    fractions with denominator at most M.  A failed check is a FAIL only
     when every estimate is certified, and AMBIGUOUS otherwise; an internal
     error of the Z estimate is always a FAIL.
     """
-    r = pair.r
-    if pair.s != r:
-        raise ValidationError(f"corollary check needs a square matrix, got {pair.s}x{r}")
+    charts, lct_w = lct_w
+    M = len(lct_z.per_m)
+    reached = sorted({len(c.per_m) for c in charts})
+    if M < 1 or reached != [M]:
+        raise ValidationError(f"corollary check needs both sides up to one level: Z reaches {M}, W {reached}")
     tol = Fraction(1, 2 * M)
-
-    lct_z = lct_z_estimate(pair, M, primes=primes, budget=budget)
-    charts, lct_w = lct_w_estimate(pair, M, primes=primes, budget=budget)
     prop24_ok = all(c.estimate is None or c.estimate <= r + tol for c in charts)
 
     z = lct_z.estimate
@@ -543,7 +526,8 @@ def rational_singularity_probe(
         if rep.status == STATUS_EXACT_EMPTY:
             strict_ok = True
         elif rep.consensus_codim is not None:
-            strict_ok = rep.consensus_codim > m
+            # a vote may pass the probe but never violate it
+            strict_ok = True if rep.consensus_codim > m else (False if rep.certified else None)
         else:
             strict_ok = None
         if strict_ok is False:

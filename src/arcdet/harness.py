@@ -244,10 +244,6 @@ def _resolve(spec, name, value, inputs, pairs):
 # --------------------------------------------------------------------------
 
 
-def _fraction_close(value, target, tol):
-    return value is not None and abs(Fraction(value) - Fraction(target)) <= Fraction(tol)
-
-
 def _run_stratification(p, budget, seed):
     rep = stratum_counts(p["matrix"], p["m"], p["level"], p["prime"], budget=budget)
     return (STATUS_PASS if rep.partition_ok else STATUS_FAIL), rep.payload()
@@ -260,50 +256,60 @@ def _run_fiber(p, budget, seed):
     return fc.verdict, fc.payload()
 
 
+def _threshold_status(value, certified, expect, tolerance, require_certified=False):
+    """The status of one threshold: no value is AMBIGUOUS; a value that misses
+    ``expect`` by more than ``tolerance`` FAILs only when it is certified (a
+    vote may pass a check but never fail it); without ``expect`` a value
+    PASSes only when it is certified, and with it ``require_certified``
+    asks the same of a value that meets it."""
+    if value is None:
+        return STATUS_AMBIGUOUS
+    if expect is not None and abs(Fraction(value) - Fraction(expect)) > Fraction(tolerance):
+        return STATUS_FAIL if certified else STATUS_AMBIGUOUS
+    if certified or (expect is not None and not require_certified):
+        return STATUS_PASS
+    return STATUS_AMBIGUOUS
+
+
 def _run_lct_z(p, budget, seed):
     primes = tuple(p["primes"])
     if p["matrix"] is not None:
         est = lct_z_estimate(p["matrix"], p["max_m"], primes=primes, budget=budget)
     else:
         est = lct_estimate(p["ideal"], p["max_m"], primes=primes, budget=budget)
-    status = STATUS_PASS
-    if est.internal_errors:
-        status = STATUS_FAIL
-    elif p["expect"] is not None:
-        ok = _fraction_close(est.estimate, p["expect"], p["tolerance"])
-        status = STATUS_PASS if ok else STATUS_FAIL
-        if ok and p["require_consensus"] and not est.certified_upper_bound:
-            status = STATUS_AMBIGUOUS
-    elif not est.certified_upper_bound:
-        status = STATUS_AMBIGUOUS
-    return status, est.payload()
+    status = _threshold_status(
+        est.estimate, est.certified_upper_bound, p["expect"], p["tolerance"], p["require_consensus"]
+    )
+    return (STATUS_FAIL if est.internal_errors else status), est.payload()
 
 
 def _run_lct_w(p, budget, seed):
     charts, w = lct_w_estimate(p["matrix"], p["max_m"], primes=tuple(p["primes"]), budget=budget)
     payload = {"charts": [c.payload() for c in charts], "lct_w": None if w is None else str(w)}
-    status = STATUS_PASS
-    if w is None:
-        status = STATUS_AMBIGUOUS
-    elif p["expect"] is not None:
-        status = STATUS_PASS if _fraction_close(w, p["expect"], p["tolerance"]) else STATUS_FAIL
-    return status, payload
+    certified = all(c.certified_upper_bound for c in charts)
+    return _threshold_status(w, certified, p["expect"], p["tolerance"]), payload
 
 
-def _expected_thresholds(verdict, p, lct_z, lct_w):
-    """PASS turns FAIL when a threshold misses its expected value by more than 1/(2 max_m)."""
-    if verdict != VERDICT_PASS:
-        return verdict
+def _expected_thresholds(p, corollary):
+    """The corollary's verdict, unless a threshold misses its expected value
+    by more than 1/(2 max_m): a PASS rests on certified estimates only, so
+    the miss turns it FAIL."""
+    if corollary.verdict != VERDICT_PASS:
+        return corollary.verdict
     tol = Fraction(1, 2 * p["max_m"])
-    for expect, value in ((p["expect_z"], lct_z), (p["expect_w"], lct_w)):
-        if expect is not None and not _fraction_close(value, expect, tol):
-            return STATUS_FAIL
-    return verdict
+    sides = ((corollary.lct_z.estimate, p["expect_z"]), (corollary.lct_w, p["expect_w"]))
+    statuses = [_threshold_status(value, True, expect, tol) for value, expect in sides]
+    return next((status for status in statuses if status != STATUS_PASS), corollary.verdict)
 
 
 def _run_corollary(p, budget, seed):
-    rep = corollary_check(p["matrix"], p["max_m"], primes=tuple(p["primes"]), budget=budget)
-    return _expected_thresholds(rep.verdict, p, rep.lct_z.estimate, rep.lct_w), rep.payload()
+    pair, primes = p["matrix"], tuple(p["primes"])
+    rep = corollary_check(
+        lct_z_estimate(pair, p["max_m"], primes=primes, budget=budget),
+        lct_w_estimate(pair, p["max_m"], primes=primes, budget=budget),
+        pair.r,
+    )
+    return _expected_thresholds(p, rep), rep.payload()
 
 
 def _run_cone(p, budget, seed):
@@ -313,7 +319,7 @@ def _run_cone(p, budget, seed):
 
 def _run_configuration(p, budget, seed):
     rep = configuration_lct_campaign(p["configuration"], p["max_m"], primes=tuple(p["primes"]), budget=budget)
-    status = _expected_thresholds(rep.verdict, p, rep.corollary.lct_z.estimate, rep.corollary.lct_w)
+    status = _expected_thresholds(p, rep.corollary)
     if status == VERDICT_PASS and p["expect_connected"] is not None and rep.connected != p["expect_connected"]:
         status = STATUS_FAIL
     return status, rep.payload()

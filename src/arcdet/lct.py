@@ -6,7 +6,9 @@ N = m (the contact order is determined by coefficients up to t^m, so any
 higher level just multiplies counts by exact powers of q).  It counts the
 deepest level M first: where a campaign run shares its contact-order tables,
 the level-M table of each prime then serves every level m < M by
-truncation, so one table is counted per prime.
+truncation, so one table is counted per prime.  ``threshold_fold`` turns
+the per-m reports into the estimate; it is the one place an ``LctEstimate``
+is made, so any source of per-m codimensions reaches a threshold through it.
 
 For each m the Cont^m count is stratified: jets are bucketed by their
 contact orders along a list of stratifying ideals -- by default the
@@ -26,7 +28,6 @@ from fractions import Fraction
 from .consensus import (
     STATUS_AMBIGUOUS,
     STATUS_CONSENSUS,
-    STATUS_EXACT_EMPTY,
     CountReport,
     extract_codim,
     extract_codim_bucketed,
@@ -125,14 +126,9 @@ def lct_estimate(
     budget=DEFAULT_BUDGET,
     strata=None,
 ) -> LctEstimate:
-    """min over 1 <= m <= M of codim(Cont^m)/m, with certification flags.
+    """min over 1 <= m <= M of codim(Cont^m)/m: the stratified count of each
+    Cont^m, folded by ``threshold_fold``.
 
-    The estimate uses decided cells (exact fit or consensus); ambiguous
-    cells lower the certification flag and feed only the reported lower
-    bound, and a cell that a rounding vote decided lowers the flag too.
-    Sanity guards: the estimate may exceed neither the number of generators
-    (a subscheme cut by d equations has threshold at most d) nor the ambient
-    dimension; violations are flagged as internal errors.
     ``strata`` buckets each Cont^m as in ``contact_codim_stratified``.
     """
     if M < 1:
@@ -140,51 +136,55 @@ def lct_estimate(
     primes = tuple(primes)
     if len(set(primes)) < 2:
         raise ValidationError("threshold estimation needs at least two distinct primes")
-    n = len(gens.variables)
+    # the deepest level first, so that its tables serve the shallower ones
+    reports = [contact_codim_stratified(gens, m, primes, budget=budget, strata=strata) for m in range(M, 0, -1)]
+    return threshold_fold(reports[::-1], len(gens.variables), len(gens.nonzero()))
+
+
+def threshold_fold(reports, ambient_dim: int, generator_count: int) -> LctEstimate:
+    """The threshold min_m codim(Cont^m)/m from the reports of m = 1, 2, ...
+
+    The estimate is the least ratio of a decided report (exact fit or
+    consensus), and its witness the deepest m that attains it.  It is a
+    certified upper bound only when every report is certified: an ambiguous
+    report or a rounding vote lowers the flag.  When every report is decided
+    the estimate is also the lower bound of the minimum over these levels;
+    an ambiguous report withdraws that bound (None), since its interval may
+    exclude the true codimension.
+    Sanity guards: the estimate may exceed neither the number of generators
+    (a subscheme cut by d equations has threshold at most d) nor the ambient
+    dimension; violations are flagged as internal errors.
+    """
     per_m = []
     estimate = None
     witness = None
-    lower = None
-    certified = True
-    errors = []
-    # the deepest level first, so that its tables serve the shallower ones
-    reports = {m: contact_codim_stratified(gens, m, primes, budget=budget, strata=strata) for m in range(M, 0, -1)}
-    for m in range(1, M + 1):
-        rep = reports[m]
+    for m, rep in enumerate(reports, start=1):
         ratio = None
-        if rep.status == STATUS_EXACT_EMPTY:
-            pass
-        elif rep.consensus_codim is not None:
+        if rep.status == STATUS_CONSENSUS:
             ratio = Fraction(rep.consensus_codim, m)
             if estimate is None or ratio <= estimate:
                 estimate = ratio
                 witness = m  # ties move the witness to the deepest level
-            lower = ratio if lower is None else min(lower, ratio)
-        else:
-            certified = False
-            if rep.codim_interval is not None:
-                lo = Fraction(rep.codim_interval[0], m)
-                lower = lo if lower is None else min(lower, lo)
-        if not rep.certified:
-            certified = False
         per_m.append((m, rep, ratio))
 
+    errors = []
     if estimate is not None:
-        if estimate > len(list(gens.nonzero())):
+        if estimate > generator_count:
             errors.append(
                 f"estimate {estimate} exceeds the generator count "
-                f"{len(list(gens.nonzero()))}; a d-equation subscheme has threshold <= d"
+                f"{generator_count}; a d-equation subscheme has threshold <= d"
             )
-        if estimate > n:
-            errors.append(f"estimate {estimate} exceeds the ambient dimension {n}")
+        if estimate > ambient_dim:
+            errors.append(f"estimate {estimate} exceeds the ambient dimension {ambient_dim}")
 
+    decided = all(rep.status != STATUS_AMBIGUOUS for _, rep, _ in per_m)
     return LctEstimate(
         per_m=tuple(per_m),
         estimate=estimate,
         witness_m=witness,
-        certified_upper_bound=certified and estimate is not None,
-        ambient_dim=n,
-        generator_count=len(list(gens.nonzero())),
-        estimate_lower_bound=lower,
+        certified_upper_bound=estimate is not None and all(rep.certified for _, rep, _ in per_m),
+        ambient_dim=ambient_dim,
+        generator_count=generator_count,
+        estimate_lower_bound=estimate if decided else None,
         internal_errors=tuple(errors),
     )

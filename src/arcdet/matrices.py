@@ -146,34 +146,26 @@ class SeriesMatrix:
 
 
 def _det_memo(entries, zero):
-    """Division-free determinant: first-row Laplace expansion memoized on
-    column subsets, O(k * 2^k) ring operations for a k x k matrix."""
+    """Division-free determinant: first-row Laplace expansion built bottom-up
+    over column subsets, O(k * 2^k) ring operations for a k x k matrix.  The
+    minors on the columns ``cols`` use the last len(cols) rows."""
     k = len(entries)
-    memo = {(): None}
-
-    def rec(cols, depth):
-        if not cols:
-            return None  # empty product handled by caller
-        key = cols
-        if key in memo:
-            return memo[key]
-        row = k - len(cols)
-        if len(cols) == 1:
-            memo[key] = entries[row][cols[0]]
-            return memo[key]
-        acc = None
-        for pos, c in enumerate(cols):
-            rest = cols[:pos] + cols[pos + 1 :]
-            sub = rec(rest, depth + 1)
-            term = entries[row][c] * sub
-            if pos % 2 == 1:
-                term = -term
-            acc = term if acc is None else acc + term
-        memo[key] = acc
-        return acc
-
-    result = rec(tuple(range(k)), 0)
-    return zero if result is None else result
+    if k == 0:
+        return zero
+    minor = {(c,): entries[k - 1][c] for c in range(k)}
+    for size in range(2, k + 1):
+        row = entries[k - size]
+        larger = {}
+        for cols in combinations(range(k), size):
+            acc = None
+            for pos, c in enumerate(cols):
+                term = row[c] * minor[cols[:pos] + cols[pos + 1 :]]
+                if pos % 2 == 1:
+                    term = -term
+                acc = term if acc is None else acc + term
+            larger[cols] = acc
+        minor = larger
+    return minor[tuple(range(k))]
 
 
 def det_division_free(matrix):

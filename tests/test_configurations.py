@@ -14,7 +14,6 @@ from arcdet.configurations import (
     cauchy_binet_expansion,
     configuration_lct_campaign,
     hadamard_one_generic,
-    incidence_jacobian,
     is_connected,
     is_square_free,
     linear_one_generic,
@@ -355,33 +354,6 @@ class TestLinearGenericity:
             assert hadamard_one_generic(cfg).one_generic == linear_one_generic(patterson_matrix(cfg)).one_generic
             checked += 1
         assert checked > 100
-
-
-class TestJacobian:
-    def test_generic_block(self):
-        vs = ("x1", "x2", "x3", "x4")
-        A = PolyMatrix([[parse_poly("x1", vs), parse_poly("x2", vs)], [parse_poly("x3", vs), parse_poly("x4", vs)]])
-        J = incidence_jacobian(A)
-        assert J.rows == 2 and J.cols == 6
-        b = [[str(J.entry(i, 2 + k)) for k in range(4)] for i in range(2)]
-        assert b[0] == ["y1", "y2", "0", "0"]
-        assert b[1] == ["0", "0", "y1", "y2"]
-
-    def test_diag_single_variable(self):
-        vs = ("x1",)
-        from arcdet import MultiPoly, QQ
-
-        x1 = parse_poly("x1", vs)
-        zero = MultiPoly.zero(QQ, vs)
-        J = incidence_jacobian(PolyMatrix([[x1, zero], [zero, x1]]))
-        assert [str(J.entry(0, 2)), str(J.entry(1, 2))] == ["y1", "y2"]
-
-    def test_zero_matrix_rejected(self):
-        from arcdet import MultiPoly, QQ
-
-        zero = MultiPoly.zero(QQ, ("x1",))
-        with pytest.raises(ValidationError):
-            incidence_jacobian(PolyMatrix([[zero, zero], [zero, zero]]))
 
 
 class TestCampaign:

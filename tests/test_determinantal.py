@@ -23,8 +23,11 @@ from arcdet.determinantal import (
     fiber_codim_formula,
     fiber_count_check,
     lambda_profile,
+    lct_w_estimate,
+    lct_z_estimate,
     minor_ideal_tower,
     profiles_of_size,
+    rational_singularity_probe,
     stratum_counts,
     threshold_bound_backward,
     threshold_bound_forward,
@@ -241,30 +244,37 @@ class TestTransforms:
             assert threshold_bound_backward(threshold_bound_forward(1, r) - (r - 1), r) == 1
 
 
+def corollary(A, M):
+    pair = DeterminantalPair.from_matrix(A)
+    lct_z = lct_z_estimate(pair, M, primes=(2, 3))
+    return corollary_check(lct_z, lct_w_estimate(pair, M, primes=(2, 3)), pair.r)
+
+
 class TestCorollary:
     def test_generic(self):
-        rep = corollary_check(DeterminantalPair.from_matrix(generic_2x2()), 4, primes=(2, 3))
+        rep = corollary(generic_2x2(), 4)
         assert rep.lct_z.estimate == 1
         assert rep.lct_w == 2
         assert rep.verdict == "PASS"
 
     def test_diag(self):
-        rep = corollary_check(DeterminantalPair.from_matrix(diag_x1_x1()), 4, primes=(2, 3))
+        rep = corollary(diag_x1_x1(), 4)
         assert rep.lct_z.estimate == Fraction(1, 2)
         assert rep.lct_w == 1
         # Theorem bound attained with equality: min(2 * 1/2, 1 + 1/2) = 1
         assert threshold_bound_forward(rep.lct_z.estimate, 2) == rep.lct_w
         assert rep.verdict == "PASS"
 
-    def test_non_square_rejected(self):
-        vs = tuple(f"x{i}" for i in range(1, 7))
-        m = PolyMatrix([[parse_poly(f"x{2*i + j + 1}", vs) for j in range(2)] for i in range(3)])
-        with pytest.raises(ValidationError):
-            corollary_check(DeterminantalPair.from_matrix(m), 2)
+    def test_mismatched_levels_rejected(self):
+        # M is read from the Z estimate, and every W chart must reach it too
+        pair = DeterminantalPair.from_matrix(diag_x1_x1())
+        lct_z = lct_z_estimate(pair, 2, primes=(2, 3))
+        with pytest.raises(ValidationError, match="Z reaches 2, W \\[3\\]"):
+            corollary_check(lct_z, lct_w_estimate(pair, 3, primes=(2, 3)), pair.r)
 
     def test_estimates_respect_forward_bound(self):
         for A in (generic_2x2(), diag_x1_x1()):
-            rep = corollary_check(DeterminantalPair.from_matrix(A), 4, primes=(2, 3))
+            rep = corollary(A, 4)
             eps = rep.tolerance
             c = rep.lct_z.estimate - eps
             if c > 0:
@@ -273,16 +283,12 @@ class TestCorollary:
 
 class TestRationalSingularityProbe:
     def test_generic_no_violation(self):
-        from arcdet.determinantal import rational_singularity_probe
-
         probe = rational_singularity_probe(generic_2x2(), 3, primes=(2, 3))
         assert probe.violations == ()
         assert "necessary condition" in probe.disclaimer
 
     def test_non_reduced_violates(self):
         # det = x1^2 is non-reduced; the strict bound fails at m = 2
-        from arcdet.determinantal import rational_singularity_probe
-
         probe = rational_singularity_probe(diag_x1_x1(), 3, primes=(2, 3))
         assert 2 in probe.violations
 
@@ -352,9 +358,15 @@ class TestRoundingVoteVerdicts:
     def fit(codim, ambient=18):
         return extract_codim([(q, q ** (ambient - codim), q**ambient) for q in (2, 3)], ambient)
 
+    # a codim-1 vote in the 8-dimensional jet space of the generic 2x2 at level 1
+    LOW_VOTE = extract_codim([(2, 134, 2**8), (3, 1531, 3**8)], 8)
+
     def test_the_reports(self):
         assert (self.VOTE.status, self.VOTE.consensus_codim, self.VOTE.method) == (STATUS_CONSENSUS, 5, "rounding")
         assert (self.fit(5).consensus_codim, self.fit(5).method) == (5, "fit")
+        assert (self.LOW_VOTE.status, self.LOW_VOTE.consensus_codim, self.LOW_VOTE.method) == (
+            STATUS_CONSENSUS, 1, "rounding",
+        )
 
     @pytest.mark.parametrize("certified", [False, True])
     def test_fiber_check(self, monkeypatch, certified):
@@ -384,3 +396,14 @@ class TestRoundingVoteVerdicts:
         assert check.count_identity_ok
         assert check.codim_identity_ok is (False if certified else None)
         assert check.verdict == ("FAIL" if certified else "AMBIGUOUS")
+
+    @pytest.mark.parametrize("report,strict_ok", [("LOW_VOTE", None), ("fit", False), ("VOTE", True)])
+    def test_rational_singularity_probe(self, monkeypatch, report, strict_ok):
+        # at m = 1 the probe wants codim > 1: a vote of codim 1 is no
+        # violation, the same codimension by the exact fit is one, and a vote
+        # that agrees with the bound passes
+        rep = self.fit(1, 8) if report == "fit" else getattr(self, report)
+        monkeypatch.setattr(arcdet.determinantal, "extract_codim", lambda counts, ambient: rep)
+        probe = rational_singularity_probe(generic_2x2(), 1, primes=(2, 3))
+        assert probe.per_m == ((1, rep, strict_ok),)
+        assert probe.violations == ((1,) if strict_ok is False else ())

@@ -12,11 +12,13 @@ import pytest
 
 import arcdet.harness
 from arcdet.configurations import ConfigurationMatrix, patterson_matrix
+from arcdet.consensus import extract_codim
 from arcdet.determinantal import DeterminantalPair, minor_ideal_tower
 from arcdet.errors import ValidationError
-from arcdet.harness import _KINDS, _jsonable, Campaign, Task, builtin_corpus, run_campaign
+from arcdet.harness import _KINDS, _jsonable, _threshold_status, Campaign, Task, builtin_corpus, run_campaign
 from arcdet.io import campaign_from_doc
 from arcdet.jets import IdealGens
+from arcdet.lct import threshold_fold
 from arcdet.matrices import PolyMatrix
 from arcdet.poly import parse_poly
 
@@ -262,6 +264,25 @@ class TestExecution:
         assert rep.results[0].status == "PASS"
         assert rep.results[0].payload["lct_w"] == "2"
 
+    @pytest.mark.parametrize("certified", [False, True])
+    def test_lct_w_task_misses_fail_only_when_certified(self, monkeypatch, certified):
+        # every chart reads codim 3 at m = 1 and codim 5 at m = 2, so lct_w =
+        # 5/2 against the expected 2; the C4 vote's codim 5 cannot fail the
+        # task, the exact fit's can
+        def fit(codim, ambient):
+            return extract_codim([(q, q ** (ambient - codim), q**ambient) for q in (2, 3)], ambient)
+
+        m2 = fit(5, 15) if certified else extract_codim([(2, 8832, 2**18), (3, 1116342, 3**18)], 18)
+        chart = threshold_fold([fit(3, 10), m2], 5, 3)
+        assert chart.estimate == Fraction(5, 2) and chart.certified_upper_bound == certified
+        monkeypatch.setattr(arcdet.harness, "lct_w_estimate", lambda *args, **kwargs: ((chart, chart), chart.estimate))
+        c = Campaign.make(
+            "w-side", {"m": ("matrix", _generic())},
+            [Task.make("w", "lct_w", matrix="m", max_m=2, expect="2", tolerance="1/4")],
+        )
+        (result,) = run_campaign(c).results
+        assert (result.status, result.payload["lct_w"]) == ("FAIL" if certified else "AMBIGUOUS", "5/2")
+
     def test_budget_skip_and_monotonicity(self):
         c = Campaign.make(
             "strata-budget",
@@ -292,6 +313,25 @@ class TestExecution:
 def _generic():
     vs = ("x1", "x2", "x3", "x4")
     return PolyMatrix([[parse_poly("x1", vs), parse_poly("x2", vs)], [parse_poly("x3", vs), parse_poly("x4", vs)]])
+
+
+class TestThresholdStatus:
+    @pytest.mark.parametrize("value,certified,expect,tolerance,require,status", [
+        (None, True, None, 0, False, "AMBIGUOUS"),  # no value
+        (None, True, "1", 0, False, "AMBIGUOUS"),
+        (1, True, None, 0, False, "PASS"),  # no expected value: certified or nothing
+        (1, False, None, 0, False, "AMBIGUOUS"),
+        (1, True, "1", 0, False, "PASS"),  # a hit
+        (1, False, "1", 0, False, "PASS"),
+        (1, False, "1", 0, True, "AMBIGUOUS"),
+        (1, True, "1", 0, True, "PASS"),
+        (Fraction(5, 4), False, "1", "1/4", False, "PASS"),  # inside the tolerance
+        (Fraction(3, 2), True, "1", "1/4", False, "FAIL"),  # a miss fails a certified value only
+        (Fraction(3, 2), False, "1", "1/4", False, "AMBIGUOUS"),
+        (Fraction(3, 2), False, "1", "1/4", True, "AMBIGUOUS"),
+    ])
+    def test_one_rule(self, value, certified, expect, tolerance, require, status):
+        assert _threshold_status(value, certified, expect, tolerance, require) == status
 
 
 class TestDeterminism:

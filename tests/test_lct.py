@@ -7,12 +7,12 @@ import pytest
 
 import arcdet.counting
 import arcdet.lct
-from arcdet import QQ, IdealGens, MultiPoly, PolyMatrix, parse_poly
+from arcdet import IdealGens, parse_poly
 from arcdet.consensus import STATUS_AMBIGUOUS, STATUS_CONSENSUS, extract_codim
 from arcdet.counting import table_cache
-from arcdet.determinantal import VERDICT_AMBIGUOUS, VERDICT_FAIL, DeterminantalPair, corollary_check
+from arcdet.determinantal import VERDICT_AMBIGUOUS, VERDICT_FAIL, corollary_check
 from arcdet.errors import ValidationError
-from arcdet.lct import contact_codim_stratified, lct_estimate
+from arcdet.lct import contact_codim_stratified, lct_estimate, threshold_fold
 
 
 class TestMonomials:
@@ -107,10 +107,12 @@ class TestGuards:
         est = lct_estimate(gens, 3, primes=(2, 3))
         assert est.estimate == 1
 
-    def test_flat_fit_decides_what_the_buckets_cannot(self, monkeypatch):
-        # x1 + x3 + x1^3 is smooth, so codim Cont^1 = 1; over F_2 no jet with
-        # three unit coordinates meets it, and the coordinate buckets, read
-        # alone, give the interval (2, 2), which misses the codimension
+    SMOOTH = IdealGens((parse_poly("x1 + x3 + x1^3", ["x1", "x2", "x3"]),))
+
+    @staticmethod
+    def buckets_and_report(monkeypatch, gens, m):
+        """The report of the coordinate buckets alone, and the report that
+        ``contact_codim_stratified`` returns, of Cont^m at level m."""
         bucketed = []
         extract = arcdet.lct.extract_codim_bucketed
 
@@ -119,12 +121,33 @@ class TestGuards:
             return bucketed[-1]
 
         monkeypatch.setattr(arcdet.lct, "extract_codim_bucketed", recording)
-        gens = IdealGens((parse_poly("x1 + x3 + x1^3", ["x1", "x2", "x3"]),))
-        rep = contact_codim_stratified(gens, 1, (2, 3))
+        rep = contact_codim_stratified(gens, m, (2, 3))
         (merged,) = bucketed
+        return merged, rep
+
+    def test_flat_fit_decides_what_the_buckets_cannot(self, monkeypatch):
+        # x1 + x3 + x1^3 is smooth, so codim Cont^1 = 1; over F_2 no jet with
+        # three unit coordinates meets it, and the coordinate buckets, read
+        # alone, give the interval (2, 2), which misses the codimension
+        merged, rep = self.buckets_and_report(monkeypatch, self.SMOOTH, 1)
         assert (merged.status, merged.codim_interval) == (STATUS_AMBIGUOUS, (2, 2))
         assert (rep.status, rep.consensus_codim, rep.method) == (STATUS_CONSENSUS, 1, "fit")
         assert rep.counts == ((2, 16, 64), (3, 162, 729))  # q^4 (q - 1) jets
+
+    def test_an_ambiguous_level_withdraws_the_lower_bound(self, monkeypatch):
+        # the interval (2, 2) at m = 1 excludes the codimension 1, so its low
+        # end is no lower bound; Cont^2 counts q^6 (q - 1) of q^9 jets
+        merged, rep = self.buckets_and_report(monkeypatch, self.SMOOTH, 1)
+        deeper = extract_codim([(q, q**6 * (q - 1), q**9) for q in (2, 3)], 9)
+        assert (deeper.consensus_codim, deeper.method) == (2, "fit")
+        est = threshold_fold([merged, deeper], 3, 1)
+        assert (est.estimate, est.witness_m, est.certified_upper_bound) == (1, 2, False)
+        assert est.estimate_lower_bound is None
+        assert "estimate_lower_bound" not in est.payload()
+        # every level decided: the estimate is its own lower bound
+        est = threshold_fold([rep, deeper], 3, 1)
+        assert (est.estimate, est.estimate_lower_bound, est.certified_upper_bound) == (1, 1, True)
+        assert est.payload()["estimate_lower_bound"] == "1"
 
 
 class TestRoundingVote:
@@ -133,39 +156,29 @@ class TestRoundingVote:
     C4_CHART = extract_codim([(2, 8832, 2**18), (3, 1116342, 3**18)], 18)
 
     @staticmethod
-    def fit(codim):
-        return extract_codim([(q, q ** (9 - codim), q**9) for q in (2, 3)], 9)
+    def fit(codim, ambient):
+        return extract_codim([(q, q ** (ambient - codim), q**ambient) for q in (2, 3)], ambient)
 
-    def patch(self, monkeypatch, chart_m2):
-        # Z gives codim m (lct 1); each W chart gives codim 3 at m = 1 and
-        # ``chart_m2`` at m = 2, so lct_w = 5/2 against r = 3
-        def fake(gens, m, primes, budget=None, strata=None):
-            if strata != []:
-                return self.fit(m)
-            return chart_m2 if m == 2 else self.fit(3)
+    def chart(self, chart_m2):
+        # a W chart of diag(x1, x2, x3), in x1, x2, x3 and two y's, cut by
+        # three forms: codim 3 at m = 1 and ``chart_m2`` at m = 2
+        return threshold_fold([self.fit(3, 10), chart_m2], 5, 3)
 
-        monkeypatch.setattr(arcdet.lct, "contact_codim_stratified", fake)
-
-    @staticmethod
-    def diagonal_pair():
-        vs = ("x1", "x2", "x3")
-        x = [parse_poly(v, vs) for v in vs]
-        zero = MultiPoly.zero(QQ, vs)
-        return DeterminantalPair.from_matrix(PolyMatrix([[x[i] if i == j else zero for j in range(3)] for i in range(3)]))
-
-    def test_estimate_on_a_vote_is_not_certified(self, monkeypatch):
+    def test_estimate_on_a_vote_is_not_certified(self):
         rep = self.C4_CHART
         assert (rep.status, rep.consensus_codim, rep.method, rep.dims) == (STATUS_CONSENSUS, 5, "rounding", {2: 13, 3: 13})
-        self.patch(monkeypatch, rep)
-        est = lct_estimate(self.diagonal_pair().chart_gens(1), 2, strata=[])
+        est = self.chart(rep)
         assert (est.estimate, est.witness_m) == (Fraction(5, 2), 2)
         assert not est.certified_upper_bound
 
     @pytest.mark.parametrize("certified", [False, True])
-    def test_only_certified_estimates_fail_the_corollary(self, monkeypatch, certified):
-        # the same codim 5 by the exact fit is a certificate, and its 5/2 fails
-        self.patch(monkeypatch, self.fit(5) if certified else self.C4_CHART)
-        rep = corollary_check(self.diagonal_pair(), 2)
+    def test_only_certified_estimates_fail_the_corollary(self, certified):
+        # Z = V(x1 x2 x3) gives codim m (lct 1), and each W chart lct 5/2
+        # against r = 3; the same codim 5 by the exact fit is a certificate,
+        # and its 5/2 fails
+        lct_z = threshold_fold([self.fit(1, 6), self.fit(2, 9)], 3, 1)
+        charts = (self.chart(self.fit(5, 15) if certified else self.C4_CHART),) * 3
+        rep = corollary_check(lct_z, (charts, Fraction(5, 2)), 3)
         assert (rep.lct_z.estimate, rep.lct_w, rep.z_is_one, rep.biconditional_ok) == (1, Fraction(5, 2), True, False)
         assert rep.verdict == (VERDICT_FAIL if certified else VERDICT_AMBIGUOUS)
 

@@ -10,7 +10,11 @@ Tables are shared only through the one run-scoped cache: ``harness`` opens its
 scope, no other module names it, and the cone-only cache stays deleted.
 Codimensions have one extraction path as well: only ``consensus.extract_codim``
 calls the cyclotomic fit and the rounding vote, so a bucketed or flat count
-cannot drift from it.  The configuration oracles have one exact elimination,
+cannot drift from it.  Thresholds have one fold: only ``lct.threshold_fold``
+makes an ``LctEstimate`` and only ``determinantal.corollary_check`` a
+``CorollaryReport``, a verdict over two estimates that counts nothing, so a
+source of codimensions that counts no ideal reaches both through them.
+The configuration oracles have one exact elimination,
 ``configurations._echelon``: the helpers it and the rank-one certificate
 replaced stay deleted.
 """
@@ -38,6 +42,10 @@ DELETED_HELPERS = (
 )
 # the two steps of codimension extraction, run only by consensus.extract_codim
 EXTRACTION_STEPS = ("cyclotomic_fit", "_rounding_vote")
+# the threshold results and the one function that makes each
+THRESHOLD_RESULTS = ("LctEstimate", "CorollaryReport")
+# the modules whose functions count, extract or fold: the corollary calls none
+COUNTING_MODULES = ("counting.py", "contact.py", "consensus.py", "lct.py")
 
 
 def _modules_naming(package, names, owners=()):
@@ -130,3 +138,42 @@ def test_guard_sees_a_second_extraction_path(tmp_path):
         ("consensus.py", "extract_codim_bucketed", "cyclotomic_fit"),
         ("lct.py", "<module>", "_rounding_vote"),
     ]
+
+
+def _counting_calls_of_the_corollary(package):
+    """What ``corollary_check`` calls among the functions of the counting
+    modules and the estimators of ``determinantal.py``."""
+    counting = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and (
+                path.name in COUNTING_MODULES or node.name.endswith("_estimate")
+            ):
+                counting.add(node.name)
+    return sorted({callee for _, owner, callee in _callers(package, counting) if owner == "corollary_check"})
+
+
+def test_one_fold_and_one_verdict_make_the_threshold_results():
+    package = ROOT / "src" / "arcdet"
+    assert _callers(package, THRESHOLD_RESULTS) == [
+        ("determinantal.py", "corollary_check", "CorollaryReport"),
+        ("lct.py", "threshold_fold", "LctEstimate"),
+    ]
+    assert _counting_calls_of_the_corollary(package) == []
+
+
+def test_guard_sees_a_second_fold_and_a_counting_corollary(tmp_path):
+    (tmp_path / "lct.py").write_text(
+        "def threshold_fold(reports):\n    return LctEstimate(reports)\n\n\n"
+        "def lct_estimate(gens):\n    return LctEstimate(count(gens))\n"
+    )
+    (tmp_path / "determinantal.py").write_text(
+        "def lct_z_estimate(pair):\n    return lct_estimate(pair.z_gens)\n\n\n"
+        "def corollary_check(pair):\n    return CorollaryReport(lct_z_estimate(pair), threshold_fold([]))\n"
+    )
+    assert _callers(tmp_path, THRESHOLD_RESULTS) == [
+        ("determinantal.py", "corollary_check", "CorollaryReport"),
+        ("lct.py", "lct_estimate", "LctEstimate"),
+        ("lct.py", "threshold_fold", "LctEstimate"),
+    ]
+    assert _counting_calls_of_the_corollary(tmp_path) == ["lct_z_estimate", "threshold_fold"]
