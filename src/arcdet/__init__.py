@@ -23,7 +23,6 @@ from .determinantal import (
     CorollaryReport,
     DeterminantalPair,
     FiberCheck,
-    RationalSingularityProbe,
     StratumReport,
     cone_comparison_check,
     corollary_check,
@@ -31,7 +30,6 @@ from .determinantal import (
     fiber_count_check,
     lambda_profile,
     minor_ideal_tower,
-    rational_singularity_probe,
     stratum_counts,
     threshold_bound_backward,
     threshold_bound_forward,

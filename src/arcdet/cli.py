@@ -34,7 +34,8 @@ from .configurations import (
 )
 from .determinantal import lambda_profile
 from .errors import ArcdetError, BudgetExceeded, ValidationError
-from .harness import _KINDS, STATUS_FAIL, STATUS_SKIPPED, Campaign, Task, _is_prime, _jsonable, builtin_corpus, run_campaign
+from .fields import is_prime
+from .harness import _KINDS, STATUS_FAIL, STATUS_SKIPPED, Campaign, Task, _jsonable, builtin_corpus, run_campaign
 from .io import (
     INPUT_READERS,
     campaign_from_doc,
@@ -60,7 +61,7 @@ def _ints_arg(text):
 
 def _primes_arg(text):
     primes = _ints_arg(text)
-    if not all(map(_is_prime, primes)):
+    if not all(map(is_prime, primes)):
         raise argparse.ArgumentTypeError(f"--primes expects primes below 2^31, got {text!r}")
     return tuple(primes)
 

@@ -1,20 +1,21 @@
 """Contact-locus counting: affine jets, constraints, and projective jets.
 
-Every exact count here is a reduction of one ``contact_order_table`` keyed
-by (least coordinate order, contact order) -- or by the contact order
-alone when no coordinate constraint applies: keep the keys the constraint
-admits and test the contact order against m.
+Every exact count here is one masked sum over one ``contact_order_table``.
+An affine count keys its table by (least coordinate order, contact order),
+or by the contact order alone when no coordinate constraint applies, and
+keeps the keys the constraint admits whose contact order meets m.
 
 Projective jets of P^(r-1) are counted in the fiber over the base jet
 diag(t^lam), r = len(lam), in the homogeneous model: the tuples u in
 (F_q[t]/t^(N+1))^r with at least one unit coordinate, modulo the unit group
 of the truncated ring, which has q^N (q-1) elements.  The forms are the
 pullbacks t^lam_j u_j, of contact order min_j min(lam_j + ord u_j, N+1), so
-the cone count sums the keys of one coordinate-order table whose least
-coordinate order is 0 and whose contact order meets the condition.  Order
-conditions on the forms are unit-scaling invariant, so cone counts divide
-exactly by the unit-group size; a failed division means the condition was
-not scaling invariant and is reported as an internal error.
+the cone count is one masked sum over the table of the coordinate orders
+(ord u_1, ..., ord u_r): the rows with a unit coordinate whose contact order
+meets the condition.  Order conditions on the forms are unit-scaling
+invariant, so cone counts divide exactly by the unit-group size; a failed
+division means the condition was not scaling invariant and is reported as
+an internal error.
 """
 
 from __future__ import annotations
@@ -26,11 +27,9 @@ import numpy as np
 from .consensus import CountReport, extract_codim
 from .counting import contact_order_table
 from .errors import InternalInvariantError, ValidationError
-from .fields import GF
+from .fields import GF, is_prime
 from .jets import DEFAULT_BUDGET, IdealGens, jet_space_size
 from .poly import MultiPoly
-
-DEFAULT_PRIMES = (2, 3, 5)
 
 MODE_EXACT = "exact"
 MODE_AT_LEAST = "at_least"
@@ -52,7 +51,7 @@ class ContactQuery:
     mode: str
     m: int
     level: int
-    primes: tuple = DEFAULT_PRIMES
+    primes: tuple
     constraint: str | None = None
 
     def __post_init__(self):
@@ -67,22 +66,29 @@ class ContactQuery:
         primes = tuple(self.primes)
         if not primes:
             raise ValidationError("need at least one prime")
+        if not all(map(is_prime, primes)):
+            raise ValidationError(f"primes must be primes below 2^31, got {primes!r}")
         object.__setattr__(self, "primes", primes)
         if self.constraint is not None and self.constraint not in CONSTRAINT_REGISTRY:
             raise ValidationError(f"unknown constraint {self.constraint!r}")
 
 
-def _contact_hits(table, constraint, level, mode, m):
+def _meets(contact, query):
+    """Elementwise: the contact orders that meet the query's order condition."""
+    return contact == query.m if query.mode == MODE_EXACT else contact >= query.m
+
+
+def _contact_hits(table, query):
     """Reduce a table keyed by ([least coordinate order,] contact order) to
     the number of jets meeting the order condition plus the number of
     sentinel jets (forms vanishing to level), over the keys the constraint
     admits; the coordinate entry is present exactly when a constraint is."""
     keys, counts = table
     contact = keys[:, -1]
-    hit = contact == m if mode == MODE_EXACT else contact >= m
-    sentinel = contact == level + 1
-    if constraint:
-        admitted = CONSTRAINT_REGISTRY[constraint](keys[:, 0])
+    hit = _meets(contact, query)
+    sentinel = contact == query.level + 1
+    if query.constraint:
+        admitted = CONSTRAINT_REGISTRY[query.constraint](keys[:, 0])
         hit &= admitted
         sentinel &= admitted
     return int(counts[hit].sum()), int(counts[sentinel].sum())
@@ -107,7 +113,7 @@ def count_contact(gens: IdealGens, query: ContactQuery, budget=DEFAULT_BUDGET) -
     sentinels = []
     for q in query.primes:
         table = contact_order_table(coords + [polys], n, query.level, q, budget=budget)
-        hits, bot = _contact_hits(table, query.constraint, query.level, query.mode, query.m)
+        hits, bot = _contact_hits(table, query)
         counts.append((q, hits, jet_space_size(n, query.level, q)))
         sentinels.append((q, bot))
     report = extract_codim(counts, n * (query.level + 1))
@@ -119,30 +125,32 @@ def count_contact(gens: IdealGens, query: ContactQuery, budget=DEFAULT_BUDGET) -
 # --------------------------------------------------------------------------
 
 
-def _proj_cone_table(lam, level, q, budget):
-    """The cone over diag(t^lam) as a (keys, counts) table with one row per
-    row of the coordinate table, keyed by (least order of u_1..u_r, contact
-    order of the forms t^lam_j u_j); rows may repeat a key."""
-    r = len(lam)
+def _proj_cone_count(lam, query, q, budget):
+    """The number of cone jets u over diag(t^lam) at one prime: the rows of
+    the table of coordinate orders (ord u_1, ..., ord u_r) with a unit
+    coordinate whose forms t^lam_j u_j meet the order condition, as one
+    masked sum of exact counts."""
+    r, level = len(lam), query.level
     coords = MultiPoly.coordinates(GF(q), tuple(f"u{j}" for j in range(1, r + 1)))
     orders, counts = contact_order_table([[u] for u in coords], r, level, q, budget=budget)
     # ord(t^lam_j u_j) = min(lam_j + ord u_j, N+1), exactly, in F_q[t]/(t^(N+1))
     contact = np.minimum(orders + np.array(lam), level + 1).min(1)
-    return np.column_stack((orders.min(1), contact)), counts
+    cone = CONSTRAINT_REGISTRY["unit_coordinate"](orders.min(1)) & _meets(contact, query)
+    return int(counts[cone].sum())
 
 
 def proj_count_contact(lam, query: ContactQuery, budget=DEFAULT_BUDGET) -> CountReport:
     """Count projective jets of P^(r-1), r = len(lam), in the fiber over the
     base jet diag(t^lam): those whose forms t^lam_j u_j meet the order
-    condition.  Each prime's cone count, summed over the keys of
-    ``_proj_cone_table`` with a unit coordinate, is divided by the unit group
-    size q^N (q-1), and the quotient must be exact.
+    condition.  Each prime's cone count from ``_proj_cone_count`` is divided
+    by the unit group size q^N (q-1), and the quotient must be exact.
     """
-    r, level, m = len(lam), query.level, query.m
+    if not lam:
+        raise ValidationError("empty profile")
+    r, level = len(lam), query.level
     counts = []
     for q in query.primes:
-        table = _proj_cone_table(lam, level, q, budget)
-        cone = _contact_hits(table, "unit_coordinate", level, query.mode, m)[0]
+        cone = _proj_cone_count(lam, query, q, budget)
         unit_group = q**level * (q - 1)
         if cone % unit_group != 0:
             raise InternalInvariantError(

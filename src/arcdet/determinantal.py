@@ -303,9 +303,9 @@ def fiber_count_check(
         raise ValidationError("m must be at most the level")
     if lam.parts and lam.parts[-1] > level:
         raise ValidationError("profile exceeds the level")
+    formula = fiber_codim_formula(lam, m)
     query = ContactQuery(MODE_AT_LEAST, m, level, primes=tuple(primes))
     report = proj_count_contact(lam.parts, query, budget=budget)
-    formula = fiber_codim_formula(lam, m)
     if formula is None:
         verdict = VERDICT_PASS if report.status == STATUS_EXACT_EMPTY else VERDICT_FAIL
     elif report.status == STATUS_EXACT_EMPTY:
@@ -455,87 +455,6 @@ def corollary_check(lct_z: LctEstimate, lct_w, r: int) -> CorollaryReport:
         z_is_one=z_is_one, w_is_r=w_is_r, biconditional_ok=biconditional_ok,
         forward_bound_ok=forward_ok, backward_bound_ok=backward_ok, prop24_ok=prop24_ok,
         verdict=verdict,
-    )
-
-
-# --------------------------------------------------------------------------
-# rational-singularity necessary conditions (finite level only)
-# --------------------------------------------------------------------------
-
-RATIONAL_SING_DISCLAIMER = (
-    "finite-level necessary condition only: no violation found up to the "
-    "stated level certifies consistency, not rational singularities"
-)
-
-
-@dataclass(frozen=True)
-class RationalSingularityProbe:
-    max_m: int
-    per_m: tuple  # ((m, CountReport, strict_ok or None), ...)
-    violations: tuple
-    disclaimer: str
-
-    def payload(self):
-        return {
-            "max_m": self.max_m,
-            "per_m": [
-                {"m": m, "report": rep.payload(), "strict_ok": ok} for m, rep, ok in self.per_m
-            ],
-            "violations": list(self.violations),
-            "disclaimer": self.disclaimer,
-        }
-
-
-def rational_singularity_probe(
-    A: PolyMatrix,
-    M: int,
-    primes=LCT_DEFAULT_PRIMES,
-    budget=DEFAULT_BUDGET,
-) -> RationalSingularityProbe:
-    """Strict-inequality probe for a square pair's hypersurface Z_A.
-
-    A hypersurface with rational singularities satisfies a strict bound:
-    every cylinder of jets based inside the singular locus and with contact
-    order m along Z_A has codimension strictly above m.  Only the cylinders
-    Cont^m intersected with the singular-base condition are examined, up to
-    level M, which is a necessary condition, never a decision procedure.
-    """
-    if A.rows != A.cols:
-        raise ValidationError("probe expects a square matrix")
-    pair = DeterminantalPair.from_matrix(A)
-    n = len(A.variables)
-    f = pair.z_gens.nonzero()[0]
-    # the singular locus is V(f, grad f); the f-vanishing at the base point
-    # is already forced by contact order m >= 1, so only the partials remain
-    sing_gens = [f.partial(v) for v in A.variables]
-    sing_gens = [g for g in sing_gens if not g.is_zero()]
-    if not sing_gens:
-        raise ValidationError("determinant has identically vanishing gradient")
-
-    per_m = []
-    violations = []
-    for m in range(1, M + 1):
-        level = m
-        counts = []
-        for q in primes:
-            keys, cnts = contact_order_table([pair.z_gens.nonzero(), sing_gens], n, level, q, budget=budget)
-            # s >= 1: the base point lies inside the singular locus
-            hits = int(cnts[(keys[:, 0] == m) & (keys[:, 1] >= 1)].sum())
-            counts.append((q, hits, jet_space_size(n, level, q)))
-        rep = extract_codim(counts, n * (level + 1))
-        if rep.status == STATUS_EXACT_EMPTY:
-            strict_ok = True
-        elif rep.consensus_codim is not None:
-            # a vote may pass the probe but never violate it
-            strict_ok = True if rep.consensus_codim > m else (False if rep.certified else None)
-        else:
-            strict_ok = None
-        if strict_ok is False:
-            violations.append(m)
-        per_m.append((m, rep, strict_ok))
-    return RationalSingularityProbe(
-        max_m=M, per_m=tuple(per_m), violations=tuple(violations),
-        disclaimer=RATIONAL_SING_DISCLAIMER,
     )
 
 

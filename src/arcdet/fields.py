@@ -12,8 +12,10 @@ from fractions import Fraction
 _WORD_LIMIT = 2**31
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
+def is_prime(n) -> bool:
+    """True for an int, not a bool, that is a prime of at most 2^31.  The
+    limit is tested first: trial division of a huge value would not finish."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 2 or n > _WORD_LIMIT:
         return False
     if n % 2 == 0:
         return n == 2
@@ -81,10 +83,9 @@ class PrimeField:
     """The field F_q for a machine-word prime q.  Elements are ints in [0, q)."""
 
     def __init__(self, q: int):
-        # the limit first: trial division of a huge modulus would not finish
         if isinstance(q, int) and q > _WORD_LIMIT:
             raise ValueError(f"modulus {q} exceeds the machine-word limit 2^31")
-        if not isinstance(q, int) or not _is_prime(q):
+        if not is_prime(q):
             raise ValueError(f"modulus {q} is not prime")
         self.q = q
         self.char = q

@@ -53,7 +53,7 @@ from .determinantal import (
     stratum_counts,
 )
 from .errors import ArcdetError, BudgetExceeded, TruncationInsufficient, ValidationError
-from .fields import GF, QQ
+from .fields import GF, QQ, is_prime
 from .jets import DEFAULT_BUDGET, IdealGens
 from .lct import LCT_DEFAULT_PRIMES, lct_estimate
 from .matrices import PolyMatrix, SeriesMatrix, det_division_free, minors
@@ -161,16 +161,6 @@ def _is_int_list(value):
     return isinstance(value, (list, tuple)) and all(map(_is_int, value))
 
 
-def _is_prime(value):
-    if not _is_int(value):
-        return False
-    try:
-        GF(value)
-    except ValueError:
-        return False
-    return True
-
-
 def _is_profile(value):
     try:
         return len(LambdaProfile(tuple(value))) > 0
@@ -198,8 +188,8 @@ _INTEGER = (_is_int, "an integer")
 _INTEGERS = (_is_int_list, "a list of integers")
 _NATURAL = (_INTEGER, (lambda v: v >= 0, "at least 0"))
 _POSITIVE = (_INTEGER, (lambda v: v >= 1, "at least 1"))
-_PRIME = (_INTEGER, (_is_prime, "a prime below 2^31"))
-_PRIMES = (_INTEGERS, (lambda v: len(v) > 0 and all(map(_is_prime, v)), "a non-empty list of primes below 2^31"))
+_PRIME = (_INTEGER, (is_prime, "a prime below 2^31"))
+_PRIMES = (_INTEGERS, (lambda v: len(v) > 0 and all(map(is_prime, v)), "a non-empty list of primes below 2^31"))
 _PROFILE = (_INTEGERS, (_is_profile, "a non-empty nondecreasing list of non-negative integers"))
 _RATIONAL = ((_is_rational, "an integer or a rational string such as '1/2'"),)
 _FLAG = ((lambda v: isinstance(v, bool), "true or false"),)

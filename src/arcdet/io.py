@@ -13,8 +13,8 @@ from fractions import Fraction
 
 from .configurations import ConfigurationMatrix
 from .errors import ValidationError
-from .fields import GF, QQ
-from .harness import Campaign, Task, _is_int, _is_int_list, _is_prime, _is_rational
+from .fields import GF, QQ, is_prime
+from .harness import Campaign, Task, _is_int, _is_int_list, _is_rational
 from .jets import IdealGens, JetPoint
 from .matrices import PolyMatrix, SeriesMatrix
 from .poly import parse_poly
@@ -108,7 +108,7 @@ def _series_reader(doc, body, what):
     level = doc["level"]
     if not _is_int(level) or level < 0:
         raise ValidationError(f"'level' must be a non-negative integer, got {level!r}")
-    if "prime" in doc and not _is_prime(doc["prime"]):
+    if "prime" in doc and not is_prime(doc["prime"]):
         raise ValidationError(f"'prime' must be a prime below 2^31, got {doc['prime']!r}")
     field = GF(doc["prime"]) if "prime" in doc else QQ
 

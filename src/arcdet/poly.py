@@ -177,29 +177,6 @@ class MultiPoly:
             e >>= 1
         return result
 
-    def partial(self, name):
-        """Formal partial derivative with respect to one variable."""
-        idx = self.variables.index(name)
-        f = self.field
-        out = {}
-        for exps, c in self.terms.items():
-            e = exps[idx]
-            if e == 0:
-                continue
-            new = list(exps)
-            new[idx] = e - 1
-            new = tuple(new)
-            add = f.mul(c, f.of(e))
-            if new in out:
-                add = f.add(out[new], add)
-            if not f.is_zero(add):
-                out[new] = add
-            elif new in out:
-                del out[new]
-        p = MultiPoly(f, self.variables)
-        p.terms = out
-        return p
-
     def map_coeffs(self, target_field):
         """Reinterpret coefficients in another field (e.g. Q -> F_q)."""
         out = {}

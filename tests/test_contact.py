@@ -17,7 +17,7 @@ from arcdet.contact import (
     MODE_AT_LEAST,
     MODE_EXACT,
     ContactQuery,
-    _proj_cone_table,
+    _proj_cone_count,
     count_contact,
     proj_count_contact,
 )
@@ -38,15 +38,20 @@ def det_ideal():
 class TestQueries:
     def test_m_bounded_by_level(self):
         with pytest.raises(ValidationError):
-            ContactQuery(MODE_EXACT, 3, 2)
+            ContactQuery(MODE_EXACT, 3, 2, primes=(2, 3))
 
     def test_unknown_mode(self):
         with pytest.raises(ValidationError):
-            ContactQuery("sometimes", 1, 2)
+            ContactQuery("sometimes", 1, 2, primes=(2, 3))
 
     def test_unknown_constraint(self):
         with pytest.raises(ValidationError):
-            ContactQuery(MODE_EXACT, 1, 2, constraint="nope")
+            ContactQuery(MODE_EXACT, 1, 2, primes=(2, 3), constraint="nope")
+
+    def test_composite_prime(self):
+        # refused here, not later by the field constructor with a bare ValueError
+        with pytest.raises(ValidationError, match="primes must be primes below 2\\^31"):
+            ContactQuery(MODE_EXACT, 1, 2, primes=(4,))
 
 
 class TestCountContact:
@@ -109,6 +114,18 @@ class TestCountContact:
         rep = count_contact(gens, ContactQuery(MODE_AT_LEAST, 1, 1, primes=(3, 5), constraint="origin_based"))
         counts = dict((q, raw) for q, raw, _ in rep.counts)
         assert counts[3] == 3  # a0 = 0 forced by both the constraint and the condition
+
+    @pytest.mark.parametrize("mode", [MODE_EXACT, MODE_AT_LEAST])
+    @pytest.mark.parametrize("gens", [single_var_ideal(), det_ideal()], ids=["x1", "det"])
+    def test_constraints_partition_the_count(self, gens, mode):
+        # every jet has a unit coordinate or is based at the origin, never both
+        def tallies(constraint):
+            rep = count_contact(gens, ContactQuery(mode, 1, 1, primes=(2, 3), constraint=constraint))
+            return [(q, raw) for q, raw, _ in rep.counts], list(rep.sentinel_counts)
+
+        unit, origin, whole = tallies("unit_coordinate"), tallies("origin_based"), tallies(None)
+        for u, o, w in zip(unit, origin, whole):
+            assert [(q, a + b) for (q, a), (_, b) in zip(u, o)] == w
 
     def test_past_the_budget_is_refused(self):
         # x1^2 + x1*x2 is no monomial and defeats every exact split
@@ -196,17 +213,25 @@ class TestProjective:
                 rep = proj_count_contact(lam, ContactQuery(mode, m, level, primes=(q,)))
                 assert rep.counts == (oracle_proj_counts(lam, level, q, mode, m),), (lam, m)
 
+    def test_empty_profile_is_refused(self):
+        with pytest.raises(ValidationError, match="empty profile"):
+            proj_count_contact((), ContactQuery(MODE_AT_LEAST, 0, 1, primes=(2, 3)))
+
     @pytest.mark.parametrize("level", [3, 31])  # 2^8 coordinate jets, and 2^64: past int64
     def test_profile_table_counts_stay_exact(self, level):
         lam, per = (1, 5), ord_value_counts(level, 2)
-        expected = Counter()
+        cells = Counter()
         for orders in product(range(level + 2), repeat=2):
             contact = min(min(l + o, level + 1) for l, o in zip(lam, orders))
-            expected[min(orders), contact] += per[orders[0]] * per[orders[1]]
-        keys, counts = _proj_cone_table(lam, level, 2, DEFAULT_BUDGET)
-        cells = Counter()
-        for key, c in zip(map(tuple, keys.tolist()), counts.tolist()):
-            cells[key] += c
-        assert dict(cells) == dict(expected)
-        assert sum(counts.tolist()) == 2 ** (2 * (level + 1))
-        assert all(type(c) is int for c in cells.values())
+            cells[min(orders), contact] += per[orders[0]] * per[orders[1]]
+        for mode in (MODE_EXACT, MODE_AT_LEAST):
+            for m in (0, 1, 2, level):
+                query = ContactQuery(mode, m, level, primes=(2,))
+                expected = sum(
+                    c for (least, contact), c in cells.items()
+                    if least == 0 and (contact == m if mode == MODE_EXACT else contact >= m)
+                )
+                cone = _proj_cone_count(lam, query, 2, DEFAULT_BUDGET)
+                assert type(cone) is int and cone == expected, (mode, m)
+        # the oracle's cone at m = 0 holds every jet with a unit coordinate
+        assert sum(c for (least, _), c in cells.items() if least == 0) == 2 ** (2 * level + 2) - 2 ** (2 * level)

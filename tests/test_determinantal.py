@@ -27,7 +27,6 @@ from arcdet.determinantal import (
     lct_z_estimate,
     minor_ideal_tower,
     profiles_of_size,
-    rational_singularity_probe,
     stratum_counts,
     threshold_bound_backward,
     threshold_bound_forward,
@@ -213,6 +212,17 @@ class TestFiberFormula:
         with pytest.raises(ValidationError):
             fiber_codim_formula(LambdaProfile((0,), truncation_flag=True), 1)
 
+    @pytest.mark.parametrize(
+        "lam,match", [(LambdaProfile(()), "empty profile"), (LambdaProfile((0,), True), "fully determined")]
+    )
+    def test_check_refuses_before_counting(self, monkeypatch, lam, match):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the check counted a profile the formula refuses")
+
+        monkeypatch.setattr(arcdet.determinantal, "proj_count_contact", refuse)
+        with pytest.raises(ValidationError, match=match):
+            fiber_count_check(lam, 0, 1)
+
     @pytest.mark.parametrize("lam,m", [((0, 2), 1), ((0, 2), 3), ((1, 1), 1)])
     def test_counted_checks(self, lam, m):
         fc = fiber_count_check(LambdaProfile(lam), m, 3, primes=(2, 3))
@@ -281,18 +291,6 @@ class TestCorollary:
                 assert rep.lct_w >= threshold_bound_forward(c, rep.r) - eps
 
 
-class TestRationalSingularityProbe:
-    def test_generic_no_violation(self):
-        probe = rational_singularity_probe(generic_2x2(), 3, primes=(2, 3))
-        assert probe.violations == ()
-        assert "necessary condition" in probe.disclaimer
-
-    def test_non_reduced_violates(self):
-        # det = x1^2 is non-reduced; the strict bound fails at m = 2
-        probe = rational_singularity_probe(diag_x1_x1(), 3, primes=(2, 3))
-        assert 2 in probe.violations
-
-
 class TestCone:
     def test_single_entry_matrix(self):
         A = PolyMatrix([[parse_poly("x1", ("x1",))]])
@@ -358,15 +356,9 @@ class TestRoundingVoteVerdicts:
     def fit(codim, ambient=18):
         return extract_codim([(q, q ** (ambient - codim), q**ambient) for q in (2, 3)], ambient)
 
-    # a codim-1 vote in the 8-dimensional jet space of the generic 2x2 at level 1
-    LOW_VOTE = extract_codim([(2, 134, 2**8), (3, 1531, 3**8)], 8)
-
     def test_the_reports(self):
         assert (self.VOTE.status, self.VOTE.consensus_codim, self.VOTE.method) == (STATUS_CONSENSUS, 5, "rounding")
         assert (self.fit(5).consensus_codim, self.fit(5).method) == (5, "fit")
-        assert (self.LOW_VOTE.status, self.LOW_VOTE.consensus_codim, self.LOW_VOTE.method) == (
-            STATUS_CONSENSUS, 1, "rounding",
-        )
 
     @pytest.mark.parametrize("certified", [False, True])
     def test_fiber_check(self, monkeypatch, certified):
@@ -396,14 +388,3 @@ class TestRoundingVoteVerdicts:
         assert check.count_identity_ok
         assert check.codim_identity_ok is (False if certified else None)
         assert check.verdict == ("FAIL" if certified else "AMBIGUOUS")
-
-    @pytest.mark.parametrize("report,strict_ok", [("LOW_VOTE", None), ("fit", False), ("VOTE", True)])
-    def test_rational_singularity_probe(self, monkeypatch, report, strict_ok):
-        # at m = 1 the probe wants codim > 1: a vote of codim 1 is no
-        # violation, the same codimension by the exact fit is one, and a vote
-        # that agrees with the bound passes
-        rep = self.fit(1, 8) if report == "fit" else getattr(self, report)
-        monkeypatch.setattr(arcdet.determinantal, "extract_codim", lambda counts, ambient: rep)
-        probe = rational_singularity_probe(generic_2x2(), 1, primes=(2, 3))
-        assert probe.per_m == ((1, rep, strict_ok),)
-        assert probe.violations == ((1,) if strict_ok is False else ())

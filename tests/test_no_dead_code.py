@@ -10,9 +10,15 @@ by name only: two definitions of the same name vouch for each other only
 through real uses, never through their ``def`` lines.  Dunder methods are
 called by the interpreter and are not checked.  ``__init__.py`` imports
 names to re-export them, so its imports are not checked.
+
+The README names nothing that is gone: every inline code span of it that
+is an identifier, a dotted path or a call, and whose name (the last
+component, or the callee) has an inner underscore, occurs in the package
+as a name token of code or as a word of a string.
 """
 
 import ast
+import re
 import tokenize
 from collections import defaultdict
 from pathlib import Path
@@ -157,3 +163,44 @@ def test_guard_sees_an_unused_import(tmp_path):
         "    return prod(xs) + np.size(xs)\n"
     )
     assert [entry.split()[-1] for entry in _unused_imports(tmp_path)] == ["os", "sqrt", "dumps"]
+
+
+_STRINGS = {tokenize.STRING, getattr(tokenize, "FSTRING_MIDDLE", tokenize.STRING)}
+_SPAN_NAME = re.compile(r"(?:[A-Za-z_]\w*\.)*([A-Za-z_]\w*)(?:\(.*\))?")
+
+
+def _stale_readme_names(root):
+    """README code-span names with an inner underscore that the package
+    neither uses as a name token nor holds as a word of a string."""
+    text = re.sub(r"^```.*?^```", "", (root / "README.md").read_text(encoding="utf-8"), flags=re.S | re.M)
+    spans = (_SPAN_NAME.fullmatch(span) for span in re.findall(r"`([^`\n]+)`", text))
+    names = sorted({m.group(1) for m in spans if m and "_" in m.group(1).strip("_")})
+    words = set()
+    for path in sorted((root / "src" / "arcdet").rglob("*.py")):
+        with path.open("rb") as fh:
+            for token in tokenize.tokenize(fh.readline):
+                if token.type == tokenize.NAME:
+                    words.add(token.string)
+                elif token.type in _STRINGS:
+                    words.update(re.findall(r"\w+", token.string))
+    return [name for name in names if name not in words]
+
+
+def test_readme_names_exist():
+    assert _stale_readme_names(ROOT) == []
+
+
+def test_guard_sees_a_stale_readme_name(tmp_path):
+    # spans of code and string words pass; a comment, a fenced block and a
+    # file name vouch for nothing, and a name without an inner underscore is not read
+    pkg = tmp_path / "src" / "arcdet"
+    pkg.mkdir(parents=True)
+    (pkg / "mod.py").write_text(
+        "def used_name():\n    return 'task_kind'  # noted_name\n"
+    )
+    (tmp_path / "README.md").write_text(
+        "Call `used_name()` or `mod.used_name` for a `task_kind`; `mod.gone_name(x, y)`,\n"
+        "`noted_name`, `plain`, `_private_`, `tests/test_mod.py` and `lct --max-m M`.\n\n"
+        "```\nfenced_name `fenced_name`\n```\n"
+    )
+    assert _stale_readme_names(tmp_path) == ["gone_name", "noted_name"]

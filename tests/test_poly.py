@@ -5,6 +5,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from arcdet import GF, QQ, MultiPoly, ParseError, parse_poly, poly_to_string
+from arcdet.fields import is_prime
 
 
 class TestParser:
@@ -125,13 +126,16 @@ class TestPrimeFieldCoefficients:
         with pytest.raises(ValueError, match="exceeds the machine-word limit"):
             GF((2**61 - 1) ** 2)
 
+    @pytest.mark.parametrize(
+        "value,prime",
+        [(2, True), (2**31 - 1, True), (1, False), (4, False), (True, False), (2.0, False), ((2**61 - 1) ** 2, False)],
+    )
+    def test_one_prime_predicate(self, value, prime):
+        # fields, campaign and document checks and the command line all read it
+        assert is_prime(value) is prime
+
 
 class TestCalculus:
-    def test_partial(self):
-        p = parse_poly("x1^2*x2 + x2", ["x1", "x2"])
-        assert p.partial("x1") == parse_poly("2*x1*x2", ["x1", "x2"])
-        assert p.partial("x2") == parse_poly("x1^2 + 1", ["x1", "x2"])
-
     def test_homogeneous(self):
         assert parse_poly("x1 + x2", ["x1", "x2"]).is_homogeneous(1)
         assert not parse_poly("x1 + 1", ["x1", "x2"]).is_homogeneous()
