@@ -32,10 +32,10 @@ from .configurations import (
     matroid_from_columns,
     patterson_matrix,
 )
-from .determinantal import lambda_profile
+from .determinantal import VERDICT_FAIL, lambda_profile
 from .errors import ArcdetError, BudgetExceeded, ValidationError
 from .fields import is_prime
-from .harness import _KINDS, STATUS_FAIL, STATUS_SKIPPED, Campaign, Task, _jsonable, builtin_corpus, run_campaign
+from .harness import _KINDS, STATUS_SKIPPED, Campaign, Task, _jsonable, builtin_corpus, run_campaign
 from .io import (
     INPUT_READERS,
     campaign_from_doc,
@@ -124,7 +124,7 @@ def _cmd_task(args):
     if result.status == STATUS_SKIPPED:
         raise BudgetExceeded(result.payload["reason"])
     _emit(result.payload, args)
-    return 1 if result.status == STATUS_FAIL else 0
+    return 1 if result.status == VERDICT_FAIL else 0
 
 
 def _cmd_count(args):

@@ -102,18 +102,20 @@ def count_contact(gens: IdealGens, query: ContactQuery, budget=DEFAULT_BUDGET) -
     Sentinel jets (pullbacks vanishing to the level) satisfy every
     "at least m" condition with m <= level, and never an exact one.  A prime
     whose table no exact strategy fits within the budget raises
-    ``BudgetExceeded``.
+    ``BudgetExceeded``.  Every plan grows with q, so the largest prime is
+    counted first: a refusal then comes before any count.
     """
     polys = list(gens.nonzero())
     if not polys:
         raise ValidationError("cannot count contact along the zero ideal")
     n = len(gens.variables)
     coords = [MultiPoly.coordinates(gens.field, gens.variables)] if query.constraint else []
+    tables = {q: contact_order_table(coords + [polys], n, query.level, q, budget=budget)
+              for q in sorted(query.primes, reverse=True)}
     counts = []
     sentinels = []
     for q in query.primes:
-        table = contact_order_table(coords + [polys], n, query.level, q, budget=budget)
-        hits, bot = _contact_hits(table, query)
+        hits, bot = _contact_hits(tables[q], query)
         counts.append((q, hits, jet_space_size(n, query.level, q)))
         sentinels.append((q, bot))
     report = extract_codim(counts, n * (query.level + 1))

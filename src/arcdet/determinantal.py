@@ -17,12 +17,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .consensus import (
-    STATUS_AMBIGUOUS,
-    STATUS_EXACT_EMPTY,
-    CountReport,
-    extract_codim,
-)
+from .consensus import STATUS_EXACT_EMPTY, CountReport, extract_codim
 from .contact import MODE_AT_LEAST, ContactQuery, proj_count_contact
 from .counting import contact_order_table
 from .errors import BudgetExceeded, InternalInvariantError, ValidationError
@@ -36,6 +31,16 @@ from .jets import JetPoint, ord_along_ideal
 VERDICT_PASS = "PASS"
 VERDICT_FAIL = "FAIL"
 VERDICT_AMBIGUOUS = "AMBIGUOUS"
+
+
+def verdict(holds, certain):
+    """The status of every check and task: PASS when the check holds, FAIL
+    when it fails and what refutes it is certain (exact counts, or a
+    certified report or estimate), and AMBIGUOUS otherwise.  So a rounding
+    vote or an undecided report may pass a check but never fail it."""
+    if holds:
+        return VERDICT_PASS
+    return VERDICT_FAIL if certain else VERDICT_AMBIGUOUS
 
 
 # --------------------------------------------------------------------------
@@ -296,9 +301,10 @@ def fiber_count_check(
 ) -> FiberCheck:
     """Count the projective fiber over diag(t^lambda) and compare with the formula.
 
-    A codimension that only a rounding vote decided passes when it agrees
-    with the formula and is AMBIGUOUS when it does not: a vote is evidence,
-    not a certificate."""
+    The ``verdict``: the check holds when the fiber is empty where the
+    formula says so and has the formula's codimension otherwise; an exact
+    emptiness that differs from the formula's, or a certified report, makes
+    a miss FAIL, and a miss on a vote or an undecided report is AMBIGUOUS."""
     if m > level:
         raise ValidationError("m must be at most the level")
     if lam.parts and lam.parts[-1] > level:
@@ -306,19 +312,10 @@ def fiber_count_check(
     formula = fiber_codim_formula(lam, m)
     query = ContactQuery(MODE_AT_LEAST, m, level, primes=tuple(primes))
     report = proj_count_contact(lam.parts, query, budget=budget)
-    if formula is None:
-        verdict = VERDICT_PASS if report.status == STATUS_EXACT_EMPTY else VERDICT_FAIL
-    elif report.status == STATUS_EXACT_EMPTY:
-        verdict = VERDICT_FAIL
-    elif report.consensus_codim == formula:
-        verdict = VERDICT_PASS
-    elif report.certified:
-        verdict = VERDICT_FAIL
-    else:
-        verdict = VERDICT_AMBIGUOUS  # undecided, or a vote, which is no certificate
-    return FiberCheck(
-        lam=lam.parts, m=m, level=level, formula_codim=formula, report=report, verdict=verdict
-    )
+    empty = report.status == STATUS_EXACT_EMPTY
+    holds = empty if formula is None else report.consensus_codim == formula
+    status = verdict(holds, report.certified or empty != (formula is None))
+    return FiberCheck(lam=lam.parts, m=m, level=level, formula_codim=formula, report=report, verdict=status)
 
 
 # --------------------------------------------------------------------------
@@ -406,10 +403,10 @@ def corollary_check(lct_z: LctEstimate, lct_w, r: int) -> CorollaryReport:
 
     ``lct_z`` is the Z estimate and ``lct_w`` the (charts, minimum) pair of
     ``lct_w_estimate``, both up to one level M, read from ``lct_z``.  The
-    verdicts allow the rounding guard 1/(2M) since estimates are minima of
-    fractions with denominator at most M.  A failed check is a FAIL only
-    when every estimate is certified, and AMBIGUOUS otherwise; an internal
-    error of the Z estimate is always a FAIL.
+    checks allow the rounding guard 1/(2M) since estimates are minima of
+    fractions with denominator at most M.  The ``verdict`` is certain, and
+    can hold, only when every estimate is certified: then a failed check or
+    an internal error of the Z estimate is a FAIL, and otherwise AMBIGUOUS.
     """
     charts, lct_w = lct_w
     M = len(lct_z.per_m)
@@ -420,41 +417,21 @@ def corollary_check(lct_z: LctEstimate, lct_w, r: int) -> CorollaryReport:
     prop24_ok = all(c.estimate is None or c.estimate <= r + tol for c in charts)
 
     z = lct_z.estimate
-    if z is None or lct_w is None:
-        return CorollaryReport(
-            lct_z=lct_z, lct_w_charts=charts, lct_w=lct_w, r=r, tolerance=tol,
-            z_is_one=False, w_is_r=False, biconditional_ok=False,
-            forward_bound_ok=False, backward_bound_ok=False, prop24_ok=prop24_ok,
-            verdict=VERDICT_AMBIGUOUS,
-        )
+    known = z is not None and lct_w is not None
+    z_is_one = known and abs(z - 1) <= tol
+    w_is_r = known and abs(lct_w - r) <= tol
+    biconditional_ok = known and z_is_one == w_is_r
+    # a bound whose premise c > 0 or c' > 0 fails holds vacuously
+    forward_ok = known and (z - tol <= 0 or lct_w >= threshold_bound_forward(z - tol, r) - tol)
+    backward_ok = known and (lct_w <= r - 1 or z >= threshold_bound_backward(lct_w - (r - 1), r) - tol)
 
-    z_is_one = abs(z - 1) <= tol
-    w_is_r = abs(lct_w - r) <= tol
-    biconditional_ok = z_is_one == w_is_r
-
-    c = z - tol
-    forward_ok = True
-    if c > 0:
-        forward_ok = lct_w >= threshold_bound_forward(c, r) - tol
-    c_prime = lct_w - (r - 1)
-    backward_ok = True
-    if c_prime > 0:
-        backward_ok = z >= threshold_bound_backward(c_prime, r) - tol
-
-    # only certified estimates can refute the theorem; an internal error always fails
-    decided = lct_z.certified_upper_bound and all(c.certified_upper_bound for c in charts)
-    ok = biconditional_ok and forward_ok and backward_ok and prop24_ok
-    if lct_z.internal_errors:
-        verdict = VERDICT_FAIL
-    elif decided:
-        verdict = VERDICT_PASS if ok else VERDICT_FAIL
-    else:
-        verdict = VERDICT_AMBIGUOUS
+    certain = lct_z.certified_upper_bound and all(c.certified_upper_bound for c in charts)
+    holds = certain and biconditional_ok and forward_ok and backward_ok and prop24_ok and not lct_z.internal_errors
     return CorollaryReport(
         lct_z=lct_z, lct_w_charts=charts, lct_w=lct_w, r=r, tolerance=tol,
         z_is_one=z_is_one, w_is_r=w_is_r, biconditional_ok=biconditional_ok,
         forward_bound_ok=forward_ok, backward_bound_ok=backward_ok, prop24_ok=prop24_ok,
-        verdict=verdict,
+        verdict=verdict(holds, certain),
     )
 
 
@@ -545,8 +522,11 @@ def cone_comparison_check(
     are enumerated independently at levels N and N-p) and the codimension
     relation codim(LHS) = p*r + codim(RHS).  A side the engine cannot count
     exactly within the budget falls back to the closed form available for
-    generic-coordinate matrices.  A codimension relation that fails only on
-    a rounding vote is undecided, so the verdict is AMBIGUOUS, not FAIL.
+    generic-coordinate matrices.  The ``verdict`` holds when the identity
+    does and both sides are empty or meet the relation.  A failed identity
+    is certain, and so is a relation refuted by two certified reports or by
+    one empty side; a miss on a vote or an undecided report is AMBIGUOUS
+    (``codim_identity_ok`` None).
     """
     if not (0 <= p <= m <= level):
         raise ValidationError("need 0 <= p <= m <= level")
@@ -586,25 +566,11 @@ def cone_comparison_check(
     lhs_rep = extract_codim(lhs_counts, (n + r) * (level + 1))
     rhs_rep = extract_codim(rhs_counts, (n + r) * (level - p + 1))
 
-    if lhs_rep.status == STATUS_EXACT_EMPTY and rhs_rep.status == STATUS_EXACT_EMPTY:
-        codim_ok = True
-    elif lhs_rep.consensus_codim is not None and rhs_rep.consensus_codim is not None:
-        codim_ok = lhs_rep.consensus_codim == p * r + rhs_rep.consensus_codim
-        if not codim_ok and not (lhs_rep.certified and rhs_rep.certified):
-            codim_ok = None  # a vote against the relation is no certificate
-    elif lhs_rep.status == STATUS_AMBIGUOUS or rhs_rep.status == STATUS_AMBIGUOUS:
-        codim_ok = None
-    else:
-        codim_ok = False
-
-    if not identity_ok:
-        verdict = VERDICT_FAIL
-    elif codim_ok is None:
-        verdict = VERDICT_AMBIGUOUS
-    elif codim_ok:
-        verdict = VERDICT_PASS
-    else:
-        verdict = VERDICT_FAIL
+    lhs_empty, rhs_empty = lhs_rep.status == STATUS_EXACT_EMPTY, rhs_rep.status == STATUS_EXACT_EMPTY
+    codims = (lhs_rep.consensus_codim, rhs_rep.consensus_codim)
+    related = (lhs_empty and rhs_empty) or (None not in codims and codims[0] == p * r + codims[1])
+    certain = (lhs_rep.certified and rhs_rep.certified) or lhs_empty != rhs_empty
+    codim_ok = related if related or certain else None
 
     return ConeCheck(
         m=m,
@@ -615,5 +581,5 @@ def cone_comparison_check(
         count_identity_ok=identity_ok if identity_checked else None,
         codim_identity_ok=codim_ok,
         method=";".join(sorted(f"{a}/{b}" for a, b in methods)),
-        verdict=verdict,
+        verdict=verdict(identity_ok and related, not identity_ok or certain),
     )

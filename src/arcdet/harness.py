@@ -42,6 +42,8 @@ from .configurations import (
 )
 from .counting import table_cache
 from .determinantal import (
+    VERDICT_AMBIGUOUS,
+    VERDICT_FAIL,
     VERDICT_PASS,
     DeterminantalPair,
     cone_comparison_check,
@@ -51,19 +53,17 @@ from .determinantal import (
     lct_z_estimate,
     profiles_of_size,
     stratum_counts,
+    verdict,
 )
-from .errors import ArcdetError, BudgetExceeded, TruncationInsufficient, ValidationError
+from .errors import ArcdetError, BudgetExceeded, InternalInvariantError, TruncationInsufficient, ValidationError
 from .fields import GF, QQ, is_prime
 from .jets import DEFAULT_BUDGET, IdealGens
 from .lct import LCT_DEFAULT_PRIMES, lct_estimate
-from .matrices import PolyMatrix, SeriesMatrix, det_division_free, minors
+from .matrices import PolyMatrix, SeriesMatrix, minors
 from .poly import MultiPoly, parse_poly
 from .series import TruncSeries
 from .snf import LambdaProfile, reconstruct, smith_normal_form
 
-STATUS_PASS = "PASS"
-STATUS_FAIL = "FAIL"
-STATUS_AMBIGUOUS = "AMBIGUOUS"
 STATUS_SKIPPED = "SKIPPED_BUDGET"
 
 
@@ -230,13 +230,14 @@ def _resolve(spec, name, value, inputs, pairs):
 
 # --------------------------------------------------------------------------
 # task runners: runner(params, budget, seed) -> (status, payload); a
-# "matrix" parameter holds the input's DeterminantalPair
+# "matrix" parameter holds the input's DeterminantalPair, and every status
+# is a ``verdict``: an identity's is always certain
 # --------------------------------------------------------------------------
 
 
 def _run_stratification(p, budget, seed):
     rep = stratum_counts(p["matrix"], p["m"], p["level"], p["prime"], budget=budget)
-    return (STATUS_PASS if rep.partition_ok else STATUS_FAIL), rep.payload()
+    return verdict(rep.partition_ok, True), rep.payload()
 
 
 def _run_fiber(p, budget, seed):
@@ -247,18 +248,14 @@ def _run_fiber(p, budget, seed):
 
 
 def _threshold_status(value, certified, expect, tolerance, require_certified=False):
-    """The status of one threshold: no value is AMBIGUOUS; a value that misses
-    ``expect`` by more than ``tolerance`` FAILs only when it is certified (a
-    vote may pass a check but never fail it); without ``expect`` a value
-    PASSes only when it is certified, and with it ``require_certified``
-    asks the same of a value that meets it."""
-    if value is None:
-        return STATUS_AMBIGUOUS
-    if expect is not None and abs(Fraction(value) - Fraction(expect)) > Fraction(tolerance):
-        return STATUS_FAIL if certified else STATUS_AMBIGUOUS
-    if certified or (expect is not None and not require_certified):
-        return STATUS_PASS
-    return STATUS_AMBIGUOUS
+    """The ``verdict`` of one threshold.  It holds when the value is known,
+    lies within ``tolerance`` of ``expect`` if that is given, and is
+    certified; a value that meets a given ``expect`` on any evidence holds
+    too, unless ``require_certified``.  Only a certified value can refute
+    it, so no value, or a miss on a vote, is AMBIGUOUS."""
+    meets = value is not None and (expect is None or abs(Fraction(value) - Fraction(expect)) <= Fraction(tolerance))
+    holds = meets and (certified or (expect is not None and not require_certified))
+    return verdict(holds, value is not None and certified)
 
 
 def _run_lct_z(p, budget, seed):
@@ -267,10 +264,10 @@ def _run_lct_z(p, budget, seed):
         est = lct_z_estimate(p["matrix"], p["max_m"], primes=primes, budget=budget)
     else:
         est = lct_estimate(p["ideal"], p["max_m"], primes=primes, budget=budget)
-    status = _threshold_status(
-        est.estimate, est.certified_upper_bound, p["expect"], p["tolerance"], p["require_consensus"]
-    )
-    return (STATUS_FAIL if est.internal_errors else status), est.payload()
+    certified = est.certified_upper_bound
+    status = _threshold_status(est.estimate, certified, p["expect"], p["tolerance"], p["require_consensus"])
+    # a broken guard refutes a certified estimate only; its message is in the payload
+    return verdict(status == VERDICT_PASS and not est.internal_errors, certified), est.payload()
 
 
 def _run_lct_w(p, budget, seed):
@@ -281,15 +278,14 @@ def _run_lct_w(p, budget, seed):
 
 
 def _expected_thresholds(p, corollary):
-    """The corollary's verdict, unless a threshold misses its expected value
-    by more than 1/(2 max_m): a PASS rests on certified estimates only, so
-    the miss turns it FAIL."""
-    if corollary.verdict != VERDICT_PASS:
-        return corollary.verdict
+    """The ``verdict`` of a corollary with its expected thresholds: it holds
+    when the corollary PASSes and each threshold is within 1/(2 max_m) of
+    its expected value.  A corollary PASSes on certified estimates only, so
+    a miss then FAILs."""
     tol = Fraction(1, 2 * p["max_m"])
     sides = ((corollary.lct_z.estimate, p["expect_z"]), (corollary.lct_w, p["expect_w"]))
-    statuses = [_threshold_status(value, True, expect, tol) for value, expect in sides]
-    return next((status for status in statuses if status != STATUS_PASS), corollary.verdict)
+    met = all(_threshold_status(value, True, expect, tol) == VERDICT_PASS for value, expect in sides)
+    return verdict(corollary.verdict == VERDICT_PASS and met, corollary.verdict != VERDICT_AMBIGUOUS)
 
 
 def _run_corollary(p, budget, seed):
@@ -310,16 +306,16 @@ def _run_cone(p, budget, seed):
 def _run_configuration(p, budget, seed):
     rep = configuration_lct_campaign(p["configuration"], p["max_m"], primes=tuple(p["primes"]), budget=budget)
     status = _expected_thresholds(p, rep.corollary)
-    if status == VERDICT_PASS and p["expect_connected"] is not None and rep.connected != p["expect_connected"]:
-        status = STATUS_FAIL
-    return status, rep.payload()
+    # connectivity is exact, so a mismatch refutes the task whatever its thresholds read
+    connected = p["expect_connected"] in (None, rep.connected)
+    return verdict(status == VERDICT_PASS and connected, status == VERDICT_FAIL or not connected), rep.payload()
 
 
 def _run_one_generic(p, budget, seed):
     if p["mode"] == "grid":
         return _run_one_generic_grid(p["r"], p["n_max"])
     payload = cross_oracle_payload(p["configuration"])
-    return (STATUS_PASS if payload["agree"] else STATUS_FAIL), payload
+    return verdict(payload["agree"], True), payload
 
 
 def _full_rank_sign_matrices(r, n):
@@ -346,7 +342,7 @@ def _run_one_generic_grid(r, n_max):
             if had != lin.one_generic:
                 disagreements.append({"d": [[int(v) for v in row] for row in cfg.d]})
     payload = {"checked": checked, "disagreements": disagreements}
-    return (STATUS_PASS if not disagreements else STATUS_FAIL), payload
+    return verdict(not disagreements, True), payload
 
 
 def _random_series_matrix(rng, rows, cols, level, q):
@@ -374,11 +370,13 @@ def _run_snf_roundtrip(p, budget, seed):
                 failures.append("too many undetermined profiles")
                 break
             continue
+        except InternalInvariantError as exc:  # a bug, such as a transform that is not invertible
+            failures.append(f"sample {done}: {exc}")
+            done += 1
+            continue
         diag = SeriesMatrix.diagonal_powers(GF(q), level, shape[0], res.lam.parts)
         if reconstruct(res, M) != diag:
             failures.append(f"reconstruction failed for sample {done}")
-        if det_division_free(res.p_transform).ord() != 0 or det_division_free(res.q_transform).ord() != 0:
-            failures.append(f"transform not unimodular for sample {done}")
         # minor-order oracle
         sigma_prev = 0
         for ell in range(1, shape[1] + 1):
@@ -390,7 +388,7 @@ def _run_snf_roundtrip(p, budget, seed):
             sigma_prev = expect
         done += 1
     payload = {"count": done, "skipped_undetermined": skipped, "failures": failures}
-    return (STATUS_PASS if not failures else STATUS_FAIL), payload
+    return verdict(not failures, True), payload
 
 
 def _run_cauchy_binet(p, budget, seed):
@@ -412,7 +410,7 @@ def _run_cauchy_binet(p, budget, seed):
             failures.append(f"sample {done}: {exc}")
         done += 1
     payload = {"count": done, "failures": failures}
-    return (STATUS_PASS if not failures else STATUS_FAIL), payload
+    return verdict(not failures, True), payload
 
 
 # --------------------------------------------------------------------------
@@ -448,6 +446,19 @@ def _lct_z_problem(p):
         return "missing input reference 'ideal'"
     if p["ideal"] is not None and p["matrix"] is not None:
         return "takes one of 'ideal' and 'matrix', not both"
+    return _two_primes(p)
+
+
+def _configuration_problem(p):
+    """A prime that divides a denominator of the configuration, whose
+    Patterson matrix the counts reduce mod each prime, or fewer than two
+    primes.  An input reference that did not resolve is reported as such."""
+    cfg = p.get("configuration")
+    entries = [v for row in cfg.d for v in row] if isinstance(cfg, ConfigurationMatrix) else []
+    for q in p["primes"]:
+        entry = next((v for v in entries if v.denominator % q == 0), None)
+        if entry is not None:
+            return f"the configuration has the entry {entry}, whose denominator the prime {q} divides"
     return _two_primes(p)
 
 
@@ -488,7 +499,7 @@ _KINDS = {
     ),
     "configuration": _Kind(
         _run_configuration, False, {"configuration": _INPUT, "max_m": _POSITIVE},
-        {**_FIT, "expect_connected": (_FLAG, None), **_EXPECT_ZW}, _two_primes,
+        {**_FIT, "expect_connected": (_FLAG, None), **_EXPECT_ZW}, _configuration_problem,
     ),
     "one_generic": _Kind(
         _run_one_generic, True, {},
@@ -566,7 +577,7 @@ def run_campaign(campaign: Campaign, seed=0, budget=DEFAULT_BUDGET) -> Report:
                 status, payload = kind.run(params, budget, f"{seed}:{task.name}")
             except BudgetExceeded as exc:
                 status, payload = STATUS_SKIPPED, {"reason": str(exc)}
-            if status == STATUS_FAIL and kind.identity:
+            if status == VERDICT_FAIL and kind.identity:
                 failed = True
             results.append(TaskResult(
                 name=task.name, kind=task.kind, status=status, identity_check=kind.identity,

@@ -98,10 +98,12 @@ def contact_codim_stratified(
     if strata is None:
         strata = [[x] for x in MultiPoly.coordinates(gens.field, gens.variables)]
 
+    # every plan grows with q, so count the largest prime first: a refusal then comes before any count
+    tables = {q: contact_order_table([*strata, work], n, level, q, budget=budget) for q in sorted(primes, reverse=True)}
     totals = []
     bucket_counts = {}
     for q in primes:
-        keys, counts = contact_order_table([*strata, work], n, level, q, budget=budget)
+        keys, counts = tables[q]
         hit = keys[:, -1] == m
         # the rows are distinct, so each bucket occurs at most once per prime
         for bucket_key, cnt in zip(map(tuple, keys[hit, :-1].tolist()), counts[hit].tolist()):

@@ -152,15 +152,17 @@ def smith_normal_form(matrix: SeriesMatrix) -> SnfResult:
         lam=profile,
         valid_to_level=level,
     )
-    _validate(result, matrix)
+    _validate(result)
     return result
 
 
-def _validate(result: SnfResult, matrix: SeriesMatrix):
+def _validate(result: SnfResult):
+    """The transforms are products of units, swaps and elementary operations,
+    so one that is not invertible is a bug, not a truncation."""
     if det_division_free(result.p_transform).ord() != 0:
-        raise TruncationInsufficient("row transform is not invertible mod t^(N+1)")
+        raise InternalInvariantError("row transform is not invertible mod t^(N+1)")
     if det_division_free(result.q_transform).ord() != 0:
-        raise TruncationInsufficient("column transform is not invertible mod t^(N+1)")
+        raise InternalInvariantError("column transform is not invertible mod t^(N+1)")
 
 
 def reconstruct(result: SnfResult, matrix: SeriesMatrix) -> SeriesMatrix:

@@ -240,7 +240,8 @@ class TestTaskCampaign:
 
     def test_lct_counts_one_table_per_prime(self, ideal, monkeypatch, capsys):
         # the task runs in its campaign's table scope, where the level-4 table
-        # of each prime serves levels 1-3; without it each level counts its own
+        # of each prime serves levels 1-3; without it each level counts its own.
+        # The largest prime goes first, so a refusal comes before any count
         counted = []
         count = arcdet.counting._contact_order_table
 
@@ -250,15 +251,16 @@ class TestTaskCampaign:
 
         monkeypatch.setattr(arcdet.counting, "_contact_order_table", record)
         assert main(["lct", "--ideal", ideal, "--max-m", "4"]) == 0
-        assert counted == [(4, 2), (4, 3)]
+        assert counted == [(4, 3), (4, 2)]
         assert json.loads(capsys.readouterr().out)["estimate"] == "1"
 
     def test_budget_refusal_is_an_error(self, ideal, capsys):
-        # the campaign skips a refused task; the subcommand reports it and fails
+        # the campaign skips a refused task; the subcommand reports it and fails.
+        # The largest prime is counted first, so its 3^10 jets are refused
         assert main(["lct", "--ideal", ideal, "--max-m", "4", "--budget", "10"]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == "error: jet space has 1024 points, over the budget 10, and no exact split applies\n"
+        assert err == "error: jet space has 59049 points, over the budget 10, and no exact split applies\n"
 
 
 class TestFormats:

@@ -10,17 +10,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import arcdet.counting
 import arcdet.harness
+import arcdet.snf
 from arcdet.configurations import ConfigurationMatrix, patterson_matrix
 from arcdet.consensus import extract_codim
-from arcdet.determinantal import DeterminantalPair, minor_ideal_tower
+from arcdet.determinantal import VERDICT_FAIL, DeterminantalPair, minor_ideal_tower
 from arcdet.errors import ValidationError
+from arcdet.fields import GF
 from arcdet.harness import _KINDS, _jsonable, _threshold_status, Campaign, Task, builtin_corpus, run_campaign
 from arcdet.io import campaign_from_doc
 from arcdet.jets import IdealGens
 from arcdet.lct import threshold_fold
 from arcdet.matrices import PolyMatrix
 from arcdet.poly import parse_poly
+from arcdet.series import TruncSeries
 
 
 def tiny_matrix():
@@ -165,6 +169,25 @@ class TestValidation:
         ]
         assert ran == []
 
+    def test_a_prime_dividing_a_denominator_is_refused(self):
+        # the entry 1/2 gives the Patterson entry 1/4, which has no residue
+        # mod 2; the run used to die with a bare ZeroDivisionError mid-count
+        half = ConfigurationMatrix.from_rows([[1, "1/2", 0], [0, 1, -1]])
+        inputs = {"half": ("configuration", half)}
+        c = Campaign.make("bad", inputs, [
+            Task.make("half-at-2-3", "configuration", configuration="half", max_m=1),
+            Task.make("missing", "configuration", configuration="nope", max_m=1),
+        ])
+        with pytest.raises(ValidationError) as err:
+            run_campaign(c)
+        assert str(err.value).splitlines() == [
+            "campaign validation failed:",
+            "  half-at-2-3: the configuration has the entry 1/2, whose denominator the prime 2 divides",
+            "  missing: undeclared input 'nope'",
+        ]
+        odd = Campaign.make("odd", inputs, [Task.make("t", "configuration", configuration="half", max_m=1, primes=[3, 5])])
+        assert len(arcdet.harness._validate_campaign(odd)) == 1
+
     def test_each_matrix_input_is_checked_once(self, monkeypatch):
         # a corollary on a 2x1 matrix used to fail mid-run naming no task
         built = []
@@ -245,11 +268,11 @@ class TestExecution:
     def test_identity_failure_marks_run_failed(self):
         # a fiber task whose profile/m pair we tamper with cannot fail honestly,
         # so check the flag wiring on a FAIL status directly
-        from arcdet.harness import STATUS_FAIL, Report, TaskResult
+        from arcdet.harness import Report, TaskResult
 
         r = Report(
             campaign="x", seed=0, budget=1,
-            results=(TaskResult("a", "fiber_formula", STATUS_FAIL, True, {}, {}),),
+            results=(TaskResult("a", "fiber_formula", VERDICT_FAIL, True, {}, {}),),
             failed=True, wall_time=0.0,
         )
         assert r.failed
@@ -283,6 +306,64 @@ class TestExecution:
         (result,) = run_campaign(c).results
         assert (result.status, result.payload["lct_w"]) == ("FAIL" if certified else "AMBIGUOUS", "5/2")
 
+    @pytest.mark.parametrize("certified", [False, True])
+    def test_an_internal_error_fails_a_certified_estimate_only(self, monkeypatch, certified):
+        # Z reads lct 1 and each W chart 2, as the theorem wants, but the Z
+        # estimate breaks its generator-count guard (a count of 0 cannot hold
+        # any estimate); an estimate on a vote cannot fail a task, a certified one can
+        def fit(codim, ambient):
+            return extract_codim([(q, q ** (ambient - codim), q**ambient) for q in (2, 3)], ambient)
+
+        z_m1 = fit(1, 6) if certified else extract_codim([(2, 33, 64), (3, 245, 729)], 6)
+        lct_z = threshold_fold([z_m1], 3, 0)
+        assert (lct_z.estimate, lct_z.certified_upper_bound) == (1, certified) and lct_z.internal_errors
+        chart = threshold_fold([fit(2, 5)], 5, 3)
+        monkeypatch.setattr(arcdet.harness, "lct_estimate", lambda *args, **kwargs: lct_z)
+        monkeypatch.setattr(arcdet.harness, "lct_z_estimate", lambda *args, **kwargs: lct_z)
+        monkeypatch.setattr(arcdet.harness, "lct_w_estimate", lambda *args, **kwargs: ((chart, chart), chart.estimate))
+        x1 = IdealGens((parse_poly("x1", ("x1",)),))
+        c = Campaign.make("errors", {"x1": ("ideal", x1), "m": ("matrix", _generic())}, [
+            Task.make("z", "lct_z", ideal="x1", max_m=1, expect="1"),
+            Task.make("corollary", "corollary", matrix="m", max_m=1, expect_z="1", expect_w="2"),
+        ])
+        z, corollary = run_campaign(c).results
+        assert [z.status, corollary.status] == ["FAIL" if certified else "AMBIGUOUS"] * 2
+        message = "estimate 1 exceeds the generator count 0; a d-equation subscheme has threshold <= d"
+        assert z.payload["internal_errors"] == corollary.payload["lct_z"]["internal_errors"] == [message]
+
+    def test_a_broken_smith_transform_fails_the_roundtrip(self, monkeypatch):
+        # every transform is a product of units, swaps and elementary
+        # operations; one that is not invertible is a bug, and used to be
+        # counted as a skipped sample
+        monkeypatch.setattr(arcdet.snf, "det_division_free", lambda M: TruncSeries.t_power(GF(5), 6, 1))
+        c = Campaign.make("snf", {}, [Task.make("snf", "snf_roundtrip", count=3)])
+        (result,) = run_campaign(c).results
+        assert result.status == "FAIL"
+        assert result.payload == {
+            "count": 3, "skipped_undetermined": 0,
+            "failures": [f"sample {i}: row transform is not invertible mod t^(N+1)" for i in range(3)],
+        }
+
+    def test_the_generic_3x3_corollary_is_refused_before_any_count(self, monkeypatch):
+        # the largest prime is counted first, and every plan grows with q, so
+        # the q = 3 refusal at M = 2 comes before any q = 2 table is counted
+        counted = []
+        count = arcdet.counting._contact_order_table
+
+        def record(*args):
+            table = count(*args)
+            counted.append(args[2:4])
+            return table
+
+        monkeypatch.setattr(arcdet.counting, "_contact_order_table", record)
+        vs = tuple(f"x{i}" for i in range(1, 10))
+        generic = PolyMatrix([[parse_poly(vs[3 * i + j], vs) for j in range(3)] for i in range(3)])
+        c = Campaign.make("g3", {"g": ("matrix", generic)}, [Task.make("c", "corollary", matrix="g", max_m=2)])
+        (result,) = run_campaign(c).results
+        assert result.status == "SKIPPED_BUDGET"
+        assert result.payload["reason"].startswith("jet space has 7625597484987 points")  # 3^27, at q = 3
+        assert counted == []
+
     def test_budget_skip_and_monotonicity(self):
         c = Campaign.make(
             "strata-budget",
@@ -295,8 +376,8 @@ class TestExecution:
         assert big.results[0].status == "PASS"
 
     def test_a_threshold_past_its_budget_is_refused_at_its_deepest_level(self):
-        # the level max_m = 2 is counted first: its 2^6 jets at q = 2 are refused
-        # before any shallower table is counted
+        # the level max_m = 2 at the largest prime is counted first: its 3^6
+        # jets at q = 3 are refused before any other table is counted
         f = IdealGens((parse_poly("x1*x2 + x1^3", ("x1", "x2")),))
         vs = ("x1",)
         x1, zero = parse_poly("x1", vs), parse_poly("0", vs)
@@ -307,7 +388,7 @@ class TestExecution:
         ])
         rep = run_campaign(c, budget=10)
         assert [r.status for r in rep.results] == ["SKIPPED_BUDGET"] * 2
-        assert rep.results[0].payload["reason"].startswith("jet space has 64 points, over the budget 10")
+        assert rep.results[0].payload["reason"].startswith("jet space has 729 points, over the budget 10")
 
 
 def _generic():

@@ -196,7 +196,7 @@ class TestTables:
         gens = IdealGens((parse_poly("x1*x2 + x1^3", ["x1", "x2"]),))
         with table_cache():
             est = lct_estimate(gens, 3, primes=(2, 3))
-        assert counted == [(3, 2), (3, 3)]
+        assert counted == [(3, 3), (3, 2)]  # the largest prime first
         counted.clear()
         # outside a scope every level is counted, into the same estimate
         assert lct_estimate(gens, 3, primes=(2, 3)) == est

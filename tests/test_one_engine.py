@@ -17,6 +17,11 @@ source of codimensions that counts no ideal reaches both through them.
 The configuration oracles have one exact elimination,
 ``configurations._echelon``: the helpers it and the rank-one certificate
 replaced stay deleted.
+Statuses have one rule: ``determinantal`` binds PASS, FAIL and AMBIGUOUS
+once, and only ``determinantal.verdict`` returns or assigns one, so every
+check and task reads its status from ``verdict(holds, certain)``; other
+code may compare a status with them.  ``consensus.STATUS_AMBIGUOUS`` is the
+status of a count report, not of a check.
 """
 
 import ast
@@ -46,6 +51,10 @@ EXTRACTION_STEPS = ("cyclotomic_fit", "_rounding_vote")
 THRESHOLD_RESULTS = ("LctEstimate", "CorollaryReport")
 # the modules whose functions count, extract or fold: the corollary calls none
 COUNTING_MODULES = ("counting.py", "contact.py", "consensus.py", "lct.py")
+# the check and task statuses, their values, and the one function that makes them
+VERDICTS = ("VERDICT_PASS", "VERDICT_FAIL", "VERDICT_AMBIGUOUS")
+STATUS_VALUES = ("PASS", "FAIL", "AMBIGUOUS")
+VERDICT_RULE = ("determinantal.py", "verdict")
 
 
 def _modules_naming(package, names, owners=()):
@@ -177,3 +186,74 @@ def test_guard_sees_a_second_fold_and_a_counting_corollary(tmp_path):
         ("lct.py", "threshold_fold", "LctEstimate"),
     ]
     assert _counting_calls_of_the_corollary(tmp_path) == ["lct_z_estimate", "threshold_fold"]
+
+
+def _names_a_status(node):
+    """Whether an expression reads a verdict name or a status value outside
+    a comparison."""
+    if isinstance(node, ast.Compare):
+        return False
+    if isinstance(node, ast.Constant) and node.value in STATUS_VALUES:
+        return True
+    if (node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)) in VERDICTS:
+        return True
+    return any(_names_a_status(child) for child in ast.iter_child_nodes(node))
+
+
+def _status_bindings(package):
+    """(module, name) for each module-level assignment that binds a verdict
+    name, or binds any name to a status value or a verdict name."""
+    found = set()
+    for path in package.rglob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    if isinstance(target, ast.Name) and (target.id in VERDICTS or _names_a_status(node.value)):
+                        found.add((str(path.relative_to(package)), target.id))
+    return sorted(found)
+
+
+def _status_makers(package):
+    """(module, function) for each function other than the verdict rule that
+    returns or assigns a status, a keyword argument included."""
+    made = (ast.Return, ast.Assign, ast.AnnAssign, ast.AugAssign, ast.NamedExpr, ast.keyword)
+    found = set()
+    for path in package.rglob("*.py"):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            owner = (str(path.relative_to(package)), getattr(func, "name", None))
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) or owner == VERDICT_RULE:
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, made) and node.value is not None and _names_a_status(node.value):
+                    found.add(owner)
+    return sorted(found)
+
+
+def test_one_rule_makes_every_status():
+    package = ROOT / "src" / "arcdet"
+    assert _status_bindings(package) == [
+        ("consensus.py", "STATUS_AMBIGUOUS"),
+        ("determinantal.py", "VERDICT_AMBIGUOUS"),
+        ("determinantal.py", "VERDICT_FAIL"),
+        ("determinantal.py", "VERDICT_PASS"),
+    ]
+    assert _status_makers(package) == []
+
+
+def test_guard_sees_a_second_status_rule(tmp_path):
+    (tmp_path / "determinantal.py").write_text(
+        'VERDICT_PASS = "PASS"\nVERDICT_FAIL = "FAIL"\n\n\n'
+        "def verdict(holds, certain):\n    return VERDICT_PASS if holds else VERDICT_FAIL\n"
+    )
+    (tmp_path / "harness.py").write_text(
+        'from .determinantal import VERDICT_FAIL, VERDICT_PASS, verdict\n\nSTATUS_FAIL = "FAIL"\n\n\n'
+        "def run(ok):\n    status = verdict(ok, True)\n    if status == VERDICT_FAIL:\n        return status\n"
+        "    return VERDICT_PASS if ok else STATUS_FAIL\n\n\n"
+        "def check(ok):\n    return Report(ok, verdict='AMBIGUOUS')\n\n\n"
+        "def compare(status):\n    failed = status == VERDICT_FAIL\n    return failed or status != 'PASS'\n"
+    )
+    assert _status_bindings(tmp_path) == [
+        ("determinantal.py", "VERDICT_FAIL"), ("determinantal.py", "VERDICT_PASS"), ("harness.py", "STATUS_FAIL"),
+    ]
+    assert _status_makers(tmp_path) == [("harness.py", "check"), ("harness.py", "run")]
