@@ -415,15 +415,14 @@ def configuration_lct_campaign(
 ) -> ConfigurationReport:
     """Full pipeline: Patterson matrix, square-freeness, support expansion,
     connectivity, 1-genericity, and the two-threshold consistency check."""
-    A = patterson_matrix(cfg)
-    det = det_division_free(A)
+    pair = DeterminantalPair.from_matrix(patterson_matrix(cfg))
+    (det,) = pair.z_gens  # the one maximal minor
     if not is_square_free(det):
         raise InternalInvariantError("a Patterson determinant is square-free by construction")
     cauchy_binet_expansion(cfg)  # raises on mismatch
     matroid = matroid_from_columns(cfg)
     connected = is_connected(matroid)
     generic = hadamard_one_generic(cfg)
-    pair = DeterminantalPair.from_matrix(A)
     corollary = corollary_check(
         lct_z_estimate(pair, M, primes=primes, budget=budget),
         lct_w_estimate(pair, M, primes=primes, budget=budget),

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, count, islice
 
 import numpy as np
 
@@ -75,6 +75,10 @@ class DeterminantalPair:
 
     @classmethod
     def from_matrix(cls, A: PolyMatrix):
+        """Z from the nonzero maximal minors of A, and W = A(x)·y by position:
+        w_i = sum_j a_ij(x)·y_j has the term (e + unit_j, c) for each term
+        (e, c) of a_ij, over ``A.variables + y_names``.  The incidence
+        coordinates are y1, y2, ..., skipping the matrix's own names."""
         r = A.cols
         if A.rows < r:
             raise ValidationError(f"a determinantal pair needs at least as many rows as columns, got {A.rows}x{r}")
@@ -83,18 +87,11 @@ class DeterminantalPair:
             raise ValidationError(
                 "the maximal-minor ideal vanishes identically; the degeneracy locus must be proper"
             )
-        y_names = tuple(f"y{j + 1}" for j in range(r))
-        joint = tuple(A.variables) + y_names
-        w = []
-        for i in range(A.rows):
-            acc = MultiPoly.zero(A.field, joint)
-            for j in range(r):
-                a_ij = A.entry(i, j).extend_variables(joint)
-                y_j = MultiPoly.variable(A.field, joint, y_names[j])
-                acc = acc + a_ij * y_j
-            w.append(acc)
-        if all(g.is_zero() for g in w):
-            raise ValidationError("incidence forms vanish identically")
+        y_names = tuple(islice((f"y{k}" for k in count(1) if f"y{k}" not in A.variables), r))
+        units = [tuple(int(k == j) for k in range(r)) for j in range(r)]
+        joint = A.variables + y_names
+        w = [MultiPoly(A.field, joint, {e + units[j]: c for j, a in enumerate(row) for e, c in a.terms.items()})
+             for row in A.entries]
         return cls(matrix=A, z_gens=IdealGens(tuple(z)), w_gens=IdealGens(tuple(w)), y_names=y_names)
 
     @cached_property
@@ -111,19 +108,20 @@ class DeterminantalPair:
         return self.matrix.rows
 
     def chart_gens(self, i: int) -> IdealGens:
-        """Incidence forms on the affine chart y_i = 1 (0-based i)."""
-        joint = self.w_gens.variables
-        chart_vars = tuple(v for v in joint if v != self.y_names[i])
-        images = []
-        for v in joint:
-            if v == self.y_names[i]:
-                images.append(MultiPoly.constant(self.matrix.field, chart_vars, 1))
-            else:
-                images.append(MultiPoly.variable(self.matrix.field, chart_vars, v))
-        gens = [g.substitute_polys(images, chart_vars) for g in self.w_gens]
-        gens = [g for g in gens if not g.is_zero()]
-        if not gens:
-            raise ValidationError("chart ideal is zero")
+        """Incidence forms on the affine chart y_i = 1 (0-based i), zero forms
+        dropped: each exponent tuple drops position n + i, and terms that meet
+        are summed (none do in W, where every term has y-degree 1)."""
+        k = len(self.matrix.variables) + i
+        field, joint = self.matrix.field, self.w_gens.variables
+        gens = []
+        for g in self.w_gens:
+            terms = {}
+            for e, c in g.terms.items():
+                e = e[:k] + e[k + 1 :]
+                terms[e] = field.add(terms[e], c) if e in terms else c
+            chart = MultiPoly(field, joint[:k] + joint[k + 1 :], terms)
+            if not chart.is_zero():
+                gens.append(chart)
         return IdealGens(tuple(gens))
 
 
@@ -486,8 +484,8 @@ class ConeCheck:
 def _cone_side_counts_direct(pair, level, q, m_exact, p_exact, budget):
     """Count jets of X x A^r with exact incidence order and exact zero-section order."""
     joint = pair.w_gens.variables
-    y_polys = [MultiPoly.variable(pair.matrix.field, joint, y) for y in pair.y_names]
-    keys, counts = contact_order_table([y_polys, pair.w_gens.nonzero()], len(joint), level, q, budget=budget)
+    y_coords = MultiPoly.coordinates(pair.matrix.field, joint)[len(pair.matrix.variables) :]
+    keys, counts = contact_order_table([y_coords, pair.w_gens.nonzero()], len(joint), level, q, budget=budget)
     return int(counts[(keys == (p_exact, m_exact)).all(axis=1)].sum())
 
 
@@ -522,7 +520,9 @@ def cone_comparison_check(
     are enumerated independently at levels N and N-p) and the codimension
     relation codim(LHS) = p*r + codim(RHS).  A side the engine cannot count
     exactly within the budget falls back to the closed form available for
-    generic-coordinate matrices.  The ``verdict`` holds when the identity
+    generic-coordinate matrices.  The primes are counted largest first, so
+    a side past the budget is refused before any table is counted; the
+    reports list them in the order given.  The ``verdict`` holds when the identity
     does and both sides are empty or meet the relation.  A failed identity
     is certain, and so is a relation refuted by two certified reports or by
     one empty side; a miss on a vote or an undecided report is AMBIGUOUS
@@ -534,34 +534,26 @@ def cone_comparison_check(
     r, s = pair.r, pair.s
     generic = _is_generic_coordinate_matrix(pair.matrix)
 
-    lhs_counts, rhs_counts = [], []
-    methods = set()
-    identity_checked = True
-    identity_ok = True
-    for q in primes:
+    def side(depth, m_exact, p_exact, q):
+        """(count, method): the engine's exact count, else the generic closed form."""
         try:
-            lhs = _cone_side_counts_direct(pair, level, q, m, p, budget)
-            method_l = "direct"
+            return _cone_side_counts_direct(pair, depth, q, m_exact, p_exact, budget), "direct"
         except BudgetExceeded:
             if not generic:
                 raise
-            lhs = _cone_side_counts_generic(n, r, s, level, q, m, p)
-            method_l = "closed-form"
-        try:
-            rhs = _cone_side_counts_direct(pair, level - p, q, m - p, 0, budget)
-            method_r = "direct"
-        except BudgetExceeded:
-            if not generic:
-                raise
-            rhs = _cone_side_counts_generic(n, r, s, level - p, q, m - p, 0)
-            method_r = "closed-form"
-        methods.add((method_l, method_r))
-        if method_l == "closed-form" and method_r == "closed-form":
-            identity_checked = False  # both sides from the same closed form
-        if lhs != q ** (n * p) * rhs:
-            identity_ok = False
-        lhs_counts.append((q, lhs, jet_space_size(n + r, level, q)))
-        rhs_counts.append((q, rhs, jet_space_size(n + r, level - p, q)))
+        return _cone_side_counts_generic(n, r, s, depth, q, m_exact, p_exact), "closed-form"
+
+    # the largest prime first: every plan grows with q, so a refusal comes
+    # before any table is counted
+    lhs, rhs = {}, {}
+    for q in sorted(primes, reverse=True):
+        lhs[q], rhs[q] = side(level, m, p, q), side(level - p, m - p, 0, q)
+    methods = {(lhs[q][1], rhs[q][1]) for q in primes}
+    # a prime whose two sides both come from the closed form checks nothing
+    identity_checked = ("closed-form", "closed-form") not in methods
+    identity_ok = all(lhs[q][0] == q ** (n * p) * rhs[q][0] for q in primes)
+    lhs_counts = [(q, lhs[q][0], jet_space_size(n + r, level, q)) for q in primes]
+    rhs_counts = [(q, rhs[q][0], jet_space_size(n + r, level - p, q)) for q in primes]
 
     lhs_rep = extract_codim(lhs_counts, (n + r) * (level + 1))
     rhs_rep = extract_codim(rhs_counts, (n + r) * (level - p + 1))

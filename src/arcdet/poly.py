@@ -188,24 +188,6 @@ class MultiPoly:
         p.terms = out
         return p
 
-    def extend_variables(self, new_variables):
-        """View this polynomial inside a larger variable list."""
-        new_variables = tuple(new_variables)
-        pos = []
-        for v in self.variables:
-            if v not in new_variables:
-                raise ValueError(f"variable {v} missing from extended list")
-            pos.append(new_variables.index(v))
-        out = {}
-        for exps, c in self.terms.items():
-            new = [0] * len(new_variables)
-            for p_i, e in zip(pos, exps):
-                new[p_i] = e
-            out[tuple(new)] = c
-        p = MultiPoly(self.field, new_variables)
-        p.terms = out
-        return p
-
     def substitute_series(self, coords):
         """Evaluate at a tuple of TruncSeries (one per variable), truncating.
 
@@ -230,20 +212,6 @@ class MultiPoly:
                 if e not in powers[i]:
                     powers[i][e] = coords[i] ** e
                 term = term * powers[i][e]
-            acc = acc + term
-        return acc
-
-    def substitute_polys(self, images, target_variables):
-        """Ring map sending each variable to a polynomial in the target ring."""
-        if len(images) != len(self.variables):
-            raise ValueError("need one image per variable")
-        f = self.field
-        acc = MultiPoly.zero(f, target_variables)
-        for exps, c in self.terms.items():
-            term = MultiPoly.constant(f, target_variables, c)
-            for img, e in zip(images, exps):
-                if e:
-                    term = term * (img**e)
             acc = acc + term
         return acc
 

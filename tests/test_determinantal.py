@@ -32,7 +32,7 @@ from arcdet.determinantal import (
     threshold_bound_forward,
 )
 from arcdet.consensus import STATUS_CONSENSUS, extract_codim
-from arcdet.errors import ValidationError
+from arcdet.errors import BudgetExceeded, ValidationError
 from arcdet.harness import builtin_corpus, run_campaign
 from arcdet.snf import LambdaProfile
 
@@ -90,6 +90,21 @@ class TestPair:
         pair = DeterminantalPair.from_matrix(diag_x1_x1())
         chart = pair.chart_gens(0)
         assert sorted(str(g) for g in chart) == ["x1", "x1*y2"]
+
+    def test_y_named_matrix_keeps_its_incidence_coordinates_apart(self):
+        # diag(x1, y1) is diag(x1, x2) with x2 renamed: W and its charts
+        # match term by term, over coordinates that skip the matrix's y1
+        def diag_pair(vs):
+            zero = MultiPoly.zero(QQ, vs)
+            return DeterminantalPair.from_matrix(PolyMatrix([[parse_poly(vs[0], vs), zero], [zero, parse_poly(vs[1], vs)]]))
+
+        x_pair, y_pair = diag_pair(("x1", "x2")), diag_pair(("x1", "y1"))
+        assert y_pair.y_names == ("y2", "y3") and y_pair.w_gens.variables == ("x1", "y1", "y2", "y3")
+        assert [str(g) for g in y_pair.w_gens] == ["x1*y2", "y1*y3"]
+        assert [g.terms for g in y_pair.w_gens] == [g.terms for g in x_pair.w_gens]
+        for i in range(2):
+            assert [g.terms for g in y_pair.chart_gens(i)] == [g.terms for g in x_pair.chart_gens(i)]
+        assert lct_w_estimate(y_pair, 2)[1] == lct_w_estimate(x_pair, 2)[1] == 2
 
     @pytest.mark.parametrize("matrix", [generic_2x2, diag_x1_x1])
     def test_tower_is_the_minor_ideal_tower(self, matrix):
@@ -312,6 +327,25 @@ class TestCone:
         check = cone_comparison_check(DeterminantalPair.from_matrix(A), 2, 1, 3, primes=(2, 3), budget=1000)
         assert check == cone_comparison_check(DeterminantalPair.from_matrix(A), 2, 1, 3, primes=(2, 3))
         assert check.method == "direct/direct" and check.verdict == "PASS"
+
+    def test_refused_at_the_largest_prime_before_any_table(self, monkeypatch):
+        # the joint space has 2^8 jets at level 1, within the budget, and 3^8
+        # over it; the matrix is not generic-coordinate, so no closed form
+        counted = []
+        count = arcdet.counting._contact_order_table
+
+        def recording(ideals, n, level, q, budget, prefer):
+            table = count(ideals, n, level, q, budget, prefer)
+            counted.append((level, q))
+            return table
+
+        monkeypatch.setattr(arcdet.counting, "_contact_order_table", recording)
+        vs = ("x1", "x2")
+        x1, x2 = parse_poly("x1", vs), parse_poly("x2", vs)
+        pair = DeterminantalPair.from_matrix(PolyMatrix([[x1, x2], [x2, x1]]))
+        with pytest.raises(BudgetExceeded):
+            cone_comparison_check(pair, 1, 0, 1, primes=(2, 3), budget=1000)
+        assert counted == []
 
     def test_generic_small(self):
         check = cone_comparison_check(DeterminantalPair.from_matrix(generic_2x2()), 1, 1, 1, primes=(2, 3))

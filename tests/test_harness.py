@@ -430,6 +430,24 @@ class TestDeterminism:
         digest = hashlib.sha256(rep.canonical_json().encode()).hexdigest()
         assert digest == "74046be81ecb30ea4f2fb2f92d50b867a18d72b3e3536ec6bd1c1983efe9dd0a"
 
+    # the canonical report of every builtin campaign at seed 0 but the grid,
+    # which takes seconds and whose result criterion 7 checks: a change to
+    # the report bytes of any other campaign fails here
+    @pytest.mark.parametrize("name, digest", [
+        ("stratification-generic-2x2", "422f4a489281614b7e8efe55787cead07ebfafa3e99c0feeff8534bfe6e21532"),
+        ("fiber-formula-grid", "8e24cdcb4ca3e9b4e727d469e87fe3c0c1284ee7fc90842660e06d9bc4294c0a"),
+        ("lct-known-values", "0fc2f7ff5aa53e61a01d3e7af4a8d9c7c2247399d4eb9e84af017198bb2b41d0"),
+        ("corollary-generic-2x2", "cfb950ecc5a0c68c2f2cdd0648f20c3c67569ff673dcad7535a83e673c13ec5c"),
+        ("corollary-diag-x1x1", "bdc41bacd379b4c0bf04731f7ec81757faf7f12f552bffc57e5e46cc29dc7777"),
+        ("cone-comparison-basic", "5dfbe62f8a46c62a86aadca1e7e37935543061b08ae1e36066bedb9b9238319e"),
+        ("configuration-triangle", "74046be81ecb30ea4f2fb2f92d50b867a18d72b3e3536ec6bd1c1983efe9dd0a"),
+        ("snf-roundtrip-random", "70ab04786b86b0e89f5880ade0755c385f57025c3b9eb9ec01007dbf5f73b29b"),
+        ("cauchy-binet-random", "4f28ac016b49b1444934946813c89fc6f62a5ff079fe5ff4ac31dd368f3ecc7e"),
+    ])
+    def test_builtin_report_bytes(self, name, digest):
+        rep = run_campaign(builtin_corpus()[name], seed=0)
+        assert hashlib.sha256(rep.canonical_json().encode()).hexdigest() == digest
+
     def test_jsonable_leaves(self):
         # JSON scalars pass as they are, a Fraction and any other leaf (an
         # np.int64 too) become strings, tuples lists and dict keys strings

@@ -14,6 +14,8 @@ cannot drift from it.  Thresholds have one fold: only ``lct.threshold_fold``
 makes an ``LctEstimate`` and only ``determinantal.corollary_check`` a
 ``CorollaryReport``, a verdict over two estimates that counts nothing, so a
 source of codimensions that counts no ideal reaches both through them.
+The incidence forms and their charts are built by position, and the
+``MultiPoly`` methods that built them by name stay deleted.
 The configuration oracles have one exact elimination,
 ``configurations._echelon``: the helpers it and the rank-one certificate
 replaced stay deleted.
@@ -45,6 +47,9 @@ DELETED_HELPERS = (
     "_rank_drop_certificate_r1", "_rank_drop_certificate_r2", "_binary_form_gcd", "_poly_mod",
     "_rational_root_of_binary_form",
 )
+# poly.py: the name-based embedding and ring map that built the incidence
+# forms and their charts, which determinantal.py now builds by position
+DELETED_POLY_METHODS = ("extend_variables", "substitute_polys")
 # the two steps of codimension extraction, run only by consensus.extract_codim
 EXTRACTION_STEPS = ("cyclotomic_fit", "_rounding_vote")
 # the threshold results and the one function that makes each
@@ -109,6 +114,11 @@ def test_only_the_run_scope_shares_tables():
 def test_configuration_oracles_keep_one_elimination():
     assert _modules_naming(ROOT / "src" / "arcdet", DELETED_HELPERS) == []
     assert _modules_naming(ROOT / "tests", DELETED_HELPERS, ("test_one_engine.py",)) == []
+
+
+def test_incidence_forms_are_built_by_position():
+    assert _modules_naming(ROOT / "src" / "arcdet", DELETED_POLY_METHODS) == []
+    assert _modules_naming(ROOT / "tests", DELETED_POLY_METHODS, ("test_one_engine.py",)) == []
 
 
 def test_guard_sees_a_second_elimination(tmp_path):

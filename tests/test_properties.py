@@ -4,9 +4,9 @@ import random
 from collections import Counter
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from arcdet import GF, IdealGens, JetPoint, MultiPoly, PolyMatrix, TruncSeries, parse_poly
+from arcdet import GF, QQ, IdealGens, JetPoint, MultiPoly, PolyMatrix, TruncSeries, parse_poly
 from arcdet.consensus import _v_adic, cyclotomic_fit
 from arcdet.counting import (
     _direct_distribution,
@@ -16,8 +16,9 @@ from arcdet.counting import (
     contact_order_table,
     table_cache,
 )
-from arcdet.determinantal import lambda_profile, minor_ideal_tower
+from arcdet.determinantal import DeterminantalPair, lambda_profile, minor_ideal_tower
 from arcdet.jets import enumerate_jets, ord_along_ideal, substitute_jet
+from arcdet.matrices import minors
 from table_dicts import as_dict
 
 
@@ -340,3 +341,45 @@ def test_tall_matrix_profiles():
         assert ord_along_ideal(gf_tower[0], jet) == lam.parts[0]
         assert ord_along_ideal(gf_tower[1], jet) == lam.parts[0] + lam.parts[1]
         done += 1
+
+
+# --- the incidence correspondence by evaluation -------------------------------
+
+entry_terms = st.dictionaries(exponents, st.integers(-3, 3), max_size=2)
+# s x r with r <= s <= 3: lists of rows of entry term dicts
+shapes = st.integers(1, 3).flatmap(lambda r: st.tuples(st.integers(r, 3), st.just(r)))
+entry_rows = shapes.flatmap(
+    lambda sr: st.lists(st.lists(entry_terms, min_size=sr[1], max_size=sr[1]), min_size=sr[0], max_size=sr[0])
+)
+
+
+@given(entry_rows, st.sampled_from([("x1", "x2"), ("x1", "y1")]), st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_incidence_forms_pull_back_to_a_times_y(rows, variables, rng):
+    """Along a random (x, y) jet over F_5, every W form pulls back to
+    sum_j a_ij(x(t))·y_j(t), and every chart form y_i = 1 to the same sum
+    with y_i(t) = 1, for the rows that are not zero."""
+    A = PolyMatrix([[MultiPoly(QQ, variables, terms) for terms in row] for row in rows])
+    r = A.cols
+    assume(any(not g.is_zero() for g in minors(A, r)))
+    pair = DeterminantalPair.from_matrix(A)
+    q, level = 5, 2
+    f = GF(q)
+    x = list(_random_jet(rng, 2, level, q).coords)
+    y = list(_random_jet(rng, r, level, q).coords)
+
+    def a_times(ys):
+        out = []
+        for row in A.entries:
+            acc = TruncSeries.zero(f, level)
+            for a, y_j in zip(row, ys):
+                acc = acc + a.map_coeffs(f).substitute_series(x) * y_j
+            out.append(acc)
+        return out
+
+    assert [g.map_coeffs(f).substitute_series(x + y) for g in pair.w_gens] == a_times(y)
+    one = TruncSeries.one(f, level)
+    for i in range(r):
+        sums = a_times(y[:i] + [one] + y[i + 1 :])
+        expected = [v for v, row in zip(sums, A.entries) if any(not a.is_zero() for a in row)]
+        assert [g.map_coeffs(f).substitute_series(x + y[:i] + y[i + 1 :]) for g in pair.chart_gens(i)] == expected
