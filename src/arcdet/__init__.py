@@ -38,7 +38,6 @@ from .configurations import (
     ConfigurationMatrix,
     GenericityVerdict,
     Matroid,
-    SupportExpansion,
     cauchy_binet_expansion,
     configuration_lct_campaign,
     cross_oracle_payload,

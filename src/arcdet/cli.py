@@ -163,13 +163,13 @@ def _cmd_patterson(args):
     cfg = configuration_from_doc(load_json(args.config))
     A = patterson_matrix(cfg)
     det = det_division_free(A)
-    expansion = cauchy_binet_expansion(cfg)
+    expansion = cauchy_binet_expansion(cfg, det)
     payload = {
         "vars": list(A.variables),
         "rows": [[str(e) for e in row] for row in A.entries],
         "determinant": str(det),
         "square_free": is_square_free(det),
-        "support_expansion": expansion.payload(),
+        "support_expansion": {"coefficients": [[list(i), str(c)] for i, c in expansion.items()]},
     }
     _emit(payload, args)
     return 0

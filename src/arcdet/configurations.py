@@ -4,15 +4,17 @@ A configuration is the row space of a full-rank rational r x n matrix D.
 Its Patterson matrix D diag(x) D^T is symmetric with linear entries; the
 determinant expands over column r-subsets with coefficients det(D|_I)^2,
 supported exactly on the bases of the column matroid.  (The expansion is
-cross-checked against direct symbolic expansion on every call.)
+cross-checked against the caller's symbolic expansion on every call.)
 
-Exact linear algebra is one fraction-free integer elimination, ``_echelon``.
+Exact linear algebra is one fraction-free integer elimination, ``_echelon``;
+the column r-subset determinants are one table, ``basis_dets``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 from math import lcm
 
@@ -23,7 +25,7 @@ from .errors import BudgetExceeded, InternalInvariantError, ValidationError
 from .fields import QQ
 from .jets import DEFAULT_BUDGET
 from .lct import LCT_DEFAULT_PRIMES
-from .matrices import PolyMatrix, det_division_free
+from .matrices import PolyMatrix
 from .poly import MultiPoly
 
 SUBSET_BUDGET = 20
@@ -134,6 +136,14 @@ class ConfigurationMatrix:
     def column_rank(self, idx):
         return len(_echelon(self.columns(idx))[1])
 
+    @cached_property
+    def basis_dets(self):
+        """(I, det(D|_I)) for each column r-subset I whose determinant is nonzero
+        (the bases), in lexicographic order; computed on first read.  The
+        package reads every column r-subset determinant from here."""
+        dets = ((idx, _echelon(self.columns(idx))[2]) for idx in combinations(range(self.n), self.r))
+        return tuple((idx, d) for idx, d in dets if d != 0)
+
 
 @dataclass(frozen=True)
 class Matroid:
@@ -155,17 +165,6 @@ class Matroid:
         }
 
 
-@dataclass(frozen=True)
-class SupportExpansion:
-    coefficients: tuple  # ((I tuple, Fraction), ...) sorted, all nonzero
-
-    def as_dict(self):
-        return dict(self.coefficients)
-
-    def payload(self):
-        return {"coefficients": [[list(i), str(c)] for i, c in self.coefficients]}
-
-
 def patterson_matrix(cfg: ConfigurationMatrix) -> PolyMatrix:
     """The symmetric r x r matrix D diag(x_1..x_n) D^T with linear entries."""
     names = tuple(f"x{e + 1}" for e in range(cfg.n))
@@ -184,36 +183,22 @@ def patterson_matrix(cfg: ConfigurationMatrix) -> PolyMatrix:
     return PolyMatrix(entries)
 
 
-def cauchy_binet_expansion(cfg: ConfigurationMatrix) -> SupportExpansion:
-    """Coefficients det(D|_I)^2 over r-subsets I, verified against the direct
-    symbolic expansion of det(Patterson).  A mismatch is an internal error."""
-    coeffs = []
-    for idx in combinations(range(cfg.n), cfg.r):
-        d = _echelon(cfg.columns(idx))[2]
-        if d != 0:
-            coeffs.append((idx, d * d))
-    expansion = SupportExpansion(tuple(coeffs))
-
-    direct = det_division_free(patterson_matrix(cfg))
-    rebuilt = {}
-    for idx, c in coeffs:
-        exps = tuple(1 if k in idx else 0 for k in range(cfg.n))
-        rebuilt[exps] = c
-    if rebuilt != direct.terms:
-        raise InternalInvariantError(
-            "support expansion disagrees with the direct determinant expansion"
-        )
+def cauchy_binet_expansion(cfg: ConfigurationMatrix, det: MultiPoly) -> dict:
+    """Cauchy-Binet for D diag(x) D^T: {I: det(D|_I)^2} over the bases I, from
+    ``basis_dets``.  ``det``, the caller's expansion of the Patterson
+    determinant, must have exactly these terms x^I; a mismatch is an internal error."""
+    expansion = {idx: d * d for idx, d in cfg.basis_dets}
+    if {tuple(int(k in idx) for k in range(cfg.n)): c for idx, c in expansion.items()} != det.terms:
+        raise InternalInvariantError("support expansion disagrees with the direct determinant expansion")
     return expansion
 
 
 def matroid_from_columns(cfg: ConfigurationMatrix) -> Matroid:
-    bases = []
-    for idx in combinations(range(cfg.n), cfg.r):
-        if _echelon(cfg.columns(idx))[2] != 0:
-            bases.append(idx)
+    """The column matroid, its bases read from ``basis_dets``."""
+    bases = frozenset(idx for idx, _ in cfg.basis_dets)
     if not bases:
         raise InternalInvariantError("a full-rank matrix has at least one column basis")
-    return Matroid(ground_size=cfg.n, rank=cfg.r, bases=frozenset(bases), cfg=cfg)
+    return Matroid(ground_size=cfg.n, rank=cfg.r, bases=bases, cfg=cfg)
 
 
 def _splits(n):
@@ -419,7 +404,7 @@ def configuration_lct_campaign(
     (det,) = pair.z_gens  # the one maximal minor
     if not is_square_free(det):
         raise InternalInvariantError("a Patterson determinant is square-free by construction")
-    cauchy_binet_expansion(cfg)  # raises on mismatch
+    cauchy_binet_expansion(cfg, det)  # raises on mismatch
     matroid = matroid_from_columns(cfg)
     connected = is_connected(matroid)
     generic = hadamard_one_generic(cfg)

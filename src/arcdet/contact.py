@@ -145,10 +145,13 @@ def proj_count_contact(lam, query: ContactQuery, budget=DEFAULT_BUDGET) -> Count
     """Count projective jets of P^(r-1), r = len(lam), in the fiber over the
     base jet diag(t^lam): those whose forms t^lam_j u_j meet the order
     condition.  Each prime's cone count from ``_proj_cone_count`` is divided
-    by the unit group size q^N (q-1), and the quotient must be exact.
+    by the unit group size q^N (q-1), and the quotient must be exact.  A
+    coordinate constraint is refused: the cone has its own, a unit coordinate.
     """
     if not lam:
         raise ValidationError("empty profile")
+    if query.constraint is not None:
+        raise ValidationError(f"a projective count takes no coordinate constraint, got {query.constraint!r}")
     r, level = len(lam), query.level
     counts = []
     for q in query.primes:

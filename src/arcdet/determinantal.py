@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations_with_replacement, count, islice
 
 import numpy as np
@@ -55,35 +54,30 @@ def minor_ideal_tower(A: PolyMatrix):
     A level whose minors all vanish identically is kept as the explicit
     zero ideal (a single zero polynomial).
     """
-    tower = []
-    for ell in range(1, A.cols + 1):
-        gens = list(dict.fromkeys(g for g in minors(A, ell) if not g.is_zero()))
-        if not gens:
-            gens = [MultiPoly.zero(A.field, A.variables)]
-        tower.append(IdealGens(tuple(gens)))
-    return tuple(tower)
+    levels = (tuple(dict.fromkeys(g for g in minors(A, ell) if not g.is_zero())) for ell in range(1, A.cols + 1))
+    return tuple(IdealGens(gens or (MultiPoly.zero(A.field, A.variables),)) for gens in levels)
 
 
 @dataclass(frozen=True)
 class DeterminantalPair:
-    """A matrix together with its degeneracy ideal and incidence forms."""
+    """A matrix together with its minor-ideal tower and incidence forms."""
 
     matrix: PolyMatrix
-    z_gens: IdealGens
+    tower: tuple  # the matrix's ``minor_ideal_tower``
     w_gens: IdealGens
     y_names: tuple
 
     @classmethod
     def from_matrix(cls, A: PolyMatrix):
-        """Z from the nonzero maximal minors of A, and W = A(x)·y by position:
-        w_i = sum_j a_ij(x)·y_j has the term (e + unit_j, c) for each term
-        (e, c) of a_ij, over ``A.variables + y_names``.  The incidence
-        coordinates are y1, y2, ..., skipping the matrix's own names."""
+        """A's ``minor_ideal_tower``, built once here (its top is Z), and W = A(x)·y
+        by position: w_i = sum_j a_ij(x)·y_j has the term (e + unit_j, c) for
+        each term (e, c) of a_ij, over ``A.variables + y_names``, the incidence
+        coordinates y1, y2, ... skipping the matrix's own names."""
         r = A.cols
         if A.rows < r:
             raise ValidationError(f"a determinantal pair needs at least as many rows as columns, got {A.rows}x{r}")
-        z = [g for g in minors(A, r) if not g.is_zero()]
-        if not z:
+        tower = minor_ideal_tower(A)
+        if tower[-1].is_zero_ideal():
             raise ValidationError(
                 "the maximal-minor ideal vanishes identically; the degeneracy locus must be proper"
             )
@@ -92,12 +86,12 @@ class DeterminantalPair:
         joint = A.variables + y_names
         w = [MultiPoly(A.field, joint, {e + units[j]: c for j, a in enumerate(row) for e, c in a.terms.items()})
              for row in A.entries]
-        return cls(matrix=A, z_gens=IdealGens(tuple(z)), w_gens=IdealGens(tuple(w)), y_names=y_names)
+        return cls(matrix=A, tower=tower, w_gens=IdealGens(tuple(w)), y_names=y_names)
 
-    @cached_property
-    def tower(self):
-        """The matrix's ``minor_ideal_tower``, built on first read."""
-        return minor_ideal_tower(self.matrix)
+    @property
+    def z_gens(self) -> IdealGens:
+        """Z: the top of the tower, the distinct nonzero maximal minors."""
+        return self.tower[-1]
 
     @property
     def r(self):

@@ -9,10 +9,10 @@ execution and reports every problem at once.  A runner receives its
 parameters with the defaults filled in and its input references resolved,
 each matrix input to the determinantal pair it defines, built once.
 ``run_campaign`` is the one place a runner is called; the CLI runs a single
-task as a campaign of one.  Execution is sequential (tasks are
-pure functions of immutable inputs, so order cannot change results) and
-the report lists tasks in declaration order, with their parameters as
-declared.  Identity checks and estimate checks are segregated so a
+task as a campaign of one.  Execution is sequential, deepest task first
+(tasks are pure functions of immutable inputs, so order cannot change
+results), and the report lists tasks in declaration order, with their
+parameters as declared.  Identity checks and estimate checks are segregated so a
 rounding ambiguity can never mask a broken identity; any failed identity
 marks the whole run FAILED.
 
@@ -59,7 +59,7 @@ from .errors import ArcdetError, BudgetExceeded, InternalInvariantError, Truncat
 from .fields import GF, QQ, is_prime
 from .jets import DEFAULT_BUDGET, IdealGens
 from .lct import LCT_DEFAULT_PRIMES, lct_estimate
-from .matrices import PolyMatrix, SeriesMatrix, minors
+from .matrices import PolyMatrix, SeriesMatrix, det_division_free, minors
 from .poly import MultiPoly, parse_poly
 from .series import TruncSeries
 from .snf import LambdaProfile, reconstruct, smith_normal_form
@@ -405,7 +405,8 @@ def _run_cauchy_binet(p, budget, seed):
         except ValidationError:
             continue  # rank-deficient draw
         try:
-            cauchy_binet_expansion(cfg)
+            # the second algorithm: the symbolic expansion of det(D diag(x) D^T)
+            cauchy_binet_expansion(cfg, det_division_free(patterson_matrix(cfg)))
         except ArcdetError as exc:
             failures.append(f"sample {done}: {exc}")
         done += 1
@@ -451,14 +452,20 @@ def _lct_z_problem(p):
 
 def _configuration_problem(p):
     """A prime that divides a denominator of the configuration, whose
-    Patterson matrix the counts reduce mod each prime, or fewer than two
+    Patterson matrix the counts reduce mod each prime, or the numerator of a
+    basis determinant, whose basis is lost mod that prime, or fewer than two
     primes.  An input reference that did not resolve is reported as such."""
     cfg = p.get("configuration")
-    entries = [v for row in cfg.d for v in row] if isinstance(cfg, ConfigurationMatrix) else []
+    if not isinstance(cfg, ConfigurationMatrix):
+        return _two_primes(p)
+    entries = [v for row in cfg.d for v in row]
     for q in p["primes"]:
         entry = next((v for v in entries if v.denominator % q == 0), None)
         if entry is not None:
             return f"the configuration has the entry {entry}, whose denominator the prime {q} divides"
+        lost = next(((idx, d) for idx, d in cfg.basis_dets if d.numerator % q == 0), None)
+        if lost is not None:
+            return f"the prime {q} divides det(D|_{list(lost[0])}) = {lost[1]}"
     return _two_primes(p)
 
 
@@ -565,24 +572,28 @@ def _validate_campaign(campaign: Campaign):
 
 def run_campaign(campaign: Campaign, seed=0, budget=DEFAULT_BUDGET) -> Report:
     """Validate, execute, and report.  Identical inputs and seed give
-    byte-identical canonical reports."""
+    byte-identical canonical reports.  Tasks run deepest first (by the larger
+    of ``level`` and ``max_m``, ties in task order), so the run counts each
+    table once, at its deepest level; the report lists them in task order."""
     calls = _validate_campaign(campaign)
     start = time.monotonic()
-    results = []
+    results = [None] * len(calls)
     failed = False
+    depth = [max(params.get("level", 0), params.get("max_m", 0)) for _, _, params in calls]
     # the tasks of this run share each contact-order table; none outlives it
     with table_cache():
-        for task, kind, params in calls:
+        for i in sorted(range(len(calls)), key=depth.__getitem__, reverse=True):
+            task, kind, params = calls[i]
             try:
                 status, payload = kind.run(params, budget, f"{seed}:{task.name}")
             except BudgetExceeded as exc:
                 status, payload = STATUS_SKIPPED, {"reason": str(exc)}
             if status == VERDICT_FAIL and kind.identity:
                 failed = True
-            results.append(TaskResult(
+            results[i] = TaskResult(
                 name=task.name, kind=task.kind, status=status, identity_check=kind.identity,
                 params=_jsonable(task.param_dict()), payload=_jsonable(payload),
-            ))
+            )
     wall = time.monotonic() - start
     return Report(
         campaign=campaign.name, seed=seed, budget=budget,

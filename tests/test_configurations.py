@@ -4,7 +4,10 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+
+import arcdet.configurations
+import arcdet.matrices
+from hypothesis import assume, example, given, settings, strategies as st
 
 from arcdet import QQ, MultiPoly, parse_poly
 from arcdet.configurations import (
@@ -20,7 +23,7 @@ from arcdet.configurations import (
     matroid_from_columns,
     patterson_matrix,
 )
-from arcdet.errors import ValidationError
+from arcdet.errors import InternalInvariantError, ValidationError
 from arcdet.matrices import PolyMatrix, det_division_free
 
 
@@ -129,22 +132,46 @@ class TestPatterson:
 
 class TestCauchyBinet:
     def test_triangle_coefficients(self):
-        exp = cauchy_binet_expansion(triangle()).as_dict()
+        exp = cauchy_binet_expansion(triangle(), det_division_free(patterson_matrix(triangle())))
         assert exp == {(0, 1): 1, (0, 2): 1, (1, 2): 1}
 
     def test_identity_single_term(self):
-        exp = cauchy_binet_expansion(identity2()).as_dict()
+        exp = cauchy_binet_expansion(identity2(), det_division_free(patterson_matrix(identity2())))
         assert exp == {(0, 1): 1}
 
     def test_squared_coefficients(self):
-        exp = cauchy_binet_expansion(ConfigurationMatrix.from_rows([[1, 2]])).as_dict()
+        cfg = ConfigurationMatrix.from_rows([[1, 2]])
+        exp = cauchy_binet_expansion(cfg, det_division_free(patterson_matrix(cfg)))
         assert exp == {(0,): 1, (1,): 4}
 
     def test_positive_coefficients_and_support(self):
         cfg = ConfigurationMatrix.from_rows([[1, -1, 0, 2], [0, 1, -1, 1]])
-        exp = cauchy_binet_expansion(cfg).as_dict()
+        exp = cauchy_binet_expansion(cfg, det_division_free(patterson_matrix(cfg)))
         assert all(c > 0 for c in exp.values())
         assert set(exp) == set(matroid_from_columns(cfg).bases)
+
+    @given(st.integers(1, 3), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_one_table_feeds_the_matroid_and_the_expansion(self, r, data):
+        n = data.draw(st.integers(r, 6))
+        try:
+            cfg = ConfigurationMatrix.from_rows([[data.draw(rationals) for _ in range(n)] for _ in range(r)])
+        except ValidationError:
+            assume(False)  # rank-deficient draw
+        dets = dict(cfg.basis_dets)
+        for idx in combinations(range(n), r):
+            assert dets.get(idx, 0) == _echelon(cfg.columns(idx))[2]
+        assert list(dets) == sorted(dets)
+        assert matroid_from_columns(cfg).bases == frozenset(dets)
+        det = det_division_free(patterson_matrix(cfg))
+        terms = {tuple(k for k, e in enumerate(exps) if e): c for exps, c in det.terms.items()}
+        assert cauchy_binet_expansion(cfg, det) == terms
+
+    def test_a_wrong_determinant_is_caught(self):
+        cfg = triangle()
+        det = det_division_free(patterson_matrix(cfg))
+        with pytest.raises(InternalInvariantError, match="disagrees"):
+            cauchy_binet_expansion(cfg, det * Fraction(2))
 
     @pytest.mark.parametrize("g,det_g", [
         ([[2, 1], [1, 1]], 1),
@@ -365,6 +392,21 @@ class TestCampaign:
         assert rep.corollary.lct_z.estimate == 1
         assert rep.corollary.lct_w == 2
         assert rep.verdict == "PASS"
+
+    def test_the_determinant_is_expanded_once(self, monkeypatch):
+        # the pair's tower holds the one maximal minor, and the Cauchy-Binet
+        # check reads it instead of expanding det(D diag(x) D^T) again
+        expanded = []
+        expand = arcdet.matrices.det_division_free
+
+        def spy(matrix):
+            expanded.append(matrix)
+            return expand(matrix)
+
+        for module in (arcdet.matrices, arcdet.configurations):
+            monkeypatch.setattr(module, "det_division_free", spy, raising=False)
+        configuration_lct_campaign(triangle(), 1, primes=(2, 3))
+        assert [(type(m), m.rows, m.cols) for m in expanded if m.rows > 1] == [(PolyMatrix, 2, 2)]
 
     def test_disconnected_identity(self):
         rep = configuration_lct_campaign(identity2(), 3, primes=(2, 3))

@@ -217,6 +217,13 @@ class TestProjective:
         with pytest.raises(ValidationError, match="empty profile"):
             proj_count_contact((), ContactQuery(MODE_AT_LEAST, 0, 1, primes=(2, 3)))
 
+    @pytest.mark.parametrize("constraint", ["unit_coordinate", "origin_based"])
+    def test_coordinate_constraint_is_refused(self, constraint):
+        # the count used to accept the constraint and ignore it
+        query = ContactQuery(MODE_AT_LEAST, 1, 2, primes=(2, 3), constraint=constraint)
+        with pytest.raises(ValidationError, match=f"no coordinate constraint, got '{constraint}'"):
+            proj_count_contact((0, 2), query)
+
     @pytest.mark.parametrize("level", [3, 31])  # 2^8 coordinate jets, and 2^64: past int64
     def test_profile_table_counts_stay_exact(self, level):
         lam, per = (1, 5), ord_value_counts(level, 2)

@@ -1,6 +1,7 @@
 """The vectorized counting engine against the pure-Python oracle, the
 exact equivalence of its four strategies, and the planner that picks one."""
 
+import random
 import tracemalloc
 from collections import Counter
 from contextlib import contextmanager
@@ -33,7 +34,7 @@ from arcdet.counting import (
 from arcdet.contact import MODE_EXACT, ContactQuery, count_contact
 from arcdet.determinantal import DeterminantalPair, minor_ideal_tower
 from arcdet.errors import InternalInvariantError, ValidationError
-from arcdet.harness import builtin_corpus, run_campaign
+from arcdet.harness import Campaign, builtin_corpus, run_campaign
 from arcdet.jets import ord_along_ideal, substitute_jet
 from arcdet.series import TruncSeries
 from table_dicts import as_dict
@@ -160,6 +161,19 @@ class TestTableCache:
         scopes = record_run_scopes(monkeypatch)
         run_campaign(builtin_corpus()["fiber-formula-grid"])
         assert (scopes[0].misses, scopes[0].hits) == (4, 176)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_strata_counts_each_table_once_in_any_task_order(self, monkeypatch, seed):
+        # the tower's table (enumerated) and Z's (cheapest) at q = 2 and 3, each
+        # counted once at level 3 since the deepest tasks run first; the report
+        # still lists the tasks in their given order
+        campaign = builtin_corpus()["stratification-generic-2x2"]
+        tasks = list(campaign.tasks)
+        random.Random(seed).shuffle(tasks)
+        scopes = record_run_scopes(monkeypatch)
+        report = run_campaign(Campaign.make(campaign.name, campaign.input_dict(), tasks))
+        assert scopes[0].misses == 4
+        assert [r.name for r in report.results] == [t.name for t in tasks]
 
     def test_cone_grid_shares_its_tables(self, monkeypatch):
         # 72 side lookups of 4 tables (n = 2 and 6 joint variables, q = 2 and 3),

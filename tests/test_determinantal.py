@@ -108,11 +108,19 @@ class TestPair:
 
     @pytest.mark.parametrize("matrix", [generic_2x2, diag_x1_x1])
     def test_tower_is_the_minor_ideal_tower(self, matrix):
-        assert DeterminantalPair.from_matrix(matrix()).tower == minor_ideal_tower(matrix())
+        pair = DeterminantalPair.from_matrix(matrix())
+        assert pair.tower == minor_ideal_tower(matrix())
+        assert pair.z_gens is pair.tower[-1]
+
+    def test_repeated_maximal_minors_appear_once(self):
+        # rows 0 and 1 agree, so the minors on rows {0, 2} and {1, 2} are equal
+        vs = ("x1", "x2", "x3", "x4")
+        A = PolyMatrix([[parse_poly(e, vs) for e in row] for row in (("x1", "x2"), ("x1", "x2"), ("x3", "x4"))])
+        assert [str(g) for g in DeterminantalPair.from_matrix(A).z_gens] == ["x1*x4 - x2*x3"]
 
     def test_stratification_builds_each_tower_once(self, monkeypatch):
-        # validation builds each matrix input's pair once per run, and every
-        # stratum count reads the tower the pair built on the first read
+        # validation builds each matrix input's pair, and with it the tower,
+        # once per run, and every stratum count reads the pair's tower
         build = arcdet.determinantal.minor_ideal_tower
         calls = []
 

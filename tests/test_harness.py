@@ -188,6 +188,25 @@ class TestValidation:
         odd = Campaign.make("odd", inputs, [Task.make("t", "configuration", configuration="half", max_m=1, primes=[3, 5])])
         assert len(arcdet.harness._validate_campaign(odd)) == 1
 
+    def test_a_prime_dividing_a_basis_determinant_is_refused(self):
+        # U(2,4) with det(D|_{0,3}) = 2: mod 2 that basis is lost, so the counts
+        # would belong to another matroid's configuration
+        u24 = ConfigurationMatrix.from_rows([[1, 0, 1, 1], [0, 1, 1, 2]])
+        triangle = ConfigurationMatrix.from_rows([[1, -1, 0], [0, 1, -1]])
+        inputs = {"u24": ("configuration", u24), "triangle": ("configuration", triangle)}
+
+        def task(name, primes):
+            return Task.make(name, "configuration", configuration=name, max_m=1, primes=primes)
+
+        with pytest.raises(ValidationError) as err:
+            run_campaign(Campaign.make("bad", inputs, [task("u24", [2, 3]), task("triangle", [2, 3])]))
+        assert str(err.value).splitlines() == [
+            "campaign validation failed:",
+            "  u24: the prime 2 divides det(D|_[0, 3]) = 2",
+        ]
+        report = run_campaign(Campaign.make("good", inputs, [task("u24", [3, 5]), task("triangle", [2, 3])]))
+        assert [r.status for r in report.results] == ["PASS", "PASS"]
+
     def test_each_matrix_input_is_checked_once(self, monkeypatch):
         # a corollary on a 2x1 matrix used to fail mid-run naming no task
         built = []

@@ -19,6 +19,11 @@ The incidence forms and their charts are built by position, and the
 The configuration oracles have one exact elimination,
 ``configurations._echelon``: the helpers it and the rank-one certificate
 replaced stay deleted.
+Each determinant is expanded once: the pair's minor-ideal tower holds the
+maximal minors and ``ConfigurationMatrix.basis_dets`` the column
+determinants, so ``from_matrix`` names no ``minors``, the matroid and the
+Cauchy-Binet check eliminate nothing, the check expands no Patterson
+determinant of its own, and the tuple wrapper of the expansion stays deleted.
 Statuses have one rule: ``determinantal`` binds PASS, FAIL and AMBIGUOUS
 once, and only ``determinantal.verdict`` returns or assigns one, so every
 check and task reads its status from ``verdict(holds, certain)``; other
@@ -47,6 +52,15 @@ DELETED_HELPERS = (
     "_rank_drop_certificate_r1", "_rank_drop_certificate_r2", "_binary_form_gcd", "_poly_mod",
     "_rational_root_of_binary_form",
 )
+# the functions that read an expansion made elsewhere, and the names each
+# must not read: the pair's tower and ``basis_dets`` make the expansions
+ONE_EXPANSION = {
+    ("determinantal.py", "from_matrix"): ("minors",),
+    ("configurations.py", "matroid_from_columns"): ("_echelon",),
+    ("configurations.py", "cauchy_binet_expansion"): ("_echelon", "patterson_matrix", "det_division_free"),
+}
+# configurations.py: the wrapper of the expansion's (basis, coefficient) pairs
+DELETED_WRAPPERS = ("SupportExpansion",)
 # poly.py: the name-based embedding and ring map that built the incidence
 # forms and their charts, which determinantal.py now builds by position
 DELETED_POLY_METHODS = ("extend_variables", "substitute_polys")
@@ -93,6 +107,24 @@ def _callers(package, names):
     return sorted(found)
 
 
+def _forbidden_reads(package, rules):
+    """(module, function, name) for each name or attribute that a function of
+    ``rules`` reads against its rule, and (module, function, None) for each
+    function of ``rules`` that its module does not define."""
+    found = []
+    for (module, function), names in rules.items():
+        tree = ast.parse((package / module).read_text(encoding="utf-8"))
+        defs = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == function]
+        read = {
+            node.id if isinstance(node, ast.Name) else node.attr
+            for func in defs
+            for node in ast.walk(func)
+            if isinstance(node, (ast.Name, ast.Attribute))
+        }
+        found.extend([(module, function, None)] if not defs else [(module, function, n) for n in names if n in read])
+    return found
+
+
 def test_only_counting_uses_engine_internals():
     assert _modules_naming(ROOT / "src" / "arcdet", ENGINE_INTERNALS, ("counting.py",)) == []
 
@@ -119,6 +151,30 @@ def test_configuration_oracles_keep_one_elimination():
 def test_incidence_forms_are_built_by_position():
     assert _modules_naming(ROOT / "src" / "arcdet", DELETED_POLY_METHODS) == []
     assert _modules_naming(ROOT / "tests", DELETED_POLY_METHODS, ("test_one_engine.py",)) == []
+
+
+def test_each_determinant_is_expanded_once():
+    assert _forbidden_reads(ROOT / "src" / "arcdet", ONE_EXPANSION) == []
+    assert _modules_naming(ROOT / "src" / "arcdet", DELETED_WRAPPERS) == []
+    assert _modules_naming(ROOT / "tests", DELETED_WRAPPERS, ("test_one_engine.py",)) == []
+
+
+def test_guard_sees_a_second_expansion(tmp_path):
+    (tmp_path / "determinantal.py").write_text(
+        "class DeterminantalPair:\n    @classmethod\n    def from_matrix(cls, A):\n"
+        "        return cls(minor_ideal_tower(A), matrices.minors(A, A.cols))\n"
+    )
+    (tmp_path / "configurations.py").write_text(
+        "def cauchy_binet_expansion(cfg, det):\n"
+        "    return det == det_division_free(patterson_matrix(cfg)) and cfg.basis_dets\n\n\n"
+        "def matroids(cfg):\n    return [_echelon(cols)[2] for cols in cfg.subsets]\n"
+    )
+    assert _forbidden_reads(tmp_path, ONE_EXPANSION) == [
+        ("determinantal.py", "from_matrix", "minors"),
+        ("configurations.py", "matroid_from_columns", None),
+        ("configurations.py", "cauchy_binet_expansion", "patterson_matrix"),
+        ("configurations.py", "cauchy_binet_expansion", "det_division_free"),
+    ]
 
 
 def test_guard_sees_a_second_elimination(tmp_path):
