@@ -37,7 +37,6 @@ from .determinantal import (
 from .configurations import (
     ConfigurationMatrix,
     GenericityVerdict,
-    Matroid,
     cauchy_binet_expansion,
     configuration_lct_campaign,
     cross_oracle_payload,
@@ -45,7 +44,6 @@ from .configurations import (
     is_connected,
     is_square_free,
     linear_one_generic,
-    matroid_from_columns,
     patterson_matrix,
 )
 

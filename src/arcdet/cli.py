@@ -29,7 +29,6 @@ from .configurations import (
     is_connected,
     is_square_free,
     linear_one_generic,
-    matroid_from_columns,
     patterson_matrix,
 )
 from .determinantal import VERDICT_FAIL, lambda_profile
@@ -177,9 +176,12 @@ def _cmd_patterson(args):
 
 def _cmd_matroid(args):
     cfg = configuration_from_doc(load_json(args.config))
-    m = matroid_from_columns(cfg)
-    payload = m.payload()
-    payload["connected"] = is_connected(m)
+    payload = {
+        "ground_size": cfg.n,
+        "rank": cfg.r,
+        "bases": [list(idx) for idx, _ in cfg.basis_dets],
+        "connected": is_connected(cfg),
+    }
     _emit(payload, args)
     return 0
 

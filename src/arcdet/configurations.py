@@ -7,7 +7,7 @@ supported exactly on the bases of the column matroid.  (The expansion is
 cross-checked against the caller's symbolic expansion on every call.)
 
 Exact linear algebra is one fraction-free integer elimination, ``_echelon``;
-the column r-subset determinants are one table, ``basis_dets``.
+the column matroid's bases are one table, ``basis_dets``, its ranks ``column_rank``.
 """
 
 from __future__ import annotations
@@ -142,27 +142,10 @@ class ConfigurationMatrix:
         (the bases), in lexicographic order; computed on first read.  The
         package reads every column r-subset determinant from here."""
         dets = ((idx, _echelon(self.columns(idx))[2]) for idx in combinations(range(self.n), self.r))
-        return tuple((idx, d) for idx, d in dets if d != 0)
-
-
-@dataclass(frozen=True)
-class Matroid:
-    """Column matroid of a configuration; ranks are read off its columns."""
-
-    ground_size: int
-    rank: int
-    bases: frozenset  # of tuples
-    cfg: ConfigurationMatrix
-
-    def rank_of(self, subset):
-        return self.cfg.column_rank(sorted(subset))
-
-    def payload(self):
-        return {
-            "ground_size": self.ground_size,
-            "rank": self.rank,
-            "bases": sorted(list(b) for b in self.bases),
-        }
+        bases = tuple((idx, d) for idx, d in dets if d != 0)
+        if not bases:
+            raise InternalInvariantError("a full-rank matrix has at least one column basis")
+        return bases
 
 
 def patterson_matrix(cfg: ConfigurationMatrix) -> PolyMatrix:
@@ -193,14 +176,6 @@ def cauchy_binet_expansion(cfg: ConfigurationMatrix, det: MultiPoly) -> dict:
     return expansion
 
 
-def matroid_from_columns(cfg: ConfigurationMatrix) -> Matroid:
-    """The column matroid, its bases read from ``basis_dets``."""
-    bases = frozenset(idx for idx, _ in cfg.basis_dets)
-    if not bases:
-        raise InternalInvariantError("a full-rank matrix has at least one column basis")
-    return Matroid(ground_size=cfg.n, rank=cfg.r, bases=bases, cfg=cfg)
-
-
 def _splits(n):
     """Every split S | E-S of range(n) into two nonempty parts, once each
     (S never holds the last element), as a pair of sorted lists."""
@@ -213,13 +188,13 @@ def _splits(n):
         )
 
 
-def is_connected(m: Matroid) -> bool:
-    """No proper nonempty S with rank(S) + rank(complement) = rank(E).
+def is_connected(cfg: ConfigurationMatrix) -> bool:
+    """The column matroid has no proper nonempty S with rank(S) + rank(E-S) = rank(E).
 
     Single-element matroids are connected by the direct-sum convention
     (they have no split).  Scans all 2^(n-1) - 1 complementary splits.
     """
-    return not any(m.rank_of(s) + m.rank_of(comp) == m.rank for s, comp in _splits(m.ground_size))
+    return not any(cfg.column_rank(s) + cfg.column_rank(comp) == cfg.r for s, comp in _splits(cfg.n))
 
 
 def is_square_free(p: MultiPoly) -> bool:
@@ -372,23 +347,25 @@ def cross_oracle_payload(cfg: ConfigurationMatrix) -> dict:
 
 @dataclass(frozen=True)
 class ConfigurationReport:
+    """The campaign's findings; its determinant is square-free, or the campaign raises."""
+
     determinant: str
-    square_free: bool
     connected: bool
     one_generic: GenericityVerdict
     corollary: object
-    expansion_note: str
-    verdict: str
 
     def payload(self):
         return {
             "determinant": self.determinant,
-            "square_free": self.square_free,
+            "square_free": True,
             "connected": self.connected,
             "one_generic": self.one_generic.payload(),
             "corollary": self.corollary.payload(),
-            "expansion_note": self.expansion_note,
-            "verdict": self.verdict,
+            "expansion_note": (
+                "support coefficients are det(D|_I)^2 (Cauchy-Binet for D diag(x) D^T); "
+                "the support statement is unaffected by the square"
+            ),
+            "verdict": self.corollary.verdict,
         }
 
 
@@ -405,24 +382,11 @@ def configuration_lct_campaign(
     if not is_square_free(det):
         raise InternalInvariantError("a Patterson determinant is square-free by construction")
     cauchy_binet_expansion(cfg, det)  # raises on mismatch
-    matroid = matroid_from_columns(cfg)
-    connected = is_connected(matroid)
+    connected = is_connected(cfg)
     generic = hadamard_one_generic(cfg)
     corollary = corollary_check(
         lct_z_estimate(pair, M, primes=primes, budget=budget),
         lct_w_estimate(pair, M, primes=primes, budget=budget),
         pair.r,
     )
-    note = (
-        "support coefficients are det(D|_I)^2 (Cauchy-Binet for D diag(x) D^T); "
-        "the support statement is unaffected by the square"
-    )
-    return ConfigurationReport(
-        determinant=str(det),
-        square_free=True,
-        connected=connected,
-        one_generic=generic,
-        corollary=corollary,
-        expansion_note=note,
-        verdict=corollary.verdict,
-    )
+    return ConfigurationReport(determinant=str(det), connected=connected, one_generic=generic, corollary=corollary)

@@ -46,7 +46,6 @@ class CountReport:
     codim_interval: tuple | None = None
     method: str = ""
     detail: str = ""
-    sentinel_counts: tuple = ()  # jets vanishing to level, per prime, when tracked
 
     @property
     def certified(self):

@@ -20,7 +20,7 @@ an internal error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,19 +79,14 @@ def _meets(contact, query):
 
 
 def _contact_hits(table, query):
-    """Reduce a table keyed by ([least coordinate order,] contact order) to
-    the number of jets meeting the order condition plus the number of
-    sentinel jets (forms vanishing to level), over the keys the constraint
-    admits; the coordinate entry is present exactly when a constraint is."""
+    """Reduce a table keyed by ([least coordinate order,] contact order) to the
+    jets meeting the order condition over the keys the constraint admits;
+    the coordinate entry is present exactly when a constraint is."""
     keys, counts = table
-    contact = keys[:, -1]
-    hit = _meets(contact, query)
-    sentinel = contact == query.level + 1
+    hit = _meets(keys[:, -1], query)
     if query.constraint:
-        admitted = CONSTRAINT_REGISTRY[query.constraint](keys[:, 0])
-        hit &= admitted
-        sentinel &= admitted
-    return int(counts[hit].sum()), int(counts[sentinel].sum())
+        hit &= CONSTRAINT_REGISTRY[query.constraint](keys[:, 0])
+    return int(counts[hit].sum())
 
 
 def count_contact(gens: IdealGens, query: ContactQuery, budget=DEFAULT_BUDGET) -> CountReport:
@@ -112,14 +107,8 @@ def count_contact(gens: IdealGens, query: ContactQuery, budget=DEFAULT_BUDGET) -
     coords = [MultiPoly.coordinates(gens.field, gens.variables)] if query.constraint else []
     tables = {q: contact_order_table(coords + [polys], n, query.level, q, budget=budget)
               for q in sorted(query.primes, reverse=True)}
-    counts = []
-    sentinels = []
-    for q in query.primes:
-        hits, bot = _contact_hits(tables[q], query)
-        counts.append((q, hits, jet_space_size(n, query.level, q)))
-        sentinels.append((q, bot))
-    report = extract_codim(counts, n * (query.level + 1))
-    return replace(report, sentinel_counts=tuple(sentinels))
+    counts = [(q, _contact_hits(tables[q], query), jet_space_size(n, query.level, q)) for q in query.primes]
+    return extract_codim(counts, n * (query.level + 1))
 
 
 # --------------------------------------------------------------------------

@@ -115,24 +115,21 @@ from .jets import DEFAULT_BUDGET
 from .poly import MultiPoly
 
 # rows per enumeration batch, and pairs of block states per batch of direct's
-# combine.  Timed on a 2-vCPU Xeon, one thread, median of 7 runs in one process,
-# at 2^15, 2^16, 2^17, 2^18 and 2^19: the 3^16-jet stratification table took
-# about 1 ms and the 2^24-jet cone table 3-5 ms at every cap, both counted as
-# pairs of block states; a table of one term component walks its whole grid,
-# and [x1, x2, x1*x2] over the computed ring (q=2, N=11) took 2.3-2.4 s while
-# the peak memory of a fresh process grew from 33 to 49 MB.  None of this
-# moves the cap off 2^17.
+# combine.  Timed on a 2-vCPU Xeon, one thread, fresh process, 3 runs at each of
+# 2^15 to 2^19: the stratification and cone campaigns took 6-11 and 12-26 ms at
+# every cap, and one [x1, x2, x1*x2] table (q=2, N=11) 0.75-1.08 s up to 2^17
+# against 0.95-1.43 s above, most of it building the lower rings' tables (0.03 s
+# with every ring computed), while peak memory grew from 54 to 76 MB.  None of
+# this moves the cap off 2^17.
 DEFAULT_BATCH_CAP = 1 << 17
 # largest Q = q^(N+1) whose ring is cached as lookup tables; larger rings are
-# computed.  Timed on one [x1, x2, x1*x2] table enumerated directly, 2-vCPU Xeon,
-# fresh process, one thread, median of 3: at Q = 2048 (q=2, N=10) the tables took
-# 0.73 s to build and 0.04 s to walk against 0.61 s computed, at Q = 2187 (q=3,
-# N=6) 0.45 s and 0.04 s against 0.41 s.  A second table of the same ring costs
-# the tables another 0.04 s and the computed ring another 0.4-0.6 s, so tables
-# win from a ring's second table on.  At Q = 4096 the build takes 3.1 s and the
-# process peaks at 102 MB (computed: 2.5 s, 35 MB), at Q = 6561 4.8 s and 200 MB
-# (computed: 4.1 s, 35 MB), and the cache keeps 16 rings.  The builtin campaigns
-# count their monomial lists without enumerating and use no ring above Q = 3^5.
+# computed.  Timed on one [x1, x2, x1*x2] table enumerated directly, 2-vCPU
+# Xeon, fresh process, one thread, 3 runs: at Q = 2048 (q=2, N=10) the tables
+# took 0.65-1.06 s to build and the table 0.19-0.32 s, its quotient walk
+# building every lower level's tables, against 0.03 s with every ring computed;
+# at Q = 2187 (q=3, N=6) 0.42-0.64 s and 0.05-0.08 s against 0.02 s.  A second
+# table of the ring then takes 3-7 ms against 13-32 ms computed.  The builtin
+# campaigns use no ring above Q = 3^5.
 RING_TABLE_CAP = 3**7
 _MAX_COMBINE = 1 << 26
 
@@ -924,8 +921,9 @@ def ord_vector_distribution(polys, n, level, q, budget=DEFAULT_BUDGET, prefer="c
 @dataclass
 class TableCache:
     """The contact-order tables of one scope, and how many lookups found a
-    table (hits) or had to count one (misses).  ``tables`` maps the content
-    of a call without its level to (level, table), the deepest table counted."""
+    table (hits) or counted one (misses); a lookup the budget refuses is
+    neither.  ``tables`` maps the content of a call without its level to
+    (level, table), the deepest table counted."""
 
     tables: dict = field(default_factory=dict)
     hits: int = 0
@@ -965,7 +963,7 @@ def contact_order_table(ideals, n, level, q, budget=DEFAULT_BUDGET, prefer="chea
     ``budget``, share one held table, the deepest counted: a call at or
     below its level is served by truncating it, a deeper call counts its
     own table and holds it instead.  A table the budget refuses is not
-    stored and leaves the held one in place.
+    stored, counts as no miss and leaves the held one in place.
     """
     if any(not gens for gens in ideals):
         raise ValidationError("an ideal needs at least one generator")
@@ -981,8 +979,8 @@ def contact_order_table(ideals, n, level, q, budget=DEFAULT_BUDGET, prefer="chea
     if held is not None and held[0] >= level:
         scope.hits += 1
         return _truncated(*held, level, n, q)
-    scope.misses += 1
     table = _contact_order_table(ideals, n, level, q, budget, prefer)
+    scope.misses += 1
     scope.tables[key] = (level, table)
     return table
 

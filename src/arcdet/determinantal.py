@@ -434,19 +434,8 @@ def corollary_check(lct_z: LctEstimate, lct_w, r: int) -> CorollaryReport:
 
 def _is_generic_coordinate_matrix(A: PolyMatrix) -> bool:
     """Entries are distinct single variables with unit coefficient, covering all."""
-    seen = set()
-    for row in A.entries:
-        for e in row:
-            if len(e.terms) != 1:
-                return False
-            (exps, c), = e.terms.items()
-            if sum(exps) != 1 or c != 1:
-                return False
-            v = exps.index(1)
-            if v in seen:
-                return False
-            seen.add(v)
-    return len(seen) == len(A.variables)
+    entries = [e for row in A.entries for e in row]
+    return len(entries) == len(A.variables) and set(entries) == set(MultiPoly.coordinates(A.field, A.variables))
 
 
 @dataclass(frozen=True)
@@ -510,9 +499,10 @@ def cone_comparison_check(
     """Affine-cone comparison: jets of the cone with zero-section contact p
     against the punctured model shifted by p.
 
-    Verifies the exact counting identity LHS = q^(n p) * RHS (the two sides
-    are enumerated independently at levels N and N-p) and the codimension
-    relation codim(LHS) = p*r + codim(RHS).  A side the engine cannot count
+    Verifies the exact counting identity LHS = q^(n p) * RHS, two cells of one
+    joint contact-order table at levels N and N-p (in a run's table scope both
+    read the one held table: one enumeration, not two algorithms), and the
+    codimension relation codim(LHS) = p*r + codim(RHS).  A side the engine cannot count
     exactly within the budget falls back to the closed form available for
     generic-coordinate matrices.  The primes are counted largest first, so
     a side past the budget is refused before any table is counted; the

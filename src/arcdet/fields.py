@@ -30,8 +30,6 @@ def is_prime(n) -> bool:
 class RationalField:
     """The field Q.  Elements are Fractions."""
 
-    char = 0
-
     @property
     def zero(self):
         return Fraction(0)
@@ -88,7 +86,6 @@ class PrimeField:
         if not is_prime(q):
             raise ValueError(f"modulus {q} is not prime")
         self.q = q
-        self.char = q
 
     @property
     def zero(self):

@@ -214,6 +214,25 @@ class TestSubcommands:
         assert main(["matroid", "--config", str(docs["config"]), "--out", str(out2)]) == 0
         assert json.loads(out2.read_text())["connected"] is True
 
+    @pytest.mark.parametrize("config,expected", [
+        (
+            {"graph": {"vertices": 3, "edges": [[1, 2], [2, 3], [1, 3]]}},
+            {"bases": [[0, 1], [0, 2], [1, 2]], "connected": True, "ground_size": 3, "rank": 2},
+        ),
+        (
+            {"d_matrix": [[1, 0, 1, 1], [0, 1, 1, 2]]},  # U(2,4)
+            {
+                "bases": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]],
+                "connected": True, "ground_size": 4, "rank": 2,
+            },
+        ),
+    ], ids=["triangle", "U24"])
+    def test_matroid_payload(self, config, expected, tmp_path):
+        doc, out = tmp_path / "c.json", tmp_path / "mat.json"
+        doc.write_text(json.dumps(config))
+        assert main(["matroid", "--config", str(doc), "--out", str(out)]) == 0
+        assert out.read_text() == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
     def test_one_generic(self, docs, tmp_path):
         out = tmp_path / "og.json"
         rc = main(["one-generic", "--config", str(docs["config"]), "--out", str(out)])

@@ -77,11 +77,14 @@ class TestCountContact:
         gens = det_ideal()
         level, q = 2, 2
         total = jet_space_size(4, level, q)
-        pieces = 0
-        for m in range(level + 1):
-            rep = count_contact(gens, ContactQuery(MODE_EXACT, m, level, primes=(q, 3)))
-            pieces += dict((p, raw) for p, raw, _ in rep.counts)[q]
-        bot = dict(rep.sentinel_counts)[q]
+
+        def count(mode, m):
+            rep = count_contact(gens, ContactQuery(mode, m, level, primes=(q, 3)))
+            return dict((p, raw) for p, raw, _ in rep.counts)[q]
+
+        pieces = sum(count(MODE_EXACT, m) for m in range(level + 1))
+        # sentinel jets (forms vanishing to the level) meet every at-least condition and no exact one
+        bot = count(MODE_AT_LEAST, level) - count(MODE_EXACT, level)
         assert pieces + bot == total
 
     def test_monotonicity_and_decomposition(self):
@@ -94,7 +97,7 @@ class TestCountContact:
             r2 = count_contact(gens, ContactQuery(MODE_EXACT, m, level, primes=(2, q)))
             at_least[m] = dict((p, raw) for p, raw, _ in r1.counts)[q]
             exact[m] = dict((p, raw) for p, raw, _ in r2.counts)[q]
-            bot = dict(r2.sentinel_counts)[q]
+        bot = at_least[level] - exact[level]  # the sentinel jets
         for m in range(level):
             assert at_least[m + 1] <= at_least[m]
             assert at_least[m] == sum(exact[k] for k in range(m, level + 1)) + bot
@@ -120,8 +123,13 @@ class TestCountContact:
     def test_constraints_partition_the_count(self, gens, mode):
         # every jet has a unit coordinate or is based at the origin, never both
         def tallies(constraint):
-            rep = count_contact(gens, ContactQuery(mode, 1, 1, primes=(2, 3), constraint=constraint))
-            return [(q, raw) for q, raw, _ in rep.counts], list(rep.sentinel_counts)
+            def tally(mode):
+                rep = count_contact(gens, ContactQuery(mode, 1, 1, primes=(2, 3), constraint=constraint))
+                return [(q, raw) for q, raw, _ in rep.counts]
+
+            # the sentinel jets: at least the level, and not exactly it
+            sentinels = [(q, a - e) for (q, a), (_, e) in zip(tally(MODE_AT_LEAST), tally(MODE_EXACT))]
+            return tally(mode), sentinels
 
         unit, origin, whole = tallies("unit_coordinate"), tallies("origin_based"), tallies(None)
         for u, o, w in zip(unit, origin, whole):

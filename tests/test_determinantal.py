@@ -18,6 +18,7 @@ from arcdet import (
 )
 from arcdet.determinantal import (
     DeterminantalPair,
+    _is_generic_coordinate_matrix,
     cone_comparison_check,
     corollary_check,
     fiber_codim_formula,
@@ -315,6 +316,17 @@ class TestCorollary:
 
 
 class TestCone:
+    @pytest.mark.parametrize("vs,rows,generic", [
+        (VS, [["x1", "x2"], ["x3", "x4"]], True),
+        (VS, [["x1", "2*x2"], ["x3", "x4"]], False),  # a coefficient
+        (VS[:3], [["x1", "x2"], ["x3", "x1"]], False),  # a repeated variable
+        (VS[:1], [["x1", "0"], ["0", "x1"]], False),  # zero entries
+        (VS + ("x5",), [["x1", "x2"], ["x3", "x4"]], False),  # x5 left out
+    ], ids=["generic", "coefficient", "repeat", "zero", "missing"])
+    def test_generic_coordinate_matrix(self, vs, rows, generic):
+        A = PolyMatrix([[parse_poly(e, vs) for e in row] for row in rows])
+        assert _is_generic_coordinate_matrix(A) is generic
+
     def test_single_entry_matrix(self):
         A = PolyMatrix([[parse_poly("x1", ("x1",))]])
         for m in (1, 2):

@@ -21,9 +21,10 @@ The configuration oracles have one exact elimination,
 replaced stay deleted.
 Each determinant is expanded once: the pair's minor-ideal tower holds the
 maximal minors and ``ConfigurationMatrix.basis_dets`` the column
-determinants, so ``from_matrix`` names no ``minors``, the matroid and the
-Cauchy-Binet check eliminate nothing, the check expands no Patterson
-determinant of its own, and the tuple wrapper of the expansion stays deleted.
+determinants, so ``from_matrix`` names no ``minors``, the Cauchy-Binet check
+eliminates nothing and expands no Patterson determinant of its own, and the
+wrappers that copied the matroid and the expansion out of the matrix stay
+deleted.
 Statuses have one rule: ``determinantal`` binds PASS, FAIL and AMBIGUOUS
 once, and only ``determinantal.verdict`` returns or assigns one, so every
 check and task reads its status from ``verdict(holds, certain)``; other
@@ -56,11 +57,12 @@ DELETED_HELPERS = (
 # must not read: the pair's tower and ``basis_dets`` make the expansions
 ONE_EXPANSION = {
     ("determinantal.py", "from_matrix"): ("minors",),
-    ("configurations.py", "matroid_from_columns"): ("_echelon",),
     ("configurations.py", "cauchy_binet_expansion"): ("_echelon", "patterson_matrix", "det_division_free"),
 }
-# configurations.py: the wrapper of the expansion's (basis, coefficient) pairs
-DELETED_WRAPPERS = ("SupportExpansion",)
+# configurations.py: the wrapper of the expansion's (basis, coefficient) pairs,
+# and the column matroid and its builder, which copied ``basis_dets`` and
+# forwarded ``column_rank``
+DELETED_WRAPPERS = ("SupportExpansion", "Matroid", "matroid_from_columns")
 # poly.py: the name-based embedding and ring map that built the incidence
 # forms and their charts, which determinantal.py now builds by position
 DELETED_POLY_METHODS = ("extend_variables", "substitute_polys")
@@ -171,7 +173,6 @@ def test_guard_sees_a_second_expansion(tmp_path):
     )
     assert _forbidden_reads(tmp_path, ONE_EXPANSION) == [
         ("determinantal.py", "from_matrix", "minors"),
-        ("configurations.py", "matroid_from_columns", None),
         ("configurations.py", "cauchy_binet_expansion", "patterson_matrix"),
         ("configurations.py", "cauchy_binet_expansion", "det_division_free"),
     ]
