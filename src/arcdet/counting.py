@@ -18,12 +18,12 @@ exactly one strategy counts each table.
 
 * direct      -- enumeration of the full jet grid, counted as pairs of
                  block states.  The variables split into two blocks of term
-                 components; each block is walked and tallied by its state
-                 (the orders of the polynomials that lie in it alone and the
-                 values of its parts of those with terms in both), and every
-                 pair of states is combined through the ring.  A block walks
-                 its whole grid, or its quotient by the units of O_N (below)
-                 when that applies.
+                 components; ``_block_states`` walks each block and tallies
+                 it by its state (the orders of the polynomials that lie in
+                 it alone and the values of its parts of those with terms in
+                 both), and every pair of states is combined through the
+                 ring.  A block walks its whole grid, or its quotient by the
+                 units of O_N (below) when that applies.
 * shift split -- a variable that occurs exactly once in the whole list,
                  as a lone constant-coefficient degree-1 term, acts as a
                  uniform shift; its generator's order distribution is the
@@ -31,8 +31,9 @@ exactly one strategy counts each table.
                  those variables never need to be enumerated.
 * add split   -- when the term-cooccurrence graph of the variables is
                  disconnected, the list splits into two blocks sharing at
-                 most one additively-split polynomial; each block is
-                 enumerated separately and the blocks are convolved by
+                 most one additively-split polynomial.  It reads direct's
+                 block states and differs in the combine: each block's
+                 states become counts by (orders, value code), convolved by
                  matching value prefixes, one integer matrix product per
                  prefix length.  The plan refuses a combine that could pass
                  _MAX_COMBINE cells before anything is enumerated.
@@ -305,10 +306,12 @@ class RingTables(SeriesRing):
 def ring_tables(q, level):
     """The ring tables of F_q[t]/(t^(level+1)), built on first use and shared.
 
-    The 16 most recently used rings are kept.  All builtin campaigns together
-    use 10 rings, none above Q = 3^5 (8 each in ``lct-known-values`` and
-    ``corollary-generic-2x2``), so none is rebuilt; one at Q = RING_TABLE_CAP
-    holds 19 MB.
+    The 16 most recently used rings are kept.  All 10 builtin campaigns in one
+    process build 6 rings, (q, N) = (2, 3), (2, 4) and (3, 1) to (3, 4), none
+    above Q = 3^5, and no campaign alone more than 3, so none is rebuilt; one
+    at Q = RING_TABLE_CAP holds 19 MB.  With every ring computed, a benchmark
+    pass (2-vCPU Xeon, two runs, median ms) takes 6.4-7.9 against 3.1-3.2 on
+    strata, 22 against 12 on cone and 57-59 against 25 on thresholds.
     """
     return RingTables(q, level)
 
@@ -316,16 +319,6 @@ def ring_tables(q, level):
 def series_ring(q, level):
     """F_q[t]/(t^(level+1)): its lookup tables within RING_TABLE_CAP, else computed."""
     return ring_tables(q, level) if q ** (level + 1) <= RING_TABLE_CAP else SeriesRing(q, level)
-
-
-def _plain_variable_index(poly):
-    """Index of v when poly == 1*v, else None (enables the no-copy fast path)."""
-    if len(poly.terms) != 1:
-        return None
-    (exps, c), = poly.terms.items()
-    if int(c) != 1 or sum(exps) != 1:
-        return None
-    return exps.index(1)
 
 
 def _fold(arrays, op):
@@ -360,9 +353,6 @@ def eval_poly_codes(poly, coords, ring):
     codes shaped as the broadcast of the coordinates the polynomial uses,
     (1, 1) for a constant.
     """
-    var = _plain_variable_index(poly)
-    if var is not None:
-        return coords[var]
     powers = {}
     terms = []
     for exps, coeff in poly.terms.items():
@@ -476,7 +466,7 @@ def _sum_by_row(rows, counts, base):
 
 def _tally(batches, radix, total):
     """Jets per key code over ``batches`` of (weight, key), as int64 arrays of
-    the codes that occur and of their counts.
+    the codes that occur, ascending, and of their counts.
 
     Codes lie in [0, radix); each entry of ``key`` stands for ``weight`` jets,
     an int or an int64 array of the key's shape, accumulated exactly in int64
@@ -594,6 +584,23 @@ def _restrict_poly(p, keep_vars, constant=True):
     return r
 
 
+def _block_states(polys, sides, spans, level, q, batch_cap):
+    """Walk each block of ``sides`` and ``spans`` (see ``_blocks``) once and tally
+    its jets by state.  Per block return the rows of orders of its own
+    polynomials, one column per slot, the rows of value codes of its parts of
+    the spanning polynomials, the first holding the constant terms, and the
+    jets of each state, sorted by the ``_order_batches`` key."""
+    base, size = level + 2, q ** (level + 1)
+    states = []
+    for first, (side_vars, slots) in zip((True, False), sides):
+        values = [_restrict_poly(polys[s], side_vars, constant=first) for s in spans]
+        side_polys = [_restrict_poly(polys[pi], side_vars) for pi in slots]
+        codes, counts = _side_walk(side_polys, values, len(side_vars), level, q, batch_cap)
+        digits = _digits(codes, [size] * len(spans) + [base] * len(slots))
+        states.append((digits[:, len(spans) :], digits[:, : len(spans)], counts))
+    return states
+
+
 # --------------------------------------------------------------------------
 # strategy: direct enumeration
 # --------------------------------------------------------------------------
@@ -606,8 +613,8 @@ def _direct_distribution(polys, n, level, q, batch_cap):
     in one of them, so a jet reaches the table only through the state of each
     block: the orders of the polynomials that lie in that block alone and the
     value codes of its parts of those with terms in both, the first part
-    holding the constant term.  Each block's grid is walked and tallied by
-    state.  Every pair of states is then combined through the ring, which
+    holding the constant term.  ``_block_states`` walks and tallies each
+    block.  Every pair of states is then combined through the ring, which
     reads the orders of the spanning polynomials from the sums of their
     parts, and the pair counts the product of the two states' counts.  A list
     of one component, or one whose states or keys would overflow int64, is
@@ -621,16 +628,12 @@ def _direct_distribution(polys, n, level, q, batch_cap):
     radices = [size ** len(spans) * base ** len(slots) for _, slots in sides]
     if max(radices + [base ** len(polys)]) > 2**63:
         sides, spans = ((list(range(n)), list(range(len(polys)))), ([], [])), []
-    states = []
-    for first, (side_vars, slots) in zip((True, False), sides):
-        values = [_restrict_poly(polys[s], side_vars, constant=first) for s in spans]
-        side_polys = [_restrict_poly(polys[pi], side_vars) for pi in slots]
-        codes, counts = _side_walk(side_polys, values, len(side_vars), level, q, batch_cap)
-        digits = _digits(codes, [size] * len(spans) + [base] * len(slots))
-        # the side's orders in their slots of the full key
-        key = digits[:, len(spans) :] @ base ** np.array(slots, dtype=np.int64)
-        states.append((key, digits[:, : len(spans)], counts))
-    (key_a, val_a, cnt_a), (key_b, val_b, cnt_b) = states
+    states = _block_states(polys, sides, spans, level, q, batch_cap)
+    # each block's orders in their slots of the full key
+    (key_a, val_a, cnt_a), (key_b, val_b, cnt_b) = (
+        (orders @ base ** np.array(slots, dtype=np.int64), values, counts)
+        for (orders, values, counts), (_, slots) in zip(states, sides)
+    )
     ring = series_ring(q, level)
     span_orders = [ring.weighted_order(base**s, np.int64) for s in spans]
     # no batch of pairs passes batch_cap: whole rows of B's states where they fit
@@ -761,35 +764,21 @@ def _blocks(polys, n):
     return ((sorted(vars_a), slots_a), (sorted(vars_b), slots_b)), both
 
 
-def _side_table(polys, value_poly, n, level, q, batch_cap):
-    """Enumerate one block: the ord-keys of ``polys`` that occur, as rows of
-    digits, and per key a row counting its jets by the value code of
-    ``value_poly`` (one column without one)."""
-    values = [] if value_poly is None else [value_poly]
-    vspace = q ** ((level + 1) * len(values))
-    codes, counts = _side_walk(polys, values, n, level, q, batch_cap)
-    key_codes, value_codes = np.divmod(codes, vspace)
-    keys, row = np.unique(key_codes, return_inverse=True)
-    mat = np.zeros((keys.size, vspace), dtype=np.int64)
-    mat[row, value_codes] = counts
-    return _digits(keys, [level + 2] * len(polys)), mat
-
-
-def _additive_split_distribution(polys, level, q, sides, split, batch_cap):
-    """Table of ``polys`` over two blocks of variables, each enumerated alone.
-
-    ``sides`` holds per block its variables and the slots of the polynomials
-    whose terms lie in it; ``split`` is the slot of the one polynomial with
-    terms in both, or None.  Its order is read from the sum of the values of
-    its two parts, the first part holding its constant term.
+def _additive_split_distribution(polys, level, q, sides, spans, batch_cap):
+    """Table of ``polys`` from the block states of ``_block_states``, with
+    ``sides`` and ``spans`` as ``_blocks`` returns them and at most one
+    spanning polynomial, whose order is read from the sum of its two parts.
+    Per block, the states of each row of orders become one row of a matrix
+    counting them by value code, one column without a spanning polynomial.
     """
     tables = []
-    for first, (side_vars, slots) in zip((True, False), sides):
-        value = None if split is None else _restrict_poly(polys[split], side_vars, constant=first)
-        side_polys = [_restrict_poly(polys[pi], side_vars) for pi in slots]
-        tables.append(_side_table(side_polys, value, len(side_vars), level, q, batch_cap))
+    for orders, values, counts in _block_states(polys, sides, spans, level, q, batch_cap):
+        new = np.r_[True, (orders[1:] != orders[:-1]).any(axis=1)]  # sorted states: equal rows adjacent
+        mat = np.zeros((np.count_nonzero(new), q ** ((level + 1) * len(spans))), dtype=np.int64)
+        mat[np.cumsum(new) - 1, values.sum(axis=1)] = counts  # the one value code, or 0
+        tables.append((orders[new], mat))
     (keys_a, mat_a), (keys_b, mat_b) = tables
-    if split is None:
+    if not spans:
         # no value codes to match: a pair of keys counts the product of the two totals
         by_ord = np.outer(mat_a.sum(axis=1), mat_b.sum(axis=1))[None]
     else:
@@ -816,7 +805,7 @@ def _additive_split_distribution(polys, level, q, sides, split, batch_cap):
     keys = np.empty((o.size, len(polys)), dtype=np.int64)
     keys[:, sides[0][1]] = keys_a[i]
     keys[:, sides[1][1]] = keys_b[j]
-    keys[:, [] if split is None else [split]] = o[:, None]
+    keys[:, spans] = o[:, None]
     return keys, by_ord[o, i, j]
 
 
@@ -836,9 +825,8 @@ def _additive_plan(polys, n, level, q):
     keys = [min(size, (level + 2) ** len(slots)) for size, (_, slots) in zip(sizes, sides)]
     if len(both) > 1 or sizes[0] * sizes[1] >= 2**63 or keys[0] * keys[1] * q**width > _MAX_COMBINE:
         return None
-    split = both[0] if both else None
     return "additive", sum(sizes), max(sizes), lambda cap: _additive_split_distribution(
-        polys, level, q, sides, split, cap
+        polys, level, q, sides, both, cap
     )
 
 

@@ -193,15 +193,15 @@ def stratum_counts(
 ) -> StratumReport:
     """Classify every jet with contact order m along Z_A by its profile.
 
-    The total |Cont^m| is counted independently from the maximal-minor
-    ideal alone, so the partition identity compares two computations.
+    The total |Cont^m| is counted again from the maximal-minor ideal alone,
+    so the partition identity compares two combines over one block walk.
     """
     if m > level:
         raise ValidationError("m must be at most the level")
     n = len(pair.matrix.variables)
-    # keyed by the sigma vectors; full enumeration keeps this pass independent
-    # of the cheapest-strategy total below.  It counts every jet as a pair of
-    # block states, whose spanning minors it evaluates through the ring.
+    # keyed by the sigma vectors, by full enumeration: each block of variables
+    # is walked once and tallied by its state, and every pair of states is
+    # combined through the ring, which evaluates the spanning minors.
     tower = [ideal.nonzero() for ideal in pair.tower]
     keys, counts = contact_order_table(tower, n, level, q, budget=budget, prefer="direct")
     hit = keys[:, -1] == m
@@ -219,10 +219,11 @@ def stratum_counts(
     # the rows are distinct, and so are their profiles
     per_lambda = dict(zip(map(tuple, parts.tolist()), cnts.tolist()))
 
-    # independent total from the maximal-minor ideal alone, by whatever exact
-    # strategy is cheapest.  For a determinant of two blocks that is the
-    # additive split, which combines its blocks by prefix matrix products, a
-    # different algorithm from the pairs of block states of the pass above.
+    # the total from the maximal-minor ideal alone, by whatever exact strategy
+    # is cheapest.  For a determinant of two blocks that is the additive split:
+    # it walks each block of its own list the way the pass above does, and
+    # combines the blocks by prefix matrix products, so the identity compares
+    # the pairs-of-states combine with the prefix-matrix combine.
     z_keys, z_counts = contact_order_table([pair.z_gens.nonzero()], n, level, q, budget=budget)
     cont_m = int(z_counts[z_keys[:, 0] == m].sum())
 

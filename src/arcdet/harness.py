@@ -572,14 +572,15 @@ def _validate_campaign(campaign: Campaign):
 
 def run_campaign(campaign: Campaign, seed=0, budget=DEFAULT_BUDGET) -> Report:
     """Validate, execute, and report.  Identical inputs and seed give
-    byte-identical canonical reports.  Tasks run deepest first (by the larger
-    of ``level`` and ``max_m``, ties in task order), so the run counts each
-    table once, at its deepest level; the report lists them in task order."""
+    byte-identical canonical reports.  Tasks run deepest first: by the larger
+    of ``level`` and ``max_m``, then by ``level - p``, the level of a cone
+    task's shifted side, then in task order.  So the run counts each table
+    once, at its deepest level; the report lists them in task order."""
     calls = _validate_campaign(campaign)
     start = time.monotonic()
     results = [None] * len(calls)
     failed = False
-    depth = [max(params.get("level", 0), params.get("max_m", 0)) for _, _, params in calls]
+    depth = [(max(p.get("level", 0), p.get("max_m", 0)), p.get("level", 0) - p.get("p", 0)) for _, _, p in calls]
     # the tasks of this run share each contact-order table; none outlives it
     with table_cache():
         for i in sorted(range(len(calls)), key=depth.__getitem__, reverse=True):

@@ -186,6 +186,19 @@ class TestTableCache:
         assert held == [(2, 2, 3), (2, 3, 3), (6, 2, 3), (6, 3, 1)]
         assert (scopes[0].misses, scopes[0].hits) == (4, 58)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_cone_counts_each_table_once_in_any_task_order(self, monkeypatch, seed):
+        # a level-3 cell at q = 3 reads only its shifted side, at level 3 - p,
+        # so among the level-3 cells the smaller p runs first and the n = 6,
+        # q = 3 table is counted once, at level 1
+        campaign = builtin_corpus()["cone-comparison-basic"]
+        tasks = list(campaign.tasks)
+        random.Random(seed).shuffle(tasks)
+        scopes = record_run_scopes(monkeypatch)
+        report = run_campaign(Campaign.make(campaign.name, campaign.input_dict(), tasks))
+        assert (scopes[0].misses, scopes[0].hits) == (4, 58)
+        assert [r.name for r in report.results] == [t.name for t in tasks]
+
     def test_the_deepest_table_serves_every_shallower_level(self):
         vs = ("x1", "x2")
         x1, x2, f = (parse_poly(e, vs) for e in ("x1", "x2", "x1*x2 + x1^3"))

@@ -14,6 +14,11 @@ cannot drift from it.  Thresholds have one fold: only ``lct.threshold_fold``
 makes an ``LctEstimate`` and only ``determinantal.corollary_check`` a
 ``CorollaryReport``, a verdict over two estimates that counts nothing, so a
 source of codimensions that counts no ideal reaches both through them.
+Both split strategies read one block walk: ``_block_states`` walks each
+block with ``_side_walk``, direct combines the states in pairs and additive
+by value prefixes, and only the quotient walk calls ``_side_walk`` besides,
+for its table one level down.  The additive split's own walk and the
+evaluator's fast path for a plain variable stay deleted.
 The incidence forms and their charts are built by position, and the
 ``MultiPoly`` methods that built them by name stay deleted.
 The configuration oracles have one exact elimination,
@@ -63,6 +68,12 @@ ONE_EXPANSION = {
 # and the column matroid and its builder, which copied ``basis_dets`` and
 # forwarded ``column_rank``
 DELETED_WRAPPERS = ("SupportExpansion", "Matroid", "matroid_from_columns")
+# counting.py: the walk of one block, and the functions that call it
+BLOCK_WALK = ("_side_walk",)
+BLOCK_WALKERS = [("counting.py", "_block_states", "_side_walk"), ("counting.py", "_quotient_walk", "_side_walk")]
+# counting.py: the additive split's own block walk, and the evaluator's fast
+# path for 1*v, which the general term loop serves without a copy
+DELETED_WALKS = ("_side_table", "_plain_variable_index")
 # poly.py: the name-based embedding and ring map that built the incidence
 # forms and their charts, which determinantal.py now builds by position
 DELETED_POLY_METHODS = ("extend_variables", "substitute_polys")
@@ -148,6 +159,23 @@ def test_only_the_run_scope_shares_tables():
 def test_configuration_oracles_keep_one_elimination():
     assert _modules_naming(ROOT / "src" / "arcdet", DELETED_HELPERS) == []
     assert _modules_naming(ROOT / "tests", DELETED_HELPERS, ("test_one_engine.py",)) == []
+
+
+def test_both_split_strategies_read_one_block_walk():
+    assert _callers(ROOT / "src" / "arcdet", BLOCK_WALK) == BLOCK_WALKERS
+    assert _modules_naming(ROOT / "src" / "arcdet", DELETED_WALKS) == []
+    assert _modules_naming(ROOT / "tests", DELETED_WALKS, ("test_one_engine.py",)) == []
+
+
+def test_guard_sees_a_second_block_walk(tmp_path):
+    (tmp_path / "counting.py").write_text(
+        "def _block_states(sides):\n    return [_side_walk(side) for side in sides]\n\n\n"
+        "def _side_table(side):\n    return _side_walk(side)\n"
+    )
+    assert _callers(tmp_path, BLOCK_WALK) == [
+        ("counting.py", "_block_states", "_side_walk"), ("counting.py", "_side_table", "_side_walk"),
+    ]
+    assert _modules_naming(tmp_path, DELETED_WALKS) == ["counting.py: _side_table"]
 
 
 def test_incidence_forms_are_built_by_position():
