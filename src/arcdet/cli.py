@@ -60,8 +60,8 @@ def _ints_arg(text):
 
 def _primes_arg(text):
     primes = _ints_arg(text)
-    if not all(map(is_prime, primes)):
-        raise argparse.ArgumentTypeError(f"--primes expects primes below 2^31, got {text!r}")
+    if not all(map(is_prime, primes)) or len(set(primes)) < len(primes):
+        raise argparse.ArgumentTypeError(f"--primes expects distinct primes below 2^31, got {text!r}")
     return tuple(primes)
 
 

@@ -102,7 +102,7 @@ class ConfigurationMatrix:
 
     @classmethod
     def from_rows(cls, rows):
-        return cls(tuple(tuple(Fraction(v) for v in row) for row in rows))
+        return cls(rows)
 
     @classmethod
     def from_graph(cls, vertices: int, edges):

@@ -66,8 +66,8 @@ class ContactQuery:
         primes = tuple(self.primes)
         if not primes:
             raise ValidationError("need at least one prime")
-        if not all(map(is_prime, primes)):
-            raise ValidationError(f"primes must be primes below 2^31, got {primes!r}")
+        if not all(map(is_prime, primes)) or len(set(primes)) < len(primes):
+            raise ValidationError(f"primes must be distinct primes below 2^31, got {primes!r}")
         object.__setattr__(self, "primes", primes)
         if self.constraint is not None and self.constraint not in CONSTRAINT_REGISTRY:
             raise ValidationError(f"unknown constraint {self.constraint!r}")

@@ -16,14 +16,14 @@ when its largest single enumeration is within the budget.
 ``prefer="direct"`` with the first fitting plan in the order below, and
 exactly one strategy counts each table.
 
-* direct      -- enumeration of the full jet grid, counted as pairs of
-                 block states.  The variables split into two blocks of term
-                 components; ``_block_states`` walks each block and tallies
-                 it by its state (the orders of the polynomials that lie in
-                 it alone and the values of its parts of those with terms in
-                 both), and every pair of states is combined through the
-                 ring.  A block walks its whole grid, or its quotient by the
-                 units of O_N (below) when that applies.
+* direct      -- two block walks, every pair of their states combined
+                 through the ring.  The variables split into two blocks of
+                 term components, and ``_block_states`` tallies each block's
+                 whole grid, or its quotient by the units of O_N (below), by
+                 state: the orders of the polynomials that lie in it alone and
+                 the values of its parts of those with terms in both.  Its
+                 cost and largest are the full grid, which bounds its walks and
+                 pairs: a block has no more states than its grid has jets.
 * shift split -- a variable that occurs exactly once in the whole list,
                  as a lone constant-coefficient degree-1 term, acts as a
                  uniform shift; its generator's order distribution is the
@@ -122,7 +122,7 @@ from .poly import MultiPoly
 # against 0.95-1.43 s above, most of it building the lower rings' tables (0.03 s
 # with every ring computed), while peak memory grew from 54 to 76 MB.  None of
 # this moves the cap off 2^17.
-DEFAULT_BATCH_CAP = 1 << 17
+BATCH_CAP = 1 << 17
 # largest Q = q^(N+1) whose ring is cached as lookup tables; larger rings are
 # computed.  Timed on one [x1, x2, x1*x2] table enumerated directly, 2-vCPU
 # Xeon, fresh process, one thread, 3 runs: at Q = 2048 (q=2, N=10) the tables
@@ -145,7 +145,7 @@ def _code_dtype(size):
     return np.int16 if size <= 1 << 15 else np.int32 if size <= 1 << 31 else np.int64
 
 
-def _mesh_batches(sets, batch_cap, cuts=()):
+def _mesh_batches(sets, cuts=()):
     """Cover the product of code sets, one ``range`` of series codes per
     coordinate, by open meshes.
 
@@ -154,7 +154,7 @@ def _mesh_batches(sets, batch_cap, cuts=()):
     as (highs, 1) arrays.  Row h*block + b of a batch takes its low codes from
     b and its high codes from the batch's h-th high index, so the batches cover
     the product exactly once.  w is the largest of ``cuts`` whose block fits
-    ``batch_cap``, or without one the largest w that fits.  Codes take the
+    ``BATCH_CAP``, or without one the largest w that fits.  Codes take the
     narrowest dtype that holds every code below the largest stop of ``sets``,
     so a grid of ranges that stop at the ring size takes the ring's dtype.
     """
@@ -174,13 +174,13 @@ def _mesh_batches(sets, batch_cap, cuts=()):
         return out
 
     w = 0
-    while w < len(sets) and prod(sizes[: w + 1]) <= min(batch_cap, total):
+    while w < len(sets) and prod(sizes[: w + 1]) <= min(BATCH_CAP, total):
         w += 1
     w = max((cut for cut in cuts if cut <= w), default=w)
     block = prod(sizes[:w])
     lows = codes(np.arange(block, dtype=np.int64), sets[:w], (1, block))
     n_highs = total // block
-    step = max(1, batch_cap // block)
+    step = max(1, BATCH_CAP // block)
     for h0 in range(0, n_highs, step):
         h1 = min(h0 + step, n_highs)
         yield (h1 - h0) * block, lows, codes(np.arange(h0, h1, dtype=np.int64), sets[w:], (h1 - h0, 1))
@@ -268,7 +268,7 @@ class RingTables(SeriesRing):
         self.ord = super().order(codes)
         self.add = np.empty((size, size), dtype=np.int16)
         self.mul = np.empty((size, size), dtype=np.int16)
-        rows = max(1, DEFAULT_BATCH_CAP // size)
+        rows = max(1, BATCH_CAP // size)
         for a0 in range(0, size, rows):
             a = codes[a0 : a0 + rows, None]
             self.add[a0 : a0 + rows] = super().plus(a, codes)
@@ -384,7 +384,7 @@ def _power(ring, coords, powers, i, e):
     return powers[i, e]
 
 
-def _order_batches(polys, sets, level, q, batch_cap, values=()):
+def _order_batches(polys, sets, level, q, values=()):
     """Walk the jets of a grid in batches: the product of ``sets``, one
     ``range`` of series codes per coordinate.  Per batch yield the number of
     jets each key entry stands for and the keys of its jets: an int array that
@@ -416,7 +416,7 @@ def _order_batches(polys, sets, level, q, batch_cap, values=()):
     layout = [v for comp in comps for v in comp]
     cuts = list(accumulate(len(comp) for comp in comps))
     coords = [None] * len(sets)
-    for rows, lows, highs in _mesh_batches([sets[v] for v in layout], batch_cap, cuts):
+    for rows, lows, highs in _mesh_batches([sets[v] for v in layout], cuts):
         for v, digit in zip(layout, lows + highs):
             coords[v] = digit
         parts = [order(eval_poly_codes(p, coords, ring)) for order, p in zip(order_digits, polys)]
@@ -498,7 +498,7 @@ def _tally(batches, radix, total):
     return codes, counts
 
 
-def _side_walk(polys, values, n, level, q, batch_cap):
+def _side_walk(polys, values, n, level, q):
     """Tally the jets of one block of n variables by state: the value codes of
     ``values`` and the orders of ``polys``, keyed as in ``_order_batches``.
 
@@ -506,11 +506,11 @@ def _side_walk(polys, values, n, level, q, batch_cap):
     ``_grading`` grades, walks its quotient by the units of O_N
     (``_quotient_walk``); every other block walks its whole grid."""
     size = q ** (level + 1)
-    grading = None if values or size**n <= batch_cap else _grading(polys, n)
+    grading = None if values or size**n <= BATCH_CAP else _grading(polys, n)
     if grading is not None:
-        return _quotient_walk(polys, n, level, q, batch_cap, *grading)
+        return _quotient_walk(polys, n, level, q, *grading)
     radix = size ** len(values) * (level + 2) ** len(polys)
-    return _tally(_order_batches(polys, [range(size)] * n, level, q, batch_cap, values), radix, size**n)
+    return _tally(_order_batches(polys, [range(size)] * n, level, q, values), radix, size**n)
 
 
 def _grading(polys, n):
@@ -525,7 +525,7 @@ def _grading(polys, n):
     return None
 
 
-def _quotient_walk(polys, n, level, q, batch_cap, graded, degrees):
+def _quotient_walk(polys, n, level, q, graded, degrees):
     """Tally the jets of n variables by the orders of ``polys``, keyed as in
     ``_order_batches``, each homogeneous of degree ``degrees[j]`` >= 1 in the
     coordinates ``graded``; R is the other coordinates.
@@ -560,10 +560,10 @@ def _quotient_walk(polys, n, level, q, batch_cap, graded, degrees):
     radix = base ** len(polys)
     # one jet of each orbit whose graded coordinates are not all in tO
     reps = (size ** len(graded) - q ** (level * len(graded))) * size**rest // units
-    walks = (batch for sets in meshes for batch in _order_batches(polys, sets, level, q, batch_cap))
+    walks = (batch for sets in meshes for batch in _order_batches(polys, sets, level, q))
     codes, counts = _tally(walks, radix, reps)
     if level:
-        below, below_counts = _side_walk(polys, (), n, level - 1, q, batch_cap)
+        below, below_counts = _side_walk(polys, (), n, level - 1, q)
     else:
         below, below_counts = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
     entries = np.minimum(_digits(below, [level + 1] * len(polys)) + np.array(degrees, dtype=np.int64), level + 1)
@@ -584,7 +584,7 @@ def _restrict_poly(p, keep_vars, constant=True):
     return r
 
 
-def _block_states(polys, sides, spans, level, q, batch_cap):
+def _block_states(polys, sides, spans, level, q):
     """Walk each block of ``sides`` and ``spans`` (see ``_blocks``) once and tally
     its jets by state.  Per block return the rows of orders of its own
     polynomials, one column per slot, the rows of value codes of its parts of
@@ -595,7 +595,7 @@ def _block_states(polys, sides, spans, level, q, batch_cap):
     for first, (side_vars, slots) in zip((True, False), sides):
         values = [_restrict_poly(polys[s], side_vars, constant=first) for s in spans]
         side_polys = [_restrict_poly(polys[pi], side_vars) for pi in slots]
-        codes, counts = _side_walk(side_polys, values, len(side_vars), level, q, batch_cap)
+        codes, counts = _side_walk(side_polys, values, len(side_vars), level, q)
         digits = _digits(codes, [size] * len(spans) + [base] * len(slots))
         states.append((digits[:, len(spans) :], digits[:, : len(spans)], counts))
     return states
@@ -606,7 +606,7 @@ def _block_states(polys, sides, spans, level, q, batch_cap):
 # --------------------------------------------------------------------------
 
 
-def _direct_distribution(polys, n, level, q, batch_cap):
+def _direct_distribution(polys, n, level, q):
     """Table of ``polys`` over the full jet grid, counted as pairs of block states.
 
     The variables split into the two blocks of ``_blocks``, and every term lies
@@ -628,7 +628,7 @@ def _direct_distribution(polys, n, level, q, batch_cap):
     radices = [size ** len(spans) * base ** len(slots) for _, slots in sides]
     if max(radices + [base ** len(polys)]) > 2**63:
         sides, spans = ((list(range(n)), list(range(len(polys)))), ([], [])), []
-    states = _block_states(polys, sides, spans, level, q, batch_cap)
+    states = _block_states(polys, sides, spans, level, q)
     # each block's orders in their slots of the full key
     (key_a, val_a, cnt_a), (key_b, val_b, cnt_b) = (
         (orders @ base ** np.array(slots, dtype=np.int64), values, counts)
@@ -636,9 +636,9 @@ def _direct_distribution(polys, n, level, q, batch_cap):
     )
     ring = series_ring(q, level)
     span_orders = [ring.weighted_order(base**s, np.int64) for s in spans]
-    # no batch of pairs passes batch_cap: whole rows of B's states where they fit
-    cols = min(key_b.size, batch_cap)
-    rows = max(1, batch_cap // cols)
+    # no batch of pairs passes BATCH_CAP: whole rows of B's states where they fit
+    cols = min(key_b.size, BATCH_CAP)
+    rows = max(1, BATCH_CAP // cols)
 
     def pairs():
         for i, j in product(range(0, key_a.size, rows), range(0, key_b.size, cols)):
@@ -683,7 +683,7 @@ def ord_value_counts(level, q):
     return d
 
 
-def _shift_split_distribution(polys, level, q, assigned, kept, batch_cap):
+def _shift_split_distribution(polys, level, q, assigned, kept):
     """Table of ``polys`` where each polynomial i of ``assigned`` holds its shift
     variable, which occurs nowhere else: its order is distributed as
     ``ord_value_counts``, independently of the rest, whose table is enumerated
@@ -691,7 +691,7 @@ def _shift_split_distribution(polys, level, q, assigned, kept, batch_cap):
     rest = [pi for pi in range(len(polys)) if pi not in assigned]
     shifted = sorted(assigned)
     rest_polys = [_restrict_poly(polys[pi], kept) for pi in rest]
-    rest_keys, rest_counts = _direct_distribution(rest_polys, len(kept), level, q, batch_cap)
+    rest_keys, rest_counts = _direct_distribution(rest_polys, len(kept), level, q)
     base = level + 2
     dtype = _count_dtype(q ** ((len(kept) + len(shifted)) * (level + 1)))
     # every tail of orders of the shifted polynomials, weighted as in ord_value_counts
@@ -710,7 +710,7 @@ def _shift_plan(polys, n, level, q):
         return None
     kept = sorted(set(range(n)) - set(assigned.values()))
     size = q ** (len(kept) * (level + 1))
-    return "shift", size, size, lambda cap: _shift_split_distribution(polys, level, q, assigned, kept, cap)
+    return "shift", size, size, lambda: _shift_split_distribution(polys, level, q, assigned, kept)
 
 
 # --------------------------------------------------------------------------
@@ -764,7 +764,7 @@ def _blocks(polys, n):
     return ((sorted(vars_a), slots_a), (sorted(vars_b), slots_b)), both
 
 
-def _additive_split_distribution(polys, level, q, sides, spans, batch_cap):
+def _additive_split_distribution(polys, level, q, sides, spans):
     """Table of ``polys`` from the block states of ``_block_states``, with
     ``sides`` and ``spans`` as ``_blocks`` returns them and at most one
     spanning polynomial, whose order is read from the sum of its two parts.
@@ -772,7 +772,7 @@ def _additive_split_distribution(polys, level, q, sides, spans, batch_cap):
     counting them by value code, one column without a spanning polynomial.
     """
     tables = []
-    for orders, values, counts in _block_states(polys, sides, spans, level, q, batch_cap):
+    for orders, values, counts in _block_states(polys, sides, spans, level, q):
         new = np.r_[True, (orders[1:] != orders[:-1]).any(axis=1)]  # sorted states: equal rows adjacent
         mat = np.zeros((np.count_nonzero(new), q ** ((level + 1) * len(spans))), dtype=np.int64)
         mat[np.cumsum(new) - 1, values.sum(axis=1)] = counts  # the one value code, or 0
@@ -825,9 +825,7 @@ def _additive_plan(polys, n, level, q):
     keys = [min(size, (level + 2) ** len(slots)) for size, (_, slots) in zip(sizes, sides)]
     if len(both) > 1 or sizes[0] * sizes[1] >= 2**63 or keys[0] * keys[1] * q**width > _MAX_COMBINE:
         return None
-    return "additive", sum(sizes), max(sizes), lambda cap: _additive_split_distribution(
-        polys, level, q, sides, both, cap
-    )
+    return "additive", sum(sizes), max(sizes), lambda: _additive_split_distribution(polys, level, q, sides, both)
 
 
 # --------------------------------------------------------------------------
@@ -870,16 +868,16 @@ def _plans(polys, n, level, q):
     additive, monomial.
 
     A plan is (name, cost, largest, count).  ``cost`` ranks plans: jets
-    enumerated, or the (N+2)^n cells of the monomial strategy.  ``largest`` is
-    its largest single enumeration (its cells for the monomial strategy), the
-    one figure the budget bounds, and ``count(batch_cap)`` counts the table.
+    enumerated (the full grid for direct), or the (N+2)^n cells of the monomial
+    strategy.  ``largest`` bounds its largest single enumeration, the one
+    figure the budget bounds, and ``count()`` counts the table.
     """
     size = q ** (n * (level + 1))
-    plans = [("direct", size, size, lambda cap: _direct_distribution(polys, n, level, q, cap))]
+    plans = [("direct", size, size, lambda: _direct_distribution(polys, n, level, q))]
     plans += filter(None, (_shift_plan(polys, n, level, q), _additive_plan(polys, n, level, q)))
     if all(len(p.terms) <= 1 for p in polys):
         cells = (level + 2) ** n
-        plans.append(("monomial", cells, cells, lambda cap: _monomial_distribution(polys, n, level, q)))
+        plans.append(("monomial", cells, cells, lambda: _monomial_distribution(polys, n, level, q)))
     return plans
 
 
@@ -891,8 +889,8 @@ def ord_vector_distribution(polys, n, level, q, budget=DEFAULT_BUDGET, prefer="c
     once, and a plan fits when its largest single enumeration is within
     ``budget``.  ``prefer`` is "cheapest", the default (the fitting plan of
     least cost, ties to the earlier in the order direct, shift, additive,
-    monomial), or "direct" (the first fitting plan in that order, so full
-    enumeration whenever it fits).  One strategy counts the table; all are
+    monomial), or "direct" (the first fitting plan in that order, so direct
+    whenever its full grid fits).  One strategy counts the table; all are
     exact and interchangeable.  Raises BudgetExceeded when no plan fits.
     """
     gfq = GF(q)
@@ -903,7 +901,7 @@ def ord_vector_distribution(polys, n, level, q, budget=DEFAULT_BUDGET, prefer="c
             f"jet space has {q ** (n * (level + 1))} points, over the budget {budget}, and no exact split applies"
         )
     _, _, _, count = min(fitting, key=lambda plan: plan[1]) if prefer == "cheapest" else fitting[0]
-    return count(DEFAULT_BATCH_CAP)
+    return count()
 
 
 @dataclass

@@ -193,15 +193,15 @@ def stratum_counts(
 ) -> StratumReport:
     """Classify every jet with contact order m along Z_A by its profile.
 
-    The total |Cont^m| is counted again from the maximal-minor ideal alone,
-    so the partition identity compares two combines over one block walk.
+    The total |Cont^m| is counted again from the maximal-minor ideal alone;
+    both read one block walk, and past direct's budget one plan may count both.
     """
     if m > level:
         raise ValidationError("m must be at most the level")
     n = len(pair.matrix.variables)
-    # keyed by the sigma vectors, by full enumeration: each block of variables
-    # is walked once and tallied by its state, and every pair of states is
-    # combined through the ring, which evaluates the spanning minors.
+    # keyed by the sigma vectors: within its budget, direct walks each block of
+    # variables once, tallies it by its state and combines every pair of states
+    # through the ring, which evaluates the spanning minors.
     tower = [ideal.nonzero() for ideal in pair.tower]
     keys, counts = contact_order_table(tower, n, level, q, budget=budget, prefer="direct")
     hit = keys[:, -1] == m

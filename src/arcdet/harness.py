@@ -134,7 +134,7 @@ class Report:
 
     def canonical_json(self) -> str:
         """Deterministic byte-for-byte serialization (excludes wall time)."""
-        return json.dumps(_jsonable(self.canonical_payload()), sort_keys=True, separators=(",", ":"))
+        return json.dumps(self.canonical_payload(), sort_keys=True, separators=(",", ":"))
 
 
 def _jsonable(value):
@@ -189,7 +189,8 @@ _INTEGERS = (_is_int_list, "a list of integers")
 _NATURAL = (_INTEGER, (lambda v: v >= 0, "at least 0"))
 _POSITIVE = (_INTEGER, (lambda v: v >= 1, "at least 1"))
 _PRIME = (_INTEGER, (is_prime, "a prime below 2^31"))
-_PRIMES = (_INTEGERS, (lambda v: len(v) > 0 and all(map(is_prime, v)), "a non-empty list of primes below 2^31"))
+_PRIMES = (_INTEGERS, (lambda v: 0 < len(v) == len(set(v)) and all(map(is_prime, v)),
+                       "a non-empty list of distinct primes below 2^31"))
 _PROFILE = (_INTEGERS, (_is_profile, "a non-empty nondecreasing list of non-negative integers"))
 _RATIONAL = ((_is_rational, "an integer or a rational string such as '1/2'"),)
 _FLAG = ((lambda v: isinstance(v, bool), "true or false"),)
@@ -439,7 +440,7 @@ class _Kind:
 
 
 def _two_primes(p):
-    return None if len(set(p["primes"])) >= 2 else "threshold estimation needs at least two distinct primes"
+    return None if len(p["primes"]) >= 2 else "threshold estimation needs at least two distinct primes"
 
 
 def _lct_z_problem(p):

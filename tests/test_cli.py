@@ -61,7 +61,12 @@ class TestExitCodes:
         # PrimeField used to raise a bare ValueError, which exited 1 with a traceback
         rc = main(["fiber", "--lam", "1,2", "--m", "1", "--level", "2", "--primes", "2,4"])
         assert rc == 2
-        assert "--primes expects primes below 2^31, got '2,4'" in capsys.readouterr().err
+        assert "--primes expects distinct primes below 2^31, got '2,4'" in capsys.readouterr().err
+
+    def test_repeated_prime_in_primes_is_usage_error(self, docs, capsys):
+        rc = main(["count", "--ideal", str(docs["ideal"]), "--m", "1", "--level", "1", "--primes", "3,3"])
+        assert rc == 2
+        assert "--primes expects distinct primes below 2^31, got '3,3'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("prime", ["4", "1", "x", "2147483659"])
     def test_non_prime_prime_is_usage_error(self, docs, capsys, prime):

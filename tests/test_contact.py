@@ -50,8 +50,13 @@ class TestQueries:
 
     def test_composite_prime(self):
         # refused here, not later by the field constructor with a bare ValueError
-        with pytest.raises(ValidationError, match="primes must be primes below 2\\^31"):
+        with pytest.raises(ValidationError, match="primes must be distinct primes below 2\\^31"):
             ContactQuery(MODE_EXACT, 1, 2, primes=(4,))
+
+    def test_repeated_prime(self):
+        # each prime is counted once: a repeat would list its counts twice
+        with pytest.raises(ValidationError, match=r"distinct primes below 2\^31, got \(3, 3\)"):
+            ContactQuery(MODE_EXACT, 1, 2, primes=(3, 3))
 
 
 class TestCountContact:

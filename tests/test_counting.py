@@ -7,6 +7,7 @@ from collections import Counter
 from contextlib import contextmanager
 from itertools import product
 from math import prod
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ import arcdet.counting
 import arcdet.harness
 from arcdet import GF, BudgetExceeded, IdealGens, MultiPoly, PolyMatrix, enumerate_jets, parse_poly
 from arcdet.counting import (
-    DEFAULT_BATCH_CAP,
     RING_TABLE_CAP,
     _direct_distribution,
     _grading,
@@ -76,10 +76,10 @@ class TestAgainstOracle:
         assert as_dict(ord_vector_distribution([f], 1, 4, 5)) == brute_table([f], 1, 4, 5)
 
 
-def planned(name, polys, n, level, q, cap=DEFAULT_BATCH_CAP):
+def planned(name, polys, n, level, q):
     """The table counted by the plan ``name`` of ``_plans``, which must apply."""
     plans = {plan[0]: plan for plan in _plans(polys, n, level, q)}
-    return as_dict(plans[name][3](cap))
+    return as_dict(plans[name][3]())
 
 
 def plan_names(polys, n, level, q):
@@ -312,35 +312,40 @@ class TestStrategyEquivalence:
         det = parse_poly("x1*x4 - x2*x3", vs).map_coeffs(GF(3))
         coords = [MultiPoly.variable(GF(3), vs, v) for v in vs]
         polys = coords + [det]
-        d = as_dict(_direct_distribution(polys, 4, 2, 3, 1 << 20))
+        with patch.object(arcdet.counting, "BATCH_CAP", 1 << 20):
+            d = as_dict(_direct_distribution(polys, 4, 2, 3))
         assert planned("additive", polys, 4, 2, 3) == d
 
     def test_additive_split_three_components(self):
         vs = ("x1", "x2", "x3")
         f = parse_poly("x1*x2 + x3", vs).map_coeffs(GF(2))
         polys = [MultiPoly.variable(GF(2), vs, "x3"), f]
-        d = as_dict(_direct_distribution(polys, 3, 2, 2, 1 << 20))
+        with patch.object(arcdet.counting, "BATCH_CAP", 1 << 20):
+            d = as_dict(_direct_distribution(polys, 3, 2, 2))
         assert planned("additive", polys, 3, 2, 2) == d
 
     def test_additive_split_matches_values_with_their_negatives(self):
         # over F_3 the squares are not closed under negation: a sum of squares
         # cancels only where -(x2^2) matches x1^2, never where x2^2 does
         f = parse_poly("x1^2 + x2^2", ("x1", "x2")).map_coeffs(GF(3))
-        d = as_dict(_direct_distribution([f], 2, 2, 3, 1 << 20))
+        with patch.object(arcdet.counting, "BATCH_CAP", 1 << 20):
+            d = as_dict(_direct_distribution([f], 2, 2, 3))
         assert planned("additive", [f], 2, 2, 3) == d
 
     def test_shift_split_matches_direct(self):
         cv = ("x1", "x2", "x3", "x4", "y2")
         g1 = parse_poly("x1 + x2*y2", cv).map_coeffs(GF(3))
         g2 = parse_poly("x3 + x4*y2", cv).map_coeffs(GF(3))
-        d = as_dict(_direct_distribution([g1, g2], 5, 1, 3, 1 << 20))
+        with patch.object(arcdet.counting, "BATCH_CAP", 1 << 20):
+            d = as_dict(_direct_distribution([g1, g2], 5, 1, 3))
         assert planned("shift", [g1, g2], 5, 1, 3) == d
 
     def test_shift_split_partial(self):
         tv = ("x1", "x2", "x3", "y2")
         g1 = parse_poly("x1 + x2 - x2*y2", tv).map_coeffs(GF(2))
         g2 = parse_poly("-x2 + x2*y2 + x3*y2", tv).map_coeffs(GF(2))
-        d = as_dict(_direct_distribution([g1, g2], 4, 2, 2, 1 << 20))
+        with patch.object(arcdet.counting, "BATCH_CAP", 1 << 20):
+            d = as_dict(_direct_distribution([g1, g2], 4, 2, 2))
         assert planned("shift", [g1, g2], 4, 2, 2) == d
 
     def test_shift_split_refuses_repeated_variable(self):
@@ -356,7 +361,8 @@ class TestStrategyEquivalence:
         # variables repeated across the list and one variable (x4) in none
         exprs = ["x1", "2*x1^2*x2", "x2^3", "3", "x1*x3", "4*x3^2*x1"]
         polys = [parse_poly(e, vs).map_coeffs(GF(q)) for e in exprs] + [MultiPoly(GF(q), vs)]
-        d = as_dict(_direct_distribution(polys, 4, level, q, 1 << 20))
+        with patch.object(arcdet.counting, "BATCH_CAP", 1 << 20):
+            d = as_dict(_direct_distribution(polys, 4, level, q))
         assert as_dict(_monomial_distribution(polys, 4, level, q)) == d
 
     def test_cheapest_prefers_split(self):
@@ -377,7 +383,7 @@ class TestPlans:
         vs = ("x1",)
         polys = [parse_poly(e, vs).map_coeffs(GF(3)) for e in ("x1", "2", "0")]
         want = {(0, 0, 2): 6, (1, 0, 2): 2, (2, 0, 2): 1}
-        assert as_dict(_direct_distribution(polys, 1, 1, 3, DEFAULT_BATCH_CAP)) == want
+        assert as_dict(_direct_distribution(polys, 1, 1, 3)) == want
         assert planned("shift", polys, 1, 1, 3) == want
         assert as_dict(ord_vector_distribution(polys, 1, 1, 3)) == want
 
@@ -420,7 +426,7 @@ class TestPlans:
         # each block has 27 jets and both 54: only the additive plan fits 27
         f = parse_poly("x1^2 + x2^2", ("x1", "x2")).map_coeffs(GF(3))
         assert plan_names([f], 2, 2, 3) == ["direct", "additive"]
-        want = as_dict(_direct_distribution([f], 2, 2, 3, DEFAULT_BATCH_CAP))
+        want = as_dict(_direct_distribution([f], 2, 2, 3))
         assert as_dict(ord_vector_distribution([f], 2, 2, 3, budget=27)) == want
         with pytest.raises(BudgetExceeded, match="over the budget 26"):
             ord_vector_distribution([f], 2, 2, 3, budget=26)
@@ -442,9 +448,10 @@ class TestPlans:
             yield from list(walk(*args))[:-1]
 
         monkeypatch.setattr(arcdet.counting, "_mesh_batches", drop_last)
+        monkeypatch.setattr(arcdet.counting, "BATCH_CAP", 40)
         f = parse_poly("x1*x2 + x3*x4", ("x1", "x2", "x3", "x4")).map_coeffs(GF(3))
         with pytest.raises(InternalInvariantError, match="counted 72 of 81"):
-            planned("additive", [f], 4, 1, 3, cap=40)
+            planned("additive", [f], 4, 1, 3)
 
 
 class TestBlockStates:
@@ -475,11 +482,12 @@ class TestBlockStates:
 
     @pytest.mark.parametrize("case", list(CASES))
     @pytest.mark.parametrize("cap", [1 << 20, 20, 5])
-    def test_direct_matches_jets_and_strategies(self, oracle, case, cap):
+    def test_direct_matches_jets_and_strategies(self, monkeypatch, oracle, case, cap):
+        monkeypatch.setattr(arcdet.counting, "BATCH_CAP", cap)
         n, polys, want = oracle[case]
-        assert as_dict(_direct_distribution(polys, n, 1, 3, cap)) == want
+        assert as_dict(_direct_distribution(polys, n, 1, 3)) == want
         for name in plan_names(polys, n, 1, 3):
-            assert planned(name, polys, n, 1, 3, cap) == want, name
+            assert planned(name, polys, n, 1, 3) == want, name
 
     def test_no_batch_passes_the_cap(self, monkeypatch, oracle):
         # the "spans" blocks have 62 and 9 states: one state of the first block
@@ -496,8 +504,9 @@ class TestBlockStates:
             return tally(checked(), radix, total)
 
         monkeypatch.setattr(arcdet.counting, "_tally", record)
+        monkeypatch.setattr(arcdet.counting, "BATCH_CAP", 5)
         n, polys, want = oracle["spans"]
-        assert as_dict(_direct_distribution(polys, n, 1, 3, 5)) == want
+        assert as_dict(_direct_distribution(polys, n, 1, 3)) == want
         assert max(sizes) == 5
 
     @pytest.mark.parametrize("side", [0, 1])
@@ -511,10 +520,11 @@ class TestBlockStates:
             yield from batches[:-1] if len(calls) == side + 1 else batches
 
         monkeypatch.setattr(arcdet.counting, "_mesh_batches", drop_last)
+        monkeypatch.setattr(arcdet.counting, "BATCH_CAP", 40)
         # each block has 81 jets, walked in batches of 36, 36 and 9
         f = parse_poly("x1*x2 + x3*x4", ("x1", "x2", "x3", "x4")).map_coeffs(GF(3))
         with pytest.raises(InternalInvariantError, match="counted 72 of 81"):
-            _direct_distribution([f], 4, 1, 3, 40)
+            _direct_distribution([f], 4, 1, 3)
         assert len(calls) == side + 1
 
     @pytest.mark.parametrize("copies, widths", [(2, [1, 1]), (20, [2, 0])])
@@ -533,7 +543,7 @@ class TestBlockStates:
         vs = ("x1", "x2")
         exprs = ["x1 + x2", "x1 + 2*x2", "x1^2 + x2", "2*x1 + x2^2 + 1"]
         polys = [parse_poly(exprs[i % 4], vs).map_coeffs(GF(3)) for i in range(copies)]
-        assert as_dict(_direct_distribution(polys, 2, 1, 3, DEFAULT_BATCH_CAP)) == brute_table(polys, 2, 1, 3)
+        assert as_dict(_direct_distribution(polys, 2, 1, 3)) == brute_table(polys, 2, 1, 3)
         assert walked == widths
 
     def test_direct_preference_past_its_budget_takes_the_split(self, monkeypatch):
@@ -569,10 +579,11 @@ class TestBlockStates:
             return tally(counted(), radix, total)
 
         monkeypatch.setattr(arcdet.counting, "_tally", record)
+        monkeypatch.setattr(arcdet.counting, "BATCH_CAP", 5)
         vs = ("x1", "x2", "x3")
         exprs = [*self.CASES["spans"][1], "x1*x3 + x2"]
         polys = [parse_poly(e, vs).map_coeffs(GF(3)) for e in exprs]
-        assert as_dict(_direct_distribution(polys, 3, 1, 3, 5)) == brute_table(polys, 3, 1, 3)
+        assert as_dict(_direct_distribution(polys, 3, 1, 3)) == brute_table(polys, 3, 1, 3)
         # the walk of the one block and the pairing of its states with the
         # empty block both tally the 3^6 jets sparsely, in several batches
         assert [(radix, total) for radix, total, batches in calls if batches > 1] == [(3**7, 3**6)] * 2
@@ -583,7 +594,7 @@ class TestBlockStates:
         polys = [x1**e for e in range(1, 12)]
         tracemalloc.start()
         try:
-            table = _direct_distribution(polys, 1, 2, 3, DEFAULT_BATCH_CAP)
+            table = _direct_distribution(polys, 1, 2, 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -646,10 +657,11 @@ class TestUnitQuotient:
             return walk(polys, n, level, *args)
 
         monkeypatch.setattr(arcdet.counting, "_quotient_walk", spy)
-        assert as_dict(_direct_distribution(polys, n, level, q, 5)) == want
+        monkeypatch.setattr(arcdet.counting, "BATCH_CAP", 5)
+        assert as_dict(_direct_distribution(polys, n, level, q)) == want
         assert levels == list(range(level, -1, -1))
         for name in plan_names(polys, n, level, q):
-            assert planned(name, polys, n, level, q, 5) == want, name
+            assert planned(name, polys, n, level, q) == want, name
 
     @pytest.mark.parametrize("exprs", [
         ["x1*x2 + x2*x3 + 1"], ["x1*x2 + x2*x3^2 + x3", "x1"], ["x1*x2*x3 + x3"], ["x1*x3 + x2*x3", "x3^2 + x3"],
@@ -662,16 +674,19 @@ class TestUnitQuotient:
         polys = [parse_poly(e, vs).map_coeffs(GF(3)) for e in exprs]
         assert _grading(polys, 3) is None
         rows = mesh_rows(monkeypatch)
-        assert as_dict(_direct_distribution(polys, 3, 1, 3, 5)) == brute_table(polys, 3, 1, 3)
+        monkeypatch.setattr(arcdet.counting, "BATCH_CAP", 5)
+        assert as_dict(_direct_distribution(polys, 3, 1, 3)) == brute_table(polys, 3, 1, 3)
         assert rows[0] == 3**6
 
     def test_a_grid_within_one_batch_is_walked_whole(self, monkeypatch, oracle):
         n, polys, want = oracle["full", 3, 1]
         rows = mesh_rows(monkeypatch)
-        assert as_dict(_direct_distribution(polys, n, 1, 3, 3**6)) == want
+        monkeypatch.setattr(arcdet.counting, "BATCH_CAP", 3**6)
+        assert as_dict(_direct_distribution(polys, n, 1, 3)) == want
         assert rows == [3**6, 1]  # the block, then the empty second block
         rows.clear()
-        assert as_dict(_direct_distribution(polys, n, 1, 3, 3**6 - 1)) == want
+        monkeypatch.setattr(arcdet.counting, "BATCH_CAP", 3**6 - 1)
+        assert as_dict(_direct_distribution(polys, n, 1, 3)) == want
         # 9^2 + 3*9 + 3*3 unit-normalised jets, then level 0 walked whole
         assert rows == [81, 27, 9, 27, 1]
 
@@ -686,9 +701,10 @@ class TestUnitQuotient:
                 yield from walk(*args)
 
         monkeypatch.setattr(arcdet.counting, "_mesh_batches", drop)
+        monkeypatch.setattr(arcdet.counting, "BATCH_CAP", 5)
         n, polys, _ = oracle["full", 3, 1]
         with pytest.raises(InternalInvariantError, match="counted"):
-            _direct_distribution(polys, n, 1, 3, 5)
+            _direct_distribution(polys, n, 1, 3)
 
     def test_configuration_triangle_walks_few_jets(self, monkeypatch):
         # its three q=3, N=3 tables have 3^12-jet grids of one term component
@@ -890,14 +906,16 @@ class TestMeshKernel:
 
     @pytest.mark.parametrize("case", ["straddling", "components"])
     @pytest.mark.parametrize("cap", CAPS)
-    def test_direct(self, oracle, case, cap):
+    def test_direct(self, monkeypatch, oracle, case, cap):
+        monkeypatch.setattr(arcdet.counting, "BATCH_CAP", cap)
         n, polys, want = oracle[case]
-        assert as_dict(_direct_distribution(polys, n, 1, 3, cap)) == want
+        assert as_dict(_direct_distribution(polys, n, 1, 3)) == want
 
     @pytest.mark.parametrize("cap", CAPS)
-    def test_additive_split(self, oracle, cap):
+    def test_additive_split(self, monkeypatch, oracle, cap):
+        monkeypatch.setattr(arcdet.counting, "BATCH_CAP", cap)
         n, polys, want = oracle["additive"]
-        assert planned("additive", polys, n, 1, 3, cap) == want
+        assert planned("additive", polys, n, 1, 3) == want
 
     @pytest.mark.parametrize(
         "cap, cuts, w",
@@ -907,9 +925,10 @@ class TestMeshKernel:
             (100, (3,), 2),  # no cut fits: the largest w that does
         ],
     )
-    def test_mesh_covers_the_grid_once(self, cap, cuts, w):
+    def test_mesh_covers_the_grid_once(self, monkeypatch, cap, cuts, w):
+        monkeypatch.setattr(arcdet.counting, "BATCH_CAP", cap)
         seen = Counter()
-        for rows, lows, highs in _mesh_batches([range(9)] * 3, cap, cuts):
+        for rows, lows, highs in _mesh_batches([range(9)] * 3, cuts):
             assert len(lows) == w
             codes = sum(d.astype(np.int64) * 9**pos for pos, d in enumerate(lows + highs))
             assert codes.size == rows
@@ -917,11 +936,12 @@ class TestMeshKernel:
         assert seen == Counter(range(9**3))
 
     @pytest.mark.parametrize("cap, cuts", [(100, ()), (5, ()), (5, (2,)), (1, ())])
-    def test_mesh_covers_a_product_of_code_sets_once(self, cap, cuts):
+    def test_mesh_covers_a_product_of_code_sets_once(self, monkeypatch, cap, cuts):
+        monkeypatch.setattr(arcdet.counting, "BATCH_CAP", cap)
         # tO, the code 1 and the full range at q=3, N=1
         sets = [range(0, 9, 3), range(1, 9, 9), range(9)]
         seen = Counter()
-        for rows, lows, highs in _mesh_batches(sets, cap, cuts):
+        for rows, lows, highs in _mesh_batches(sets, cuts):
             codes = sum(d.astype(np.int64) * 9**pos for pos, d in enumerate(lows + highs))
             assert codes.size == rows <= max(cap, 9)
             seen.update(codes.ravel().tolist())
@@ -934,9 +954,10 @@ class TestMeshKernel:
             yield from list(walk(*args))[:-1]
 
         monkeypatch.setattr(arcdet.counting, "_mesh_batches", drop_last)
+        monkeypatch.setattr(arcdet.counting, "BATCH_CAP", 40)
         f = parse_poly("x1*x2", ("x1", "x2")).map_coeffs(GF(3))
         with pytest.raises(InternalInvariantError, match="counted"):
-            _direct_distribution([f], 2, 1, 3, 40)
+            _direct_distribution([f], 2, 1, 3)
 
 
 class TestTableCap:
@@ -948,7 +969,7 @@ class TestTableCap:
         assert (2 ** (level + 1) <= RING_TABLE_CAP) == (level == 10)
         f = parse_poly("x1^3 + x1^2 + 1", ("x1",))
         want = ord_counts(pullback_value_counts(f, level, 2), level)
-        assert as_dict(_direct_distribution([f.map_coeffs(GF(2))], 1, level, 2, DEFAULT_BATCH_CAP)) == want
+        assert as_dict(_direct_distribution([f.map_coeffs(GF(2))], 1, level, 2)) == want
 
     @pytest.mark.parametrize("level", [10, 11])
     def test_shift_split(self, level):
@@ -991,7 +1012,7 @@ class TestTableCap:
         vs = ("x1", "x2", "x3", "x4")
         det = parse_poly("x1*x4 - x2*x3", vs).map_coeffs(GF(3))
         polys = [MultiPoly.variable(GF(3), vs, v) for v in vs] + [det]
-        direct = as_dict(_direct_distribution(polys, 4, 2, 3, DEFAULT_BATCH_CAP))
+        direct = as_dict(_direct_distribution(polys, 4, 2, 3))
         assert planned("additive", polys, 4, 2, 3) == direct
         assert sum(direct.values()) == 3**12
 
@@ -1017,10 +1038,11 @@ class TestInt32Bounds:
     @pytest.mark.parametrize(
         "level, dtype", [(14, np.int16), (15, np.int32), (30, np.int32), (31, np.int64), (32, np.int64)]
     )
-    def test_mesh_and_ring_share_the_code_dtype(self, level, dtype):
+    def test_mesh_and_ring_share_the_code_dtype(self, monkeypatch, level, dtype):
         # q=2: codes in [0, 2^(N+1)) take the narrowest dtype that holds 2^(N+1) - 1
+        monkeypatch.setattr(arcdet.counting, "BATCH_CAP", 4)
         ring = SeriesRing(2, level)
-        _, _, (codes,) = next(_mesh_batches([range(ring.size)], 4))
+        _, _, (codes,) = next(_mesh_batches([range(ring.size)]))
         assert ring.dtype == codes.dtype == dtype
         top = np.array([ring.size - 1], dtype=ring.dtype)  # 1 + t + ... + t^N
         assert ring.plus(top, top).tolist() == [0] and ring.order(top).tolist() == [0]
@@ -1048,7 +1070,7 @@ class TestInt32Bounds:
         # 40 orders in base N+2 = 4 need 80 bits: refused, not wrapped
         polys = [parse_poly(e, ("x1",)).map_coeffs(GF(2)) for e in ["x1", "x1^2 + x1"] * 20]
         with pytest.raises(BudgetExceeded, match="overflow int64"):
-            _direct_distribution(polys, 1, 2, 2, DEFAULT_BATCH_CAP)
+            _direct_distribution(polys, 1, 2, 2)
 
     def test_monomials_of_large_primes_are_counted(self):
         # no series product is taken, so the int32 bound does not apply

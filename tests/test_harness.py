@@ -71,7 +71,7 @@ class TestValidation:
             "bad",
             {"x1": ("ideal", IdealGens((parse_poly("x1", ("x1",)),)))},
             [
-                Task.make("one-prime", "lct_z", ideal="x1", max_m=2, primes=[3, 3]),
+                Task.make("one-prime", "lct_z", ideal="x1", max_m=2, primes=[3]),
                 Task.make("tall-profile", "fiber_formula", lam=[1, 3], m=1, level=2),
             ],
         )
@@ -123,6 +123,7 @@ class TestValidation:
                 Task.make("prime-4", "stratification", matrix="m", m=1, level=1, prime=4),
                 Task.make("snf-prime-4", "snf_roundtrip", prime=4),
                 Task.make("primes-2-4", "fiber_formula", lam=[1, 1], m=1, level=2, primes=[2, 4]),
+                Task.make("primes-2-3-3", "lct_z", ideal="x1", max_m=2, primes=[2, 3, 3]),
                 Task.make("gird", "one_generic", configuration="tri", mode="gird"),
                 Task.make("wrong-kind", "configuration", configuration="m", max_m=2),
                 Task.make("expect-x", "lct_z", ideal="x1", max_m=2, expect="x"),
@@ -139,7 +140,8 @@ class TestValidation:
             "  both: takes one of 'ideal' and 'matrix', not both",
             "  prime-4: prime must be a prime below 2^31, got 4",
             "  snf-prime-4: prime must be a prime below 2^31, got 4",
-            "  primes-2-4: primes must be a non-empty list of primes below 2^31, got [2, 4]",
+            "  primes-2-4: primes must be a non-empty list of distinct primes below 2^31, got [2, 4]",
+            "  primes-2-3-3: primes must be a non-empty list of distinct primes below 2^31, got [2, 3, 3]",
             "  gird: mode must be 'grid', got 'gird'",
             "  wrong-kind: input 'm' is a matrix, expected configuration",
             "  expect-x: expect must be an integer or a rational string such as '1/2', got 'x'",

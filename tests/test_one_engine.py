@@ -19,6 +19,10 @@ block with ``_side_walk``, direct combines the states in pairs and additive
 by value prefixes, and only the quotient walk calls ``_side_walk`` besides,
 for its table one level down.  The additive split's own walk and the
 evaluator's fast path for a plain variable stay deleted.
+The batch size is one constant, ``counting.BATCH_CAP``, read only where a
+batch is cut: by the mesh walk, the quotient gate of ``_side_walk``, direct's
+batches of state pairs and the fill of the ring tables.  No function takes
+it as a parameter and no plan's count takes an argument.
 The incidence forms and their charts are built by position, and the
 ``MultiPoly`` methods that built them by name stay deleted.
 The configuration oracles have one exact elimination,
@@ -74,6 +78,11 @@ BLOCK_WALKERS = [("counting.py", "_block_states", "_side_walk"), ("counting.py",
 # counting.py: the additive split's own block walk, and the evaluator's fast
 # path for 1*v, which the general term loop serves without a copy
 DELETED_WALKS = ("_side_table", "_plain_variable_index")
+# counting.py: the batch size, the functions that cut batches by it, and the
+# parameter names that once carried it through the walks and plans
+BATCH_SIZE = "BATCH_CAP"
+BATCH_CUTTERS = ["RingTables.__init__", "_direct_distribution", "_mesh_batches", "_side_walk"]
+BATCH_PARAMETERS = ("batch_cap", "cap")
 # poly.py: the name-based embedding and ring map that built the incidence
 # forms and their charts, which determinantal.py now builds by position
 DELETED_POLY_METHODS = ("extend_variables", "substitute_polys")
@@ -138,6 +147,38 @@ def _forbidden_reads(package, rules):
     return found
 
 
+def _arguments(func):
+    a = func.args
+    return a.posonlyargs + a.args + a.kwonlyargs + [v for v in (a.vararg, a.kwarg) if v]
+
+
+def _batch_size_uses(path):
+    """What one module does with the batch size, as (takes, reads).  ``takes``
+    holds (function, parameter) for each parameter named in BATCH_PARAMETERS
+    and (plan, argument) for each argument of a plan's count, the lambda that
+    ends a tuple a plan name starts; ``reads`` the functions, qualified by
+    their class, that read BATCH_SIZE."""
+    takes, reads = set(), set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = owner
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{owner}.{child.name}" if owner else child.name
+            if isinstance(child, ast.FunctionDef):
+                takes.update((inner, arg.arg) for arg in _arguments(child) if arg.arg in BATCH_PARAMETERS)
+            elif isinstance(child, ast.Tuple) and child.elts and isinstance(child.elts[-1], ast.Lambda):
+                name = child.elts[0]
+                if isinstance(name, ast.Constant) and isinstance(name.value, str):
+                    takes.update((name.value, arg.arg) for arg in _arguments(child.elts[-1]))
+            elif isinstance(child, ast.Name) and child.id == BATCH_SIZE and isinstance(child.ctx, ast.Load):
+                reads.add(owner or "<module>")
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return sorted(takes), sorted(reads)
+
+
 def test_only_counting_uses_engine_internals():
     assert _modules_naming(ROOT / "src" / "arcdet", ENGINE_INTERNALS, ("counting.py",)) == []
 
@@ -176,6 +217,27 @@ def test_guard_sees_a_second_block_walk(tmp_path):
         ("counting.py", "_block_states", "_side_walk"), ("counting.py", "_side_table", "_side_walk"),
     ]
     assert _modules_naming(tmp_path, DELETED_WALKS) == ["counting.py: _side_table"]
+
+
+def test_the_batch_size_is_one_constant():
+    assert _batch_size_uses(ROOT / "src" / "arcdet" / "counting.py") == ([], BATCH_CUTTERS)
+    assert _modules_naming(ROOT / "src", ("batch_cap",)) == []
+    assert _modules_naming(ROOT / "tests", ("batch_cap",), ("test_one_engine.py",)) == []
+
+
+def test_guard_sees_a_batch_size_parameter(tmp_path):
+    (tmp_path / "counting.py").write_text(
+        "BATCH_CAP = 8\n\n\n"
+        "def _mesh_batches(sets, cap=BATCH_CAP):\n    return sets\n\n\n"
+        "def _plans(polys):\n"
+        "    return [('direct', 1, 1, lambda batch_cap: polys), ('monomial', 1, 1, lambda: polys)]\n\n\n"
+        "class RingTables:\n    def __init__(self):\n        self.rows = BATCH_CAP\n"
+    )
+    assert _batch_size_uses(tmp_path / "counting.py") == (
+        [("_mesh_batches", "cap"), ("direct", "batch_cap")], ["RingTables.__init__", "_mesh_batches"],
+    )
+    (tmp_path / "test_counting.py").write_text("def planned(plan, batch_cap=8):\n    return plan(batch_cap)\n")
+    assert _modules_naming(tmp_path, ("batch_cap",)) == ["counting.py: batch_cap", "test_counting.py: batch_cap"]
 
 
 def test_incidence_forms_are_built_by_position():

@@ -3,9 +3,11 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from unittest.mock import patch
 
 from hypothesis import assume, given, settings, strategies as st
 
+import arcdet.counting
 from arcdet import GF, QQ, IdealGens, JetPoint, MultiPoly, PolyMatrix, TruncSeries, parse_poly
 from arcdet.consensus import _v_adic, cyclotomic_fit
 from arcdet.counting import (
@@ -27,10 +29,10 @@ from table_dicts import as_dict
 exponents = st.tuples(st.integers(0, 2), st.integers(0, 2))
 
 
-def planned(name, polys, n, level, q, cap=1 << 20):
+def planned(name, polys, n, level, q):
     """The table counted by the plan ``name`` of ``_plans``, which must apply."""
     plans = {plan[0]: plan for plan in _plans(polys, n, level, q)}
-    return as_dict(plans[name][3](cap))
+    return as_dict(plans[name][3]())
 
 
 def _poly_from(terms, variables, q):
@@ -54,9 +56,10 @@ def test_additive_split_agrees_on_random_pairs(terms_a, terms_b):
     f = _poly_from({**fa, **fb}, vs, q)
     if f.is_zero():
         return
-    direct = as_dict(_direct_distribution([f], 4, level, q, 1 << 20))
-    # no term holds a variable of each pair: two or more term components, one polynomial
-    assert planned("additive", [f], 4, level, q) == direct
+    with patch.object(arcdet.counting, "BATCH_CAP", 1 << 20):
+        direct = as_dict(_direct_distribution([f], 4, level, q))
+        # no term holds a variable of each pair: two or more term components, one polynomial
+        assert planned("additive", [f], 4, level, q) == direct
 
 
 @given(st.dictionaries(exponents, st.integers(1, 4), min_size=1, max_size=3))
@@ -68,8 +71,9 @@ def test_shift_split_agrees_on_random_rest(terms):
     rest = {(0, e1, e2): c for (e1, e2), c in terms.items()}
     rest[(1, 0, 0)] = 1  # the shift variable
     g = _poly_from(rest, vs, q)
-    direct = as_dict(_direct_distribution([g], 3, level, q, 1 << 20))
-    assert planned("shift", [g], 3, level, q) == direct
+    with patch.object(arcdet.counting, "BATCH_CAP", 1 << 20):
+        direct = as_dict(_direct_distribution([g], 3, level, q))
+        assert planned("shift", [g], 3, level, q) == direct
 
 
 monomials = st.tuples(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)), st.integers(0, 4))
@@ -83,7 +87,8 @@ def test_monomial_agrees_on_random_lists(terms, field_level):
     q, level = field_level
     vs = ("x1", "x2", "x3")
     polys = [_poly_from({e: c}, vs, q) for e, c in terms]
-    direct = as_dict(_direct_distribution(polys, 3, level, q, 1 << 20))
+    with patch.object(arcdet.counting, "BATCH_CAP", 1 << 20):
+        direct = as_dict(_direct_distribution(polys, 3, level, q))
     assert as_dict(_monomial_distribution(polys, 3, level, q)) == direct
 
 
@@ -102,7 +107,8 @@ def test_direct_agrees_with_jet_enumeration(polys_terms, cap):
     for jet in enumerate_jets(3, level, q):
         orders = (substitute_jet(p, jet).ord() for p in polys)
         want[tuple(level + 1 if o is None else o for o in orders)] += 1
-    assert as_dict(_direct_distribution(polys, 3, level, q, cap)) == want
+    with patch.object(arcdet.counting, "BATCH_CAP", cap):
+        assert as_dict(_direct_distribution(polys, 3, level, q)) == want
 
 
 pair_terms = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(0, 1), max_size=2)
@@ -126,9 +132,10 @@ def test_block_states_agree_with_jet_enumeration(parts, cap):
     for jet in enumerate_jets(4, level, q):
         orders = (substitute_jet(p, jet).ord() for p in polys)
         want[tuple(level + 1 if o is None else o for o in orders)] += 1
-    assert as_dict(_direct_distribution(polys, 4, level, q, cap)) == want
-    for name, _, _, count in _plans(polys, 4, level, q)[1:]:
-        assert as_dict(count(cap)) == want, name
+    with patch.object(arcdet.counting, "BATCH_CAP", cap):
+        assert as_dict(_direct_distribution(polys, 4, level, q)) == want
+        for name, _, _, count in _plans(polys, 4, level, q)[1:]:
+            assert as_dict(count()) == want, name
 
 
 def _graded_terms(partial):
@@ -165,8 +172,9 @@ def test_graded_lists_agree_with_jet_enumeration(polys_terms, field_level, cap):
     for jet in enumerate_jets(3, level, q):
         orders = (substitute_jet(p, jet).ord() for p in polys)
         want[tuple(level + 1 if o is None else o for o in orders)] += 1
-    for name, _, _, count in _plans(polys, 3, level, q):
-        assert as_dict(count(cap)) == want, name
+    with patch.object(arcdet.counting, "BATCH_CAP", cap):
+        for name, _, _, count in _plans(polys, 3, level, q):
+            assert as_dict(count()) == want, name
 
 
 # --- contact orders against the jets one by one ------------------------------
