@@ -1,9 +1,11 @@
 """Determinantal pairs: minor towers, lambda strata, fiber checks, threshold transforms.
 
-The lambda profile of a jet against a matrix A is read off two ways that
-must agree: partial sums lambda_1+...+lambda_l equal the minimal pullback
-order of the l-minor ideal, and the profile is also the diagonal of the
-Smith normal form of the pulled-back series matrix.  The stratification
+The lambda profile of a jet against a matrix A is read off the pulled-back
+series matrix A(gamma) two ways that must agree: by its minor orders, whose
+partial sums sigma_l = lambda_1+...+lambda_l are the least orders of its
+l x l minors (``minor_order_profile``), and by its Smith normal form, whose
+diagonal is t^lambda.  ``minor_order_parts`` is the one sigma -> lambda rule,
+read by that reader and by the stratum tables.  The stratification
 Cont^m(Z_A) = disjoint union of C_A(lambda) over |lambda| = m underlies
 every check in this module.
 """
@@ -20,12 +22,11 @@ from .consensus import STATUS_EXACT_EMPTY, CountReport, extract_codim
 from .contact import MODE_AT_LEAST, ContactQuery, proj_count_contact
 from .counting import contact_order_table
 from .errors import BudgetExceeded, InternalInvariantError, ValidationError
-from .jets import DEFAULT_BUDGET, IdealGens, jet_space_size
+from .jets import DEFAULT_BUDGET, IdealGens, JetPoint, jet_space_size
 from .lct import LCT_DEFAULT_PRIMES, LctEstimate, lct_estimate
-from .matrices import PolyMatrix, minors
+from .matrices import PolyMatrix, SeriesMatrix, minors
 from .poly import MultiPoly
 from .snf import LambdaProfile
-from .jets import JetPoint, ord_along_ideal
 
 VERDICT_PASS = "PASS"
 VERDICT_FAIL = "FAIL"
@@ -124,32 +125,41 @@ class DeterminantalPair:
 # --------------------------------------------------------------------------
 
 
-def lambda_profile(A: PolyMatrix, jet: JetPoint) -> LambdaProfile:
-    """Profile of a jet: partial sums are the minor-ideal contact orders.
+def minor_order_parts(sigmas):
+    """The profiles of rows of minor orders: lambda_l = sigma_l - sigma_(l-1),
+    with sigma_0 = 0.  The theory makes every profile nondecreasing, so a
+    decrease is an ``InternalInvariantError`` that names its sigma row."""
+    sigmas = np.asarray(sigmas, dtype=np.int64)
+    parts = np.diff(sigmas, axis=1, prepend=0)
+    decreasing = (parts[:, :-1] > parts[:, 1:]).any(axis=1)
+    if decreasing.any():
+        sigma = tuple(sigmas[decreasing][0].tolist())
+        raise InternalInvariantError(f"decreasing profile from minor orders: {sigma}")
+    return parts
 
-    Parts beyond the first undetermined partial sum are omitted and the
-    truncation flag is set.
-    """
+
+def minor_order_profile(M: SeriesMatrix) -> LambdaProfile:
+    """The profile of a series matrix read off its minor orders: sigma_l is
+    the least order of its l x l minors.  Parts stop at the first sigma that
+    vanishes to the level, and the truncation flag is then set."""
+    if M.rows < M.cols:
+        raise ValidationError(f"a profile needs at least as many rows as columns, got {M.rows}x{M.cols}")
+    sigmas = []
+    for ell in range(1, M.cols + 1):
+        orders = [o for o in (g.ord() for g in minors(M, ell)) if o is not None]
+        if not orders:
+            break
+        sigmas.append(min(orders))
+    parts = minor_order_parts([sigmas])[0]
+    return LambdaProfile(tuple(parts.tolist()), truncation_flag=len(sigmas) < M.cols)
+
+
+def lambda_profile(A: PolyMatrix, jet: JetPoint) -> LambdaProfile:
+    """Profile of a jet: the ``minor_order_profile`` of the pulled-back
+    series matrix A(gamma), whose minors are the pullbacks of A's."""
     if len(A.variables) != jet.dim:
         raise ValidationError("jet does not match the matrix variables")
-    tower = minor_ideal_tower(A)
-    gf_tower = [t.map_coeffs(jet.field) if t.field != jet.field else t for t in tower]
-    parts = []
-    prev = 0
-    for ell, ideal in enumerate(gf_tower, start=1):
-        if ideal.is_zero_ideal():
-            return LambdaProfile(tuple(parts), truncation_flag=True)
-        sigma = ord_along_ideal(ideal, jet)
-        if sigma is None:
-            return LambdaProfile(tuple(parts), truncation_flag=True)
-        lam = sigma - prev
-        if parts and lam < parts[-1]:
-            raise InternalInvariantError(
-                f"minor orders produced a decreasing profile at l={ell}: {parts + [lam]}"
-            )
-        parts.append(lam)
-        prev = sigma
-    return LambdaProfile(tuple(parts))
+    return minor_order_profile(A.pullback(jet))
 
 
 def profiles_of_size(r, m, max_part):
@@ -211,11 +221,7 @@ def stratum_counts(
     undetermined = (sigmas > level).any(axis=1)
     residual = int(cnts[undetermined].sum())
     sigmas, cnts = sigmas[~undetermined], cnts[~undetermined]
-    parts = np.diff(sigmas, axis=1, prepend=0)
-    decreasing = (parts[:, :-1] > parts[:, 1:]).any(axis=1)
-    if decreasing.any():
-        sigma = tuple(sigmas[decreasing][0].tolist())
-        raise InternalInvariantError(f"decreasing profile from minor orders: {sigma}")
+    parts = minor_order_parts(sigmas)
     # the rows are distinct, and so are their profiles
     per_lambda = dict(zip(map(tuple, parts.tolist()), cnts.tolist()))
 
@@ -399,7 +405,8 @@ def corollary_check(lct_z: LctEstimate, lct_w, r: int) -> CorollaryReport:
     checks allow the rounding guard 1/(2M) since estimates are minima of
     fractions with denominator at most M.  The ``verdict`` is certain, and
     can hold, only when every estimate is certified: then a failed check or
-    an internal error of the Z estimate is a FAIL, and otherwise AMBIGUOUS.
+    an internal error of any estimate, Z or a W chart, is a FAIL, and
+    otherwise AMBIGUOUS.
     """
     charts, lct_w = lct_w
     M = len(lct_z.per_m)
@@ -419,7 +426,8 @@ def corollary_check(lct_z: LctEstimate, lct_w, r: int) -> CorollaryReport:
     backward_ok = known and (lct_w <= r - 1 or z >= threshold_bound_backward(lct_w - (r - 1), r) - tol)
 
     certain = lct_z.certified_upper_bound and all(c.certified_upper_bound for c in charts)
-    holds = certain and biconditional_ok and forward_ok and backward_ok and prop24_ok and not lct_z.internal_errors
+    errors = lct_z.internal_errors or any(c.internal_errors for c in charts)
+    holds = certain and biconditional_ok and forward_ok and backward_ok and prop24_ok and not errors
     return CorollaryReport(
         lct_z=lct_z, lct_w_charts=charts, lct_w=lct_w, r=r, tolerance=tol,
         z_is_one=z_is_one, w_is_r=w_is_r, biconditional_ok=biconditional_ok,

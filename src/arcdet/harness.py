@@ -51,6 +51,7 @@ from .determinantal import (
     fiber_count_check,
     lct_w_estimate,
     lct_z_estimate,
+    minor_order_profile,
     profiles_of_size,
     stratum_counts,
     verdict,
@@ -59,7 +60,7 @@ from .errors import ArcdetError, BudgetExceeded, InternalInvariantError, Truncat
 from .fields import GF, QQ, is_prime
 from .jets import DEFAULT_BUDGET, IdealGens
 from .lct import LCT_DEFAULT_PRIMES, lct_estimate
-from .matrices import PolyMatrix, SeriesMatrix, det_division_free, minors
+from .matrices import PolyMatrix, SeriesMatrix, det_division_free
 from .poly import MultiPoly, parse_poly
 from .series import TruncSeries
 from .snf import LambdaProfile, reconstruct, smith_normal_form
@@ -194,7 +195,6 @@ _PRIMES = (_INTEGERS, (lambda v: 0 < len(v) == len(set(v)) and all(map(is_prime,
 _PROFILE = (_INTEGERS, (_is_profile, "a non-empty nondecreasing list of non-negative integers"))
 _RATIONAL = ((_is_rational, "an integer or a rational string such as '1/2'"),)
 _FLAG = ((lambda v: isinstance(v, bool), "true or false"),)
-_GRID = ((lambda v: v == "grid", "'grid'"),)
 _SHAPES = ((_is_shapes, "a non-empty list of [rows, cols] with rows >= cols >= 1"),)
 _INPUT = "input"  # an input reference, named after the input kind it must name
 _PAIR = "pair"  # a matrix input that DeterminantalPair.from_matrix accepts, resolved to the pair
@@ -275,7 +275,10 @@ def _run_lct_w(p, budget, seed):
     charts, w = lct_w_estimate(p["matrix"], p["max_m"], primes=tuple(p["primes"]), budget=budget)
     payload = {"charts": [c.payload() for c in charts], "lct_w": None if w is None else str(w)}
     certified = all(c.certified_upper_bound for c in charts)
-    return _threshold_status(w, certified, p["expect"], p["tolerance"]), payload
+    status = _threshold_status(w, certified, p["expect"], p["tolerance"])
+    # as for lct_z: a chart's broken guard refutes a certified estimate only
+    errors = any(c.internal_errors for c in charts)
+    return verdict(status == VERDICT_PASS and not errors, certified), payload
 
 
 def _expected_thresholds(p, corollary):
@@ -313,8 +316,6 @@ def _run_configuration(p, budget, seed):
 
 
 def _run_one_generic(p, budget, seed):
-    if p["mode"] == "grid":
-        return _run_one_generic_grid(p["r"], p["n_max"])
     payload = cross_oracle_payload(p["configuration"])
     return verdict(payload["agree"], True), payload
 
@@ -329,7 +330,8 @@ def _full_rank_sign_matrices(r, n):
         yield cfg
 
 
-def _run_one_generic_grid(r, n_max):
+def _run_one_generic_grid(p, budget, seed):
+    r, n_max = p["r"], p["n_max"]
     checked = 0
     disagreements = []
     for n in range(r, n_max + 1):
@@ -365,28 +367,23 @@ def _run_snf_roundtrip(p, budget, seed):
         M = _random_series_matrix(rng, shape[0], shape[1], level, q)
         try:
             res = smith_normal_form(M)
+            # the second route to the profile: M's minor orders
+            oracle = minor_order_profile(M)
         except TruncationInsufficient:
             skipped += 1
             if skipped > 50 * count:
                 failures.append("too many undetermined profiles")
                 break
             continue
-        except InternalInvariantError as exc:  # a bug, such as a transform that is not invertible
+        except InternalInvariantError as exc:  # a bug: a transform that is not invertible, or a decreasing profile
             failures.append(f"sample {done}: {exc}")
             done += 1
             continue
         diag = SeriesMatrix.diagonal_powers(GF(q), level, shape[0], res.lam.parts)
         if reconstruct(res, M) != diag:
             failures.append(f"reconstruction failed for sample {done}")
-        # minor-order oracle
-        sigma_prev = 0
-        for ell in range(1, shape[1] + 1):
-            orders = [o for o in (mm.ord() for mm in minors(M, ell)) if o is not None]
-            sigma = min(orders) if orders else None
-            expect = sigma_prev + res.lam.parts[ell - 1]
-            if sigma != expect:
-                failures.append(f"minor-order oracle mismatch at sample {done}, l={ell}")
-            sigma_prev = expect
+        if oracle != res.lam:
+            failures.append(f"minor-order oracle mismatch at sample {done}: {oracle} against {res.lam}")
         done += 1
     payload = {"count": done, "skipped_undetermined": skipped, "failures": failures}
     return verdict(not failures, True), payload
@@ -470,14 +467,6 @@ def _configuration_problem(p):
     return _two_primes(p)
 
 
-def _one_generic_problem(p):
-    if p["mode"] is None:
-        return None if p["configuration"] is not None else "missing input reference 'configuration'"
-    if p["configuration"] is not None:
-        return "mode 'grid' takes no configuration"
-    return None if p["r"] <= p["n_max"] else "need r <= n_max"
-
-
 _FIT = {"primes": (_PRIMES, LCT_DEFAULT_PRIMES)}
 _EXPECT = {"expect": (_RATIONAL, None), "tolerance": (_RATIONAL, 0)}
 _EXPECT_ZW = {"expect_z": (_RATIONAL, None), "expect_w": (_RATIONAL, None)}
@@ -509,10 +498,10 @@ _KINDS = {
         _run_configuration, False, {"configuration": _INPUT, "max_m": _POSITIVE},
         {**_FIT, "expect_connected": (_FLAG, None), **_EXPECT_ZW}, _configuration_problem,
     ),
-    "one_generic": _Kind(
-        _run_one_generic, True, {},
-        {"configuration": (_INPUT, None), "mode": (_GRID, None), "r": (_POSITIVE, 2), "n_max": (_POSITIVE, 4)},
-        _one_generic_problem,
+    "one_generic": _Kind(_run_one_generic, True, {"configuration": _INPUT}, {}),
+    "one_generic_grid": _Kind(
+        _run_one_generic_grid, True, {}, {"r": (_POSITIVE, 2), "n_max": (_POSITIVE, 4)},
+        lambda p: None if p["r"] <= p["n_max"] else "need r <= n_max",
     ),
     "snf_roundtrip": _Kind(
         _run_snf_roundtrip, True, {},
@@ -715,7 +704,7 @@ def builtin_corpus():
     corpus["one-generic-grid"] = Campaign.make(
         "one-generic-grid",
         {},
-        [Task.make("grid-r2", "one_generic", mode="grid", r=2, n_max=4)],
+        [Task.make("grid-r2", "one_generic_grid", r=2, n_max=4)],
     )
 
     return corpus

@@ -85,9 +85,6 @@ class IdealGens:
     def is_zero_ideal(self):
         return all(g.is_zero() for g in self.generators)
 
-    def map_coeffs(self, field):
-        return IdealGens(tuple(g.map_coeffs(field) for g in self.generators))
-
     def __iter__(self):
         return iter(self.generators)
 

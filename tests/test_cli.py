@@ -86,6 +86,8 @@ class TestExitCodes:
                      id="strata-1x3"),
         pytest.param(["cone", "--m", "1", "--p", "0", "--level", "1", "--matrix", "{doc}"], WIDE, id="cone-1x3"),
         pytest.param(["lct", "--max-m", "2", "--matrix", "{doc}"], WIDE, id="lct-1x3"),
+        pytest.param(["profile", "--matrix", "{doc}", "--jet", "{jet}"],
+                     {"vars": ["x1", "x2", "x3", "x4"], "rows": [["x1", "x2"]]}, id="profile-1x2"),
         pytest.param(["snf", "--matrix", "{doc}"], {**SERIES, "field": "GF(5)"}, id="series-field-key"),
         pytest.param(["snf", "--matrix", "{doc}"], {**SERIES, "prime": 6}, id="series-prime-6"),
         pytest.param(["snf", "--matrix", "{doc}"], {**SERIES, "level": "x"}, id="series-level-x"),
@@ -116,7 +118,7 @@ class TestExitCodes:
         # each case used to exit 1 with a traceback, or (the "field" key) to be ignored
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))
-        rc = main([arg.format(doc=path, matrix=docs["matrix"], dir=tmp_path) for arg in argv])
+        rc = main([arg.format(doc=path, matrix=docs["matrix"], jet=docs["jet"], dir=tmp_path) for arg in argv])
         err = capsys.readouterr().err
         assert rc == 2
         assert len([line for line in err.splitlines() if "error:" in line]) == 1
@@ -184,6 +186,12 @@ class TestSubcommands:
         rc = main(["profile", "--matrix", str(docs["matrix"]), "--jet", str(docs["jet"]), "--out", str(out)])
         assert rc == 0
         assert json.loads(out.read_text())["lambda"] == [0, 2]
+
+    def test_readme_profile_example_bytes(self, docs, capsys):
+        # README's example: the generic 2x2 matrix and the jet [[1],[0],[0],[0,0,1]] at q = 5, N = 4
+        rc = main(["profile", "--matrix", str(docs["matrix"]), "--jet", str(docs["jet"])])
+        assert rc == 0
+        assert capsys.readouterr().out == '{\n  "lambda": [\n    0,\n    2\n  ],\n  "truncated": false\n}\n'
 
     def test_strata(self, docs, tmp_path):
         out = tmp_path / "strata.json"

@@ -404,7 +404,7 @@ class TestPlans:
         A = PolyMatrix([[parse_poly("x1", vs), parse_poly("x2", vs)], [parse_poly("x3", vs), parse_poly("x4", vs)]])
         pair = DeterminantalPair.from_matrix(A)
         joint = pair.w_gens.variables
-        ideals = [[MultiPoly.variable(GF(2), joint, y) for y in pair.y_names], pair.w_gens.map_coeffs(GF(2)).nonzero()]
+        ideals = [[MultiPoly.variable(GF(2), joint, y) for y in pair.y_names], [g.map_coeffs(GF(2)) for g in pair.w_gens.nonzero()]]
         assert plan_names([g for gens in ideals for g in gens], 6, 1, 2) == ["direct"]
         _, counts = contact_order_table(ideals, 6, 1, 2)
         assert sum(counts.tolist()) == 2**12

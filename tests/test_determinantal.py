@@ -27,14 +27,17 @@ from arcdet.determinantal import (
     lct_w_estimate,
     lct_z_estimate,
     minor_ideal_tower,
+    minor_order_parts,
+    minor_order_profile,
     profiles_of_size,
     stratum_counts,
     threshold_bound_backward,
     threshold_bound_forward,
 )
 from arcdet.consensus import STATUS_CONSENSUS, extract_codim
-from arcdet.errors import BudgetExceeded, ValidationError
+from arcdet.errors import BudgetExceeded, InternalInvariantError, ValidationError
 from arcdet.harness import builtin_corpus, run_campaign
+from arcdet.matrices import SeriesMatrix
 from arcdet.snf import LambdaProfile
 
 VS = ("x1", "x2", "x3", "x4")
@@ -149,6 +152,19 @@ class TestLambdaProfile:
     def test_truncation_flag(self):
         lam = lambda_profile(diag_x1_x1(), jet(5, 2, [0, 0, 0]))
         assert lam.truncation_flag and lam.parts == ()
+
+    def test_parts_are_first_differences(self):
+        assert minor_order_parts([[0, 2], [1, 3], [2, 4]]).tolist() == [[0, 2], [1, 2], [2, 2]]
+        assert minor_order_parts([[]]).tolist() == [[]]
+
+    def test_decreasing_minor_orders_are_an_internal_error(self):
+        with pytest.raises(InternalInvariantError, match=r"decreasing profile from minor orders: \(1, 1\)"):
+            minor_order_parts([[0, 2], [1, 1]])
+
+    def test_a_wide_series_matrix_is_refused(self):
+        # as smith_normal_form refuses it; the minors would raise a bare ValueError
+        with pytest.raises(ValidationError, match="at least as many rows as columns, got 1x2"):
+            minor_order_profile(SeriesMatrix([[TruncSeries.zero(GF(5), 2)] * 2]))
 
     def test_agrees_with_snf(self):
         import random

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import arcdet.counting
+import arcdet.determinantal
 import arcdet.harness
 import arcdet.snf
 from arcdet.configurations import ConfigurationMatrix, patterson_matrix
@@ -124,11 +125,12 @@ class TestValidation:
                 Task.make("snf-prime-4", "snf_roundtrip", prime=4),
                 Task.make("primes-2-4", "fiber_formula", lam=[1, 1], m=1, level=2, primes=[2, 4]),
                 Task.make("primes-2-3-3", "lct_z", ideal="x1", max_m=2, primes=[2, 3, 3]),
-                Task.make("gird", "one_generic", configuration="tri", mode="gird"),
+                Task.make("grid-params", "one_generic", configuration="tri", r=3, n_max=1),
                 Task.make("wrong-kind", "configuration", configuration="m", max_m=2),
                 Task.make("expect-x", "lct_z", ideal="x1", max_m=2, expect="x"),
                 Task.make("r-above-n", "cauchy_binet", r_max=5, n_max=2),
                 Task.make("one-number-shape", "snf_roundtrip", shapes=[[2]]),
+                Task.make("grid-r-above-n", "one_generic_grid", r=3, n_max=2),
             ],
         )
         with pytest.raises(ValidationError) as err:
@@ -142,11 +144,12 @@ class TestValidation:
             "  snf-prime-4: prime must be a prime below 2^31, got 4",
             "  primes-2-4: primes must be a non-empty list of distinct primes below 2^31, got [2, 4]",
             "  primes-2-3-3: primes must be a non-empty list of distinct primes below 2^31, got [2, 3, 3]",
-            "  gird: mode must be 'grid', got 'gird'",
+            "  grid-params: unknown parameters for one_generic: ['n_max', 'r']",
             "  wrong-kind: input 'm' is a matrix, expected configuration",
             "  expect-x: expect must be an integer or a rational string such as '1/2', got 'x'",
             "  r-above-n: need r_max <= n_max",
             "  one-number-shape: shapes must be a non-empty list of [rows, cols] with rows >= cols >= 1, got [[2]]",
+            "  grid-r-above-n: need r <= n_max",
         ]
         assert ran == []
 
@@ -352,6 +355,30 @@ class TestExecution:
         message = "estimate 1 exceeds the generator count 0; a d-equation subscheme has threshold <= d"
         assert z.payload["internal_errors"] == corollary.payload["lct_z"]["internal_errors"] == [message]
 
+    @pytest.mark.parametrize("certified", [False, True])
+    def test_a_chart_internal_error_fails_a_certified_estimate_only(self, monkeypatch, certified):
+        # Z reads lct 1 and each W chart 2, as the theorem wants, but each
+        # chart breaks its generator-count guard (one generator cannot hold
+        # an estimate 2); both tasks used to read PASS whatever the charts' errors
+        def fit(codim, ambient):
+            return extract_codim([(q, q ** (ambient - codim), q**ambient) for q in (2, 3)], ambient)
+
+        w_m1 = fit(2, 10) if certified else extract_codim([(2, 260, 2**10), (3, 6600, 3**10)], 10)
+        chart = threshold_fold([w_m1], 5, 1)
+        assert (chart.estimate, chart.certified_upper_bound) == (2, certified) and chart.internal_errors
+        lct_z = threshold_fold([fit(1, 8)], 4, 1)
+        assert (lct_z.estimate, lct_z.certified_upper_bound, lct_z.internal_errors) == (1, True, ())
+        monkeypatch.setattr(arcdet.harness, "lct_z_estimate", lambda *args, **kwargs: lct_z)
+        monkeypatch.setattr(arcdet.harness, "lct_w_estimate", lambda *args, **kwargs: ((chart, chart), chart.estimate))
+        c = Campaign.make("errors", {"m": ("matrix", _generic())}, [
+            Task.make("w", "lct_w", matrix="m", max_m=1, expect="2"),
+            Task.make("corollary", "corollary", matrix="m", max_m=1, expect_z="1", expect_w="2"),
+        ])
+        w, corollary = run_campaign(c).results
+        assert [w.status, corollary.status] == ["FAIL" if certified else "AMBIGUOUS"] * 2
+        message = "estimate 2 exceeds the generator count 1; a d-equation subscheme has threshold <= d"
+        assert w.payload["charts"][0]["internal_errors"] == corollary.payload["charts"][0]["internal_errors"] == [message]
+
     def test_a_broken_smith_transform_fails_the_roundtrip(self, monkeypatch):
         # every transform is a product of units, swaps and elementary
         # operations; one that is not invertible is a bug, and used to be
@@ -363,6 +390,28 @@ class TestExecution:
         assert result.payload == {
             "count": 3, "skipped_undetermined": 0,
             "failures": [f"sample {i}: row transform is not invertible mod t^(N+1)" for i in range(3)],
+        }
+
+    def test_a_minor_order_mismatch_fails_the_roundtrip(self, monkeypatch):
+        wrong = arcdet.snf.LambdaProfile((0, 9))
+        monkeypatch.setattr(arcdet.harness, "minor_order_profile", lambda M: wrong)
+        c = Campaign.make("snf", {}, [Task.make("snf", "snf_roundtrip", count=3)])
+        (result,) = run_campaign(c).results
+        failures = result.payload["failures"]
+        assert result.status == "FAIL" and len(failures) == 3
+        assert all(f.startswith(f"minor-order oracle mismatch at sample {i}: {wrong} against ")
+                   for i, f in enumerate(failures))
+
+    def test_a_decreasing_minor_order_profile_fails_the_roundtrip(self, monkeypatch):
+        # sigma = (2, 3) would be the profile (2, 1); the reader's rule raises
+        # it, and the roundtrip records it as that sample's failure
+        monkeypatch.setattr(arcdet.determinantal, "minors", lambda M, ell: [TruncSeries.t_power(GF(5), 6, ell + 1)])
+        c = Campaign.make("snf", {}, [Task.make("snf", "snf_roundtrip", count=3)])
+        (result,) = run_campaign(c).results
+        assert result.status == "FAIL"
+        assert result.payload == {
+            "count": 3, "skipped_undetermined": 0,
+            "failures": [f"sample {i}: decreasing profile from minor orders: (2, 3)" for i in range(3)],
         }
 
     def test_the_generic_3x3_corollary_is_refused_before_any_count(self, monkeypatch):

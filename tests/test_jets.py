@@ -76,15 +76,15 @@ class TestSubstitution:
 class TestOrdAlongIdeal:
     def test_min_of_orders(self):
         vs = ["x1", "x2"]
-        gens = IdealGens((parse_poly("x1", vs), parse_poly("x2", vs))).map_coeffs(GF(5))
+        gens = IdealGens(tuple(parse_poly(e, vs).map_coeffs(GF(5)) for e in ("x1", "x2")))
         assert ord_along_ideal(gens, jet(5, 4, [0, 0, 1], [0, 0, 0, 1])) == 2
 
     def test_determinant(self):
         vs = ["x1", "x2", "x3", "x4"]
-        gens = IdealGens((parse_poly("x1*x4 - x2*x3", vs),)).map_coeffs(GF(5))
+        gens = IdealGens((parse_poly("x1*x4 - x2*x3", vs).map_coeffs(GF(5)),))
         j = jet(5, 3, [0, 1], [0], [0], [0, 1])
         assert ord_along_ideal(gens, j) == 2
 
     def test_sentinel(self):
-        gens = IdealGens((parse_poly("x1", ["x1"]),)).map_coeffs(GF(5))
+        gens = IdealGens((parse_poly("x1", ["x1"]).map_coeffs(GF(5)),))
         assert ord_along_ideal(gens, jet(5, 2, [0, 0, 0])) is None

@@ -34,6 +34,13 @@ determinants, so ``from_matrix`` names no ``minors``, the Cauchy-Binet check
 eliminates nothing and expands no Patterson determinant of its own, and the
 wrappers that copied the matroid and the expansion out of the matrix stay
 deleted.
+A profile has one reader of minor orders: ``determinantal.minor_order_profile``
+reads sigma_l off a series matrix's l x l minors, and ``minor_order_parts``
+is the one sigma -> lambda rule, which that reader and the stratum tables
+call and which alone raises the decreasing-profile error.  ``lambda_profile``
+reads the pulled-back series matrix, not the polynomial minor tower through
+``ord_along_ideal``, and the Smith-form roundtrip in ``harness`` compares
+Smith form with that reader and names no ``minors`` of its own.
 Statuses have one rule: ``determinantal`` binds PASS, FAIL and AMBIGUOUS
 once, and only ``determinantal.verdict`` returns or assigns one, so every
 check and task reads its status from ``verdict(holds, certain)``; other
@@ -86,6 +93,15 @@ BATCH_PARAMETERS = ("batch_cap", "cap")
 # poly.py: the name-based embedding and ring map that built the incidence
 # forms and their charts, which determinantal.py now builds by position
 DELETED_POLY_METHODS = ("extend_variables", "substitute_polys")
+# the one reader of minor orders: the modules or functions (None for a whole
+# module) that must read them through it, and the names each must not read;
+# and the one sigma -> lambda rule, which alone raises a decreasing profile
+MINOR_ORDER_READS = {
+    ("harness.py", None): ("minors",),
+    ("determinantal.py", "lambda_profile"): ("minor_ideal_tower", "ord_along_ideal"),
+}
+DECREASING_PROFILE = "decreasing profile"
+PROFILE_RULE = [("determinantal.py", "minor_order_parts")]
 # the two steps of codimension extraction, run only by consensus.extract_codim
 EXTRACTION_STEPS = ("cyclotomic_fit", "_rounding_vote")
 # the threshold results and the one function that makes each
@@ -131,20 +147,45 @@ def _callers(package, names):
 
 def _forbidden_reads(package, rules):
     """(module, function, name) for each name or attribute that a function of
-    ``rules`` reads against its rule, and (module, function, None) for each
-    function of ``rules`` that its module does not define."""
+    ``rules`` reads or imports against its rule, and (module, function, None)
+    for each function of ``rules`` that its module does not define.  A
+    function None stands for the whole module."""
     found = []
     for (module, function), names in rules.items():
         tree = ast.parse((package / module).read_text(encoding="utf-8"))
-        defs = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == function]
+        defs = [tree] if function is None else [
+            node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == function
+        ]
         read = {
-            node.id if isinstance(node, ast.Name) else node.attr
+            node.id if isinstance(node, ast.Name) else node.name if isinstance(node, ast.alias) else node.attr
             for func in defs
             for node in ast.walk(func)
-            if isinstance(node, (ast.Name, ast.Attribute))
+            if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
         }
         found.extend([(module, function, None)] if not defs else [(module, function, n) for n in names if n in read])
     return found
+
+
+def _raisers(package, text):
+    """(module, enclosing function) for each raise whose exception holds a
+    string constant that contains ``text``."""
+    found = set()
+
+    def visit(path, node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(path, child, child.name)
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None and any(
+                isinstance(c, ast.Constant) and isinstance(c.value, str) and text in c.value
+                for c in ast.walk(child.exc)
+            ):
+                found.add((str(path.relative_to(package)), owner))
+            visit(path, child, owner)
+
+    for path in package.rglob("*.py"):
+        visit(path, ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return sorted(found)
 
 
 def _arguments(func):
@@ -265,6 +306,36 @@ def test_guard_sees_a_second_expansion(tmp_path):
         ("determinantal.py", "from_matrix", "minors"),
         ("configurations.py", "cauchy_binet_expansion", "patterson_matrix"),
         ("configurations.py", "cauchy_binet_expansion", "det_division_free"),
+    ]
+
+
+def test_lambda_has_one_minor_order_reader():
+    package = ROOT / "src" / "arcdet"
+    assert _forbidden_reads(package, MINOR_ORDER_READS) == []
+    assert _raisers(package, DECREASING_PROFILE) == PROFILE_RULE
+
+
+def test_guard_sees_a_second_minor_order_reader(tmp_path):
+    (tmp_path / "harness.py").write_text(
+        "from .matrices import minors\n\n\n"
+        "def _run_snf_roundtrip(M, lam):\n    return min(g.ord() for g in minors(M, 1)) == lam[0]\n"
+    )
+    (tmp_path / "determinantal.py").write_text(
+        "def minor_order_parts(sigmas):\n"
+        "    raise InternalInvariantError(f'decreasing profile from minor orders: {sigmas}')\n\n\n"
+        "def lambda_profile(A, jet):\n"
+        "    sigmas = [jets.ord_along_ideal(ideal, jet) for ideal in minor_ideal_tower(A)]\n"
+        "    if sigmas != sorted(sigmas):\n"
+        "        raise InternalInvariantError('minor orders produced a decreasing profile')\n"
+        "    return sigmas\n"
+    )
+    assert _forbidden_reads(tmp_path, MINOR_ORDER_READS) == [
+        ("harness.py", None, "minors"),
+        ("determinantal.py", "lambda_profile", "minor_ideal_tower"),
+        ("determinantal.py", "lambda_profile", "ord_along_ideal"),
+    ]
+    assert _raisers(tmp_path, DECREASING_PROFILE) == [
+        ("determinantal.py", "lambda_profile"), ("determinantal.py", "minor_order_parts"),
     ]
 
 

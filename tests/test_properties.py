@@ -18,9 +18,11 @@ from arcdet.counting import (
     contact_order_table,
     table_cache,
 )
-from arcdet.determinantal import DeterminantalPair, lambda_profile, minor_ideal_tower
+from arcdet.determinantal import DeterminantalPair, lambda_profile, minor_ideal_tower, minor_order_profile
+from arcdet.errors import TruncationInsufficient
 from arcdet.jets import enumerate_jets, ord_along_ideal, substitute_jet
-from arcdet.matrices import minors
+from arcdet.matrices import SeriesMatrix, minors
+from arcdet.snf import smith_normal_form
 from table_dicts import as_dict
 
 
@@ -345,10 +347,37 @@ def test_tall_matrix_profiles():
         if lam.truncation_flag:
             continue
         assert len(lam.parts) == 2
-        gf_tower = [t.map_coeffs(GF(5)) for t in tower]
+        gf_tower = [IdealGens(tuple(g.map_coeffs(GF(5)) for g in t)) for t in tower]
         assert ord_along_ideal(gf_tower[0], jet) == lam.parts[0]
         assert ord_along_ideal(gf_tower[1], jet) == lam.parts[0] + lam.parts[1]
         done += 1
+
+
+# --- the minor-order reader against Smith form ------------------------------
+
+@st.composite
+def series_matrices(draw):
+    """An s x r series matrix over F_q at level N, with q in {2, 3, 5}, N <= 4
+    and r <= s <= 4, r <= 3."""
+    q, level, r = draw(st.sampled_from([2, 3, 5])), draw(st.integers(0, 4)), draw(st.integers(1, 3))
+    s = draw(st.integers(r, 4))
+    coeffs = st.lists(st.integers(0, q - 1), min_size=level + 1, max_size=level + 1)
+    rows = draw(st.lists(st.lists(coeffs, min_size=r, max_size=r), min_size=s, max_size=s))
+    return SeriesMatrix([[TruncSeries(GF(q), level, c) for c in row] for row in rows])
+
+
+@given(series_matrices())
+@settings(max_examples=300, deadline=None)
+def test_minor_order_profile_agrees_with_smith_form(M):
+    """Where Smith form determines the profile the reader reads it too, and
+    where Smith form refuses, the reader flags its profile truncated."""
+    lam = minor_order_profile(M)
+    try:
+        res = smith_normal_form(M)
+    except TruncationInsufficient:
+        assert lam.truncation_flag
+    else:
+        assert lam == res.lam
 
 
 # --- the incidence correspondence by evaluation -------------------------------
