@@ -68,18 +68,16 @@ it, add, mul and ord lookup tables built once per (q, N) on first use, and
 ``series_ring`` returns the tables when Q <= RING_TABLE_CAP and the computed
 ring above.  Every enumerating strategy walks a product of code sets, one
 per coordinate, each a range of codes that stops at Q: the full range, the
-multiples of q (tO) or the single code 1.  It walks them as open meshes: per
-batch, one code array per coordinate, the low coordinates spanning a
-(1, block) array that every batch shares and the high ones a (highs, 1)
-array.  The coordinates are laid out by term component and cut between two
-components where a block allows.  A pullback is a chain of ring operations on
+multiples of q (tO) or the single code 1.  It walks them as open meshes: as
+many low coordinates as fit one batch, each its codes on an axis of its own
+in an array shared by every batch, and the high ones flattened on one more
+axis, h index tuples per batch.  A pullback is a chain of ring operations on
 these arrays, and numpy broadcasting evaluates each sub-expression at the
-size of the coordinates it uses: only what combines both sides of the cut
-reaches the size of the batch.  A key is mixed-radix:
+size of the coordinates it reads.  A key is mixed-radix:
 value codes of the spanning parts, then orders, each the ring order of a
-code scaled to its key digit (one gather with the tables).  A key that
-depends on one side of the cut only stands for every jet of the batch that
-shares it.  Every walk of a block, and direct's combine of block states,
+code scaled to its key digit (one gather with the tables).  A key entry
+stands for every jet of the batch that differs from it only in coordinates
+the key does not read.  Every walk of a block, and direct's combine of block states,
 checks that its counts sum to the size of its grid.
 Codes take the narrowest of int16, int32 and int64 that holds Q - 1, in the
 mesh and in the ring alike.
@@ -117,11 +115,12 @@ from .poly import MultiPoly
 
 # rows per enumeration batch, and pairs of block states per batch of direct's
 # combine.  Timed on a 2-vCPU Xeon, one thread, fresh process, 3 runs at each of
-# 2^15 to 2^19: the stratification and cone campaigns took 6-11 and 12-26 ms at
-# every cap, and one [x1, x2, x1*x2] table (q=2, N=11) 0.75-1.08 s up to 2^17
-# against 0.95-1.43 s above, most of it building the lower rings' tables (0.03 s
-# with every ring computed), while peak memory grew from 54 to 76 MB.  None of
-# this moves the cap off 2^17.
+# 2^15 to 2^19, with a mesh's low coordinates on one flat axis [then on one axis
+# each]: the stratification and cone campaigns took 6-11 [3-6] and 12-26 [11-21]
+# ms at every cap, and one [x1, x2, x1*x2] table (q=2, N=11) 0.75-1.08 [0.84-1.05]
+# s up to 2^17 against 0.95-1.43 [1.05-1.19] s above, most of it building the
+# lower rings' tables (0.03 [0.013-0.018] s with every ring computed), while peak
+# memory grew from 54 to 76 [75] MB.  None of this moves the cap off 2^17.
 BATCH_CAP = 1 << 17
 # largest Q = q^(N+1) whose ring is cached as lookup tables; larger rings are
 # computed.  Timed on one [x1, x2, x1*x2] table enumerated directly, 2-vCPU
@@ -133,6 +132,7 @@ BATCH_CAP = 1 << 17
 # campaigns use no ring above Q = 3^5.
 RING_TABLE_CAP = 3**7
 _MAX_COMBINE = 1 << 26
+_MAX_AXES = 64 if int(np.__version__.split(".")[0]) >= 2 else 32  # numpy's NPY_MAXDIMS
 
 
 # --------------------------------------------------------------------------
@@ -145,45 +145,45 @@ def _code_dtype(size):
     return np.int16 if size <= 1 << 15 else np.int32 if size <= 1 << 31 else np.int64
 
 
-def _mesh_batches(sets, cuts=()):
+def _mesh_batches(sets):
     """Cover the product of code sets, one ``range`` of series codes per
     coordinate, by open meshes.
 
-    Per batch yield its row count, the codes of the w low coordinates as
-    (1, block) arrays, the same objects in every batch, and those of the others
-    as (highs, 1) arrays.  Row h*block + b of a batch takes its low codes from
-    b and its high codes from the batch's h-th high index, so the batches cover
-    the product exactly once.  w is the largest of ``cuts`` whose block fits
-    ``BATCH_CAP``, or without one the largest w that fits.  Codes take the
-    narrowest dtype that holds every code below the largest stop of ``sets``,
-    so a grid of ranges that stop at the ring size takes the ring's dtype.
+    The first w coordinates, the most whose grid (the block) fits ``BATCH_CAP``,
+    are low: low j is its codes on axis j + 1, 1 on every other axis, the same
+    array in every batch.  A batch takes h index tuples of the others, each an
+    (h, 1, ..., 1) array, and is yielded as (h * block, lows, highs), so the
+    batches cover the product once.  Codes take the narrowest dtype that holds
+    every code below the largest stop of ``sets``, the ring's for ranges that
+    stop at its size.  A mesh of more axes than numpy allows is refused before
+    it is built.
     """
     sizes = [len(s) for s in sets]
     total = prod(sizes)
     if total > 2**62:  # pragma: no cover - beyond any practical budget
         raise BudgetExceeded("grid too large to index")
     dtype = _code_dtype(max((s.stop for s in sets), default=1))
-
-    def codes(index, part, shape):
-        out = []
-        for s in part:
-            index, d = np.divmod(index, len(s))
-            if s != range(len(s)):  # tO or the code 1
-                d = d * s.step + s.start
-            out.append(d.astype(dtype).reshape(shape))
-        return out
-
     w = 0
     while w < len(sets) and prod(sizes[: w + 1]) <= min(BATCH_CAP, total):
         w += 1
-    w = max((cut for cut in cuts if cut <= w), default=w)
+    if w + 1 > _MAX_AXES:
+        raise BudgetExceeded(f"a mesh of {w} low coordinates needs {w + 1} axes, past numpy's {_MAX_AXES}")
+    lows = [
+        np.arange(s.start, s.stop, s.step, dtype=dtype).reshape((1,) * (j + 1) + (-1,) + (1,) * (w - j - 1))
+        for j, s in enumerate(sets[:w])
+    ]
     block = prod(sizes[:w])
-    lows = codes(np.arange(block, dtype=np.int64), sets[:w], (1, block))
     n_highs = total // block
     step = max(1, BATCH_CAP // block)
     for h0 in range(0, n_highs, step):
         h1 = min(h0 + step, n_highs)
-        yield (h1 - h0) * block, lows, codes(np.arange(h0, h1, dtype=np.int64), sets[w:], (h1 - h0, 1))
+        index, highs = np.arange(h0, h1, dtype=np.int64), []
+        for s in sets[w:]:
+            index, d = np.divmod(index, len(s))
+            if s != range(len(s)):  # tO or the code 1
+                d = d * s.step + s.start
+            highs.append(d.astype(dtype).reshape((h1 - h0,) + (1,) * w))
+        yield (h1 - h0) * block, lows, highs
 
 
 class SeriesRing:
@@ -310,8 +310,10 @@ def ring_tables(q, level):
     process build 6 rings, (q, N) = (2, 3), (2, 4) and (3, 1) to (3, 4), none
     above Q = 3^5, and no campaign alone more than 3, so none is rebuilt; one
     at Q = RING_TABLE_CAP holds 19 MB.  With every ring computed, a benchmark
-    pass (2-vCPU Xeon, two runs, median ms) takes 6.4-7.9 against 3.1-3.2 on
-    strata, 22 against 12 on cone and 57-59 against 25 on thresholds.
+    pass (2-vCPU Xeon, two runs, median ms) took 6.4-7.9 against 3.1-3.2 on
+    strata, 22 against 12 on cone and 57-59 against 25 on thresholds with a
+    mesh's low coordinates on one flat axis, and takes 6.4-8.0 against 3.4-5.3,
+    26-28 against 15-18 and 39-45 against 24-29 with one axis each.
     """
     return RingTables(q, level)
 
@@ -323,8 +325,9 @@ def series_ring(q, level):
 
 def _fold(arrays, op):
     """Reduce broadcastable arrays by the associative, commutative ``op``: equal
-    shapes first, then the partial results from the smallest up, so only the
-    steps that combine both sides of a mesh run at the size of the batch."""
+    shapes first, then the partial results from the smallest up.  On a mesh an
+    array's shape is the coordinates it reads, so each step runs at the size of
+    the coordinates its operands read together."""
     groups = {}
     for a in arrays:
         groups.setdefault(a.shape, []).append(a)
@@ -348,10 +351,10 @@ def _add_into(a, b):
 def eval_poly_codes(poly, coords, ring):
     """Pullback codes of a polynomial on an open mesh of jets.
 
-    ``coords`` holds one 2-d code array per coordinate, all broadcastable
-    against each other; coefficients of ``poly`` are reduced mod q.  Returns
-    codes shaped as the broadcast of the coordinates the polynomial uses,
-    (1, 1) for a constant.
+    ``coords`` holds one code array per coordinate, all broadcastable against
+    each other; coefficients of ``poly`` are reduced mod q.  Returns codes
+    shaped as the broadcast of the coordinates the polynomial uses, 0-d for a
+    constant.
     """
     powers = {}
     terms = []
@@ -361,12 +364,12 @@ def eval_poly_codes(poly, coords, ring):
             continue
         factors = sorted((_power(ring, coords, powers, i, e) for i, e in enumerate(exps) if e), key=np.size)
         if not factors:
-            terms.append(np.full((1, 1), c, dtype=ring.dtype))  # the constant c has code c
+            terms.append(np.full((), c, dtype=ring.dtype))  # the constant c has code c
             continue
         if c != 1:
             factors[0] = ring.scale(c, factors[0])
         terms.append(_fold(factors, ring.times))
-    return _fold(terms, ring.plus) if terms else np.zeros((1, 1), dtype=ring.dtype)
+    return _fold(terms, ring.plus) if terms else np.zeros((), dtype=ring.dtype)
 
 
 def _power(ring, coords, powers, i, e):
@@ -392,11 +395,10 @@ def _order_batches(polys, sets, level, q, values=()):
     pullbacks of ``values`` in [0, Q) as the lowest digits, then the clamped
     pullback order of each of ``polys`` in base N+2.
 
-    The grid is an open mesh of the coordinate codes, laid out by term
-    component and cut between two components where a block allows, so that
-    each term stays on one side of it where it can: a pullback is a chain of
-    ring operations that reaches the size of the batch only where it combines
-    both sides, and an order digit is the order of a code scaled by its weight.
+    The grid is an open mesh of the coordinate codes (``_mesh_batches``), so a
+    pullback, and an order digit, the order of a code scaled by its weight, run
+    at the size of the coordinates they read: a key entry stands for every jet
+    of the batch that shares it.
     """
     # no grid is enumerated over a prime whose digit products leave int32
     if (level + 1) * (q - 1) ** 2 >= 2**31:
@@ -411,17 +413,11 @@ def _order_batches(polys, sets, level, q, values=()):
         raise BudgetExceeded(f"keys of {len(polys)} orders at level {level} overflow int64")
     dtype = np.int32 if radix <= 2**31 else np.int64
     order_digits = [ring.weighted_order(vspace * base**i, dtype) for i in range(len(polys))]
-    # smaller components first, so that more cuts between them fit a block
-    comps = sorted(_term_components(list(polys) + list(values), len(sets)), key=len)
-    layout = [v for comp in comps for v in comp]
-    cuts = list(accumulate(len(comp) for comp in comps))
-    coords = [None] * len(sets)
-    for rows, lows, highs in _mesh_batches([sets[v] for v in layout], cuts):
-        for v, digit in zip(layout, lows + highs):
-            coords[v] = digit
+    for rows, lows, highs in _mesh_batches(sets):
+        coords = lows + highs
         parts = [order(eval_poly_codes(p, coords, ring)) for order, p in zip(order_digits, polys)]
         parts += [eval_poly_codes(p, coords, ring).astype(dtype) * ring.size**j for j, p in enumerate(values)]
-        key = _fold(parts, _add_into) if parts else np.zeros((1, 1), dtype=dtype)
+        key = _fold(parts, _add_into) if parts else np.zeros((), dtype=dtype)
         yield rows // key.size, key
 
 

@@ -21,7 +21,9 @@ from arcdet.counting import (
     _grading,
     _mesh_batches,
     _monomial_distribution,
+    _order_batches,
     _plans,
+    _tally,
     SeriesRing,
     contact_order_table,
     eval_poly_codes,
@@ -875,17 +877,18 @@ class TestMeshKernel:
     At q=3, N=1 a coordinate code lies in [0, 9)."""
 
     CAPS = [1 << 20, 81, 405, 20, 5]
-    # One term component over x1, x2, x3: no cut between components fits a
-    # block below all 3 coordinates, so at caps 81 and 405 (w = 2) x3 is high
-    # and x1*x3 and 2*x1^2*x3 straddle the sides; at 405 the last batch holds
-    # 4 of 9 high values, at 20 (w = 1) 1 of 81, at 5 (w = 0) 4 of 729.
+    # One term component over x1, x2, x3: at caps 81 and 405 (w = 2) x3 is
+    # high and x1*x3 and 2*x1^2*x3 read a low axis and the high one; at 405 the
+    # last batch holds 4 of 9 high values, at 20 (w = 1) 1 of 81, at 5 (w = 0)
+    # 4 of 729.
     # Coefficients 2, powers, a constant, constant terms and the zero
     # polynomial.  Over F_3, 2*x1^2*x3 + x1 + x3 + 2 changes its table if the
     # 2 multiplies both factors (2*2 = 1), unlike 2*x1^2*x2 + x3 (x3 -> 2*x3
     # absorbs it).
     STRADDLING = ["x1", "2*x1^2*x2 + x3", "x1*x3 + x2^2", "2*x1^2*x3 + x1 + x3 + 2", "x2^3 + x2 + 1", "2", "0"]
-    # Components {x3}, {x4} (in no polynomial) and {x1, x2}, laid out in that
-    # order: caps 81 and 405 cut after x4 (w = 2), 20 after x3 (w = 1).
+    # Components {x1, x2}, {x3} and {x4} (in no polynomial): at caps 81 and 405
+    # x1 and x2 are low (w = 2), at 20 x1 alone (w = 1), so the keys of
+    # 2*x3 + 1 and x1 read one axis of the batch's mesh.
     COMPONENTS = ["x1*x2 + 2*x2^2", "2*x3 + 1", "x1", "0"]
     # blocks {x1, x2} and {x3, x4} (x4 in no polynomial); the split polynomial
     # has a constant term and a coefficient 2 on each side
@@ -917,35 +920,70 @@ class TestMeshKernel:
         n, polys, want = oracle["additive"]
         assert planned("additive", polys, n, 1, 3) == want
 
+    @staticmethod
+    def assert_mesh_shapes(sets, rows, lows, highs):
+        """Low j spans axis j + 1 and the highs axis 0, each 1 on every other axis."""
+        w = len(lows)
+        for j, (s, low) in enumerate(zip(sets, lows)):
+            assert low.shape == (1,) * (j + 1) + (len(s),) + (1,) * (w - j - 1)
+            assert low.ravel().tolist() == list(s)
+        h = rows // prod(map(len, sets[:w]))
+        assert all(high.shape == (h,) + (1,) * w for high in highs)
+
     @pytest.mark.parametrize(
-        "cap, cuts, w",
+        "cap, w",
         [
-            (40, (), 1),  # 81 highs, 4 per batch: the last batch holds 1
-            (100, (1, 3), 1),  # the cut at 1 rather than w = 2; 11 highs per batch, the last holds 4
-            (100, (3,), 2),  # no cut fits: the largest w that does
+            (40, 1),  # 81 highs, 4 per batch: the last batch holds 1
+            (100, 2),  # 9 highs, one per batch
         ],
     )
-    def test_mesh_covers_the_grid_once(self, monkeypatch, cap, cuts, w):
+    def test_mesh_covers_the_grid_once(self, monkeypatch, cap, w):
         monkeypatch.setattr(arcdet.counting, "BATCH_CAP", cap)
+        sets = [range(9)] * 3
         seen = Counter()
-        for rows, lows, highs in _mesh_batches([range(9)] * 3, cuts):
+        for rows, lows, highs in _mesh_batches(sets):
             assert len(lows) == w
+            self.assert_mesh_shapes(sets, rows, lows, highs)
             codes = sum(d.astype(np.int64) * 9**pos for pos, d in enumerate(lows + highs))
             assert codes.size == rows
             seen.update(codes.ravel().tolist())
         assert seen == Counter(range(9**3))
 
-    @pytest.mark.parametrize("cap, cuts", [(100, ()), (5, ()), (5, (2,)), (1, ())])
-    def test_mesh_covers_a_product_of_code_sets_once(self, monkeypatch, cap, cuts):
+    @pytest.mark.parametrize("cap", [100, 5, 1])
+    def test_mesh_covers_a_product_of_code_sets_once(self, monkeypatch, cap):
         monkeypatch.setattr(arcdet.counting, "BATCH_CAP", cap)
         # tO, the code 1 and the full range at q=3, N=1
         sets = [range(0, 9, 3), range(1, 9, 9), range(9)]
         seen = Counter()
-        for rows, lows, highs in _mesh_batches(sets, cuts):
+        for rows, lows, highs in _mesh_batches(sets):
+            self.assert_mesh_shapes(sets, rows, lows, highs)
             codes = sum(d.astype(np.int64) * 9**pos for pos, d in enumerate(lows + highs))
             assert codes.size == rows <= max(cap, 9)
             seen.update(codes.ravel().tolist())
         assert seen == Counter(a + 9 + 81 * c for a in sets[0] for c in sets[2])
+
+    def test_a_key_of_some_coordinates_stands_for_the_rest(self, monkeypatch):
+        # at q=3, N=1 the key of x1 reads its own axis alone: 9 entries, each
+        # for the 9 codes of x2
+        monkeypatch.setattr(arcdet.counting, "BATCH_CAP", 1 << 20)
+        x1 = parse_poly("x1", ("x1", "x2")).map_coeffs(GF(3))
+        ((weight, key),) = _order_batches([x1], [range(9)] * 2, 1, 3)
+        assert (key.size, weight) == (9, 9)
+        codes, counts = _tally(_order_batches([x1], [range(9)] * 2, 1, 3), 3, 81)
+        assert dict(zip(codes.tolist(), counts.tolist())) == {0: 54, 1: 18, 2: 9}
+
+    def test_a_mesh_past_numpys_axes_is_refused_unbuilt(self):
+        # sets of one code add an axis but no jets: all of them are low
+        limit = arcdet.counting._MAX_AXES
+        assert len(next(_mesh_batches([range(1, 9, 9)] * (limit - 1)))[1]) == limit - 1
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded, match="axes"):
+                next(_mesh_batches([range(1, 9, 9)] * limit))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
 
     def test_a_lost_batch_is_caught(self, monkeypatch):
         walk = arcdet.counting._mesh_batches

@@ -23,6 +23,9 @@ The batch size is one constant, ``counting.BATCH_CAP``, read only where a
 batch is cut: by the mesh walk, the quotient gate of ``_side_walk``, direct's
 batches of state pairs and the fill of the ring tables.  No function takes
 it as a parameter and no plan's count takes an argument.
+The mesh walk gives each low coordinate its own axis, so it takes its code
+sets alone: no cuts between term components, and only ``_blocks`` reads the
+term components.
 The incidence forms and their charts are built by position, and the
 ``MultiPoly`` methods that built them by name stay deleted.
 The configuration oracles have one exact elimination,
@@ -90,6 +93,12 @@ DELETED_WALKS = ("_side_table", "_plain_variable_index")
 BATCH_SIZE = "BATCH_CAP"
 BATCH_CUTTERS = ["RingTables.__init__", "_direct_distribution", "_mesh_batches", "_side_walk"]
 BATCH_PARAMETERS = ("batch_cap", "cap")
+# counting.py: the mesh walk's one parameter, and the one reader of the term
+# components, which also laid out and cut the mesh before it had an axis per
+# low coordinate
+MESH_WALK = ("_mesh_batches", ["sets"])
+TERM_COMPONENTS = ("_term_components",)
+TERM_COMPONENT_READERS = [("counting.py", "_blocks", "_term_components")]
 # poly.py: the name-based embedding and ring map that built the incidence
 # forms and their charts, which determinantal.py now builds by position
 DELETED_POLY_METHODS = ("extend_variables", "substitute_polys")
@@ -220,6 +229,16 @@ def _batch_size_uses(path):
     return sorted(takes), sorted(reads)
 
 
+def _parameters(path, function):
+    """The parameter names of each function called ``function`` in one module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [
+        [arg.arg for arg in _arguments(node)]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == function
+    ]
+
+
 def test_only_counting_uses_engine_internals():
     assert _modules_naming(ROOT / "src" / "arcdet", ENGINE_INTERNALS, ("counting.py",)) == []
 
@@ -279,6 +298,24 @@ def test_guard_sees_a_batch_size_parameter(tmp_path):
     )
     (tmp_path / "test_counting.py").write_text("def planned(plan, batch_cap=8):\n    return plan(batch_cap)\n")
     assert _modules_naming(tmp_path, ("batch_cap",)) == ["counting.py: batch_cap", "test_counting.py: batch_cap"]
+
+
+def test_the_mesh_walk_takes_its_code_sets_alone():
+    name, parameters = MESH_WALK
+    assert _parameters(ROOT / "src" / "arcdet" / "counting.py", name) == [parameters]
+    assert _callers(ROOT / "src" / "arcdet", TERM_COMPONENTS) == TERM_COMPONENT_READERS
+
+
+def test_guard_sees_a_cut_mesh(tmp_path):
+    (tmp_path / "counting.py").write_text(
+        "def _mesh_batches(sets, cuts=()):\n    return sets\n\n\n"
+        "def _order_batches(polys, sets):\n    return _mesh_batches(sets, _term_components(polys))\n\n\n"
+        "def _blocks(polys):\n    return _term_components(polys)\n"
+    )
+    assert _parameters(tmp_path / "counting.py", "_mesh_batches") == [["sets", "cuts"]]
+    assert _callers(tmp_path, TERM_COMPONENTS) == [
+        ("counting.py", "_blocks", "_term_components"), ("counting.py", "_order_batches", "_term_components"),
+    ]
 
 
 def test_incidence_forms_are_built_by_position():
