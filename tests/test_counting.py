@@ -949,18 +949,27 @@ class TestMeshKernel:
             seen.update(codes.ravel().tolist())
         assert seen == Counter(range(9**3))
 
-    @pytest.mark.parametrize("cap", [100, 5, 1])
-    def test_mesh_covers_a_product_of_code_sets_once(self, monkeypatch, cap):
+    # the ids are those the cases had when _mesh_batches still took cuts
+    @pytest.mark.parametrize(
+        "cap, order",
+        [
+            pytest.param(100, (0, 1, 2), id="100-cuts0"),
+            pytest.param(5, (0, 1, 2), id="5-cuts1"),  # tO and the code 1 low, 1 high per batch
+            pytest.param(5, (2, 1, 0), id="5-cuts2"),  # the full range first: no low fits, 5 highs per batch
+            pytest.param(1, (0, 1, 2), id="1-cuts3"),
+        ],
+    )
+    def test_mesh_covers_a_product_of_code_sets_once(self, monkeypatch, cap, order):
         monkeypatch.setattr(arcdet.counting, "BATCH_CAP", cap)
         # tO, the code 1 and the full range at q=3, N=1
-        sets = [range(0, 9, 3), range(1, 9, 9), range(9)]
+        sets = [[range(0, 9, 3), range(1, 9, 9), range(9)][i] for i in order]
         seen = Counter()
         for rows, lows, highs in _mesh_batches(sets):
             self.assert_mesh_shapes(sets, rows, lows, highs)
             codes = sum(d.astype(np.int64) * 9**pos for pos, d in enumerate(lows + highs))
             assert codes.size == rows <= max(cap, 9)
             seen.update(codes.ravel().tolist())
-        assert seen == Counter(a + 9 + 81 * c for a in sets[0] for c in sets[2])
+        assert seen == Counter(sum(c * 9**pos for pos, c in enumerate(t)) for t in product(*sets))
 
     def test_a_key_of_some_coordinates_stands_for_the_rest(self, monkeypatch):
         # at q=3, N=1 the key of x1 reads its own axis alone: 9 entries, each
