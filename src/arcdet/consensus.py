@@ -7,8 +7,9 @@ fiber cells) have counts of the very rigid shape
 
     q^a * (q-1)^b * (q+1)^e * (q^2+q+1)^f
 
-whose exponents are pinned by exact integer factoring at each prime and
-cross-checked across all primes; when that succeeds the dimension
+whose exponents are enumerated from the divisors of the count at the
+largest prime and checked exactly at every other prime (one count per
+prime, at least two primes); when that succeeds the dimension
 a+b+e+2f is exact and no rounding is involved.  When it fails the
 dimension is read off per prime as round(log_q count) with a 0.45 guard
 band, and a consensus requires at least two primes to agree inside their
@@ -80,17 +81,33 @@ def _v_adic(n, p):
     return v, n
 
 
+def _cofactors(n, p):
+    """(k, n / p^k) for every power p^k that divides n, from k = 0 up."""
+    k = 0
+    while True:
+        yield k, n
+        if n % p:
+            return
+        n //= p
+        k += 1
+
+
 def cyclotomic_fit(counts):
     """Fit count(q) = q^a (q-1)^b (q+1)^e (q^2+q+1)^f across >= 2 primes.
 
-    Returns (dim, description) or None.  The factors at distinct primes pin
-    each exponent by exact divisibility, and every prime must reproduce the
-    count exactly, so a successful fit is a certificate, not a guess.
+    Returns (dim, description) or None.  a is the q-adic valuation, the same
+    at every prime.  The rest at the largest prime T lists every candidate:
+    f runs over the powers of T^2+T+1 that divide it, e over the powers of
+    T+1 that divide what is left, and b is the (T-1)-adic valuation of the
+    remainder, which must leave the unit 1 (T-1 >= 2, since T is the larger
+    of two distinct primes).  Every other prime must reproduce its count
+    exactly, so a successful fit is a certificate, not a guess; a prime
+    with two different counts fits nothing.  The candidates that pass must
+    agree on the dimension, and the description names the least (b, e).
     """
     counts = sorted(set((q, c) for q, c in counts))
-    if len(counts) < 2 or any(c <= 0 for _, c in counts):
-        return None
-    if len({q for q, _ in counts}) < 2:
+    primes = {q for q, _ in counts}
+    if len(primes) < 2 or len(primes) < len(counts) or any(c <= 0 for _, c in counts):
         return None
     a = None
     for q, c in counts:
@@ -100,24 +117,15 @@ def cyclotomic_fit(counts):
         elif va != a:
             return None
     rests = {q: c // q**a for q, c in counts}
-    bound = max(r.bit_length() for r in rests.values()) + 1
-    big = [q for q in rests if q > 2]  # (q-1) is invisible at q=2
-    # for each (b, e) at most one f matches, and one prime's rest pins it
     top = max(rests)
-    matches = []
-    for b in range(bound + 1):
-        if any((q - 1) ** b > rests[q] for q in big):
-            break
-        for e in range(bound + 1):
-            be = {q: (q - 1) ** b * (q + 1) ** e for q in rests}
-            if any(be[q] > rests[q] for q in rests):
-                break
-            quotient, left = divmod(rests[top], be[top])
-            if left:
-                continue
-            f, unit = _v_adic(quotient, top * top + top + 1)
-            if unit == 1 and all(be[q] * (q * q + q + 1) ** f == rests[q] for q in rests):
-                matches.append((b, e, f))
+    others = [q for q in rests if q != top]
+    matches = sorted(
+        (b, e, f)
+        for f, rest in _cofactors(rests[top], top * top + top + 1)
+        for e, left in _cofactors(rest, top + 1)
+        for b, unit in [_v_adic(left, top - 1)]
+        if unit == 1 and all((q - 1) ** b * (q + 1) ** e * (q * q + q + 1) ** f == rests[q] for q in others)
+    )
     dims = {a + b + e + 2 * f for b, e, f in matches}
     if len(dims) != 1:
         return None

@@ -1,14 +1,16 @@
 """Jet-theoretic log canonical threshold estimation.
 
 The threshold of a pair is the infimum over m of codim(Cont^m)/m, and the
-estimator computes those codimensions from finite-field counts at level
-N = m (the contact order is determined by coefficients up to t^m, so any
-higher level just multiplies counts by exact powers of q).  It counts the
-deepest level M first: where a campaign run shares its contact-order tables,
-the level-M table of each prime then serves every level m < M by
-truncation, so one table is counted per prime.  ``threshold_fold`` turns
-the per-m reports into the estimate; it is the one place an ``LctEstimate``
-is made, so any source of per-m codimensions reaches a threshold through it.
+estimator computes those codimensions from finite-field counts.  The
+contact order at m is determined by coefficients up to t^m, so a level-M
+table serves every level m <= M: ``_level_report`` reads Cont^m from the
+rows whose work-ideal order is exactly m, each stratum order clamped at
+m + 1 and each bucket divided by the q^(n(M-m)) lifts of a level-m jet.
+``lct_estimate`` therefore counts one level-M table per prime, inside a
+campaign's table cache or outside it, and ``contact_codim_stratified`` is
+the same reader on a level-m table.  ``threshold_fold`` turns the per-m
+reports into the estimate; it is the one place an ``LctEstimate`` is made,
+so any source of per-m codimensions reaches a threshold through it.
 
 For each m the Cont^m count is stratified: jets are bucketed by their
 contact orders along a list of stratifying ideals -- by default the
@@ -25,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .consensus import (
     STATUS_AMBIGUOUS,
     STATUS_CONSENSUS,
@@ -33,7 +37,7 @@ from .consensus import (
     extract_codim_bucketed,
 )
 from .counting import contact_order_table
-from .errors import ValidationError
+from .errors import InternalInvariantError, ValidationError
 from .jets import DEFAULT_BUDGET, IdealGens, jet_space_size
 from .poly import MultiPoly
 
@@ -89,28 +93,48 @@ def contact_codim_stratified(
     ideals (generator lists); None means the coordinates, one ideal each,
     and [] puts every jet in one bucket.
     """
-    n = len(gens.variables)
-    level = m
+    return _level_report(_contact_tables(gens, m, primes, budget, strata), m, m, len(gens.variables))
+
+
+def _contact_tables(gens, level, primes, budget, strata):
+    """The level-``level`` contact-order table of [*strata, ideal] at each
+    prime, as [(q, (keys, counts)), ...] in the order of ``primes``."""
     work = list(gens.nonzero())
     if not work:
         raise ValidationError("zero ideal has no contact loci")
-
     if strata is None:
         strata = [[x] for x in MultiPoly.coordinates(gens.field, gens.variables)]
-
+    n = len(gens.variables)
     # every plan grows with q, so count the largest prime first: a refusal then comes before any count
     tables = {q: contact_order_table([*strata, work], n, level, q, budget=budget) for q in sorted(primes, reverse=True)}
+    return [(q, tables[q]) for q in primes]
+
+
+def _level_report(tables, deep, m, n) -> CountReport:
+    """The stratified report of Cont^m read from level-``deep`` tables of
+    ``_contact_tables``, deep >= m: the rows whose work-ideal order is
+    exactly m, each stratum order clamped at m + 1, and each bucket's count
+    divided by the q^(n(deep-m)) lifts of a level-m jet.  A bucket that is
+    not a whole number of lifts raises ``InternalInvariantError``.
+    """
     totals = []
     bucket_counts = {}
-    for q in primes:
-        keys, counts = tables[q]
+    for q, (keys, counts) in tables:
         hit = keys[:, -1] == m
-        # the rows are distinct, so each bucket occurs at most once per prime
-        for bucket_key, cnt in zip(map(tuple, keys[hit, :-1].tolist()), counts[hit].tolist()):
-            bucket_counts.setdefault(bucket_key, {})[q] = cnt
-        totals.append((q, int(counts[hit].sum()), jet_space_size(n, level, q)))
+        sums = {}
+        for key, cnt in zip(map(tuple, np.minimum(keys[hit, :-1], m + 1).tolist()), counts[hit].tolist()):
+            sums[key] = sums.get(key, 0) + cnt
+        lifts = q ** (n * (deep - m))
+        for key, cnt in sums.items():
+            whole, rest = divmod(cnt, lifts)
+            if rest:
+                raise InternalInvariantError(
+                    f"{cnt} level-{deep} jets of contact order {m} and strata {key} are not whole fibers of {lifts} lifts"
+                )
+            bucket_counts.setdefault(key, {})[q] = whole
+        totals.append((q, sum(sums.values()) // lifts, jet_space_size(n, m, q)))
 
-    ambient = n * (level + 1)
+    ambient = n * (m + 1)
     # Buckets first: a bucket is usually a single cell, whose count is a
     # basis element of the fit.  Totals of unions collide with wrong basis
     # elements more often, so the flat fit is only a fallback.
@@ -129,7 +153,8 @@ def lct_estimate(
     strata=None,
 ) -> LctEstimate:
     """min over 1 <= m <= M of codim(Cont^m)/m: the stratified count of each
-    Cont^m, folded by ``threshold_fold``.
+    Cont^m, every level read from one level-M table per prime and folded by
+    ``threshold_fold``.
 
     ``strata`` buckets each Cont^m as in ``contact_codim_stratified``.
     """
@@ -138,9 +163,11 @@ def lct_estimate(
     primes = tuple(primes)
     if len(set(primes)) < 2:
         raise ValidationError("threshold estimation needs at least two distinct primes")
-    # the deepest level first, so that its tables serve the shallower ones
-    reports = [contact_codim_stratified(gens, m, primes, budget=budget, strata=strata) for m in range(M, 0, -1)]
-    return threshold_fold(reports[::-1], len(gens.variables), len(gens.nonzero()))
+    if len(set(primes)) < len(primes):
+        raise ValidationError(f"threshold estimation takes each prime once, got {primes!r}")
+    tables = _contact_tables(gens, M, primes, budget, strata)
+    n = len(gens.variables)
+    return threshold_fold([_level_report(tables, M, m, n) for m in range(1, M + 1)], n, len(gens.nonzero()))
 
 
 def threshold_fold(reports, ambient_dim: int, generator_count: int) -> LctEstimate:

@@ -67,6 +67,11 @@ class TestCyclotomicFit:
         assert cyclotomic_fit([(3, 18)]) is None
         assert cyclotomic_fit([(3, 18), (3, 18)]) is None
 
+    def test_one_count_per_prime(self):
+        # (3, 36) is no (3, 18): no fit reproduces both counts at q = 3
+        assert cyclotomic_fit([(2, 4), (3, 18), (3, 36)]) is None
+        assert cyclotomic_fit([(2, 4), (3, 18), (3, 18)]) == cyclotomic_fit([(2, 4), (3, 18)])
+
     def test_rejects_zero(self):
         assert cyclotomic_fit([(2, 0), (3, 0)]) is None
 

@@ -11,7 +11,7 @@ from arcdet import IdealGens, parse_poly
 from arcdet.consensus import STATUS_AMBIGUOUS, STATUS_CONSENSUS, extract_codim
 from arcdet.counting import table_cache
 from arcdet.determinantal import VERDICT_AMBIGUOUS, VERDICT_FAIL, corollary_check
-from arcdet.errors import ValidationError
+from arcdet.errors import InternalInvariantError, ValidationError
 from arcdet.lct import contact_codim_stratified, lct_estimate, threshold_fold
 
 
@@ -90,6 +90,11 @@ class TestGuards:
         gens = IdealGens((parse_poly("x1", ["x1"]),))
         with pytest.raises(ValidationError):
             lct_estimate(gens, 2, primes=(3,))
+
+    def test_each_prime_once(self):
+        gens = IdealGens((parse_poly("x1*x2", ["x1", "x2"]),))
+        with pytest.raises(ValidationError, match="each prime once"):
+            lct_estimate(gens, 2, primes=(2, 2, 3))
 
     def test_m_at_least_one(self):
         gens = IdealGens((parse_poly("x1", ["x1"]),))
@@ -198,6 +203,20 @@ class TestTables:
             est = lct_estimate(gens, 3, primes=(2, 3))
         assert counted == [(3, 3), (3, 2)]  # the largest prime first
         counted.clear()
-        # outside a scope every level is counted, into the same estimate
+        # outside a scope, too, the level-3 tables serve every level
         assert lct_estimate(gens, 3, primes=(2, 3)) == est
-        assert sorted(counted) == [(m, q) for m in (1, 2, 3) for q in (2, 3)]
+        assert counted == [(3, 3), (3, 2)]
+
+    def test_a_held_table_off_by_one_is_refused(self):
+        gens = IdealGens((parse_poly("x1*x2 + x1^3", ["x1", "x2"]),))
+        with table_cache() as scope:
+            lct_estimate(gens, 3, primes=(2, 3))
+            (key,) = [key for key in scope.tables if key[2] == 3]
+            level, (keys, counts) = scope.tables[key]
+            # a row of work-ideal order 1 or 2 stands for whole fibers of 3^4 or 3^2 lifts
+            (row, *_) = [i for i, order in enumerate(keys[:, -1].tolist()) if 1 <= order < level]
+            doctored = counts.copy()
+            doctored[row] += 1
+            scope.tables[key] = (level, (keys, doctored))
+            with pytest.raises(InternalInvariantError, match="not whole fibers"):
+                lct_estimate(gens, 3, primes=(2, 3))

@@ -8,6 +8,7 @@ from unittest.mock import patch
 from hypothesis import assume, given, settings, strategies as st
 
 import arcdet.counting
+import arcdet.lct
 from arcdet import GF, QQ, IdealGens, JetPoint, MultiPoly, PolyMatrix, TruncSeries, parse_poly
 from arcdet.consensus import _v_adic, cyclotomic_fit
 from arcdet.counting import (
@@ -20,7 +21,8 @@ from arcdet.counting import (
 )
 from arcdet.determinantal import DeterminantalPair, lambda_profile, minor_ideal_tower, minor_order_profile
 from arcdet.errors import TruncationInsufficient
-from arcdet.jets import enumerate_jets, ord_along_ideal, substitute_jet
+from arcdet.jets import DEFAULT_BUDGET, enumerate_jets, ord_along_ideal, substitute_jet
+from arcdet.lct import _contact_tables, _level_report, contact_codim_stratified
 from arcdet.matrices import SeriesMatrix, minors
 from arcdet.snf import smith_normal_form
 from table_dicts import as_dict
@@ -234,6 +236,33 @@ def test_truncated_tables_equal_counted_ones(ideal_terms, prefer):
     assert truncated == [as_dict(contact_order_table(ideals, 2, level, q, prefer=prefer)) for level in (0, 1, 2)]
 
 
+# --- every threshold level is read from the deepest table -------------------
+
+
+@given(
+    st.lists(st.dictionaries(exponents, st.just(1), min_size=1, max_size=3), min_size=1, max_size=2),
+    st.none() | st.lists(st.lists(st.dictionaries(exponents, st.just(1), min_size=1, max_size=3),
+                                  min_size=1, max_size=2), max_size=2),
+    st.sampled_from([2, 3]),
+    st.integers(1, 3),
+)
+@settings(max_examples=30, deadline=None)
+def test_levels_read_from_a_deep_table_equal_counted_ones(work_terms, strata_terms, q, M):
+    """Cont^m read from the level-M tables, as ``lct_estimate`` reads it, has
+    the buckets and the report of ``contact_codim_stratified`` at level m."""
+    vs = ("x1", "x2")
+    gens = IdealGens(tuple(_poly_from(terms, vs, q) for terms in work_terms))
+    strata = None if strata_terms is None else [[_poly_from(t, vs, q) for t in ideal] for ideal in strata_terms]
+    deep = _contact_tables(gens, M, (q,), DEFAULT_BUDGET, strata)
+    for m in range(1, M + 1):
+        with patch.object(arcdet.lct, "extract_codim_bucketed", wraps=arcdet.lct.extract_codim_bucketed) as read:
+            from_deep = _level_report(deep, M, m, len(vs))
+            counted = contact_codim_stratified(gens, m, (q,), strata=strata)
+        assert from_deep == counted
+        first, second = read.call_args_list
+        assert first == second  # the same buckets, counts and totals
+
+
 # --- exact fit recovers planted cell shapes ---------------------------------
 
 
@@ -253,6 +282,8 @@ def _triple_search_fit(counts):
     if len(counts) < 2 or any(c <= 0 for _, c in counts):
         return None
     if len({q for q, _ in counts}) < 2:
+        return None
+    if len({q for q, _ in counts}) < len(counts):
         return None
     a = None
     for q, c in counts:
