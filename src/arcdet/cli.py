@@ -34,7 +34,7 @@ from .configurations import (
 from .determinantal import VERDICT_FAIL, lambda_profile
 from .errors import ArcdetError, BudgetExceeded, ValidationError
 from .fields import is_prime
-from .harness import _KINDS, STATUS_SKIPPED, Campaign, Task, _jsonable, builtin_corpus, run_campaign
+from .harness import _KINDS, STATUS_SKIPPED, Campaign, Task, builtin_corpus, run_campaign
 from .io import (
     INPUT_READERS,
     campaign_from_doc,
@@ -79,7 +79,6 @@ def _flatten(payload, prefix=""):
 
 
 def _emit(payload, args):
-    payload = _jsonable(payload)
     # validate-on-emit: the payload must survive a JSON round trip unchanged
     encoded = json.dumps(payload, sort_keys=True, indent=2)
     if json.loads(encoded) != payload:

@@ -138,16 +138,6 @@ class Report:
         return json.dumps(self.canonical_payload(), sort_keys=True, separators=(",", ":"))
 
 
-def _jsonable(value):
-    if isinstance(value, (int, float, str)) or value is None:
-        return value
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return str(value)  # a Fraction, a numpy integer, ...
-
-
 # --------------------------------------------------------------------------
 # parameter types: a type is a tuple of (test, what the test wants) steps,
 # and the first step a value fails names its problem
@@ -583,7 +573,7 @@ def run_campaign(campaign: Campaign, seed=0, budget=DEFAULT_BUDGET) -> Report:
                 failed = True
             results[i] = TaskResult(
                 name=task.name, kind=task.kind, status=status, identity_check=kind.identity,
-                params=_jsonable(task.param_dict()), payload=_jsonable(payload),
+                params=task.param_dict(), payload=payload,
             )
     wall = time.monotonic() - start
     return Report(

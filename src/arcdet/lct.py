@@ -3,9 +3,9 @@
 The threshold of a pair is the infimum over m of codim(Cont^m)/m, and the
 estimator computes those codimensions from finite-field counts.  The
 contact order at m is determined by coefficients up to t^m, so a level-M
-table serves every level m <= M: ``_level_report`` reads Cont^m from the
-rows whose work-ideal order is exactly m, each stratum order clamped at
-m + 1 and each bucket divided by the q^(n(M-m)) lifts of a level-m jet.
+table serves every level m <= M: ``_level_report`` takes the rows whose
+work-ideal order is exactly m and reads their stratum orders at level m
+through ``counting.level_counts``, the one rule that reads a deeper table.
 ``lct_estimate`` therefore counts one level-M table per prime, inside a
 campaign's table cache or outside it, and ``contact_codim_stratified`` is
 the same reader on a level-m table.  ``threshold_fold`` turns the per-m
@@ -27,8 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .consensus import (
     STATUS_AMBIGUOUS,
     STATUS_CONSENSUS,
@@ -36,8 +34,8 @@ from .consensus import (
     extract_codim,
     extract_codim_bucketed,
 )
-from .counting import contact_order_table
-from .errors import InternalInvariantError, ValidationError
+from .counting import contact_order_table, level_counts
+from .errors import ValidationError
 from .jets import DEFAULT_BUDGET, IdealGens, jet_space_size
 from .poly import MultiPoly
 
@@ -113,26 +111,17 @@ def _contact_tables(gens, level, primes, budget, strata):
 def _level_report(tables, deep, m, n) -> CountReport:
     """The stratified report of Cont^m read from level-``deep`` tables of
     ``_contact_tables``, deep >= m: the rows whose work-ideal order is
-    exactly m, each stratum order clamped at m + 1, and each bucket's count
-    divided by the q^(n(deep-m)) lifts of a level-m jet.  A bucket that is
-    not a whole number of lifts raises ``InternalInvariantError``.
+    exactly m, bucketed by their stratum orders at level m as
+    ``level_counts`` reads them.
     """
     totals = []
     bucket_counts = {}
     for q, (keys, counts) in tables:
         hit = keys[:, -1] == m
-        sums = {}
-        for key, cnt in zip(map(tuple, np.minimum(keys[hit, :-1], m + 1).tolist()), counts[hit].tolist()):
-            sums[key] = sums.get(key, 0) + cnt
-        lifts = q ** (n * (deep - m))
-        for key, cnt in sums.items():
-            whole, rest = divmod(cnt, lifts)
-            if rest:
-                raise InternalInvariantError(
-                    f"{cnt} level-{deep} jets of contact order {m} and strata {key} are not whole fibers of {lifts} lifts"
-                )
-            bucket_counts.setdefault(key, {})[q] = whole
-        totals.append((q, sum(sums.values()) // lifts, jet_space_size(n, m, q)))
+        buckets = level_counts(keys[hit, :-1], counts[hit], deep, m, n, q)
+        for key, cnt in buckets.items():
+            bucket_counts.setdefault(key, {})[q] = cnt
+        totals.append((q, sum(buckets.values()), jet_space_size(n, m, q)))
 
     ambient = n * (m + 1)
     # Buckets first: a bucket is usually a single cell, whose count is a

@@ -103,6 +103,10 @@ class TestExitCodes:
                      id="graph-flat-edges"),
         pytest.param(["patterson", "--config", "{doc}"], {"d_matrix": [1, 2]}, id="d-matrix-flat-rows"),
         pytest.param(["one-generic"], None, id="one-generic-without-document"),
+        pytest.param(["one-generic", "--matrix", "{doc}"],
+                     {"vars": ["x1", "x2"], "rows": [["x1^2", "x2"], ["x2", "x1"]]}, id="one-generic-nonlinear-entry"),
+        pytest.param(["one-generic", "--matrix", "{doc}"], {"vars": ["x1", "x2"], "rows": [["x1", "x2"]]},
+                     id="one-generic-1x2"),
         pytest.param(["lct", "--max-m", "2", "--ideal", "{doc}"], {"vars": 5, "generators": ["x1"]},
                      id="ideal-vars-5"),
         pytest.param(["lct", "--max-m", "2", "--ideal", "{doc}"], {"vars": ["x1"], "generators": ["x1 +"]},
@@ -251,6 +255,13 @@ class TestSubcommands:
         rc = main(["one-generic", "--config", str(docs["config"]), "--out", str(out)])
         assert rc == 0
         assert json.loads(out.read_text())["agree"] is True
+
+    def test_one_generic_matrix(self, tmp_path, capsys):
+        # the linear search alone: x1 v1w1 + x2 (v1w2 + v2w1) + x3 v2w2 vanishes for no nonzero v, w
+        doc = tmp_path / "sym.json"
+        doc.write_text(json.dumps({"vars": ["x1", "x2", "x3"], "rows": [["x1", "x2"], ["x2", "x3"]]}))
+        assert main(["one-generic", "--matrix", str(doc)]) == 0
+        assert json.loads(capsys.readouterr().out) == {"confirmed": True, "one_generic": True}
 
     def test_one_generic_denominator_divisible_by_a_search_prime(self, tmp_path):
         # the entry 1/4 of the Patterson matrix has no residue mod 2; the

@@ -2,12 +2,10 @@
 
 import dataclasses
 import hashlib
-import json
 import re
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import arcdet.counting
@@ -19,7 +17,7 @@ from arcdet.consensus import extract_codim
 from arcdet.determinantal import VERDICT_FAIL, DeterminantalPair, minor_ideal_tower
 from arcdet.errors import ValidationError
 from arcdet.fields import GF
-from arcdet.harness import _KINDS, _jsonable, _threshold_status, Campaign, Task, builtin_corpus, run_campaign
+from arcdet.harness import _KINDS, _threshold_status, Campaign, Task, builtin_corpus, run_campaign
 from arcdet.io import campaign_from_doc
 from arcdet.jets import IdealGens
 from arcdet.lct import threshold_fold
@@ -131,6 +129,7 @@ class TestValidation:
                 Task.make("r-above-n", "cauchy_binet", r_max=5, n_max=2),
                 Task.make("one-number-shape", "snf_roundtrip", shapes=[[2]]),
                 Task.make("grid-r-above-n", "one_generic_grid", r=3, n_max=2),
+                Task.make("no-input", "lct_z", max_m=2),
             ],
         )
         with pytest.raises(ValidationError) as err:
@@ -150,6 +149,7 @@ class TestValidation:
             "  r-above-n: need r_max <= n_max",
             "  one-number-shape: shapes must be a non-empty list of [rows, cols] with rows >= cols >= 1, got [[2]]",
             "  grid-r-above-n: need r <= n_max",
+            "  no-input: missing input reference 'ideal'",
         ]
         assert ran == []
 
@@ -518,13 +518,29 @@ class TestDeterminism:
         rep = run_campaign(builtin_corpus()[name], seed=0)
         assert hashlib.sha256(rep.canonical_json().encode()).hexdigest() == digest
 
-    def test_jsonable_leaves(self):
-        # JSON scalars pass as they are, a Fraction and any other leaf (an
-        # np.int64 too) become strings, tuples lists and dict keys strings
-        payload = {"r": Fraction(1, 3), 2: ({"t": (1, 2.5)}, True), "none": None, "n": np.int64(7), "s": "x"}
-        assert json.dumps(_jsonable(payload), sort_keys=True) == (
-            '{"2": [{"t": [1, 2.5]}, true], "n": "7", "none": null, "r": "1/3", "s": "x"}'
-        )
+    def test_results_hold_json_values(self):
+        # results hold payload and params as the tasks made them, so every
+        # value of every builtin campaign must already be a JSON value
+        def foreign(value, path):
+            if isinstance(value, dict):
+                for key, item in value.items():
+                    if not isinstance(key, str):
+                        yield f"{path}: key {key!r}"
+                    yield from foreign(item, f"{path}.{key}")
+            elif isinstance(value, list):
+                for i, item in enumerate(value):
+                    yield from foreign(item, f"{path}.{i}")
+            elif value is not None and type(value) not in (str, int, float, bool):
+                yield f"{path}: {type(value).__name__}"
+
+        found = [
+            problem
+            for name, campaign in builtin_corpus().items()
+            for r in run_campaign(campaign, seed=0).results
+            for part in ("params", "payload")
+            for problem in foreign(getattr(r, part), f"{name}.{r.name}.{part}")
+        ]
+        assert found == []
 
     def test_randomized_task_seeded(self):
         corpus = builtin_corpus()

@@ -101,6 +101,18 @@ class TestGuards:
         with pytest.raises(ValidationError):
             lct_estimate(gens, 0)
 
+    def test_zero_ideal_has_no_contact_loci(self):
+        gens = IdealGens((parse_poly("0", ["x1"]),))
+        with pytest.raises(ValidationError, match="zero ideal has no contact loci"):
+            lct_estimate(gens, 2)
+
+    def test_estimate_above_the_ambient_dimension_is_flagged(self):
+        # a codim-2 report at m = 1 in a fold over A^1: the ratio 2 passes
+        # the generator count 3 but no threshold on A^1 exceeds 1
+        rep = extract_codim([(q, q**2, q**4) for q in (2, 3)], 4)
+        est = threshold_fold([rep], 1, 3)
+        assert (est.estimate, est.internal_errors) == (2, ("estimate 2 exceeds the ambient dimension 1",))
+
     def test_estimate_below_generator_count(self):
         gens = IdealGens((parse_poly("x1", ["x1", "x2"]), parse_poly("x2", ["x1", "x2"])))
         est = lct_estimate(gens, 3, primes=(2, 3))

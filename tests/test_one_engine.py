@@ -44,6 +44,11 @@ call and which alone raises the decreasing-profile error.  ``lambda_profile``
 reads the pulled-back series matrix, not the polynomial minor tower through
 ``ord_along_ideal``, and the Smith-form roundtrip in ``harness`` compares
 Smith form with that reader and names no ``minors`` of its own.
+A deeper table is read at a shallower level by one rule,
+``counting.level_counts``: the table cache's truncation and the threshold's
+level reads both call it, and only it raises the whole-fiber error.  Task
+results hold payloads and params as the tasks made them: the second pass
+that turned them into JSON values stays deleted.
 Statuses have one rule: ``determinantal`` binds PASS, FAIL and AMBIGUOUS
 once, and only ``determinantal.verdict`` returns or assigns one, so every
 check and task reads its status from ``verdict(holds, certain)``; other
@@ -117,6 +122,11 @@ EXTRACTION_STEPS = ("cyclotomic_fit", "_rounding_vote")
 THRESHOLD_RESULTS = ("LctEstimate", "CorollaryReport")
 # the modules whose functions count, extract or fold: the corollary calls none
 COUNTING_MODULES = ("counting.py", "contact.py", "consensus.py", "lct.py")
+# the one rule that reads a deeper table at a shallower level
+WHOLE_FIBERS = "whole fibers"
+LEVEL_RULE = [("counting.py", "level_counts")]
+# harness.py: the pass that turned every payload and params into JSON values
+DELETED_PASSES = ("_jsonable",)
 # the check and task statuses, their values, and the one function that makes them
 VERDICTS = ("VERDICT_PASS", "VERDICT_FAIL", "VERDICT_AMBIGUOUS")
 STATUS_VALUES = ("PASS", "FAIL", "AMBIGUOUS")
@@ -451,6 +461,33 @@ def test_guard_sees_a_second_fold_and_a_counting_corollary(tmp_path):
         ("lct.py", "threshold_fold", "LctEstimate"),
     ]
     assert _counting_calls_of_the_corollary(tmp_path) == ["lct_z_estimate", "threshold_fold"]
+
+
+def test_one_rule_reads_a_deeper_table():
+    assert _raisers(ROOT / "src" / "arcdet", WHOLE_FIBERS) == LEVEL_RULE
+
+
+def test_guard_sees_a_second_level_rule(tmp_path):
+    (tmp_path / "counting.py").write_text(
+        "def level_counts(rows, lifts):\n"
+        "    if rows % lifts:\n        raise InternalInvariantError(f'{rows} are not whole fibers of {lifts}')\n"
+    )
+    (tmp_path / "lct.py").write_text(
+        "def _level_report(cnt, lifts):\n"
+        "    if cnt % lifts:\n        raise InternalInvariantError(f'{cnt} jets are not whole fibers')\n"
+    )
+    assert _raisers(tmp_path, WHOLE_FIBERS) == [("counting.py", "level_counts"), ("lct.py", "_level_report")]
+
+
+def test_results_are_not_converted_twice():
+    assert _modules_naming(ROOT / "src" / "arcdet", DELETED_PASSES) == []
+    assert _modules_naming(ROOT / "tests", DELETED_PASSES, ("test_one_engine.py",)) == []
+
+
+def test_guard_sees_a_second_json_pass(tmp_path):
+    (tmp_path / "harness.py").write_text("def _jsonable(value):\n    return value\n")
+    (tmp_path / "cli.py").write_text("from .harness import _jsonable\n")
+    assert _modules_naming(tmp_path, DELETED_PASSES) == ["cli.py: _jsonable", "harness.py: _jsonable"]
 
 
 def _names_a_status(node):
