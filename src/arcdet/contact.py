@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .consensus import CountReport, extract_codim
-from .counting import contact_order_table
+from .counting import contact_order_table, per_prime
 from .errors import InternalInvariantError, ValidationError
 from .fields import GF, is_prime
 from .jets import DEFAULT_BUDGET, IdealGens, jet_space_size
@@ -97,18 +97,19 @@ def count_contact(gens: IdealGens, query: ContactQuery, budget=DEFAULT_BUDGET) -
     Sentinel jets (pullbacks vanishing to the level) satisfy every
     "at least m" condition with m <= level, and never an exact one.  A prime
     whose table no exact strategy fits within the budget raises
-    ``BudgetExceeded``.  Every plan grows with q, so the largest prime is
-    counted first: a refusal then comes before any count.
+    ``BudgetExceeded``; ``per_prime`` orders the primes.
     """
     polys = list(gens.nonzero())
     if not polys:
         raise ValidationError("cannot count contact along the zero ideal")
     n = len(gens.variables)
     coords = [MultiPoly.coordinates(gens.field, gens.variables)] if query.constraint else []
-    tables = {q: contact_order_table(coords + [polys], n, query.level, q, budget=budget)
-              for q in sorted(query.primes, reverse=True)}
-    counts = [(q, _contact_hits(tables[q], query), jet_space_size(n, query.level, q)) for q in query.primes]
-    return extract_codim(counts, n * (query.level + 1))
+
+    def count(q):
+        table = contact_order_table(coords + [polys], n, query.level, q, budget=budget)
+        return q, _contact_hits(table, query), jet_space_size(n, query.level, q)
+
+    return extract_codim(per_prime(query.primes, count), n * (query.level + 1))
 
 
 # --------------------------------------------------------------------------
@@ -133,17 +134,18 @@ def _proj_cone_count(lam, query, q, budget):
 def proj_count_contact(lam, query: ContactQuery, budget=DEFAULT_BUDGET) -> CountReport:
     """Count projective jets of P^(r-1), r = len(lam), in the fiber over the
     base jet diag(t^lam): those whose forms t^lam_j u_j meet the order
-    condition.  Each prime's cone count from ``_proj_cone_count`` is divided
-    by the unit group size q^N (q-1), and the quotient must be exact.  A
-    coordinate constraint is refused: the cone has its own, a unit coordinate.
+    condition.  Each prime's cone count from ``_proj_cone_count``, in the
+    order ``per_prime`` sets, is divided by the unit group size q^N (q-1),
+    and the quotient must be exact.  A coordinate constraint is refused: the
+    cone has its own, a unit coordinate.
     """
     if not lam:
         raise ValidationError("empty profile")
     if query.constraint is not None:
         raise ValidationError(f"a projective count takes no coordinate constraint, got {query.constraint!r}")
     r, level = len(lam), query.level
-    counts = []
-    for q in query.primes:
+
+    def count(q):
         cone = _proj_cone_count(lam, query, q, budget)
         unit_group = q**level * (q - 1)
         if cone % unit_group != 0:
@@ -152,6 +154,6 @@ def proj_count_contact(lam, query: ContactQuery, budget=DEFAULT_BUDGET) -> Count
                 "the order condition is not scaling invariant"
             )
         proj_total = (q ** (r * (level + 1)) - q ** (r * level)) // unit_group
-        counts.append((q, cone // unit_group, proj_total))
+        return q, cone // unit_group, proj_total
 
-    return extract_codim(counts, (r - 1) * (level + 1))
+    return extract_codim(per_prime(query.primes, count), (r - 1) * (level + 1))

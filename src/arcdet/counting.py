@@ -967,6 +967,19 @@ def contact_order_table(ideals, n, level, q, budget=DEFAULT_BUDGET, prefer="chea
     return table
 
 
+def per_prime(primes, count):
+    """[count(q) for q in primes], counted from the largest prime down.
+
+    Every plan grows with q, so a budget refusal comes before any count.  A
+    prime given twice raises ``ValidationError`` before anything is counted.
+    """
+    primes = tuple(primes)
+    if len(set(primes)) < len(primes):
+        raise ValidationError(f"counts take each prime once, got {primes!r}")
+    results = {q: count(q) for q in sorted(primes, reverse=True)}
+    return [results[q] for q in primes]
+
+
 def _read_only(keys, counts):
     keys.flags.writeable = counts.flags.writeable = False
     return keys, counts

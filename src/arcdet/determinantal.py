@@ -20,7 +20,7 @@ import numpy as np
 
 from .consensus import STATUS_EXACT_EMPTY, CountReport, extract_codim
 from .contact import MODE_AT_LEAST, ContactQuery, proj_count_contact
-from .counting import contact_order_table
+from .counting import contact_order_table, per_prime
 from .errors import BudgetExceeded, InternalInvariantError, ValidationError
 from .jets import DEFAULT_BUDGET, IdealGens, JetPoint, jet_space_size
 from .lct import LCT_DEFAULT_PRIMES, LctEstimate, lct_estimate
@@ -513,9 +513,8 @@ def cone_comparison_check(
     read the one held table: one enumeration, not two algorithms), and the
     codimension relation codim(LHS) = p*r + codim(RHS).  A side the engine cannot count
     exactly within the budget falls back to the closed form available for
-    generic-coordinate matrices.  The primes are counted largest first, so
-    a side past the budget is refused before any table is counted; the
-    reports list them in the order given.  The ``verdict`` holds when the identity
+    generic-coordinate matrices, chosen per prime; ``per_prime`` orders the
+    primes and refuses a prime given twice.  The ``verdict`` holds when the identity
     does and both sides are empty or meet the relation.  A failed identity
     is certain, and so is a relation refuted by two certified reports or by
     one empty side; a miss on a vote or an undecided report is AMBIGUOUS
@@ -536,11 +535,9 @@ def cone_comparison_check(
                 raise
         return _cone_side_counts_generic(n, r, s, depth, q, m_exact, p_exact), "closed-form"
 
-    # the largest prime first: every plan grows with q, so a refusal comes
-    # before any table is counted
-    lhs, rhs = {}, {}
-    for q in sorted(primes, reverse=True):
-        lhs[q], rhs[q] = side(level, m, p, q), side(level - p, m - p, 0, q)
+    sides = per_prime(primes, lambda q: (side(level, m, p, q), side(level - p, m - p, 0, q)))
+    lhs = {q: left for q, (left, _) in zip(primes, sides)}
+    rhs = {q: right for q, (_, right) in zip(primes, sides)}
     methods = {(lhs[q][1], rhs[q][1]) for q in primes}
     # a prime whose two sides both come from the closed form checks nothing
     identity_checked = ("closed-form", "closed-form") not in methods

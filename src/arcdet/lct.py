@@ -6,11 +6,11 @@ contact order at m is determined by coefficients up to t^m, so a level-M
 table serves every level m <= M: ``_level_report`` takes the rows whose
 work-ideal order is exactly m and reads their stratum orders at level m
 through ``counting.level_counts``, the one rule that reads a deeper table.
-``lct_estimate`` therefore counts one level-M table per prime, inside a
-campaign's table cache or outside it, and ``contact_codim_stratified`` is
-the same reader on a level-m table.  ``threshold_fold`` turns the per-m
-reports into the estimate; it is the one place an ``LctEstimate`` is made,
-so any source of per-m codimensions reaches a threshold through it.
+``lct_estimate`` therefore counts one level-M table per prime, in the order
+``counting.per_prime`` sets, inside a campaign's table cache or outside it.
+``threshold_fold`` turns the per-m reports into the estimate; it is the one
+place an ``LctEstimate`` is made, so any source of per-m codimensions
+reaches a threshold through it.
 
 For each m the Cont^m count is stratified: jets are bucketed by their
 contact orders along a list of stratifying ideals -- by default the
@@ -34,7 +34,7 @@ from .consensus import (
     extract_codim,
     extract_codim_bucketed,
 )
-from .counting import contact_order_table, level_counts
+from .counting import contact_order_table, level_counts, per_prime
 from .errors import ValidationError
 from .jets import DEFAULT_BUDGET, IdealGens, jet_space_size
 from .poly import MultiPoly
@@ -78,41 +78,12 @@ class LctEstimate:
         return out
 
 
-def contact_codim_stratified(
-    gens: IdealGens,
-    m: int,
-    primes,
-    budget=DEFAULT_BUDGET,
-    strata=None,
-) -> CountReport:
-    """Codimension of Cont^m(ideal) at level m, with exact stratified extraction.
-
-    Jets are bucketed by their contact orders along ``strata``, a list of
-    ideals (generator lists); None means the coordinates, one ideal each,
-    and [] puts every jet in one bucket.
-    """
-    return _level_report(_contact_tables(gens, m, primes, budget, strata), m, m, len(gens.variables))
-
-
-def _contact_tables(gens, level, primes, budget, strata):
-    """The level-``level`` contact-order table of [*strata, ideal] at each
-    prime, as [(q, (keys, counts)), ...] in the order of ``primes``."""
-    work = list(gens.nonzero())
-    if not work:
-        raise ValidationError("zero ideal has no contact loci")
-    if strata is None:
-        strata = [[x] for x in MultiPoly.coordinates(gens.field, gens.variables)]
-    n = len(gens.variables)
-    # every plan grows with q, so count the largest prime first: a refusal then comes before any count
-    tables = {q: contact_order_table([*strata, work], n, level, q, budget=budget) for q in sorted(primes, reverse=True)}
-    return [(q, tables[q]) for q in primes]
-
-
 def _level_report(tables, deep, m, n) -> CountReport:
-    """The stratified report of Cont^m read from level-``deep`` tables of
-    ``_contact_tables``, deep >= m: the rows whose work-ideal order is
-    exactly m, bucketed by their stratum orders at level m as
-    ``level_counts`` reads them.
+    """The stratified report of Cont^m read from the level-``deep``
+    contact-order tables of [*strata, work ideal], deep >= m, given as
+    [(q, (keys, counts)), ...]: the rows whose work-ideal order is exactly
+    m, bucketed by their stratum orders at level m as ``level_counts`` reads
+    them.
     """
     totals = []
     bucket_counts = {}
@@ -143,20 +114,25 @@ def lct_estimate(
 ) -> LctEstimate:
     """min over 1 <= m <= M of codim(Cont^m)/m: the stratified count of each
     Cont^m, every level read from one level-M table per prime and folded by
-    ``threshold_fold``.
+    ``threshold_fold``; ``per_prime`` orders the primes.
 
-    ``strata`` buckets each Cont^m as in ``contact_codim_stratified``.
+    Jets are bucketed by their contact orders along ``strata``, a list of
+    ideals (generator lists); None means the coordinates, one ideal each,
+    and [] puts every jet in one bucket.
     """
     if M < 1:
         raise ValidationError("M must be at least 1")
     primes = tuple(primes)
     if len(set(primes)) < 2:
         raise ValidationError("threshold estimation needs at least two distinct primes")
-    if len(set(primes)) < len(primes):
-        raise ValidationError(f"threshold estimation takes each prime once, got {primes!r}")
-    tables = _contact_tables(gens, M, primes, budget, strata)
+    work = list(gens.nonzero())
+    if not work:
+        raise ValidationError("zero ideal has no contact loci")
+    if strata is None:
+        strata = [[x] for x in MultiPoly.coordinates(gens.field, gens.variables)]
     n = len(gens.variables)
-    return threshold_fold([_level_report(tables, M, m, n) for m in range(1, M + 1)], n, len(gens.nonzero()))
+    tables = list(zip(primes, per_prime(primes, lambda q: contact_order_table([*strata, work], n, M, q, budget))))
+    return threshold_fold([_level_report(tables, M, m, n) for m in range(1, M + 1)], n, len(work))
 
 
 def threshold_fold(reports, ambient_dim: int, generator_count: int) -> LctEstimate:

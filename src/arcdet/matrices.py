@@ -104,17 +104,10 @@ class SeriesMatrix:
     @classmethod
     def diagonal_powers(cls, field, level, rows, lam):
         """The rows x len(lam) matrix diag(t^lam_1, ..., t^lam_r)."""
-        r = len(lam)
-        out = []
-        for i in range(rows):
-            row = []
-            for j in range(r):
-                if i == j:
-                    row.append(TruncSeries.t_power(field, level, lam[j]) if lam[j] <= level else TruncSeries.zero(field, level))
-                else:
-                    row.append(TruncSeries.zero(field, level))
-            out.append(row)
-        return cls(out)
+        return cls(
+            [[TruncSeries.t_power(field, level, k) if i == j else TruncSeries.zero(field, level) for j, k in enumerate(lam)]
+             for i in range(rows)]
+        )
 
     def entry(self, i, j):
         return self.entries[i][j]

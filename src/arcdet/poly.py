@@ -87,12 +87,6 @@ class MultiPoly:
         """Terms in descending graded-lex order."""
         return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
 
-    def degree_in(self, name):
-        idx = self.variables.index(name)
-        if not self.terms:
-            return None
-        return max(e[idx] for e in self.terms)
-
     def max_exponent(self):
         """Largest single-variable exponent across all terms (0 for constants)."""
         best = 0

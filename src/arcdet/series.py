@@ -34,13 +34,12 @@ class TruncSeries:
         return cls(field, level, (field.one,) + (field.zero,) * level)
 
     @classmethod
-    def t_power(cls, field, level, k, coeff=None):
-        """The series c*t^k at the given level (c defaults to 1)."""
+    def t_power(cls, field, level, k):
+        """The series t^k at the given level (zero when k > level)."""
         if k > level:
             return cls.zero(field, level)
-        c = field.one if coeff is None else field.of(coeff)
         coeffs = [field.zero] * (level + 1)
-        coeffs[k] = c
+        coeffs[k] = field.one
         return cls(field, level, coeffs)
 
     @classmethod

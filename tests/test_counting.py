@@ -29,6 +29,7 @@ from arcdet.counting import (
     eval_poly_codes,
     ord_value_counts,
     ord_vector_distribution,
+    per_prime,
     ring_tables,
     series_ring,
     table_cache,
@@ -141,6 +142,24 @@ class TestContactOrderTable:
         ideals = [[x1**e] for e in range(1, 40)] + [[x1**2, x1], [x1**3]]
         assert 3 ** len(ideals) > 2**63
         assert as_dict(contact_order_table(ideals, 1, 1, 3)) == brute_contact_table(ideals, 1, 1, 3)
+
+
+class TestPerPrime:
+    def test_counts_largest_first_and_reports_in_order(self):
+        called = []
+
+        def count(q):
+            called.append(q)
+            return q * q
+
+        assert per_prime((3, 7, 2, 5), count) == [9, 49, 4, 25]
+        assert called == [7, 5, 3, 2]
+
+    def test_a_repeated_prime_is_refused_before_any_count(self):
+        called = []
+        with pytest.raises(ValidationError, match="each prime once"):
+            per_prime((2, 3, 2), called.append)
+        assert called == []
 
 
 def record_run_scopes(monkeypatch):

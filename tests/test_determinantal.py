@@ -82,7 +82,8 @@ class TestPair:
         pair = DeterminantalPair.from_matrix(generic_2x2())
         assert [str(g) for g in pair.w_gens] == ["x1*y1 + x2*y2", "x3*y1 + x4*y2"]
         for g in pair.w_gens:
-            assert g.degree_in("y1") <= 1 and g.degree_in("y2") <= 1
+            ys = [g.variables.index(y) for y in ("y1", "y2")]
+            assert all(e[i] <= 1 for e in g.terms for i in ys)
 
     def test_rejects_vanishing_determinant(self):
         vs = ("x1",)
@@ -382,6 +383,11 @@ class TestCone:
         with pytest.raises(BudgetExceeded):
             cone_comparison_check(pair, 1, 0, 1, primes=(2, 3), budget=1000)
         assert counted == []
+
+    def test_each_prime_once(self):
+        pair = DeterminantalPair.from_matrix(generic_2x2())
+        with pytest.raises(ValidationError, match="each prime once"):
+            cone_comparison_check(pair, 1, 0, 1, primes=(2, 2))
 
     def test_generic_small(self):
         check = cone_comparison_check(DeterminantalPair.from_matrix(generic_2x2()), 1, 1, 1, primes=(2, 3))

@@ -9,10 +9,11 @@ import arcdet.counting
 import arcdet.lct
 from arcdet import IdealGens, parse_poly
 from arcdet.consensus import STATUS_AMBIGUOUS, STATUS_CONSENSUS, extract_codim
-from arcdet.counting import table_cache
+from arcdet.counting import contact_order_table, table_cache
 from arcdet.determinantal import VERDICT_AMBIGUOUS, VERDICT_FAIL, corollary_check
 from arcdet.errors import InternalInvariantError, ValidationError
-from arcdet.lct import contact_codim_stratified, lct_estimate, threshold_fold
+from arcdet.lct import _level_report, lct_estimate, threshold_fold
+from arcdet.poly import MultiPoly
 
 
 class TestMonomials:
@@ -129,7 +130,7 @@ class TestGuards:
     @staticmethod
     def buckets_and_report(monkeypatch, gens, m):
         """The report of the coordinate buckets alone, and the report that
-        ``contact_codim_stratified`` returns, of Cont^m at level m."""
+        ``_level_report`` reads from the level-m tables at (2, 3), of Cont^m."""
         bucketed = []
         extract = arcdet.lct.extract_codim_bucketed
 
@@ -138,7 +139,10 @@ class TestGuards:
             return bucketed[-1]
 
         monkeypatch.setattr(arcdet.lct, "extract_codim_bucketed", recording)
-        rep = contact_codim_stratified(gens, m, (2, 3))
+        n = len(gens.variables)
+        strata = [[x] for x in MultiPoly.coordinates(gens.field, gens.variables)]
+        tables = [(q, contact_order_table([*strata, list(gens.nonzero())], n, m, q)) for q in (2, 3)]
+        rep = _level_report(tables, m, m, n)
         (merged,) = bucketed
         return merged, rep
 

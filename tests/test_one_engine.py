@@ -49,6 +49,11 @@ A deeper table is read at a shallower level by one rule,
 level reads both call it, and only it raises the whole-fiber error.  Task
 results hold payloads and params as the tasks made them: the second pass
 that turned them into JSON values stays deleted.
+A check's primes have one rule, ``counting.per_prime``: only it sorts primes
+in reverse, to count the largest first, and it alone refuses a prime given
+twice for every check that counts per prime.  The threshold reader of one
+level-m table and its table builder stay deleted: ``lct_estimate`` counts
+its tables and ``_level_report`` reads them.
 Statuses have one rule: ``determinantal`` binds PASS, FAIL and AMBIGUOUS
 once, and only ``determinantal.verdict`` returns or assigns one, so every
 check and task reads its status from ``verdict(holds, certain)``; other
@@ -127,6 +132,10 @@ WHOLE_FIBERS = "whole fibers"
 LEVEL_RULE = [("counting.py", "level_counts")]
 # harness.py: the pass that turned every payload and params into JSON values
 DELETED_PASSES = ("_jsonable",)
+# the one function that orders a check's primes, and the threshold reader of
+# one level-m table and its table builder, which lct_estimate replaced
+PRIME_ORDER = [("counting.py", "per_prime")]
+DELETED_READERS = ("contact_codim_stratified", "_contact_tables")
 # the check and task statuses, their values, and the one function that makes them
 VERDICTS = ("VERDICT_PASS", "VERDICT_FAIL", "VERDICT_AMBIGUOUS")
 STATUS_VALUES = ("PASS", "FAIL", "AMBIGUOUS")
@@ -143,8 +152,9 @@ def _modules_naming(package, names, owners=()):
     )
 
 
-def _callers(package, names):
-    """(module, enclosing function, callee) for each call of one of ``names``."""
+def _owners(package, pick):
+    """(module, enclosing function, pick(node)) for each node of the package
+    for which ``pick`` is not None; "<module>" owns code outside functions."""
     found = set()
 
     def visit(path, node, owner):
@@ -152,16 +162,27 @@ def _callers(package, names):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(path, child, child.name)
                 continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                callee = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if callee in names:
-                    found.add((str(path.relative_to(package)), owner, callee))
+            picked = pick(child)
+            if picked is not None:
+                found.add((str(path.relative_to(package)), owner, picked))
             visit(path, child, owner)
 
     for path in package.rglob("*.py"):
         visit(path, ast.parse(path.read_text(encoding="utf-8")), "<module>")
     return sorted(found)
+
+
+def _callee(node):
+    """The name a call calls, or None for any other node."""
+    if isinstance(node, ast.Call):
+        func = node.func
+        return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    return None
+
+
+def _callers(package, names):
+    """(module, enclosing function, callee) for each call of one of ``names``."""
+    return _owners(package, lambda node: callee if (callee := _callee(node)) in names else None)
 
 
 def _forbidden_reads(package, rules):
@@ -188,23 +209,32 @@ def _forbidden_reads(package, rules):
 def _raisers(package, text):
     """(module, enclosing function) for each raise whose exception holds a
     string constant that contains ``text``."""
-    found = set()
 
-    def visit(path, node, owner):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(path, child, child.name)
-                continue
-            if isinstance(child, ast.Raise) and child.exc is not None and any(
-                isinstance(c, ast.Constant) and isinstance(c.value, str) and text in c.value
-                for c in ast.walk(child.exc)
-            ):
-                found.add((str(path.relative_to(package)), owner))
-            visit(path, child, owner)
+    def raises(node):
+        return (isinstance(node, ast.Raise) and node.exc is not None and any(
+            isinstance(c, ast.Constant) and isinstance(c.value, str) and text in c.value for c in ast.walk(node.exc)
+        )) or None
 
-    for path in package.rglob("*.py"):
-        visit(path, ast.parse(path.read_text(encoding="utf-8")), "<module>")
-    return sorted(found)
+    return [(module, owner) for module, owner, _ in _owners(package, raises)]
+
+
+def _prime_orderers(package):
+    """(module, enclosing function) for each reverse sort of primes: a call
+    of ``sorted`` or ``sort`` with a ``reverse`` that is not the constant
+    False, or of ``reversed``, that reads a name or attribute holding
+    "prime"."""
+
+    def orders_primes(node):
+        callee = _callee(node)
+        reverse = callee == "reversed" or (callee in ("sorted", "sort") and any(
+            k.arg == "reverse" and not (isinstance(k.value, ast.Constant) and k.value.value is False)
+            for k in node.keywords
+        ))
+        read = (n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute)))
+        return (reverse and any("prime" in name for name in read)) or None
+
+    return [(module, owner) for module, owner, _ in _owners(package, orders_primes)]
 
 
 def _arguments(func):
@@ -559,3 +589,31 @@ def test_guard_sees_a_second_status_rule(tmp_path):
         ("determinantal.py", "VERDICT_FAIL"), ("determinantal.py", "VERDICT_PASS"), ("harness.py", "STATUS_FAIL"),
     ]
     assert _status_makers(tmp_path) == [("harness.py", "check"), ("harness.py", "run")]
+
+
+def test_one_rule_orders_the_primes():
+    package = ROOT / "src" / "arcdet"
+    assert _prime_orderers(package) == PRIME_ORDER
+    assert _modules_naming(package, DELETED_READERS) == []
+    assert _modules_naming(ROOT / "tests", DELETED_READERS, ("test_one_engine.py",)) == []
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert re.findall(r"\b(" + "|".join(DELETED_READERS) + r")\b", readme) == []
+
+
+def test_guard_sees_a_second_prime_order(tmp_path):
+    (tmp_path / "counting.py").write_text(
+        "def per_prime(primes, count):\n    return {q: count(q) for q in sorted(primes, reverse=True)}\n"
+    )
+    (tmp_path / "lct.py").write_text(
+        "def _contact_tables(gens, primes):\n    return [table(gens, q) for q in sorted(primes, reverse=True)]\n\n\n"
+        "def lct_estimate(gens, primes):\n    return [sorted(gens.terms, reverse=True), sorted(primes)]\n"
+    )
+    (tmp_path / "contact.py").write_text(
+        "def count_contact(gens, query):\n    return [count(gens, q) for q in reversed(sorted(query.primes))]\n\n\n"
+        "def proj_count_contact(lam, query):\n    primes = list(query.primes)\n    primes.sort(reverse=True)\n"
+    )
+    assert _prime_orderers(tmp_path) == [
+        ("contact.py", "count_contact"), ("contact.py", "proj_count_contact"),
+        ("counting.py", "per_prime"), ("lct.py", "_contact_tables"),
+    ]
+    assert _modules_naming(tmp_path, DELETED_READERS) == ["lct.py: _contact_tables"]

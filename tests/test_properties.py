@@ -21,8 +21,8 @@ from arcdet.counting import (
 )
 from arcdet.determinantal import DeterminantalPair, lambda_profile, minor_ideal_tower, minor_order_profile
 from arcdet.errors import TruncationInsufficient
-from arcdet.jets import DEFAULT_BUDGET, enumerate_jets, ord_along_ideal, substitute_jet
-from arcdet.lct import _contact_tables, _level_report, contact_codim_stratified
+from arcdet.jets import enumerate_jets, ord_along_ideal, substitute_jet
+from arcdet.lct import _level_report
 from arcdet.matrices import SeriesMatrix, minors
 from arcdet.snf import smith_normal_form
 from table_dicts import as_dict
@@ -248,16 +248,25 @@ def test_truncated_tables_equal_counted_ones(ideal_terms, prefer):
 )
 @settings(max_examples=30, deadline=None)
 def test_levels_read_from_a_deep_table_equal_counted_ones(work_terms, strata_terms, q, M):
-    """Cont^m read from the level-M tables, as ``lct_estimate`` reads it, has
-    the buckets and the report of ``contact_codim_stratified`` at level m."""
+    """Cont^m read from the level-M table of [*strata, work], as
+    ``lct_estimate`` reads it, has the buckets and the report that
+    ``_level_report`` reads from the level-m table; the coordinates are the
+    strata when ``strata_terms`` is None."""
     vs = ("x1", "x2")
-    gens = IdealGens(tuple(_poly_from(terms, vs, q) for terms in work_terms))
-    strata = None if strata_terms is None else [[_poly_from(t, vs, q) for t in ideal] for ideal in strata_terms]
-    deep = _contact_tables(gens, M, (q,), DEFAULT_BUDGET, strata)
+    work = [_poly_from(terms, vs, q) for terms in work_terms]
+    strata = (
+        [[x] for x in MultiPoly.coordinates(GF(q), vs)] if strata_terms is None
+        else [[_poly_from(t, vs, q) for t in ideal] for ideal in strata_terms]
+    )
+
+    def tables(level):
+        return [(q, contact_order_table([*strata, work], len(vs), level, q))]
+
+    deep = tables(M)
     for m in range(1, M + 1):
         with patch.object(arcdet.lct, "extract_codim_bucketed", wraps=arcdet.lct.extract_codim_bucketed) as read:
             from_deep = _level_report(deep, M, m, len(vs))
-            counted = contact_codim_stratified(gens, m, (q,), strata=strata)
+            counted = _level_report(tables(m), m, m, len(vs))
         assert from_deep == counted
         first, second = read.call_args_list
         assert first == second  # the same buckets, counts and totals
