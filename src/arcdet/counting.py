@@ -16,14 +16,20 @@ when its largest single enumeration is within the budget.
 ``prefer="direct"`` with the first fitting plan in the order below, and
 exactly one strategy counts each table.
 
-* direct      -- two block walks, every pair of their states combined
-                 through the ring.  The variables split into two blocks of
-                 term components, and ``_block_states`` tallies each block's
-                 whole grid, or its quotient by the units of O_N (below), by
-                 state: the orders of the polynomials that lie in it alone and
-                 the values of its parts of those with terms in both.  Its
-                 cost and largest are the full grid, which bounds its walks and
-                 pairs: a block has no more states than its grid has jets.
+* direct      -- two block walks and a combine of their states.  The
+                 variables split into two blocks of term components, and
+                 ``_block_states`` tallies each block's whole grid, or its
+                 quotient by the units of O_N (below), by state: the orders of
+                 the polynomials that lie in it alone and the values of its
+                 parts of those with terms in both.  With two or more such
+                 spanning polynomials, where the add split's cell bound admits
+                 it, the states are combined as the add split combines them;
+                 otherwise every pair of states is combined through the ring.
+                 So at one spanning polynomial or none, as in the
+                 stratification's tower table, direct and the add split still
+                 count by two different combines.  Its cost and largest are the
+                 full grid, which bounds its walks and pairs: a block has no
+                 more states than its grid has jets.
 * shift split -- a variable that occurs exactly once in the whole list,
                  as a lone constant-coefficient degree-1 term, acts as a
                  uniform shift; its generator's order distribution is the
@@ -32,11 +38,14 @@ exactly one strategy counts each table.
 * add split   -- when the term-cooccurrence graph of the variables is
                  disconnected, the list splits into two blocks sharing at
                  most one additively-split polynomial.  It reads direct's
-                 block states and differs in the combine: each block's
-                 states become counts by (orders, value code), convolved by
+                 block states and combines them by prefixes: each block's
+                 states become counts by (orders, value codes), convolved by
                  matching value prefixes, one integer matrix product per
-                 prefix length.  The plan refuses a combine that could pass
-                 _MAX_COMBINE cells before anything is enumerated.
+                 vector of prefix lengths, one length per spanning
+                 polynomial.  The plan refuses a combine that could pass
+                 _MAX_COMBINE cells before anything is enumerated, and it
+                 refuses a second spanning polynomial, although the combine
+                 counts any number of them.
 * monomial    -- when every polynomial is a monomial c*x^a (or zero), the
                  order of c*x^a is min(<a, e>, N+1) for the vector e of
                  coordinate orders, so the table is the product of the
@@ -77,8 +86,8 @@ size of the coordinates it reads.  A key is mixed-radix:
 value codes of the spanning parts, then orders, each the ring order of a
 code scaled to its key digit (one gather with the tables).  A key entry
 stands for every jet of the batch that differs from it only in coordinates
-the key does not read.  Every walk of a block, and direct's combine of block states,
-checks that its counts sum to the size of its grid.
+the key does not read.  Every walk of a block, and each combine of block
+states, checks that its counts sum to the size of its grid.
 Codes take the narrowest of int16, int32 and int64 that holds Q - 1, in the
 mesh and in the ring alike.
 The tables are never written after construction, so threads may share them.
@@ -114,7 +123,7 @@ from .jets import DEFAULT_BUDGET
 from .poly import MultiPoly
 
 # rows per enumeration batch, and pairs of block states per batch of direct's
-# combine.  Timed on a 2-vCPU Xeon, one thread, fresh process, 3 runs at each of
+# pair combine (``_pair_combine``; the prefix combine does not batch).  Timed on a 2-vCPU Xeon, one thread, fresh process, 3 runs at each of
 # 2^15 to 2^19, with a mesh's low coordinates on one flat axis [then on one axis
 # each]: the stratification and cone campaigns took 6-11 [3-6] and 12-26 [11-21]
 # ms at every cap, and one [x1, x2, x1*x2] table (q=2, N=11) 0.75-1.08 [0.84-1.05]
@@ -603,18 +612,20 @@ def _block_states(polys, sides, spans, level, q):
 
 
 def _direct_distribution(polys, n, level, q):
-    """Table of ``polys`` over the full jet grid, counted as pairs of block states.
+    """Table of ``polys`` over the full jet grid, counted from block states.
 
     The variables split into the two blocks of ``_blocks``, and every term lies
     in one of them, so a jet reaches the table only through the state of each
     block: the orders of the polynomials that lie in that block alone and the
     value codes of its parts of those with terms in both, the first part
     holding the constant term.  ``_block_states`` walks and tallies each
-    block.  Every pair of states is then combined through the ring, which
-    reads the orders of the spanning polynomials from the sums of their
-    parts, and the pair counts the product of the two states' counts.  A list
-    of one component, or one whose states or keys would overflow int64, is
-    one block paired with the empty grid, which has one state.
+    block.  With two or more spanning polynomials whose prefix combine the
+    additive plan's cell bound admits (``_prefix_fits``), the states are
+    combined by ``_prefix_combine``; otherwise by ``_pair_combine``, so that at
+    one spanning polynomial or none the stratification's partition identity
+    still compares two combines.  A list of one component, or one whose
+    states or keys would overflow int64, is one block paired with the empty
+    grid, which has one state.
     """
     total = q ** (n * (level + 1))
     if not polys:
@@ -625,6 +636,16 @@ def _direct_distribution(polys, n, level, q):
     if max(radices + [base ** len(polys)]) > 2**63:
         sides, spans = ((list(range(n)), list(range(len(polys)))), ([], [])), []
     states = _block_states(polys, sides, spans, level, q)
+    prefix = len(spans) >= 2 and _prefix_fits(sides, len(spans), level, q)
+    return (_prefix_combine if prefix else _pair_combine)(polys, states, sides, spans, level, q)
+
+
+def _pair_combine(polys, states, sides, spans, level, q):
+    """Every pair of block states combined through the ring, which reads the
+    orders of the spanning polynomials from the sums of their parts; the pair
+    counts the product of the two states' counts.  The counts must sum to the
+    full grid."""
+    base = level + 2
     # each block's orders in their slots of the full key
     (key_a, val_a, cnt_a), (key_b, val_b, cnt_b) = (
         (orders @ base ** np.array(slots, dtype=np.int64), values, counts)
@@ -644,6 +665,7 @@ def _direct_distribution(polys, n, level, q):
                 key += order(ring.plus(val_a[a, s, None], val_b[b, s]))
             yield cnt_a[a, None] * cnt_b[b], key
 
+    total = q ** (sum(len(side_vars) for side_vars, _ in sides) * (level + 1))
     codes, counts = _tally(pairs(), base ** len(polys), total)
     return _digits(codes, [base] * len(polys)), counts
 
@@ -762,65 +784,110 @@ def _blocks(polys, n):
 
 def _additive_split_distribution(polys, level, q, sides, spans):
     """Table of ``polys`` from the block states of ``_block_states``, with
-    ``sides`` and ``spans`` as ``_blocks`` returns them and at most one
-    spanning polynomial, whose order is read from the sum of its two parts.
-    Per block, the states of each row of orders become one row of a matrix
-    counting them by value code, one column without a spanning polynomial.
+    ``sides`` and ``spans`` as ``_blocks`` returns them, combined by
+    ``_prefix_combine``."""
+    return _prefix_combine(polys, _block_states(polys, sides, spans, level, q), sides, spans, level, q)
+
+
+def _drop_top_digit(table, axis, q):
+    """``table`` counted by one digit fewer of the codes on ``axis``: its top
+    digit, the axis's slow index once it is split into (q, rest), summed out."""
+    shape = table.shape
+    return table.reshape(shape[:axis] + (q, shape[axis] // q) + shape[axis + 1 :]).sum(axis=axis)
+
+
+def _prefix_combine(polys, states, sides, spans, level, q):
+    """Table of ``polys`` from the two blocks' ``states``, the order of each of
+    the k spanning polynomials read from the value codes of its two parts by
+    matching their prefixes.
+
+    Per block, the states of each row of orders become one row of a table
+    counting them by their value codes, one axis per spanning polynomial.
+    Side B's codes are negated first, scaled by q - 1: the o lowest digits of
+    -v are the negation of v's, so a pair's parts of polynomial s sum to order
+    >= o_s exactly when their o_s lowest digits are equal.  Each prefix vector
+    (o_1..o_k) takes its tables from a longer one, one digit axis summed, and
+    one integer matrix product of them counts the pairs of rows whose sums
+    have every order o_s or more.  A difference along each of the k axes then
+    leaves the exact orders, index N+1 the sentinel.  The counts must sum to
+    the full grid.
     """
+    width, k = level + 1, len(spans)
+    ring = series_ring(q, level)
+    # a state's k value codes as one code, the first spanning polynomial's the slowest digit
+    joint = ring.size ** np.arange(k - 1, -1, -1, dtype=np.int64)
     tables = []
-    for orders, values, counts in _block_states(polys, sides, spans, level, q):
-        new = np.r_[True, (orders[1:] != orders[:-1]).any(axis=1)]  # sorted states: equal rows adjacent
-        mat = np.zeros((np.count_nonzero(new), q ** ((level + 1) * len(spans))), dtype=np.int64)
-        mat[np.cumsum(new) - 1, values.sum(axis=1)] = counts  # the one value code, or 0
-        tables.append((orders[new], mat))
-    (keys_a, mat_a), (keys_b, mat_b) = tables
-    if not spans:
-        # no value codes to match: a pair of keys counts the product of the two totals
-        by_ord = np.outer(mat_a.sum(axis=1), mat_b.sum(axis=1))[None]
-    else:
-        vwidth = level + 1
-        ring = series_ring(q, level)
-        # negation of value codes, scaling by q - 1; on codes below q^o it negates the o-digit prefix
-        neg = ring.scale(q - 1, np.arange(ring.size))
-        # geq[o][i, j]: pairs of key i of A and key j of B whose values cancel in
-        # their o lowest digits, that is whose sum has order >= o.  Row i of the
-        # prefix matrix counts A's values by their o lowest digits.
-        geq = np.empty((vwidth + 1, len(keys_a), len(keys_b)), dtype=np.int64)
-        pre_a, pre_b = mat_a, mat_b
-        for o in range(vwidth, -1, -1):
-            geq[o] = pre_a @ pre_b[:, neg[: q**o]].T
-            if o:
-                pre_a = pre_a.reshape(len(keys_a), q, q ** (o - 1)).sum(axis=1)
-                pre_b = pre_b.reshape(len(keys_b), q, q ** (o - 1)).sum(axis=1)
-        # exactly order o for o <= level; index level + 1 is the sentinel
-        by_ord = np.concatenate([geq[:-1] - geq[1:], geq[-1:]])
+    for b, (orders, values, counts) in enumerate(states):
+        if b:
+            values = ring.scale(q - 1, values)
+        new = np.ones(len(orders), dtype=bool)  # sorted states: equal rows adjacent
+        new[1:] = (orders[1:] != orders[:-1]).any(axis=1)
+        table = np.zeros((np.count_nonzero(new), ring.size**k), dtype=np.int64)
+        table[np.cumsum(new) - 1, values @ joint] = counts
+        tables.append((orders[new], table.reshape((-1,) + (ring.size,) * k)))
+    (keys_a, _), (keys_b, _) = tables
+    # geq[o][i, j]: pairs of row i of A and row j of B whose parts of each
+    # polynomial s cancel in their o_s lowest digits; prefix vectors from the
+    # longest down, each from the one with its last shorter entry one longer
+    geq = np.empty((width + 1,) * k + (len(keys_a), len(keys_b)), dtype=np.int64)
+    prefixes = {}
+    for o in product(range(width, -1, -1), repeat=k):
+        shorter = [s for s in range(k) if o[s] < width]
+        if shorter:
+            s = shorter[-1]
+            longer = prefixes[o[:s] + (o[s] + 1,) + o[s + 1 :]]
+            prefixes[o] = [_drop_top_digit(table, s + 1, q) for table in longer]
+        else:
+            prefixes[o] = [table for _, table in tables]
+        pre_a, pre_b = prefixes[o]
+        geq[o] = pre_a.reshape(len(keys_a), -1) @ pre_b.reshape(len(keys_b), -1).T
+    # exactly order o_s for o_s <= level along each axis; index level + 1 is the sentinel
+    for axis in range(k):
+        before = (slice(None),) * axis
+        geq[before + (slice(-1),)] -= geq[before + (slice(1, None),)]
 
-    # only the nonzero cells become keys: side A's entries, side B's entries and
-    # the split polynomial's order, each in its own slots of ``polys``
-    o, i, j = np.nonzero(by_ord)
-    keys = np.empty((o.size, len(polys)), dtype=np.int64)
-    keys[:, sides[0][1]] = keys_a[i]
-    keys[:, sides[1][1]] = keys_b[j]
-    keys[:, spans] = o[:, None]
-    return keys, by_ord[o, i, j]
+    total = q ** (sum(len(side_vars) for side_vars, _ in sides) * width)
+    counted = int(geq.sum())
+    if counted != total:
+        raise InternalInvariantError(f"the combine of block states counted {counted} of {total} jets")
+    # only the nonzero cells become keys: the spanning polynomials' orders, side
+    # A's entries and side B's entries, each in its own slots of ``polys``
+    cells = np.nonzero(geq)
+    keys = np.empty((cells[-1].size, len(polys)), dtype=np.int64)
+    for s, orders in zip(spans, cells):
+        keys[:, s] = orders
+    keys[:, sides[0][1]] = keys_a[cells[-2]]
+    keys[:, sides[1][1]] = keys_b[cells[-1]]
+    return keys, geq[cells]
 
 
-def _additive_plan(polys, n, level, q):
-    """The two blocks of ``_blocks``, each enumerated alone.
-
-    Refused for a single component, for a second polynomial with terms in both
-    blocks, for pairs of jets past int64, and when the combine could pass
-    _MAX_COMBINE cells: a side has at most min(q^w, (N+2)^k) distinct keys for
-    its w digits and k polynomials.
-    """
-    sides, both = _blocks(polys, n)
-    if not sides[1][0]:
-        return None
+def _prefix_fits(sides, k, level, q):
+    """Whether the prefix combine of ``sides`` with k spanning polynomials
+    stays within int64 pairs of jets and _MAX_COMBINE cells: a side has at
+    most min(q^(nw), (N+2)^m) distinct rows of orders for its n variables,
+    w = N+1 digits and m polynomials, and q^(wk) value codes, counted as
+    q^w at k = 0 as well, the bound the additive plan has always read."""
     width = level + 1
     sizes = [q ** (len(side_vars) * width) for side_vars, _ in sides]
     keys = [min(size, (level + 2) ** len(slots)) for size, (_, slots) in zip(sizes, sides)]
-    if len(both) > 1 or sizes[0] * sizes[1] >= 2**63 or keys[0] * keys[1] * q**width > _MAX_COMBINE:
+    return sizes[0] * sizes[1] < 2**63 and keys[0] * keys[1] * q ** (width * max(k, 1)) <= _MAX_COMBINE
+
+
+def _additive_plan(polys, n, level, q):
+    """The two blocks of ``_blocks``, each enumerated alone and combined by
+    ``_prefix_combine``.
+
+    Refused for a single component, for a second polynomial with terms in both
+    blocks, and when ``_prefix_fits`` refuses the combine.  The prefix
+    combine counts any number of spanning polynomials, and direct uses it at
+    two or more, but this plan refuses them on purpose: it would then count
+    the cone's joint tables past direct's budget, which the cone check reads
+    from its closed form, and change those reports.
+    """
+    sides, both = _blocks(polys, n)
+    if not sides[1][0] or len(both) > 1 or not _prefix_fits(sides, len(both), level, q):
         return None
+    sizes = [q ** (len(side_vars) * (level + 1)) for side_vars, _ in sides]
     return "additive", sum(sizes), max(sizes), lambda: _additive_split_distribution(polys, level, q, sides, both)
 
 

@@ -67,13 +67,17 @@ class DeterminantalPair:
     tower: tuple  # the matrix's ``minor_ideal_tower``
     w_gens: IdealGens
     y_names: tuple
+    y_coords: tuple  # the coordinate polynomials of ``y_names``, over the joint variables
+    generic: bool  # the matrix's ``_is_generic_coordinate_matrix``
 
     @classmethod
     def from_matrix(cls, A: PolyMatrix):
         """A's ``minor_ideal_tower``, built once here (its top is Z), and W = A(x)·y
         by position: w_i = sum_j a_ij(x)·y_j has the term (e + unit_j, c) for
         each term (e, c) of a_ij, over ``A.variables + y_names``, the incidence
-        coordinates y1, y2, ... skipping the matrix's own names."""
+        coordinates y1, y2, ... skipping the matrix's own names.  The
+        y-coordinate polynomials and the generic-coordinate flag, which every
+        cone check reads, are built here once too."""
         r = A.cols
         if A.rows < r:
             raise ValidationError(f"a determinantal pair needs at least as many rows as columns, got {A.rows}x{r}")
@@ -87,7 +91,11 @@ class DeterminantalPair:
         joint = A.variables + y_names
         w = [MultiPoly(A.field, joint, {e + units[j]: c for j, a in enumerate(row) for e, c in a.terms.items()})
              for row in A.entries]
-        return cls(matrix=A, tower=tower, w_gens=IdealGens(tuple(w)), y_names=y_names)
+        y_coords = tuple(MultiPoly.variable(A.field, joint, y) for y in y_names)
+        return cls(
+            matrix=A, tower=tower, w_gens=IdealGens(tuple(w)), y_names=y_names, y_coords=y_coords,
+            generic=_is_generic_coordinate_matrix(A),
+        )
 
     @property
     def z_gens(self) -> IdealGens:
@@ -210,8 +218,10 @@ def stratum_counts(
         raise ValidationError("m must be at most the level")
     n = len(pair.matrix.variables)
     # keyed by the sigma vectors: within its budget, direct walks each block of
-    # variables once, tallies it by its state and combines every pair of states
-    # through the ring, which evaluates the spanning minors.
+    # variables once and tallies it by its state.  Where one minor spans both
+    # blocks, as the determinant of a 2x2 matrix does, it combines every pair
+    # of states through the ring, which evaluates that minor; where two or
+    # more do, it combines by prefixes as the additive split does.
     tower = [ideal.nonzero() for ideal in pair.tower]
     keys, counts = contact_order_table(tower, n, level, q, budget=budget, prefer="direct")
     hit = keys[:, -1] == m
@@ -228,8 +238,9 @@ def stratum_counts(
     # the total from the maximal-minor ideal alone, by whatever exact strategy
     # is cheapest.  For a determinant of two blocks that is the additive split:
     # it walks each block of its own list the way the pass above does, and
-    # combines the blocks by prefix matrix products, so the identity compares
-    # the pairs-of-states combine with the prefix-matrix combine.
+    # combines the blocks by prefix matrix products, so with one spanning
+    # minor above the identity compares the pairs-of-states combine with the
+    # prefix-matrix combine.
     z_keys, z_counts = contact_order_table([pair.z_gens.nonzero()], n, level, q, budget=budget)
     cont_m = int(z_counts[z_keys[:, 0] == m].sum())
 
@@ -475,9 +486,8 @@ class ConeCheck:
 
 def _cone_side_counts_direct(pair, level, q, m_exact, p_exact, budget):
     """Count jets of X x A^r with exact incidence order and exact zero-section order."""
-    joint = pair.w_gens.variables
-    y_coords = MultiPoly.coordinates(pair.matrix.field, joint)[len(pair.matrix.variables) :]
-    keys, counts = contact_order_table([y_coords, pair.w_gens.nonzero()], len(joint), level, q, budget=budget)
+    ideals = [pair.y_coords, pair.w_gens.nonzero()]
+    keys, counts = contact_order_table(ideals, len(pair.w_gens.variables), level, q, budget=budget)
     return int(counts[(keys == (p_exact, m_exact)).all(axis=1)].sum())
 
 
@@ -524,14 +534,13 @@ def cone_comparison_check(
         raise ValidationError("need 0 <= p <= m <= level")
     n = len(pair.matrix.variables)
     r, s = pair.r, pair.s
-    generic = _is_generic_coordinate_matrix(pair.matrix)
 
     def side(depth, m_exact, p_exact, q):
         """(count, method): the engine's exact count, else the generic closed form."""
         try:
             return _cone_side_counts_direct(pair, depth, q, m_exact, p_exact, budget), "direct"
         except BudgetExceeded:
-            if not generic:
+            if not pair.generic:
                 raise
         return _cone_side_counts_generic(n, r, s, depth, q, m_exact, p_exact), "closed-form"
 

@@ -147,7 +147,9 @@ def threshold_fold(reports, ambient_dim: int, generator_count: int) -> LctEstima
     exclude the true codimension.
     Sanity guards: the estimate may exceed neither the number of generators
     (a subscheme cut by d equations has threshold at most d) nor the ambient
-    dimension; violations are flagged as internal errors.
+    dimension, and no decided level m >= 1 may read a codim below 1, since a
+    contact locus lies over the subscheme; violations are flagged as
+    internal errors.
     """
     per_m = []
     estimate = None
@@ -161,7 +163,11 @@ def threshold_fold(reports, ambient_dim: int, generator_count: int) -> LctEstima
                 witness = m  # ties move the witness to the deepest level
         per_m.append((m, rep, ratio))
 
-    errors = []
+    errors = [
+        f"level {m} reads codim {rep.consensus_codim}; a contact locus at m >= 1 has codim >= 1"
+        for m, rep, ratio in per_m
+        if ratio is not None and rep.consensus_codim < 1
+    ]
     if estimate is not None:
         if estimate > generator_count:
             errors.append(

@@ -1,6 +1,7 @@
 """The vectorized counting engine against the pure-Python oracle, the
 exact equivalence of its four strategies, and the planner that picks one."""
 
+import hashlib
 import random
 import tracemalloc
 from collections import Counter
@@ -11,18 +12,23 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import arcdet.counting
 import arcdet.harness
 from arcdet import GF, BudgetExceeded, IdealGens, MultiPoly, PolyMatrix, enumerate_jets, parse_poly
 from arcdet.counting import (
     RING_TABLE_CAP,
+    _block_states,
+    _blocks,
     _direct_distribution,
     _grading,
     _mesh_batches,
     _monomial_distribution,
     _order_batches,
+    _pair_combine,
     _plans,
+    _prefix_combine,
     _tally,
     SeriesRing,
     contact_order_table,
@@ -475,6 +481,75 @@ class TestPlans:
             planned("additive", [f], 4, 1, 3)
 
 
+def _block_parts(draw, q):
+    """A polynomial's terms in one block: x1, x2 (block 0) or x3, x4 (block 1)."""
+    exps = draw(st.lists(st.sampled_from([(a, b) for a in range(3) for b in range(3) if a or b]), min_size=1, max_size=2))
+    return [(e, draw(st.integers(1, q - 1))) for e in exps]
+
+
+@st.composite
+def spanning_systems(draw):
+    """(q, level, polys): two to four polynomials over x1..x4 whose terms
+    each lie in {x1, x2} or {x3, x4}, two or three of them with terms in both,
+    the others in one block; any of them may hold a constant term."""
+    q, level = draw(st.sampled_from([(2, 0), (2, 1), (2, 2), (3, 0), (3, 1)]))
+    spanning = draw(st.integers(2, 3))
+    blocks = [(0, 1)] * spanning + draw(st.lists(st.sampled_from([(0,), (1,)]), max_size=4 - spanning))
+    polys = []
+    for sides in blocks:
+        terms = {}
+        for side in sides:
+            for (a, b), c in _block_parts(draw, q):
+                terms[(a, b, 0, 0) if side == 0 else (0, 0, a, b)] = c
+        if draw(st.booleans()):
+            terms[(0, 0, 0, 0)] = draw(st.integers(1, q - 1))
+        polys.append(MultiPoly(GF(q), ("x1", "x2", "x3", "x4"), terms))
+    return q, level, polys
+
+
+class TestPrefixCombine:
+    """The prefix combine of block states at two or more spanning
+    polynomials, which direct takes where the combine's cell bound admits it,
+    against direct's pairs of states and the jets one by one."""
+
+    @given(spanning_systems())
+    @settings(max_examples=10, deadline=None)
+    def test_matches_pairs_and_jets(self, system):
+        q, level, polys = system
+        sides, spans = _blocks(polys, 4)
+        assume(len(spans) >= 2)
+        states = _block_states(polys, sides, spans, level, q)
+        prefix = as_dict(_prefix_combine(polys, states, sides, spans, level, q))
+        assert prefix == as_dict(_pair_combine(polys, states, sides, spans, level, q))
+        assert prefix == as_dict(_direct_distribution(polys, 4, level, q))
+        assert prefix == brute_contact_table([[p] for p in polys], 4, level, q)
+
+    # sha256 of the sorted (order vector, jets) list of the generic 2x2 cone's
+    # joint table (y1, y2; w1, w2), as direct's pairs of states counted it
+    CONE_TABLES = {
+        (2, 3): (395, "727981a1806d04907d709b0bbb35715580040d3cccd1555ef9d6f7c44927319e"),
+        (3, 1): (58, "a43aae013ba65621c1636dc3c22d41dccea67935f0c940506999abb65aca38c2"),
+    }
+
+    @pytest.mark.parametrize("q, level", list(CONE_TABLES))
+    def test_generic_cone_tables_are_pinned(self, q, level):
+        vs = ("x1", "x2", "x3", "x4")
+        A = PolyMatrix([[parse_poly("x1", vs), parse_poly("x2", vs)], [parse_poly("x3", vs), parse_poly("x4", vs)]])
+        pair = DeterminantalPair.from_matrix(A)
+        polys = [g.map_coeffs(GF(q)) for g in (*pair.y_coords, *pair.w_gens.nonzero())]
+        table = sorted(as_dict(_direct_distribution(polys, 6, level, q)).items())
+        assert (len(table), hashlib.sha256(repr(table).encode()).hexdigest()) == self.CONE_TABLES[q, level]
+
+    def test_a_lost_state_is_caught(self):
+        vs = ("x1", "x2", "x3", "x4")
+        polys = [parse_poly(e, vs).map_coeffs(GF(3)) for e in ("x1*x2 + x3", "x1 + x4^2 + 1")]
+        sides, spans = _blocks(polys, 4)
+        (orders, values, counts), side_b = _block_states(polys, sides, spans, 1, 3)
+        states = [(orders[:-1], values[:-1], counts[:-1]), side_b]
+        with pytest.raises(InternalInvariantError, match="combine of block states counted"):
+            _prefix_combine(polys, states, sides, spans, 1, 3)
+
+
 class TestBlockStates:
     """Direct enumeration as pairs of block states, against the jets one by
     one and against every other strategy that applies.  At q=3, N=1 a
@@ -510,9 +585,22 @@ class TestBlockStates:
         for name in plan_names(polys, n, 1, 3):
             assert planned(name, polys, n, 1, 3) == want, name
 
+    @pytest.mark.parametrize("case", ["spans", "three components"])
+    @pytest.mark.parametrize("cap", [1 << 20, 20, 5])
+    def test_direct_pairs_match_jets(self, monkeypatch, oracle, case, cap):
+        # both cases have two spanning polynomials, which direct combines by
+        # prefixes; the cell bound 0 leaves it its pairs of states
+        monkeypatch.setattr(arcdet.counting, "BATCH_CAP", cap)
+        monkeypatch.setattr(arcdet.counting, "_MAX_COMBINE", 0)
+        n, polys, want = oracle[case]
+        assert as_dict(_direct_distribution(polys, n, 1, 3)) == want
+
     def test_no_batch_passes_the_cap(self, monkeypatch, oracle):
         # the "spans" blocks have 62 and 9 states: one state of the first block
-        # paired with every state of the second would pass the cap 5
+        # paired with every state of the second would pass the cap 5.  Its two
+        # spanning polynomials are paired only when the prefix combine's cell
+        # bound refuses them.
+        monkeypatch.setattr(arcdet.counting, "_MAX_COMBINE", 0)
         tally = arcdet.counting._tally
         sizes = []
 

@@ -355,6 +355,17 @@ class TestExecution:
         message = "estimate 1 exceeds the generator count 0; a d-equation subscheme has threshold <= d"
         assert z.payload["internal_errors"] == corollary.payload["lct_z"]["internal_errors"] == [message]
 
+    def test_a_decided_codim_below_one_fails_a_certified_estimate(self):
+        # det = x1(x2^2 - x3^2): at m = 1 the count 3q^2(q-1)^3 at q = 3 is
+        # q^3(q-1)^3 and 8 = 2^3 at q = 2 (where it reduces to x1(x2 + x3)^2),
+        # so the fit certifies codim 0, which no contact locus at m >= 1 has
+        vs = ("x1", "x2", "x3")
+        A = PolyMatrix([[parse_poly(e, vs) for e in row] for row in (("x1*x2", "x1*x3"), ("x3", "x2"))])
+        c = Campaign.make("floor", {"m": ("matrix", A)}, [Task.make("z", "lct_z", matrix="m", max_m=3)])
+        (z,) = run_campaign(c).results
+        assert (z.status, z.payload["estimate"], z.payload["certified_upper_bound"]) == ("FAIL", "0", True)
+        assert z.payload["internal_errors"] == ["level 1 reads codim 0; a contact locus at m >= 1 has codim >= 1"]
+
     @pytest.mark.parametrize("certified", [False, True])
     def test_a_chart_internal_error_fails_a_certified_estimate_only(self, monkeypatch, certified):
         # Z reads lct 1 and each W chart 2, as the theorem wants, but each

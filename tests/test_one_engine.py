@@ -15,10 +15,14 @@ makes an ``LctEstimate`` and only ``determinantal.corollary_check`` a
 ``CorollaryReport``, a verdict over two estimates that counts nothing, so a
 source of codimensions that counts no ideal reaches both through them.
 Both split strategies read one block walk: ``_block_states`` walks each
-block with ``_side_walk``, direct combines the states in pairs and additive
-by value prefixes, and only the quotient walk calls ``_side_walk`` besides,
-for its table one level down.  The additive split's own walk and the
-evaluator's fast path for a plain variable stay deleted.
+block with ``_side_walk``, and only the quotient walk calls ``_side_walk``
+besides, for its table one level down.  Additive combines the states by
+value prefixes (``_prefix_combine``); direct combines them in pairs
+(``_pair_combine``) at one spanning polynomial or none, so that the
+stratification's tower table and its Z total still meet through two
+combines, and by value prefixes at two or more, as in the cone's joint
+table.  The additive split's own walk and the evaluator's fast path for a
+plain variable stay deleted.
 The batch size is one constant, ``counting.BATCH_CAP``, read only where a
 batch is cut: by the mesh walk, the quotient gate of ``_side_walk``, direct's
 batches of state pairs and the fill of the ring tables.  No function takes
@@ -65,6 +69,11 @@ import ast
 import re
 from pathlib import Path
 
+import arcdet.counting
+from arcdet import PolyMatrix, parse_poly
+from arcdet.counting import contact_order_table
+from arcdet.determinantal import DeterminantalPair
+
 ROOT = Path(__file__).resolve().parents[1]
 ENGINE_INTERNALS = (
     "SeriesRing", "RingTables", "ring_tables", "series_ring", "eval_poly_codes", "ord_vector_distribution",
@@ -101,7 +110,7 @@ DELETED_WALKS = ("_side_table", "_plain_variable_index")
 # counting.py: the batch size, the functions that cut batches by it, and the
 # parameter names that once carried it through the walks and plans
 BATCH_SIZE = "BATCH_CAP"
-BATCH_CUTTERS = ["RingTables.__init__", "_direct_distribution", "_mesh_batches", "_side_walk"]
+BATCH_CUTTERS = ["RingTables.__init__", "_mesh_batches", "_pair_combine", "_side_walk"]
 BATCH_PARAMETERS = ("batch_cap", "cap")
 # counting.py: the mesh walk's one parameter, and the one reader of the term
 # components, which also laid out and cut the mesh before it had an axis per
@@ -306,6 +315,25 @@ def test_both_split_strategies_read_one_block_walk():
     assert _callers(ROOT / "src" / "arcdet", BLOCK_WALK) == BLOCK_WALKERS
     assert _modules_naming(ROOT / "src" / "arcdet", DELETED_WALKS) == []
     assert _modules_naming(ROOT / "tests", DELETED_WALKS, ("test_one_engine.py",)) == []
+
+
+def test_direct_pairs_states_at_one_spanning_polynomial_only(monkeypatch):
+    calls = []
+    for name in ("_pair_combine", "_prefix_combine"):
+        def counted(*args, _name=name, _combine=getattr(arcdet.counting, name)):
+            calls.append(_name)
+            return _combine(*args)
+
+        monkeypatch.setattr(arcdet.counting, name, counted)
+    vs = ("x1", "x2", "x3", "x4")
+    pair = DeterminantalPair.from_matrix(PolyMatrix([[parse_poly(v, vs) for v in row] for row in (vs[:2], vs[2:])]))
+    # the stratification's tower table: only the determinant spans both blocks
+    contact_order_table([ideal.nonzero() for ideal in pair.tower], 4, 1, 3, prefer="direct")
+    assert calls == ["_pair_combine"]
+    # the cone's joint table: both incidence forms span both blocks
+    calls.clear()
+    contact_order_table([pair.y_coords, pair.w_gens.nonzero()], 6, 1, 2, prefer="direct")
+    assert calls == ["_prefix_combine"]
 
 
 def test_guard_sees_a_second_block_walk(tmp_path):
