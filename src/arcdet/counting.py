@@ -23,7 +23,8 @@ exactly one strategy counts each table.
                  the polynomials that lie in it alone and the values of its
                  parts of those with terms in both.  With two or more such
                  spanning polynomials, where the add split's cell bound admits
-                 it, the states are combined as the add split combines them;
+                 it and ``_prefix_cheaper`` finds it cheaper than the pairs,
+                 the states are combined as the add split combines them;
                  otherwise every pair of states is combined through the ring.
                  So at one spanning polynomial or none, as in the
                  stratification's tower table, direct and the add split still
@@ -141,6 +142,15 @@ BATCH_CAP = 1 << 17
 # campaigns use no ring above Q = 3^5.
 RING_TABLE_CAP = 3**7
 _MAX_COMBINE = 1 << 26
+# the cost of one prefix vector's calls in ``_prefix_combine`` (its digit sums
+# and matrix product), in pairs of block states of ``_pair_combine``.  Timed on
+# a 2-vCPU Xeon, least of 5 calls, on 16 tables of 2 to 5 spanning polynomials
+# over 4 or 6 variables, twice: a vector's calls took 8-15 us and a pair 13-36
+# ns, while a table cell or multiply-add took 2-9 ns, which ``_prefix_cheaper``
+# counts as a pair.  The rule then took the faster combine on 15 of the 16; on
+# the 16th it paired 204240 states in 4.4-7.5 ms where the prefixes took
+# 1.2-2.2 ms.
+_PREFIX_CALL_PAIRS = 1 << 10
 _MAX_AXES = 64 if int(np.__version__.split(".")[0]) >= 2 else 32  # numpy's NPY_MAXDIMS
 
 
@@ -620,12 +630,13 @@ def _direct_distribution(polys, n, level, q):
     value codes of its parts of those with terms in both, the first part
     holding the constant term.  ``_block_states`` walks and tallies each
     block.  With two or more spanning polynomials whose prefix combine the
-    additive plan's cell bound admits (``_prefix_fits``), the states are
-    combined by ``_prefix_combine``; otherwise by ``_pair_combine``, so that at
-    one spanning polynomial or none the stratification's partition identity
-    still compares two combines.  A list of one component, or one whose
-    states or keys would overflow int64, is one block paired with the empty
-    grid, which has one state.
+    additive plan's cell bound admits (``_prefix_fits``) and which costs less
+    than the pairs (``_prefix_cheaper``), the states are combined by
+    ``_prefix_combine``; otherwise by ``_pair_combine``, so that at one
+    spanning polynomial or none the stratification's partition identity still
+    compares two combines.  A list of one component, or one whose states or
+    keys would overflow int64, is one block paired with the empty grid, which
+    has one state.
     """
     total = q ** (n * (level + 1))
     if not polys:
@@ -636,7 +647,8 @@ def _direct_distribution(polys, n, level, q):
     if max(radices + [base ** len(polys)]) > 2**63:
         sides, spans = ((list(range(n)), list(range(len(polys)))), ([], [])), []
     states = _block_states(polys, sides, spans, level, q)
-    prefix = len(spans) >= 2 and _prefix_fits(sides, len(spans), level, q)
+    k = len(spans)
+    prefix = k >= 2 and _prefix_fits(sides, k, level, q) and _prefix_cheaper(states, k, level, q)
     return (_prefix_combine if prefix else _pair_combine)(polys, states, sides, spans, level, q)
 
 
@@ -796,6 +808,14 @@ def _drop_top_digit(table, axis, q):
     return table.reshape(shape[:axis] + (q, shape[axis] // q) + shape[axis + 1 :]).sum(axis=axis)
 
 
+def _row_starts(orders):
+    """Mask of the states that open a new row of orders; ``_block_states``
+    sorts a side's states, so equal rows are adjacent."""
+    new = np.ones(len(orders), dtype=bool)
+    new[1:] = (orders[1:] != orders[:-1]).any(axis=1)
+    return new
+
+
 def _prefix_combine(polys, states, sides, spans, level, q):
     """Table of ``polys`` from the two blocks' ``states``, the order of each of
     the k spanning polynomials read from the value codes of its two parts by
@@ -805,12 +825,13 @@ def _prefix_combine(polys, states, sides, spans, level, q):
     counting them by their value codes, one axis per spanning polynomial.
     Side B's codes are negated first, scaled by q - 1: the o lowest digits of
     -v are the negation of v's, so a pair's parts of polynomial s sum to order
-    >= o_s exactly when their o_s lowest digits are equal.  Each prefix vector
-    (o_1..o_k) takes its tables from a longer one, one digit axis summed, and
-    one integer matrix product of them counts the pairs of rows whose sums
-    have every order o_s or more.  A difference along each of the k axes then
-    leaves the exact orders, index N+1 the sentinel.  The counts must sum to
-    the full grid.
+    >= o_s exactly when their o_s lowest digits are equal.  The prefix vectors
+    (o_1..o_k) are walked depth first, one axis a level, each table from its
+    parent's by one digit axis summed, so at most k + 1 tables a side are held;
+    one integer matrix product of each vector's tables counts the pairs of
+    rows whose sums have every order o_s or more.  A difference along each of
+    the k axes then leaves the exact orders, index N+1 the sentinel.  The
+    counts must sum to the full grid.
     """
     width, k = level + 1, len(spans)
     ring = series_ring(q, level)
@@ -820,27 +841,27 @@ def _prefix_combine(polys, states, sides, spans, level, q):
     for b, (orders, values, counts) in enumerate(states):
         if b:
             values = ring.scale(q - 1, values)
-        new = np.ones(len(orders), dtype=bool)  # sorted states: equal rows adjacent
-        new[1:] = (orders[1:] != orders[:-1]).any(axis=1)
+        new = _row_starts(orders)
         table = np.zeros((np.count_nonzero(new), ring.size**k), dtype=np.int64)
         table[np.cumsum(new) - 1, values @ joint] = counts
         tables.append((orders[new], table.reshape((-1,) + (ring.size,) * k)))
     (keys_a, _), (keys_b, _) = tables
     # geq[o][i, j]: pairs of row i of A and row j of B whose parts of each
-    # polynomial s cancel in their o_s lowest digits; prefix vectors from the
-    # longest down, each from the one with its last shorter entry one longer
+    # polynomial s cancel in their o_s lowest digits
     geq = np.empty((width + 1,) * k + (len(keys_a), len(keys_b)), dtype=np.int64)
-    prefixes = {}
-    for o in product(range(width, -1, -1), repeat=k):
-        shorter = [s for s in range(k) if o[s] < width]
-        if shorter:
-            s = shorter[-1]
-            longer = prefixes[o[:s] + (o[s] + 1,) + o[s + 1 :]]
-            prefixes[o] = [_drop_top_digit(table, s + 1, q) for table in longer]
-        else:
-            prefixes[o] = [table for _, table in tables]
-        pre_a, pre_b = prefixes[o]
-        geq[o] = pre_a.reshape(len(keys_a), -1) @ pre_b.reshape(len(keys_b), -1).T
+
+    def walk(prefix, pre_a, pre_b):
+        # the tables cut to ``prefix`` on the axes before the next one
+        if len(prefix) == k:
+            geq[prefix] = pre_a.reshape(len(keys_a), -1) @ pre_b.reshape(len(keys_b), -1).T
+            return
+        axis = len(prefix) + 1
+        for o in range(width, -1, -1):
+            walk(prefix + (o,), pre_a, pre_b)
+            if o:
+                pre_a, pre_b = _drop_top_digit(pre_a, axis, q), _drop_top_digit(pre_b, axis, q)
+
+    walk((), *(table for _, table in tables))
     # exactly order o_s for o_s <= level along each axis; index level + 1 is the sentinel
     for axis in range(k):
         before = (slice(None),) * axis
@@ -859,6 +880,19 @@ def _prefix_combine(polys, states, sides, spans, level, q):
     keys[:, sides[0][1]] = keys_a[cells[-2]]
     keys[:, sides[1][1]] = keys_b[cells[-1]]
     return keys, geq[cells]
+
+
+def _prefix_cheaper(states, k, level, q):
+    """Whether the prefix combine of ``states`` with k spanning polynomials
+    costs less than pairing them, counted in pairs of states: each of the
+    (N+2)^k prefix vectors _PREFIX_CALL_PAIRS for its calls, and the cells its
+    two tables hold and the multiply-adds of their product, (r_a + r_b +
+    r_a r_b) q^(o_1 + .. + o_k) for r rows of orders a side."""
+    rows = [int(np.count_nonzero(_row_starts(orders))) for orders, _, _ in states]
+    # q^(o_1 + .. + o_k) summed over the prefix vectors, each o_s in 0..N+1
+    cells = ((q ** (level + 2) - 1) // (q - 1)) ** k
+    cost = (level + 2) ** k * _PREFIX_CALL_PAIRS + (rows[0] + rows[1] + rows[0] * rows[1]) * cells
+    return cost < len(states[0][0]) * len(states[1][0])
 
 
 def _prefix_fits(sides, k, level, q):
@@ -880,9 +914,10 @@ def _additive_plan(polys, n, level, q):
     Refused for a single component, for a second polynomial with terms in both
     blocks, and when ``_prefix_fits`` refuses the combine.  The prefix
     combine counts any number of spanning polynomials, and direct uses it at
-    two or more, but this plan refuses them on purpose: it would then count
-    the cone's joint tables past direct's budget, which the cone check reads
-    from its closed form, and change those reports.
+    two or more where it is the cheaper combine, but this plan refuses them
+    on purpose: it would then count the cone's joint tables past direct's
+    budget, which the cone check reads from its closed form, and change those
+    reports.
     """
     sides, both = _blocks(polys, n)
     if not sides[1][0] or len(both) > 1 or not _prefix_fits(sides, len(both), level, q):

@@ -509,8 +509,9 @@ def spanning_systems(draw):
 
 class TestPrefixCombine:
     """The prefix combine of block states at two or more spanning
-    polynomials, which direct takes where the combine's cell bound admits it,
-    against direct's pairs of states and the jets one by one."""
+    polynomials, which direct takes where it is the cheaper combine and the
+    cell bound admits it, against direct's pairs of states and the jets one by
+    one."""
 
     @given(spanning_systems())
     @settings(max_examples=10, deadline=None)
@@ -539,6 +540,20 @@ class TestPrefixCombine:
         polys = [g.map_coeffs(GF(q)) for g in (*pair.y_coords, *pair.w_gens.nonzero())]
         table = sorted(as_dict(_direct_distribution(polys, 6, level, q)).items())
         assert (len(table), hashlib.sha256(repr(table).encode()).hexdigest()) == self.CONE_TABLES[q, level]
+
+    def test_many_spanning_polynomials_over_few_variables_are_paired(self, monkeypatch):
+        # five polynomials span {x1, x2} and {x3, x4} and none lies in one
+        # block: each side has one row of orders and 64 states, so 4096 pairs
+        # against 4^5 prefix vectors whose tables hold 15^5 cells a side
+        def refuse(*args):
+            raise AssertionError("the prefix combine was reached")
+
+        monkeypatch.setattr(arcdet.counting, "_prefix_combine", refuse)
+        vs = ("x1", "x2", "x3", "x4")
+        exprs = ("x1 + x3", "x2 + x4", "x1*x2 + x3*x4", "x1^2 + x3^2", "x2^2 + x4^2")
+        polys = [parse_poly(e, vs).map_coeffs(GF(2)) for e in exprs]
+        assert len(_blocks(polys, 4)[1]) == 5
+        assert as_dict(_direct_distribution(polys, 4, 2, 2)) == brute_contact_table([[p] for p in polys], 4, 2, 2)
 
     def test_a_lost_state_is_caught(self):
         vs = ("x1", "x2", "x3", "x4")
@@ -585,22 +600,9 @@ class TestBlockStates:
         for name in plan_names(polys, n, 1, 3):
             assert planned(name, polys, n, 1, 3) == want, name
 
-    @pytest.mark.parametrize("case", ["spans", "three components"])
-    @pytest.mark.parametrize("cap", [1 << 20, 20, 5])
-    def test_direct_pairs_match_jets(self, monkeypatch, oracle, case, cap):
-        # both cases have two spanning polynomials, which direct combines by
-        # prefixes; the cell bound 0 leaves it its pairs of states
-        monkeypatch.setattr(arcdet.counting, "BATCH_CAP", cap)
-        monkeypatch.setattr(arcdet.counting, "_MAX_COMBINE", 0)
-        n, polys, want = oracle[case]
-        assert as_dict(_direct_distribution(polys, n, 1, 3)) == want
-
     def test_no_batch_passes_the_cap(self, monkeypatch, oracle):
         # the "spans" blocks have 62 and 9 states: one state of the first block
-        # paired with every state of the second would pass the cap 5.  Its two
-        # spanning polynomials are paired only when the prefix combine's cell
-        # bound refuses them.
-        monkeypatch.setattr(arcdet.counting, "_MAX_COMBINE", 0)
+        # paired with every state of the second would pass the cap 5
         tally = arcdet.counting._tally
         sizes = []
 

@@ -20,9 +20,10 @@ besides, for its table one level down.  Additive combines the states by
 value prefixes (``_prefix_combine``); direct combines them in pairs
 (``_pair_combine``) at one spanning polynomial or none, so that the
 stratification's tower table and its Z total still meet through two
-combines, and by value prefixes at two or more, as in the cone's joint
-table.  The additive split's own walk and the evaluator's fast path for a
-plain variable stay deleted.
+combines, and by value prefixes at two or more only where they cost less
+than the pairs, as in the cone's joint table at (q, N) = (2, 3).  The
+additive split's own walk and the evaluator's fast path for a plain
+variable stay deleted.
 The batch size is one constant, ``counting.BATCH_CAP``, read only where a
 batch is cut: by the mesh walk, the quotient gate of ``_side_walk``, direct's
 batches of state pairs and the fill of the ring tables.  No function takes
@@ -317,7 +318,7 @@ def test_both_split_strategies_read_one_block_walk():
     assert _modules_naming(ROOT / "tests", DELETED_WALKS, ("test_one_engine.py",)) == []
 
 
-def test_direct_pairs_states_at_one_spanning_polynomial_only(monkeypatch):
+def test_direct_takes_prefixes_only_where_they_are_cheaper(monkeypatch):
     calls = []
     for name in ("_pair_combine", "_prefix_combine"):
         def counted(*args, _name=name, _combine=getattr(arcdet.counting, name)):
@@ -330,10 +331,13 @@ def test_direct_pairs_states_at_one_spanning_polynomial_only(monkeypatch):
     # the stratification's tower table: only the determinant spans both blocks
     contact_order_table([ideal.nonzero() for ideal in pair.tower], 4, 1, 3, prefer="direct")
     assert calls == ["_pair_combine"]
-    # the cone's joint table: both incidence forms span both blocks
-    calls.clear()
-    contact_order_table([pair.y_coords, pair.w_gens.nonzero()], 6, 1, 2, prefer="direct")
-    assert calls == ["_prefix_combine"]
+    # the cone's joint table, where both incidence forms span both blocks: at
+    # (q, N) = (2, 3) its 341 x 341 states cost more than 25 prefix vectors,
+    # while at (2, 1) its 21 x 21 states cost less than 9
+    for level, combine in ((3, "_prefix_combine"), (1, "_pair_combine")):
+        calls.clear()
+        contact_order_table([pair.y_coords, pair.w_gens.nonzero()], 6, level, 2, prefer="direct")
+        assert calls == [combine]
 
 
 def test_guard_sees_a_second_block_walk(tmp_path):
